@@ -27,7 +27,10 @@ so retention KL is exactly 0 before training and measures pure drift.
 Determinism: every random draw comes from a counter-based stream keyed by
 (seed, purpose, step, problem_id), so results do not depend on evaluation
 order and identical configs replay bit-for-bit. Rollouts for weighting,
-telemetry, and SNR measurement use distinct purpose labels.
+telemetry, and SNR measurement use distinct purpose labels. Per-problem
+draws are taken for all problems at once with numerics.stream_uniforms,
+which reproduces numerics.stream() bit for bit; stream() remains the
+contract that defines every draw.
 """
 
 from __future__ import annotations
@@ -39,16 +42,9 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .kernel import KernelParams, WeightVector, beta_weight, normalize_weights
-from .numerics import log_softmax, stream
-from .passrate import (
-    THREE_BIN_EDGES,
-    PassRate,
-    RolloutRecord,
-    estimate_pass_rate,
-    hard_filter,
-    histogram,
-)
+from .kernel import KernelParams, beta_weight, normalize_weights
+from .numerics import log_softmax, stream, stream_uniforms
+from .passrate import THREE_BIN_EDGES, PassRate, RolloutRecord, hard_filter, histogram
 from .snr_profile import GradientRecord
 
 __all__ = [
@@ -188,6 +184,7 @@ class SimWorld:
     features: np.ndarray  # (N, F), unit rows
     answers: np.ndarray  # (N,), int tokens
     teacher_logits: np.ndarray  # (N, V)
+    teacher_log_probs: np.ndarray  # (N, V), log_softmax of teacher_logits
     anchor_features: np.ndarray  # (M, F)
     anchor_log_targets: np.ndarray  # (M, V)
     theta: np.ndarray  # (F, V)
@@ -196,9 +193,6 @@ class SimWorld:
     def student_logits(self, features: np.ndarray | None = None) -> np.ndarray:
         x = self.features if features is None else features
         return x @ self.theta
-
-    def teacher_log_probs(self) -> np.ndarray:
-        return log_softmax(self.teacher_logits, axis=1)
 
 
 @dataclass(frozen=True)
@@ -281,6 +275,7 @@ def build_world(config: SimConfig) -> SimWorld:
         features=features,
         answers=answers,
         teacher_logits=teacher_logits,
+        teacher_log_probs=log_softmax(teacher_logits, axis=1),
         anchor_features=anchor_features,
         anchor_log_targets=anchor_log_targets,
         theta=theta,
@@ -288,29 +283,37 @@ def build_world(config: SimConfig) -> SimWorld:
     )
 
 
-def _sample_pass_rates(
-    world: SimWorld, k: int, purpose: str
-) -> list[RolloutRecord]:
+def _categorical(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """(N, k) tokens drawn by inverting each row's cdf at the uniforms u.
+
+    Counting cdf entries <= u equals searchsorted(cdf, u, side="right") on a
+    nondecreasing cdf; the clamp catches a cdf that rounds to below 1. The
+    count runs column by column to keep temporaries at (N, k).
+    """
+    cdf = np.cumsum(probs, axis=1)
+    tokens = np.zeros(u.shape, dtype=np.intp)
+    for column in cdf.T:
+        tokens += column[:, None] <= u
+    return np.minimum(tokens, probs.shape[1] - 1)
+
+
+def _sample_pass_rates(world: SimWorld, k: int, purpose: str) -> np.ndarray:
+    """(N, k) correctness of k rollouts per problem at the current step."""
     if k < 1:
         raise DomainError(f"rollout count must be >= 1, got {k}")
     logits = world.student_logits() / world.config.rollout_temperature
     probs = np.exp(log_softmax(logits, axis=1))
-    records = []
-    for i, pid in enumerate(world.problem_ids):
-        gen = stream(world.config.seed, purpose, world.step, pid)
-        u = gen.random(k)
-        cdf = np.cumsum(probs[i])
-        tokens = np.minimum(
-            np.searchsorted(cdf, u, side="right"), world.config.vocab_size - 1
-        )
-        outcomes = tuple(bool(t == world.answers[i]) for t in tokens)
-        records.append(RolloutRecord(problem_id=pid, outcomes=outcomes))
-    return records
+    u = stream_uniforms((world.config.seed, purpose, world.step), world.problem_ids, k)
+    return _categorical(probs, u) == world.answers[:, None]
 
 
 def run_rollouts(world: SimWorld, K: int) -> list[RolloutRecord]:
     """K rollouts per problem at the current step (weighting stream)."""
-    return _sample_pass_rates(world, K, "rollout")
+    outcomes = _sample_pass_rates(world, K, "rollout")
+    return [
+        RolloutRecord(problem_id=pid, outcomes=tuple(row))
+        for pid, row in zip(world.problem_ids, outcomes.tolist())
+    ]
 
 
 def _losses_and_diffs(
@@ -319,7 +322,7 @@ def _losses_and_diffs(
     """Per-problem losses and logit-space gradient rows for one direction."""
     log_ps = log_softmax(world.student_logits(), axis=1)
     ps = np.exp(log_ps)
-    log_pt = world.teacher_log_probs()
+    log_pt = world.teacher_log_probs
     if direction == "forward":
         pt = np.exp(log_pt)
         losses = np.sum(pt * (log_pt - log_ps), axis=1)
@@ -353,43 +356,51 @@ def reverse_kl(world: SimWorld, problem_index: int) -> tuple[float, np.ndarray]:
 
 
 def _sampled_reverse_diffs(world: SimWorld, n_samples: int) -> np.ndarray:
-    """Score-function estimate of the reverse-KL logit gradient rows."""
+    """Score-function estimate of the reverse-KL logit gradient rows.
+
+    Samples are accumulated one at a time, in draw order, for all problems
+    together, so each row's sum is the same sequential sum as per problem.
+    """
     log_ps = log_softmax(world.student_logits(), axis=1)
     ps = np.exp(log_ps)
-    log_pt = world.teacher_log_probs()
-    ratio = log_ps - log_pt
-    diffs = np.zeros_like(ps)
-    for i, pid in enumerate(world.problem_ids):
-        gen = stream(world.config.seed, "revkl", world.step, pid)
-        u = gen.random(n_samples)
-        cdf = np.cumsum(ps[i])
-        tokens = np.minimum(
-            np.searchsorted(cdf, u, side="right"), world.config.vocab_size - 1
-        )
-        acc = np.zeros(ps.shape[1])
-        for t in tokens:
-            one_hot = np.zeros(ps.shape[1])
-            one_hot[t] = 1.0
-            acc += ratio[i, t] * (one_hot - ps[i])
-        diffs[i] = acc / n_samples
-    return diffs
+    ratio = log_ps - world.teacher_log_probs
+    u = stream_uniforms(
+        (world.config.seed, "revkl", world.step), world.problem_ids, n_samples
+    )
+    rows = np.arange(ps.shape[0])
+    acc = np.zeros_like(ps)
+    for tokens in _categorical(ps, u).T:
+        one_hot = np.zeros_like(ps)
+        one_hot[rows, tokens] = 1.0
+        acc += ratio[rows, tokens, None] * (one_hot - ps)
+    return acc / n_samples
 
 
-def _weight_vector(config: SimConfig, records: Sequence[RolloutRecord]) -> WeightVector:
-    raw: list[tuple[str, float]] = []
+def _weights(
+    config: SimConfig, problem_ids: Sequence[str], counts: np.ndarray
+) -> np.ndarray:
+    """Normalized weights from per-problem success counts out of rollout_count.
+
+    The weighting function is evaluated once per possible count, 0..K, and
+    the table is indexed by the counts.
+    """
+    k = config.rollout_count
     if config.scheme == "beta":
         params = KernelParams(config.alpha, config.beta)
-        for rec in records:
-            pr = estimate_pass_rate(rec)
-            raw.append((rec.problem_id, max(beta_weight(pr.p, params), config.weight_floor)))
+        table = [
+            max(beta_weight(c / k, params), config.weight_floor) for c in range(k + 1)
+        ]
     elif config.scheme == "hard":
-        for rec in records:
-            pr = estimate_pass_rate(rec)
-            keep = hard_filter(pr, config.filter_lo, config.filter_hi)
-            raw.append((rec.problem_id, 1.0 if keep else max(0.0, config.weight_floor)))
+        table = [
+            1.0
+            if hard_filter(PassRate.from_counts(c, k), config.filter_lo, config.filter_hi)
+            else max(0.0, config.weight_floor)
+            for c in range(k + 1)
+        ]
     else:
-        raw = [(rec.problem_id, 1.0) for rec in records]
-    return normalize_weights(raw)
+        table = [1.0] * (k + 1)
+    raw = np.array(table)[counts].tolist()
+    return normalize_weights(list(zip(problem_ids, raw))).normalized
 
 
 def _direction_at(config: SimConfig, local_step: int, switch_step: int) -> str:
@@ -409,15 +420,14 @@ def _eval_checkpoint(
     direction: str,
     absolute_step: int,
 ) -> CheckpointRow:
-    records = _sample_pass_rates(world, world.config.rollout_count, "eval")
-    rates = [estimate_pass_rate(r) for r in records]
-    hist = histogram(rates, THREE_BIN_EDGES)
-    train_acc = float(np.mean([r.p for r in rates]))
+    k = world.config.rollout_count
+    p = _sample_pass_rates(world, k, "eval").sum(axis=1) / k
+    hist = histogram(p, THREE_BIN_EDGES)
     return CheckpointRow(
         step=absolute_step,
         stage=direction,
         loss=_weighted_loss(world, weights, direction),
-        train_acc=train_acc,
+        train_acc=hist.mean_p,
         retention_kl=retention(world),
         frac_low=hist.fractions[0],
         frac_med=hist.fractions[1],
@@ -452,8 +462,6 @@ def train(
             raise DomainError(f"snr dump step {s} outside [0, {t_total}]")
 
     base = world.step
-    weights_vec: WeightVector | None = None
-    weights = np.zeros(n)
     recompute_steps: list[int] = []
     rows: list[CheckpointRow] = []
     dumps: dict[int, tuple[GradientRecord, ...]] = {}
@@ -461,7 +469,7 @@ def train(
     for local in range(t_total + 1):
         direction = _direction_at(config, min(local, t_total - 1), switch_step)
         needs_recompute = (
-            weights_vec is None
+            local == 0
             or (
                 config.loss_direction == "two_stage"
                 and local == switch_step
@@ -475,9 +483,8 @@ def train(
             )
         )
         if needs_recompute:
-            records = run_rollouts(world, config.rollout_count)
-            weights_vec = _weight_vector(config, records)
-            weights = weights_vec.normalized
+            outcomes = _sample_pass_rates(world, config.rollout_count, "rollout")
+            weights = _weights(config, world.problem_ids, outcomes.sum(axis=1))
             recompute_steps.append(world.step)
 
         if local % config.eval_interval == 0 or local == t_total:
@@ -521,20 +528,18 @@ def measure_snr(world: SimWorld, loss_direction: str) -> list[GradientRecord]:
         raise DomainError(
             f"loss_direction must be one of {_STAGE_DIRECTIONS}, got {loss_direction!r}"
         )
-    records = _sample_pass_rates(world, world.config.rollout_count, "snr")
-    rates = [estimate_pass_rate(r) for r in records]
+    k = world.config.rollout_count
+    counts = _sample_pass_rates(world, k, "snr").sum(axis=1).tolist()
     _, diffs = _losses_and_diffs(world, loss_direction)
     grads = world.features[:, :, None] * diffs[:, None, :]
-    out = []
-    for i, pid in enumerate(world.problem_ids):
-        out.append(
-            GradientRecord(
-                problem_id=pid,
-                pass_rate=rates[i],
-                gradient=tuple(grads[i].ravel()),
-            )
+    return [
+        GradientRecord(
+            problem_id=pid,
+            pass_rate=PassRate.from_counts(counts[i], k),
+            gradient=tuple(grads[i].ravel()),
         )
-    return out
+        for i, pid in enumerate(world.problem_ids)
+    ]
 
 
 def retention(world: SimWorld) -> float:

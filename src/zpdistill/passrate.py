@@ -134,14 +134,20 @@ def hard_filter(p: PassRate, lo: float = 0.2, hi: float = 0.8) -> bool:
 
 
 def histogram(
-    pass_rates: Sequence[PassRate], edges: Sequence[float]
+    pass_rates: Sequence[PassRate] | np.ndarray, edges: Sequence[float]
 ) -> PassRateHistogram:
-    """Bin pass rates into the given edges (last bin closed on both ends)."""
+    """Bin pass rates into the given edges (last bin closed on both ends).
+
+    pass_rates may also be an array of p values.
+    """
     if len(pass_rates) == 0:
         raise InsufficientDataError("histogram requires at least one pass rate")
     edges_t = tuple(float(e) for e in edges)
     _validate_edges(edges_t)
-    values = np.array([r.p for r in pass_rates], dtype=np.float64)
+    if isinstance(pass_rates, np.ndarray):
+        values = pass_rates.astype(np.float64)
+    else:
+        values = np.array([r.p for r in pass_rates], dtype=np.float64)
     # np.histogram uses exactly the required convention: half-open bins with
     # the final bin closed.
     counts, _ = np.histogram(values, bins=np.array(edges_t))

@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from zpdistill.distill_sim import (
     SimConfig,
@@ -13,9 +14,10 @@ from zpdistill.distill_sim import (
     run_rollouts,
     train,
 )
-from zpdistill.distill_sim import _losses_and_diffs, _sampled_reverse_diffs
+from zpdistill.distill_sim import _categorical, _losses_and_diffs, _sampled_reverse_diffs
 from zpdistill.errors import ConfigError, DomainError
 from zpdistill.kernel import normalize_weights
+from zpdistill.numerics import log_softmax, stream
 from zpdistill.passrate import estimate_pass_rate, hard_filter
 from zpdistill.snr_profile import bell_shape_score, compute_snr_bins
 
@@ -121,6 +123,67 @@ class TestRollouts:
         with pytest.raises(DomainError):
             run_rollouts(build_world(_SMALL), 0)
 
+    def test_matches_per_problem_stream_oracle(self):
+        # The batched sampler must draw what one stream() per problem draws.
+        cfg = _small(num_problems=30, rollout_temperature=1.7)
+        w = build_world(cfg)
+        w.step = 5
+        k = 7
+        probs = np.exp(log_softmax(w.student_logits() / 1.7, axis=1))
+        want = []
+        for i, pid in enumerate(w.problem_ids):
+            u = stream(cfg.seed, "rollout", 5, pid).random(k)
+            cdf = np.cumsum(probs[i])
+            tokens = np.minimum(np.searchsorted(cdf, u, side="right"), cfg.vocab_size - 1)
+            want.append(tuple(bool(t == w.answers[i]) for t in tokens))
+        assert [r.outcomes for r in run_rollouts(w, k)] == want
+
+
+def _searchsorted_oracle(probs, u):
+    """Per-row inverse-cdf sampling, as the simulator drew tokens per problem."""
+    v = probs.shape[1]
+    return np.array(
+        [np.minimum(np.searchsorted(np.cumsum(p), row, side="right"), v - 1)
+         for p, row in zip(probs, u)]
+    ).reshape(u.shape)
+
+
+class TestCategorical:
+    def test_uniform_on_a_cdf_entry_moves_past_it(self):
+        probs = np.array([[0.25, 0.25, 0.5], [0.5, 0.5, 0.0]])
+        u = np.array([[0.0, 0.25, 0.5, 0.75], [0.5, 0.0, 0.999, 0.25]])
+        got = _categorical(probs, u)
+        assert np.array_equal(got, [[0, 1, 2, 2], [1, 0, 1, 0]])
+        assert np.array_equal(got, _searchsorted_oracle(probs, u))
+
+    def test_cdf_ending_below_one_is_clamped(self):
+        probs = np.array([[0.125, 0.25, 0.375]])
+        u = np.array([[0.0625, 0.375, 0.75, 0.8, 0.99]])
+        got = _categorical(probs, u)
+        assert np.array_equal(got, [[0, 2, 2, 2, 2]])
+        assert np.array_equal(got, _searchsorted_oracle(probs, u))
+
+    @given(
+        rows=st.lists(
+            st.lists(st.floats(0.0, 1.0), min_size=2, max_size=6), min_size=1, max_size=5
+        ),
+        picks=st.lists(st.integers(0, 10**6), min_size=1, max_size=8),
+        data=st.data(),
+    )
+    def test_matches_searchsorted_oracle(self, rows, picks, data):
+        v = min(len(r) for r in rows)
+        probs = np.array([r[:v] for r in rows])
+        if data.draw(st.booleans()):
+            totals = probs.sum(axis=1, keepdims=True)
+            probs = probs / np.where(totals > 0.0, totals, 1.0)
+        cdf = np.cumsum(probs, axis=1)
+        # Mix exact cdf entries with arbitrary uniforms in [0, 1).
+        u = np.array(
+            [[cdf[i, j % v] if j % 2 else (j % 997) / 997.0 for j in picks]
+             for i in range(len(probs))]
+        )
+        assert np.array_equal(_categorical(probs, u), _searchsorted_oracle(probs, u))
+
 
 def _fd_grad(world, idx, direction, entries, h=1e-6):
     """Central finite differences of the per-problem loss in theta entries."""
@@ -174,6 +237,28 @@ class TestKlGradients:
         _, exact = _losses_and_diffs(w, "reverse")
         approx = _sampled_reverse_diffs(w, 60000)
         assert np.allclose(approx, exact, atol=0.02)
+
+    def test_sampled_reverse_diffs_match_per_problem_oracle(self):
+        # Bit-exact against one stream() and one sequential sum per problem.
+        cfg = _small(num_problems=25)
+        w = build_world(cfg)
+        w.theta = w.theta + 0.3 * np.sin(np.arange(w.theta.size)).reshape(w.theta.shape)
+        w.step = 4
+        log_ps = log_softmax(w.student_logits(), axis=1)
+        ps = np.exp(log_ps)
+        ratio = log_ps - w.teacher_log_probs
+        want = np.zeros_like(ps)
+        for i, pid in enumerate(w.problem_ids):
+            u = stream(cfg.seed, "revkl", 4, pid).random(13)
+            cdf = np.cumsum(ps[i])
+            tokens = np.minimum(np.searchsorted(cdf, u, side="right"), cfg.vocab_size - 1)
+            acc = np.zeros(ps.shape[1])
+            for t in tokens:
+                one_hot = np.zeros(ps.shape[1])
+                one_hot[t] = 1.0
+                acc += ratio[i, t] * (one_hot - ps[i])
+            want[i] = acc / 13
+        assert np.array_equal(_sampled_reverse_diffs(w, 13), want)
 
 
 class TestTrain:

@@ -15,6 +15,7 @@ from zpdistill.numerics import (
     sech2,
     softmax,
     stream,
+    stream_uniforms,
 )
 
 scipy_special = pytest.importorskip("scipy.special")
@@ -120,6 +121,43 @@ class TestStream:
             stream(1.5)
         with pytest.raises(DomainError):
             stream(True)
+
+
+_labels = st.one_of(
+    st.integers(min_value=-(2**80), max_value=2**80), st.text(max_size=12)
+)
+
+
+class TestStreamUniforms:
+    @given(
+        seed=st.integers(min_value=0, max_value=2**64 - 1),
+        purpose=st.text(max_size=10),
+        step=st.integers(min_value=0, max_value=10**6),
+        labels=st.lists(_labels, max_size=12),
+        k=st.integers(min_value=1, max_value=40),
+    )
+    def test_rows_equal_single_streams(self, seed, purpose, step, labels, k):
+        u = stream_uniforms((seed, purpose, step), labels, k)
+        assert u.shape == (len(labels), k) and u.dtype == np.float64
+        for row, label in zip(u, labels):
+            assert np.array_equal(row, stream(seed, purpose, step, label).random(k))
+
+    def test_empty_prefix_is_one_part_keys(self):
+        u = stream_uniforms((), ["p0000", 3], 6)
+        assert np.array_equal(u[0], stream("p0000").random(6))
+        assert np.array_equal(u[1], stream(3).random(6))
+
+    @pytest.mark.parametrize("bad", [True, False, 1.5, None, b"p0"])
+    def test_rejects_unsupported_labels(self, bad):
+        with pytest.raises(DomainError):
+            stream_uniforms((7, "rollout", 0), ["p0000", bad], 4)
+        with pytest.raises(DomainError):
+            stream_uniforms((7, bad, 0), ["p0000"], 4)
+
+    @pytest.mark.parametrize("k", [-1, 2.0, True])
+    def test_rejects_bad_k(self, k):
+        with pytest.raises(DomainError):
+            stream_uniforms((7,), ["p0000"], k)
 
 
 class TestPopulationVariance:

@@ -131,6 +131,11 @@ class TestHistogram:
             counts, _ = np.histogram([r.p for r in rates], bins=np.array(edges))
             assert np.allclose(h.fractions, counts / 100)
 
+    def test_array_of_p_equals_pass_rate_records(self):
+        rates = [PassRate.from_counts(s, 8) for s in (0, 1, 2, 5, 6, 8, 8)]
+        p = np.array([0, 1, 2, 5, 6, 8, 8]) / 8
+        assert histogram(p, THREE_BIN_EDGES) == histogram(rates, THREE_BIN_EDGES)
+
     def test_empty_input_rejected(self):
         with pytest.raises(InsufficientDataError):
             histogram([], THREE_BIN_EDGES)
