@@ -47,7 +47,7 @@ def main():
 
     config = load_sim_config(args.config.read_text(encoding="utf-8"))
     world = build_world(config)
-    metrics = train(world, config, snr_dump_steps=args.dump_steps)
+    metrics = train(world, snr_dump_steps=args.dump_steps)
 
     args.out_dir.mkdir(parents=True, exist_ok=True)
     metrics_path = args.out_dir / "metrics.csv"

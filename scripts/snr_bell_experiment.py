@@ -48,7 +48,7 @@ def main():
 
     config = load_sim_config(args.config.read_text(encoding="utf-8"))
     world = build_world(config)
-    metrics = train(world, config, snr_dump_steps=args.steps)
+    metrics = train(world, snr_dump_steps=args.steps)
 
     args.out_dir.mkdir(parents=True, exist_ok=True)
     first_points = None

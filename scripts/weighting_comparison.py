@@ -25,7 +25,7 @@ _VARIANTS = (
 
 def _run(config):
     world = build_world(config)
-    metrics = train(world, config)
+    metrics = train(world)
     final = metrics.rows[-1]
     return final.mean_p, final.retention_kl
 

@@ -15,6 +15,8 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import IO, Iterator
 
+import numpy as np
+
 from .distill_sim import build_world, train
 from .errors import (
     ConfigError,
@@ -36,16 +38,15 @@ from .fileio import (
     write_weight_table,
 )
 from .kernel import (
-    KernelParams,
     at_flat_boundary,
-    beta_weight,
     kernel_peak,
     normalize_weights,
+    raw_weights,
     select_exponents,
     zpd_moments,
 )
 from .numerics import beta_fn, sech, sech2
-from .passrate import estimate_pass_rate, hard_filter
+from .passrate import estimate_pass_rate
 from .robustness import fit_snr_model, robustness_rows
 from .snr_profile import bell_shape_score, compute_snr_bins, normalize_profile
 from .variance import VarianceSpec, gamma_from_signal, variance_ratio_beta
@@ -78,25 +79,16 @@ def _load_rollout_rates(path: str):
 
 def _cmd_weight(args: argparse.Namespace) -> None:
     records, rates = _load_rollout_rates(args.rollouts)
+    p = np.array([pr.p for pr in rates])
     if args.hard_filter is not None:
         lo, hi = args.hard_filter
-        raw = [
-            (rec.problem_id, 1.0 if hard_filter(pr, lo, hi) else max(0.0, args.floor))
-            for rec, pr in zip(records, rates)
-        ]
+        raw = raw_weights(p, "hard", lo=lo, hi=hi, floor=args.floor)
     else:
-        params = KernelParams(args.alpha, args.beta)
-        raw = [
-            (rec.problem_id, max(beta_weight(pr.p, params), args.floor))
-            for rec, pr in zip(records, rates)
-        ]
-    wv = normalize_weights(raw)
+        raw = raw_weights(p, "beta", alpha=args.alpha, beta=args.beta, floor=args.floor)
+    wv = normalize_weights(list(zip((r.problem_id for r in records), raw.tolist())))
     if wv.degenerate:
         _log("warning: every weight is zero; normalized column left at zero")
-    rows = [
-        (pid, pr.p, w, wn)
-        for (pid, w), wn, pr in zip(raw, wv.normalized, rates)
-    ]
+    rows = [(pid, pr.p, w, wn) for (pid, w, wn), pr in zip(wv.entries, rates)]
     with _out_stream(args.out) as f:
         write_weight_table(f, rows)
 
@@ -188,8 +180,8 @@ def _cmd_variance_ratio(args: argparse.Namespace) -> None:
 
 def _cmd_snr_profile(args: argparse.Namespace) -> None:
     with open(args.gradients, encoding="utf-8") as f:
-        records = load_gradient_records(f)
-    profile = compute_snr_bins(records, args.bins)
+        table = load_gradient_records(f)
+    profile = compute_snr_bins(table, args.bins)
     try:
         profile = normalize_profile(profile)
     except DegenerateInputError as exc:
@@ -251,10 +243,9 @@ def _cmd_simulate(args: argparse.Namespace) -> None:
                     f"got {args.recompute_interval!r}"
                 ) from None
 
-    config = load_sim_config(text, overrides)
-    world = build_world(config)
+    world = build_world(load_sim_config(text, overrides))
     dump_steps = (args.dump_step,) if args.dump_gradients else ()
-    metrics = train(world, config, snr_dump_steps=dump_steps)
+    metrics = train(world, snr_dump_steps=dump_steps)
 
     with _out_stream(args.out) as f:
         write_metrics(f, metrics)

@@ -36,16 +36,16 @@ contract that defines every draw.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import dataclass, field, fields
+from typing import Iterable
 
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .kernel import KernelParams, beta_weight, normalize_weights
+from .kernel import SCHEMES, normalize_weights, raw_weights
 from .numerics import log_softmax, stream, stream_uniforms
-from .passrate import THREE_BIN_EDGES, PassRate, RolloutRecord, hard_filter, histogram
-from .snr_profile import GradientRecord
+from .passrate import THREE_BIN_EDGES, RolloutRecord, histogram
+from .snr_profile import GradientTable
 
 __all__ = [
     "SimConfig",
@@ -66,8 +66,9 @@ _TEACHER_JITTER = 1.5
 # is meant to probe confidently-held prior behavior.
 _ANCHOR_DIFFICULTY_FRACTION = 0.25
 
-_SCHEMES = ("beta", "hard", "unweighted")
 _DIRECTIONS = ("forward", "reverse", "two_stage")
+# Smallest accepted value of each integer field; the rest must be >= 1.
+_INT_MIN = {"vocab_size": 2, "reverse_kl_samples": 0, "seed": 0}
 _STAGE_DIRECTIONS = ("forward", "reverse")
 
 
@@ -100,46 +101,44 @@ class SimConfig:
     eval_interval: int = 20
 
     def __post_init__(self) -> None:
-        counts = {
-            "num_problems": self.num_problems,
-            "num_anchors": self.num_anchors,
-            "feature_dim": self.feature_dim,
-            "rollout_count": self.rollout_count,
-            "steps": self.steps,
-            "eval_interval": self.eval_interval,
-        }
-        for key, value in counts.items():
-            if not isinstance(value, int) or value < 1:
-                raise ConfigError(f"{key} must be an integer >= 1, got {value!r}")
-        if not isinstance(self.vocab_size, int) or self.vocab_size < 2:
-            raise ConfigError(f"vocab_size must be an integer >= 2, got {self.vocab_size!r}")
-        if not math.isfinite(self.difficulty_spread) or self.difficulty_spread < 0.0:
+        # Types and finiteness, one field at a time, from the annotations.
+        # bool is an int subclass but is never accepted as a number.
+        for f in fields(self):
+            value = getattr(self, f.name)
+            number = isinstance(value, (int, float)) and not isinstance(value, bool)
+            if f.type == "str":
+                ok, want = isinstance(value, str), "a string"
+            elif f.type == "float":
+                ok, want = number and math.isfinite(value), "a finite number"
+            elif value is None and f.type == "int | None":
+                continue
+            else:
+                low = _INT_MIN.get(f.name, 1)
+                ok = number and isinstance(value, int) and value >= low
+                want = f"an integer >= {low}"
+            if not ok:
+                raise ConfigError(f"{f.name} must be {want}, got {value!r}")
+
+        # learning_rate 0 is allowed: a no-op run is a useful control.
+        for key in ("difficulty_spread", "weight_floor", "learning_rate"):
+            if getattr(self, key) < 0.0:
+                raise ConfigError(f"{key} must be >= 0, got {getattr(self, key)!r}")
+        for key in ("teacher_sharpness", "rollout_temperature"):
+            if getattr(self, key) <= 0.0:
+                raise ConfigError(f"{key} must be > 0, got {getattr(self, key)!r}")
+        if self.scheme not in SCHEMES:
+            raise ConfigError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
+        if self.scheme == "beta" and (self.alpha < 0.0 or self.beta < 0.0):
             raise ConfigError(
-                f"difficulty_spread must be >= 0, got {self.difficulty_spread!r}"
+                f"alpha and beta must be >= 0, got ({self.alpha}, {self.beta})"
             )
-        if not self.teacher_sharpness > 0.0:
+        if self.scheme == "hard" and not (
+            0.0 <= self.filter_lo <= self.filter_hi <= 1.0
+        ):
             raise ConfigError(
-                f"teacher_sharpness must be > 0, got {self.teacher_sharpness!r}"
+                "filter_lo/filter_hi must satisfy 0 <= lo <= hi <= 1, got "
+                f"({self.filter_lo}, {self.filter_hi})"
             )
-        if not self.rollout_temperature > 0.0:
-            raise ConfigError(
-                f"rollout_temperature must be > 0, got {self.rollout_temperature!r}"
-            )
-        if self.scheme not in _SCHEMES:
-            raise ConfigError(f"scheme must be one of {_SCHEMES}, got {self.scheme!r}")
-        if self.scheme == "beta":
-            if self.alpha < 0.0 or self.beta < 0.0:
-                raise ConfigError(
-                    f"alpha and beta must be >= 0, got ({self.alpha}, {self.beta})"
-                )
-        if self.scheme == "hard":
-            if not (0.0 <= self.filter_lo <= self.filter_hi <= 1.0):
-                raise ConfigError(
-                    "filter_lo/filter_hi must satisfy 0 <= lo <= hi <= 1, got "
-                    f"({self.filter_lo}, {self.filter_hi})"
-                )
-        if self.weight_floor < 0.0:
-            raise ConfigError(f"weight_floor must be >= 0, got {self.weight_floor!r}")
         if self.loss_direction not in _DIRECTIONS:
             raise ConfigError(
                 f"loss_direction must be one of {_DIRECTIONS}, got {self.loss_direction!r}"
@@ -148,30 +147,11 @@ class SimConfig:
             raise ConfigError(
                 f"stage1_fraction must lie in (0,1), got {self.stage1_fraction!r}"
             )
-        # learning_rate 0 is allowed: a no-op run is a useful control.
-        if not math.isfinite(self.learning_rate) or self.learning_rate < 0.0:
+        if self.batch_size is not None and self.batch_size > self.num_problems:
             raise ConfigError(
-                f"learning_rate must be finite and >= 0, got {self.learning_rate!r}"
+                f"batch_size must be in [1, num_problems], got {self.batch_size!r}"
             )
-        if self.batch_size is not None:
-            if not isinstance(self.batch_size, int) or not (
-                1 <= self.batch_size <= self.num_problems
-            ):
-                raise ConfigError(
-                    f"batch_size must be in [1, num_problems], got {self.batch_size!r}"
-                )
-        if self.reverse_kl_samples < 0:
-            raise ConfigError(
-                f"reverse_kl_samples must be >= 0, got {self.reverse_kl_samples!r}"
-            )
-        if self.recompute_interval is not None and (
-            not isinstance(self.recompute_interval, int) or self.recompute_interval < 1
-        ):
-            raise ConfigError(
-                f"recompute_interval must be a positive integer or none, "
-                f"got {self.recompute_interval!r}"
-            )
-        if not isinstance(self.seed, int) or not 0 <= self.seed < 2**64:
+        if self.seed >= 2**64:
             raise ConfigError(f"seed must be a 64-bit nonnegative integer, got {self.seed!r}")
 
 
@@ -190,9 +170,8 @@ class SimWorld:
     theta: np.ndarray  # (F, V)
     step: int = 0
 
-    def student_logits(self, features: np.ndarray | None = None) -> np.ndarray:
-        x = self.features if features is None else features
-        return x @ self.theta
+    def student_logits(self) -> np.ndarray:
+        return self.features @ self.theta
 
 
 @dataclass(frozen=True)
@@ -213,7 +192,7 @@ class SimMetrics:
     rows: tuple[CheckpointRow, ...]
     recompute_steps: tuple[int, ...]
     stage_switch_step: int | None
-    gradient_dumps: dict[int, tuple[GradientRecord, ...]] = field(default_factory=dict)
+    gradient_dumps: dict[int, GradientTable] = field(default_factory=dict)
 
 
 def _unit_rows(v: np.ndarray) -> np.ndarray:
@@ -376,31 +355,14 @@ def _sampled_reverse_diffs(world: SimWorld, n_samples: int) -> np.ndarray:
     return acc / n_samples
 
 
-def _weights(
-    config: SimConfig, problem_ids: Sequence[str], counts: np.ndarray
-) -> np.ndarray:
-    """Normalized weights from per-problem success counts out of rollout_count.
-
-    The weighting function is evaluated once per possible count, 0..K, and
-    the table is indexed by the counts.
-    """
-    k = config.rollout_count
-    if config.scheme == "beta":
-        params = KernelParams(config.alpha, config.beta)
-        table = [
-            max(beta_weight(c / k, params), config.weight_floor) for c in range(k + 1)
-        ]
-    elif config.scheme == "hard":
-        table = [
-            1.0
-            if hard_filter(PassRate.from_counts(c, k), config.filter_lo, config.filter_hi)
-            else max(0.0, config.weight_floor)
-            for c in range(k + 1)
-        ]
-    else:
-        table = [1.0] * (k + 1)
-    raw = np.array(table)[counts].tolist()
-    return normalize_weights(list(zip(problem_ids, raw))).normalized
+def _weights(world: SimWorld, counts: np.ndarray) -> np.ndarray:
+    """Normalized weights from per-problem success counts out of rollout_count."""
+    c = world.config
+    raw = raw_weights(
+        counts / c.rollout_count, c.scheme, c.alpha, c.beta, c.filter_lo, c.filter_hi,
+        c.weight_floor,
+    )
+    return normalize_weights(list(zip(world.problem_ids, raw.tolist()))).normalized
 
 
 def _direction_at(config: SimConfig, local_step: int, switch_step: int) -> str:
@@ -436,12 +398,8 @@ def _eval_checkpoint(
     )
 
 
-def train(
-    world: SimWorld,
-    config: SimConfig,
-    snr_dump_steps: Iterable[int] = (),
-) -> SimMetrics:
-    """Run the weighting-then-descend loop and return checkpoint telemetry.
+def train(world: SimWorld, *, snr_dump_steps: Iterable[int] = ()) -> SimMetrics:
+    """Run the weighting-then-descend loop configured by world.config.
 
     Pass rates and weights are computed once at the start, again at the
     two-stage switch, and every recompute_interval steps when configured.
@@ -449,6 +407,7 @@ def train(
     record state before that step's parameter update. theta and the step
     counter are updated in place on the passed world.
     """
+    config = world.config
     n = config.num_problems
     t_total = config.steps
     switch_step = 0
@@ -464,7 +423,7 @@ def train(
     base = world.step
     recompute_steps: list[int] = []
     rows: list[CheckpointRow] = []
-    dumps: dict[int, tuple[GradientRecord, ...]] = {}
+    dumps: dict[int, GradientTable] = {}
 
     for local in range(t_total + 1):
         direction = _direction_at(config, min(local, t_total - 1), switch_step)
@@ -484,13 +443,13 @@ def train(
         )
         if needs_recompute:
             outcomes = _sample_pass_rates(world, config.rollout_count, "rollout")
-            weights = _weights(config, world.problem_ids, outcomes.sum(axis=1))
+            weights = _weights(world, outcomes.sum(axis=1))
             recompute_steps.append(world.step)
 
         if local % config.eval_interval == 0 or local == t_total:
             rows.append(_eval_checkpoint(world, weights, direction, world.step))
         if local in dump_steps:
-            dumps[local] = tuple(measure_snr(world, direction))
+            dumps[local] = measure_snr(world, direction)
 
         if local == t_total:
             break
@@ -522,24 +481,21 @@ def train(
     )
 
 
-def measure_snr(world: SimWorld, loss_direction: str) -> list[GradientRecord]:
-    """One flattened gradient per problem plus fresh pass-rate estimates."""
+def measure_snr(world: SimWorld, loss_direction: str) -> GradientTable:
+    """One flattened gradient per problem plus fresh pass-rate estimates.
+
+    Row i of the gradients is np.outer(features[i], diffs[i]).ravel(), the
+    problem's theta gradient in logit-difference form.
+    """
     if loss_direction not in _STAGE_DIRECTIONS:
         raise DomainError(
             f"loss_direction must be one of {_STAGE_DIRECTIONS}, got {loss_direction!r}"
         )
     k = world.config.rollout_count
-    counts = _sample_pass_rates(world, k, "snr").sum(axis=1).tolist()
+    counts = _sample_pass_rates(world, k, "snr").sum(axis=1)
     _, diffs = _losses_and_diffs(world, loss_direction)
     grads = world.features[:, :, None] * diffs[:, None, :]
-    return [
-        GradientRecord(
-            problem_id=pid,
-            pass_rate=PassRate.from_counts(counts[i], k),
-            gradient=tuple(grads[i].ravel()),
-        )
-        for i, pid in enumerate(world.problem_ids)
-    ]
+    return GradientTable(world.problem_ids, counts / k, grads.reshape(len(counts), -1))
 
 
 def retention(world: SimWorld) -> float:

@@ -6,7 +6,9 @@ byte-identical files.
 
 - Rollouts: one JSON object per line, {"problem_id": str, "outcomes": [bool]}.
   Duplicate problem ids are rejected at load.
-- Gradient records: CSV with header problem_id,pass_rate,g0,...,g{D-1}.
+- Gradient records: CSV with header problem_id,pass_rate,g0,...,g{D-1}, one
+  row per problem; loaded into a snr_profile.GradientTable. A row with a
+  non-finite value or a pass_rate outside [0, 1] is a format error.
 - SNR profiles: CSV with header bin_lo,bin_hi,mean_p,count,snr,snr_norm,
   theory_norm; undefined values are empty fields.
 - Weight tables: CSV with header problem_id,p,w,w_norm.
@@ -20,13 +22,14 @@ from __future__ import annotations
 
 import configparser
 import json
-import math
 from typing import IO, Iterable, Sequence
+
+import numpy as np
 
 from .distill_sim import SimConfig, SimMetrics
 from .errors import ConfigError, FileFormatError
 from .passrate import RolloutRecord
-from .snr_profile import GradientRecord, SnrProfile
+from .snr_profile import GradientTable, SnrProfile
 
 __all__ = [
     "fmt",
@@ -83,8 +86,12 @@ def load_rollouts(lines: Iterable[str]) -> list[RolloutRecord]:
     return records
 
 
-def load_gradient_records(lines: Iterable[str]) -> list[GradientRecord]:
-    """Parse gradient records from the delimited format."""
+def _parse_floats(rows: Sequence[str]) -> np.ndarray:
+    return np.loadtxt(rows, delimiter=",", comments=None, dtype=np.float64, ndmin=2)
+
+
+def load_gradient_records(lines: Iterable[str]) -> GradientTable:
+    """Parse a gradient table from the delimited format; blank lines are skipped."""
     it = iter(enumerate(lines, start=1))
     try:
         _, header = next(it)
@@ -96,38 +103,56 @@ def load_gradient_records(lines: Iterable[str]) -> list[GradientRecord]:
             "line 1: header must be problem_id,pass_rate,g0,...,g{D-1}"
         )
     dim = len(cols) - 2
-    records: list[GradientRecord] = []
+    ids: list[str] = []
+    rows: list[str] = []  # each row's fields after the id
+    linenos: list[int] = []
     for lineno, line in it:
         text = line.strip()
         if not text:
             continue
-        parts = text.split(",")
-        if len(parts) != dim + 2:
+        fields = text.count(",") + 1
+        if fields != dim + 2:
             raise FileFormatError(
-                f"line {lineno}: expected {dim + 2} fields, got {len(parts)}"
+                f"line {lineno}: expected {dim + 2} fields, got {fields}"
             )
-        try:
-            p = float(parts[1])
-            grad = tuple(float(v) for v in parts[2:])
-        except ValueError as exc:
-            raise FileFormatError(f"line {lineno}: non-numeric field ({exc})") from exc
-        if not parts[0]:
+        pid, _, rest = text.partition(",")
+        if not pid:
             raise FileFormatError(f"line {lineno}: empty problem_id")
-        records.append(GradientRecord(problem_id=parts[0], pass_rate=p, gradient=grad))
-    if not records:
+        ids.append(pid)
+        rows.append(rest)
+        linenos.append(lineno)
+    if not ids:
         raise FileFormatError("gradient file has a header but no records")
-    return records
+    try:
+        values = _parse_floats(rows)
+    except ValueError as exc:
+        # Rows parse independently: report the first that fails on its own.
+        where, error = "", exc
+        for lineno, row in zip(linenos, rows):
+            try:
+                _parse_floats([row])
+            except ValueError as row_exc:
+                where, error = f"line {lineno}: ", row_exc
+                break
+        detail = str(error).split(" at row ")[0]
+        raise FileFormatError(f"{where}non-numeric field ({detail})") from exc
+    bad = GradientTable.invalid_rows(values[:, 0], values[:, 1:])
+    if bad.any():
+        raise FileFormatError(
+            f"line {linenos[int(np.argmax(bad))]}: values must be finite and "
+            "pass_rate must lie in [0,1]"
+        )
+    return GradientTable(tuple(ids), values[:, 0], values[:, 1:])
 
 
-def write_gradient_records(f: IO[str], records: Sequence[GradientRecord]) -> None:
-    if not records:
-        raise FileFormatError("refusing to write an empty gradient file")
-    dim = len(records[0].gradient)
+def write_gradient_records(f: IO[str], table: GradientTable) -> None:
+    dim = table.gradients.shape[1]
     header = ["problem_id", "pass_rate"] + [f"g{i}" for i in range(dim)]
     f.write(",".join(header) + "\n")
-    for r in records:
-        fields = [r.problem_id, fmt(r.p)] + [fmt(g) for g in r.gradient]
-        f.write(",".join(fields) + "\n")
+    # "%.10g" renders exactly as fmt() does.
+    row_fmt = "%s" + ",%.10g" * (dim + 1) + "\n"
+    for pid, p, grad in zip(table.problem_ids, table.p.tolist(), table.gradients):
+        f.write(row_fmt % (pid, p, *grad.tolist()))
 
 
 _PROFILE_HEADER = "bin_lo,bin_hi,mean_p,count,snr,snr_norm,theory_norm"
@@ -268,8 +293,6 @@ def load_sim_config(text: str, overrides: dict[str, object] | None = None) -> Si
                     f"config key {key!r} in [{section}]: cannot parse {raw!r} "
                     f"as {caster.__name__}"
                 ) from exc
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ConfigError(f"config key {key!r} in [{section}] must be finite")
             values[field_name] = value
 
     # Overrides are applied verbatim: the caller includes only flags that

@@ -6,6 +6,7 @@ kernel and alpha = beta = 0 is the flat kernel w(p) = 1. For positive
 exponents the kernel is exactly zero at p in {0, 1}; no floor is applied
 unless a caller passes one explicitly.
 
+raw_weights() is the one weighting rule of the CLI and the simulator.
 Normalization divides by the mean over ALL entries, zero weights included,
 so dropping problems lowers the mean and raises the surviving weights.
 
@@ -26,15 +27,17 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DegenerateInputError, DomainError, InsufficientDataError
-from .passrate import PassRate
+from .passrate import PassRate, hard_filter
 
 __all__ = [
+    "SCHEMES",
     "KernelParams",
     "WeightVector",
     "ZpdMoments",
     "beta_weight",
     "kernel_peak",
     "normalize_weights",
+    "raw_weights",
     "zpd_moments",
     "select_exponents",
     "saturated_weight",
@@ -44,6 +47,8 @@ __all__ = [
 
 # Relative slack for accepting the flat-kernel boundary var = mean(1-mean)/3.
 _FLAT_BOUNDARY_RTOL = 1e-9
+
+SCHEMES = ("beta", "hard", "unweighted")
 
 
 @dataclass(frozen=True)
@@ -132,6 +137,32 @@ def kernel_peak(params: KernelParams) -> float:
     if total == 0.0:
         raise DegenerateInputError("flat kernel (alpha=beta=0) has no unique peak")
     return params.alpha / total
+
+
+def raw_weights(
+    p: np.ndarray, scheme: str, alpha: float = 1.0, beta: float = 1.0,
+    lo: float = 0.2, hi: float = 0.8, floor: float = 0.0,
+) -> np.ndarray:
+    """Raw weight of each pass rate in p under one weighting scheme.
+
+    beta: max(w(p), floor) with w the Beta kernel. hard: 1 inside the
+    inclusive band [lo, hi], else max(0, floor). unweighted: 1. The scalar
+    rule runs once per distinct pass rate and is indexed back, so each
+    weight is exactly the scalar function's value.
+    """
+    values, inverse = np.unique(np.asarray(p, dtype=np.float64), return_inverse=True)
+    if scheme == "beta":
+        params = KernelParams(alpha, beta)
+        table = [max(beta_weight(v, params), floor) for v in values.tolist()]
+    elif scheme == "hard":
+        table = [
+            1.0 if hard_filter(v, lo, hi) else max(0.0, floor) for v in values.tolist()
+        ]
+    elif scheme == "unweighted":
+        table = [1.0] * values.size
+    else:
+        raise DomainError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
+    return np.array(table, dtype=np.float64)[inverse]
 
 
 def normalize_weights(raw: Sequence[tuple[str, float]]) -> WeightVector:

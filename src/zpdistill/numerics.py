@@ -165,10 +165,3 @@ def stream_uniforms(
     words = _philox4x64(keys, -(-k // 4))[:, :k]
     return (words >> _U11) * 2.0**-53
 
-
-def population_variance(values: Iterable[float]) -> float:
-    """Population (ddof=0) variance of a finite sequence."""
-    arr = np.asarray(list(values), dtype=np.float64)
-    if arr.size == 0:
-        raise DomainError("population_variance of empty sequence")
-    return float(np.mean((arr - arr.mean()) ** 2))

@@ -124,13 +124,15 @@ def estimate_pass_rate(record: RolloutRecord) -> PassRate:
     return PassRate.from_counts(successes, len(record.outcomes))
 
 
-def hard_filter(p: PassRate, lo: float = 0.2, hi: float = 0.8) -> bool:
+def hard_filter(p: float, lo: float = 0.2, hi: float = 0.8) -> bool:
     """Keep decision for the inclusive band lo <= p <= hi."""
+    if not (math.isfinite(p) and 0.0 <= p <= 1.0):
+        raise DomainError(f"pass rate must lie in [0,1], got {p!r}")
     if not (0.0 <= lo <= 1.0 and 0.0 <= hi <= 1.0):
         raise DomainError(f"filter bounds must lie in [0,1], got ({lo}, {hi})")
     if lo > hi:
         raise DomainError(f"filter bounds must satisfy lo <= hi, got ({lo}, {hi})")
-    return lo <= p.p <= hi
+    return lo <= p <= hi
 
 
 def histogram(

@@ -1,9 +1,9 @@
 """Cross-problem gradient signal-to-noise profiles over pass-rate bins.
 
-Each problem contributes one deterministic gradient vector tagged with its
-estimated pass rate. Records are grouped into equal-width pass-rate bins
-(same edge convention as passrate.histogram: left-closed, final bin closed)
-and each bin reports
+A GradientTable holds one gradient row per problem with its estimated pass
+rate, as arrays validated once at construction. Rows are grouped into
+equal-width pass-rate bins (same edge convention as passrate.histogram:
+left-closed, final bin closed) and each bin reports
 
     snr = ||mean gradient|| / sqrt(mean ||g_i - mean||^2)
 
@@ -21,15 +21,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Sequence
 
 import numpy as np
 
 from .errors import DegenerateInputError, DomainError, InsufficientDataError
-from .passrate import PassRate
 
 __all__ = [
-    "GradientRecord",
+    "GradientTable",
     "SnrBin",
     "SnrProfile",
     "compute_snr_bins",
@@ -39,34 +37,45 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class GradientRecord:
-    """One problem's gradient vector and pass rate.
+class GradientTable:
+    """Per-problem gradient rows: problem_ids (N,), pass rates p (N,) and
+    gradients (N, D), with N >= 1 and D >= 1.
 
-    pass_rate is a PassRate when produced in-process; records loaded from
-    files carry a bare float, since the serialized form keeps only p.
+    Every value is finite and every p lies in [0, 1]; a table that breaks
+    this cannot be built.
     """
 
-    problem_id: str
-    pass_rate: PassRate | float
-    gradient: tuple[float, ...]
+    problem_ids: tuple[str, ...]
+    p: np.ndarray
+    gradients: np.ndarray
 
     def __post_init__(self) -> None:
-        if not self.problem_id:
-            raise DomainError("GradientRecord requires a non-empty problem_id")
-        grad = tuple(float(g) for g in self.gradient)
-        object.__setattr__(self, "gradient", grad)
-        if len(grad) == 0:
-            raise DomainError(f"GradientRecord {self.problem_id!r} has empty gradient")
-        if any(not math.isfinite(g) for g in grad):
-            raise DomainError(f"GradientRecord {self.problem_id!r} has non-finite entries")
-        if not 0.0 <= self.p <= 1.0:
-            raise DomainError(f"pass rate must lie in [0,1], got {self.p}")
+        ids = tuple(self.problem_ids)
+        p = np.asarray(self.p, dtype=np.float64)
+        grads = np.asarray(self.gradients, dtype=np.float64)
+        object.__setattr__(self, "problem_ids", ids)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "gradients", grads)
+        rows_match = (len(ids),) == p.shape == grads.shape[:1]
+        if grads.ndim != 2 or 0 in grads.shape or not rows_match:
+            raise DomainError(
+                "need N >= 1 ids, p of shape (N,) and gradients of shape (N, D >= 1), "
+                f"got {len(ids)} ids, p {p.shape}, gradients {grads.shape}"
+            )
+        if not all(ids):
+            raise DomainError("problem ids must be non-empty")
+        bad = self.invalid_rows(p, grads)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise DomainError(
+                f"row {i} ({ids[i]!r}) has a non-finite value or p outside [0,1]"
+            )
 
-    @property
-    def p(self) -> float:
-        if isinstance(self.pass_rate, PassRate):
-            return self.pass_rate.p
-        return float(self.pass_rate)
+    @staticmethod
+    def invalid_rows(p: np.ndarray, gradients: np.ndarray) -> np.ndarray:
+        """(N,) mask of rows with a non-finite value or p outside [0, 1]."""
+        in_range = (p >= 0.0) & (p <= 1.0)
+        return ~(in_range & np.isfinite(gradients).all(axis=1))
 
 
 @dataclass(frozen=True)
@@ -103,47 +112,30 @@ def _bin_indices(ps: np.ndarray, edges: np.ndarray) -> np.ndarray:
     return np.clip(idx, 0, len(edges) - 2)
 
 
-def compute_snr_bins(
-    records: Sequence[GradientRecord], num_bins: int
-) -> SnrProfile:
+def compute_snr_bins(table: GradientTable, num_bins: int) -> SnrProfile:
     """Per-bin cross-problem SNR, before normalization."""
-    if len(records) == 0:
-        raise InsufficientDataError("compute_snr_bins requires at least one record")
     if num_bins < 2:
         raise DomainError(f"num_bins must be >= 2, got {num_bins}")
-    dims = {len(r.gradient) for r in records}
-    if len(dims) != 1:
-        raise DomainError(f"gradient dimensions differ across records: {sorted(dims)}")
-
-    ps = np.array([r.p for r in records], dtype=np.float64)
-    grads = np.array([r.gradient for r in records], dtype=np.float64)
+    ps, grads = table.p, table.gradients
     edges = np.linspace(0.0, 1.0, num_bins + 1)
     idx = _bin_indices(ps, edges)
 
     bins: list[SnrBin] = []
     for j in range(num_bins):
         mask = idx == j
+        lo, hi = float(edges[j]), float(edges[j + 1])
         count = int(mask.sum())
         if count == 0:
-            bins.append(
-                SnrBin(lo=float(edges[j]), hi=float(edges[j + 1]), mean_p=None,
-                       count=0, snr=None)
-            )
+            bins.append(SnrBin(lo=lo, hi=hi, mean_p=None, count=0, snr=None))
             continue
         g = grads[mask]
-        mean_p = float(ps[mask].mean())
         g_bar = g.mean(axis=0)
         spread_sq = float(np.mean(np.sum((g - g_bar) ** 2, axis=1)))
-        if spread_sq == 0.0:
-            bins.append(
-                SnrBin(lo=float(edges[j]), hi=float(edges[j + 1]), mean_p=mean_p,
-                       count=count, snr=None, degenerate=True)
-            )
-            continue
-        snr = float(np.linalg.norm(g_bar) / math.sqrt(spread_sq))
+        # Zero spread (identical gradients) leaves the bin's SNR undefined.
+        snr = float(np.linalg.norm(g_bar) / math.sqrt(spread_sq)) if spread_sq else None
         bins.append(
-            SnrBin(lo=float(edges[j]), hi=float(edges[j + 1]), mean_p=mean_p,
-                   count=count, snr=snr)
+            SnrBin(lo=lo, hi=hi, mean_p=float(ps[mask].mean()), count=count,
+                   snr=snr, degenerate=snr is None)
         )
     return SnrProfile(bins=tuple(bins))
 

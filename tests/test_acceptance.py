@@ -30,7 +30,7 @@ from zpdistill.robustness import (
     worst_case_efficiency,
 )
 from zpdistill.snr_profile import (
-    GradientRecord,
+    GradientTable,
     bell_shape_score,
     compute_snr_bins,
     normalize_profile,
@@ -56,7 +56,7 @@ def _golden(scheme: str):
             cfg = dataclasses.replace(cfg, scheme=scheme)
         world = build_world(cfg)
         dumps = (0, 20) if scheme == "beta" else ()
-        metrics = train(world, cfg, snr_dump_steps=dumps)
+        metrics = train(world, snr_dump_steps=dumps)
         _golden_cache[scheme] = (world, metrics)
     return _golden_cache[scheme]
 
@@ -210,15 +210,12 @@ def test_ac05_theory_normalization():
     t0 = time.perf_counter()
     # Three populated bins with mean_p exactly 0.1, 0.2, 0.5; the 0.5 bin
     # carries the theoretical maximum sqrt(0.25) = 0.5.
-    records = [
-        GradientRecord("a", 0.1, (1.0, 0.0)),
-        GradientRecord("b", 0.1, (0.0, 1.0)),
-        GradientRecord("c", 0.2, (2.0, 0.0)),
-        GradientRecord("d", 0.2, (0.0, 2.0)),
-        GradientRecord("e", 0.5, (3.0, 1.0)),
-        GradientRecord("f", 0.5, (3.0, -1.0)),
-    ]
-    profile = normalize_profile(compute_snr_bins(records, num_bins=10))
+    table = GradientTable(
+        ("a", "b", "c", "d", "e", "f"),
+        [0.1, 0.1, 0.2, 0.2, 0.5, 0.5],
+        [[1.0, 0.0], [0.0, 1.0], [2.0, 0.0], [0.0, 2.0], [3.0, 1.0], [3.0, -1.0]],
+    )
+    profile = normalize_profile(compute_snr_bins(table, num_bins=10))
     by_lo = {round(b.lo, 3): b for b in profile.bins}
     err_01 = abs(by_lo[0.1].theory_norm - 0.6)
     err_02 = abs(by_lo[0.2].theory_norm - 0.8)
@@ -399,9 +396,9 @@ def test_ac11_two_stage_schedule():
     t0 = time.perf_counter()
     cfg = dataclasses.replace(SimConfig(), loss_direction="two_stage")
     w1 = build_world(cfg)
-    m1 = train(w1, cfg)
+    m1 = train(w1)
     w2 = build_world(cfg)
-    m2 = train(w2, cfg)
+    m2 = train(w2)
 
     expected_switch = round(cfg.stage1_fraction * cfg.steps)
     switch_ok = m1.stage_switch_step == expected_switch

@@ -333,9 +333,8 @@ class TestSimulate:
         assert main(args) == 0
         assert "wrote gradient dump" in capsys.readouterr().err
         with open(prefix + "2.csv", encoding="utf-8") as f:
-            records = load_gradient_records(f)
-        assert len(records) == 12
-        assert all(len(r.gradient) == 5 * 6 for r in records)
+            table = load_gradient_records(f)
+        assert table.gradients.shape == (12, 5 * 6)
 
     def test_bad_recompute_interval_is_error(self, tmp_path, capsys):
         args = ["simulate", "--config", str(self._cfg(tmp_path)),

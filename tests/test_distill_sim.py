@@ -14,11 +14,16 @@ from zpdistill.distill_sim import (
     run_rollouts,
     train,
 )
-from zpdistill.distill_sim import _categorical, _losses_and_diffs, _sampled_reverse_diffs
+from zpdistill.distill_sim import (
+    _categorical,
+    _losses_and_diffs,
+    _sample_pass_rates,
+    _sampled_reverse_diffs,
+)
 from zpdistill.errors import ConfigError, DomainError
 from zpdistill.kernel import normalize_weights
 from zpdistill.numerics import log_softmax, stream
-from zpdistill.passrate import estimate_pass_rate, hard_filter
+from zpdistill.passrate import PassRate, estimate_pass_rate, hard_filter
 from zpdistill.snr_profile import bell_shape_score, compute_snr_bins
 
 _SMALL = SimConfig(
@@ -69,6 +74,34 @@ class TestSimConfig:
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ConfigError):
             dataclasses.replace(SimConfig(), **kwargs)
+
+    @pytest.mark.parametrize(
+        "key, value, scheme",
+        [
+            ("seed", True, "beta"),
+            ("steps", True, "beta"),
+            ("num_problems", False, "beta"),
+            ("batch_size", True, "beta"),
+            ("recompute_interval", True, "beta"),
+            ("reverse_kl_samples", 1.5, "beta"),
+            ("steps", 3.0, "beta"),
+            ("alpha", True, "beta"),
+            ("weight_floor", float("nan"), "beta"),
+            ("alpha", float("nan"), "hard"),
+            ("beta", float("inf"), "unweighted"),
+            ("filter_lo", float("nan"), "beta"),
+            ("filter_hi", float("inf"), "unweighted"),
+            ("teacher_sharpness", float("inf"), "beta"),
+            ("difficulty_spread", float("nan"), "beta"),
+            ("learning_rate", float("-inf"), "beta"),
+            ("stage1_fraction", float("nan"), "beta"),
+            ("rollout_temperature", float("inf"), "beta"),
+            ("scheme", 1, "beta"),
+        ],
+    )
+    def test_rejects_wrong_type_or_nonfinite_naming_key(self, key, value, scheme):
+        with pytest.raises(ConfigError, match=key):
+            dataclasses.replace(SimConfig(), **{"scheme": scheme, key: value})
 
 
 class TestBuildWorld:
@@ -266,7 +299,7 @@ class TestTrain:
         cfg = _small(learning_rate=0.0)
         w = build_world(cfg)
         theta0 = w.theta.copy()
-        metrics = train(w, cfg)
+        metrics = train(w)
         assert np.array_equal(w.theta, theta0)
         assert w.step == cfg.steps
         losses = {row.loss for row in metrics.rows}
@@ -275,13 +308,13 @@ class TestTrain:
 
     def test_checkpoint_schedule_and_stage_labels(self):
         cfg = _small(steps=7, eval_interval=3)
-        metrics = train(build_world(cfg), cfg)
+        metrics = train(build_world(cfg))
         assert [row.step for row in metrics.rows] == [0, 3, 6, 7]
         assert all(row.stage == "forward" for row in metrics.rows)
 
     def test_train_acc_equals_mean_p(self):
         cfg = _SMALL
-        metrics = train(build_world(cfg), cfg)
+        metrics = train(build_world(cfg))
         for row in metrics.rows:
             assert row.train_acc == row.mean_p
             assert row.frac_low + row.frac_med + row.frac_high == pytest.approx(
@@ -289,13 +322,13 @@ class TestTrain:
             )
 
     def test_single_recompute_by_default(self):
-        metrics = train(build_world(_SMALL), _SMALL)
+        metrics = train(build_world(_SMALL))
         assert metrics.recompute_steps == (0,)
         assert metrics.stage_switch_step is None
 
     def test_recompute_interval_schedule(self):
         cfg = _small(steps=9, recompute_interval=3, eval_interval=9)
-        metrics = train(build_world(cfg), cfg)
+        metrics = train(build_world(cfg))
         assert metrics.recompute_steps == (0, 3, 6)
 
     def test_hard_scheme_matches_manual_indicator_update(self):
@@ -303,7 +336,7 @@ class TestTrain:
         # the hand-built indicator-weight update on an identical world.
         cfg = _small(scheme="hard", steps=1, eval_interval=1, learning_rate=2.0)
         w_train = build_world(cfg)
-        metrics = train(w_train, cfg)
+        metrics = train(w_train)
         assert metrics.recompute_steps == (0,)
 
         w_manual = build_world(cfg)
@@ -312,7 +345,7 @@ class TestTrain:
         for rec in records:
             pr = estimate_pass_rate(rec)
             raw.append(
-                (rec.problem_id, 1.0 if hard_filter(pr, cfg.filter_lo, cfg.filter_hi) else 0.0)
+                (rec.problem_id, 1.0 if hard_filter(pr.p, cfg.filter_lo, cfg.filter_hi) else 0.0)
             )
         weights = normalize_weights(raw).normalized
         _, diffs = _losses_and_diffs(w_manual, "forward")
@@ -323,9 +356,9 @@ class TestTrain:
     def test_minibatch_replay_is_bitwise(self):
         cfg = _small(batch_size=5, steps=8)
         w1 = build_world(cfg)
-        m1 = train(w1, cfg)
+        m1 = train(w1)
         w2 = build_world(cfg)
-        m2 = train(w2, cfg)
+        m2 = train(w2)
         assert np.array_equal(w1.theta, w2.theta)
         assert m1.rows == m2.rows
 
@@ -333,14 +366,14 @@ class TestTrain:
         full = _small(steps=4)
         mini = _small(steps=4, batch_size=3)
         w_full = build_world(full)
-        train(w_full, full)
+        train(w_full)
         w_mini = build_world(mini)
-        train(w_mini, mini)
+        train(w_mini)
         assert not np.array_equal(w_full.theta, w_mini.theta)
 
     def test_two_stage_switch(self):
         cfg = _small(loss_direction="two_stage", steps=10, eval_interval=5)
-        metrics = train(build_world(cfg), cfg)
+        metrics = train(build_world(cfg))
         assert metrics.stage_switch_step == 5
         assert metrics.recompute_steps == (0, 5)
         assert [row.stage for row in metrics.rows] == ["forward", "reverse", "reverse"]
@@ -348,9 +381,9 @@ class TestTrain:
     def test_two_stage_replay_bitwise(self):
         cfg = _small(loss_direction="two_stage", steps=10)
         w1 = build_world(cfg)
-        m1 = train(w1, cfg)
+        m1 = train(w1)
         w2 = build_world(cfg)
-        m2 = train(w2, cfg)
+        m2 = train(w2)
         assert np.array_equal(w1.theta, w2.theta)
         assert m1.rows == m2.rows
         assert m1.recompute_steps == m2.recompute_steps
@@ -358,29 +391,51 @@ class TestTrain:
     def test_sampled_reverse_path_runs(self):
         cfg = _small(loss_direction="reverse", reverse_kl_samples=8, steps=3)
         w = build_world(cfg)
-        metrics = train(w, cfg)
+        metrics = train(w)
         assert w.step == 3
         assert all(row.stage == "reverse" for row in metrics.rows)
 
     def test_dump_steps_validated(self):
         cfg = _SMALL
         with pytest.raises(DomainError):
-            train(build_world(cfg), cfg, snr_dump_steps=(cfg.steps + 1,))
+            train(build_world(cfg), snr_dump_steps=(cfg.steps + 1,))
+
+    def test_config_comes_from_the_world(self):
+        cfg = _small(steps=2, eval_interval=1)
+        w = build_world(cfg)
+        with pytest.raises(TypeError):
+            train(w, _small(num_problems=5, rollout_count=2))
+        assert w.step == 0
+        assert [row.step for row in train(w).rows] == [0, 1, 2]
 
     def test_retention_grows_after_training(self):
         cfg = _SMALL
         w = build_world(cfg)
-        train(w, cfg)
+        train(w)
         assert retention(w) > 0.0
 
 
 class TestMeasureSnr:
     def test_one_record_per_problem(self):
         w = build_world(_SMALL)
-        records = measure_snr(w, "forward")
-        assert [r.problem_id for r in records] == list(w.problem_ids)
-        assert all(len(r.gradient) == 5 * 6 for r in records)
-        assert all(0.0 <= r.p <= 1.0 for r in records)
+        table = measure_snr(w, "forward")
+        assert table.problem_ids == w.problem_ids
+        assert table.gradients.shape == (12, 5 * 6)
+        assert np.all((table.p >= 0.0) & (table.p <= 1.0))
+
+    @pytest.mark.parametrize("direction", ["forward", "reverse"])
+    def test_rows_match_per_problem_outer_products(self, direction):
+        w = build_world(_small(num_problems=30))
+        w.theta = w.theta + 0.2 * np.cos(np.arange(w.theta.size)).reshape(w.theta.shape)
+        w.step = 2
+        table = measure_snr(w, direction)
+        _, diffs = _losses_and_diffs(w, direction)
+        counts = _sample_pass_rates(w, _SMALL.rollout_count, "snr").sum(axis=1)
+        for i in range(30):
+            assert np.array_equal(
+                table.gradients[i], np.outer(w.features[i], diffs[i]).ravel()
+            )
+            assert table.p[i] == PassRate.from_counts(int(counts[i]), 4).p
 
     def test_rejects_two_stage_label(self):
         with pytest.raises(DomainError):
@@ -393,7 +448,7 @@ class TestGoldenStepZero:
         # on the deterministic seed streams, not on training.
         cfg = dataclasses.replace(SimConfig(), steps=1, eval_interval=1)
         world = build_world(cfg)
-        metrics = train(world, cfg, snr_dump_steps=(0,))
+        metrics = train(world, snr_dump_steps=(0,))
         row = metrics.rows[0]
         assert row.loss == pytest.approx(1.039541377761623, rel=1e-9)
         assert row.train_acc == pytest.approx(0.339375, abs=1e-12)
@@ -408,7 +463,7 @@ class TestGoldenStepZero:
     def test_frozen_initial_bell_ratio(self):
         cfg = dataclasses.replace(SimConfig(), steps=1, eval_interval=1)
         world = build_world(cfg)
-        metrics = train(world, cfg, snr_dump_steps=(0,))
+        metrics = train(world, snr_dump_steps=(0,))
         profile = compute_snr_bins(metrics.gradient_dumps[0], num_bins=10)
         is_bell, ratio = bell_shape_score(profile)
         assert is_bell

@@ -2,10 +2,12 @@ import dataclasses
 import io
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from zpdistill.distill_sim import SimConfig, build_world, train
-from zpdistill.errors import ConfigError, FileFormatError
+from zpdistill.distill_sim import SimConfig, build_world, measure_snr, train
+from zpdistill.errors import ConfigError, DomainError, FileFormatError
 from zpdistill.fileio import (
     fmt,
     load_gradient_records,
@@ -17,7 +19,7 @@ from zpdistill.fileio import (
     write_profile,
     write_weight_table,
 )
-from zpdistill.snr_profile import GradientRecord, compute_snr_bins, normalize_profile
+from zpdistill.snr_profile import GradientTable, compute_snr_bins, normalize_profile
 
 _GOLDEN_CFG = Path(__file__).resolve().parent.parent / "configs" / "golden.cfg"
 
@@ -73,34 +75,40 @@ class TestLoadRollouts:
             load_rollouts(lines)
 
 
+def _write_table(table: GradientTable) -> str:
+    buf = io.StringIO()
+    write_gradient_records(buf, table)
+    return buf.getvalue()
+
+
+def _float_parse(lines):
+    """Reference parse of gradient rows: float() on every field after the id."""
+    return np.array([[float(v) for v in line.split(",")[1:]] for line in lines])
+
+
 class TestGradientRecords:
-    def _records(self):
-        return [
-            GradientRecord("p0", 0.25, (0.5, -1.0, 2.0)),
-            GradientRecord("p1", 1.0 / 3.0, (1e-8, 0.0, -3.25)),
-        ]
+    def _table(self):
+        return GradientTable(
+            ("p0", "p1"), [0.25, 1.0 / 3.0], [[0.5, -1.0, 2.0], [1e-8, 0.0, -3.25]]
+        )
 
     def test_round_trip(self):
-        buf = io.StringIO()
-        write_gradient_records(buf, self._records())
-        text = buf.getvalue()
+        text = _write_table(self._table())
         assert text.splitlines()[0] == "problem_id,pass_rate,g0,g1,g2"
         loaded = load_gradient_records(text.splitlines())
-        for orig, got in zip(self._records(), loaded):
-            assert got.problem_id == orig.problem_id
-            assert got.p == pytest.approx(orig.p, rel=1e-9)
-            for a, b in zip(got.gradient, orig.gradient):
-                assert a == pytest.approx(b, rel=1e-9, abs=1e-18)
+        orig = self._table()
+        assert loaded.problem_ids == orig.problem_ids
+        assert np.allclose(loaded.p, orig.p, rtol=1e-9, atol=0.0)
+        assert np.allclose(loaded.gradients, orig.gradients, rtol=1e-9, atol=1e-18)
 
     def test_rerun_is_byte_identical(self):
-        buf1, buf2 = io.StringIO(), io.StringIO()
-        write_gradient_records(buf1, self._records())
-        write_gradient_records(buf2, self._records())
-        assert buf1.getvalue() == buf2.getvalue()
+        assert _write_table(self._table()) == _write_table(self._table())
 
     def test_refuses_empty_write(self):
-        with pytest.raises(FileFormatError):
-            write_gradient_records(io.StringIO(), [])
+        # An empty gradient file cannot be written because an empty table
+        # cannot be built.
+        with pytest.raises(DomainError):
+            GradientTable((), np.zeros(0), np.zeros((0, 3)))
 
     def test_rejects_empty_file(self):
         with pytest.raises(FileFormatError, match="empty"):
@@ -119,22 +127,110 @@ class TestGradientRecords:
         lines = ["problem_id,pass_rate,g0", "a,0.5,oops"]
         with pytest.raises(FileFormatError, match="line 2.*non-numeric"):
             load_gradient_records(lines)
+        lines = ["problem_id,pass_rate,g0", "a,0.5,1", "", "b,0.5,", "c,0.5,x"]
+        with pytest.raises(FileFormatError, match="line 4.*non-numeric"):
+            load_gradient_records(lines)
+
+    @pytest.mark.parametrize(
+        "row", ["a,0.5,nan", "a,0.5,inf", "a,0.5,-1e999", "a,1.5,1", "a,-0.5,1", "a,nan,1"]
+    )
+    def test_rejects_bad_values_naming_the_line(self, row):
+        lines = ["problem_id,pass_rate,g0", "z,0.5,1", "", row]
+        with pytest.raises(FileFormatError, match="line 4"):
+            load_gradient_records(lines)
+
+    def test_rejects_empty_problem_id(self):
+        with pytest.raises(FileFormatError, match="line 2.*problem_id"):
+            load_gradient_records(["problem_id,pass_rate,g0", ",0.5,1"])
 
     def test_rejects_header_only(self):
         with pytest.raises(FileFormatError, match="no records"):
             load_gradient_records(["problem_id,pass_rate,g0", ""])
 
+    def test_load_matches_float_parse(self):
+        # Bit-exact against float() on each field, over many magnitudes,
+        # subnormals and renderings longer than the writer's 10 digits.
+        rng = np.random.default_rng(3)
+        values = rng.standard_normal((300, 9)) * 10.0 ** rng.integers(-320, 300, (300, 9))
+        values[:, 0] = rng.random(300)
+        lines = ["problem_id,pass_rate," + ",".join(f"g{j}" for j in range(8))]
+        for i, row in enumerate(values.tolist()):
+            style = ("%r", "%.17g", "%.10g", "%.3e")[i % 4]
+            lines.append(f"q{i}," + ",".join(style % v for v in row))
+        table = load_gradient_records(lines)
+        want = _float_parse(lines[1:])
+        assert np.array_equal(table.p, want[:, 0])
+        assert np.array_equal(table.gradients, want[:, 1:])
+
+    def test_simulator_dump_matches_float_parse(self):
+        world = build_world(SimConfig(num_problems=40, feature_dim=6, vocab_size=5))
+        text = _write_table(measure_snr(world, "forward"))
+        lines = text.splitlines()
+        table = load_gradient_records(lines)
+        want = _float_parse(lines[1:])
+        assert np.array_equal(np.column_stack((table.p, table.gradients)), want)
+        assert _write_table(table) == text
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 5).flatmap(
+            lambda d: st.lists(
+                st.tuples(
+                    st.text("abcxyz_-0123456789", min_size=1, max_size=6),
+                    st.floats(0.0, 1.0),
+                    st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                             min_size=d, max_size=d),
+                ),
+                min_size=1,
+                max_size=6,
+            )
+        )
+    )
+    def test_round_trip_at_ten_digits(self, rows):
+        ids, ps, grads = zip(*rows)
+        table = GradientTable(ids, ps, grads)
+        text = _write_table(table)
+        expected_lines = [
+            ",".join([pid, fmt(p)] + [fmt(g) for g in grad]) for pid, p, grad in rows
+        ]
+        assert text.splitlines()[1:] == expected_lines
+        want = np.array([[float(fmt(v)) for v in (p, *grad)] for _, p, grad in rows])
+        if not np.isfinite(want).all():
+            # A value within 10 digits of the float maximum renders as a
+            # number that parses to inf; the loader rejects that row.
+            with pytest.raises(FileFormatError, match="finite"):
+                load_gradient_records(text.splitlines())
+            return
+        loaded = load_gradient_records(text.splitlines())
+        assert loaded.problem_ids == ids
+        assert np.array_equal(loaded.p, want[:, 0])
+        assert np.array_equal(loaded.gradients, want[:, 1:])
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.one_of(
+            st.text(),
+            st.text("0123456789.,-+eEnaifINF x\r\t\n"),
+        ),
+        st.booleans(),
+    )
+    def test_arbitrary_text_raises_only_format_errors(self, body, with_header):
+        text = ("problem_id,pass_rate,g0,g1\n" if with_header else "") + body
+        for lines in (text.splitlines(), text.split("\n"), io.StringIO(text)):
+            try:
+                table = load_gradient_records(lines)
+            except FileFormatError:
+                continue
+            assert isinstance(table, GradientTable)
+
 
 def _profile_with_gaps():
-    records = [
-        GradientRecord("a", 0.1, (1.0, 0.0)),
-        GradientRecord("b", 0.1, (0.0, 1.0)),
-        GradientRecord("c", 0.55, (3.0, 1.0)),
-        GradientRecord("d", 0.55, (3.0, -1.0)),
-        GradientRecord("e", 0.95, (2.0, 2.0)),
-        GradientRecord("f", 0.95, (2.0, 2.0)),
-    ]
-    return compute_snr_bins(records, num_bins=5)
+    table = GradientTable(
+        ("a", "b", "c", "d", "e", "f"),
+        [0.1, 0.1, 0.55, 0.55, 0.95, 0.95],
+        [[1.0, 0.0], [0.0, 1.0], [3.0, 1.0], [3.0, -1.0], [2.0, 2.0], [2.0, 2.0]],
+    )
+    return compute_snr_bins(table, num_bins=5)
 
 
 class TestProfileIo:
@@ -207,7 +303,7 @@ class TestMetricsIo:
             eval_interval=2,
             seed=3,
         )
-        metrics = train(build_world(cfg), cfg)
+        metrics = train(build_world(cfg))
         buf = io.StringIO()
         write_metrics(buf, metrics)
         lines = buf.getvalue().splitlines()

@@ -14,11 +14,12 @@ from zpdistill.kernel import (
     kernel_peak,
     normalize_weights,
     q_signal,
+    raw_weights,
     saturated_weight,
     select_exponents,
     zpd_moments,
 )
-from zpdistill.passrate import PassRate
+from zpdistill.passrate import PassRate, hard_filter
 
 
 def _beta_mean_var(alpha: float, beta: float) -> tuple[float, float]:
@@ -138,6 +139,36 @@ class TestNormalizeWeights:
         b = normalize_weights(scaled)
         assert a.degenerate == b.degenerate
         assert np.allclose(a.normalized, b.normalized, rtol=1e-9, atol=1e-12)
+
+
+class TestRawWeights:
+    @settings(max_examples=80)
+    @given(
+        st.lists(st.integers(0, 12), min_size=1, max_size=30),
+        st.integers(12, 16),
+        st.floats(0.0, 5.0),
+        st.floats(0.0, 5.0),
+        st.floats(0.0, 1.0),
+        st.floats(0.0, 0.5),
+        st.floats(0.5, 1.0),
+    )
+    def test_bit_identical_to_scalar_rules(self, counts, k, alpha, beta, floor, lo, hi):
+        ps = [c / k for c in counts]
+        p = np.array(counts) / k
+        params = KernelParams(alpha, beta)
+        want_beta = [max(beta_weight(v, params), floor) for v in ps]
+        want_hard = [1.0 if hard_filter(v, lo, hi) else max(0.0, floor) for v in ps]
+        assert np.array_equal(raw_weights(p, "beta", alpha, beta, floor=floor), want_beta)
+        assert np.array_equal(raw_weights(p, "hard", lo=lo, hi=hi, floor=floor), want_hard)
+        assert np.array_equal(raw_weights(p, "unweighted", floor=floor), np.ones(len(ps)))
+
+    def test_rejects_bad_input(self):
+        with pytest.raises(DomainError):
+            raw_weights(np.array([0.5]), "softmax")
+        with pytest.raises(DomainError):
+            raw_weights(np.array([0.5, 1.5]), "beta")
+        with pytest.raises(DomainError):
+            raw_weights(np.array([0.5]), "hard", lo=0.8, hi=0.2)
 
 
 class TestZpdMoments:

@@ -10,7 +10,6 @@ from zpdistill.numerics import (
     log_beta_fn,
     log_gamma,
     log_softmax,
-    population_variance,
     sech,
     sech2,
     softmax,
@@ -159,12 +158,3 @@ class TestStreamUniforms:
         with pytest.raises(DomainError):
             stream_uniforms((7,), ["p0000"], k)
 
-
-class TestPopulationVariance:
-    def test_matches_numpy_ddof_zero(self):
-        rng = np.random.default_rng(11)
-        x = rng.normal(size=40)
-        assert population_variance(x) == pytest.approx(float(np.var(x)), rel=1e-12)
-
-    def test_constant_input_is_zero(self):
-        assert population_variance(np.full(9, 0.3)) == pytest.approx(0.0, abs=1e-18)

@@ -71,23 +71,28 @@ class TestPassRateValidation:
 class TestHardFilter:
     def test_default_band_is_inclusive(self):
         # K=8 default band keeps exactly 2..6 successes.
-        kept = [s for s in range(9) if hard_filter(PassRate.from_counts(s, 8))]
+        kept = [s for s in range(9) if hard_filter(s / 8)]
         assert kept == [2, 3, 4, 5, 6]
 
     def test_custom_bounds(self):
-        assert hard_filter(_rate(0.5), 0.5, 0.5)
-        assert not hard_filter(_rate(0.375), 0.5, 0.5)
+        assert hard_filter(0.5, 0.5, 0.5)
+        assert not hard_filter(0.375, 0.5, 0.5)
 
     def test_rejects_bad_bounds(self):
         with pytest.raises(DomainError):
-            hard_filter(_rate(0.5), 0.8, 0.2)
+            hard_filter(0.5, 0.8, 0.2)
         with pytest.raises(DomainError):
-            hard_filter(_rate(0.5), -0.1, 0.5)
+            hard_filter(0.5, -0.1, 0.5)
+
+    @pytest.mark.parametrize("p", [-0.1, 1.5, float("nan"), float("inf")])
+    def test_rejects_p_outside_unit_interval(self, p):
+        with pytest.raises(DomainError):
+            hard_filter(p)
 
     @given(st.integers(0, 8))
     def test_matches_direct_comparison(self, s):
         pr = PassRate.from_counts(s, 8)
-        assert hard_filter(pr, 0.2, 0.8) == (0.2 <= pr.p <= 0.8)
+        assert hard_filter(pr.p, 0.2, 0.8) == (0.2 <= pr.p <= 0.8)
 
 
 class TestHistogram:
@@ -109,7 +114,7 @@ class TestHistogram:
         # p = 0.2: the filter keeps it, but the histogram puts it in bin 2,
         # because bins are left-closed right-open.
         pr = PassRate.from_counts(1, 5)
-        assert hard_filter(pr, 0.2, 0.8)
+        assert hard_filter(pr.p, 0.2, 0.8)
         h = histogram([pr], THREE_BIN_EDGES)
         assert h.fractions == (0.0, 1.0, 0.0)
 

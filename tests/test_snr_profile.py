@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from zpdistill.errors import DegenerateInputError, DomainError, InsufficientDataError
-from zpdistill.passrate import PassRate
 from zpdistill.snr_profile import (
-    GradientRecord,
+    GradientTable,
     SnrProfile,
     bell_shape_score,
     compute_snr_bins,
@@ -15,8 +14,13 @@ from zpdistill.snr_profile import (
 )
 
 
-def _rec(pid: str, p: float, grad) -> GradientRecord:
-    return GradientRecord(problem_id=pid, pass_rate=p, gradient=tuple(grad))
+def _rec(pid: str, p: float, grad) -> tuple:
+    return pid, p, tuple(grad)
+
+
+def _table(records) -> GradientTable:
+    ids, ps, grads = zip(*records)
+    return GradientTable(ids, np.array(ps), np.array(grads, dtype=float))
 
 
 def _bin_with(profile: SnrProfile, lo: float):
@@ -24,24 +28,31 @@ def _bin_with(profile: SnrProfile, lo: float):
     return b
 
 
-class TestGradientRecord:
-    def test_accepts_float_and_passrate(self):
-        r1 = _rec("a", 0.25, (1.0, 2.0))
-        assert r1.p == 0.25
-        r2 = GradientRecord("b", PassRate.from_counts(2, 8), (0.5,))
-        assert r2.p == 0.25
+class TestGradientTable:
+    def test_coerces_to_float_arrays(self):
+        table = GradientTable(["a", "b"], [0.25, 2 / 8], [[1, 2], [3, 4]])
+        assert table.problem_ids == ("a", "b")
+        assert table.p.dtype == np.float64 and table.p.shape == (2,)
+        assert table.gradients.dtype == np.float64
+        assert np.array_equal(table.gradients, [[1.0, 2.0], [3.0, 4.0]])
 
     def test_validation(self):
-        with pytest.raises(DomainError):
-            _rec("", 0.5, (1.0,))
-        with pytest.raises(DomainError):
-            _rec("a", 0.5, ())
-        with pytest.raises(DomainError):
-            _rec("a", 0.5, (math.nan,))
-        with pytest.raises(DomainError):
-            _rec("a", 1.5, (1.0,))
-        with pytest.raises(DomainError):
-            _rec("a", -0.1, (1.0,))
+        cases = [
+            (("",), [0.5], [[1.0]]),
+            (("a",), [0.5], np.zeros((1, 0))),
+            ((), [], np.zeros((0, 1))),
+            (("a",), [0.5], [1.0]),
+            (("a", "b"), [0.5], [[1.0]]),
+            (("a",), [0.5, 0.5], [[1.0]]),
+            (("a",), [0.5], [[math.nan]]),
+            (("a",), [0.5], [[-math.inf]]),
+            (("a",), [math.nan], [[1.0]]),
+            (("a",), [1.5], [[1.0]]),
+            (("a",), [-0.1], [[1.0]]),
+        ]
+        for ids, p, grads in cases:
+            with pytest.raises(DomainError):
+                GradientTable(ids, p, grads)
 
 
 class TestComputeSnrBins:
@@ -52,7 +63,7 @@ class TestComputeSnrBins:
             _rec("c", 0.6, (2.0, 0.0)),
             _rec("d", 0.9, (4.0, 0.0)),
         ]
-        profile = compute_snr_bins(records, num_bins=2)
+        profile = compute_snr_bins(_table(records), num_bins=2)
         low, high = profile.bins
         # Low bin: mean (0.5, 0.5), each point 0.5 away squared -> spread 0.5.
         assert low.count == 2
@@ -70,7 +81,7 @@ class TestComputeSnrBins:
             _rec("c", 0.0, (3.0,)),
             _rec("d", 0.0, (5.0,)),
         ]
-        profile = compute_snr_bins(records, num_bins=4)
+        profile = compute_snr_bins(_table(records), num_bins=4)
         assert profile.bins[-1].count == 2
         assert profile.bins[0].count == 2
         assert all(b.count == 0 for b in profile.bins[1:-1])
@@ -82,7 +93,7 @@ class TestComputeSnrBins:
             _rec("c", 0.95, (1.0,)),
             _rec("d", 0.95, (4.0,)),
         ]
-        profile = compute_snr_bins(records, num_bins=3)
+        profile = compute_snr_bins(_table(records), num_bins=3)
         mid = profile.bins[1]
         assert mid.count == 0
         assert mid.mean_p is None
@@ -96,7 +107,7 @@ class TestComputeSnrBins:
             _rec("c", 0.8, (1.0, 0.0)),
             _rec("d", 0.9, (0.0, 1.0)),
         ]
-        profile = compute_snr_bins(records, num_bins=2)
+        profile = compute_snr_bins(_table(records), num_bins=2)
         low = profile.bins[0]
         assert low.degenerate
         assert low.snr is None
@@ -108,14 +119,14 @@ class TestComputeSnrBins:
         grads = rng.normal(0.0, 1.0, (30, 4))
         ps = rng.uniform(0.0, 1.0, 30)
         base = [_rec(f"p{i}", float(ps[i]), grads[i]) for i in range(30)]
-        ref = compute_snr_bins(base, num_bins=5)
+        ref = compute_snr_bins(_table(base), num_bins=5)
 
         q, _ = np.linalg.qr(rng.normal(0.0, 1.0, (4, 4)))
         rotated = [
             _rec(f"p{i}", float(ps[i]), 2.5 * (q @ grads[i])) for i in range(30)
         ]
         perm = rng.permutation(30)
-        got = compute_snr_bins([rotated[i] for i in perm], num_bins=5)
+        got = compute_snr_bins(_table([rotated[i] for i in perm]), num_bins=5)
 
         for b_ref, b_got in zip(ref.bins, got.bins):
             assert b_got.count == b_ref.count
@@ -132,19 +143,15 @@ class TestComputeSnrBins:
     )
     def test_counts_match_np_histogram(self, ps, num_bins):
         records = [_rec(f"p{i}", p, (float(i), 1.0)) for i, p in enumerate(ps)]
-        profile = compute_snr_bins(records, num_bins=num_bins)
+        profile = compute_snr_bins(_table(records), num_bins=num_bins)
         want, _ = np.histogram(ps, bins=np.linspace(0.0, 1.0, num_bins + 1))
         assert [b.count for b in profile.bins] == list(want)
 
     def test_validation(self):
-        with pytest.raises(InsufficientDataError):
-            compute_snr_bins([], num_bins=3)
+        # An empty or ragged table cannot be built (TestGradientTable), so
+        # the bin count is the only argument left to check.
         with pytest.raises(DomainError):
-            compute_snr_bins([_rec("a", 0.5, (1.0,))], num_bins=1)
-        with pytest.raises(DomainError):
-            compute_snr_bins(
-                [_rec("a", 0.5, (1.0,)), _rec("b", 0.5, (1.0, 2.0))], num_bins=2
-            )
+            compute_snr_bins(_table([_rec("a", 0.5, (1.0,))]), num_bins=1)
 
 
 class TestNormalizeProfile:
@@ -157,7 +164,7 @@ class TestNormalizeProfile:
             _rec("e", 0.9, (0.5, 0.0)),
             _rec("f", 0.9, (0.0, 0.5)),
         ]
-        return compute_snr_bins(records, num_bins=5)
+        return compute_snr_bins(_table(records), num_bins=5)
 
     def test_max_is_exactly_one(self):
         norm = normalize_profile(self._profile())
@@ -189,7 +196,7 @@ class TestNormalizeProfile:
             _rec("c", 0.9, (1.0,)),
             _rec("d", 0.9, (3.0,)),
         ]
-        norm = normalize_profile(compute_snr_bins(records, num_bins=5))
+        norm = normalize_profile(compute_snr_bins(_table(records), num_bins=5))
         degen = norm.bins[0]
         assert degen.snr_norm is None
         assert degen.theory_norm is not None
@@ -205,7 +212,7 @@ class TestNormalizeProfile:
             _rec("d", 0.9, (2.0,)),
         ]
         with pytest.raises(DegenerateInputError):
-            normalize_profile(compute_snr_bins(records, num_bins=2))
+            normalize_profile(compute_snr_bins(_table(records), num_bins=2))
 
     def test_all_zero_snr_rejected(self):
         records = [
@@ -215,7 +222,7 @@ class TestNormalizeProfile:
             _rec("d", 0.9, (-2.0,)),
         ]
         with pytest.raises(DegenerateInputError):
-            normalize_profile(compute_snr_bins(records, num_bins=2))
+            normalize_profile(compute_snr_bins(_table(records), num_bins=2))
 
 
 def _profile_from_heights(spec):
@@ -228,7 +235,7 @@ def _profile_from_heights(spec):
     for i, (center, height) in enumerate(spec):
         records.append(_rec(f"a{i}", center, (height, 1.0)))
         records.append(_rec(f"b{i}", center, (height, -1.0)))
-    return compute_snr_bins(records, num_bins=5)
+    return compute_snr_bins(_table(records), num_bins=5)
 
 
 class TestBellShapeScore:
@@ -260,7 +267,7 @@ class TestBellShapeScore:
             _rec("e", 0.9, (0.0, 1.0)),
             _rec("f", 0.9, (0.0, -1.0)),
         ]
-        profile = compute_snr_bins(records, num_bins=5)
+        profile = compute_snr_bins(_table(records), num_bins=5)
         is_bell, ratio = bell_shape_score(profile)
         assert is_bell
         assert math.isinf(ratio)
