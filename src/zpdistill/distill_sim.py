@@ -31,6 +31,16 @@ telemetry, and SNR measurement use distinct purpose labels. Per-problem
 draws are taken for all problems at once with numerics.stream_uniforms,
 which reproduces numerics.stream() bit for bit; stream() remains the
 contract that defines every draw.
+
+Per-step arithmetic: train computes the student's log-probabilities and
+probabilities once per step, with out= ufuncs into two (N, V) buffers
+allocated once per call, and computes the teacher's probabilities once.
+Every consumer at that step reads them: rollout sampling for weights,
+checkpoints and SNR dumps (at rollout temperature 1; other temperatures
+sample from their own softmax), the checkpoint loss, measure_snr, and the
+update, which then writes its gradient rows into the buffers. The ops and
+reduction axes are those of numerics.log_softmax, so every output is
+bit-identical to recomputing each quantity on fresh arrays.
 """
 
 from __future__ import annotations
@@ -41,7 +51,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, NumericError
 from .kernel import SCHEMES, normalize_weights, raw_weights
 from .numerics import log_softmax, stream, stream_uniforms
 from .passrate import THREE_BIN_EDGES, RolloutRecord, histogram
@@ -142,6 +152,10 @@ class SimConfig:
         if self.loss_direction not in _DIRECTIONS:
             raise ConfigError(
                 f"loss_direction must be one of {_DIRECTIONS}, got {self.loss_direction!r}"
+            )
+        if self.loss_direction == "two_stage" and self.steps < 2:
+            raise ConfigError(
+                f"steps must be >= 2 for loss_direction two_stage, got {self.steps!r}"
             )
         if not 0.0 < self.stage1_fraction < 1.0:
             raise ConfigError(
@@ -273,17 +287,56 @@ def _categorical(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
     tokens = np.zeros(u.shape, dtype=np.intp)
     for column in cdf.T:
         tokens += column[:, None] <= u
-    return np.minimum(tokens, probs.shape[1] - 1)
+    return np.minimum(tokens, probs.shape[1] - 1, out=tokens)
 
 
-def _sample_pass_rates(world: SimWorld, k: int, purpose: str) -> np.ndarray:
-    """(N, k) correctness of k rollouts per problem at the current step."""
+@dataclass(frozen=True)
+class _Probs:
+    """Student log-probs and probs at the current theta beside the teacher's.
+
+    train fills log_ps and ps once per step and every consumer at that step
+    reads them; the update then overwrites them with its gradient rows.
+    """
+
+    log_ps: np.ndarray  # (N, V)
+    ps: np.ndarray  # (N, V)
+    log_pt: np.ndarray  # (N, V), world.teacher_log_probs
+    pt: np.ndarray  # (N, V)
+
+
+def _step_probs(world: SimWorld, buffers: _Probs | None = None) -> _Probs:
+    """The student's distributions at world.theta, written into buffers.
+
+    Without buffers, fresh arrays are allocated and the teacher's
+    probabilities computed; with them, only log_ps and ps are rewritten.
+    """
+    if buffers is None:
+        log_pt = world.teacher_log_probs
+        buffers = _Probs(np.empty_like(log_pt), np.empty_like(log_pt), log_pt, np.exp(log_pt))
+    log_ps, ps = buffers.log_ps, buffers.ps
+    np.matmul(world.features, world.theta, out=log_ps)
+    log_softmax(log_ps, axis=1, out=log_ps, work=ps)
+    np.exp(log_ps, out=ps)
+    return buffers
+
+
+def _sample_pass_rates(
+    world: SimWorld, k: int, purpose: str, probs: _Probs | None = None
+) -> np.ndarray:
+    """(N, k) correctness of k rollouts per problem at the current step.
+
+    At rollout temperature 1 the step's shared probs are sampled as they
+    are, since dividing the logits by 1.0 is exact.
+    """
     if k < 1:
         raise DomainError(f"rollout count must be >= 1, got {k}")
-    logits = world.student_logits() / world.config.rollout_temperature
-    probs = np.exp(log_softmax(logits, axis=1))
+    if probs is not None and world.config.rollout_temperature == 1.0:
+        sample_probs = probs.ps
+    else:
+        logits = world.student_logits() / world.config.rollout_temperature
+        sample_probs = np.exp(log_softmax(logits, axis=1, out=logits))
     u = stream_uniforms((world.config.seed, purpose, world.step), world.problem_ids, k)
-    return _categorical(probs, u) == world.answers[:, None]
+    return _categorical(sample_probs, u) == world.answers[:, None]
 
 
 def run_rollouts(world: SimWorld, K: int) -> list[RolloutRecord]:
@@ -295,33 +348,41 @@ def run_rollouts(world: SimWorld, K: int) -> list[RolloutRecord]:
     ]
 
 
-def _losses_and_diffs(
-    world: SimWorld, direction: str
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-problem losses and logit-space gradient rows for one direction."""
-    log_ps = log_softmax(world.student_logits(), axis=1)
-    ps = np.exp(log_ps)
-    log_pt = world.teacher_log_probs
+def _kl_rows(probs: _Probs, direction: str) -> np.ndarray:
+    """Per-problem KL in the given direction."""
     if direction == "forward":
-        pt = np.exp(log_pt)
-        losses = np.sum(pt * (log_pt - log_ps), axis=1)
-        diffs = ps - pt
-    elif direction == "reverse":
-        ratio = log_ps - log_pt
-        losses = np.sum(ps * ratio, axis=1)
-        diffs = ps * (ratio - losses[:, None])
+        terms = probs.log_pt - probs.log_ps
+        terms *= probs.pt
     else:
-        raise DomainError(f"unknown loss direction {direction!r}")
-    return losses, diffs
+        terms = probs.log_ps - probs.log_pt
+        terms *= probs.ps
+    return np.sum(terms, axis=1)
+
+
+def _diffs(probs: _Probs, direction: str, in_place: bool = False) -> np.ndarray:
+    """Logit-space gradient rows of the per-problem KL.
+
+    in_place writes the rows into the step buffers (ps for forward, log_ps
+    for reverse) instead of a fresh array.
+    """
+    if direction == "forward":
+        return np.subtract(probs.ps, probs.pt, out=probs.ps if in_place else None)
+    if direction == "reverse":
+        ratio = np.subtract(probs.log_ps, probs.log_pt, out=probs.log_ps if in_place else None)
+        losses = np.sum(probs.ps * ratio, axis=1)
+        ratio -= losses[:, None]
+        return np.multiply(probs.ps, ratio, out=ratio)
+    raise DomainError(f"unknown loss direction {direction!r}")
 
 
 def _single_loss_grad(world: SimWorld, problem_index: int, direction: str):
     n = world.config.num_problems
     if not 0 <= problem_index < n:
         raise DomainError(f"problem_index must lie in [0, {n}), got {problem_index}")
-    losses, diffs = _losses_and_diffs(world, direction)
-    grad = np.outer(world.features[problem_index], diffs[problem_index])
-    return float(losses[problem_index]), grad
+    probs = _step_probs(world)
+    loss = _kl_rows(probs, direction)[problem_index]
+    grad = np.outer(world.features[problem_index], _diffs(probs, direction)[problem_index])
+    return float(loss), grad
 
 
 def forward_kl(world: SimWorld, problem_index: int) -> tuple[float, np.ndarray]:
@@ -334,25 +395,31 @@ def reverse_kl(world: SimWorld, problem_index: int) -> tuple[float, np.ndarray]:
     return _single_loss_grad(world, problem_index, "reverse")
 
 
-def _sampled_reverse_diffs(world: SimWorld, n_samples: int) -> np.ndarray:
+def _sampled_reverse_diffs(world: SimWorld, probs: _Probs, n_samples: int) -> np.ndarray:
     """Score-function estimate of the reverse-KL logit gradient rows.
 
     Samples are accumulated one at a time, in draw order, for all problems
     together, so each row's sum is the same sequential sum as per problem.
+    A sample's term r * (onehot - ps) is subtracted as r * ps with its token
+    entry set to r * (ps - 1): both are exact negations, so the sum is
+    bit-identical. probs.log_ps is overwritten with the log-ratio.
     """
-    log_ps = log_softmax(world.student_logits(), axis=1)
-    ps = np.exp(log_ps)
-    ratio = log_ps - world.teacher_log_probs
+    ps = probs.ps
+    ratio = np.subtract(probs.log_ps, probs.log_pt, out=probs.log_ps)
     u = stream_uniforms(
         (world.config.seed, "revkl", world.step), world.problem_ids, n_samples
     )
+    draws = _categorical(ps, u)
     rows = np.arange(ps.shape[0])
     acc = np.zeros_like(ps)
-    for tokens in _categorical(ps, u).T:
-        one_hot = np.zeros_like(ps)
-        one_hot[rows, tokens] = 1.0
-        acc += ratio[rows, tokens, None] * (one_hot - ps)
-    return acc / n_samples
+    term = np.empty_like(ps)
+    for tokens in draws.T:
+        r = ratio[rows, tokens]
+        np.multiply(ps, r[:, None], out=term)
+        term[rows, tokens] = r * (ps[rows, tokens] - 1.0)
+        acc -= term
+    acc /= n_samples
+    return acc
 
 
 def _weights(world: SimWorld, counts: np.ndarray) -> np.ndarray:
@@ -371,24 +438,19 @@ def _direction_at(config: SimConfig, local_step: int, switch_step: int) -> str:
     return "forward" if local_step < switch_step else "reverse"
 
 
-def _weighted_loss(world: SimWorld, weights: np.ndarray, direction: str) -> float:
-    losses, _ = _losses_and_diffs(world, direction)
-    return float(np.mean(weights * losses))
-
-
 def _eval_checkpoint(
-    world: SimWorld,
-    weights: np.ndarray,
-    direction: str,
-    absolute_step: int,
+    world: SimWorld, weights: np.ndarray, direction: str, probs: _Probs
 ) -> CheckpointRow:
     k = world.config.rollout_count
-    p = _sample_pass_rates(world, k, "eval").sum(axis=1) / k
+    p = _sample_pass_rates(world, k, "eval", probs).sum(axis=1) / k
     hist = histogram(p, THREE_BIN_EDGES)
+    loss = float(np.mean(weights * _kl_rows(probs, direction)))
+    if not math.isfinite(loss):
+        raise NumericError(f"checkpoint loss is {loss} at step {world.step}")
     return CheckpointRow(
-        step=absolute_step,
+        step=world.step,
         stage=direction,
-        loss=_weighted_loss(world, weights, direction),
+        loss=loss,
         train_acc=hist.mean_p,
         retention_kl=retention(world),
         frac_low=hist.fractions[0],
@@ -398,6 +460,25 @@ def _eval_checkpoint(
     )
 
 
+def _descend(world: SimWorld, weights: np.ndarray, direction: str, probs: _Probs) -> None:
+    """The parameter update at world.step; it overwrites the step buffers."""
+    config = world.config
+    if direction == "reverse" and config.reverse_kl_samples > 0:
+        diffs = _sampled_reverse_diffs(world, probs, config.reverse_kl_samples)
+    else:
+        diffs = _diffs(probs, direction, in_place=True)
+
+    if config.batch_size is None:
+        diffs *= weights[:, None] / config.num_problems
+        grad = world.features.T @ diffs
+    else:
+        gen = stream(config.seed, "batch", world.step)
+        batch = gen.choice(config.num_problems, size=config.batch_size, replace=False)
+        scale = weights[batch, None] / config.batch_size
+        grad = world.features[batch].T @ (scale * diffs[batch])
+    world.theta = world.theta - config.learning_rate * grad
+
+
 def train(world: SimWorld, *, snr_dump_steps: Iterable[int] = ()) -> SimMetrics:
     """Run the weighting-then-descend loop configured by world.config.
 
@@ -405,15 +486,15 @@ def train(world: SimWorld, *, snr_dump_steps: Iterable[int] = ()) -> SimMetrics:
     two-stage switch, and every recompute_interval steps when configured.
     Checkpoints (every eval_interval steps, plus step 0 and the final step)
     record state before that step's parameter update. theta and the step
-    counter are updated in place on the passed world.
+    counter are updated in place on the passed world. A non-finite
+    checkpoint loss or theta raises NumericError naming the step.
     """
     config = world.config
-    n = config.num_problems
     t_total = config.steps
     switch_step = 0
     if config.loss_direction == "two_stage":
         switch_step = int(round(config.stage1_fraction * t_total))
-        switch_step = min(max(switch_step, 1), t_total - 1) if t_total >= 2 else 1
+        switch_step = min(max(switch_step, 1), t_total - 1)
 
     dump_steps = sorted(set(int(s) for s in snr_dump_steps))
     for s in dump_steps:
@@ -424,8 +505,10 @@ def train(world: SimWorld, *, snr_dump_steps: Iterable[int] = ()) -> SimMetrics:
     recompute_steps: list[int] = []
     rows: list[CheckpointRow] = []
     dumps: dict[int, GradientTable] = {}
+    probs = None
 
     for local in range(t_total + 1):
+        probs = _step_probs(world, probs)
         direction = _direction_at(config, min(local, t_total - 1), switch_step)
         needs_recompute = (
             local == 0
@@ -442,33 +525,21 @@ def train(world: SimWorld, *, snr_dump_steps: Iterable[int] = ()) -> SimMetrics:
             )
         )
         if needs_recompute:
-            outcomes = _sample_pass_rates(world, config.rollout_count, "rollout")
+            outcomes = _sample_pass_rates(world, config.rollout_count, "rollout", probs)
             weights = _weights(world, outcomes.sum(axis=1))
             recompute_steps.append(world.step)
 
         if local % config.eval_interval == 0 or local == t_total:
-            rows.append(_eval_checkpoint(world, weights, direction, world.step))
+            rows.append(_eval_checkpoint(world, weights, direction, probs))
         if local in dump_steps:
-            dumps[local] = measure_snr(world, direction)
+            dumps[local] = measure_snr(world, direction, probs=probs)
 
         if local == t_total:
             break
 
-        # Parameter update for step `local`.
-        if direction == "reverse" and config.reverse_kl_samples > 0:
-            diffs = _sampled_reverse_diffs(world, config.reverse_kl_samples)
-        else:
-            _, diffs = _losses_and_diffs(world, direction)
-
-        if config.batch_size is None:
-            grad = world.features.T @ ((weights[:, None] / n) * diffs)
-        else:
-            gen = stream(config.seed, "batch", world.step)
-            batch = gen.choice(n, size=config.batch_size, replace=False)
-            scale = weights[batch, None] / config.batch_size
-            grad = world.features[batch].T @ (scale * diffs[batch])
-
-        world.theta = world.theta - config.learning_rate * grad
+        _descend(world, weights, direction, probs)
+        if not np.isfinite(world.theta).all():
+            raise NumericError(f"theta is not finite after the update at step {world.step}")
         world.step = base + local + 1
 
     return SimMetrics(
@@ -481,19 +552,25 @@ def train(world: SimWorld, *, snr_dump_steps: Iterable[int] = ()) -> SimMetrics:
     )
 
 
-def measure_snr(world: SimWorld, loss_direction: str) -> GradientTable:
+def measure_snr(
+    world: SimWorld, loss_direction: str, *, probs: _Probs | None = None
+) -> GradientTable:
     """One flattened gradient per problem plus fresh pass-rate estimates.
 
     Row i of the gradients is np.outer(features[i], diffs[i]).ravel(), the
-    problem's theta gradient in logit-difference form.
+    problem's theta gradient in logit-difference form. probs are the
+    step's shared distributions inside train; without them they are
+    computed from world.
     """
     if loss_direction not in _STAGE_DIRECTIONS:
         raise DomainError(
             f"loss_direction must be one of {_STAGE_DIRECTIONS}, got {loss_direction!r}"
         )
+    if probs is None:
+        probs = _step_probs(world)
     k = world.config.rollout_count
-    counts = _sample_pass_rates(world, k, "snr").sum(axis=1)
-    _, diffs = _losses_and_diffs(world, loss_direction)
+    counts = _sample_pass_rates(world, k, "snr", probs).sum(axis=1)
+    diffs = _diffs(probs, loss_direction)
     grads = world.features[:, :, None] * diffs[:, None, :]
     return GradientTable(world.problem_ids, counts / k, grads.reshape(len(counts), -1))
 

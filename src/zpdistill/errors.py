@@ -13,6 +13,8 @@ Every error raised by library code derives from ZpdistillError so callers
                          the message names the offending key.
 - FileFormatError:       a data file violates its documented schema; the
                          message carries the 1-based line number when known.
+- NumericError:          training produced a non-finite loss or parameter;
+                         the message names the step.
 """
 
 from __future__ import annotations
@@ -44,3 +46,7 @@ class ConfigError(ZpdistillError, ValueError):
 
 class FileFormatError(ZpdistillError, ValueError):
     """Data file violates its schema; message carries the line number."""
+
+
+class NumericError(ZpdistillError, ArithmeticError):
+    """Training produced a non-finite value; message names the step."""

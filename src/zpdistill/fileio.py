@@ -8,9 +8,11 @@ byte-identical files.
   Duplicate problem ids are rejected at load.
 - Gradient records: CSV with header problem_id,pass_rate,g0,...,g{D-1}, one
   row per problem; loaded into a snr_profile.GradientTable. A row with a
-  non-finite value or a pass_rate outside [0, 1] is a format error.
+  non-finite value or a pass_rate outside [0, 1] is a format error; the
+  writer refuses a gradient whose 10-digit rendering would parse as inf.
 - SNR profiles: CSV with header bin_lo,bin_hi,mean_p,count,snr,snr_norm,
-  theory_norm; undefined values are empty fields.
+  theory_norm; undefined values are empty fields. The loader rejects a
+  mean_p outside [0, 1] and a negative or non-finite snr.
 - Weight tables: CSV with header problem_id,p,w,w_norm.
 - Simulation metrics: CSV, one checkpoint per row.
 - Simulation configs: INI-style sections [world], [rollouts], [weighting],
@@ -22,12 +24,13 @@ from __future__ import annotations
 
 import configparser
 import json
+import math
 from typing import IO, Iterable, Sequence
 
 import numpy as np
 
 from .distill_sim import SimConfig, SimMetrics
-from .errors import ConfigError, FileFormatError
+from .errors import ConfigError, DomainError, FileFormatError
 from .passrate import RolloutRecord
 from .snr_profile import GradientTable, SnrProfile
 
@@ -63,8 +66,11 @@ def load_rollouts(lines: Iterable[str]) -> list[RolloutRecord]:
             continue
         try:
             obj = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise FileFormatError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
+        except (ValueError, RecursionError) as exc:
+            # Besides JSONDecodeError, an integer literal past Python's
+            # digit limit raises ValueError and deep nesting RecursionError.
+            reason = exc.msg if isinstance(exc, json.JSONDecodeError) else str(exc)
+            raise FileFormatError(f"line {lineno}: invalid JSON ({reason})") from exc
         if not isinstance(obj, dict) or "problem_id" not in obj or "outcomes" not in obj:
             raise FileFormatError(
                 f"line {lineno}: expected keys problem_id and outcomes"
@@ -145,7 +151,21 @@ def load_gradient_records(lines: Iterable[str]) -> GradientTable:
     return GradientTable(tuple(ids), values[:, 0], values[:, 1:])
 
 
+# The smallest double whose 10-digit rendering, 1.797693135e+308, parses to
+# inf; a gradient this large would be written as a row the loader rejects.
+_RENDERS_AS_INF = 1.7976931345e308
+
+
 def write_gradient_records(f: IO[str], table: GradientTable) -> None:
+    """Write a gradient table; refuses, before writing, any gradient whose
+    10-digit rendering would parse back as inf."""
+    too_large = (np.abs(table.gradients) >= _RENDERS_AS_INF).any(axis=1)
+    if too_large.any():
+        pid = table.problem_ids[int(np.argmax(too_large))]
+        raise DomainError(
+            f"problem {pid!r}: a gradient of magnitude >= {_RENDERS_AS_INF!r} "
+            "renders at 10 significant digits as inf"
+        )
     dim = table.gradients.shape[1]
     header = ["problem_id", "pass_rate"] + [f"g{i}" for i in range(dim)]
     f.write(",".join(header) + "\n")
@@ -197,6 +217,11 @@ def load_profile_points(lines: Iterable[str]) -> list[tuple[float, float]]:
             p, s = float(mean_p), float(snr)
         except ValueError as exc:
             raise FileFormatError(f"line {lineno}: non-numeric field ({exc})") from exc
+        if not (0.0 <= p <= 1.0 and 0.0 <= s < math.inf):
+            raise FileFormatError(
+                f"line {lineno}: mean_p must lie in [0,1] and snr must be finite "
+                f"and >= 0, got {mean_p}, {snr}"
+            )
         if 0.0 < p < 1.0:
             points.append((p, s))
     return points

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -80,27 +80,49 @@ def sech2(x: float) -> float:
     return s * s
 
 
-def log_softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Row-stable log softmax."""
+def log_softmax(
+    logits: np.ndarray,
+    axis: int = -1,
+    *,
+    out: np.ndarray | None = None,
+    work: np.ndarray | None = None,
+) -> np.ndarray:
+    """Row-stable log softmax.
+
+    out receives the result and may be logits itself; work receives the
+    exponentials of the shifted logits. Both are float64 arrays shaped like
+    logits, or None for fresh ones; the arithmetic is the same either way.
+    """
     z = np.asarray(logits, dtype=np.float64)
     zmax = np.max(z, axis=axis, keepdims=True)
-    shifted = z - zmax
-    lse = np.log(np.sum(np.exp(shifted), axis=axis, keepdims=True))
-    return shifted - lse
+    shifted = np.subtract(z, zmax, out=out)
+    lse = np.log(np.sum(np.exp(shifted, out=work), axis=axis, keepdims=True))
+    return np.subtract(shifted, lse, out=shifted)
 
 
 def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
     return np.exp(log_softmax(logits, axis=axis))
 
 
-def _hash_key(h: hashlib.blake2b, key_parts: Iterable[int | str]) -> hashlib.blake2b:
+def _check_key_parts(parts: Sequence[int | str]) -> None:
+    """Every key part is an int or a str (never a bool), checked once per type;
+    the error names the first offending part."""
+    for kind in dict.fromkeys(map(type, parts)):
+        if kind is bool or not issubclass(kind, (int, str)):
+            bad = next(part for part in parts if type(part) is kind)
+            raise DomainError(f"stream key parts must be int or str, got {bad!r}")
+
+
+def _token(part: int | str) -> bytes:
+    """A key part's typed token, b"<type>:<part>\x1f"."""
+    return f"{type(part).__name__}:{part}\x1f".encode()
+
+
+def _hash_key(h: hashlib.blake2b, key_parts: Sequence[int | str]) -> hashlib.blake2b:
     """Feed each key part's typed token into the blake2b state h."""
+    _check_key_parts(key_parts)
     for part in key_parts:
-        if isinstance(part, bool) or not isinstance(part, (int, str)):
-            raise DomainError(f"stream key parts must be int or str, got {part!r}")
-        token = f"{type(part).__name__}:{part}"
-        h.update(token.encode("utf-8"))
-        h.update(b"\x1f")
+        h.update(_token(part))
     return h
 
 
@@ -119,13 +141,26 @@ def stream(*key_parts: int | str) -> np.random.Generator:
 
 
 def _mulhilo(m: np.uint64, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """High and low 64-bit words of the 128-bit product m * x."""
+    """High and low 64-bit words of the 128-bit product m * x.
+
+    The 32-bit partial products are combined in place (uint64 arithmetic is
+    exact modulo 2**64, so the order of the additions does not matter).
+    """
     m_lo, m_hi = m & _LOW32, m >> _U32
     x_lo, x_hi = x & _LOW32, x >> _U32
-    ll, lh = m_lo * x_lo, m_lo * x_hi
-    hl, hh = m_hi * x_lo, m_hi * x_hi
-    mid = (ll >> _U32) + (lh & _LOW32) + (hl & _LOW32)
-    return hh + (lh >> _U32) + (hl >> _U32) + (mid >> _U32), m * x
+    lh, hl = m_lo * x_hi, m_hi * x_lo
+    mid = m_lo * x_lo
+    mid >>= _U32
+    mid += lh & _LOW32
+    mid += hl & _LOW32
+    mid >>= _U32
+    hi = m_hi * x_hi
+    lh >>= _U32
+    hl >>= _U32
+    hi += lh
+    hi += hl
+    hi += mid
+    return hi, m * x
 
 
 def _philox4x64(keys: np.ndarray, blocks: int) -> np.ndarray:
@@ -159,9 +194,19 @@ def stream_uniforms(
     """
     if isinstance(k, bool) or not isinstance(k, int) or k < 0:
         raise DomainError(f"stream_uniforms requires an integer k >= 0, got {k!r}")
+    words = _philox4x64(_label_keys(prefix, labels), -(-k // 4))[:, :k]
+    words >>= _U11
+    return words * 2.0**-53
+
+
+def _label_keys(prefix: Sequence[int | str], labels: Sequence[int | str]) -> np.ndarray:
+    """(len(labels), 2) Philox keys: the blake2b digests of prefix + (label,)."""
     shared = _hash_key(hashlib.blake2b(digest_size=16), prefix)
-    digests = b"".join(_hash_key(shared.copy(), (label,)).digest() for label in labels)
-    keys = np.frombuffer(digests, dtype="<u8").astype(np.uint64).reshape(-1, 2)
-    words = _philox4x64(keys, -(-k // 4))[:, :k]
-    return (words >> _U11) * 2.0**-53
+    _check_key_parts(labels)
+    digests = []
+    for label in labels:
+        h = shared.copy()
+        h.update(_token(label))
+        digests.append(h.digest())
+    return np.frombuffer(b"".join(digests), dtype="<u8").astype(np.uint64).reshape(-1, 2)
 

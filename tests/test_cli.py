@@ -314,6 +314,17 @@ class TestSimulate:
         rows = _table(capsys.readouterr().out)
         assert rows[-1]["step"] == "2"
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_numeric_failure_exits_1_naming_step(self, tmp_path, capsys):
+        # Logits of this size overflow, so the step-0 checkpoint loss is NaN.
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text(_SMALL_CFG.replace("seed = 11", "seed = 11\nteacher_sharpness = 1e308"),
+                       encoding="utf-8")
+        out = tmp_path / "metrics.csv"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
+        assert "error: checkpoint loss is nan at step 0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_two_stage_switch_logged(self, tmp_path, capsys):
         cfg = self._cfg(tmp_path)
         args = ["simulate", "--config", str(cfg), "--schedule", "two_stage",

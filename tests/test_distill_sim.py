@@ -16,11 +16,12 @@ from zpdistill.distill_sim import (
 )
 from zpdistill.distill_sim import (
     _categorical,
-    _losses_and_diffs,
+    _diffs,
     _sample_pass_rates,
     _sampled_reverse_diffs,
+    _step_probs,
 )
-from zpdistill.errors import ConfigError, DomainError
+from zpdistill.errors import ConfigError, DomainError, NumericError
 from zpdistill.kernel import normalize_weights
 from zpdistill.numerics import log_softmax, stream
 from zpdistill.passrate import PassRate, estimate_pass_rate, hard_filter
@@ -267,8 +268,8 @@ class TestKlGradients:
         # The score-function rows must approach the exact reverse rows.
         cfg = _small(vocab_size=4, num_problems=4)
         w = build_world(cfg)
-        _, exact = _losses_and_diffs(w, "reverse")
-        approx = _sampled_reverse_diffs(w, 60000)
+        exact = _diffs(_step_probs(w), "reverse")
+        approx = _sampled_reverse_diffs(w, _step_probs(w), 60000)
         assert np.allclose(approx, exact, atol=0.02)
 
     def test_sampled_reverse_diffs_match_per_problem_oracle(self):
@@ -291,7 +292,7 @@ class TestKlGradients:
                 one_hot[t] = 1.0
                 acc += ratio[i, t] * (one_hot - ps[i])
             want[i] = acc / 13
-        assert np.array_equal(_sampled_reverse_diffs(w, 13), want)
+        assert np.array_equal(_sampled_reverse_diffs(w, _step_probs(w), 13), want)
 
 
 class TestTrain:
@@ -348,7 +349,7 @@ class TestTrain:
                 (rec.problem_id, 1.0 if hard_filter(pr.p, cfg.filter_lo, cfg.filter_hi) else 0.0)
             )
         weights = normalize_weights(raw).normalized
-        _, diffs = _losses_and_diffs(w_manual, "forward")
+        diffs = _diffs(_step_probs(w_manual), "forward")
         grad = w_manual.features.T @ ((weights[:, None] / cfg.num_problems) * diffs)
         expected = w_manual.theta - cfg.learning_rate * grad
         assert np.array_equal(w_train.theta, expected)
@@ -377,6 +378,14 @@ class TestTrain:
         assert metrics.stage_switch_step == 5
         assert metrics.recompute_steps == (0, 5)
         assert [row.stage for row in metrics.rows] == ["forward", "reverse", "reverse"]
+
+    def test_two_stage_needs_two_steps(self):
+        # With one step there is no step at which to switch stages.
+        with pytest.raises(ConfigError, match="steps"):
+            _small(loss_direction="two_stage", steps=1)
+        metrics = train(build_world(_small(loss_direction="two_stage", steps=2)))
+        assert metrics.stage_switch_step == 1
+        assert [row.stage for row in metrics.rows] == ["forward", "reverse"]
 
     def test_two_stage_replay_bitwise(self):
         cfg = _small(loss_direction="two_stage", steps=10)
@@ -408,6 +417,23 @@ class TestTrain:
         assert w.step == 0
         assert [row.step for row in train(w).rows] == [0, 1, 2]
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nan_theta_raises_numeric_error_naming_step(self):
+        w = build_world(_SMALL)
+        w.theta[1, 2] = np.nan
+        w.step = 5
+        with pytest.raises(NumericError, match="checkpoint loss is nan at step 5"):
+            train(w)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_update_raises_numeric_error_naming_step(self):
+        # The step-0 checkpoint is finite; the first update overflows theta.
+        w = build_world(_small(scheme="unweighted", learning_rate=1e300))
+        w.features = w.features * 1e150
+        with pytest.raises(NumericError, match="after the update at step 0"):
+            train(w)
+        assert w.step == 0
+
     def test_retention_grows_after_training(self):
         cfg = _SMALL
         w = build_world(cfg)
@@ -429,7 +455,7 @@ class TestMeasureSnr:
         w.theta = w.theta + 0.2 * np.cos(np.arange(w.theta.size)).reshape(w.theta.shape)
         w.step = 2
         table = measure_snr(w, direction)
-        _, diffs = _losses_and_diffs(w, direction)
+        diffs = _diffs(_step_probs(w), direction)
         counts = _sample_pass_rates(w, _SMALL.rollout_count, "snr").sum(axis=1)
         for i in range(30):
             assert np.array_equal(

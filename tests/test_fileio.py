@@ -1,5 +1,9 @@
+import csv
 import dataclasses
 import io
+import json
+import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +23,14 @@ from zpdistill.fileio import (
     write_profile,
     write_weight_table,
 )
-from zpdistill.snr_profile import GradientTable, compute_snr_bins, normalize_profile
+from zpdistill.passrate import RolloutRecord
+from zpdistill.snr_profile import (
+    GradientTable,
+    SnrBin,
+    SnrProfile,
+    compute_snr_bins,
+    normalize_profile,
+)
 
 _GOLDEN_CFG = Path(__file__).resolve().parent.parent / "configs" / "golden.cfg"
 
@@ -74,6 +85,44 @@ class TestLoadRollouts:
         with pytest.raises(FileFormatError, match="line 3.*duplicate"):
             load_rollouts(lines)
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            '{"problem_id": "a", "outcomes": [' + "1" * 5000 + "]}",
+            "[" * 100000,
+        ],
+        ids=["past_the_integer_digit_limit", "nested_past_the_recursion_limit"],
+    )
+    def test_json_beyond_python_limits_is_a_format_error(self, line):
+        with pytest.raises(FileFormatError, match="line 2: invalid JSON"):
+            load_rollouts(['{"problem_id": "a", "outcomes": [true]}', line])
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.text(min_size=1, max_size=8), st.lists(st.booleans(), min_size=1, max_size=9)),
+            max_size=6,
+            unique_by=lambda row: row[0],
+        )
+    )
+    def test_round_trip(self, rows):
+        text = "".join(
+            json.dumps({"problem_id": pid, "outcomes": outcomes}) + "\n" for pid, outcomes in rows
+        )
+        records = load_rollouts(io.StringIO(text))
+        assert [(r.problem_id, list(r.outcomes)) for r in records] == rows
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.text(), st.text('{}[]":, 0123456789.eE+-truefalsnul\n\\'),
+                     st.text('{}[]":, truefalsproblem_idoutcomes\n')))
+    def test_arbitrary_text_raises_only_format_errors(self, text):
+        for lines in (text.splitlines(), io.StringIO(text)):
+            try:
+                records = load_rollouts(lines)
+            except FileFormatError:
+                continue
+            assert all(isinstance(r, RolloutRecord) for r in records)
+
 
 def _write_table(table: GradientTable) -> str:
     buf = io.StringIO()
@@ -109,6 +158,20 @@ class TestGradientRecords:
         # cannot be built.
         with pytest.raises(DomainError):
             GradientTable((), np.zeros(0), np.zeros((0, 3)))
+
+    def test_refuses_values_that_render_as_inf(self):
+        # 1.7976931345e308 is the smallest double rendered as 1.797693135e+308,
+        # which parses to inf; the double below it renders as a finite number.
+        below = np.nextafter(1.7976931345e308, 0.0)
+        ok = GradientTable(("a", "b"), [0.5, 0.5], [[below, 1.0], [-below, 0.0]])
+        loaded = load_gradient_records(_write_table(ok).splitlines())
+        assert np.isfinite(loaded.gradients).all()
+        for big in (1.7976931345e308, -1.7976931345e308, np.finfo(float).max):
+            table = GradientTable(("a", "b"), [0.5, 0.5], [[1.0, 2.0], [3.0, big]])
+            buf = io.StringIO()
+            with pytest.raises(DomainError, match="'b'"):
+                write_gradient_records(buf, table)
+            assert buf.getvalue() == ""
 
     def test_rejects_empty_file(self):
         with pytest.raises(FileFormatError, match="empty"):
@@ -189,18 +252,19 @@ class TestGradientRecords:
     def test_round_trip_at_ten_digits(self, rows):
         ids, ps, grads = zip(*rows)
         table = GradientTable(ids, ps, grads)
+        want = np.array([[float(fmt(v)) for v in (p, *grad)] for _, p, grad in rows])
+        if not np.isfinite(want).all():
+            # A value within 10 digits of the float maximum renders as a
+            # number that parses to inf; the writer refuses that table.
+            bad = ids[int(np.argmax(~np.isfinite(want).all(axis=1)))]
+            with pytest.raises(DomainError, match=re.escape(repr(bad))):
+                _write_table(table)
+            return
         text = _write_table(table)
         expected_lines = [
             ",".join([pid, fmt(p)] + [fmt(g) for g in grad]) for pid, p, grad in rows
         ]
         assert text.splitlines()[1:] == expected_lines
-        want = np.array([[float(fmt(v)) for v in (p, *grad)] for _, p, grad in rows])
-        if not np.isfinite(want).all():
-            # A value within 10 digits of the float maximum renders as a
-            # number that parses to inf; the loader rejects that row.
-            with pytest.raises(FileFormatError, match="finite"):
-                load_gradient_records(text.splitlines())
-            return
         loaded = load_gradient_records(text.splitlines())
         assert loaded.problem_ids == ids
         assert np.array_equal(loaded.p, want[:, 0])
@@ -280,7 +344,85 @@ class TestProfileIo:
             load_profile_points([head, "0,1,oops,2,1.0,,"])
 
 
+_PROFILE_HEADER = "bin_lo,bin_hi,mean_p,count,snr,snr_norm,theory_norm"
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_unit = st.floats(0.0, 1.0)
+
+
+class TestProfileProperties:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(
+            st.builds(
+                SnrBin,
+                lo=_finite,
+                hi=_finite,
+                mean_p=st.none() | _unit,
+                count=st.integers(0, 10**9),
+                snr=st.none() | st.floats(0.0, allow_infinity=False),
+                snr_norm=st.none() | _finite,
+                theory_norm=st.none() | _finite,
+            ),
+            max_size=6,
+        )
+    )
+    def test_round_trip_at_ten_digits(self, bins):
+        buf = io.StringIO()
+        write_profile(buf, SnrProfile(tuple(bins)))
+        lines = buf.getvalue().splitlines()
+        defined = [
+            (lineno, float(fmt(b.mean_p)), float(fmt(b.snr)))
+            for lineno, b in enumerate(bins, start=2)
+            if b.mean_p is not None and b.snr is not None
+        ]
+        overflow = [lineno for lineno, _, s in defined if math.isinf(s)]
+        if overflow:
+            # An snr within 10 digits of the float maximum renders as a
+            # number that parses to inf, which the loader rejects.
+            with pytest.raises(FileFormatError, match=f"line {overflow[0]}:"):
+                load_profile_points(lines)
+            return
+        want = [(p, s) for _, p, s in defined if 0.0 < p < 1.0]
+        assert load_profile_points(lines) == want
+
+    @pytest.mark.parametrize("mean_p, snr", [("1.5", "2"), ("nan", "2"), ("0.5", "-1"),
+                                             ("0.5", "inf"), ("0.5", "nan")])
+    def test_rejects_values_outside_the_domain(self, mean_p, snr):
+        row = f"0,1,{mean_p},2,{snr},,"
+        with pytest.raises(FileFormatError, match="line 2"):
+            load_profile_points([_PROFILE_HEADER, row])
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.text(), st.text("0123456789.,-+eEnaifINF x\r\t\n")), st.booleans())
+    def test_arbitrary_text_raises_only_format_errors(self, body, with_header):
+        text = (_PROFILE_HEADER + "\n" if with_header else "") + body
+        for lines in (text.splitlines(), io.StringIO(text)):
+            try:
+                points = load_profile_points(lines)
+            except FileFormatError:
+                continue
+            assert all(0.0 < p < 1.0 and 0.0 <= s < math.inf for p, s in points)
+
+
 class TestWeightTable:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.text("abcxyz_-0123456789", min_size=1, max_size=6), _unit,
+                      _finite, _finite),
+            max_size=6,
+        )
+    )
+    def test_round_trip_at_ten_digits(self, rows):
+        # The library writes weight tables but never reads them, so the
+        # documented CSV is parsed here.
+        buf = io.StringIO()
+        write_weight_table(buf, rows)
+        parsed = list(csv.reader(io.StringIO(buf.getvalue())))
+        assert parsed[0] == ["problem_id", "p", "w", "w_norm"]
+        want = [(pid, *(float(fmt(v)) for v in values)) for pid, *values in rows]
+        assert [(r[0], *map(float, r[1:])) for r in parsed[1:]] == want
+
     def test_exact_text(self):
         buf = io.StringIO()
         write_weight_table(buf, [("a", 0.5, 0.25, 1.0), ("b", 0.75, 0.1875, 0.75)])

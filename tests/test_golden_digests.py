@@ -1,9 +1,11 @@
 """Byte-level pins of `zpdistill simulate` outputs at seed 7.
 
-The sha256 digests are those of the committed golden run (README) and of a
-two-stage run that takes the sampled reverse-KL path, which the golden run
-never exercises. Any change to sampling, weighting or training arithmetic
-that moves a single bit of an output file fails here.
+The sha256 digests are those of the committed golden run (README), of a
+two-stage run that takes the sampled reverse-KL path, of a run on the
+exact reverse-KL path and of a run sampling rollouts at temperature 0.7;
+the golden run exercises none of the last three. Any change to sampling,
+weighting or training arithmetic that moves a single bit of an output file
+fails here.
 """
 
 import configparser
@@ -31,6 +33,19 @@ _REVKL_OVERRIDES = {
 }
 _REVKL_METRICS = "a899fa3d876c53033f2609274f13f8c79352d4ee7681b5242dc650041f9fc60a"
 _REVKL_GRADIENTS_STEP45 = "ee8a9dcf5166e6609e3436b578519a6202352a433899779c8af08d34e032949d"
+# (overrides, metrics.csv digest, gradients_step20.csv digest)
+_VARIANTS = {
+    "exact_reverse": (
+        {"training": {"loss_direction": "reverse", "reverse_kl_samples": "0"}},
+        "ecf264cf09c066dec0806ec147154be979b2a4a27dce1501ecee92160534de28",
+        "ff8e410e1303e48be0f794f23b528b459bc8c0955e1e5f1e878ada7c99d0dc99",
+    ),
+    "temperature_0.7": (
+        {"rollouts": {"temperature": "0.7"}},
+        "c992d5cdd42a5ffc143883f097f7f4f60c6c840a4325fcaed5191a51120b66ac",
+        "b77343adeea5758e288f99818d66b5f8b32e7776b0d52fd0a483a3e874d03981",
+    ),
+}
 
 
 def _sha256(path: Path) -> str:
@@ -56,14 +71,27 @@ def test_golden_run_bytes(tmp_path, step):
     assert gradients == _GOLDEN_GRADIENTS[step]
 
 
-def test_sampled_reverse_kl_run_bytes(tmp_path):
+def _golden_with(overrides: dict[str, dict[str, str]], out: Path) -> Path:
+    """The golden config with some keys overridden, written under out."""
     parser = configparser.ConfigParser()
     parser.read_string(_GOLDEN_CFG.read_text(encoding="utf-8"))
-    for section, values in _REVKL_OVERRIDES.items():
+    for section, values in overrides.items():
         parser[section].update(values)
-    config = tmp_path / "revkl.cfg"
+    config = out / "variant.cfg"
     with open(config, "w", encoding="utf-8") as f:
         parser.write(f)
-    metrics, gradients = _simulate(config, tmp_path, 45)
+    return config
+
+
+def test_sampled_reverse_kl_run_bytes(tmp_path):
+    metrics, gradients = _simulate(_golden_with(_REVKL_OVERRIDES, tmp_path), tmp_path, 45)
     assert metrics == _REVKL_METRICS
     assert gradients == _REVKL_GRADIENTS_STEP45
+
+
+@pytest.mark.parametrize("variant", sorted(_VARIANTS))
+def test_variant_run_bytes(tmp_path, variant):
+    overrides, want_metrics, want_gradients = _VARIANTS[variant]
+    metrics, gradients = _simulate(_golden_with(overrides, tmp_path), tmp_path, 20)
+    assert metrics == want_metrics
+    assert gradients == want_gradients
