@@ -17,7 +17,7 @@ from typing import IO, Iterator
 
 import numpy as np
 
-from .distill_sim import build_world, train
+from .distill_sim import DIRECTIONS, build_world, train
 from .errors import (
     ConfigError,
     DegenerateInputError,
@@ -32,12 +32,14 @@ from .fileio import (
     load_profile_points,
     load_rollouts,
     load_sim_config,
+    parse_config_value,
     write_gradient_records,
     write_metrics,
     write_profile,
     write_weight_table,
 )
 from .kernel import (
+    SCHEMES,
     at_flat_boundary,
     kernel_peak,
     normalize_weights,
@@ -214,34 +216,31 @@ def _cmd_fit_snr(args: argparse.Namespace) -> None:
             f.write(line + "\n")
 
 
+# simulate's override flags: (flag, SimConfig field, help). Values are
+# parsed and checked like the same keys in a config file.
+_OVERRIDES = (
+    ("--seed", "seed", "the world seed"),
+    ("--k", "rollout_count", "rollouts per pass-rate estimate"),
+    ("--alpha", "alpha", "the kernel exponent on p"),
+    ("--beta", "beta", "the kernel exponent on 1-p"),
+    ("--scheme", "scheme", f"the weighting scheme ({', '.join(SCHEMES)})"),
+    ("--schedule", "loss_direction",
+     f"the loss direction schedule ({', '.join(DIRECTIONS)})"),
+    ("--stage1-fraction", "stage1_fraction", "the two-stage switch fraction"),
+    ("--recompute-interval", "recompute_interval",
+     "the weight recompute interval (integer or 'none')"),
+    ("--steps", "steps", "the number of training steps"),
+    ("--eta", "learning_rate", "the learning rate"),
+)
+
+
 def _cmd_simulate(args: argparse.Namespace) -> None:
     text = Path(args.config).read_text(encoding="utf-8") if args.config else ""
-    overrides: dict[str, object] = {}
-    for flag, key in (
-        ("seed", "seed"),
-        ("k", "rollout_count"),
-        ("alpha", "alpha"),
-        ("beta", "beta"),
-        ("scheme", "scheme"),
-        ("schedule", "loss_direction"),
-        ("stage1_fraction", "stage1_fraction"),
-        ("steps", "steps"),
-        ("eta", "learning_rate"),
-    ):
-        value = getattr(args, flag)
-        if value is not None:
-            overrides[key] = value
-    if args.recompute_interval is not None:
-        if args.recompute_interval.lower() == "none":
-            overrides["recompute_interval"] = None
-        else:
-            try:
-                overrides["recompute_interval"] = int(args.recompute_interval)
-            except ValueError:
-                raise ConfigError(
-                    f"--recompute-interval must be an integer or 'none', "
-                    f"got {args.recompute_interval!r}"
-                ) from None
+    overrides = {
+        field: parse_config_value(field, raw, flag)
+        for flag, field, _ in _OVERRIDES
+        if (raw := getattr(args, field)) is not None
+    }
 
     world = build_world(load_sim_config(text, overrides))
     dump_steps = (args.dump_step,) if args.dump_gradients else ()
@@ -360,33 +359,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="run the synthetic distillation world")
     p.add_argument("--config", help="INI config file (defaults used when omitted)")
     p.add_argument("--out", help="metrics CSV path (default stdout)")
-    p.add_argument("--seed", type=int, help="override the world seed")
-    p.add_argument("--k", type=int, help="override rollouts per pass-rate estimate")
-    p.add_argument("--alpha", type=float, help="override the kernel exponent on p")
-    p.add_argument("--beta", type=float, help="override the kernel exponent on 1-p")
-    p.add_argument(
-        "--scheme",
-        choices=("beta", "hard", "unweighted"),
-        help="override the weighting scheme",
-    )
-    p.add_argument(
-        "--schedule",
-        choices=("forward", "reverse", "two_stage"),
-        help="override the loss direction schedule",
-    )
-    p.add_argument(
-        "--stage1-fraction",
-        dest="stage1_fraction",
-        type=float,
-        help="override the two-stage switch fraction",
-    )
-    p.add_argument(
-        "--recompute-interval",
-        dest="recompute_interval",
-        help="override the weight recompute interval (integer or 'none')",
-    )
-    p.add_argument("--steps", type=int, help="override the number of training steps")
-    p.add_argument("--eta", type=float, help="override the learning rate")
+    for flag, field, help_text in _OVERRIDES:
+        p.add_argument(flag, dest=field, help=f"override {help_text}")
     p.add_argument(
         "--dump-gradients",
         metavar="PREFIX",

@@ -58,6 +58,7 @@ from .passrate import THREE_BIN_EDGES, RolloutRecord, histogram
 from .snr_profile import GradientTable
 
 __all__ = [
+    "DIRECTIONS",
     "SimConfig",
     "SimWorld",
     "SimMetrics",
@@ -76,7 +77,7 @@ _TEACHER_JITTER = 1.5
 # is meant to probe confidently-held prior behavior.
 _ANCHOR_DIFFICULTY_FRACTION = 0.25
 
-_DIRECTIONS = ("forward", "reverse", "two_stage")
+DIRECTIONS = ("forward", "reverse", "two_stage")
 # Smallest accepted value of each integer field; the rest must be >= 1.
 _INT_MIN = {"vocab_size": 2, "reverse_kl_samples": 0, "seed": 0}
 _STAGE_DIRECTIONS = ("forward", "reverse")
@@ -149,9 +150,9 @@ class SimConfig:
                 "filter_lo/filter_hi must satisfy 0 <= lo <= hi <= 1, got "
                 f"({self.filter_lo}, {self.filter_hi})"
             )
-        if self.loss_direction not in _DIRECTIONS:
+        if self.loss_direction not in DIRECTIONS:
             raise ConfigError(
-                f"loss_direction must be one of {_DIRECTIONS}, got {self.loss_direction!r}"
+                f"loss_direction must be one of {DIRECTIONS}, got {self.loss_direction!r}"
             )
         if self.loss_direction == "two_stage" and self.steps < 2:
             raise ConfigError(

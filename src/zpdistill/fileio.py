@@ -12,17 +12,21 @@ byte-identical files.
   writer refuses a gradient whose 10-digit rendering would parse as inf.
 - SNR profiles: CSV with header bin_lo,bin_hi,mean_p,count,snr,snr_norm,
   theory_norm; undefined values are empty fields. The loader rejects a
-  mean_p outside [0, 1] and a negative or non-finite snr.
+  mean_p outside [0, 1] and a negative or non-finite snr; the writer
+  refuses an snr whose 10-digit rendering would parse as inf.
 - Weight tables: CSV with header problem_id,p,w,w_norm.
 - Simulation metrics: CSV, one checkpoint per row.
 - Simulation configs: INI-style sections [world], [rollouts], [weighting],
   [training]; every key optional, falling back to SimConfig defaults. The
-  full schema is documented in the README.
+  schema comes from SimConfig: one table puts each field in a section, and
+  parse_config_value parses a value by its field's annotation for both the
+  file and the CLI's override flags. The README documents every key.
 """
 
 from __future__ import annotations
 
 import configparser
+import dataclasses
 import json
 import math
 from typing import IO, Iterable, Sequence
@@ -44,6 +48,7 @@ __all__ = [
     "write_weight_table",
     "write_metrics",
     "load_sim_config",
+    "parse_config_value",
 ]
 
 
@@ -152,20 +157,25 @@ def load_gradient_records(lines: Iterable[str]) -> GradientTable:
 
 
 # The smallest double whose 10-digit rendering, 1.797693135e+308, parses to
-# inf; a gradient this large would be written as a row the loader rejects.
+# inf; a value this large would be written as a row the loader rejects.
 _RENDERS_AS_INF = 1.7976931345e308
+
+
+def _refuse_inf_renderings(values: np.ndarray, kind: str, names: Sequence) -> None:
+    """Raise DomainError naming (names[i]) the first row of values that holds
+    a value whose 10-digit rendering would parse back as inf."""
+    rows = np.nonzero(np.abs(values) >= _RENDERS_AS_INF)[0]
+    if rows.size:
+        raise DomainError(
+            f"{kind} {names[rows[0]]!r}: a value of magnitude >= "
+            f"{_RENDERS_AS_INF!r} renders at 10 significant digits as inf"
+        )
 
 
 def write_gradient_records(f: IO[str], table: GradientTable) -> None:
     """Write a gradient table; refuses, before writing, any gradient whose
     10-digit rendering would parse back as inf."""
-    too_large = (np.abs(table.gradients) >= _RENDERS_AS_INF).any(axis=1)
-    if too_large.any():
-        pid = table.problem_ids[int(np.argmax(too_large))]
-        raise DomainError(
-            f"problem {pid!r}: a gradient of magnitude >= {_RENDERS_AS_INF!r} "
-            "renders at 10 significant digits as inf"
-        )
+    _refuse_inf_renderings(table.gradients, "problem", table.problem_ids)
     dim = table.gradients.shape[1]
     header = ["problem_id", "pass_rate"] + [f"g{i}" for i in range(dim)]
     f.write(",".join(header) + "\n")
@@ -179,6 +189,10 @@ _PROFILE_HEADER = "bin_lo,bin_hi,mean_p,count,snr,snr_norm,theory_norm"
 
 
 def write_profile(f: IO[str], profile: SnrProfile) -> None:
+    """Write a profile; refuses, before writing, any snr whose 10-digit
+    rendering would parse back as inf."""
+    snr = np.array([b.snr or 0.0 for b in profile.bins])
+    _refuse_inf_renderings(snr, "bin", range(len(snr)))
     f.write(_PROFILE_HEADER + "\n")
     for b in profile.bins:
         fields = [
@@ -254,46 +268,40 @@ def write_metrics(f: IO[str], metrics: SimMetrics) -> None:
         f.write(",".join(fields) + "\n")
 
 
-_CONFIG_SCHEMA: dict[str, dict[str, tuple[str, type]]] = {
-    "world": {
-        "num_problems": ("num_problems", int),
-        "num_anchors": ("num_anchors", int),
-        "feature_dim": ("feature_dim", int),
-        "vocab_size": ("vocab_size", int),
-        "difficulty_spread": ("difficulty_spread", float),
-        "teacher_sharpness": ("teacher_sharpness", float),
-        "seed": ("seed", int),
-    },
-    "rollouts": {
-        "count": ("rollout_count", int),
-        "temperature": ("rollout_temperature", float),
-    },
-    "weighting": {
-        "scheme": ("scheme", str),
-        "alpha": ("alpha", float),
-        "beta": ("beta", float),
-        "filter_lo": ("filter_lo", float),
-        "filter_hi": ("filter_hi", float),
-        "weight_floor": ("weight_floor", float),
-        "recompute_interval": ("recompute_interval", int),
-    },
-    "training": {
-        "loss_direction": ("loss_direction", str),
-        "stage1_fraction": ("stage1_fraction", float),
-        "learning_rate": ("learning_rate", float),
-        "steps": ("steps", int),
-        "batch_size": ("batch_size", int),
-        "reverse_kl_samples": ("reverse_kl_samples", int),
-        "eval_interval": ("eval_interval", int),
-    },
+# SimConfig fields by INI section. A key is its field's name, except in
+# [rollouts], which drops the "rollout_" prefix.
+_SECTIONS = {
+    "world": ("num_problems", "num_anchors", "feature_dim", "vocab_size",
+              "difficulty_spread", "teacher_sharpness", "seed"),
+    "rollouts": ("rollout_count", "rollout_temperature"),
+    "weighting": ("scheme", "alpha", "beta", "filter_lo", "filter_hi",
+                  "weight_floor", "recompute_interval"),
+    "training": ("loss_direction", "stage1_fraction", "learning_rate", "steps",
+                 "batch_size", "reverse_kl_samples", "eval_interval"),
 }
+_KEYS = {s: {n.removeprefix("rollout_"): n for n in names} for s, names in _SECTIONS.items()}
+_TYPES = {f.name: f.type for f in dataclasses.fields(SimConfig)}
+_CASTERS = {"int": int, "float": float, "str": str, "int | None": int}
+# The words an optional (int | None) field reads as None.
+_NONE_WORDS = {"batch_size": ("none", "full")}
 
-# Keys whose value may be the literal "none"/"full" meaning "not set".
-_OPTIONAL_NONE = {"recompute_interval": ("none",), "batch_size": ("full", "none")}
+
+def parse_config_value(name: str, raw: str, where: str) -> object:
+    """SimConfig field `name` parsed from `raw`; a ConfigError names `where`."""
+    caster = _CASTERS[_TYPES[name]]
+    words = _NONE_WORDS.get(name, ("none",)) if _TYPES[name] == "int | None" else ()
+    if raw.strip().lower() in words:
+        return None
+    try:
+        return caster(raw)
+    except ValueError as exc:
+        want = " or ".join([caster.__name__, *map(repr, words)])
+        raise ConfigError(f"{where}: cannot parse {raw!r} as {want}") from exc
 
 
 def load_sim_config(text: str, overrides: dict[str, object] | None = None) -> SimConfig:
-    """Parse an INI-style simulation config, applying CLI overrides last."""
+    """Parse an INI-style simulation config, then apply overrides (field
+    values, verbatim: None forces an optional field to None)."""
     parser = configparser.ConfigParser()
     try:
         parser.read_string(text)
@@ -302,26 +310,12 @@ def load_sim_config(text: str, overrides: dict[str, object] | None = None) -> Si
 
     values: dict[str, object] = {}
     for section in parser.sections():
-        if section not in _CONFIG_SCHEMA:
+        if section not in _KEYS:
             raise ConfigError(f"unknown config section [{section}]")
         for key, raw in parser.items(section):
-            if key not in _CONFIG_SCHEMA[section]:
+            if key not in _KEYS[section]:
                 raise ConfigError(f"unknown config key {key!r} in section [{section}]")
-            field_name, caster = _CONFIG_SCHEMA[section][key]
-            if key in _OPTIONAL_NONE and raw.lower() in _OPTIONAL_NONE[key]:
-                values[field_name] = None
-                continue
-            try:
-                value: object = caster(raw)
-            except ValueError as exc:
-                raise ConfigError(
-                    f"config key {key!r} in [{section}]: cannot parse {raw!r} "
-                    f"as {caster.__name__}"
-                ) from exc
-            values[field_name] = value
-
-    # Overrides are applied verbatim: the caller includes only flags that
-    # were actually provided, and a None value forces the field to None.
-    if overrides:
-        values.update(overrides)
+            name = _KEYS[section][key]
+            values[name] = parse_config_value(name, raw, f"config key {key!r} in [{section}]")
+    values.update(overrides or {})
     return SimConfig(**values)

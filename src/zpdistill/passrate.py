@@ -135,21 +135,14 @@ def hard_filter(p: float, lo: float = 0.2, hi: float = 0.8) -> bool:
     return lo <= p <= hi
 
 
-def histogram(
-    pass_rates: Sequence[PassRate] | np.ndarray, edges: Sequence[float]
-) -> PassRateHistogram:
-    """Bin pass rates into the given edges (last bin closed on both ends).
-
-    pass_rates may also be an array of p values.
-    """
-    if len(pass_rates) == 0:
+def histogram(p: np.ndarray, edges: Sequence[float]) -> PassRateHistogram:
+    """Bin an array of pass rates into the given edges (last bin closed on
+    both ends)."""
+    values = np.asarray(p, dtype=np.float64)
+    if values.size == 0:
         raise InsufficientDataError("histogram requires at least one pass rate")
     edges_t = tuple(float(e) for e in edges)
     _validate_edges(edges_t)
-    if isinstance(pass_rates, np.ndarray):
-        values = pass_rates.astype(np.float64)
-    else:
-        values = np.array([r.p for r in pass_rates], dtype=np.float64)
     # np.histogram uses exactly the required convention: half-open bins with
     # the final bin closed.
     counts, _ = np.histogram(values, bins=np.array(edges_t))

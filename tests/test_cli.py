@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from zpdistill.cli import main
+from zpdistill.cli import _OVERRIDES, main
 from zpdistill.fileio import load_gradient_records
 from zpdistill.kernel import (
     KernelParams,
@@ -352,6 +352,35 @@ class TestSimulate:
                 "--recompute-interval", "soon"]
         assert main(args) == 1
         assert "recompute-interval" in capsys.readouterr().err
+
+    _MALFORMED = [
+        ("--seed", "abc", "seed"),
+        ("--k", "1.5", "rollout_count"),
+        ("--alpha", "x", "alpha"),
+        ("--beta", "nan", "beta"),
+        ("--scheme", "bogus", "scheme"),
+        ("--schedule", "sideways", "loss_direction"),
+        ("--stage1-fraction", "2", "stage1_fraction"),
+        ("--recompute-interval", "0", "recompute_interval"),
+        ("--steps", "many", "steps"),
+        ("--eta", "-1", "learning_rate"),
+    ]
+
+    def test_malformed_cases_cover_every_flag(self):
+        assert {(f, field) for f, _, field in self._MALFORMED} == {
+            (f, field) for f, field, _ in _OVERRIDES
+        }
+
+    @pytest.mark.parametrize("flag, value, field", _MALFORMED)
+    def test_malformed_override_exits_1(self, tmp_path, capsys, flag, value, field):
+        out = tmp_path / "metrics.csv"
+        args = ["simulate", "--config", str(self._cfg(tmp_path)), "--out", str(out),
+                flag, value]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert flag in err or field in err
+        assert not out.exists()
 
     def test_defaults_without_config_flag(self, capsys):
         # No --config: pure SimConfig defaults, overridden to stay fast.

@@ -1,3 +1,4 @@
+import configparser
 import csv
 import dataclasses
 import io
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from zpdistill import fileio
 from zpdistill.distill_sim import SimConfig, build_world, measure_snr, train
 from zpdistill.errors import ConfigError, DomainError, FileFormatError
 from zpdistill.fileio import (
@@ -18,6 +20,7 @@ from zpdistill.fileio import (
     load_profile_points,
     load_rollouts,
     load_sim_config,
+    parse_config_value,
     write_gradient_records,
     write_metrics,
     write_profile,
@@ -32,7 +35,8 @@ from zpdistill.snr_profile import (
     normalize_profile,
 )
 
-_GOLDEN_CFG = Path(__file__).resolve().parent.parent / "configs" / "golden.cfg"
+_ROOT = Path(__file__).resolve().parent.parent
+_GOLDEN_CFG = _ROOT / "configs" / "golden.cfg"
 
 
 class TestFmt:
@@ -320,6 +324,21 @@ class TestProfileIo:
         assert [p for p, _ in points] == [pytest.approx(0.1), pytest.approx(0.55)]
         assert all(s > 0 for _, s in points)
 
+    def test_refuses_snr_that_renders_as_inf(self):
+        # 1.7976931345e308 is the smallest double rendered as 1.797693135e+308,
+        # which parses to inf; the double below it renders as a finite number.
+        below = np.nextafter(1.7976931345e308, 0.0)
+        ok = SnrProfile((SnrBin(0.0, 0.5, 0.25, 2, 1.0), SnrBin(0.5, 1.0, 0.75, 2, below)))
+        buf = io.StringIO()
+        write_profile(buf, ok)
+        assert load_profile_points(buf.getvalue().splitlines())[1][1] < math.inf
+        for big in (1.7976931345e308, np.finfo(float).max):
+            bins = (SnrBin(0.0, 0.5, None, 0, None), SnrBin(0.5, 1.0, 0.75, 2, big))
+            buf = io.StringIO()
+            with pytest.raises(DomainError, match="bin 1:"):
+                write_profile(buf, SnrProfile(bins))
+            assert buf.getvalue() == ""
+
     def test_load_points_drops_boundary_mean_p(self):
         text = (
             "bin_lo,bin_hi,mean_p,count,snr,snr_norm,theory_norm\n"
@@ -368,21 +387,25 @@ class TestProfileProperties:
     )
     def test_round_trip_at_ten_digits(self, bins):
         buf = io.StringIO()
+        overflow = [
+            i for i, b in enumerate(bins)
+            if b.snr is not None and math.isinf(float(fmt(b.snr)))
+        ]
+        if overflow:
+            # An snr within 10 digits of the float maximum renders as a
+            # number that parses to inf; the writer refuses the profile.
+            with pytest.raises(DomainError, match=f"bin {overflow[0]}:"):
+                write_profile(buf, SnrProfile(tuple(bins)))
+            assert buf.getvalue() == ""
+            return
         write_profile(buf, SnrProfile(tuple(bins)))
         lines = buf.getvalue().splitlines()
         defined = [
-            (lineno, float(fmt(b.mean_p)), float(fmt(b.snr)))
-            for lineno, b in enumerate(bins, start=2)
+            (float(fmt(b.mean_p)), float(fmt(b.snr)))
+            for b in bins
             if b.mean_p is not None and b.snr is not None
         ]
-        overflow = [lineno for lineno, _, s in defined if math.isinf(s)]
-        if overflow:
-            # An snr within 10 digits of the float maximum renders as a
-            # number that parses to inf, which the loader rejects.
-            with pytest.raises(FileFormatError, match=f"line {overflow[0]}:"):
-                load_profile_points(lines)
-            return
-        want = [(p, s) for _, p, s in defined if 0.0 < p < 1.0]
+        want = [(p, s) for p, s in defined if 0.0 < p < 1.0]
         assert load_profile_points(lines) == want
 
     @pytest.mark.parametrize("mean_p, snr", [("1.5", "2"), ("nan", "2"), ("0.5", "-1"),
@@ -566,3 +589,51 @@ eval_interval = 10
     def test_invalid_merged_config_rejected(self):
         with pytest.raises(ConfigError):
             load_sim_config("", overrides={"steps": 0})
+
+
+def _readme_ini() -> str:
+    """The README's ```ini block with its ; comments stripped."""
+    readme = (_ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    return "\n".join(line.split(";", 1)[0].rstrip() for line in block.splitlines())
+
+
+class TestConfigSchema:
+    def test_every_field_sits_in_exactly_one_section(self):
+        placed = [name for names in fileio._SECTIONS.values() for name in names]
+        assert sorted(placed) == sorted(f.name for f in dataclasses.fields(SimConfig))
+
+    def test_every_annotation_has_a_caster(self):
+        assert {f.type for f in dataclasses.fields(SimConfig)} <= fileio._CASTERS.keys()
+
+    @pytest.mark.parametrize(
+        "text", [_GOLDEN_CFG.read_text(encoding="utf-8"), _readme_ini()],
+        ids=["golden.cfg", "README"],
+    )
+    def test_names_every_key_once_and_loads_to_defaults(self, text):
+        # A strict parser rejects a key repeated within a section.
+        parser = configparser.ConfigParser()
+        parser.read_string(text)
+        named = [(section, key) for section in parser.sections() for key in parser[section]]
+        every = [(section, key) for section, keys in fileio._KEYS.items() for key in keys]
+        assert sorted(named) == sorted(every)
+        assert load_sim_config(text) == SimConfig()
+
+    @pytest.mark.parametrize(
+        "name, raw, want",
+        [("steps", "12", 12), ("alpha", "0.5", 0.5), ("scheme", "hard", "hard"),
+         ("recompute_interval", "None", None), ("recompute_interval", "3", 3),
+         ("batch_size", "full", None), ("batch_size", " NONE ", None)],
+    )
+    def test_parse_by_annotation(self, name, raw, want):
+        assert parse_config_value(name, raw, "here") == want
+
+    @pytest.mark.parametrize(
+        "name, raw, want",
+        [("steps", "1.5", "int"), ("alpha", "x", "float"),
+         ("recompute_interval", "full", "int or 'none'"),
+         ("batch_size", "all", "int or 'none' or 'full'")],
+    )
+    def test_parse_error_names_the_source(self, name, raw, want):
+        with pytest.raises(ConfigError, match=f"^here: cannot parse {raw!r} as {want}$"):
+            parse_config_value(name, raw, "here")

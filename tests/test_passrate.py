@@ -15,10 +15,6 @@ from zpdistill.passrate import (
 )
 
 
-def _rate(p: float, k: int = 8) -> PassRate:
-    return PassRate.from_counts(round(p * k), k)
-
-
 class TestRolloutRecord:
     def test_coerces_outcomes_to_bool_tuple(self):
         r = RolloutRecord("p1", (True, False, True))
@@ -106,55 +102,47 @@ class TestHistogram:
 
     def test_left_closed_right_open_final_closed(self):
         # 0.2 falls in the middle bin; 1.0 falls in the final bin.
-        rates = [_rate(0.0, 5), PassRate.from_counts(1, 5), _rate(1.0, 5)]
-        h = histogram(rates, THREE_BIN_EDGES)
+        h = histogram(np.array([0.0, 1 / 5, 1.0]), THREE_BIN_EDGES)
         assert h.fractions == (ptx := (1 / 3, 1 / 3, 1 / 3)) or h.fractions == ptx
 
     def test_binning_differs_from_inclusive_filter_at_lower_edge(self):
         # p = 0.2: the filter keeps it, but the histogram puts it in bin 2,
         # because bins are left-closed right-open.
-        pr = PassRate.from_counts(1, 5)
-        assert hard_filter(pr.p, 0.2, 0.8)
-        h = histogram([pr], THREE_BIN_EDGES)
+        p = PassRate.from_counts(1, 5).p
+        assert hard_filter(p, 0.2, 0.8)
+        h = histogram(np.array([p]), THREE_BIN_EDGES)
         assert h.fractions == (0.0, 1.0, 0.0)
 
     def test_upper_edge_value_in_final_bin(self):
-        h = histogram([_rate(1.0, 4)], THREE_BIN_EDGES)
+        h = histogram(np.array([1.0]), THREE_BIN_EDGES)
         assert h.fractions == (0.0, 0.0, 1.0)
 
     def test_mean_is_unbinned_mean(self):
-        rates = [PassRate.from_counts(s, 8) for s in (0, 3, 8, 5)]
-        h = histogram(rates, THREE_BIN_EDGES)
+        h = histogram(np.array([0, 3, 8, 5]) / 8, THREE_BIN_EDGES)
         assert h.mean_p == pytest.approx((0 + 3 + 8 + 5) / 32, abs=1e-15)
 
     def test_matches_numpy_histogram(self):
         rng = np.random.default_rng(9)
-        rates = [PassRate.from_counts(int(s), 16) for s in rng.integers(0, 17, 100)]
+        p = rng.integers(0, 17, 100) / 16
         for num_bins in (3, 5, 10):
             edges = equal_edges(num_bins)
-            h = histogram(rates, edges)
-            counts, _ = np.histogram([r.p for r in rates], bins=np.array(edges))
+            h = histogram(p, edges)
+            counts, _ = np.histogram(p, bins=np.array(edges))
             assert np.allclose(h.fractions, counts / 100)
-
-    def test_array_of_p_equals_pass_rate_records(self):
-        rates = [PassRate.from_counts(s, 8) for s in (0, 1, 2, 5, 6, 8, 8)]
-        p = np.array([0, 1, 2, 5, 6, 8, 8]) / 8
-        assert histogram(p, THREE_BIN_EDGES) == histogram(rates, THREE_BIN_EDGES)
 
     def test_empty_input_rejected(self):
         with pytest.raises(InsufficientDataError):
-            histogram([], THREE_BIN_EDGES)
+            histogram(np.array([]), THREE_BIN_EDGES)
 
     def test_bad_edges_rejected(self):
         with pytest.raises(DomainError):
-            histogram([_rate(0.5)], (0.0, 0.5, 0.4, 1.0))
+            histogram(np.array([0.5]), (0.0, 0.5, 0.4, 1.0))
         with pytest.raises(DomainError):
-            histogram([_rate(0.5)], (0.1, 0.5, 1.0))
+            histogram(np.array([0.5]), (0.1, 0.5, 1.0))
 
     @given(st.lists(st.integers(0, 8), min_size=1, max_size=50))
     def test_fractions_sum_to_one(self, successes):
-        rates = [PassRate.from_counts(s, 8) for s in successes]
-        h = histogram(rates, THREE_BIN_EDGES)
+        h = histogram(np.array(successes) / 8, THREE_BIN_EDGES)
         assert sum(h.fractions) == pytest.approx(1.0, abs=1e-12)
 
 
