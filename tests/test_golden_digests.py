@@ -1,15 +1,19 @@
-"""Byte-level pins of `zpdistill simulate` outputs at seed 7.
+"""Byte-level pins of `zpdistill simulate` outputs at seed 7, and of the
+`weight` and `select-exponents` outputs on one seeded rollouts file.
 
-The sha256 digests are those of the committed golden run (README), of a
+The simulate digests are those of the committed golden run (README), of a
 two-stage run that takes the sampled reverse-KL path, of a run on the
 exact reverse-KL path and of a run sampling rollouts at temperature 0.7;
 the golden run exercises none of the last three. Any change to sampling,
 weighting or training arithmetic that moves a single bit of an output file
-fails here.
+fails here. Each analysis command also runs twice and must write identical
+bytes both times.
 """
 
 import configparser
 import hashlib
+import json
+import random
 from pathlib import Path
 
 import pytest
@@ -95,3 +99,53 @@ def test_variant_run_bytes(tmp_path, variant):
     metrics, gradients = _simulate(_golden_with(overrides, tmp_path), tmp_path, 20)
     assert metrics == want_metrics
     assert gradients == want_gradients
+
+
+# Analysis commands on one seeded rollouts file (mixed K, p = 0 and p = 1
+# rows included): (argv after the file, output digest).
+_ANALYSIS_RUNS = {
+    "weight_beta": (
+        ["weight"],
+        "f20b29e5d9e32b0115ec2b90ea2b54f832be49594101e9708ea0b78e9d2ab536",
+    ),
+    "weight_hard": (
+        ["weight", "--hard-filter", "0.2", "0.8"],
+        "269e6c06f433471ee883f49bca676a2505a75891668d0b4e8c85d242e550a905",
+    ),
+    "weight_floor": (
+        ["weight", "--floor", "0.1"],
+        "20a1754d131c4aa63796780444c6f803078e2b0978b179a547805db6ee747bb7",
+    ),
+    "select_exponents": (
+        ["select-exponents"],
+        "93f180990fbcd4a869536538a0e8508be67f7e52af8c5562c1b0bcd99d4f3c6d",
+    ),
+}
+
+
+def _seeded_rollouts(path: Path, seed: int = 2026, n: int = 300) -> Path:
+    """n problems; every third has K = 4, the rest K = 8. Python's
+    random.random() is reproducible across versions, so the file is too."""
+    rng = random.Random(seed)
+    lines = []
+    for i in range(n):
+        k = 4 if i % 3 == 0 else 8
+        if i < 4:  # p = 0 and p = 1 at both K
+            outcomes = [i % 2 == 1] * k
+        else:
+            q = (rng.random() + rng.random()) / 2.0
+            outcomes = [rng.random() < q for _ in range(k)]
+        lines.append(json.dumps({"problem_id": f"q{i:04d}", "outcomes": outcomes}))
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("run", sorted(_ANALYSIS_RUNS))
+def test_analysis_command_bytes(tmp_path, run):
+    argv, want = _ANALYSIS_RUNS[run]
+    rollouts = _seeded_rollouts(tmp_path / "rollouts.jsonl")
+    outs = [tmp_path / "first.out", tmp_path / "second.out"]
+    for out in outs:
+        assert main([argv[0], str(rollouts), *argv[1:], "--out", str(out)]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+    assert _sha256(outs[0]) == want
