@@ -15,8 +15,6 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import IO, Iterator
 
-import numpy as np
-
 from .distill_sim import DIRECTIONS, build_world, train
 from .errors import (
     ConfigError,
@@ -48,7 +46,7 @@ from .kernel import (
     zpd_moments,
 )
 from .numerics import beta_fn, sech, sech2
-from .passrate import estimate_pass_rate
+from .passrate import RolloutTable
 from .robustness import fit_snr_model, robustness_rows
 from .snr_profile import bell_shape_score, compute_snr_bins, normalize_profile
 from .variance import VarianceSpec, gamma_from_signal, variance_ratio_beta
@@ -71,33 +69,31 @@ def _out_stream(path: str | None) -> Iterator[IO[str]]:
             yield f
 
 
-def _load_rollout_rates(path: str):
+def _load_rollout_table(path: str) -> RolloutTable:
     with open(path, encoding="utf-8") as f:
-        records = load_rollouts(f)
-    if not records:
+        table = load_rollouts(f)
+    if not table.problem_ids:
         raise FileFormatError(f"no rollout records in {path}")
-    return records, [estimate_pass_rate(r) for r in records]
+    return table
 
 
 def _cmd_weight(args: argparse.Namespace) -> None:
-    records, rates = _load_rollout_rates(args.rollouts)
-    p = np.array([pr.p for pr in rates])
+    table = _load_rollout_table(args.rollouts)
+    p = table.p
     if args.hard_filter is not None:
         lo, hi = args.hard_filter
         raw = raw_weights(p, "hard", lo=lo, hi=hi, floor=args.floor)
     else:
         raw = raw_weights(p, "beta", alpha=args.alpha, beta=args.beta, floor=args.floor)
-    wv = normalize_weights(list(zip((r.problem_id for r in records), raw.tolist())))
+    wv = normalize_weights(list(zip(table.problem_ids, raw.tolist())))
     if wv.degenerate:
         _log("warning: every weight is zero; normalized column left at zero")
-    rows = [(pid, pr.p, w, wn) for (pid, w, wn), pr in zip(wv.entries, rates)]
     with _out_stream(args.out) as f:
-        write_weight_table(f, rows)
+        write_weight_table(f, table.problem_ids, p, raw, wv.normalized)
 
 
 def _cmd_select_exponents(args: argparse.Namespace) -> None:
-    _, rates = _load_rollout_rates(args.rollouts)
-    m = zpd_moments(rates, args.epsilon)
+    m = zpd_moments(_load_rollout_table(args.rollouts).p, args.epsilon)
     lines = [
         f"epsilon = {fmt(m.epsilon)}",
         f"count = {m.count}",

@@ -54,7 +54,7 @@ import numpy as np
 from .errors import ConfigError, DomainError, NumericError
 from .kernel import SCHEMES, normalize_weights, raw_weights
 from .numerics import log_softmax, stream, stream_uniforms
-from .passrate import THREE_BIN_EDGES, RolloutRecord, histogram
+from .passrate import THREE_BIN_EDGES, RolloutTable, histogram
 from .snr_profile import GradientTable
 
 __all__ = [
@@ -340,13 +340,11 @@ def _sample_pass_rates(
     return _categorical(sample_probs, u) == world.answers[:, None]
 
 
-def run_rollouts(world: SimWorld, K: int) -> list[RolloutRecord]:
-    """K rollouts per problem at the current step (weighting stream)."""
-    outcomes = _sample_pass_rates(world, K, "rollout")
-    return [
-        RolloutRecord(problem_id=pid, outcomes=tuple(row))
-        for pid, row in zip(world.problem_ids, outcomes.tolist())
-    ]
+def run_rollouts(world: SimWorld, K: int) -> RolloutTable:
+    """Successes of K rollouts per problem at the current step (weighting
+    stream)."""
+    successes = _sample_pass_rates(world, K, "rollout").sum(axis=1)
+    return RolloutTable(world.problem_ids, successes, np.full(successes.shape, K))
 
 
 def _kl_rows(probs: _Probs, direction: str) -> np.ndarray:

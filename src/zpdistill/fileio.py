@@ -4,7 +4,8 @@ All data files are plain text, UTF-8, with floats rendered at 10 significant
 digits and no timestamps, so re-running a command on the same inputs yields
 byte-identical files.
 
-- Rollouts: one JSON object per line, {"problem_id": str, "outcomes": [bool]}.
+- Rollouts: one JSON object per line, {"problem_id": str, "outcomes": [bool]};
+  loaded into a passrate.RolloutTable of per-problem successes and k.
   Duplicate problem ids are rejected at load.
 - Gradient records: CSV with header problem_id,pass_rate,g0,...,g{D-1}, one
   row per problem; loaded into a snr_profile.GradientTable. A row with a
@@ -14,7 +15,7 @@ byte-identical files.
   theory_norm; undefined values are empty fields. The loader rejects a
   mean_p outside [0, 1] and a negative or non-finite snr; the writer
   refuses an snr whose 10-digit rendering would parse as inf.
-- Weight tables: CSV with header problem_id,p,w,w_norm.
+- Weight tables: CSV with header problem_id,p,w,w_norm, written from arrays.
 - Simulation metrics: CSV, one checkpoint per row.
 - Simulation configs: INI-style sections [world], [rollouts], [weighting],
   [training]; every key optional, falling back to SimConfig defaults. The
@@ -35,7 +36,7 @@ import numpy as np
 
 from .distill_sim import SimConfig, SimMetrics
 from .errors import ConfigError, DomainError, FileFormatError
-from .passrate import RolloutRecord
+from .passrate import RolloutTable
 from .snr_profile import GradientTable, SnrProfile
 
 __all__ = [
@@ -61,9 +62,12 @@ def _opt(x: float | None) -> str:
     return "" if x is None else fmt(x)
 
 
-def load_rollouts(lines: Iterable[str]) -> list[RolloutRecord]:
-    """Parse rollout records from JSON lines; blank lines are skipped."""
-    records: list[RolloutRecord] = []
+def load_rollouts(lines: Iterable[str]) -> RolloutTable:
+    """Parse per-problem rollout counts from JSON lines; blank lines are
+    skipped. Each line is parsed on its own, so an error names its line."""
+    ids: list[str] = []
+    successes: list[int] = []
+    k: list[int] = []
     seen: set[str] = set()
     for lineno, line in enumerate(lines, start=1):
         text = line.strip()
@@ -76,16 +80,16 @@ def load_rollouts(lines: Iterable[str]) -> list[RolloutRecord]:
             # digit limit raises ValueError and deep nesting RecursionError.
             reason = exc.msg if isinstance(exc, json.JSONDecodeError) else str(exc)
             raise FileFormatError(f"line {lineno}: invalid JSON ({reason})") from exc
-        if not isinstance(obj, dict) or "problem_id" not in obj or "outcomes" not in obj:
+        if type(obj) is not dict or "problem_id" not in obj or "outcomes" not in obj:
             raise FileFormatError(
                 f"line {lineno}: expected keys problem_id and outcomes"
             )
         pid = obj["problem_id"]
         outcomes = obj["outcomes"]
-        if not isinstance(pid, str) or not pid:
+        if type(pid) is not str or not pid:
             raise FileFormatError(f"line {lineno}: problem_id must be a non-empty string")
-        if not isinstance(outcomes, list) or not outcomes or not all(
-            isinstance(o, bool) for o in outcomes
+        if type(outcomes) is not list or not outcomes or not all(
+            type(o) is bool for o in outcomes
         ):
             raise FileFormatError(
                 f"line {lineno}: outcomes must be a non-empty array of booleans"
@@ -93,8 +97,12 @@ def load_rollouts(lines: Iterable[str]) -> list[RolloutRecord]:
         if pid in seen:
             raise FileFormatError(f"line {lineno}: duplicate problem_id {pid!r}")
         seen.add(pid)
-        records.append(RolloutRecord(problem_id=pid, outcomes=tuple(outcomes)))
-    return records
+        ids.append(pid)
+        successes.append(outcomes.count(True))
+        k.append(len(outcomes))
+    return RolloutTable(
+        tuple(ids), np.array(successes, dtype=np.int64), np.array(k, dtype=np.int64)
+    )
 
 
 def _parse_floats(rows: Sequence[str]) -> np.ndarray:
@@ -242,11 +250,14 @@ def load_profile_points(lines: Iterable[str]) -> list[tuple[float, float]]:
 
 
 def write_weight_table(
-    f: IO[str], rows: Sequence[tuple[str, float, float, float]]
+    f: IO[str], problem_ids: Sequence[str], p: np.ndarray, raw: np.ndarray,
+    normalized: np.ndarray,
 ) -> None:
+    """Write one row per problem: its id, pass rate, raw and normalized weight."""
     f.write("problem_id,p,w,w_norm\n")
-    for pid, p, w, w_norm in rows:
-        f.write(f"{pid},{fmt(p)},{fmt(w)},{fmt(w_norm)}\n")
+    columns = (np.asarray(c, dtype=np.float64).tolist() for c in (p, raw, normalized))
+    # "%.10g" renders exactly as fmt() does.
+    f.writelines("%s,%.10g,%.10g,%.10g\n" % row for row in zip(problem_ids, *columns))
 
 
 def write_metrics(f: IO[str], metrics: SimMetrics) -> None:
@@ -302,7 +313,9 @@ def parse_config_value(name: str, raw: str, where: str) -> object:
 def load_sim_config(text: str, overrides: dict[str, object] | None = None) -> SimConfig:
     """Parse an INI-style simulation config, then apply overrides (field
     values, verbatim: None forces an optional field to None)."""
-    parser = configparser.ConfigParser()
+    # No section header can hold a newline, so a file's [DEFAULT] is an
+    # ordinary, unknown section instead of defaults copied into every section.
+    parser = configparser.ConfigParser(default_section="\n")
     try:
         parser.read_string(text)
     except configparser.Error as exc:

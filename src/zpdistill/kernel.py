@@ -6,9 +6,12 @@ kernel and alpha = beta = 0 is the flat kernel w(p) = 1. For positive
 exponents the kernel is exactly zero at p in {0, 1}; no floor is applied
 unless a caller passes one explicitly.
 
-raw_weights() is the one weighting rule of the CLI and the simulator.
-Normalization divides by the mean over ALL entries, zero weights included,
-so dropping problems lowers the mean and raises the surviving weights.
+Pass rates enter as arrays: raw_weights() is the one weighting rule of the
+CLI and the simulator, and zpd_moments() takes the (N,) pass rates of a
+RolloutTable. normalize_weights() takes (problem_id, weight) pairs and
+returns a WeightVector. Normalization divides by the mean over ALL entries,
+zero weights included, so dropping problems lowers the mean and raises the
+surviving weights.
 
 select_exponents() inverts (mean, variance) of the in-band pass rates into
 kernel exponents by matching the moments of Beta(alpha+1, beta+1). The
@@ -27,7 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DegenerateInputError, DomainError, InsufficientDataError
-from .passrate import PassRate, hard_filter
+from .passrate import hard_filter
 
 __all__ = [
     "SCHEMES",
@@ -185,14 +188,12 @@ def normalize_weights(raw: Sequence[tuple[str, float]]) -> WeightVector:
     return WeightVector(entries=entries, degenerate=False)
 
 
-def zpd_moments(pass_rates: Sequence[PassRate], epsilon: float) -> ZpdMoments:
-    """Moments of the pass rates restricted to the band [eps, 1-eps]."""
+def zpd_moments(p: np.ndarray, epsilon: float) -> ZpdMoments:
+    """Moments of the pass rates p restricted to the band [eps, 1-eps]."""
     if not 0.0 < epsilon < 0.5:
         raise DomainError(f"epsilon must lie in (0, 0.5), got {epsilon}")
-    in_band = np.array(
-        [r.p for r in pass_rates if epsilon <= r.p <= 1.0 - epsilon],
-        dtype=np.float64,
-    )
+    p = np.asarray(p, dtype=np.float64)
+    in_band = p[(p >= epsilon) & (p <= 1.0 - epsilon)]
     if in_band.size < 2:
         raise InsufficientDataError(
             f"need at least 2 pass rates inside [{epsilon}, {1.0 - epsilon}], "

@@ -1,4 +1,7 @@
-"""Pass-rate estimation, hard filtering, and pass-rate histograms.
+"""Rollout counts, hard filtering, and pass-rate histograms.
+
+A RolloutTable holds each problem's successes out of k rollouts as integer
+arrays validated once at construction; its pass rates are p = successes / k.
 
 Two bin conventions coexist on purpose and are both part of the contract:
 
@@ -22,11 +25,9 @@ import numpy as np
 from .errors import DomainError, InsufficientDataError
 
 __all__ = [
-    "RolloutRecord",
-    "PassRate",
+    "RolloutTable",
     "PassRateHistogram",
     "THREE_BIN_EDGES",
-    "estimate_pass_rate",
     "hard_filter",
     "histogram",
     "equal_edges",
@@ -36,47 +37,46 @@ THREE_BIN_EDGES: tuple[float, ...] = (0.0, 0.2, 0.8, 1.0)
 
 
 @dataclass(frozen=True)
-class RolloutRecord:
-    """Correctness outcomes of K student rollouts on one problem."""
+class RolloutTable:
+    """Per-problem rollout counts: problem_ids (N,), and integer arrays
+    successes (N,) and k (N,), each problem's correct rollouts out of k.
 
-    problem_id: str
-    outcomes: tuple[bool, ...]
+    Ids are non-empty and unique, k >= 1 and 0 <= successes <= k; a table
+    that breaks this cannot be built. N = 0 is a valid, empty table.
+    """
 
-    def __post_init__(self) -> None:
-        if not self.problem_id:
-            raise DomainError("RolloutRecord requires a non-empty problem_id")
-        outcomes = tuple(bool(o) for o in self.outcomes)
-        object.__setattr__(self, "outcomes", outcomes)
-        if len(outcomes) == 0:
-            raise DomainError(f"RolloutRecord {self.problem_id!r} has no outcomes")
-
-
-@dataclass(frozen=True)
-class PassRate:
-    """Fraction of correct rollouts; p = successes / k exactly."""
-
-    p: float
-    k: int
-    successes: int
+    problem_ids: tuple[str, ...]
+    successes: np.ndarray
+    k: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.k < 1:
-            raise DomainError(f"PassRate requires k >= 1, got {self.k}")
-        if not 0 <= self.successes <= self.k:
+        ids = tuple(self.problem_ids)
+        successes = np.asarray(self.successes)
+        k = np.asarray(self.k)
+        object.__setattr__(self, "problem_ids", ids)
+        object.__setattr__(self, "successes", successes)
+        object.__setattr__(self, "k", k)
+        integers = successes.dtype.kind in "iu" and k.dtype.kind in "iu"
+        if not ((len(ids),) == successes.shape == k.shape and integers):
             raise DomainError(
-                f"PassRate successes must lie in [0, {self.k}], got {self.successes}"
+                "need N ids and integer arrays successes and k of shape (N,), got "
+                f"{len(ids)} ids, successes {successes.dtype} {successes.shape}, "
+                f"k {k.dtype} {k.shape}"
             )
-        if self.p != self.successes / self.k:
+        if not all(ids) or len(set(ids)) != len(ids):
+            raise DomainError("problem ids must be non-empty and unique")
+        bad = (k < 1) | (successes < 0) | (successes > k)
+        if bad.any():
+            i = int(np.argmax(bad))
             raise DomainError(
-                f"PassRate p={self.p!r} does not equal successes/k = "
-                f"{self.successes}/{self.k}"
+                f"row {i} ({ids[i]!r}) needs k >= 1 and successes in [0, k], "
+                f"got {successes[i]} of {k[i]}"
             )
 
-    @classmethod
-    def from_counts(cls, successes: int, k: int) -> "PassRate":
-        if k < 1:
-            raise DomainError(f"PassRate requires k >= 1, got {k}")
-        return cls(p=successes / k, k=k, successes=successes)
+    @property
+    def p(self) -> np.ndarray:
+        """Pass rates successes / k, each exactly Python's int / int."""
+        return self.successes / self.k
 
 
 @dataclass(frozen=True)
@@ -116,12 +116,6 @@ def equal_edges(num_bins: int) -> tuple[float, ...]:
     if num_bins < 2:
         raise DomainError(f"num_bins must be >= 2, got {num_bins}")
     return tuple(np.linspace(0.0, 1.0, num_bins + 1))
-
-
-def estimate_pass_rate(record: RolloutRecord) -> PassRate:
-    """Pass rate of one problem: correct rollouts over total rollouts."""
-    successes = sum(1 for o in record.outcomes if o)
-    return PassRate.from_counts(successes, len(record.outcomes))
 
 
 def hard_filter(p: float, lo: float = 0.2, hi: float = 0.8) -> bool:

@@ -14,7 +14,6 @@ from zpdistill.kernel import (
     select_exponents,
     zpd_moments,
 )
-from zpdistill.passrate import PassRate
 from zpdistill.variance import VarianceSpec, variance_ratio_beta
 
 
@@ -98,8 +97,7 @@ class TestSelectExponents:
         path = _write_rollouts(tmp_path / "r.jsonl", spec)
         assert main(["select-exponents", str(path)]) == 0
         kv = _kv(capsys.readouterr().out)
-        rates = [PassRate.from_counts(s, k) for _, s, k in spec]
-        params = select_exponents(zpd_moments(rates, 0.125))
+        params = select_exponents(zpd_moments([s / k for _, s, k in spec], 0.125))
         assert float(kv["alpha_star"]) == pytest.approx(params.alpha, rel=1e-9)
         assert float(kv["beta_star"]) == pytest.approx(params.beta, rel=1e-9)
         assert kv["validity"] == "ok"

@@ -24,7 +24,7 @@ from zpdistill.distill_sim import (
 from zpdistill.errors import ConfigError, DomainError, NumericError
 from zpdistill.kernel import normalize_weights
 from zpdistill.numerics import log_softmax, stream
-from zpdistill.passrate import PassRate, estimate_pass_rate, hard_filter
+from zpdistill.passrate import hard_filter
 from zpdistill.snr_profile import bell_shape_score, compute_snr_bins
 
 _SMALL = SimConfig(
@@ -143,22 +143,27 @@ class TestRollouts:
         w = build_world(_SMALL)
         r1 = run_rollouts(w, 4)
         r2 = run_rollouts(w, 4)
-        assert [r.outcomes for r in r1] == [r.outcomes for r in r2]
+        assert r1.problem_ids == r2.problem_ids == w.problem_ids
+        assert np.array_equal(r1.successes, r2.successes)
+        assert np.array_equal(
+            _sample_pass_rates(w, 4, "rollout"), _sample_pass_rates(w, 4, "rollout")
+        )
 
     def test_step_changes_stream(self):
         w1 = build_world(_SMALL)
         w2 = build_world(_SMALL)
         w2.step = 3
-        r1 = run_rollouts(w1, 16)
-        r2 = run_rollouts(w2, 16)
-        assert [r.outcomes for r in r1] != [r.outcomes for r in r2]
+        o1 = _sample_pass_rates(w1, 16, "rollout")
+        o2 = _sample_pass_rates(w2, 16, "rollout")
+        assert not np.array_equal(o1, o2)
 
     def test_rejects_nonpositive_k(self):
         with pytest.raises(DomainError):
             run_rollouts(build_world(_SMALL), 0)
 
     def test_matches_per_problem_stream_oracle(self):
-        # The batched sampler must draw what one stream() per problem draws.
+        # The batched sampler must draw what one stream() per problem draws,
+        # outcome by outcome; run_rollouts counts that (N, k) matrix.
         cfg = _small(num_problems=30, rollout_temperature=1.7)
         w = build_world(cfg)
         w.step = 5
@@ -169,8 +174,12 @@ class TestRollouts:
             u = stream(cfg.seed, "rollout", 5, pid).random(k)
             cdf = np.cumsum(probs[i])
             tokens = np.minimum(np.searchsorted(cdf, u, side="right"), cfg.vocab_size - 1)
-            want.append(tuple(bool(t == w.answers[i]) for t in tokens))
-        assert [r.outcomes for r in run_rollouts(w, k)] == want
+            want.append([bool(t == w.answers[i]) for t in tokens])
+        outcomes = _sample_pass_rates(w, k, "rollout")
+        assert outcomes.tolist() == want
+        table = run_rollouts(w, k)
+        assert table.successes.tolist() == [sum(row) for row in want]
+        assert table.k.tolist() == [k] * cfg.num_problems
 
 
 def _searchsorted_oracle(probs, u):
@@ -341,13 +350,11 @@ class TestTrain:
         assert metrics.recompute_steps == (0,)
 
         w_manual = build_world(cfg)
-        records = run_rollouts(w_manual, cfg.rollout_count)
-        raw = []
-        for rec in records:
-            pr = estimate_pass_rate(rec)
-            raw.append(
-                (rec.problem_id, 1.0 if hard_filter(pr.p, cfg.filter_lo, cfg.filter_hi) else 0.0)
-            )
+        table = run_rollouts(w_manual, cfg.rollout_count)
+        raw = [
+            (pid, 1.0 if hard_filter(p, cfg.filter_lo, cfg.filter_hi) else 0.0)
+            for pid, p in zip(table.problem_ids, table.p.tolist())
+        ]
         weights = normalize_weights(raw).normalized
         diffs = _diffs(_step_probs(w_manual), "forward")
         grad = w_manual.features.T @ ((weights[:, None] / cfg.num_problems) * diffs)
@@ -461,7 +468,7 @@ class TestMeasureSnr:
             assert np.array_equal(
                 table.gradients[i], np.outer(w.features[i], diffs[i]).ravel()
             )
-            assert table.p[i] == PassRate.from_counts(int(counts[i]), 4).p
+            assert table.p[i] == int(counts[i]) / 4
 
     def test_rejects_two_stage_label(self):
         with pytest.raises(DomainError):

@@ -26,7 +26,7 @@ from zpdistill.fileio import (
     write_profile,
     write_weight_table,
 )
-from zpdistill.passrate import RolloutRecord
+from zpdistill.passrate import RolloutTable
 from zpdistill.snr_profile import (
     GradientTable,
     SnrBin,
@@ -56,9 +56,10 @@ class TestLoadRollouts:
             '{"problem_id": "b", "outcomes": [true]}',
             "   ",
         ]
-        records = load_rollouts(lines)
-        assert [r.problem_id for r in records] == ["a", "b"]
-        assert records[0].outcomes == (True, False)
+        table = load_rollouts(lines)
+        assert table.problem_ids == ("a", "b")
+        assert table.successes.tolist() == [1, 1]
+        assert table.k.tolist() == [2, 1]
 
     def test_bad_json_names_line(self):
         with pytest.raises(FileFormatError, match="line 2"):
@@ -104,17 +105,22 @@ class TestLoadRollouts:
     @settings(max_examples=100, deadline=None)
     @given(
         st.lists(
-            st.tuples(st.text(min_size=1, max_size=8), st.lists(st.booleans(), min_size=1, max_size=9)),
+            st.tuples(st.text(min_size=1, max_size=8), st.lists(st.booleans(), min_size=1, max_size=9),
+                      st.sampled_from(["", "\n", "  \n"])),
             max_size=6,
             unique_by=lambda row: row[0],
         )
     )
     def test_round_trip(self, rows):
-        text = "".join(
-            json.dumps({"problem_id": pid, "outcomes": outcomes}) + "\n" for pid, outcomes in rows
-        )
-        records = load_rollouts(io.StringIO(text))
-        assert [(r.problem_id, list(r.outcomes)) for r in records] == rows
+        # Oracle: json.loads of each line, then sum and len of its outcomes.
+        lines = [json.dumps({"problem_id": pid, "outcomes": outcomes}) for pid, outcomes, _ in rows]
+        text = "".join(line + "\n" + blank for line, (_, _, blank) in zip(lines, rows))
+        table = load_rollouts(io.StringIO(text))
+        parsed = [json.loads(line) for line in lines]
+        assert table.problem_ids == tuple(obj["problem_id"] for obj in parsed)
+        assert table.successes.tolist() == [sum(obj["outcomes"]) for obj in parsed]
+        assert table.k.tolist() == [len(obj["outcomes"]) for obj in parsed]
+        assert table.p.tolist() == [sum(obj["outcomes"]) / len(obj["outcomes"]) for obj in parsed]
 
     @settings(max_examples=300, deadline=None)
     @given(st.one_of(st.text(), st.text('{}[]":, 0123456789.eE+-truefalsnul\n\\'),
@@ -122,10 +128,11 @@ class TestLoadRollouts:
     def test_arbitrary_text_raises_only_format_errors(self, text):
         for lines in (text.splitlines(), io.StringIO(text)):
             try:
-                records = load_rollouts(lines)
+                table = load_rollouts(lines)
             except FileFormatError:
                 continue
-            assert all(isinstance(r, RolloutRecord) for r in records)
+            assert isinstance(table, RolloutTable)
+            assert np.all((table.p >= 0.0) & (table.p <= 1.0))
 
 
 def _write_table(table: GradientTable) -> str:
@@ -440,7 +447,9 @@ class TestWeightTable:
         # The library writes weight tables but never reads them, so the
         # documented CSV is parsed here.
         buf = io.StringIO()
-        write_weight_table(buf, rows)
+        ids = [pid for pid, *_ in rows]
+        p, raw, normalized = (np.array([row[i] for row in rows]) for i in (1, 2, 3))
+        write_weight_table(buf, ids, p, raw, normalized)
         parsed = list(csv.reader(io.StringIO(buf.getvalue())))
         assert parsed[0] == ["problem_id", "p", "w", "w_norm"]
         want = [(pid, *(float(fmt(v)) for v in values)) for pid, *values in rows]
@@ -448,7 +457,10 @@ class TestWeightTable:
 
     def test_exact_text(self):
         buf = io.StringIO()
-        write_weight_table(buf, [("a", 0.5, 0.25, 1.0), ("b", 0.75, 0.1875, 0.75)])
+        write_weight_table(
+            buf, ("a", "b"), np.array([0.5, 0.75]), np.array([0.25, 0.1875]),
+            np.array([1.0, 0.75]),
+        )
         assert buf.getvalue() == (
             "problem_id,p,w,w_norm\n"
             "a,0.5,0.25,1\n"
@@ -577,6 +589,16 @@ eval_interval = 10
         with pytest.raises(ConfigError, match="parse failure"):
             load_sim_config("steps = 3\n")
 
+    def test_default_section_alone_is_unknown(self):
+        # configparser would read [DEFAULT] as defaults that no section uses.
+        with pytest.raises(ConfigError, match=r"unknown config section \[DEFAULT\]"):
+            load_sim_config("[DEFAULT]\nsteps = 3\n")
+
+    def test_default_section_does_not_leak_into_sections(self):
+        # configparser would copy steps into [world] and report it there.
+        with pytest.raises(ConfigError, match=r"unknown config section \[DEFAULT\]"):
+            load_sim_config("[world]\nseed = 1\n[DEFAULT]\nsteps = 3\n")
+
     def test_overrides_win_over_file(self):
         cfg = load_sim_config("[training]\nsteps = 40\n", overrides={"steps": 5})
         assert cfg.steps == 5
@@ -591,11 +613,21 @@ eval_interval = 10
             load_sim_config("", overrides={"steps": 0})
 
 
+def _readme_block(language: str) -> str:
+    """The README's first ```<language> block."""
+    readme = (_ROOT / "README.md").read_text(encoding="utf-8")
+    return readme.split(f"```{language}\n", 1)[1].split("```", 1)[0]
+
+
 def _readme_ini() -> str:
     """The README's ```ini block with its ; comments stripped."""
-    readme = (_ROOT / "README.md").read_text(encoding="utf-8")
-    block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    block = _readme_block("ini")
     return "\n".join(line.split(";", 1)[0].rstrip() for line in block.splitlines())
+
+
+def test_readme_library_example_runs(capsys):
+    exec(compile(_readme_block("python"), "README.md", "exec"), {})
+    assert capsys.readouterr().out
 
 
 class TestConfigSchema:

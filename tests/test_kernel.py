@@ -19,7 +19,7 @@ from zpdistill.kernel import (
     select_exponents,
     zpd_moments,
 )
-from zpdistill.passrate import PassRate, hard_filter
+from zpdistill.passrate import hard_filter
 
 
 def _beta_mean_var(alpha: float, beta: float) -> tuple[float, float]:
@@ -173,8 +173,7 @@ class TestRawWeights:
 
 class TestZpdMoments:
     def test_band_is_inclusive_and_uses_population_variance(self):
-        rates = [PassRate.from_counts(s, 8) for s in (1, 2, 4, 6, 7)]
-        m = zpd_moments(rates, 0.125)
+        m = zpd_moments(np.array([1, 2, 4, 6, 7]) / 8, 0.125)
         # 1/8 and 7/8 are exactly on the band edges and must be included.
         inside = np.array([1 / 8, 2 / 8, 4 / 8, 6 / 8, 7 / 8])
         assert m.count == 5
@@ -182,20 +181,30 @@ class TestZpdMoments:
         assert m.var_p == pytest.approx(float(np.var(inside)), abs=1e-15)
 
     def test_excludes_outside_band(self):
-        rates = [PassRate.from_counts(s, 8) for s in (0, 4, 5, 8)]
-        m = zpd_moments(rates, 0.125)
+        m = zpd_moments(np.array([0, 4, 5, 8]) / 8, 0.125)
         assert m.count == 2
 
     def test_too_few_in_band(self):
-        rates = [PassRate.from_counts(s, 8) for s in (0, 8, 4)]
         with pytest.raises(InsufficientDataError):
-            zpd_moments(rates, 0.125)
+            zpd_moments(np.array([0, 8, 4]) / 8, 0.125)
 
     def test_bad_epsilon(self):
-        rates = [PassRate.from_counts(4, 8)] * 3
         for eps in (0.0, 0.5, -0.1):
             with pytest.raises(DomainError):
-                zpd_moments(rates, eps)
+                zpd_moments(np.full(3, 0.5), eps)
+
+    def test_matches_in_order_scalar_filter_bit_for_bit(self):
+        # Oracle: keep each in-band pass rate in input order with scalar
+        # comparisons, then take the same numpy mean and variance.
+        rng = np.random.default_rng(3)
+        k = rng.integers(1, 17, 5000)
+        p = rng.integers(0, k + 1) / k
+        for eps in (0.125, 0.2, 1 / 3):
+            m = zpd_moments(p, eps)
+            inside = np.array([x for x in p.tolist() if eps <= x <= 1.0 - eps])
+            mean = float(inside.mean())
+            assert (m.count, m.mean_p) == (inside.size, mean)
+            assert m.var_p == float(np.mean((inside - mean) ** 2))
 
 
 class TestSelectExponents:

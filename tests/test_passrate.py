@@ -5,63 +5,92 @@ from hypothesis import given, strategies as st
 from zpdistill.errors import DomainError, InsufficientDataError
 from zpdistill.passrate import (
     THREE_BIN_EDGES,
-    PassRate,
     PassRateHistogram,
-    RolloutRecord,
+    RolloutTable,
     equal_edges,
-    estimate_pass_rate,
     hard_filter,
     histogram,
 )
 
 
-class TestRolloutRecord:
-    def test_coerces_outcomes_to_bool_tuple(self):
-        r = RolloutRecord("p1", (True, False, True))
-        assert r.outcomes == (True, False, True)
-
-    def test_rejects_empty(self):
-        with pytest.raises(DomainError):
-            RolloutRecord("p1", ())
-        with pytest.raises(DomainError):
-            RolloutRecord("", (True,))
+def _table(rows):
+    """RolloutTable from (problem_id, successes, k) rows."""
+    ids, successes, k = zip(*rows)
+    return RolloutTable(ids, np.array(successes), np.array(k))
 
 
 class TestEstimatePassRate:
+    """The pass-rate estimate is RolloutTable.p = successes / k."""
+
     def test_exact_counts(self):
-        r = RolloutRecord("p1", (True, True, False, False, False, False, False, True))
-        pr = estimate_pass_rate(r)
-        assert (pr.successes, pr.k, pr.p) == (3, 8, 3 / 8)
+        t = _table([("p1", 3, 8)])
+        assert (t.successes[0], t.k[0], t.p[0]) == (3, 8, 3 / 8)
 
     def test_recount_oracle_on_random_draws(self):
-        # Independent oracle: recount successes with a plain loop.
+        # Independent oracle: recount successes with a plain loop and divide
+        # as Python ints; p must be that quotient bit for bit.
         rng = np.random.default_rng(42)
-        for _ in range(50):
+        rows = []
+        for i in range(50):
             k = int(rng.integers(1, 20))
-            outcomes = tuple(bool(b) for b in rng.random(k) < 0.4)
-            expected = sum(1 for o in outcomes if o)
-            pr = estimate_pass_rate(RolloutRecord("x", outcomes))
-            assert pr.successes == expected
-            assert pr.p == expected / k
+            outcomes = [bool(b) for b in rng.random(k) < 0.4]
+            rows.append((f"x{i}", sum(1 for o in outcomes if o), k))
+        t = _table(rows)
+        assert t.p.tolist() == [s / k for _, s, k in rows]
 
     @given(st.lists(st.booleans(), min_size=1, max_size=32))
     def test_p_in_unit_interval(self, outcomes):
-        pr = estimate_pass_rate(RolloutRecord("x", tuple(outcomes)))
-        assert 0.0 <= pr.p <= 1.0
+        p = _table([("x", sum(outcomes), len(outcomes))]).p[0]
+        assert 0.0 <= p <= 1.0
 
 
 class TestPassRateValidation:
     def test_rejects_inconsistent_fields(self):
         with pytest.raises(DomainError):
-            PassRate(p=0.5, successes=3, k=8)
+            RolloutTable(("a", "b"), np.array([3]), np.array([8, 8]))
 
     def test_rejects_bad_counts(self):
         with pytest.raises(DomainError):
-            PassRate.from_counts(9, 8)
+            _table([("a", 9, 8)])
         with pytest.raises(DomainError):
-            PassRate.from_counts(-1, 8)
+            _table([("a", -1, 8)])
         with pytest.raises(DomainError):
-            PassRate.from_counts(0, 0)
+            _table([("a", 0, 0)])
+
+
+class TestRolloutTable:
+    @pytest.mark.parametrize(
+        "ids, successes, k, message",
+        [
+            (("a", "b"), [1], [4, 4], "shape"),
+            (("a",), [1, 2], [4, 4], "shape"),
+            (("a",), [[1]], [[4]], "shape"),
+            (("a",), [1.0], [4], "integer"),
+            (("a",), [1], [4.0], "integer"),
+            (("a",), [True], [4], "integer"),
+            (("",), [1], [4], "non-empty"),
+            (("a", "a"), [1, 2], [4, 4], "unique"),
+            (("a",), [0], [0], "k >= 1"),
+            (("a",), [0], [-2], "k >= 1"),
+            (("a", "b"), [1, -1], [4, 4], r"row 1 \('b'\).*-1 of 4"),
+            (("a", "b"), [5, 1], [4, 4], r"row 0 \('a'\).*5 of 4"),
+        ],
+        ids=["short_counts", "long_counts", "two_dimensional", "float_successes",
+             "float_k", "bool_successes", "empty_id", "duplicate_id", "k_zero",
+             "k_negative", "negative_successes", "successes_above_k"],
+    )
+    def test_rejects_invalid(self, ids, successes, k, message):
+        with pytest.raises(DomainError, match=message):
+            RolloutTable(ids, np.array(successes), np.array(k))
+
+    def test_empty_table_is_valid(self):
+        t = RolloutTable((), np.array([], dtype=np.int64), np.array([], dtype=np.int64))
+        assert t.p.shape == (0,)
+
+    def test_p_is_successes_over_k_at_mixed_k(self):
+        t = _table([("a", 0, 4), ("b", 3, 8), ("c", 4, 4), ("d", 1, 3)])
+        assert t.p.tolist() == [0.0, 3 / 8, 1.0, 1 / 3]
+        assert t.problem_ids == ("a", "b", "c", "d")
 
 
 class TestHardFilter:
@@ -87,8 +116,8 @@ class TestHardFilter:
 
     @given(st.integers(0, 8))
     def test_matches_direct_comparison(self, s):
-        pr = PassRate.from_counts(s, 8)
-        assert hard_filter(pr.p, 0.2, 0.8) == (0.2 <= pr.p <= 0.8)
+        p = s / 8
+        assert hard_filter(p, 0.2, 0.8) == (0.2 <= p <= 0.8)
 
 
 class TestHistogram:
@@ -108,7 +137,7 @@ class TestHistogram:
     def test_binning_differs_from_inclusive_filter_at_lower_edge(self):
         # p = 0.2: the filter keeps it, but the histogram puts it in bin 2,
         # because bins are left-closed right-open.
-        p = PassRate.from_counts(1, 5).p
+        p = 1 / 5
         assert hard_filter(p, 0.2, 0.8)
         h = histogram(np.array([p]), THREE_BIN_EDGES)
         assert h.fractions == (0.0, 1.0, 0.0)
