@@ -254,6 +254,16 @@ def _cmd_simulate(args: argparse.Namespace) -> None:
         "recomputed weights at steps: "
         + ", ".join(str(s) for s in metrics.recompute_steps)
     )
+    # One warning, at the first recompute whose eta * L breaks the descent lemma.
+    for step, eta_l in zip(metrics.recompute_steps, metrics.eta_l):
+        if eta_l >= 2.0:
+            forward = world.config.loss_direction == "forward"
+            scope = "" if forward else "; the bound covers forward KL only"
+            _log(
+                f"warning: eta*L = {fmt(eta_l)} >= 2 at step {step}, so gradient descent "
+                f"is no longer guaranteed to decrease the loss{scope}"
+            )
+            break
     if metrics.stage_switch_step is not None:
         _log(f"stage switch at step {metrics.stage_switch_step}")
     final = metrics.rows[-1]

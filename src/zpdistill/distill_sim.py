@@ -38,16 +38,23 @@ allocated once per call, and computes the teacher's probabilities once.
 Every consumer at that step reads them: rollout sampling for weights,
 checkpoints and SNR dumps (at rollout temperature 1; other temperatures
 sample from their own softmax), the checkpoint loss, measure_snr, and the
-update, which then writes its gradient rows into the buffers. The ops and
-reduction axes are those of numerics.log_softmax, so every output is
-bit-identical to recomputing each quantity on fresh arrays.
+update. A full-batch update writes its gradient rows into the buffers. A
+minibatch update computes gradient rows, and reverse-KL draws, for its
+batch rows only, in batch order; each draw is keyed by its problem and
+each row's arithmetic reads that row alone, so those rows equal the same
+rows of a full computation. The ops and reduction axes are those of
+numerics.log_softmax, so every output is bit-identical to recomputing each
+quantity on fresh arrays.
+
+At each weight recompute train records eta * L, with L the forward-KL
+smoothness constant of variance.smoothness_constant, in SimMetrics.eta_l.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -56,6 +63,7 @@ from .kernel import SCHEMES, normalize_weights, raw_weights
 from .numerics import log_softmax, stream, stream_uniforms
 from .passrate import THREE_BIN_EDGES, RolloutTable, histogram
 from .snr_profile import GradientTable
+from .variance import smoothness_constant
 
 __all__ = [
     "DIRECTIONS",
@@ -194,7 +202,6 @@ class CheckpointRow:
     step: int
     stage: str
     loss: float
-    train_acc: float
     retention_kl: float
     frac_low: float
     frac_med: float
@@ -208,6 +215,8 @@ class SimMetrics:
     recompute_steps: tuple[int, ...]
     stage_switch_step: int | None
     gradient_dumps: dict[int, GradientTable] = field(default_factory=dict)
+    # eta * variance.smoothness_constant at each step of recompute_steps.
+    eta_l: tuple[float, ...] = ()
 
 
 def _unit_rows(v: np.ndarray) -> np.ndarray:
@@ -296,13 +305,18 @@ class _Probs:
     """Student log-probs and probs at the current theta beside the teacher's.
 
     train fills log_ps and ps once per step and every consumer at that step
-    reads them; the update then overwrites them with its gradient rows.
+    reads them; a full-batch update then overwrites them with its gradient
+    rows.
     """
 
     log_ps: np.ndarray  # (N, V)
     ps: np.ndarray  # (N, V)
     log_pt: np.ndarray  # (N, V), world.teacher_log_probs
     pt: np.ndarray  # (N, V)
+
+    def rows(self, rows: slice | np.ndarray) -> _Probs:
+        """The four arrays at rows: views for a slice, copies for an index array."""
+        return _Probs(self.log_ps[rows], self.ps[rows], self.log_pt[rows], self.pt[rows])
 
 
 def _step_probs(world: SimWorld, buffers: _Probs | None = None) -> _Probs:
@@ -394,10 +408,16 @@ def reverse_kl(world: SimWorld, problem_index: int) -> tuple[float, np.ndarray]:
     return _single_loss_grad(world, problem_index, "reverse")
 
 
-def _sampled_reverse_diffs(world: SimWorld, probs: _Probs, n_samples: int) -> np.ndarray:
+def _sampled_reverse_diffs(
+    world: SimWorld, probs: _Probs, problem_ids: Sequence[str], n_samples: int
+) -> np.ndarray:
     """Score-function estimate of the reverse-KL logit gradient rows.
 
-    Samples are accumulated one at a time, in draw order, for all problems
+    Row i of probs belongs to problem_ids[i]; a minibatch step passes only
+    its batch rows. Each problem's draws come from its own key (seed,
+    "revkl", step, id), and every row's cdf, draws and sum depend on that
+    row alone, so any subset of rows equals those rows of the full result.
+    Samples are accumulated one at a time, in draw order, for all rows
     together, so each row's sum is the same sequential sum as per problem.
     A sample's term r * (onehot - ps) is subtracted as r * ps with its token
     entry set to r * (ps - 1): both are exact negations, so the sum is
@@ -405,9 +425,7 @@ def _sampled_reverse_diffs(world: SimWorld, probs: _Probs, n_samples: int) -> np
     """
     ps = probs.ps
     ratio = np.subtract(probs.log_ps, probs.log_pt, out=probs.log_ps)
-    u = stream_uniforms(
-        (world.config.seed, "revkl", world.step), world.problem_ids, n_samples
-    )
+    u = stream_uniforms((world.config.seed, "revkl", world.step), problem_ids, n_samples)
     draws = _categorical(ps, u)
     rows = np.arange(ps.shape[0])
     acc = np.zeros_like(ps)
@@ -450,7 +468,6 @@ def _eval_checkpoint(
         step=world.step,
         stage=direction,
         loss=loss,
-        train_acc=hist.mean_p,
         retention_kl=retention(world),
         frac_low=hist.fractions[0],
         frac_med=hist.fractions[1],
@@ -460,21 +477,27 @@ def _eval_checkpoint(
 
 
 def _descend(world: SimWorld, weights: np.ndarray, direction: str, probs: _Probs) -> None:
-    """The parameter update at world.step; it overwrites the step buffers."""
-    config = world.config
-    if direction == "reverse" and config.reverse_kl_samples > 0:
-        diffs = _sampled_reverse_diffs(world, probs, config.reverse_kl_samples)
-    else:
-        diffs = _diffs(probs, direction, in_place=True)
+    """The parameter update at world.step, from the gradient rows of its batch.
 
+    The rows are picked first: all of them, or the step's minibatch. Only
+    those rows' gradients, and reverse-KL draws, are computed. A full batch
+    takes views, so its update overwrites the step buffers; a minibatch
+    works on copies of its rows.
+    """
+    config = world.config
     if config.batch_size is None:
-        diffs *= weights[:, None] / config.num_problems
-        grad = world.features.T @ diffs
+        rows, ids = slice(None), world.problem_ids
     else:
         gen = stream(config.seed, "batch", world.step)
-        batch = gen.choice(config.num_problems, size=config.batch_size, replace=False)
-        scale = weights[batch, None] / config.batch_size
-        grad = world.features[batch].T @ (scale * diffs[batch])
+        rows = gen.choice(config.num_problems, size=config.batch_size, replace=False)
+        ids = [world.problem_ids[i] for i in rows]
+    probs = probs.rows(rows)
+    if direction == "reverse" and config.reverse_kl_samples > 0:
+        diffs = _sampled_reverse_diffs(world, probs, ids, config.reverse_kl_samples)
+    else:
+        diffs = _diffs(probs, direction, in_place=True)
+    diffs *= weights[rows, None] / len(ids)
+    grad = world.features[rows].T @ diffs
     world.theta = world.theta - config.learning_rate * grad
 
 
@@ -502,6 +525,7 @@ def train(world: SimWorld, *, snr_dump_steps: Iterable[int] = ()) -> SimMetrics:
 
     base = world.step
     recompute_steps: list[int] = []
+    eta_l: list[float] = []
     rows: list[CheckpointRow] = []
     dumps: dict[int, GradientTable] = {}
     probs = None
@@ -524,9 +548,10 @@ def train(world: SimWorld, *, snr_dump_steps: Iterable[int] = ()) -> SimMetrics:
             )
         )
         if needs_recompute:
-            outcomes = _sample_pass_rates(world, config.rollout_count, "rollout", probs)
-            weights = _weights(world, outcomes.sum(axis=1))
+            counts = _sample_pass_rates(world, config.rollout_count, "rollout", probs).sum(axis=1)
+            weights = _weights(world, counts)
             recompute_steps.append(world.step)
+            eta_l.append(config.learning_rate * smoothness_constant(world.features, weights))
 
         if local % config.eval_interval == 0 or local == t_total:
             rows.append(_eval_checkpoint(world, weights, direction, probs))
@@ -548,6 +573,7 @@ def train(world: SimWorld, *, snr_dump_steps: Iterable[int] = ()) -> SimMetrics:
             base + switch_step if config.loss_direction == "two_stage" else None
         ),
         gradient_dumps=dumps,
+        eta_l=tuple(eta_l),
     )
 
 

@@ -269,7 +269,7 @@ def write_metrics(f: IO[str], metrics: SimMetrics) -> None:
             str(r.step),
             r.stage,
             fmt(r.loss),
-            fmt(r.train_acc),
+            fmt(r.mean_p),  # the train_acc column
             fmt(r.retention_kl),
             fmt(r.frac_low),
             fmt(r.frac_med),

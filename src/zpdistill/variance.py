@@ -40,9 +40,18 @@ __all__ = [
     "variance_ratio_beta",
     "gamma_from_signal",
     "convergence_bound",
+    "smoothness_constant",
 ]
 
 _WEIGHT_MEAN_TOL = 1e-9
+# Squarings in smoothness_constant: the power 2^64 takes every eigenvalue
+# ratio below 1 that float64 holds (at most 1 - 2^-53) to zero. The loop
+# stops early once a squaring moves no entry by more than _SETTLED: then
+# every eigenvalue of the rescaled power is within F * _SETTLED of 0 or of
+# the top one, so the Rayleigh quotient is within about F * _SETTLED of
+# lambda_max, relatively; rounding moves a settled power by ~F * 1e-16.
+_SQUARINGS = 64
+_SETTLED = 1e-14
 
 
 @dataclass(frozen=True)
@@ -229,7 +238,11 @@ def gamma_from_signal(
 def convergence_bound(
     loss_gap: float, eta: float, L: float, T: int, sigma_eff_sq: float
 ) -> float:
-    """Bound on the average squared gradient norm after T SGD steps."""
+    """Bound on the average squared gradient norm after T SGD steps.
+
+    L is the smoothness constant of the objective; for the simulator's
+    weighted forward KL it is smoothness_constant(features, weights).
+    """
     if eta <= 0.0 or L <= 0.0:
         raise DomainError(f"eta and L must be > 0, got ({eta}, {L})")
     if T < 1:
@@ -243,3 +256,47 @@ def convergence_bound(
             stacklevel=2,
         )
     return 2.0 * loss_gap / (eta * T) + eta * L * sigma_eff_sq
+
+
+def smoothness_constant(features: np.ndarray, weights: np.ndarray) -> float:
+    """L = 1/2 lambda_max((1/N) sum_i w_i x_i x_i^T) for rows x_i of features.
+
+    The weighted forward-KL objective (1/N) sum_i w_i KL_i(theta) of a
+    linear softmax student has an L-Lipschitz gradient in theta: each
+    logit Hessian diag(p) - p p^T has spectral norm at most 1/2 (Boehning,
+    "Multinomial logistic regression algorithm", AISM 1992). The descent
+    lemma then guarantees that a gradient step of size eta decreases it
+    while eta * L < 2, and no longer guarantees it beyond.
+
+    lambda_max comes from repeated squaring of the (F, F) Gram matrix G,
+    rescaled each time: G^(2^k) tends to lambda_max^(2^k) times the
+    projector onto the top eigenspace, whose columns are top eigenvectors,
+    and the Rayleigh quotient of one gives lambda_max (6-12 squarings on
+    the simulator's worlds and on random rows). This uses only
+    matmul: the first call of a LAPACK eigensolver made about 0.6 MB more
+    of the BLAS library resident, which raised a simulate run's peak RSS.
+    """
+    x = np.asarray(features, dtype=np.float64)
+    w = np.asarray(weights, dtype=np.float64)
+    if x.ndim != 2 or w.shape != x.shape[:1] or w.size == 0:
+        raise DomainError(
+            f"features must be (N, F) and weights (N,) with N >= 1, got {x.shape} and {w.shape}"
+        )
+    if np.any(w < 0.0):
+        raise DomainError("weights must be nonnegative")
+    gram = (x.T * w) @ x / w.size
+    # gram and its powers are positive semidefinite, so their largest
+    # entry is on the diagonal and is > 0 unless the matrix is zero.
+    top = gram.max()
+    if top == 0.0:
+        return 0.0
+    power = gram / top
+    for _ in range(_SQUARINGS):
+        squared = power @ power
+        squared /= squared.max()
+        settled = np.abs(squared - power).max() <= _SETTLED
+        power = squared
+        if settled:
+            break
+    v = power[:, np.argmax(np.diag(power))]
+    return 0.5 * float(v @ gram @ v / (v @ v))

@@ -2,11 +2,13 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from zpdistill.cli import _OVERRIDES, main
-from zpdistill.fileio import load_gradient_records
+from zpdistill.distill_sim import SimConfig, build_world, train
+from zpdistill.fileio import fmt, load_gradient_records
 from zpdistill.kernel import (
     KernelParams,
     beta_weight,
@@ -15,6 +17,8 @@ from zpdistill.kernel import (
     zpd_moments,
 )
 from zpdistill.variance import VarianceSpec, variance_ratio_beta
+
+_GOLDEN_CFG = Path(__file__).resolve().parent.parent / "configs" / "golden.cfg"
 
 
 def _write_rollouts(path, spec):
@@ -390,6 +394,34 @@ class TestSimulate:
     def test_missing_config_file_is_error(self, tmp_path, capsys):
         assert main(["simulate", "--config", str(tmp_path / "nope.cfg")]) == 1
         assert capsys.readouterr().err.startswith("error:")
+
+    @staticmethod
+    def _warnings(err):
+        return [line for line in err.splitlines() if line.startswith("warning:")]
+
+    def test_divergent_step_size_warns_once(self, capsys):
+        assert main(["simulate", "--steps", "6", "--eta", "1e300"]) == 0
+        (line,) = self._warnings(capsys.readouterr().err)
+        eta_l = train(build_world(SimConfig(steps=6, learning_rate=1e300))).eta_l[0]
+        assert f"eta*L = {fmt(eta_l)} >= 2 at step 0" in line
+        assert "forward KL only" not in line
+
+    @pytest.mark.parametrize("schedule", ["reverse", "two_stage"])
+    def test_divergence_warning_names_forward_kl_scope(self, capsys, schedule):
+        # Unit weights keep L fixed, so every recompute breaks the bound;
+        # only the first one is reported.
+        args = ["simulate", "--steps", "6", "--eta", "1e300", "--schedule", schedule,
+                "--recompute-interval", "2", "--scheme", "unweighted"]
+        assert main(args) == 0
+        err = capsys.readouterr().err
+        assert "recomputed weights at steps: 0, 2" in err
+        (line,) = self._warnings(err)
+        assert "at step 0" in line and line.endswith("the bound covers forward KL only")
+
+    def test_golden_run_does_not_warn(self, tmp_path, capsys):
+        args = ["simulate", "--config", str(_GOLDEN_CFG), "--out", str(tmp_path / "m.csv")]
+        assert main(args) == 0
+        assert self._warnings(capsys.readouterr().err) == []
 
 
 def test_module_entry_point_subprocess():

@@ -1,4 +1,6 @@
+import csv
 import dataclasses
+import io
 
 import numpy as np
 import pytest
@@ -20,12 +22,15 @@ from zpdistill.distill_sim import (
     _sample_pass_rates,
     _sampled_reverse_diffs,
     _step_probs,
+    _weights,
 )
 from zpdistill.errors import ConfigError, DomainError, NumericError
+from zpdistill.fileio import fmt, write_metrics
 from zpdistill.kernel import normalize_weights
 from zpdistill.numerics import log_softmax, stream
 from zpdistill.passrate import hard_filter
 from zpdistill.snr_profile import bell_shape_score, compute_snr_bins
+from zpdistill.variance import smoothness_constant
 
 _SMALL = SimConfig(
     num_problems=12,
@@ -278,7 +283,7 @@ class TestKlGradients:
         cfg = _small(vocab_size=4, num_problems=4)
         w = build_world(cfg)
         exact = _diffs(_step_probs(w), "reverse")
-        approx = _sampled_reverse_diffs(w, _step_probs(w), 60000)
+        approx = _sampled_reverse_diffs(w, _step_probs(w), w.problem_ids, 60000)
         assert np.allclose(approx, exact, atol=0.02)
 
     def test_sampled_reverse_diffs_match_per_problem_oracle(self):
@@ -301,7 +306,7 @@ class TestKlGradients:
                 one_hot[t] = 1.0
                 acc += ratio[i, t] * (one_hot - ps[i])
             want[i] = acc / 13
-        assert np.array_equal(_sampled_reverse_diffs(w, _step_probs(w), 13), want)
+        assert np.array_equal(_sampled_reverse_diffs(w, _step_probs(w), w.problem_ids, 13), want)
 
 
 class TestTrain:
@@ -323,10 +328,14 @@ class TestTrain:
         assert all(row.stage == "forward" for row in metrics.rows)
 
     def test_train_acc_equals_mean_p(self):
-        cfg = _SMALL
-        metrics = train(build_world(cfg))
-        for row in metrics.rows:
-            assert row.train_acc == row.mean_p
+        # CheckpointRow holds mean_p once; the file prints it in both columns.
+        metrics = train(build_world(_SMALL))
+        buf = io.StringIO()
+        write_metrics(buf, metrics)
+        written = list(csv.DictReader(io.StringIO(buf.getvalue())))
+        assert len(written) == len(metrics.rows)
+        for row, line in zip(metrics.rows, written):
+            assert line["train_acc"] == line["mean_p"] == fmt(row.mean_p)
             assert row.frac_low + row.frac_med + row.frac_high == pytest.approx(
                 1.0, abs=1e-12
             )
@@ -484,7 +493,6 @@ class TestGoldenStepZero:
         metrics = train(world, snr_dump_steps=(0,))
         row = metrics.rows[0]
         assert row.loss == pytest.approx(1.039541377761623, rel=1e-9)
-        assert row.train_acc == pytest.approx(0.339375, abs=1e-12)
         assert row.mean_p == pytest.approx(0.339375, abs=1e-12)
         assert row.retention_kl == 0.0
         assert (row.frac_low, row.frac_med, row.frac_high) == (
@@ -492,6 +500,17 @@ class TestGoldenStepZero:
             pytest.approx(0.355),
             pytest.approx(0.145),
         )
+
+    def test_step_size_times_smoothness_at_recompute(self):
+        # eta * L of the step-0 weights: golden sits well below the
+        # divergence line eta * L = 2.
+        cfg = dataclasses.replace(SimConfig(), steps=1, eval_interval=1)
+        world = build_world(cfg)
+        weights = _weights(world, run_rollouts(world, cfg.rollout_count).successes)
+        metrics = train(world)
+        want = cfg.learning_rate * smoothness_constant(world.features, weights)
+        assert metrics.eta_l == (want,)
+        assert want == pytest.approx(0.321, abs=1e-3)
 
     def test_frozen_initial_bell_ratio(self):
         cfg = dataclasses.replace(SimConfig(), steps=1, eval_interval=1)

@@ -4,8 +4,10 @@ train computes each step's student log-probabilities once, into two (N, V)
 buffers reused across steps, and every consumer at that step reads them.
 The functions prefixed `_old_` below are the earlier path, kept as it was
 (less the two-stage branch for steps < 2, which SimConfig now rejects):
-each consumer recomputed `log_softmax` on fresh arrays. Outputs must match
-it bit for bit (np.array_equal, not the 10 digits the CSVs print).
+each consumer recomputed `log_softmax` on fresh arrays, and a minibatch
+update computed gradient rows and reverse-KL draws for every problem before
+keeping its batch rows. Outputs must match it bit for bit (np.array_equal,
+not the 10 digits the CSVs print).
 """
 
 import dataclasses
@@ -14,6 +16,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from zpdistill import distill_sim
 from zpdistill.distill_sim import (
     CheckpointRow,
     SimConfig,
@@ -25,7 +28,13 @@ from zpdistill.distill_sim import (
     reverse_kl,
     train,
 )
-from zpdistill.distill_sim import _categorical, _direction_at, _weights
+from zpdistill.distill_sim import (
+    _categorical,
+    _direction_at,
+    _sampled_reverse_diffs,
+    _step_probs,
+    _weights,
+)
 from zpdistill.numerics import stream, stream_uniforms
 from zpdistill.passrate import THREE_BIN_EDGES, histogram
 from zpdistill.snr_profile import GradientTable
@@ -86,7 +95,6 @@ def _old_eval_checkpoint(world, weights, direction):
         step=world.step,
         stage=direction,
         loss=float(np.mean(weights * losses)),
-        train_acc=hist.mean_p,
         retention_kl=retention(world),
         frac_low=hist.fractions[0],
         frac_med=hist.fractions[1],
@@ -168,7 +176,13 @@ _BASE = SimConfig(
 )
 _CONFIGS = {
     "forward": {},
+    "forward_batch": {"batch_size": 30},
     "exact_reverse": {"loss_direction": "reverse"},
+    "exact_reverse_batch": {"loss_direction": "reverse", "batch_size": 30},
+    # At temperature 1 the rollouts read the step's shared probs.
+    "sampled_reverse_batch": {
+        "loss_direction": "reverse", "reverse_kl_samples": 6, "batch_size": 30,
+    },
     "sampled_reverse_t0.7_batch": {
         "loss_direction": "reverse", "reverse_kl_samples": 6,
         "rollout_temperature": 0.7, "batch_size": 30,
@@ -222,6 +236,44 @@ def test_resumed_training_matches_old_per_step_path():
                      _old_train(w_old, snr_dump_steps=(4,)))
 
 
+def _batch(config, step):
+    gen = stream(config.seed, "batch", step)
+    return gen.choice(config.num_problems, size=config.batch_size, replace=False)
+
+
+def test_minibatch_reverse_draws_only_for_the_batch(monkeypatch):
+    # Each step's revkl uniforms are drawn for the batch's ids, in batch order.
+    cfg = dataclasses.replace(_BASE, **_CONFIGS["sampled_reverse_batch"])
+    calls = []
+
+    def spy(prefix, labels, k):
+        calls.append((tuple(prefix), list(labels), k))
+        return stream_uniforms(prefix, labels, k)
+
+    monkeypatch.setattr(distill_sim, "stream_uniforms", spy)
+    world = build_world(cfg)
+    train(world)
+    revkl = [call for call in calls if call[0][1] == "revkl"]
+    assert [prefix for prefix, _, _ in revkl] == [
+        (cfg.seed, "revkl", step) for step in range(cfg.steps)
+    ]
+    for (_, _, step), labels, k in revkl:
+        assert labels == [world.problem_ids[i] for i in _batch(cfg, step)]
+        assert len(labels) == cfg.batch_size and k == cfg.reverse_kl_samples
+
+
+def test_sampled_reverse_rows_of_a_subset_equal_the_full_rows():
+    w = build_world(_BASE)
+    w.theta = w.theta + 0.4 * np.sin(np.arange(w.theta.size)).reshape(w.theta.shape)
+    w.step = 5
+    full = _sampled_reverse_diffs(w, _step_probs(w), w.problem_ids, 7)
+    cfg = dataclasses.replace(_BASE, batch_size=25)
+    for rows in (_batch(cfg, 5), np.array([79]), np.array([60, 2, 33])):
+        ids = [w.problem_ids[i] for i in rows]
+        part = _sampled_reverse_diffs(w, _step_probs(w).rows(rows), ids, 7)
+        assert np.array_equal(part, full[rows])
+
+
 @pytest.mark.parametrize("direction", ["forward", "reverse"])
 def test_standalone_calls_match_old_path(direction):
     w = build_world(_BASE)
@@ -244,11 +296,16 @@ def test_standalone_calls_match_old_path(direction):
 # eval rollouts: the two step buffers, the teacher probabilities, the cdf and
 # the uniforms), 6.27 for 4 reverse-KL samples (the step arrays plus the
 # sample accumulator and term). The earlier path peaked at 6.09, 6.08 and
-# 9.25.
+# 9.25. With batch_size 500, 5.68: the sampled rows and draws are (500, V),
+# so the peak is the eval rollouts again; sampling all N rows for the update
+# and then keeping the batch peaked at 6.26.
 _PEAK_BOUND = {
     "forward": ({}, 6.0),
     "reverse": ({"loss_direction": "reverse"}, 6.0),
     "sampled_reverse": ({"loss_direction": "reverse", "reverse_kl_samples": 4}, 6.5),
+    "sampled_reverse_batch": (
+        {"loss_direction": "reverse", "reverse_kl_samples": 4, "batch_size": 500}, 6.0,
+    ),
 }
 
 

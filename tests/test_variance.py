@@ -7,13 +7,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
+from zpdistill.distill_sim import SimConfig, build_world, run_rollouts
 from zpdistill.errors import DegenerateInputError, DomainError
+from zpdistill.kernel import raw_weights
+from zpdistill.numerics import log_softmax
 from zpdistill.variance import (
     EmpiricalBatchStats,
     VarianceSpec,
     convergence_bound,
     cov_condition,
     gamma_from_signal,
+    smoothness_constant,
     variance_ratio_beta,
     variance_ratio_empirical,
 )
@@ -310,3 +314,72 @@ class TestConvergenceBound:
             convergence_bound(1.0, eta=0.1, L=2.0, T=0, sigma_eff_sq=0.1)
         with pytest.raises(DomainError):
             convergence_bound(-1.0, eta=0.1, L=2.0, T=5, sigma_eff_sq=0.1)
+
+
+def _golden_weights():
+    """The golden world and unit-mean beta weights from its step-0 rollouts."""
+    world = build_world(SimConfig())
+    raw = raw_weights(run_rollouts(world, 8).p, "beta", alpha=1.0, beta=1.0)
+    return world, raw / raw.mean()
+
+
+class TestSmoothnessConstant:
+    def test_matches_eigvalsh_on_golden_world(self):
+        world, w = _golden_weights()
+        gram = sum(wi * np.outer(x, x) for wi, x in zip(w, world.features)) / len(w)
+        want = 0.5 * np.linalg.eigvalsh(gram)[-1]
+        assert smoothness_constant(world.features, w) == pytest.approx(want, rel=1e-12)
+        # eta = 6 on this world gives the documented eta * L of about 0.32.
+        assert 6.0 * want == pytest.approx(0.32, abs=0.01)
+
+    def test_bounds_the_forward_kl_gradient_change(self):
+        # L is a Lipschitz constant of the weighted forward-KL gradient in theta.
+        world, w = _golden_weights()
+        pt = np.exp(world.teacher_log_probs)
+
+        def grad(theta):
+            ps = np.exp(log_softmax(world.features @ theta, axis=1))
+            return world.features.T @ ((w / len(w))[:, None] * (ps - pt))
+
+        L = smoothness_constant(world.features, w)
+        rng = np.random.default_rng(5)
+        for scale in (1e-3, 0.1, 3.0):
+            theta = world.theta + rng.standard_normal(world.theta.shape)
+            step = scale * rng.standard_normal(world.theta.shape)
+            change = np.linalg.norm(grad(theta + step) - grad(theta))
+            assert change <= L * np.linalg.norm(step)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 20), st.integers(1, 12), st.integers(0, 2**32 - 1),
+        st.sampled_from([0.0, 0.5, 1.0]),
+    )
+    def test_matches_eigvalsh_on_random_rows(self, n, f, seed, zero_share):
+        # Rank-deficient, zero-weighted and scaled-column cases included.
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((n, f)) * rng.uniform(0.0, 3.0, size=f)
+        w = rng.uniform(0.0, 2.0, size=n) * (rng.random(n) >= zero_share)
+        want = 0.5 * np.linalg.eigvalsh((x.T * w) @ x / n)[-1]
+        assert smoothness_constant(x, w) == pytest.approx(want, rel=1e-12, abs=1e-300)
+
+    def test_tied_top_eigenvalue_off_the_first_axis(self):
+        # Rows e_2 and e_3 with equal weight: lambda_max = 1/2 twice, and
+        # the top eigenspace has no e_1 component.
+        x = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        assert smoothness_constant(x, np.ones(2)) == pytest.approx(0.25, rel=1e-15)
+
+    def test_zero_weights(self):
+        assert smoothness_constant(np.ones((3, 2)), np.zeros(3)) == 0.0
+
+    @pytest.mark.parametrize(
+        "features, weights",
+        [
+            (np.ones((3, 2)), np.ones(2)),
+            (np.ones(3), np.ones(3)),
+            (np.ones((0, 2)), np.ones(0)),
+            (np.ones((2, 2)), np.array([1.0, -1.0])),
+        ],
+    )
+    def test_rejects_mismatched_shapes(self, features, weights):
+        with pytest.raises(DomainError):
+            smoothness_constant(features, weights)
