@@ -231,6 +231,8 @@ _OVERRIDES = (
 
 
 def _cmd_simulate(args: argparse.Namespace) -> None:
+    if args.dump_step is not None and not args.dump_gradients:
+        raise ConfigError("--dump-step has no effect without --dump-gradients")
     text = Path(args.config).read_text(encoding="utf-8") if args.config else ""
     overrides = {
         field: parse_config_value(field, raw, flag)
@@ -239,7 +241,7 @@ def _cmd_simulate(args: argparse.Namespace) -> None:
     }
 
     world = build_world(load_sim_config(text, overrides))
-    dump_steps = (args.dump_step,) if args.dump_gradients else ()
+    dump_steps = (args.dump_step or [20]) if args.dump_gradients else ()
     metrics = train(world, snr_dump_steps=dump_steps)
 
     with _out_stream(args.out) as f:
@@ -264,6 +266,15 @@ def _cmd_simulate(args: argparse.Namespace) -> None:
                 f"is no longer guaranteed to decrease the loss{scope}"
             )
             break
+    # Feature rows are unit vectors, so L is 0 exactly when every weight is.
+    if world.config.learning_rate > 0.0:
+        for step, eta_l in zip(metrics.recompute_steps, metrics.eta_l):
+            if eta_l == 0.0:
+                _log(
+                    f"warning: every weight is zero at step {step}, "
+                    "so the updates until the next recompute change nothing"
+                )
+                break
     if metrics.stage_switch_step is not None:
         _log(f"stage switch at step {metrics.stage_switch_step}")
     final = metrics.rows[-1]
@@ -375,8 +386,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--dump-step",
         type=int,
-        default=20,
-        help="training step at which to dump gradients (default 20)",
+        action="append",
+        help="training step at which to dump gradients (repeatable; default 20)",
     )
     p.set_defaults(func=_cmd_simulate)
 

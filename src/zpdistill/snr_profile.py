@@ -25,6 +25,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DegenerateInputError, DomainError, InsufficientDataError
+from .passrate import equal_edges
 
 __all__ = [
     "GradientTable",
@@ -114,10 +115,8 @@ def _bin_indices(ps: np.ndarray, edges: np.ndarray) -> np.ndarray:
 
 def compute_snr_bins(table: GradientTable, num_bins: int) -> SnrProfile:
     """Per-bin cross-problem SNR, before normalization."""
-    if num_bins < 2:
-        raise DomainError(f"num_bins must be >= 2, got {num_bins}")
     ps, grads = table.p, table.gradients
-    edges = np.linspace(0.0, 1.0, num_bins + 1)
+    edges = np.asarray(equal_edges(num_bins))
     idx = _bin_indices(ps, edges)
 
     bins: list[SnrBin] = []

@@ -349,6 +349,31 @@ class TestSimulate:
             table = load_gradient_records(f)
         assert table.gradients.shape == (12, 5 * 6)
 
+    def test_repeated_dump_step_writes_one_file_each(self, tmp_path, capsys):
+        prefix = str(tmp_path / "dump_")
+        args = ["simulate", "--config", str(self._cfg(tmp_path)), "--dump-gradients", prefix,
+                "--dump-step", "0", "--dump-step", "3"]
+        assert main(args) == 0
+        assert capsys.readouterr().err.count("wrote gradient dump") == 2
+        assert sorted(p.name for p in tmp_path.glob("dump_*")) == ["dump_0.csv", "dump_3.csv"]
+
+    def test_dump_step_defaults_to_20(self, tmp_path, capsys):
+        prefix = str(tmp_path / "dump_")
+        args = ["simulate", "--config", str(self._cfg(tmp_path)), "--steps", "20",
+                "--dump-gradients", prefix]
+        assert main(args) == 0
+        assert [p.name for p in tmp_path.glob("dump_*")] == ["dump_20.csv"]
+
+    def test_dump_step_without_dump_gradients_is_error(self, tmp_path, capsys):
+        out = tmp_path / "metrics.csv"
+        args = ["simulate", "--config", str(self._cfg(tmp_path)), "--out", str(out),
+                "--dump-step", "3"]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "--dump-step" in err and "--dump-gradients" in err
+        assert not out.exists()
+
     def test_bad_recompute_interval_is_error(self, tmp_path, capsys):
         args = ["simulate", "--config", str(self._cfg(tmp_path)),
                 "--recompute-interval", "soon"]
@@ -417,6 +442,36 @@ class TestSimulate:
         assert "recomputed weights at steps: 0, 2" in err
         (line,) = self._warnings(err)
         assert "at step 0" in line and line.endswith("the bound covers forward KL only")
+
+    def test_all_zero_weights_warn_at_the_first_such_step(self, tmp_path, capsys):
+        # A K = 8 pass rate is a multiple of 1/8, so it never equals 0.55.
+        cfg = tmp_path / "band.cfg"
+        cfg.write_text("[weighting]\nscheme = hard\nfilter_lo = 0.55\nfilter_hi = 0.55\n",
+                       encoding="utf-8")
+        out = tmp_path / "metrics.csv"
+        args = ["simulate", "--config", str(cfg), "--steps", "4", "--recompute-interval", "2",
+                "--out", str(out)]
+        assert main(args) == 0
+        err = capsys.readouterr().err
+        assert "recomputed weights at steps: 0, 2" in err
+        (line,) = self._warnings(err)
+        assert line == ("warning: every weight is zero at step 0, so the updates "
+                        "until the next recompute change nothing")
+        assert out.exists()
+
+    def test_divergent_run_warns_when_its_weights_reach_zero(self, capsys):
+        # The second recompute, at the stage switch, finds every pass rate at 0 or 1.
+        assert main(["simulate", "--steps", "6", "--eta", "1e300",
+                     "--schedule", "two_stage"]) == 0
+        err = capsys.readouterr().err
+        assert "recomputed weights at steps: 0, 3" in err
+        eta_l, zero = self._warnings(err)
+        assert "eta*L" in eta_l and "at step 0" in eta_l
+        assert zero.startswith("warning: every weight is zero at step 3,")
+
+    def test_zero_step_size_does_not_warn(self, capsys):
+        assert main(["simulate", "--steps", "2", "--eta", "0"]) == 0
+        assert self._warnings(capsys.readouterr().err) == []
 
     def test_golden_run_does_not_warn(self, tmp_path, capsys):
         args = ["simulate", "--config", str(_GOLDEN_CFG), "--out", str(tmp_path / "m.csv")]
