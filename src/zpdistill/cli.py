@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from pathlib import Path
 from typing import IO, Iterator
 
@@ -244,13 +244,19 @@ def _cmd_simulate(args: argparse.Namespace) -> None:
     dump_steps = (args.dump_step or [20]) if args.dump_gradients else ()
     metrics = train(world, snr_dump_steps=dump_steps)
 
-    with _out_stream(args.out) as f:
-        write_metrics(f, metrics)
-    for step in sorted(metrics.gradient_dumps):
-        path = f"{args.dump_gradients}{step}.csv"
-        with open(path, "w", encoding="utf-8") as f:
+    # Every output is opened before any is written, the metrics last, so a
+    # path that cannot be opened leaves no metrics behind.
+    steps = sorted(metrics.gradient_dumps)
+    with ExitStack() as stack:
+        dumps = [
+            stack.enter_context(open(f"{args.dump_gradients}{step}.csv", "w", encoding="utf-8"))
+            for step in steps
+        ]
+        out = stack.enter_context(_out_stream(args.out))
+        for step, f in zip(steps, dumps):
             write_gradient_records(f, metrics.gradient_dumps[step])
-        _log(f"wrote gradient dump {path}")
+            _log(f"wrote gradient dump {f.name}")
+        write_metrics(out, metrics)
 
     _log(
         "recomputed weights at steps: "

@@ -33,18 +33,22 @@ which reproduces numerics.stream() bit for bit; stream() remains the
 contract that defines every draw.
 
 Per-step arithmetic: train computes the student's log-probabilities and
-probabilities once per step, with out= ufuncs into two (N, V) buffers
-allocated once per call, and computes the teacher's probabilities once.
-Every consumer at that step reads them: rollout sampling for weights,
-checkpoints and SNR dumps (at rollout temperature 1; other temperatures
-sample from their own softmax), the checkpoint loss, measure_snr, and the
-update. A full-batch update writes its gradient rows into the buffers. A
-minibatch update computes gradient rows, and reverse-KL draws, for its
-batch rows only, in batch order; each draw is keyed by its problem and
-each row's arithmetic reads that row alone, so those rows equal the same
-rows of a full computation. The ops and reduction axes are those of
-numerics.log_softmax, so every output is bit-identical to recomputing each
-quantity on fresh arrays.
+probabilities once per step, with out= ufuncs into two buffers allocated
+once per call, and computes the teacher's probabilities once. The step
+arrays are vocabulary-major, (V, N) with one column per problem, so every
+reduction over the vocabulary runs down axis 0 over contiguous rows of N.
+Sums over the vocabulary use numerics._sum_axis0, which adds in the
+pairwise order of np.sum over a contiguous (N, V) row, and the logit and
+gradient products are the transposes of the (N, V) ones, so every value
+is bit-identical to the problem-major arithmetic. Every consumer at that
+step reads the arrays: rollout sampling for weights, checkpoints and SNR
+dumps (at rollout temperature 1; other temperatures sample from their own
+softmax), the checkpoint loss, measure_snr, and the update. A full-batch
+update writes its gradient columns into the buffers. A minibatch update
+computes gradient columns, and reverse-KL draws, for its batch problems
+only, in batch order; each draw is keyed by its problem and each column's
+arithmetic reads that column alone, so those columns equal the same
+columns of a full computation.
 
 At each weight recompute train records eta * L, with L the forward-KL
 smoothness constant of variance.smoothness_constant, in SimMetrics.eta_l.
@@ -60,7 +64,7 @@ import numpy as np
 
 from .errors import ConfigError, DomainError, NumericError
 from .kernel import SCHEMES, normalize_weights, raw_weights
-from .numerics import log_softmax, stream, stream_uniforms
+from .numerics import _sum_axis0, log_softmax, stream, stream_uniforms
 from .passrate import THREE_BIN_EDGES, RolloutTable, histogram
 from .snr_profile import GradientTable
 from .variance import smoothness_constant
@@ -186,15 +190,17 @@ class SimWorld:
     problem_ids: tuple[str, ...]
     features: np.ndarray  # (N, F), unit rows
     answers: np.ndarray  # (N,), int tokens
-    teacher_logits: np.ndarray  # (N, V)
-    teacher_log_probs: np.ndarray  # (N, V), log_softmax of teacher_logits
+    # (N, V) transposes of C-ordered (V, N) arrays: .T is vocabulary-major.
+    teacher_logits: np.ndarray
+    teacher_log_probs: np.ndarray  # log_softmax of teacher_logits
     anchor_features: np.ndarray  # (M, F)
     anchor_log_targets: np.ndarray  # (M, V)
     theta: np.ndarray  # (F, V)
     step: int = 0
 
     def student_logits(self) -> np.ndarray:
-        return self.features @ self.theta
+        """(N, V) logits, the transpose of the C-ordered (V, N) theta^T x_i."""
+        return (self.theta.T @ self.features.T).T
 
 
 @dataclass(frozen=True)
@@ -251,8 +257,9 @@ def build_world(config: SimConfig) -> SimWorld:
     features = _mixture_features(prototypes, answers, eps, stream(seed, "noise"))
 
     teacher_noise = stream(seed, "teacher").standard_normal((n, v))
-    teacher_logits = _TEACHER_JITTER * teacher_noise
-    teacher_logits[np.arange(n), answers] += config.teacher_sharpness
+    teacher_logits = np.empty((v, n))
+    np.multiply(_TEACHER_JITTER, teacher_noise.T, out=teacher_logits)
+    teacher_logits[answers, np.arange(n)] += config.teacher_sharpness
 
     # Initial student: prototype classifier at the teacher's own sharpness,
     # so the easiest problems start already matched to the teacher and the
@@ -277,8 +284,8 @@ def build_world(config: SimConfig) -> SimWorld:
         problem_ids=tuple(f"p{i:04d}" for i in range(n)),
         features=features,
         answers=answers,
-        teacher_logits=teacher_logits,
-        teacher_log_probs=log_softmax(teacher_logits, axis=1),
+        teacher_logits=teacher_logits.T,
+        teacher_log_probs=log_softmax(teacher_logits, axis=0).T,
         anchor_features=anchor_features,
         anchor_log_targets=anchor_log_targets,
         theta=theta,
@@ -287,36 +294,38 @@ def build_world(config: SimConfig) -> SimWorld:
 
 
 def _categorical(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """(N, k) tokens drawn by inverting each row's cdf at the uniforms u.
+    """(N, k) tokens drawn by inverting each column of the (V, N) probs at
+    the uniforms u, row i of u for column i.
 
     Counting cdf entries <= u equals searchsorted(cdf, u, side="right") on a
     nondecreasing cdf; the clamp catches a cdf that rounds to below 1. The
-    count runs column by column to keep temporaries at (N, k).
+    count runs one vocabulary entry at a time to keep temporaries at (N, k).
     """
-    cdf = np.cumsum(probs, axis=1)
+    cdf = np.cumsum(probs, axis=0)
     tokens = np.zeros(u.shape, dtype=np.intp)
-    for column in cdf.T:
-        tokens += column[:, None] <= u
-    return np.minimum(tokens, probs.shape[1] - 1, out=tokens)
+    for entry in cdf:
+        tokens += entry[:, None] <= u
+    return np.minimum(tokens, probs.shape[0] - 1, out=tokens)
 
 
 @dataclass(frozen=True)
 class _Probs:
     """Student log-probs and probs at the current theta beside the teacher's.
 
-    train fills log_ps and ps once per step and every consumer at that step
-    reads them; a full-batch update then overwrites them with its gradient
-    rows.
+    Each array is C-ordered (V, N), one column per problem. train fills
+    log_ps and ps once per step and every consumer at that step reads them;
+    a full-batch update then overwrites them with its gradient columns.
     """
 
-    log_ps: np.ndarray  # (N, V)
-    ps: np.ndarray  # (N, V)
-    log_pt: np.ndarray  # (N, V), world.teacher_log_probs
-    pt: np.ndarray  # (N, V)
+    log_ps: np.ndarray
+    ps: np.ndarray
+    log_pt: np.ndarray  # world.teacher_log_probs.T
+    pt: np.ndarray
 
-    def rows(self, rows: slice | np.ndarray) -> _Probs:
-        """The four arrays at rows: views for a slice, copies for an index array."""
-        return _Probs(self.log_ps[rows], self.ps[rows], self.log_pt[rows], self.pt[rows])
+    def take(self, index: np.ndarray) -> _Probs:
+        """C-ordered copies of the four arrays at the problem columns index."""
+        arrays = (self.log_ps, self.ps, self.log_pt, self.pt)
+        return _Probs(*(a.take(index, axis=1) for a in arrays))
 
 
 def _step_probs(world: SimWorld, buffers: _Probs | None = None) -> _Probs:
@@ -326,11 +335,11 @@ def _step_probs(world: SimWorld, buffers: _Probs | None = None) -> _Probs:
     probabilities computed; with them, only log_ps and ps are rewritten.
     """
     if buffers is None:
-        log_pt = world.teacher_log_probs
+        log_pt = world.teacher_log_probs.T
         buffers = _Probs(np.empty_like(log_pt), np.empty_like(log_pt), log_pt, np.exp(log_pt))
     log_ps, ps = buffers.log_ps, buffers.ps
-    np.matmul(world.features, world.theta, out=log_ps)
-    log_softmax(log_ps, axis=1, out=log_ps, work=ps)
+    np.matmul(world.theta.T, world.features.T, out=log_ps)
+    log_softmax(log_ps, axis=0, out=log_ps, work=ps)
     np.exp(log_ps, out=ps)
     return buffers
 
@@ -348,8 +357,8 @@ def _sample_pass_rates(
     if probs is not None and world.config.rollout_temperature == 1.0:
         sample_probs = probs.ps
     else:
-        logits = world.student_logits() / world.config.rollout_temperature
-        sample_probs = np.exp(log_softmax(logits, axis=1, out=logits))
+        logits = world.student_logits().T / world.config.rollout_temperature
+        sample_probs = np.exp(log_softmax(logits, axis=0, out=logits))
     u = stream_uniforms((world.config.seed, purpose, world.step), world.problem_ids, k)
     return _categorical(sample_probs, u) == world.answers[:, None]
 
@@ -369,21 +378,20 @@ def _kl_rows(probs: _Probs, direction: str) -> np.ndarray:
     else:
         terms = probs.log_ps - probs.log_pt
         terms *= probs.ps
-    return np.sum(terms, axis=1)
+    return _sum_axis0(terms)
 
 
 def _diffs(probs: _Probs, direction: str, in_place: bool = False) -> np.ndarray:
-    """Logit-space gradient rows of the per-problem KL.
+    """Logit-space gradient columns of the per-problem KL.
 
-    in_place writes the rows into the step buffers (ps for forward, log_ps
+    in_place writes the columns into the step buffers (ps for forward, log_ps
     for reverse) instead of a fresh array.
     """
     if direction == "forward":
         return np.subtract(probs.ps, probs.pt, out=probs.ps if in_place else None)
     if direction == "reverse":
         ratio = np.subtract(probs.log_ps, probs.log_pt, out=probs.log_ps if in_place else None)
-        losses = np.sum(probs.ps * ratio, axis=1)
-        ratio -= losses[:, None]
+        ratio -= _sum_axis0(probs.ps * ratio)
         return np.multiply(probs.ps, ratio, out=ratio)
     raise DomainError(f"unknown loss direction {direction!r}")
 
@@ -394,7 +402,7 @@ def _single_loss_grad(world: SimWorld, problem_index: int, direction: str):
         raise DomainError(f"problem_index must lie in [0, {n}), got {problem_index}")
     probs = _step_probs(world)
     loss = _kl_rows(probs, direction)[problem_index]
-    grad = np.outer(world.features[problem_index], _diffs(probs, direction)[problem_index])
+    grad = np.outer(world.features[problem_index], _diffs(probs, direction)[:, problem_index])
     return float(loss), grad
 
 
@@ -411,29 +419,30 @@ def reverse_kl(world: SimWorld, problem_index: int) -> tuple[float, np.ndarray]:
 def _sampled_reverse_diffs(
     world: SimWorld, probs: _Probs, problem_ids: Sequence[str], n_samples: int
 ) -> np.ndarray:
-    """Score-function estimate of the reverse-KL logit gradient rows.
+    """Score-function estimate of the reverse-KL logit gradient columns.
 
-    Row i of probs belongs to problem_ids[i]; a minibatch step passes only
-    its batch rows. Each problem's draws come from its own key (seed,
-    "revkl", step, id), and every row's cdf, draws and sum depend on that
-    row alone, so any subset of rows equals those rows of the full result.
-    Samples are accumulated one at a time, in draw order, for all rows
-    together, so each row's sum is the same sequential sum as per problem.
-    A sample's term r * (onehot - ps) is subtracted as r * ps with its token
-    entry set to r * (ps - 1): both are exact negations, so the sum is
-    bit-identical. probs.log_ps is overwritten with the log-ratio.
+    Column i of probs belongs to problem_ids[i]; a minibatch step passes
+    only its batch columns. Each problem's draws come from its own key
+    (seed, "revkl", step, id), and every column's cdf, draws and sum depend
+    on that column alone, so any subset of columns equals those columns of
+    the full result. Samples are accumulated one at a time, in draw order,
+    for all columns together, so each column's sum is the same sequential
+    sum as per problem. A sample's term r * (onehot - ps) is subtracted as
+    r * ps with its token entry set to r * (ps - 1): both are exact
+    negations, so the sum is bit-identical. probs.log_ps is overwritten
+    with the log-ratio.
     """
     ps = probs.ps
     ratio = np.subtract(probs.log_ps, probs.log_pt, out=probs.log_ps)
     u = stream_uniforms((world.config.seed, "revkl", world.step), problem_ids, n_samples)
     draws = _categorical(ps, u)
-    rows = np.arange(ps.shape[0])
+    cols = np.arange(ps.shape[1])
     acc = np.zeros_like(ps)
     term = np.empty_like(ps)
     for tokens in draws.T:
-        r = ratio[rows, tokens]
-        np.multiply(ps, r[:, None], out=term)
-        term[rows, tokens] = r * (ps[rows, tokens] - 1.0)
+        r = ratio[tokens, cols]
+        np.multiply(ps, r, out=term)
+        term[tokens, cols] = r * (ps[tokens, cols] - 1.0)
         acc -= term
     acc /= n_samples
     return acc
@@ -477,27 +486,26 @@ def _eval_checkpoint(
 
 
 def _descend(world: SimWorld, weights: np.ndarray, direction: str, probs: _Probs) -> None:
-    """The parameter update at world.step, from the gradient rows of its batch.
+    """The parameter update at world.step, from the gradient columns of its batch.
 
-    The rows are picked first: all of them, or the step's minibatch. Only
-    those rows' gradients, and reverse-KL draws, are computed. A full batch
-    takes views, so its update overwrites the step buffers; a minibatch
-    works on copies of its rows.
+    The problems are picked first: all of them, or the step's minibatch.
+    Only their gradients, and reverse-KL draws, are computed. A full batch
+    works on the step buffers and overwrites them; a minibatch works on
+    copies of its columns.
     """
     config = world.config
-    if config.batch_size is None:
-        rows, ids = slice(None), world.problem_ids
-    else:
+    rows, ids = slice(None), world.problem_ids
+    if config.batch_size is not None:
         gen = stream(config.seed, "batch", world.step)
         rows = gen.choice(config.num_problems, size=config.batch_size, replace=False)
         ids = [world.problem_ids[i] for i in rows]
-    probs = probs.rows(rows)
+        probs = probs.take(rows)
     if direction == "reverse" and config.reverse_kl_samples > 0:
         diffs = _sampled_reverse_diffs(world, probs, ids, config.reverse_kl_samples)
     else:
         diffs = _diffs(probs, direction, in_place=True)
-    diffs *= weights[rows, None] / len(ids)
-    grad = world.features[rows].T @ diffs
+    diffs *= weights[rows] / len(ids)
+    grad = world.features[rows].T @ diffs.T
     world.theta = world.theta - config.learning_rate * grad
 
 
@@ -595,7 +603,7 @@ def measure_snr(
         probs = _step_probs(world)
     k = world.config.rollout_count
     counts = _sample_pass_rates(world, k, "snr", probs).sum(axis=1)
-    diffs = _diffs(probs, loss_direction)
+    diffs = _diffs(probs, loss_direction).T
     grads = world.features[:, :, None] * diffs[:, None, :]
     return GradientTable(world.problem_ids, counts / k, grads.reshape(len(counts), -1))
 

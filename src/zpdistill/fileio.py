@@ -62,6 +62,11 @@ def _opt(x: float | None) -> str:
     return "" if x is None else fmt(x)
 
 
+# json.loads less its per-call wrapper; load_rollouts repeats the checks
+# that matter on a stripped line, with json's messages.
+_raw_decode = json.JSONDecoder().raw_decode
+
+
 def load_rollouts(lines: Iterable[str]) -> RolloutTable:
     """Parse per-problem rollout counts from JSON lines; blank lines are
     skipped. Each line is parsed on its own, so an error names its line."""
@@ -74,7 +79,12 @@ def load_rollouts(lines: Iterable[str]) -> RolloutTable:
         if not text:
             continue
         try:
-            obj = json.loads(text)
+            if text.startswith("\ufeff"):
+                bom = "Unexpected UTF-8 BOM (decode using utf-8-sig)"
+                raise json.JSONDecodeError(bom, text, 0)
+            obj, end = _raw_decode(text)
+            if end != len(text):
+                raise json.JSONDecodeError("Extra data", text, end)
         except (ValueError, RecursionError) as exc:
             # Besides JSONDecodeError, an integer literal past Python's
             # digit limit raises ValueError and deep nesting RecursionError.

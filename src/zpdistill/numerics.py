@@ -92,12 +92,49 @@ def log_softmax(
     out receives the result and may be logits itself; work receives the
     exponentials of the shifted logits. Both are float64 arrays shaped like
     logits, or None for fresh ones; the arithmetic is the same either way.
+    The normaliser adds along axis in numpy's pairwise order whatever the
+    memory layout, so log_softmax(x.T, axis=0) is log_softmax(x, axis=1).T
+    bit for bit.
     """
     z = np.asarray(logits, dtype=np.float64)
     zmax = np.max(z, axis=axis, keepdims=True)
     shifted = np.subtract(z, zmax, out=out)
-    lse = np.log(np.sum(np.exp(shifted, out=work), axis=axis, keepdims=True))
+    exps = np.exp(shifted, out=work)
+    lse = np.log(np.expand_dims(_sum_axis0(np.moveaxis(exps, axis, 0)), axis))
     return np.subtract(shifted, lse, out=shifted)
+
+
+def _sum_axis0(a: np.ndarray) -> np.ndarray:
+    """a summed over axis 0, bit for bit as np.sum adds one contiguous row.
+
+    np.sum(x, axis=1) on a C-ordered x adds each row in numpy's pairwise
+    order, while a sum over axis 0 adds in sequence. This adds a's slices
+    in the pairwise order, so _sum_axis0(x.T) equals np.sum(x, axis=1) for
+    any layout: fewer than 8 slices in sequence; up to 128 in 8 running
+    sums r0..r7 over blocks of 8, combined as
+    ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the leftover slices; more
+    split in two at a multiple of 8. Like np.sum it starts from 0.0, so
+    slices of -0.0 sum to 0.0.
+    """
+    n = a.shape[0]
+    if n < 8:
+        total = np.zeros(a.shape[1:])
+        for row in a:
+            total += row
+        return total
+    if n > 128:
+        half = n // 2 - (n // 2) % 8
+        return _sum_axis0(a[:half]) + _sum_axis0(a[half:])
+    end = n - n % 8
+    r = a[:8].copy()
+    for i in range(8, end, 8):
+        r += a[i : i + 8]
+    for step in (1, 2, 4):
+        r[:: 2 * step] += r[step :: 2 * step]
+    total = r[0]
+    for row in a[end:]:
+        total += row
+    return total + 0.0
 
 
 def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:

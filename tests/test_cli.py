@@ -374,6 +374,17 @@ class TestSimulate:
         assert "--dump-step" in err and "--dump-gradients" in err
         assert not out.exists()
 
+    def test_unopenable_dump_path_writes_no_metrics(self, tmp_path, capsys):
+        out = tmp_path / "metrics.csv"
+        prefix = str(tmp_path / "nodir" / "g")
+        args = ["simulate", "--config", str(self._cfg(tmp_path)), "--out", str(out),
+                "--dump-gradients", prefix, "--dump-step", "0"]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "nodir" in err
+        assert not out.exists()
+
     def test_bad_recompute_interval_is_error(self, tmp_path, capsys):
         args = ["simulate", "--config", str(self._cfg(tmp_path)),
                 "--recompute-interval", "soon"]

@@ -188,7 +188,8 @@ class TestRollouts:
 
 
 def _searchsorted_oracle(probs, u):
-    """Per-row inverse-cdf sampling, as the simulator drew tokens per problem."""
+    """Per-row inverse-cdf sampling of (N, V) probs, as the simulator drew
+    tokens per problem; _categorical takes the (V, N) transpose."""
     v = probs.shape[1]
     return np.array(
         [np.minimum(np.searchsorted(np.cumsum(p), row, side="right"), v - 1)
@@ -200,14 +201,14 @@ class TestCategorical:
     def test_uniform_on_a_cdf_entry_moves_past_it(self):
         probs = np.array([[0.25, 0.25, 0.5], [0.5, 0.5, 0.0]])
         u = np.array([[0.0, 0.25, 0.5, 0.75], [0.5, 0.0, 0.999, 0.25]])
-        got = _categorical(probs, u)
+        got = _categorical(probs.T, u)
         assert np.array_equal(got, [[0, 1, 2, 2], [1, 0, 1, 0]])
         assert np.array_equal(got, _searchsorted_oracle(probs, u))
 
     def test_cdf_ending_below_one_is_clamped(self):
         probs = np.array([[0.125, 0.25, 0.375]])
         u = np.array([[0.0625, 0.375, 0.75, 0.8, 0.99]])
-        got = _categorical(probs, u)
+        got = _categorical(probs.T, u)
         assert np.array_equal(got, [[0, 2, 2, 2, 2]])
         assert np.array_equal(got, _searchsorted_oracle(probs, u))
 
@@ -230,7 +231,7 @@ class TestCategorical:
             [[cdf[i, j % v] if j % 2 else (j % 997) / 997.0 for j in picks]
              for i in range(len(probs))]
         )
-        assert np.array_equal(_categorical(probs, u), _searchsorted_oracle(probs, u))
+        assert np.array_equal(_categorical(probs.T, u), _searchsorted_oracle(probs, u))
 
 
 def _fd_grad(world, idx, direction, entries, h=1e-6):
@@ -306,7 +307,8 @@ class TestKlGradients:
                 one_hot[t] = 1.0
                 acc += ratio[i, t] * (one_hot - ps[i])
             want[i] = acc / 13
-        assert np.array_equal(_sampled_reverse_diffs(w, _step_probs(w), w.problem_ids, 13), want)
+        got = _sampled_reverse_diffs(w, _step_probs(w), w.problem_ids, 13)
+        assert np.array_equal(got, want.T)
 
 
 class TestTrain:
@@ -365,7 +367,7 @@ class TestTrain:
             for pid, p in zip(table.problem_ids, table.p.tolist())
         ]
         weights = normalize_weights(raw).normalized
-        diffs = _diffs(_step_probs(w_manual), "forward")
+        diffs = _diffs(_step_probs(w_manual), "forward").T
         grad = w_manual.features.T @ ((weights[:, None] / cfg.num_problems) * diffs)
         expected = w_manual.theta - cfg.learning_rate * grad
         assert np.array_equal(w_train.theta, expected)
@@ -475,7 +477,7 @@ class TestMeasureSnr:
         counts = _sample_pass_rates(w, _SMALL.rollout_count, "snr").sum(axis=1)
         for i in range(30):
             assert np.array_equal(
-                table.gradients[i], np.outer(w.features[i], diffs[i]).ravel()
+                table.gradients[i], np.outer(w.features[i], diffs[:, i]).ravel()
             )
             assert table.p[i] == int(counts[i]) / 4
 

@@ -102,6 +102,25 @@ class TestLoadRollouts:
         with pytest.raises(FileFormatError, match="line 2: invalid JSON"):
             load_rollouts(['{"problem_id": "a", "outcomes": [true]}', line])
 
+    @pytest.mark.parametrize(
+        "line, reason",
+        [
+            ('\ufeff{"problem_id": "a", "outcomes": [true]}',
+             "Unexpected UTF-8 BOM (decode using utf-8-sig)"),
+            ('{"problem_id": "a", "outcomes": [true]} {}', "Extra data"),
+            ('{"problem_id": "a", "outcomes": [true]}]', "Extra data"),
+            ('{"problem_id": "a", "outcomes": [true]', "Expecting ',' delimiter"),
+        ],
+        ids=["byte_order_mark", "two_values", "trailing_bracket", "unclosed_object"],
+    )
+    def test_invalid_json_names_json_reason(self, line, reason):
+        with pytest.raises(json.JSONDecodeError) as want:
+            json.loads(line.strip())
+        assert want.value.msg == reason
+        with pytest.raises(FileFormatError) as got:
+            load_rollouts(['{"problem_id": "b", "outcomes": [true]}', line])
+        assert str(got.value) == f"line 2: invalid JSON ({reason})"
+
     @settings(max_examples=100, deadline=None)
     @given(
         st.lists(
@@ -133,6 +152,28 @@ class TestLoadRollouts:
                 continue
             assert isinstance(table, RolloutTable)
             assert np.all((table.p >= 0.0) & (table.p <= 1.0))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.text(), st.text('\ufeff{}[]":, 0123456789.eE+-truefalsnul\t\\')))
+    def test_each_line_decodes_as_json_loads_does(self, line):
+        # Oracle: json.loads on the stripped line, its value or its message.
+        text = line.strip()
+        if not text:
+            return
+        try:
+            obj = json.loads(text)
+        except json.JSONDecodeError as exc:
+            with pytest.raises(FileFormatError, match=re.escape(f"invalid JSON ({exc.msg})")):
+                load_rollouts([line])
+            return
+        try:
+            table = load_rollouts([line])
+        except FileFormatError as exc:
+            assert "invalid JSON" not in str(exc)
+            return
+        assert (table.problem_ids, table.successes.tolist()) == (
+            (obj["problem_id"],), [obj["outcomes"].count(True)]
+        )
 
 
 def _write_table(table: GradientTable) -> str:

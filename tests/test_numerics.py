@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from zpdistill.errors import DomainError
 from zpdistill.numerics import (
@@ -16,6 +16,7 @@ from zpdistill.numerics import (
     stream,
     stream_uniforms,
 )
+from zpdistill.numerics import _sum_axis0
 
 scipy_special = pytest.importorskip("scipy.special")
 
@@ -94,6 +95,21 @@ class TestSoftmax:
         logits = rng.normal(size=(5, 7)) * 10
         assert np.allclose(np.exp(log_softmax(logits, axis=1)), softmax(logits, axis=1))
 
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_vocabulary_major_equals_problem_major_bit_for_bit(self, data):
+        # Oracle: the plain numpy formula on the C-ordered (N, V) logits,
+        # reducing along axis 1.
+        x = data.draw(_rows_strategy(allow_special=False))
+        shifted = x - np.max(x, axis=1, keepdims=True)
+        want = shifted - np.log(np.sum(np.exp(shifted), axis=1, keepdims=True))
+        assert np.array_equal(log_softmax(x, axis=1), want)
+        vn = np.ascontiguousarray(x.T)
+        assert np.array_equal(log_softmax(vn, axis=0), want.T)
+        out, work = np.empty_like(vn), np.empty_like(vn)
+        assert log_softmax(vn, axis=0, out=out, work=work) is out
+        assert np.array_equal(out, want.T)
+
     def test_shift_invariance(self):
         logits = np.array([0.5, -1.0, 2.0])
         assert np.allclose(softmax(logits + 123.0), softmax(logits), atol=1e-12)
@@ -158,3 +174,45 @@ class TestStreamUniforms:
         with pytest.raises(DomainError):
             stream_uniforms((7,), ["p0000"], k)
 
+
+_SUM_WIDTHS = (2, 5, 7, 8, 9, 16, 17, 128, 129, 300)
+
+
+@st.composite
+def _rows_strategy(draw, allow_special=True, max_exp=300):
+    """(N, V) float64 rows for V in _SUM_WIDTHS: signed values across many
+    magnitudes, and optionally rows of -0.0 and entries of +-inf and nan."""
+    v = draw(st.sampled_from(_SUM_WIDTHS))
+    n = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    spread = draw(st.sampled_from((0.0, 0.01, 0.1, 1.0)))
+    exponents = spread * rng.integers(-max_exp, max_exp + 1, size=(n, v))
+    x = rng.standard_normal((n, v)) * 10.0**exponents
+    if allow_special:
+        for row in range(n):
+            kind = draw(st.sampled_from(("plain", "negzero", "special")))
+            if kind == "negzero":
+                x[row] = -0.0
+            elif kind == "special":
+                picks = draw(st.lists(st.integers(0, v - 1), min_size=1, max_size=3))
+                x[row, picks] = draw(st.sampled_from((np.inf, -np.inf, np.nan, -0.0)))
+    return x
+
+
+class TestSumAxis0:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @settings(max_examples=300, deadline=None)
+    @given(x=_rows_strategy())
+    def test_equals_numpy_row_sum_bit_for_bit(self, x):
+        # Oracle: np.sum along axis 1 of the C-ordered (N, V) rows.
+        want = np.sum(x, axis=1)
+        for a in (np.ascontiguousarray(x.T), x.T):
+            got = _sum_axis0(a)
+            assert got.shape == want.shape
+            assert np.array_equal(got, want, equal_nan=True)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    def test_rows_of_negative_zero_sum_to_positive_zero(self):
+        for v in _SUM_WIDTHS:
+            got = _sum_axis0(np.full((v, 3), -0.0))
+            assert np.array_equal(got, np.zeros(3)) and not np.signbit(got).any()

@@ -1,9 +1,10 @@
 """train against a copy of the per-step path it replaced, and its memory.
 
-train computes each step's student log-probabilities once, into two (N, V)
-buffers reused across steps, and every consumer at that step reads them.
-The functions prefixed `_old_` below are the earlier path, kept as it was
-(less the two-stage branch for steps < 2, which SimConfig now rejects):
+train computes each step's student log-probabilities once, into two
+vocabulary-major (V, N) buffers reused across steps, and every consumer at
+that step reads them. The functions prefixed `_old_` below are the earlier
+path, kept as it was (less the two-stage branch for steps < 2, which
+SimConfig now rejects): problem-major (N, V) arrays reduced along axis 1,
 each consumer recomputed `log_softmax` on fresh arrays, and a minibatch
 update computed gradient rows and reverse-KL draws for every problem before
 keeping its batch rows. Outputs must match it bit for bit (np.array_equal,
@@ -29,7 +30,6 @@ from zpdistill.distill_sim import (
     train,
 )
 from zpdistill.distill_sim import (
-    _categorical,
     _direction_at,
     _sampled_reverse_diffs,
     _step_probs,
@@ -48,17 +48,34 @@ def _old_log_softmax(logits, axis=-1):
     return shifted - lse
 
 
+def _old_student_logits(world):
+    return world.features @ world.theta
+
+
+def _old_teacher_log_probs(world):
+    # build_world took the log-softmax of C-ordered (N, V) teacher logits.
+    return _old_log_softmax(np.ascontiguousarray(world.teacher_logits), axis=1)
+
+
+def _old_categorical(probs, u):
+    cdf = np.cumsum(probs, axis=1)
+    tokens = np.zeros(u.shape, dtype=np.intp)
+    for column in cdf.T:
+        tokens += column[:, None] <= u
+    return np.minimum(tokens, probs.shape[1] - 1, out=tokens)
+
+
 def _old_sample_pass_rates(world, k, purpose):
-    logits = world.student_logits() / world.config.rollout_temperature
+    logits = _old_student_logits(world) / world.config.rollout_temperature
     probs = np.exp(_old_log_softmax(logits, axis=1))
     u = stream_uniforms((world.config.seed, purpose, world.step), world.problem_ids, k)
-    return _categorical(probs, u) == world.answers[:, None]
+    return _old_categorical(probs, u) == world.answers[:, None]
 
 
 def _old_losses_and_diffs(world, direction):
-    log_ps = _old_log_softmax(world.student_logits(), axis=1)
+    log_ps = _old_log_softmax(_old_student_logits(world), axis=1)
     ps = np.exp(log_ps)
-    log_pt = world.teacher_log_probs
+    log_pt = _old_teacher_log_probs(world)
     if direction == "forward":
         pt = np.exp(log_pt)
         losses = np.sum(pt * (log_pt - log_ps), axis=1)
@@ -71,15 +88,15 @@ def _old_losses_and_diffs(world, direction):
 
 
 def _old_sampled_reverse_diffs(world, n_samples):
-    log_ps = _old_log_softmax(world.student_logits(), axis=1)
+    log_ps = _old_log_softmax(_old_student_logits(world), axis=1)
     ps = np.exp(log_ps)
-    ratio = log_ps - world.teacher_log_probs
+    ratio = log_ps - _old_teacher_log_probs(world)
     u = stream_uniforms(
         (world.config.seed, "revkl", world.step), world.problem_ids, n_samples
     )
     rows = np.arange(ps.shape[0])
     acc = np.zeros_like(ps)
-    for tokens in _categorical(ps, u).T:
+    for tokens in _old_categorical(ps, u).T:
         one_hot = np.zeros_like(ps)
         one_hot[rows, tokens] = 1.0
         acc += ratio[rows, tokens, None] * (one_hot - ps)
@@ -270,8 +287,18 @@ def test_sampled_reverse_rows_of_a_subset_equal_the_full_rows():
     cfg = dataclasses.replace(_BASE, batch_size=25)
     for rows in (_batch(cfg, 5), np.array([79]), np.array([60, 2, 33])):
         ids = [w.problem_ids[i] for i in rows]
-        part = _sampled_reverse_diffs(w, _step_probs(w).rows(rows), ids, 7)
-        assert np.array_equal(part, full[rows])
+        part = _sampled_reverse_diffs(w, _step_probs(w).take(rows), ids, 7)
+        assert np.array_equal(part, full[:, rows])
+
+
+@pytest.mark.parametrize("cfg", [_BASE, SimConfig()], ids=["v7", "golden_v16"])
+def test_world_teacher_log_probs_match_old_path(cfg):
+    # build_world computes them vocabulary-major, once; readers see (N, V).
+    w = build_world(cfg)
+    assert w.teacher_log_probs.shape == (cfg.num_problems, cfg.vocab_size)
+    assert w.teacher_log_probs.T.flags.c_contiguous
+    assert np.array_equal(w.teacher_log_probs, _old_teacher_log_probs(w))
+    assert np.array_equal(w.student_logits(), _old_student_logits(w))
 
 
 @pytest.mark.parametrize("direction", ["forward", "reverse"])
