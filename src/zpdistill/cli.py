@@ -40,9 +40,9 @@ from .kernel import (
     SCHEMES,
     at_flat_boundary,
     kernel_peak,
-    normalize_weights,
     raw_weights,
     select_exponents,
+    unit_mean,
     zpd_moments,
 )
 from .numerics import beta_fn, sech, sech2
@@ -85,11 +85,11 @@ def _cmd_weight(args: argparse.Namespace) -> None:
         raw = raw_weights(p, "hard", lo=lo, hi=hi, floor=args.floor)
     else:
         raw = raw_weights(p, "beta", alpha=args.alpha, beta=args.beta, floor=args.floor)
-    wv = normalize_weights(list(zip(table.problem_ids, raw.tolist())))
-    if wv.degenerate:
+    normalized = unit_mean(raw)
+    if not normalized.any():
         _log("warning: every weight is zero; normalized column left at zero")
     with _out_stream(args.out) as f:
-        write_weight_table(f, table.problem_ids, p, raw, wv.normalized)
+        write_weight_table(f, table.problem_ids, p, raw, normalized)
 
 
 def _cmd_select_exponents(args: argparse.Namespace) -> None:
@@ -263,7 +263,8 @@ def _cmd_simulate(args: argparse.Namespace) -> None:
         + ", ".join(str(s) for s in metrics.recompute_steps)
     )
     # One warning, at the first recompute whose eta * L breaks the descent lemma.
-    for step, eta_l in zip(metrics.recompute_steps, metrics.eta_l):
+    for step, smoothness in zip(metrics.recompute_steps, metrics.smoothness):
+        eta_l = world.config.learning_rate * smoothness
         if eta_l >= 2.0:
             forward = world.config.loss_direction == "forward"
             scope = "" if forward else "; the bound covers forward KL only"
@@ -273,14 +274,13 @@ def _cmd_simulate(args: argparse.Namespace) -> None:
             )
             break
     # Feature rows are unit vectors, so L is 0 exactly when every weight is.
-    if world.config.learning_rate > 0.0:
-        for step, eta_l in zip(metrics.recompute_steps, metrics.eta_l):
-            if eta_l == 0.0:
-                _log(
-                    f"warning: every weight is zero at step {step}, "
-                    "so the updates until the next recompute change nothing"
-                )
-                break
+    for step, smoothness in zip(metrics.recompute_steps, metrics.smoothness):
+        if smoothness == 0.0:
+            _log(
+                f"warning: every weight is zero at step {step}, "
+                "so the updates until the next recompute change nothing"
+            )
+            break
     if metrics.stage_switch_step is not None:
         _log(f"stage switch at step {metrics.stage_switch_step}")
     final = metrics.rows[-1]

@@ -50,8 +50,9 @@ only, in batch order; each draw is keyed by its problem and each column's
 arithmetic reads that column alone, so those columns equal the same
 columns of a full computation.
 
-At each weight recompute train records eta * L, with L the forward-KL
-smoothness constant of variance.smoothness_constant, in SimMetrics.eta_l.
+At each weight recompute train records the forward-KL smoothness constant
+L of variance.smoothness_constant in SimMetrics.smoothness; a step size
+eta with eta * L >= 2 is past the descent lemma's bound.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ConfigError, DomainError, NumericError
-from .kernel import SCHEMES, normalize_weights, raw_weights
+from .kernel import SCHEMES, raw_weights, unit_mean
 from .numerics import _sum_axis0, log_softmax, stream, stream_uniforms
 from .passrate import THREE_BIN_EDGES, RolloutTable, histogram
 from .snr_profile import GradientTable
@@ -221,8 +222,8 @@ class SimMetrics:
     recompute_steps: tuple[int, ...]
     stage_switch_step: int | None
     gradient_dumps: dict[int, GradientTable] = field(default_factory=dict)
-    # eta * variance.smoothness_constant at each step of recompute_steps.
-    eta_l: tuple[float, ...] = ()
+    # variance.smoothness_constant of the weights at each step of recompute_steps.
+    smoothness: tuple[float, ...] = ()
 
 
 def _unit_rows(v: np.ndarray) -> np.ndarray:
@@ -449,13 +450,12 @@ def _sampled_reverse_diffs(
 
 
 def _weights(world: SimWorld, counts: np.ndarray) -> np.ndarray:
-    """Normalized weights from per-problem success counts out of rollout_count."""
+    """Unit-mean weights from per-problem success counts out of rollout_count."""
     c = world.config
-    raw = raw_weights(
+    return unit_mean(raw_weights(
         counts / c.rollout_count, c.scheme, c.alpha, c.beta, c.filter_lo, c.filter_hi,
         c.weight_floor,
-    )
-    return normalize_weights(list(zip(world.problem_ids, raw.tolist()))).normalized
+    ))
 
 
 def _direction_at(config: SimConfig, local_step: int, switch_step: int) -> str:
@@ -533,7 +533,7 @@ def train(world: SimWorld, *, snr_dump_steps: Iterable[int] = ()) -> SimMetrics:
 
     base = world.step
     recompute_steps: list[int] = []
-    eta_l: list[float] = []
+    smoothness: list[float] = []
     rows: list[CheckpointRow] = []
     dumps: dict[int, GradientTable] = {}
     probs = None
@@ -559,7 +559,7 @@ def train(world: SimWorld, *, snr_dump_steps: Iterable[int] = ()) -> SimMetrics:
             counts = _sample_pass_rates(world, config.rollout_count, "rollout", probs).sum(axis=1)
             weights = _weights(world, counts)
             recompute_steps.append(world.step)
-            eta_l.append(config.learning_rate * smoothness_constant(world.features, weights))
+            smoothness.append(smoothness_constant(world.features, weights))
 
         if local % config.eval_interval == 0 or local == t_total:
             rows.append(_eval_checkpoint(world, weights, direction, probs))
@@ -581,7 +581,7 @@ def train(world: SimWorld, *, snr_dump_steps: Iterable[int] = ()) -> SimMetrics:
             base + switch_step if config.loss_direction == "two_stage" else None
         ),
         gradient_dumps=dumps,
-        eta_l=tuple(eta_l),
+        smoothness=tuple(smoothness),
     )
 
 

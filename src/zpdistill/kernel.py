@@ -6,12 +6,11 @@ kernel and alpha = beta = 0 is the flat kernel w(p) = 1. For positive
 exponents the kernel is exactly zero at p in {0, 1}; no floor is applied
 unless a caller passes one explicitly.
 
-Pass rates enter as arrays: raw_weights() is the one weighting rule of the
-CLI and the simulator, and zpd_moments() takes the (N,) pass rates of a
-RolloutTable. normalize_weights() takes (problem_id, weight) pairs and
-returns a WeightVector. Normalization divides by the mean over ALL entries,
-zero weights included, so dropping problems lowers the mean and raises the
-surviving weights.
+Pass rates and weights are arrays: raw_weights() is the one weighting rule
+of the CLI and the simulator, unit_mean() scales its (N,) result to unit
+mean, and zpd_moments() takes the (N,) pass rates of a RolloutTable.
+unit_mean() divides by the mean over ALL entries, zero weights included,
+so dropping problems lowers the mean and raises the surviving weights.
 
 select_exponents() inverts (mean, variance) of the in-band pass rates into
 kernel exponents by matching the moments of Beta(alpha+1, beta+1). The
@@ -25,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -35,14 +33,14 @@ from .passrate import hard_filter
 __all__ = [
     "SCHEMES",
     "KernelParams",
-    "WeightVector",
     "ZpdMoments",
     "beta_weight",
     "kernel_peak",
-    "normalize_weights",
     "raw_weights",
+    "unit_mean",
     "zpd_moments",
     "select_exponents",
+    "at_flat_boundary",
     "saturated_weight",
     "q_signal",
     "fisher_info",
@@ -70,30 +68,6 @@ class KernelParams:
     @property
     def flat(self) -> bool:
         return self.alpha == 0.0 and self.beta == 0.0
-
-
-@dataclass(frozen=True)
-class WeightVector:
-    """Per-problem raw and unit-mean-normalized weights.
-
-    degenerate is True when every raw weight is zero; normalized weights are
-    then all zero as well.
-    """
-
-    entries: tuple[tuple[str, float, float], ...]
-    degenerate: bool
-
-    @property
-    def problem_ids(self) -> tuple[str, ...]:
-        return tuple(e[0] for e in self.entries)
-
-    @property
-    def raw(self) -> np.ndarray:
-        return np.array([e[1] for e in self.entries], dtype=np.float64)
-
-    @property
-    def normalized(self) -> np.ndarray:
-        return np.array([e[2] for e in self.entries], dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -149,15 +123,18 @@ def raw_weights(
     """Raw weight of each pass rate in p under one weighting scheme.
 
     beta: max(w(p), floor) with w the Beta kernel. hard: 1 inside the
-    inclusive band [lo, hi], else max(0, floor). unweighted: 1. The scalar
-    rule runs once per distinct pass rate and is indexed back, so each
-    weight is exactly the scalar function's value.
+    inclusive band [lo, hi], else floor. unweighted: 1. floor must be
+    finite and >= 0. The scalar rule runs once per distinct pass rate and
+    is indexed back, so each weight is exactly the scalar function's value.
     """
+    if not (math.isfinite(floor) and floor >= 0.0):
+        raise DomainError(f"floor must be finite and >= 0, got {floor!r}")
     values, inverse = np.unique(np.asarray(p, dtype=np.float64), return_inverse=True)
     if scheme == "beta":
         params = KernelParams(alpha, beta)
         table = [max(beta_weight(v, params), floor) for v in values.tolist()]
     elif scheme == "hard":
+        # max turns a floor of -0.0 into 0.0, as the beta rule's max does.
         table = [
             1.0 if hard_filter(v, lo, hi) else max(0.0, floor) for v in values.tolist()
         ]
@@ -168,24 +145,20 @@ def raw_weights(
     return np.array(table, dtype=np.float64)[inverse]
 
 
-def normalize_weights(raw: Sequence[tuple[str, float]]) -> WeightVector:
-    """Divide every weight by the mean over all entries (zeros included)."""
-    if len(raw) == 0:
-        raise InsufficientDataError("normalize_weights requires at least one entry")
-    ids = [pid for pid, _ in raw]
-    if len(set(ids)) != len(ids):
-        raise DomainError("raw weights contain duplicate problem ids")
-    weights = np.array([w for _, w in raw], dtype=np.float64)
-    if np.any(~np.isfinite(weights)) or np.any(weights < 0.0):
+def unit_mean(raw: np.ndarray) -> np.ndarray:
+    """raw divided by its mean over all entries, zeros included.
+
+    All-zero weights stay all zero.
+    """
+    raw = np.asarray(raw, dtype=np.float64)
+    if raw.size == 0:
+        raise InsufficientDataError("unit_mean requires at least one weight")
+    if not np.isfinite(raw).all() or (raw < 0.0).any():
         raise DomainError("raw weights must be finite and nonnegative")
-    mean = float(weights.mean())
+    mean = raw.mean()
     if mean == 0.0:
-        entries = tuple((pid, float(w), 0.0) for (pid, _), w in zip(raw, weights))
-        return WeightVector(entries=entries, degenerate=True)
-    entries = tuple(
-        (pid, float(w), float(w / mean)) for (pid, _), w in zip(raw, weights)
-    )
-    return WeightVector(entries=entries, degenerate=False)
+        return np.zeros_like(raw)
+    return raw / mean
 
 
 def zpd_moments(p: np.ndarray, epsilon: float) -> ZpdMoments:

@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from zpdistill.cli import _OVERRIDES, main
@@ -12,8 +13,8 @@ from zpdistill.fileio import fmt, load_gradient_records
 from zpdistill.kernel import (
     KernelParams,
     beta_weight,
-    normalize_weights,
     select_exponents,
+    unit_mean,
     zpd_moments,
 )
 from zpdistill.variance import VarianceSpec, variance_ratio_beta
@@ -53,9 +54,8 @@ class TestWeight:
         assert main(["weight", str(path), "--alpha", "1.5", "--beta", "0.5"]) == 0
         rows = _table(capsys.readouterr().out)
         params = KernelParams(1.5, 0.5)
-        raw = [(pid, beta_weight(s / k, params)) for pid, s, k in spec]
-        wv = normalize_weights(raw)
-        for row, (pid, w), wn in zip(rows, raw, wv.normalized):
+        raw = [beta_weight(s / k, params) for _, s, k in spec]
+        for row, (pid, _, _), w, wn in zip(rows, spec, raw, unit_mean(np.array(raw))):
             assert row["problem_id"] == pid
             assert float(row["w"]) == pytest.approx(w, rel=1e-9)
             assert float(row["w_norm"]) == pytest.approx(wn, rel=1e-9)
@@ -77,6 +77,15 @@ class TestWeight:
         assert "warning" in captured.err
         rows = _table(captured.out)
         assert all(float(r["w_norm"]) == 0.0 for r in rows)
+
+    @pytest.mark.parametrize("floor", ["nan", "-1", "inf"])
+    def test_floor_that_is_not_finite_and_nonnegative_exits_1(self, tmp_path, capsys, floor):
+        path = _write_rollouts(tmp_path / "r.jsonl", [("a", 2, 4)])
+        assert main(["weight", str(path), "--floor", floor]) == 1
+        captured = capsys.readouterr()
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: floor ")
+        assert captured.out == ""
 
     def test_out_flag_writes_file(self, tmp_path):
         path = _write_rollouts(tmp_path / "r.jsonl", [("a", 4, 8), ("b", 6, 8)])
@@ -438,8 +447,8 @@ class TestSimulate:
     def test_divergent_step_size_warns_once(self, capsys):
         assert main(["simulate", "--steps", "6", "--eta", "1e300"]) == 0
         (line,) = self._warnings(capsys.readouterr().err)
-        eta_l = train(build_world(SimConfig(steps=6, learning_rate=1e300))).eta_l[0]
-        assert f"eta*L = {fmt(eta_l)} >= 2 at step 0" in line
+        smoothness = train(build_world(SimConfig(steps=6, learning_rate=1e300))).smoothness[0]
+        assert f"eta*L = {fmt(1e300 * smoothness)} >= 2 at step 0" in line
         assert "forward KL only" not in line
 
     @pytest.mark.parametrize("schedule", ["reverse", "two_stage"])
@@ -482,6 +491,13 @@ class TestSimulate:
 
     def test_zero_step_size_does_not_warn(self, capsys):
         assert main(["simulate", "--steps", "2", "--eta", "0"]) == 0
+        assert self._warnings(capsys.readouterr().err) == []
+
+    def test_underflowing_step_size_does_not_warn(self, tmp_path, capsys):
+        # eta * L underflows to 0 here while the golden weights are far from zero.
+        args = ["simulate", "--config", str(_GOLDEN_CFG), "--steps", "2", "--eta", "1e-323",
+                "--out", str(tmp_path / "m.csv")]
+        assert main(args) == 0
         assert self._warnings(capsys.readouterr().err) == []
 
     def test_golden_run_does_not_warn(self, tmp_path, capsys):

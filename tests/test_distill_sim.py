@@ -26,7 +26,7 @@ from zpdistill.distill_sim import (
 )
 from zpdistill.errors import ConfigError, DomainError, NumericError
 from zpdistill.fileio import fmt, write_metrics
-from zpdistill.kernel import normalize_weights
+from zpdistill.kernel import unit_mean
 from zpdistill.numerics import log_softmax, stream
 from zpdistill.passrate import hard_filter
 from zpdistill.snr_profile import bell_shape_score, compute_snr_bins
@@ -362,11 +362,8 @@ class TestTrain:
 
         w_manual = build_world(cfg)
         table = run_rollouts(w_manual, cfg.rollout_count)
-        raw = [
-            (pid, 1.0 if hard_filter(p, cfg.filter_lo, cfg.filter_hi) else 0.0)
-            for pid, p in zip(table.problem_ids, table.p.tolist())
-        ]
-        weights = normalize_weights(raw).normalized
+        raw = [1.0 if hard_filter(p, cfg.filter_lo, cfg.filter_hi) else 0.0 for p in table.p]
+        weights = unit_mean(np.array(raw))
         diffs = _diffs(_step_probs(w_manual), "forward").T
         grad = w_manual.features.T @ ((weights[:, None] / cfg.num_problems) * diffs)
         expected = w_manual.theta - cfg.learning_rate * grad
@@ -504,15 +501,15 @@ class TestGoldenStepZero:
         )
 
     def test_step_size_times_smoothness_at_recompute(self):
-        # eta * L of the step-0 weights: golden sits well below the
+        # L of the step-0 weights: golden's eta * L sits well below the
         # divergence line eta * L = 2.
         cfg = dataclasses.replace(SimConfig(), steps=1, eval_interval=1)
         world = build_world(cfg)
         weights = _weights(world, run_rollouts(world, cfg.rollout_count).successes)
         metrics = train(world)
-        want = cfg.learning_rate * smoothness_constant(world.features, weights)
-        assert metrics.eta_l == (want,)
-        assert want == pytest.approx(0.321, abs=1e-3)
+        want = smoothness_constant(world.features, weights)
+        assert metrics.smoothness == (want,)
+        assert cfg.learning_rate * want == pytest.approx(0.321, abs=1e-3)
 
     def test_frozen_initial_bell_ratio(self):
         cfg = dataclasses.replace(SimConfig(), steps=1, eval_interval=1)

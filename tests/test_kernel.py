@@ -6,17 +6,18 @@ from hypothesis import given, settings, strategies as st
 
 from zpdistill.errors import DegenerateInputError, DomainError, InsufficientDataError
 from zpdistill.kernel import (
+    SCHEMES,
     KernelParams,
     ZpdMoments,
     at_flat_boundary,
     beta_weight,
     fisher_info,
     kernel_peak,
-    normalize_weights,
     q_signal,
     raw_weights,
     saturated_weight,
     select_exponents,
+    unit_mean,
     zpd_moments,
 )
 from zpdistill.passrate import hard_filter
@@ -99,46 +100,46 @@ class TestKernelPeak:
 
 class TestNormalizeWeights:
     def test_unit_mean_includes_zero_entries(self):
-        wv = normalize_weights([("a", 1.0), ("b", 0.0), ("c", 2.0)])
-        assert np.mean(wv.normalized) == pytest.approx(1.0, abs=1e-12)
-        assert wv.normalized[1] == 0.0
-        assert not wv.degenerate
+        w = unit_mean(np.array([1.0, 0.0, 2.0]))
+        assert np.mean(w) == pytest.approx(1.0, abs=1e-12)
+        assert w[1] == 0.0
 
-    def test_preserves_order_and_ids(self):
-        wv = normalize_weights([("z", 2.0), ("a", 1.0)])
-        assert wv.problem_ids == ("z", "a")
-        assert wv.normalized[0] == pytest.approx(2.0 * wv.normalized[1])
+    def test_preserves_order(self):
+        w = unit_mean(np.array([2.0, 1.0]))
+        assert w[0] == pytest.approx(2.0 * w[1])
 
-    def test_all_zero_flags_degenerate(self):
-        wv = normalize_weights([("a", 0.0), ("b", 0.0)])
-        assert wv.degenerate
-        assert tuple(wv.normalized) == (0.0, 0.0)
+    def test_all_zero_stays_zero(self):
+        assert np.array_equal(unit_mean(np.zeros(2)), [0.0, 0.0])
 
     def test_rejects_negative_and_nonfinite(self):
         with pytest.raises(DomainError):
-            normalize_weights([("a", -0.1)])
+            unit_mean(np.array([-0.1]))
         with pytest.raises(DomainError):
-            normalize_weights([("a", math.nan)])
+            unit_mean(np.array([math.nan]))
 
-    def test_rejects_empty_and_duplicate_ids(self):
+    def test_rejects_empty(self):
         with pytest.raises(InsufficientDataError):
-            normalize_weights([])
-        with pytest.raises(DomainError):
-            normalize_weights([("a", 1.0), ("a", 2.0)])
+            unit_mean(np.array([]))
 
     @given(
-        # Subnormals excluded: w * c can underflow to exactly 0.0 and flip
-        # the degenerate flag, which is float artifact rather than scale law.
+        # Subnormals excluded: w * c can underflow to exactly 0.0 and turn a
+        # nonzero vector into an all-zero one, a float artifact rather than
+        # the scale law.
         st.lists(st.floats(0.0, 100.0, allow_subnormal=False), min_size=1, max_size=30),
         st.floats(0.01, 100.0),
     )
     def test_scale_invariance(self, raw, c):
-        pairs = [(f"p{i}", w) for i, w in enumerate(raw)]
-        scaled = [(f"p{i}", w * c) for i, w in enumerate(raw)]
-        a = normalize_weights(pairs)
-        b = normalize_weights(scaled)
-        assert a.degenerate == b.degenerate
-        assert np.allclose(a.normalized, b.normalized, rtol=1e-9, atol=1e-12)
+        a = unit_mean(np.array(raw))
+        b = unit_mean(np.array(raw) * c)
+        assert np.allclose(a, b, rtol=1e-9, atol=1e-12)
+
+    @given(st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1e6)), min_size=1, max_size=30))
+    def test_equals_per_entry_division_by_the_mean(self, raw):
+        # The per-entry rule the array function replaced, zeros included.
+        weights = np.array(raw, dtype=np.float64)
+        mean = float(weights.mean())
+        want = [0.0 if mean == 0.0 else float(w / mean) for w in weights]
+        assert np.array_equal(unit_mean(weights), want)
 
 
 class TestRawWeights:
@@ -169,6 +170,10 @@ class TestRawWeights:
             raw_weights(np.array([0.5, 1.5]), "beta")
         with pytest.raises(DomainError):
             raw_weights(np.array([0.5]), "hard", lo=0.8, hi=0.2)
+        for scheme in SCHEMES:
+            for floor in (math.nan, -1.0, math.inf):
+                with pytest.raises(DomainError, match="floor"):
+                    raw_weights(np.array([0.5]), scheme, floor=floor)
 
 
 class TestZpdMoments:

@@ -27,6 +27,7 @@ from zpdistill.distill_sim import (
     measure_snr,
     retention,
     reverse_kl,
+    run_rollouts,
     train,
 )
 from zpdistill.distill_sim import (
@@ -349,3 +350,18 @@ def test_train_peak_allocation_is_a_few_step_arrays(name):
     finally:
         tracemalloc.stop()
     assert peak <= bound * array_bytes
+
+
+def test_weight_recompute_allocates_a_fraction_of_a_step_array():
+    # One recompute at N = 5000 peaked at 0.39 (N, V) arrays above its
+    # entry; building (problem_id, weight) tuples on the way peaked at 1.82.
+    cfg = SimConfig(num_problems=5000)
+    world = build_world(cfg)
+    counts = run_rollouts(world, cfg.rollout_count).successes
+    tracemalloc.start()
+    try:
+        _weights(world, counts)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.75 * cfg.num_problems * cfg.vocab_size * 8
