@@ -30,7 +30,8 @@ order and identical configs replay bit-for-bit. Rollouts for weighting,
 telemetry, and SNR measurement use distinct purpose labels. Per-problem
 draws are taken for all problems at once with numerics.stream_uniforms,
 which reproduces numerics.stream() bit for bit; stream() remains the
-contract that defines every draw.
+contract that defines every draw. build_world keys the problems once, as
+SimWorld.problem_tokens, and a minibatch takes its rows of that array.
 
 Per-step arithmetic: train computes the student's log-probabilities and
 probabilities once per step, with out= ufuncs into two buffers allocated
@@ -59,13 +60,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
 from .errors import ConfigError, DomainError, NumericError
 from .kernel import SCHEMES, raw_weights, unit_mean
-from .numerics import _sum_axis0, log_softmax, stream, stream_uniforms
+from .numerics import _sum_axis0, label_tokens, log_softmax, stream, stream_uniforms
 from .passrate import THREE_BIN_EDGES, RolloutTable, histogram
 from .snr_profile import GradientTable
 from .variance import smoothness_constant
@@ -189,6 +190,7 @@ class SimWorld:
 
     config: SimConfig
     problem_ids: tuple[str, ...]
+    problem_tokens: np.ndarray  # (N,) numerics.label_tokens(problem_ids)
     features: np.ndarray  # (N, F), unit rows
     answers: np.ndarray  # (N,), int tokens
     # (N, V) transposes of C-ordered (V, N) arrays: .T is vocabulary-major.
@@ -280,9 +282,11 @@ def build_world(config: SimConfig) -> SimWorld:
     )
     anchor_log_targets = log_softmax(anchor_features @ theta, axis=1)
 
+    problem_ids = tuple(f"p{i:04d}" for i in range(n))
     return SimWorld(
         config=config,
-        problem_ids=tuple(f"p{i:04d}" for i in range(n)),
+        problem_ids=problem_ids,
+        problem_tokens=label_tokens(problem_ids),
         features=features,
         answers=answers,
         teacher_logits=teacher_logits.T,
@@ -295,18 +299,21 @@ def build_world(config: SimConfig) -> SimWorld:
 
 
 def _categorical(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """(N, k) tokens drawn by inverting each column of the (V, N) probs at
-    the uniforms u, row i of u for column i.
+    """(k, N) tokens drawn by inverting each column of the (V, N) probs at
+    the (k, N) uniforms u, column i of u for column i.
 
     Counting cdf entries <= u equals searchsorted(cdf, u, side="right") on a
     nondecreasing cdf; the clamp catches a cdf that rounds to below 1. The
-    count runs one vocabulary entry at a time to keep temporaries at (N, k).
+    count runs one vocabulary entry at a time, into one (k, N) mask and the
+    smallest unsigned integer type that holds V.
     """
+    v = probs.shape[0]
     cdf = np.cumsum(probs, axis=0)
-    tokens = np.zeros(u.shape, dtype=np.intp)
+    tokens = np.zeros(u.shape, dtype=np.min_scalar_type(v))
+    hit = np.empty(u.shape, dtype=bool)
     for entry in cdf:
-        tokens += entry[:, None] <= u
-    return np.minimum(tokens, probs.shape[0] - 1, out=tokens)
+        tokens += np.less_equal(entry, u, out=hit)
+    return np.minimum(tokens, v - 1, out=tokens)
 
 
 @dataclass(frozen=True)
@@ -348,7 +355,7 @@ def _step_probs(world: SimWorld, buffers: _Probs | None = None) -> _Probs:
 def _sample_pass_rates(
     world: SimWorld, k: int, purpose: str, probs: _Probs | None = None
 ) -> np.ndarray:
-    """(N, k) correctness of k rollouts per problem at the current step.
+    """(k, N) correctness of k rollouts per problem at the current step.
 
     At rollout temperature 1 the step's shared probs are sampled as they
     are, since dividing the logits by 1.0 is exact.
@@ -360,14 +367,14 @@ def _sample_pass_rates(
     else:
         logits = world.student_logits().T / world.config.rollout_temperature
         sample_probs = np.exp(log_softmax(logits, axis=0, out=logits))
-    u = stream_uniforms((world.config.seed, purpose, world.step), world.problem_ids, k)
-    return _categorical(sample_probs, u) == world.answers[:, None]
+    u = stream_uniforms((world.config.seed, purpose, world.step), world.problem_tokens, k)
+    return _categorical(sample_probs, u) == world.answers
 
 
 def run_rollouts(world: SimWorld, K: int) -> RolloutTable:
     """Successes of K rollouts per problem at the current step (weighting
     stream)."""
-    successes = _sample_pass_rates(world, K, "rollout").sum(axis=1)
+    successes = _sample_pass_rates(world, K, "rollout").sum(axis=0)
     return RolloutTable(world.problem_ids, successes, np.full(successes.shape, K))
 
 
@@ -418,32 +425,32 @@ def reverse_kl(world: SimWorld, problem_index: int) -> tuple[float, np.ndarray]:
 
 
 def _sampled_reverse_diffs(
-    world: SimWorld, probs: _Probs, problem_ids: Sequence[str], n_samples: int
+    world: SimWorld, probs: _Probs, tokens: np.ndarray, n_samples: int
 ) -> np.ndarray:
     """Score-function estimate of the reverse-KL logit gradient columns.
 
-    Column i of probs belongs to problem_ids[i]; a minibatch step passes
-    only its batch columns. Each problem's draws come from its own key
-    (seed, "revkl", step, id), and every column's cdf, draws and sum depend
-    on that column alone, so any subset of columns equals those columns of
-    the full result. Samples are accumulated one at a time, in draw order,
-    for all columns together, so each column's sum is the same sequential
-    sum as per problem. A sample's term r * (onehot - ps) is subtracted as
-    r * ps with its token entry set to r * (ps - 1): both are exact
-    negations, so the sum is bit-identical. probs.log_ps is overwritten
-    with the log-ratio.
+    Column i of probs belongs to the problem keyed by tokens[i]; a minibatch
+    step passes only its batch columns. Each problem's draws come from its
+    own key (seed, "revkl", step, id), and every column's cdf, draws and
+    sum depend on that column alone, so any subset of columns equals those
+    columns of the full result. Samples are accumulated one at a time, in
+    draw order, for all columns together, so each column's sum is the same
+    sequential sum as per problem. A sample's term r * (onehot - ps) is
+    subtracted as r * ps with its token entry set to r * (ps - 1): both are
+    exact negations, so the sum is bit-identical. probs.log_ps is
+    overwritten with the log-ratio.
     """
     ps = probs.ps
     ratio = np.subtract(probs.log_ps, probs.log_pt, out=probs.log_ps)
-    u = stream_uniforms((world.config.seed, "revkl", world.step), problem_ids, n_samples)
+    u = stream_uniforms((world.config.seed, "revkl", world.step), tokens, n_samples)
     draws = _categorical(ps, u)
     cols = np.arange(ps.shape[1])
     acc = np.zeros_like(ps)
     term = np.empty_like(ps)
-    for tokens in draws.T:
-        r = ratio[tokens, cols]
+    for draw in draws:
+        r = ratio[draw, cols]
         np.multiply(ps, r, out=term)
-        term[tokens, cols] = r * (ps[tokens, cols] - 1.0)
+        term[draw, cols] = r * (ps[draw, cols] - 1.0)
         acc -= term
     acc /= n_samples
     return acc
@@ -468,7 +475,7 @@ def _eval_checkpoint(
     world: SimWorld, weights: np.ndarray, direction: str, probs: _Probs
 ) -> CheckpointRow:
     k = world.config.rollout_count
-    p = _sample_pass_rates(world, k, "eval", probs).sum(axis=1) / k
+    p = _sample_pass_rates(world, k, "eval", probs).sum(axis=0) / k
     hist = histogram(p, THREE_BIN_EDGES)
     loss = float(np.mean(weights * _kl_rows(probs, direction)))
     if not math.isfinite(loss):
@@ -494,17 +501,17 @@ def _descend(world: SimWorld, weights: np.ndarray, direction: str, probs: _Probs
     copies of its columns.
     """
     config = world.config
-    rows, ids = slice(None), world.problem_ids
+    rows = slice(None)
     if config.batch_size is not None:
         gen = stream(config.seed, "batch", world.step)
         rows = gen.choice(config.num_problems, size=config.batch_size, replace=False)
-        ids = [world.problem_ids[i] for i in rows]
         probs = probs.take(rows)
+    tokens = world.problem_tokens[rows]
     if direction == "reverse" and config.reverse_kl_samples > 0:
-        diffs = _sampled_reverse_diffs(world, probs, ids, config.reverse_kl_samples)
+        diffs = _sampled_reverse_diffs(world, probs, tokens, config.reverse_kl_samples)
     else:
         diffs = _diffs(probs, direction, in_place=True)
-    diffs *= weights[rows] / len(ids)
+    diffs *= weights[rows] / len(tokens)
     grad = world.features[rows].T @ diffs.T
     world.theta = world.theta - config.learning_rate * grad
 
@@ -556,7 +563,7 @@ def train(world: SimWorld, *, snr_dump_steps: Iterable[int] = ()) -> SimMetrics:
             )
         )
         if needs_recompute:
-            counts = _sample_pass_rates(world, config.rollout_count, "rollout", probs).sum(axis=1)
+            counts = _sample_pass_rates(world, config.rollout_count, "rollout", probs).sum(axis=0)
             weights = _weights(world, counts)
             recompute_steps.append(world.step)
             smoothness.append(smoothness_constant(world.features, weights))
@@ -602,7 +609,7 @@ def measure_snr(
     if probs is None:
         probs = _step_probs(world)
     k = world.config.rollout_count
-    counts = _sample_pass_rates(world, k, "snr", probs).sum(axis=1)
+    counts = _sample_pass_rates(world, k, "snr", probs).sum(axis=0)
     diffs = _diffs(probs, loss_direction).T
     grads = world.features[:, :, None] * diffs[:, None, :]
     return GradientTable(world.problem_ids, counts / k, grads.reshape(len(counts), -1))

@@ -148,16 +148,22 @@ def raw_weights(
 def unit_mean(raw: np.ndarray) -> np.ndarray:
     """raw divided by its mean over all entries, zeros included.
 
-    All-zero weights stay all zero.
+    All-zero weights stay all zero. When the mean overflows, or underflows
+    to 0 beside a nonzero entry, raw is divided by its maximum first; every
+    other input takes raw / mean as it is.
     """
     raw = np.asarray(raw, dtype=np.float64)
     if raw.size == 0:
         raise InsufficientDataError("unit_mean requires at least one weight")
     if not np.isfinite(raw).all() or (raw < 0.0).any():
         raise DomainError("raw weights must be finite and nonnegative")
-    mean = raw.mean()
-    if mean == 0.0:
+    with np.errstate(over="ignore"):
+        mean = raw.mean()
+    if mean == 0.0 and not raw.any():
         return np.zeros_like(raw)
+    if mean == 0.0 or not math.isfinite(mean):
+        raw = raw / raw.max()
+        mean = raw.mean()
     return raw / mean
 
 

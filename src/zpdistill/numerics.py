@@ -10,17 +10,19 @@ streams regardless of creation order or how many other streams exist, which
 is what makes per-problem sampling order-independent.
 
 stream_uniforms() draws the first k uniforms of many such streams at once,
-one per label under a shared key prefix. It runs Philox4x64-10 in numpy over
-all keys together (Salmon et al., "Parallel Random Numbers: As Easy as 1, 2,
-3", SC 2011) and reproduces stream() bit for bit; stream() remains the
-contract and the test oracle.
+one per label under a shared key prefix, and reproduces stream() bit for
+bit; stream() remains the contract and the test oracle. The labels come as
+label_tokens(), built once (per world in the simulator). It runs
+Philox4x64-10 in numpy over all keys together (Salmon et al., "Parallel
+Random Numbers: As Easy as 1, 2, 3", SC 2011) on (blocks, N) words, with
+round 0 folded, and returns (k, N) uniforms, one column per label.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -35,6 +37,7 @@ __all__ = [
     "log_softmax",
     "softmax",
     "stream",
+    "label_tokens",
     "stream_uniforms",
 ]
 
@@ -180,70 +183,91 @@ def stream(*key_parts: int | str) -> np.random.Generator:
 def _mulhilo(m: np.uint64, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """High and low 64-bit words of the 128-bit product m * x.
 
-    The 32-bit partial products are combined in place (uint64 arithmetic is
-    exact modulo 2**64, so the order of the additions does not matter).
+    The high word is built from 32-bit halves as in Warren, Hacker's Delight
+    (2nd ed.), section 8-2, in place in four buffers of x's shape; no
+    partial sum can exceed 2**64 - 1, so every step is exact.
     """
     m_lo, m_hi = m & _LOW32, m >> _U32
-    x_lo, x_hi = x & _LOW32, x >> _U32
-    lh, hl = m_lo * x_hi, m_hi * x_lo
-    mid = m_lo * x_lo
-    mid >>= _U32
-    mid += lh & _LOW32
-    mid += hl & _LOW32
-    mid >>= _U32
-    hi = m_hi * x_hi
-    lh >>= _U32
-    hl >>= _U32
-    hi += lh
-    hi += hl
-    hi += mid
-    return hi, m * x
+    x_lo = x & _LOW32
+    hi = x >> _U32
+    w = m_lo * x_lo
+    x_lo *= m_hi
+    t = m_lo * hi
+    hi *= m_hi
+    w >>= _U32
+    t += w
+    np.bitwise_and(t, _LOW32, out=w)
+    t >>= _U32
+    w += x_lo
+    hi += t
+    w >>= _U32
+    hi += w
+    return hi, np.multiply(m, x, out=t)
 
 
 def _philox4x64(keys: np.ndarray, blocks: int) -> np.ndarray:
-    """(N, 4 * blocks) output words of Philox4x64-10 for N 128-bit keys.
+    """(4 * blocks, N) output words of Philox4x64-10 for the (N, 2) keys.
 
-    numpy increments the counter before generating a block, so a fresh
-    generator's first block is keyed at counter 1, not 0.
+    Row j is word j of each key's stream. numpy increments the counter
+    before generating a block, so a fresh generator's b-th block is keyed at
+    counter b + 1 with the other three counter words zero. Round 0 is
+    therefore folded: it leaves c0 = k0, c1 = 0, c2 = hi(M0 * ctr) ^ k1 and
+    c3 = lo(M0 * ctr), where the products are (blocks, 1) constants.
     """
-    n = keys.shape[0]
-    k0, k1 = keys[:, :1], keys[:, 1:]
-    c0 = np.tile(np.arange(1, blocks + 1, dtype=np.uint64), (n, 1))
-    c1, c2, c3 = (np.zeros((n, blocks), dtype=np.uint64) for _ in range(3))
-    for r in range(_PHILOX_ROUNDS):
-        if r:
-            k0, k1 = k0 + _PHILOX_W0, k1 + _PHILOX_W1
+    k0, k1 = keys[:, 0], keys[:, 1]
+    hi, lo = _mulhilo(_PHILOX_M0, np.arange(1, blocks + 1, dtype=np.uint64)[:, None])
+    c0, c1, c2, c3 = k0, np.uint64(0), hi ^ k1, lo
+    for _ in range(1, _PHILOX_ROUNDS):
+        k0, k1 = k0 + _PHILOX_W0, k1 + _PHILOX_W1
         hi0, lo0 = _mulhilo(_PHILOX_M0, c0)
         hi1, lo1 = _mulhilo(_PHILOX_M1, c2)
-        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
-    return np.stack((c0, c1, c2, c3), axis=2).reshape(n, 4 * blocks)
+        hi1 ^= c1
+        hi1 ^= k0
+        c2 = hi0 ^ c3  # c3 is (blocks, 1) and hi0 (N,) in round 1
+        c2 ^= k1
+        c0, c1, c3 = hi1, lo1, lo0
+    return np.stack((c0, c1, c2, c3), axis=1).reshape(4 * blocks, keys.shape[0])
 
 
-def stream_uniforms(
-    prefix: Sequence[int | str], labels: Sequence[int | str], k: int
-) -> np.ndarray:
-    """(len(labels), k) uniforms; row i is stream(*prefix, labels[i]).random(k).
+def label_tokens(labels: Sequence[int | str]) -> np.ndarray:
+    """(N,) bytes array of each label's typed key token, for stream_uniforms.
 
-    The shared prefix is hashed once and each label is added to a copy of
-    that state, which gives the same keys as stream(). Philox then runs over
-    all keys at once, and each output word x becomes (x >> 11) * 2**-53,
-    numpy's double conversion, so the rows match stream() bit for bit.
+    numpy drops trailing NULs from an S item, but every token ends in
+    b"\x1f", so each item reads back as its token exactly.
+    """
+    _check_key_parts(labels)
+    width = max(map(len, map(_token, labels)), default=1)
+    return np.fromiter(map(_token, labels), dtype=f"S{width}", count=len(labels))
+
+
+def stream_uniforms(prefix: Sequence[int | str], tokens: np.ndarray, k: int) -> np.ndarray:
+    """(k, N) uniforms; column j is stream(*prefix, labels[j]).random(k)
+    for tokens = label_tokens(labels).
+
+    The shared prefix is hashed once and each token is added to a copy of
+    that state, which gives stream()'s keys. Philox then runs over all keys
+    at once, and each output word x becomes (x >> 11) * 2**-53, numpy's
+    double conversion, so the columns match stream() bit for bit.
     """
     if isinstance(k, bool) or not isinstance(k, int) or k < 0:
         raise DomainError(f"stream_uniforms requires an integer k >= 0, got {k!r}")
-    words = _philox4x64(_label_keys(prefix, labels), -(-k // 4))[:, :k]
+    if not isinstance(tokens, np.ndarray) or tokens.dtype.kind != "S" or tokens.ndim != 1:
+        raise DomainError("stream_uniforms takes the 1-d array of label_tokens(labels)")
+    words = _philox4x64(_label_keys(prefix, tokens), -(-k // 4))[:k]
     words >>= _U11
     return words * 2.0**-53
 
 
-def _label_keys(prefix: Sequence[int | str], labels: Sequence[int | str]) -> np.ndarray:
-    """(len(labels), 2) Philox keys: the blake2b digests of prefix + (label,)."""
+def _label_keys(prefix: Sequence[int | str], tokens: np.ndarray) -> np.ndarray:
+    """(N, 2) Philox keys: the blake2b digests of prefix + (label,)."""
     shared = _hash_key(hashlib.blake2b(digest_size=16), prefix)
-    _check_key_parts(labels)
-    digests = []
-    for label in labels:
-        h = shared.copy()
-        h.update(_token(label))
-        digests.append(h.digest())
-    return np.frombuffer(b"".join(digests), dtype="<u8").astype(np.uint64).reshape(-1, 2)
+    keys = np.fromiter(_digests(shared, tokens), dtype="S16", count=len(tokens))
+    return keys.view("<u8").reshape(-1, 2)
 
+
+def _digests(shared: hashlib.blake2b, tokens: np.ndarray) -> Iterator[bytes]:
+    """shared extended by each token, digested; one at a time, so no list."""
+    for token in tokens:
+        h = shared.copy()
+        h.update(token)
+        yield h.digest()

@@ -78,6 +78,22 @@ class TestWeight:
         rows = _table(captured.out)
         assert all(float(r["w_norm"]) == 0.0 for r in rows)
 
+    @pytest.mark.parametrize(
+        "spec, flags, want",
+        [
+            # The mean of 1e308 and 1e308 overflows.
+            ([("a", 1, 2), ("b", 2, 2)], ["--floor", "1e308"], [1.0, 1.0]),
+            # w = 0.5**1074 is the smallest subnormal; its mean with 0 is 0.
+            ([("a", 1, 2), ("b", 0, 2)], ["--alpha", "1074", "--beta", "0"], [2.0, 0.0]),
+        ],
+    )
+    def test_weights_whose_mean_is_out_of_range(self, tmp_path, capsys, spec, flags, want):
+        path = _write_rollouts(tmp_path / "r.jsonl", spec)
+        assert main(["weight", str(path), *flags]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert [float(r["w_norm"]) for r in _table(captured.out)] == want
+
     @pytest.mark.parametrize("floor", ["nan", "-1", "inf"])
     def test_floor_that_is_not_finite_and_nonnegative_exits_1(self, tmp_path, capsys, floor):
         path = _write_rollouts(tmp_path / "r.jsonl", [("a", 2, 4)])

@@ -27,7 +27,7 @@ from zpdistill.distill_sim import (
 from zpdistill.errors import ConfigError, DomainError, NumericError
 from zpdistill.fileio import fmt, write_metrics
 from zpdistill.kernel import unit_mean
-from zpdistill.numerics import log_softmax, stream
+from zpdistill.numerics import label_tokens, log_softmax, stream
 from zpdistill.passrate import hard_filter
 from zpdistill.snr_profile import bell_shape_score, compute_snr_bins
 from zpdistill.variance import smoothness_constant
@@ -134,6 +134,7 @@ class TestBuildWorld:
         assert w.anchor_features.shape == (4, 5)
         assert w.anchor_log_targets.shape == (4, 6)
         assert len(w.problem_ids) == 12
+        assert np.array_equal(w.problem_tokens, label_tokens(w.problem_ids))
 
     def test_anchor_targets_are_initial_student(self):
         # Anchors store the untrained student's own predictions, so the
@@ -168,7 +169,7 @@ class TestRollouts:
 
     def test_matches_per_problem_stream_oracle(self):
         # The batched sampler must draw what one stream() per problem draws,
-        # outcome by outcome; run_rollouts counts that (N, k) matrix.
+        # outcome by outcome; run_rollouts counts that (k, N) matrix.
         cfg = _small(num_problems=30, rollout_temperature=1.7)
         w = build_world(cfg)
         w.step = 5
@@ -181,35 +182,36 @@ class TestRollouts:
             tokens = np.minimum(np.searchsorted(cdf, u, side="right"), cfg.vocab_size - 1)
             want.append([bool(t == w.answers[i]) for t in tokens])
         outcomes = _sample_pass_rates(w, k, "rollout")
-        assert outcomes.tolist() == want
+        assert outcomes.T.tolist() == want
         table = run_rollouts(w, k)
         assert table.successes.tolist() == [sum(row) for row in want]
         assert table.k.tolist() == [k] * cfg.num_problems
 
 
 def _searchsorted_oracle(probs, u):
-    """Per-row inverse-cdf sampling of (N, V) probs, as the simulator drew
-    tokens per problem; _categorical takes the (V, N) transpose."""
+    """(k, N) per-problem inverse-cdf sampling of (N, V) probs at the (k, N)
+    uniforms u, as the simulator drew tokens per problem; _categorical
+    takes the (V, N) transpose of probs."""
     v = probs.shape[1]
     return np.array(
-        [np.minimum(np.searchsorted(np.cumsum(p), row, side="right"), v - 1)
-         for p, row in zip(probs, u)]
-    ).reshape(u.shape)
+        [np.minimum(np.searchsorted(np.cumsum(p), col, side="right"), v - 1)
+         for p, col in zip(probs, u.T)]
+    ).reshape(u.T.shape).T
 
 
 class TestCategorical:
     def test_uniform_on_a_cdf_entry_moves_past_it(self):
         probs = np.array([[0.25, 0.25, 0.5], [0.5, 0.5, 0.0]])
-        u = np.array([[0.0, 0.25, 0.5, 0.75], [0.5, 0.0, 0.999, 0.25]])
+        u = np.array([[0.0, 0.25, 0.5, 0.75], [0.5, 0.0, 0.999, 0.25]]).T
         got = _categorical(probs.T, u)
-        assert np.array_equal(got, [[0, 1, 2, 2], [1, 0, 1, 0]])
+        assert np.array_equal(got.T, [[0, 1, 2, 2], [1, 0, 1, 0]])
         assert np.array_equal(got, _searchsorted_oracle(probs, u))
 
     def test_cdf_ending_below_one_is_clamped(self):
         probs = np.array([[0.125, 0.25, 0.375]])
-        u = np.array([[0.0625, 0.375, 0.75, 0.8, 0.99]])
+        u = np.array([[0.0625, 0.375, 0.75, 0.8, 0.99]]).T
         got = _categorical(probs.T, u)
-        assert np.array_equal(got, [[0, 2, 2, 2, 2]])
+        assert np.array_equal(got.T, [[0, 2, 2, 2, 2]])
         assert np.array_equal(got, _searchsorted_oracle(probs, u))
 
     @given(
@@ -228,8 +230,8 @@ class TestCategorical:
         cdf = np.cumsum(probs, axis=1)
         # Mix exact cdf entries with arbitrary uniforms in [0, 1).
         u = np.array(
-            [[cdf[i, j % v] if j % 2 else (j % 997) / 997.0 for j in picks]
-             for i in range(len(probs))]
+            [[cdf[i, j % v] if j % 2 else (j % 997) / 997.0 for i in range(len(probs))]
+             for j in picks]
         )
         assert np.array_equal(_categorical(probs.T, u), _searchsorted_oracle(probs, u))
 
@@ -284,7 +286,7 @@ class TestKlGradients:
         cfg = _small(vocab_size=4, num_problems=4)
         w = build_world(cfg)
         exact = _diffs(_step_probs(w), "reverse")
-        approx = _sampled_reverse_diffs(w, _step_probs(w), w.problem_ids, 60000)
+        approx = _sampled_reverse_diffs(w, _step_probs(w), w.problem_tokens, 60000)
         assert np.allclose(approx, exact, atol=0.02)
 
     def test_sampled_reverse_diffs_match_per_problem_oracle(self):
@@ -307,7 +309,7 @@ class TestKlGradients:
                 one_hot[t] = 1.0
                 acc += ratio[i, t] * (one_hot - ps[i])
             want[i] = acc / 13
-        got = _sampled_reverse_diffs(w, _step_probs(w), w.problem_ids, 13)
+        got = _sampled_reverse_diffs(w, _step_probs(w), w.problem_tokens, 13)
         assert np.array_equal(got, want.T)
 
 
@@ -471,7 +473,7 @@ class TestMeasureSnr:
         w.step = 2
         table = measure_snr(w, direction)
         diffs = _diffs(_step_probs(w), direction)
-        counts = _sample_pass_rates(w, _SMALL.rollout_count, "snr").sum(axis=1)
+        counts = _sample_pass_rates(w, _SMALL.rollout_count, "snr").sum(axis=0)
         for i in range(30):
             assert np.array_equal(
                 table.gradients[i], np.outer(w.features[i], diffs[:, i]).ravel()

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from zpdistill.errors import DegenerateInputError, DomainError, InsufficientDataError
 from zpdistill.kernel import (
@@ -111,6 +111,19 @@ class TestNormalizeWeights:
     def test_all_zero_stays_zero(self):
         assert np.array_equal(unit_mean(np.zeros(2)), [0.0, 0.0])
 
+    @pytest.mark.parametrize(
+        "raw, want",
+        [
+            ([1e308, 1e308], [1.0, 1.0]),  # the mean overflows
+            ([5e-324, 0.0], [2.0, 0.0]),  # the mean underflows to 0
+            ([1.7e308, 0.0, 1.7e308 / 2], [2.0, 0.0, 1.0]),
+        ],
+    )
+    def test_mean_out_of_range_divides_by_the_maximum_first(self, raw, want):
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            got = unit_mean(np.array(raw))
+        assert np.allclose(got, want, rtol=1e-15, atol=0.0)
+
     def test_rejects_negative_and_nonfinite(self):
         with pytest.raises(DomainError):
             unit_mean(np.array([-0.1]))
@@ -136,8 +149,11 @@ class TestNormalizeWeights:
     @given(st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1e6)), min_size=1, max_size=30))
     def test_equals_per_entry_division_by_the_mean(self, raw):
         # The per-entry rule the array function replaced, zeros included.
+        # A mean that underflows beside a nonzero entry is the out-of-range
+        # case above, which that rule zeroed.
         weights = np.array(raw, dtype=np.float64)
         mean = float(weights.mean())
+        assume(mean != 0.0 or not weights.any())
         want = [0.0 if mean == 0.0 else float(w / mean) for w in weights]
         assert np.array_equal(unit_mean(weights), want)
 

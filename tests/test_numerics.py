@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,10 +14,11 @@ from zpdistill.numerics import (
     sech,
     sech2,
     softmax,
+    label_tokens,
     stream,
     stream_uniforms,
 )
-from zpdistill.numerics import _sum_axis0
+from zpdistill.numerics import _philox4x64, _sum_axis0, _token
 
 scipy_special = pytest.importorskip("scipy.special")
 
@@ -139,40 +141,84 @@ class TestStream:
 
 
 _labels = st.one_of(
-    st.integers(min_value=-(2**80), max_value=2**80), st.text(max_size=12)
+    st.integers(min_value=-(2**80), max_value=2**80),
+    st.text(max_size=12),
+    # Embedded and trailing NULs and multi-byte UTF-8.
+    st.text(alphabet="\x00a\x1fé☃𝄞", max_size=6),
+)
+_prefix = st.tuples(
+    st.integers(min_value=0, max_value=2**64 - 1),
+    st.text(max_size=10),
+    st.integers(min_value=0, max_value=10**6),
 )
 
 
 class TestStreamUniforms:
-    @given(
-        seed=st.integers(min_value=0, max_value=2**64 - 1),
-        purpose=st.text(max_size=10),
-        step=st.integers(min_value=0, max_value=10**6),
-        labels=st.lists(_labels, max_size=12),
-        k=st.integers(min_value=1, max_value=40),
-    )
-    def test_rows_equal_single_streams(self, seed, purpose, step, labels, k):
-        u = stream_uniforms((seed, purpose, step), labels, k)
-        assert u.shape == (len(labels), k) and u.dtype == np.float64
-        for row, label in zip(u, labels):
-            assert np.array_equal(row, stream(seed, purpose, step, label).random(k))
+    @given(prefix=_prefix, labels=st.lists(_labels, max_size=12), k=st.integers(0, 40))
+    def test_columns_equal_single_streams(self, prefix, labels, k):
+        u = stream_uniforms(prefix, label_tokens(labels), k)
+        assert u.shape == (k, len(labels)) and u.dtype == np.float64
+        for column, label in zip(u.T, labels):
+            assert np.array_equal(column, stream(*prefix, label).random(k))
+
+    @given(prefix=_prefix, labels=st.lists(_labels, max_size=12), k=st.integers(1, 17),
+           data=st.data())
+    def test_a_subset_of_tokens_gives_the_same_columns(self, prefix, labels, k, data):
+        # What a minibatch relies on: its rows of the world's tokens draw
+        # what the full set draws in those columns.
+        tokens = label_tokens(labels)
+        rows = data.draw(st.lists(st.integers(0, max(len(labels) - 1, 0)),
+                                  max_size=len(labels)))
+        full = stream_uniforms(prefix, tokens, k)
+        assert np.array_equal(stream_uniforms(prefix, tokens[rows], k), full[:, rows])
+
+    def test_mixed_labels_and_no_labels(self):
+        labels = [3, -7, 0, "p0000", "a\x00b", "\x00", "é☃", ""]
+        u = stream_uniforms((7, "rollout", 2), label_tokens(labels), 6)
+        for j, label in enumerate(labels):
+            assert np.array_equal(u[:, j], stream(7, "rollout", 2, label).random(6))
+        assert stream_uniforms((7,), label_tokens([]), 5).shape == (5, 0)
 
     def test_empty_prefix_is_one_part_keys(self):
-        u = stream_uniforms((), ["p0000", 3], 6)
-        assert np.array_equal(u[0], stream("p0000").random(6))
-        assert np.array_equal(u[1], stream(3).random(6))
+        u = stream_uniforms((), label_tokens(["p0000", 3]), 6)
+        assert np.array_equal(u[:, 0], stream("p0000").random(6))
+        assert np.array_equal(u[:, 1], stream(3).random(6))
+
+    @given(labels=st.lists(_labels, max_size=12))
+    def test_tokens_read_back_exactly(self, labels):
+        # numpy strips trailing NULs from S items; every token ends in 0x1f.
+        assert label_tokens(labels).tolist() == [_token(label) for label in labels]
 
     @pytest.mark.parametrize("bad", [True, False, 1.5, None, b"p0"])
     def test_rejects_unsupported_labels(self, bad):
-        with pytest.raises(DomainError):
-            stream_uniforms((7, "rollout", 0), ["p0000", bad], 4)
-        with pytest.raises(DomainError):
-            stream_uniforms((7, bad, 0), ["p0000"], 4)
+        with pytest.raises(DomainError, match=re.escape(repr(bad))):
+            label_tokens(["p0000", bad])
+        with pytest.raises(DomainError, match=re.escape(repr(bad))):
+            stream_uniforms((7, bad, 0), label_tokens(["p0000"]), 4)
+
+    @pytest.mark.parametrize("tokens", [["p0000"], [b"str:p0000\x1f"], np.array(["p0000"])])
+    def test_takes_only_label_tokens(self, tokens):
+        with pytest.raises(DomainError, match="label_tokens"):
+            stream_uniforms((7,), tokens, 4)
 
     @pytest.mark.parametrize("k", [-1, 2.0, True])
     def test_rejects_bad_k(self, k):
         with pytest.raises(DomainError):
-            stream_uniforms((7,), ["p0000"], k)
+            stream_uniforms((7,), label_tokens(["p0000"]), k)
+
+    @pytest.mark.parametrize("blocks", [1, 2, 3, 4, 5])
+    def test_philox_matches_numpy_philox(self, blocks):
+        # An oracle independent of stream(): numpy's own Philox4x64-10 on
+        # the same 128-bit keys, low word first.
+        rng = np.random.default_rng(blocks)
+        keys = rng.integers(0, 2**64, size=(7, 2), dtype=np.uint64)
+        keys[0] = 0
+        keys[1] = np.iinfo(np.uint64).max
+        words = _philox4x64(keys, blocks)
+        assert words.shape == (4 * blocks, 7)
+        for column, (lo, hi) in zip(words.T, keys):
+            raw = np.random.Philox(key=int(lo) | int(hi) << 64).random_raw(4 * blocks)
+            assert np.array_equal(column, raw)
 
 
 _SUM_WIDTHS = (2, 5, 7, 8, 9, 16, 17, 128, 129, 300)

@@ -36,7 +36,7 @@ from zpdistill.distill_sim import (
     _step_probs,
     _weights,
 )
-from zpdistill.numerics import stream, stream_uniforms
+from zpdistill.numerics import label_tokens, stream, stream_uniforms
 from zpdistill.passrate import THREE_BIN_EDGES, histogram
 from zpdistill.snr_profile import GradientTable
 
@@ -59,6 +59,7 @@ def _old_teacher_log_probs(world):
 
 
 def _old_categorical(probs, u):
+    # (N, k) tokens from (N, V) probs and (N, k) uniforms.
     cdf = np.cumsum(probs, axis=1)
     tokens = np.zeros(u.shape, dtype=np.intp)
     for column in cdf.T:
@@ -69,7 +70,8 @@ def _old_categorical(probs, u):
 def _old_sample_pass_rates(world, k, purpose):
     logits = _old_student_logits(world) / world.config.rollout_temperature
     probs = np.exp(_old_log_softmax(logits, axis=1))
-    u = stream_uniforms((world.config.seed, purpose, world.step), world.problem_ids, k)
+    prefix = (world.config.seed, purpose, world.step)
+    u = stream_uniforms(prefix, label_tokens(world.problem_ids), k).T
     return _old_categorical(probs, u) == world.answers[:, None]
 
 
@@ -93,8 +95,8 @@ def _old_sampled_reverse_diffs(world, n_samples):
     ps = np.exp(log_ps)
     ratio = log_ps - _old_teacher_log_probs(world)
     u = stream_uniforms(
-        (world.config.seed, "revkl", world.step), world.problem_ids, n_samples
-    )
+        (world.config.seed, "revkl", world.step), label_tokens(world.problem_ids), n_samples
+    ).T
     rows = np.arange(ps.shape[0])
     acc = np.zeros_like(ps)
     for tokens in _old_categorical(ps, u).T:
@@ -264,9 +266,9 @@ def test_minibatch_reverse_draws_only_for_the_batch(monkeypatch):
     cfg = dataclasses.replace(_BASE, **_CONFIGS["sampled_reverse_batch"])
     calls = []
 
-    def spy(prefix, labels, k):
-        calls.append((tuple(prefix), list(labels), k))
-        return stream_uniforms(prefix, labels, k)
+    def spy(prefix, tokens, k):
+        calls.append((tuple(prefix), tokens.tolist(), k))
+        return stream_uniforms(prefix, tokens, k)
 
     monkeypatch.setattr(distill_sim, "stream_uniforms", spy)
     world = build_world(cfg)
@@ -276,7 +278,8 @@ def test_minibatch_reverse_draws_only_for_the_batch(monkeypatch):
         (cfg.seed, "revkl", step) for step in range(cfg.steps)
     ]
     for (_, _, step), labels, k in revkl:
-        assert labels == [world.problem_ids[i] for i in _batch(cfg, step)]
+        ids = [world.problem_ids[i] for i in _batch(cfg, step)]
+        assert labels == label_tokens(ids).tolist()
         assert len(labels) == cfg.batch_size and k == cfg.reverse_kl_samples
 
 
@@ -284,11 +287,11 @@ def test_sampled_reverse_rows_of_a_subset_equal_the_full_rows():
     w = build_world(_BASE)
     w.theta = w.theta + 0.4 * np.sin(np.arange(w.theta.size)).reshape(w.theta.shape)
     w.step = 5
-    full = _sampled_reverse_diffs(w, _step_probs(w), w.problem_ids, 7)
+    full = _sampled_reverse_diffs(w, _step_probs(w), w.problem_tokens, 7)
     cfg = dataclasses.replace(_BASE, batch_size=25)
     for rows in (_batch(cfg, 5), np.array([79]), np.array([60, 2, 33])):
-        ids = [w.problem_ids[i] for i in rows]
-        part = _sampled_reverse_diffs(w, _step_probs(w).take(rows), ids, 7)
+        tokens = label_tokens([w.problem_ids[i] for i in rows])
+        part = _sampled_reverse_diffs(w, _step_probs(w).take(rows), tokens, 7)
         assert np.array_equal(part, full[:, rows])
 
 
@@ -320,13 +323,14 @@ def test_standalone_calls_match_old_path(direction):
 
 # Config overrides and the bound on train's peak traced allocation at
 # N = 5000, in (N, V) float64 arrays.
-# Measured: 5.69 and 5.68 for forward and exact reverse (peak while drawing
-# eval rollouts: the two step buffers, the teacher probabilities, the cdf and
-# the uniforms), 6.27 for 4 reverse-KL samples (the step arrays plus the
-# sample accumulator and term). The earlier path peaked at 6.09, 6.08 and
-# 9.25. With batch_size 500, 5.68: the sampled rows and draws are (500, V),
-# so the peak is the eval rollouts again; sampling all N rows for the update
-# and then keeping the batch peaked at 6.26.
+# Measured: 4.78 for forward and exact reverse (peak while drawing eval
+# rollouts: the two step buffers, the teacher probabilities, the cdf and the
+# uniforms), 5.68 for 4 reverse-KL samples (the step arrays plus the sample
+# accumulator and term); with (N, k) uniforms, intp tokens and a per-call
+# digest list they were 5.31 and 5.89, and the earlier path peaked at 6.09,
+# 6.08 and 9.25. With batch_size 500, 4.78: the sampled rows and draws are
+# (500, V), so the peak is the eval rollouts again; sampling all N rows for
+# the update and then keeping the batch peaked at 6.26.
 _PEAK_BOUND = {
     "forward": ({}, 6.0),
     "reverse": ({"loss_direction": "reverse"}, 6.0),
