@@ -214,6 +214,15 @@ class TestCategorical:
         assert np.array_equal(got.T, [[0, 2, 2, 2, 2]])
         assert np.array_equal(got, _searchsorted_oracle(probs, u))
 
+    @pytest.mark.parametrize("v", [255, 256, 300])
+    def test_counts_past_255_tokens(self, v):
+        # The count's integer type widens with the vocabulary.
+        probs = np.full((2, v), 1.0 / v)
+        u = np.array([[0.9999, 0.5], [0.001, 0.9999]])
+        got = _categorical(probs.T, u)
+        assert np.array_equal(got, _searchsorted_oracle(probs, u))
+        assert got[0, 0] == v - 1
+
     @given(
         rows=st.lists(
             st.lists(st.floats(0.0, 1.0), min_size=2, max_size=6), min_size=1, max_size=5

@@ -8,13 +8,13 @@ from hypothesis import given, settings, strategies as st
 from zpdistill.errors import DomainError
 from zpdistill.numerics import (
     beta_fn,
+    label_tokens,
     log_beta_fn,
     log_gamma,
     log_softmax,
     sech,
     sech2,
     softmax,
-    label_tokens,
     stream,
     stream_uniforms,
 )
