@@ -8,9 +8,11 @@ byte-identical files.
   loaded into a passrate.RolloutTable of per-problem successes and k.
   Duplicate problem ids are rejected at load.
 - Gradient records: CSV with header problem_id,pass_rate,g0,...,g{D-1}, one
-  row per problem; loaded into a snr_profile.GradientTable. A row with a
-  non-finite value or a pass_rate outside [0, 1] is a format error; the
-  writer refuses a gradient whose 10-digit rendering would parse as inf.
+  row per problem; loaded into a snr_profile.GradientTable. Rows are parsed
+  in fixed-size chunks, so the loader's peak memory is the table plus one
+  chunk's text, not the whole file's. A row with a non-finite value or a
+  pass_rate outside [0, 1] is a format error; the writer refuses a gradient
+  whose 10-digit rendering would parse as inf.
 - SNR profiles: CSV with header bin_lo,bin_hi,mean_p,count,snr,snr_norm,
   theory_norm; undefined values are empty fields. The loader rejects a
   mean_p outside [0, 1] and a negative or non-finite snr; the writer
@@ -28,9 +30,10 @@ from __future__ import annotations
 
 import configparser
 import dataclasses
+import itertools
 import json
 import math
-from typing import IO, Iterable, Sequence
+from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -115,27 +118,24 @@ def load_rollouts(lines: Iterable[str]) -> RolloutTable:
     )
 
 
-def _parse_floats(rows: Sequence[str]) -> np.ndarray:
-    return np.loadtxt(rows, delimiter=",", comments=None, dtype=np.float64, ndmin=2)
+# Lines per np.loadtxt call: the loader holds one chunk's text at a time.
+_CHUNK_LINES = 1024
 
 
-def load_gradient_records(lines: Iterable[str]) -> GradientTable:
-    """Parse a gradient table from the delimited format; blank lines are skipped."""
-    it = iter(enumerate(lines, start=1))
-    try:
-        _, header = next(it)
-    except StopIteration:
-        raise FileFormatError("gradient file is empty") from None
-    cols = header.strip().split(",")
-    if cols[:2] != ["problem_id", "pass_rate"] or len(cols) < 3:
-        raise FileFormatError(
-            "line 1: header must be problem_id,pass_rate,g0,...,g{D-1}"
-        )
-    dim = len(cols) - 2
-    ids: list[str] = []
-    rows: list[str] = []  # each row's fields after the id
-    linenos: list[int] = []
-    for lineno, line in it:
+def _parse_rows(rows: Sequence[str], width: int) -> np.ndarray:
+    """rows as a (len(rows), width) array; ValueError unless every row holds
+    width numbers, also when all rows agree on another count."""
+    values = np.loadtxt(rows, delimiter=",", comments=None, dtype=np.float64, ndmin=2)
+    if values.shape != (len(rows), width):
+        raise ValueError(f"expected {width} columns in each of {len(rows)} rows")
+    return values
+
+
+def _records(lines: Iterable[str], first: int, dim: int) -> Iterator[tuple[int, str, str]]:
+    """(line number, id, fields after the id) of each non-blank line, numbered
+    from first; raises on the first line with the wrong field count or an
+    empty id."""
+    for lineno, line in enumerate(lines, start=first):
         text = line.strip()
         if not text:
             continue
@@ -147,31 +147,90 @@ def load_gradient_records(lines: Iterable[str]) -> GradientTable:
         pid, _, rest = text.partition(",")
         if not pid:
             raise FileFormatError(f"line {lineno}: empty problem_id")
-        ids.append(pid)
-        rows.append(rest)
-        linenos.append(lineno)
+        yield lineno, pid, rest
+
+
+def _first_fault(
+    parts: Sequence[tuple[str, str, str]], first: int, rest: Iterator[str], dim: int,
+    exc: ValueError,
+) -> FileFormatError:
+    """The error for a chunk whose rows failed to parse with exc; parts are
+    its stripped lines split at the first comma, from line `first` on. As in
+    a whole-file check, a field-count or empty-id fault on any line from
+    there to the end of the input (rest) comes before a non-numeric row."""
+    records = list(_records(map("".join, parts), first, dim))
+    for _ in _records(rest, first + len(parts), dim):
+        pass
+    # Rows parse independently: report the first that fails on its own.
+    where, error = "", exc
+    for lineno, _, row in records:
+        try:
+            _parse_rows([row], dim + 1)
+        except ValueError as row_exc:
+            where, error = f"line {lineno}: ", row_exc
+            break
+    detail = str(error).split(" at row ")[0]
+    return FileFormatError(f"{where}non-numeric field ({detail})")
+
+
+def load_gradient_records(lines: Iterable[str]) -> GradientTable:
+    """Parse a gradient table from the delimited format; blank lines are skipped.
+
+    Lines are parsed _CHUNK_LINES at a time, each chunk by one np.loadtxt call
+    into one growing array. Errors come in the order of a whole-file check:
+    a wrong field count or an empty id on any line, then the first
+    non-numeric row, then the first row with a non-finite value or a
+    pass_rate outside [0, 1].
+    """
+    it = iter(lines)
+    header = next(it, None)
+    if header is None:
+        raise FileFormatError("gradient file is empty")
+    cols = header.strip().split(",")
+    if cols[:2] != ["problem_id", "pass_rate"] or len(cols) < 3:
+        raise FileFormatError(
+            "line 1: header must be problem_id,pass_rate,g0,...,g{D-1}"
+        )
+    dim = len(cols) - 2
+    ids: list[str] = []
+    linenos: list[int] = []
+    values = np.empty((0, dim + 1))
+    for first in itertools.count(2, _CHUNK_LINES):
+        parts = [
+            line.strip().partition(",") for line in itertools.islice(it, _CHUNK_LINES)
+        ]
+        if not parts:
+            break
+        numbers: Sequence[int] = range(first, first + len(parts))
+        pids = [part[0] for part in parts]
+        rows = [part[2] for part in parts]
+        if "" in pids or "" in rows:
+            # A blank line, or one with an empty id or too few fields.
+            records = _records(map("".join, parts), first, dim)
+            numbers, pids, rows = list(zip(*records)) or ((), (), ())
+            if not rows:
+                continue
+        try:
+            chunk = _parse_rows(rows, dim + 1)
+        except ValueError as exc:
+            raise _first_fault(parts, first, it, dim, exc) from exc
+        del parts, rows  # free the chunk's text before values grows
+        # No view of values exists yet, so it may be resized in place; realloc
+        # extends or remaps the block rather than copying it.
+        values.resize((len(ids) + len(chunk), dim + 1), refcheck=False)
+        values[len(ids):] = chunk
+        ids += pids
+        linenos += numbers
     if not ids:
         raise FileFormatError("gradient file has a header but no records")
     try:
-        values = _parse_floats(rows)
-    except ValueError as exc:
-        # Rows parse independently: report the first that fails on its own.
-        where, error = "", exc
-        for lineno, row in zip(linenos, rows):
-            try:
-                _parse_floats([row])
-            except ValueError as row_exc:
-                where, error = f"line {lineno}: ", row_exc
-                break
-        detail = str(error).split(" at row ")[0]
-        raise FileFormatError(f"{where}non-numeric field ({detail})") from exc
-    bad = GradientTable.invalid_rows(values[:, 0], values[:, 1:])
-    if bad.any():
+        return GradientTable(tuple(ids), values[:, 0], values[:, 1:])
+    except DomainError as exc:
+        bad = GradientTable.invalid_rows(values[:, 0], values[:, 1:])
         raise FileFormatError(
             f"line {linenos[int(np.argmax(bad))]}: values must be finite and "
             "pass_rate must lie in [0,1]"
-        )
-    return GradientTable(tuple(ids), values[:, 0], values[:, 1:])
+        ) from exc
 
 
 # The smallest double whose 10-digit rendering, 1.797693135e+308, parses to

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from zpdistill import fileio
 from zpdistill.cli import _OVERRIDES, main
 from zpdistill.distill_sim import SimConfig, build_world, train
 from zpdistill.fileio import fmt, load_gradient_records
@@ -259,6 +260,21 @@ class TestSnrProfile:
         assert "normalization unavailable" in captured.err
         assert "bell: unavailable" in captured.err
         assert captured.out.startswith("bin_lo,")
+
+    def test_non_numeric_field_in_a_later_chunk_is_error(self, tmp_path, capsys):
+        n = 3 * fileio._CHUNK_LINES + 100
+        bad = n - 30  # index of the faulty row, on line bad + 2
+        lines = ["problem_id,pass_rate,g0,g1"]
+        for i in range(n):
+            lines.append(f"q{i},0.5,{'x1' if i == bad else '1'},-1")
+        path = tmp_path / "grads.csv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        out = tmp_path / "profile.csv"
+        assert main(["snr-profile", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"error: line {bad + 2}: non-numeric field (")
+        assert not out.exists()
 
     def test_missing_file_is_error(self, tmp_path, capsys):
         assert main(["snr-profile", str(tmp_path / "nope.csv")]) == 1
