@@ -33,9 +33,11 @@ which reproduces numerics.stream() bit for bit; stream() remains the
 contract that defines every draw. build_world keys the problems once, as
 SimWorld.problem_tokens, and a minibatch takes its rows of that array.
 
-Per-step arithmetic: train computes the student's log-probabilities and
-probabilities once per step, with out= ufuncs into two buffers allocated
-once per call, and computes the teacher's probabilities once. The step
+Per-step arithmetic: train computes the teacher's probabilities once per
+call, and the student's log-probabilities and probabilities for all N
+problems only at a step where something reads every problem's: a
+full-batch update, a weight recompute, a checkpoint or an SNR dump. They
+go with out= ufuncs into two buffers allocated once per call. The step
 arrays are vocabulary-major, (V, N) with one column per problem, so every
 reduction over the vocabulary runs down axis 0 over contiguous rows of N.
 Sums over the vocabulary use numerics._sum_axis0, which adds in the
@@ -44,12 +46,13 @@ gradient products are the transposes of the (N, V) ones, so every value
 is bit-identical to the problem-major arithmetic. Every consumer at that
 step reads the arrays: rollout sampling for weights, checkpoints and SNR
 dumps (at rollout temperature 1; other temperatures sample from their own
-softmax), the checkpoint loss, measure_snr, and the update. A full-batch
-update writes its gradient columns into the buffers. A minibatch update
-computes gradient columns, and reverse-KL draws, for its batch problems
-only, in batch order; each draw is keyed by its problem and each column's
-arithmetic reads that column alone, so those columns equal the same
-columns of a full computation.
+softmax), the checkpoint loss, measure_snr, and a full-batch update,
+which writes its gradient columns into the buffers. A minibatch update
+computes the student's distributions, gradient columns and reverse-KL
+draws for its batch problems only, in batch order, into (V, batch_size)
+buffers allocated once per call; each draw is keyed by its problem and
+each column's arithmetic reads that column alone, so those columns equal
+the same columns of a full computation.
 
 At each weight recompute train records the forward-KL smoothness constant
 L of variance.smoothness_constant in SimMetrics.smoothness; a step size
@@ -304,15 +307,18 @@ def _categorical(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
 
     Counting cdf entries <= u equals searchsorted(cdf, u, side="right") on a
     nondecreasing cdf; the clamp catches a cdf that rounds to below 1. The
-    count runs one vocabulary entry at a time, into one (k, N) mask and the
-    smallest unsigned integer type that holds V.
+    cdf is one running (N,) row, added to in the sequential order of
+    np.cumsum over axis 0, and the count runs one vocabulary entry at a
+    time, into one (k, N) mask and the smallest unsigned integer type that
+    holds V.
     """
     v = probs.shape[0]
-    cdf = np.cumsum(probs, axis=0)
+    cdf = np.zeros(probs.shape[1:])
     tokens = np.zeros(u.shape, dtype=np.min_scalar_type(v))
     hit = np.empty(u.shape, dtype=bool)
-    for entry in cdf:
-        tokens += np.less_equal(entry, u, out=hit)
+    for row in probs:
+        cdf += row
+        tokens += np.less_equal(cdf, u, out=hit)
     return np.minimum(tokens, v - 1, out=tokens)
 
 
@@ -320,33 +326,42 @@ def _categorical(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
 class _Probs:
     """Student log-probs and probs at the current theta beside the teacher's.
 
-    Each array is C-ordered (V, N), one column per problem. train fills
-    log_ps and ps once per step and every consumer at that step reads them;
-    a full-batch update then overwrites them with its gradient columns.
+    Each array is C-ordered (V, n), one column per problem: all N problems,
+    or a minibatch's. train fills the (V, N) log_ps and ps at each step where
+    a consumer reads every column, and every consumer at that step reads
+    them; a full-batch update then overwrites them with its gradient columns.
     """
 
     log_ps: np.ndarray
     ps: np.ndarray
-    log_pt: np.ndarray  # world.teacher_log_probs.T
+    log_pt: np.ndarray  # world.teacher_log_probs.T, or its batch columns
     pt: np.ndarray
 
-    def take(self, index: np.ndarray) -> _Probs:
-        """C-ordered copies of the four arrays at the problem columns index."""
-        arrays = (self.log_ps, self.ps, self.log_pt, self.pt)
-        return _Probs(*(a.take(index, axis=1) for a in arrays))
 
+def _step_probs(
+    world: SimWorld, buffers: _Probs | None = None, rows: slice | np.ndarray = slice(None)
+) -> _Probs:
+    """The student's distributions at world.theta for the problem columns
+    rows, by default all of them, written into buffers.
 
-def _step_probs(world: SimWorld, buffers: _Probs | None = None) -> _Probs:
-    """The student's distributions at world.theta, written into buffers.
-
-    Without buffers, fresh arrays are allocated and the teacher's
-    probabilities computed; with them, only log_ps and ps are rewritten.
+    Without buffers, fresh (V, N) arrays are allocated and the teacher's
+    probabilities computed; with them, only log_ps and ps are rewritten, so
+    buffers for a subset of rows must already hold those rows' teacher
+    columns. Each column's arithmetic reads that column alone, so a subset
+    equals those columns of the full arrays.
     """
     if buffers is None:
         log_pt = world.teacher_log_probs.T
         buffers = _Probs(np.empty_like(log_pt), np.empty_like(log_pt), log_pt, np.exp(log_pt))
     log_ps, ps = buffers.log_ps, buffers.ps
-    np.matmul(world.theta.T, world.features.T, out=log_ps)
+    x = world.features[rows]
+    if len(x) == 1 < len(world.features):
+        # numpy sends a one-column product to gemv, which adds in another
+        # order than the full product's gemm; a second copy of the row keeps
+        # the column equal to the full product's.
+        np.copyto(log_ps, np.matmul(world.theta.T, x[[0, 0]].T)[:, :1])
+    else:
+        np.matmul(world.theta.T, x.T, out=log_ps)
     log_softmax(log_ps, axis=0, out=log_ps, work=ps)
     np.exp(log_ps, out=ps)
     return buffers
@@ -437,20 +452,24 @@ def _sampled_reverse_diffs(
     draw order, for all columns together, so each column's sum is the same
     sequential sum as per problem. A sample's term r * (onehot - ps) is
     subtracted as r * ps with its token entry set to r * (ps - 1): both are
-    exact negations, so the sum is bit-identical. probs.log_ps is
-    overwritten with the log-ratio.
+    exact negations, so the sum is bit-identical. The drawn entries are
+    addressed by their flat index in the C-ordered (V, B) arrays, and their
+    ratios and token entries are gathered for all samples before the loop.
+    probs.log_ps is overwritten with the log-ratio.
     """
     ps = probs.ps
     ratio = np.subtract(probs.log_ps, probs.log_pt, out=probs.log_ps)
-    u = stream_uniforms((world.config.seed, "revkl", world.step), tokens, n_samples)
-    draws = _categorical(ps, u)
-    cols = np.arange(ps.shape[1])
+    prefix = (world.config.seed, "revkl", world.step)
+    draws = _categorical(ps, stream_uniforms(prefix, tokens, n_samples))
+    b = ps.shape[1]
+    flat = draws.astype(np.intp) * b + np.arange(b)
+    r = ratio.take(flat)
+    token_terms = r * (ps.take(flat) - 1.0)
     acc = np.zeros_like(ps)
     term = np.empty_like(ps)
-    for draw in draws:
-        r = ratio[draw, cols]
-        np.multiply(ps, r, out=term)
-        term[draw, cols] = r * (ps[draw, cols] - 1.0)
+    for s in range(n_samples):
+        np.multiply(ps, r[s], out=term)
+        term.put(flat[s], token_terms[s])
         acc -= term
     acc /= n_samples
     return acc
@@ -492,20 +511,26 @@ def _eval_checkpoint(
     )
 
 
-def _descend(world: SimWorld, weights: np.ndarray, direction: str, probs: _Probs) -> None:
+def _descend(
+    world: SimWorld, weights: np.ndarray, direction: str, probs: _Probs, batch: _Probs | None
+) -> None:
     """The parameter update at world.step, from the gradient columns of its batch.
 
     The problems are picked first: all of them, or the step's minibatch.
-    Only their gradients, and reverse-KL draws, are computed. A full batch
-    works on the step buffers and overwrites them; a minibatch works on
-    copies of its columns.
+    Only their distributions, gradients and reverse-KL draws are computed.
+    A full batch works on the step buffers probs and overwrites them. A
+    minibatch reads only the teacher's arrays of probs: its teacher columns
+    are taken from them and its student columns computed at world.theta,
+    into the (V, batch_size) buffers batch.
     """
     config = world.config
     rows = slice(None)
     if config.batch_size is not None:
         gen = stream(config.seed, "batch", world.step)
         rows = gen.choice(config.num_problems, size=config.batch_size, replace=False)
-        probs = probs.take(rows)
+        np.take(probs.log_pt, rows, axis=1, out=batch.log_pt)
+        np.take(probs.pt, rows, axis=1, out=batch.pt)
+        probs = _step_probs(world, batch, rows)
     tokens = world.problem_tokens[rows]
     if direction == "reverse" and config.reverse_kl_samples > 0:
         diffs = _sampled_reverse_diffs(world, probs, tokens, config.reverse_kl_samples)
@@ -522,9 +547,12 @@ def train(world: SimWorld, *, snr_dump_steps: Iterable[int] = ()) -> SimMetrics:
     Pass rates and weights are computed once at the start, again at the
     two-stage switch, and every recompute_interval steps when configured.
     Checkpoints (every eval_interval steps, plus step 0 and the final step)
-    record state before that step's parameter update. theta and the step
-    counter are updated in place on the passed world. A non-finite
-    checkpoint loss or theta raises NumericError naming the step.
+    record state before that step's parameter update. The student's (V, N)
+    distributions are computed only at steps where something reads every
+    problem's: a full-batch update, a recompute, a checkpoint or an SNR
+    dump. theta and the step counter are updated in place on the passed
+    world. A non-finite checkpoint loss or theta raises NumericError naming
+    the step.
     """
     config = world.config
     t_total = config.steps
@@ -544,9 +572,11 @@ def train(world: SimWorld, *, snr_dump_steps: Iterable[int] = ()) -> SimMetrics:
     rows: list[CheckpointRow] = []
     dumps: dict[int, GradientTable] = {}
     probs = None
+    batch = None
+    if config.batch_size is not None:
+        batch = _Probs(*np.empty((4, config.vocab_size, config.batch_size)))
 
     for local in range(t_total + 1):
-        probs = _step_probs(world, probs)
         direction = _direction_at(config, min(local, t_total - 1), switch_step)
         needs_recompute = (
             local == 0
@@ -562,13 +592,17 @@ def train(world: SimWorld, *, snr_dump_steps: Iterable[int] = ()) -> SimMetrics:
                 and local % config.recompute_interval == 0
             )
         )
+        checkpoint = local % config.eval_interval == 0 or local == t_total
+        # Step 0 is a recompute, so probs holds the teacher's arrays from then on.
+        if config.batch_size is None or needs_recompute or checkpoint or local in dump_steps:
+            probs = _step_probs(world, probs)
         if needs_recompute:
             counts = _sample_pass_rates(world, config.rollout_count, "rollout", probs).sum(axis=0)
             weights = _weights(world, counts)
             recompute_steps.append(world.step)
             smoothness.append(smoothness_constant(world.features, weights))
 
-        if local % config.eval_interval == 0 or local == t_total:
+        if checkpoint:
             rows.append(_eval_checkpoint(world, weights, direction, probs))
         if local in dump_steps:
             dumps[local] = measure_snr(world, direction, probs=probs)
@@ -576,7 +610,7 @@ def train(world: SimWorld, *, snr_dump_steps: Iterable[int] = ()) -> SimMetrics:
         if local == t_total:
             break
 
-        _descend(world, weights, direction, probs)
+        _descend(world, weights, direction, probs, batch)
         if not np.isfinite(world.theta).all():
             raise NumericError(f"theta is not finite after the update at step {world.step}")
         world.step = base + local + 1

@@ -129,8 +129,8 @@ def _sum_axis0(a: np.ndarray) -> np.ndarray:
         half = n // 2 - (n // 2) % 8
         return _sum_axis0(a[:half]) + _sum_axis0(a[half:])
     end = n - n % 8
-    r = a[:8].copy()
-    for i in range(8, end, 8):
+    r = a[:8] + a[8:16] if end >= 16 else a[:8].copy()
+    for i in range(16, end, 8):
         r += a[i : i + 8]
     for step in (1, 2, 4):
         r[:: 2 * step] += r[step :: 2 * step]

@@ -1,14 +1,16 @@
 """train against a copy of the per-step path it replaced, and its memory.
 
-train computes each step's student log-probabilities once, into two
-vocabulary-major (V, N) buffers reused across steps, and every consumer at
-that step reads them. The functions prefixed `_old_` below are the earlier
-path, kept as it was (less the two-stage branch for steps < 2, which
-SimConfig now rejects): problem-major (N, V) arrays reduced along axis 1,
-each consumer recomputed `log_softmax` on fresh arrays, and a minibatch
-update computed gradient rows and reverse-KL draws for every problem before
-keeping its batch rows. Outputs must match it bit for bit (np.array_equal,
-not the 10 digits the CSVs print).
+train computes a step's student log-probabilities once, into two
+vocabulary-major (V, N) buffers reused across steps, at each step where
+something reads every problem's, and every consumer at that step reads
+them; a minibatch update computes its batch's columns alone. The functions
+prefixed `_old_` below are the earlier path, kept as it was (less the
+two-stage branch for steps < 2, which SimConfig now rejects): problem-major
+(N, V) arrays reduced along axis 1, each consumer recomputed `log_softmax`
+on fresh arrays, and a minibatch update computed gradient rows and
+reverse-KL draws for every problem before keeping its batch rows. Outputs
+must match it bit for bit (np.array_equal, not the 10 digits the CSVs
+print).
 """
 
 import dataclasses
@@ -32,11 +34,12 @@ from zpdistill.distill_sim import (
 )
 from zpdistill.distill_sim import (
     _direction_at,
+    _Probs,
     _sampled_reverse_diffs,
     _step_probs,
     _weights,
 )
-from zpdistill.numerics import label_tokens, stream, stream_uniforms
+from zpdistill.numerics import label_tokens, log_softmax, stream, stream_uniforms
 from zpdistill.passrate import THREE_BIN_EDGES, histogram
 from zpdistill.snr_profile import GradientTable
 
@@ -197,6 +200,9 @@ _BASE = SimConfig(
 _CONFIGS = {
     "forward": {},
     "forward_batch": {"batch_size": 30},
+    # numpy multiplies a one-column batch by gemv, the full product by gemm.
+    "forward_batch1": {"batch_size": 1},
+    "forward_n1_batch1": {"num_problems": 1, "batch_size": 1},
     "exact_reverse": {"loss_direction": "reverse"},
     "exact_reverse_batch": {"loss_direction": "reverse", "batch_size": 30},
     # At temperature 1 the rollouts read the step's shared probs.
@@ -210,6 +216,11 @@ _CONFIGS = {
     "two_stage_hard_recompute": {
         "loss_direction": "two_stage", "scheme": "hard", "recompute_interval": 3,
         "reverse_kl_samples": 3,
+    },
+    # Batch-only steps between recomputes and across the stage switch.
+    "two_stage_hard_recompute_batch": {
+        "loss_direction": "two_stage", "scheme": "hard", "recompute_interval": 3,
+        "reverse_kl_samples": 3, "batch_size": 30,
     },
     "forward_t1.3_beta": {"rollout_temperature": 1.3, "alpha": 2.0, "beta": 0.5},
 }
@@ -284,15 +295,45 @@ def test_minibatch_reverse_draws_only_for_the_batch(monkeypatch):
 
 
 def test_sampled_reverse_rows_of_a_subset_equal_the_full_rows():
+    # The batch path: the student's columns computed for the rows alone,
+    # beside the teacher's columns taken from the full arrays.
     w = build_world(_BASE)
     w.theta = w.theta + 0.4 * np.sin(np.arange(w.theta.size)).reshape(w.theta.shape)
     w.step = 5
-    full = _sampled_reverse_diffs(w, _step_probs(w), w.problem_tokens, 7)
+    probs = _step_probs(w)
+    full = _sampled_reverse_diffs(w, probs, w.problem_tokens, 7)
     cfg = dataclasses.replace(_BASE, batch_size=25)
     for rows in (_batch(cfg, 5), np.array([79]), np.array([60, 2, 33])):
         tokens = label_tokens([w.problem_ids[i] for i in rows])
-        part = _sampled_reverse_diffs(w, _step_probs(w).take(rows), tokens, 7)
+        shape = (cfg.vocab_size, len(rows))
+        batch = _Probs(
+            np.empty(shape), np.empty(shape), probs.log_pt[:, rows], probs.pt[:, rows]
+        )
+        part = _sampled_reverse_diffs(w, _step_probs(w, batch, rows), tokens, 7)
+        assert np.array_equal(batch.ps, probs.ps[:, rows])
         assert np.array_equal(part, full[:, rows])
+
+
+def test_minibatch_steps_compute_full_student_arrays_only_where_read(monkeypatch):
+    # Each student log-softmax runs down axis 0 of (V, columns) logits; the
+    # anchors' retention log-softmax runs along axis 1 and is left out.
+    cfg = dataclasses.replace(_BASE, **_CONFIGS["two_stage_hard_recompute_batch"])
+    world = build_world(cfg)
+    columns = []
+
+    def spy(logits, axis=-1, **kwargs):
+        if axis == 0:
+            columns.append((world.step, logits.shape[1]))
+        return log_softmax(logits, axis=axis, **kwargs)
+
+    monkeypatch.setattr(distill_sim, "log_softmax", spy)
+    metrics = train(world, snr_dump_steps=(5,))
+    full_steps = {row.step for row in metrics.rows} | set(metrics.recompute_steps) | {5}
+    assert full_steps == {0, 3, 4, 5, 6, 8, 9}
+    n, b = cfg.num_problems, cfg.batch_size
+    assert sorted(step for step, width in columns if width == n) == sorted(full_steps)
+    assert [step for step, width in columns if width == b] == list(range(cfg.steps))
+    assert all(width in (n, b) for _, width in columns)
 
 
 @pytest.mark.parametrize("cfg", [_BASE, SimConfig()], ids=["v7", "golden_v16"])
@@ -330,7 +371,10 @@ def test_standalone_calls_match_old_path(direction):
 # digest list they were 5.31 and 5.89, and the earlier path peaked at 6.09,
 # 6.08 and 9.25. With batch_size 500, 4.78: the sampled rows and draws are
 # (500, V), so the peak is the eval rollouts again; sampling all N rows for
-# the update and then keeping the batch peaked at 6.26.
+# the update and then keeping the batch peaked at 6.26. With the reverse-KL
+# ratios and token entries gathered per (k, N) flat index before the sample
+# loop, sampled reverse peaks at 5.92; the batch's own (V, 500) buffers lift
+# sampled_reverse_batch to 5.16.
 _PEAK_BOUND = {
     "forward": ({}, 6.0),
     "reverse": ({"loss_direction": "reverse"}, 6.0),
