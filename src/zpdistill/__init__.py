@@ -24,11 +24,8 @@ from .kernel import (
     ZpdMoments,
     at_flat_boundary,
     beta_weight,
-    fisher_info,
     kernel_peak,
-    q_signal,
     raw_weights,
-    saturated_weight,
     select_exponents,
     unit_mean,
     zpd_moments,
@@ -43,17 +40,11 @@ from .passrate import (
     histogram,
 )
 from .robustness import (
-    DescentParams,
     SnrModelFit,
-    descent_rate,
-    efficiency_ratio,
     fit_snr_model,
     minimax_scale,
     minimax_weight,
-    optimal_weight,
-    remainder,
     robustness_rows,
-    worst_case_efficiency,
 )
 from .snr_profile import (
     GradientTable,
@@ -66,7 +57,6 @@ from .snr_profile import (
 from .variance import (
     EmpiricalBatchStats,
     VarianceSpec,
-    convergence_bound,
     cov_condition,
     gamma_from_signal,
     smoothness_constant,
@@ -116,18 +106,9 @@ __all__ = [
     "zpd_moments",
     "select_exponents",
     "at_flat_boundary",
-    "saturated_weight",
-    "q_signal",
-    "fisher_info",
-    "DescentParams",
     "SnrModelFit",
-    "descent_rate",
-    "optimal_weight",
-    "efficiency_ratio",
     "minimax_scale",
-    "worst_case_efficiency",
     "minimax_weight",
-    "remainder",
     "fit_snr_model",
     "robustness_rows",
     "VarianceSpec",
@@ -136,7 +117,6 @@ __all__ = [
     "cov_condition",
     "variance_ratio_beta",
     "gamma_from_signal",
-    "convergence_bound",
     "smoothness_constant",
     "GradientTable",
     "SnrBin",

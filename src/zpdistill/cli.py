@@ -45,9 +45,9 @@ from .kernel import (
     unit_mean,
     zpd_moments,
 )
-from .numerics import beta_fn, sech, sech2
+from .numerics import beta_fn, sech2
 from .passrate import RolloutTable
-from .robustness import fit_snr_model, robustness_rows
+from .robustness import fit_snr_model, minimax_scale, robustness_rows
 from .snr_profile import bell_shape_score, compute_snr_bins, normalize_profile
 from .variance import VarianceSpec, gamma_from_signal, variance_ratio_beta
 
@@ -204,7 +204,7 @@ def _cmd_fit_snr(args: argparse.Namespace) -> None:
         f"c0 = {fmt(fit.c0)}",
         f"c1 = {fmt(fit.c1)}",
         f"delta = {fmt(fit.delta)}",
-        f"minimax_scale = {fmt(sech(fit.delta))}",
+        f"minimax_scale = {fmt(minimax_scale(fit.delta))}",
         f"worst_case_efficiency = {fmt(sech2(fit.delta))}",
     ]
     with _out_stream(args.out) as f:

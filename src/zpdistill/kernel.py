@@ -41,9 +41,6 @@ __all__ = [
     "zpd_moments",
     "select_exponents",
     "at_flat_boundary",
-    "saturated_weight",
-    "q_signal",
-    "fisher_info",
 ]
 
 # Relative slack for accepting the flat-kernel boundary var = mean(1-mean)/3.
@@ -212,32 +209,3 @@ def at_flat_boundary(m: ZpdMoments) -> bool:
     """True when var_p sits at the flat-kernel boundary mean(1-mean)/3."""
     bound = m.mean_p * (1.0 - m.mean_p) / 3.0
     return math.isclose(m.var_p, bound, rel_tol=_FLAT_BOUNDARY_RTOL)
-
-
-def saturated_weight(snr_sq: float) -> float:
-    """Optimal saturated weight snr_sq / (1 + snr_sq)."""
-    if not math.isfinite(snr_sq) or snr_sq < 0.0:
-        raise DomainError(f"snr_sq must be finite and >= 0, got {snr_sq!r}")
-    return snr_sq / (1.0 + snr_sq)
-
-
-def q_signal(p: float, a_prime: float, b_prime: float) -> tuple[float, float]:
-    """Learning-signal quality p^{a'/2}(1-p)^{b'/2+1} and its peak location."""
-    if a_prime <= 0.0 or b_prime <= 0.0:
-        raise DomainError(
-            f"q_signal requires positive exponents, got ({a_prime}, {b_prime})"
-        )
-    if not (math.isfinite(p) and 0.0 <= p <= 1.0):
-        raise DomainError(f"pass rate must lie in [0,1], got {p!r}")
-    half_a = a_prime / 2.0
-    half_b_plus = b_prime / 2.0 + 1.0
-    q_value = p**half_a * (1.0 - p) ** half_b_plus
-    q_peak = half_a / (half_a + half_b_plus)
-    return q_value, q_peak
-
-
-def fisher_info(p: float) -> float:
-    """Bernoulli Fisher information 1/(p(1-p)) for interior p."""
-    if not (math.isfinite(p) and 0.0 < p < 1.0):
-        raise DomainError(f"fisher_info requires p strictly inside (0,1), got {p!r}")
-    return 1.0 / (p * (1.0 - p))

@@ -1,8 +1,8 @@
 """Special functions and numeric plumbing used by the closed-form theory.
 
-log_gamma and beta_fn route through the platform lgamma, which is accurate
-to ~1e-15 relative error over the ranges used here. Beta values are always
-assembled in log space so large arguments cannot overflow prematurely.
+log_gamma routes through the platform lgamma (~1e-15 relative error). Beta
+values are assembled in log space, from lgamma below 10 and from Stirling's
+series above, where an lgamma difference would cancel (as in R's lbeta).
 
 stream() is the deterministic RNG contract for the simulator: a counter-based
 Philox generator keyed by a tuple of labels. Equal key tuples give equal
@@ -35,7 +35,6 @@ __all__ = [
     "sech",
     "sech2",
     "log_softmax",
-    "softmax",
     "stream",
     "label_tokens",
     "stream_uniforms",
@@ -59,9 +58,27 @@ def log_gamma(x: float) -> float:
     return math.lgamma(x)
 
 
+def _stirling(x: float) -> float:
+    """lgamma(x) - ((x - 1/2) log x - x) for x >= 10, by Stirling's series to 3e-17."""
+    t = 1.0 / (x * x)
+    return 0.5 * math.log(2.0 * math.pi) + (1 / 12 - t * (1 / 360 - t * (1 / 1260 - t * (
+        1 / 1680 - t * (1 / 1188 - t * (691 / 360360 - t / 156)))))) / x
+
+
 def log_beta_fn(a: float, b: float) -> float:
-    """log B(a, b) for a, b > 0."""
-    return log_gamma(a) + log_gamma(b) - log_gamma(a + b)
+    """log B(a, b) for a, b > 0 with a finite sum, to ~1e-15 of max(1, |log B|)."""
+    s = a + b
+    if not (a > 0.0 and b > 0.0 and math.isfinite(s)):
+        raise DomainError(f"log_beta_fn requires a, b > 0 with a finite sum, got ({a!r}, {b!r})")
+    p, q = min(a, b), max(a, b)
+    if q < 10.0:
+        return log_gamma(a) + log_gamma(b) - log_gamma(s)
+    # By Stirling's series lgamma(q) - lgamma(s) = p - p log s + common; for
+    # p >= 10 the last line is lgamma(p) + p - p log s, with nothing cancelled.
+    common = (q - 0.5) * math.log1p(-p / s) + _stirling(q) - _stirling(s)
+    if p < 10.0:
+        return math.lgamma(p) + p - p * math.log(s) + common
+    return _stirling(p) + (p - 0.5) * math.log(p / s) - 0.5 * math.log(s) + common
 
 
 def beta_fn(a: float, b: float) -> float:
@@ -138,10 +155,6 @@ def _sum_axis0(a: np.ndarray) -> np.ndarray:
     for row in a[end:]:
         total += row
     return total + 0.0
-
-
-def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
-    return np.exp(log_softmax(logits, axis=axis))
 
 
 def _check_key_parts(parts: Sequence[int | str]) -> None:

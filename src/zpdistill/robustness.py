@@ -1,11 +1,8 @@
-"""Descent-rate and minimax-robustness calculators.
+"""Minimax robustness of the kernel scale, and the SNR^2 power-law fit.
 
-The quadratic descent model says one weighted gradient step improves the
-loss by eta*w*signal_sq - (eta^2/2)*w^2*second_moment*lambda_max. Everything
-else here is consequences: the optimal weight, the efficiency of a misscaled
-weight (2*rho - rho^2 in units of the optimum), and the minimax treatment of
-a multiplicatively uncertain SNR^2 profile, where the scale sech(delta)
-equalizes the two worst cases and guarantees efficiency sech^2(delta).
+A weight scaled by rho times the optimum keeps 2*rho - rho^2 of the optimal
+one-step descent, so when SNR^2 is only known up to a factor e^{+-delta},
+the scale sech(delta) equalizes the two extremes at efficiency sech^2(delta).
 
 fit_snr_model estimates the power-law representation
 snr^2(p) = c * p^{a'} (1-p)^{b'} * e^{r(p)} by least squares in log space.
@@ -22,54 +19,17 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    DegenerateInputError,
-    DomainError,
-    FitError,
-    InsufficientDataError,
-)
+from .errors import DomainError, FitError, InsufficientDataError, ZpdistillError
 from .kernel import KernelParams, beta_weight
 from .numerics import sech, sech2
 
 __all__ = [
-    "DescentParams",
     "SnrModelFit",
-    "descent_rate",
-    "optimal_weight",
-    "efficiency_ratio",
     "minimax_scale",
-    "worst_case_efficiency",
     "minimax_weight",
-    "remainder",
     "fit_snr_model",
     "robustness_rows",
 ]
-
-
-@dataclass(frozen=True)
-class DescentParams:
-    """Inputs of the quadratic descent model for one pass-rate level."""
-
-    eta: float
-    signal_sq: float
-    second_moment: float
-    lambda_max: float
-
-    def __post_init__(self) -> None:
-        vals = (self.eta, self.signal_sq, self.second_moment, self.lambda_max)
-        if not all(math.isfinite(v) for v in vals):
-            raise DomainError(f"DescentParams must be finite, got {vals}")
-        if self.eta <= 0.0:
-            raise DomainError(f"eta must be > 0, got {self.eta}")
-        if self.signal_sq < 0.0:
-            raise DomainError(f"signal_sq must be >= 0, got {self.signal_sq}")
-        if self.second_moment < self.signal_sq:
-            raise DomainError(
-                "second_moment must be >= signal_sq "
-                f"({self.second_moment} < {self.signal_sq})"
-            )
-        if self.lambda_max <= 0.0:
-            raise DomainError(f"lambda_max must be > 0, got {self.lambda_max}")
 
 
 @dataclass(frozen=True)
@@ -101,45 +61,11 @@ class SnrModelFit:
             raise FitError(f"delta must be finite and >= 0, got {self.delta}")
 
 
-def descent_rate(w: float, d: DescentParams) -> float:
-    """Expected one-step improvement at weight w (negative when w overshoots)."""
-    if not math.isfinite(w) or w < 0.0:
-        raise DomainError(f"weight must be finite and >= 0, got {w!r}")
-    first = d.eta * w * d.signal_sq
-    second = 0.5 * d.eta**2 * w**2 * d.second_moment * d.lambda_max
-    return first - second
-
-
-def optimal_weight(d: DescentParams) -> float:
-    """Weight maximizing descent_rate: signal_sq / (eta * second_moment * lambda)."""
-    if d.second_moment == 0.0:
-        raise DegenerateInputError("optimal_weight undefined for zero second moment")
-    return d.signal_sq / (d.eta * d.second_moment * d.lambda_max)
-
-
-def efficiency_ratio(rho: float) -> float:
-    """Descent efficiency 2*rho - rho^2 of weight rho*w_opt, relative to w_opt."""
-    if not math.isfinite(rho) or rho < 0.0:
-        raise DomainError(f"rho must be finite and >= 0, got {rho!r}")
-    return 2.0 * rho - rho * rho
-
-
 def minimax_scale(delta: float) -> float:
     """Equalizing scale sech(delta) for a multiplicative SNR^2 band e^{+-delta}."""
     if not math.isfinite(delta) or delta < 0.0:
         raise DomainError(f"delta must be finite and >= 0, got {delta!r}")
     return sech(delta)
-
-
-def worst_case_efficiency(c: float, delta: float) -> float:
-    """Worst efficiency of scale c over the two extreme scalings e^{+-delta}."""
-    if not math.isfinite(c) or c <= 0.0:
-        raise DomainError(f"scale must be finite and > 0, got {c!r}")
-    if not math.isfinite(delta) or delta < 0.0:
-        raise DomainError(f"delta must be finite and >= 0, got {delta!r}")
-    hi = efficiency_ratio(c * math.exp(delta))
-    lo = efficiency_ratio(c * math.exp(-delta))
-    return min(hi, lo)
 
 
 def minimax_weight(p: float, a_prime: float, b_prime: float, delta: float) -> float:
@@ -149,17 +75,6 @@ def minimax_weight(p: float, a_prime: float, b_prime: float, delta: float) -> fl
             f"minimax_weight requires positive exponents, got ({a_prime}, {b_prime})"
         )
     return minimax_scale(delta) * beta_weight(p, KernelParams(a_prime, b_prime))
-
-
-def remainder(p: float, snr_sq: float, a_prime: float, b_prime: float) -> float:
-    """Log remainder of snr_sq against the power law p^{a'} (1-p)^{b'}."""
-    if not (math.isfinite(p) and 0.0 < p < 1.0):
-        raise DomainError(f"remainder requires p strictly inside (0,1), got {p!r}")
-    if not (math.isfinite(snr_sq) and snr_sq > 0.0):
-        raise DomainError(f"snr_sq must be finite and > 0, got {snr_sq!r}")
-    if not (math.isfinite(a_prime) and math.isfinite(b_prime)):
-        raise DomainError("exponents must be finite")
-    return math.log(snr_sq) - a_prime * math.log(p) - b_prime * math.log1p(-p)
 
 
 def fit_snr_model(points: Sequence[tuple[float, float]]) -> SnrModelFit:
@@ -193,16 +108,14 @@ def fit_snr_model(points: Sequence[tuple[float, float]]) -> SnrModelFit:
     resid = y - design @ coef
     med = float(np.median(resid))
     delta = float(np.max(np.abs(resid - med)))
-    lower = resid[ps <= 0.5]
-    upper = resid[ps >= 0.5]
-    c0 = math.exp(intercept + float(np.median(lower)))
-    c1 = math.exp(intercept + float(np.median(upper)))
+    log_c0 = intercept + float(np.median(resid[ps <= 0.5]))
+    log_c1 = intercept + float(np.median(resid[ps >= 0.5]))
 
     return SnrModelFit(
         a_prime=a_prime,
         b_prime=b_prime,
-        c0=c0,
-        c1=c1,
+        c0=_exp(log_c0, FitError, f"boundary constant c0 = e^{log_c0!r}"),
+        c1=_exp(log_c1, FitError, f"boundary constant c1 = e^{log_c1!r}"),
         delta=delta,
         intercept=intercept,
         ps=tuple(float(p) for p in ps),
@@ -210,13 +123,19 @@ def fit_snr_model(points: Sequence[tuple[float, float]]) -> SnrModelFit:
     )
 
 
-def robustness_rows(
-    deltas: Sequence[float],
-) -> list[tuple[float, float, float, float, float]]:
+def robustness_rows(deltas: Sequence[float]) -> list[tuple[float, float, float, float, float]]:
     """(delta, e^-delta, e^delta, sech(delta), sech2(delta)) per requested delta."""
     rows = []
     for d in deltas:
-        if not math.isfinite(d) or d < 0.0:
-            raise DomainError(f"delta must be finite and >= 0, got {d!r}")
-        rows.append((d, math.exp(-d), math.exp(d), sech(d), sech2(d)))
+        scale = minimax_scale(d)  # checks that d is finite and >= 0
+        hi = _exp(d, DomainError, f"e^delta at delta = {d!r}")
+        rows.append((d, math.exp(-d), hi, scale, sech2(d)))
     return rows
+
+
+def _exp(x: float, error: type[ZpdistillError], what: str) -> float:
+    """math.exp(x), raising error with a message naming what if it overflows."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        raise error(f"{what} overflows a double") from None

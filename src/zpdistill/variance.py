@@ -21,7 +21,6 @@ distribution, not an estimator of it.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -39,7 +38,6 @@ __all__ = [
     "cov_condition",
     "variance_ratio_beta",
     "gamma_from_signal",
-    "convergence_bound",
     "smoothness_constant",
 ]
 
@@ -52,6 +50,7 @@ _WEIGHT_MEAN_TOL = 1e-9
 # lambda_max, relatively; rounding moves a settled power by ~F * 1e-16.
 _SQUARINGS = 64
 _SETTLED = 1e-14
+_LOG_MAX = math.log(np.finfo(np.float64).max)  # math.exp is finite below it
 
 
 @dataclass(frozen=True)
@@ -72,9 +71,9 @@ class VarianceSpec:
                 f"kernel exponents must be >= 0, got ({self.alpha}, {self.beta})"
             )
         for name, value in self._beta_arguments():
-            if value <= 0.0:
+            if not 0.0 < value < math.inf:
                 raise DomainError(
-                    f"Beta-function argument {name} = {value} must be positive"
+                    f"Beta-function argument {name} = {value} must be positive and finite"
                 )
 
     def _beta_arguments(self) -> list[tuple[str, float]]:
@@ -199,6 +198,7 @@ def variance_ratio_beta(spec: VarianceSpec, epsilon: float | None = None) -> flo
     With epsilon=None the three moments are full Beta functions. A positive
     epsilon restricts every moment integral to [eps, 1-eps] (numerical
     quadrature); this is a diagnostic knob, not part of the closed form.
+    A moment or ratio outside the normal double range raises DegenerateInputError.
     """
     if epsilon is None:
         log_num = log_beta_fn(
@@ -207,7 +207,9 @@ def variance_ratio_beta(spec: VarianceSpec, epsilon: float | None = None) -> flo
         )
         log_den = 2.0 * log_beta_fn(spec.alpha + 1.0, spec.beta + 1.0)
         log_den += log_beta_fn(spec.gamma1 + 1.0, spec.gamma2 + 1.0)
-        return math.exp(log_num - log_den)
+        log_ratio = log_num - log_den
+        ratio = math.exp(log_ratio) if log_ratio < _LOG_MAX else math.inf
+        return _normal(f"variance ratio e^{log_ratio!r}", ratio)
 
     if not (0.0 < epsilon < 0.5):
         raise DomainError(f"epsilon must lie in (0, 0.5), got {epsilon}")
@@ -222,7 +224,18 @@ def variance_ratio_beta(spec: VarianceSpec, epsilon: float | None = None) -> flo
     num = moment(2.0 * spec.alpha + spec.gamma1, 2.0 * spec.beta + spec.gamma2)
     den_w = moment(spec.alpha, spec.beta)
     den_s = moment(spec.gamma1, spec.gamma2)
-    return num / (den_w * den_w * den_s)
+    den = den_w * den_w * den_s
+    moments = (("numerator", num), ("kernel", den_w), ("signal", den_s), ("denominator", den))
+    for name, value in moments:
+        _normal(f"truncated {name} moment", value)
+    return _normal("variance ratio", num / den)
+
+
+def _normal(name: str, value: float) -> float:
+    """value if it is a finite normal double, else DegenerateInputError naming it."""
+    if not np.finfo(np.float64).tiny <= value < math.inf:
+        raise DegenerateInputError(f"the {name} is {value!r}, not a finite normal double")
+    return value
 
 
 def gamma_from_signal(
@@ -233,29 +246,6 @@ def gamma_from_signal(
     if not all(math.isfinite(v) for v in vals):
         raise DomainError(f"gamma_from_signal requires finite inputs, got {vals}")
     return 2.0 * a_s - a_prime, 2.0 * b_s - b_prime
-
-
-def convergence_bound(
-    loss_gap: float, eta: float, L: float, T: int, sigma_eff_sq: float
-) -> float:
-    """Bound on the average squared gradient norm after T SGD steps.
-
-    L is the smoothness constant of the objective; for the simulator's
-    weighted forward KL it is smoothness_constant(features, weights).
-    """
-    if eta <= 0.0 or L <= 0.0:
-        raise DomainError(f"eta and L must be > 0, got ({eta}, {L})")
-    if T < 1:
-        raise DomainError(f"T must be >= 1, got {T}")
-    if loss_gap < 0.0 or sigma_eff_sq < 0.0:
-        raise DomainError("loss_gap and sigma_eff_sq must be >= 0")
-    if eta > 1.0 / L:
-        warnings.warn(
-            f"step size eta={eta} exceeds 1/L={1.0 / L}; the bound's hypothesis "
-            "is violated",
-            stacklevel=2,
-        )
-    return 2.0 * loss_gap / (eta * T) + eta * L * sigma_eff_sq
 
 
 def smoothness_constant(features: np.ndarray, weights: np.ndarray) -> float:

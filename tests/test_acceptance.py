@@ -22,13 +22,7 @@ from zpdistill.distill_sim import (
 )
 from zpdistill.errors import DomainError
 from zpdistill.kernel import ZpdMoments, at_flat_boundary, select_exponents
-from zpdistill.numerics import sech2
-from zpdistill.robustness import (
-    fit_snr_model,
-    minimax_scale,
-    robustness_rows,
-    worst_case_efficiency,
-)
+from zpdistill.robustness import fit_snr_model, robustness_rows
 from zpdistill.snr_profile import (
     GradientTable,
     bell_shape_score,
@@ -82,20 +76,25 @@ def test_ac01_robustness_table():
     )
 
 
+def _worst_efficiency(c, delta):
+    """Oracle: min of the descent efficiency 2 rho - rho^2 over rho = c e^{+-delta}."""
+    lo = c * math.exp(-delta)
+    hi = c * math.exp(delta)
+    return np.minimum(2 * lo - lo * lo, 2 * hi - hi * hi)
+
+
 def test_ac02_minimax_equalizer():
+    # The robustness table's sech column must be the minimax scale and its
+    # sech^2 column that scale's worst-case efficiency.
     t0 = time.perf_counter()
     worst_eq_err = 0.0
     worst_excess = -math.inf
     cs = np.arange(1e-4, 3.0 + 1e-12, 1e-4)
-    for delta in _GOLDEN_DELTAS:
-        c_star = minimax_scale(delta)
-        eq_err = abs(worst_case_efficiency(c_star, delta) - sech2(delta))
+    for delta, _, _, c_star, efficiency in robustness_rows(_GOLDEN_DELTAS):
+        eq_err = abs(float(_worst_efficiency(c_star, delta)) - efficiency)
         worst_eq_err = max(worst_eq_err, eq_err)
-        lo = cs * math.exp(-delta)
-        hi = cs * math.exp(delta)
-        grid_worst = np.minimum(2 * lo - lo * lo, 2 * hi - hi * hi)
         worst_excess = max(
-            worst_excess, float(grid_worst.max()) - worst_case_efficiency(c_star, delta)
+            worst_excess, float(_worst_efficiency(cs, delta).max()) - efficiency
         )
     elapsed = time.perf_counter() - t0
     ok = worst_eq_err <= 1e-12 and worst_excess <= 1e-12 and elapsed < 5.0

@@ -48,6 +48,17 @@ def _table(text):
     return [dict(zip(header, line.split(","))) for line in lines[1:]]
 
 
+def _single_error(capsys, tmp_path, argv):
+    """Run argv with --out; it must exit 1, print exactly one `error:` line
+    and no traceback, and leave no output file. Returns the line."""
+    out = tmp_path / "out.txt"
+    assert main([*argv, "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    assert not out.exists()
+    return err[0]
+
+
 class TestWeight:
     def test_beta_kernel_matches_library(self, tmp_path, capsys):
         spec = [("a", 2, 8), ("b", 4, 8), ("c", 7, 8)]
@@ -179,6 +190,10 @@ class TestRobustness:
         assert main(["robustness", "--delta", "-0.5"]) == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_delta_whose_exponential_overflows_is_error(self, tmp_path, capsys):
+        err = _single_error(capsys, tmp_path, ["robustness", "--delta", "710"])
+        assert "delta = 710.0" in err
+
 
 class TestVarianceRatio:
     def test_uniform_kernel(self, capsys):
@@ -218,6 +233,25 @@ class TestVarianceRatio:
                 "--gamma1", "-1", "--gamma2", "0"]
         assert main(args) == 1
         assert capsys.readouterr().err.startswith("error:")
+
+    _HUGE_ALPHA = ["variance-ratio", "--alpha", "1e300", "--beta", "0",
+                   "--gamma1", "0", "--gamma2", "0"]
+
+    def test_huge_kernel_exponent(self, capsys):
+        # B(x, 1) = 1/x, so R = (alpha + 1)^2 / (2 alpha + 1) = 5e299.
+        assert main(self._HUGE_ALPHA) == 0
+        kv = _kv(capsys.readouterr().out)
+        assert float(kv["variance_ratio"]) == pytest.approx(5e299, rel=1e-9)
+        assert float(kv["b_numerator"]) == pytest.approx(5e-301, rel=1e-9)
+
+    def test_truncated_moment_that_underflows_is_error(self, tmp_path, capsys):
+        err = _single_error(capsys, tmp_path, [*self._HUGE_ALPHA, "--epsilon", "0.1"])
+        assert "truncated numerator moment is 0.0" in err
+
+    def test_ratio_that_underflows_is_error(self, tmp_path, capsys):
+        args = ["variance-ratio", "--alpha", "0", "--beta", "1000",
+                "--gamma1", "1000", "--gamma2", "0"]
+        assert "variance ratio e^-189" in _single_error(capsys, tmp_path, args)
 
 
 def _gradient_csv(tmp_path, rows):
@@ -307,6 +341,13 @@ class TestFitSnr:
         path = self._profile_csv(tmp_path, [0.3, 0.7], [1.0, 1.0])
         assert main(["fit-snr", str(path)]) == 1
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_boundary_constant_that_overflows_is_error(self, tmp_path, capsys):
+        # A finite profile whose fitted intercept is 750 > log(max double).
+        ps = [0.05, 0.25, 0.45, 0.55, 0.75, 0.95]
+        snrs = [math.exp(0.5 * (750.0 + 60.0 * math.log(p * (1.0 - p)))) for p in ps]
+        path = self._profile_csv(tmp_path, ps, snrs)
+        assert "boundary constant c0" in _single_error(capsys, tmp_path, ["fit-snr", str(path)])
 
 
 _SMALL_CFG = """

@@ -11,11 +11,8 @@ from zpdistill.kernel import (
     ZpdMoments,
     at_flat_boundary,
     beta_weight,
-    fisher_info,
     kernel_peak,
-    q_signal,
     raw_weights,
-    saturated_weight,
     select_exponents,
     unit_mean,
     zpd_moments,
@@ -288,45 +285,3 @@ class TestSelectExponents:
         got_mean, got_var = _beta_mean_var(k.alpha, k.beta)
         assert got_mean == pytest.approx(mean, abs=1e-8)
         assert got_var == pytest.approx(var, abs=1e-8)
-
-
-class TestSaturatedAndQSignal:
-    def test_saturated_weight_increasing_and_bounded(self):
-        vals = [saturated_weight(s) for s in (0.0, 0.5, 1.0, 10.0, 1e6)]
-        assert vals[0] == 0.0
-        assert all(b > a for a, b in zip(vals, vals[1:]))
-        assert vals[-1] < 1.0
-        assert saturated_weight(1.0) == pytest.approx(0.5, abs=1e-15)
-
-    def test_saturated_weight_rejects_negative(self):
-        with pytest.raises(DomainError):
-            saturated_weight(-1e-9)
-
-    def test_q_signal_peak_matches_grid_argmax(self):
-        # Oracle: dense grid argmax of p^{a'/2}(1-p)^{b'/2+1}.
-        grid = np.linspace(1e-6, 1.0 - 1e-6, 400001)
-        rng = np.random.default_rng(23)
-        for _ in range(5):
-            a, b = rng.uniform(0.3, 3.0, size=2)
-            q = grid ** (a / 2.0) * (1.0 - grid) ** (b / 2.0 + 1.0)
-            _, peak = q_signal(0.5, float(a), float(b))
-            assert peak == pytest.approx(grid[np.argmax(q)], abs=1e-5)
-
-    def test_q_signal_value(self):
-        val, peak = q_signal(0.25, 1.0, 1.0)
-        assert val == pytest.approx(0.25**0.5 * 0.75**1.5, abs=1e-15)
-        # Peak sits below the kernel peak: the (1-p) retention factor
-        # shifts the best learning signal toward harder problems.
-        assert peak == pytest.approx(0.25, abs=1e-12)
-
-
-class TestFisherInfo:
-    def test_minimum_at_half_and_symmetry(self):
-        assert fisher_info(0.5) == pytest.approx(4.0, abs=1e-12)
-        assert fisher_info(0.2) == pytest.approx(fisher_info(0.8), rel=1e-12)
-        assert fisher_info(0.1) > fisher_info(0.3)
-
-    def test_rejects_boundary(self):
-        for p in (0.0, 1.0):
-            with pytest.raises(DomainError):
-                fisher_info(p)

@@ -2,98 +2,20 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
-from zpdistill.errors import (
-    DegenerateInputError,
-    DomainError,
-    FitError,
-    InsufficientDataError,
-)
+from zpdistill.errors import DomainError, FitError, InsufficientDataError
 from zpdistill.numerics import sech, sech2
 from zpdistill.robustness import (
-    DescentParams,
-    descent_rate,
-    efficiency_ratio,
     fit_snr_model,
     minimax_scale,
     minimax_weight,
-    optimal_weight,
-    remainder,
     robustness_rows,
-    worst_case_efficiency,
 )
 
 
-def _params(signal_sq=1.0, second=2.0, eta=0.1, lam=1.5) -> DescentParams:
-    return DescentParams(
-        eta=eta, signal_sq=signal_sq, second_moment=second, lambda_max=lam
-    )
-
-
-class TestDescentRate:
-    def test_quadratic_shape_by_three_point_fit(self):
-        # Oracle: a quadratic is determined by three points; check the
-        # fitted coefficients against eta*signal_sq and eta^2/2*m2*lambda.
-        d = _params()
-        ws = np.array([0.5, 1.0, 2.0])
-        ys = np.array([descent_rate(float(w), d) for w in ws])
-        coeffs = np.polyfit(ws, ys, 2)
-        assert coeffs[0] == pytest.approx(
-            -0.5 * d.eta**2 * d.second_moment * d.lambda_max, rel=1e-10
-        )
-        assert coeffs[1] == pytest.approx(d.eta * d.signal_sq, rel=1e-10)
-        assert coeffs[2] == pytest.approx(0.0, abs=1e-12)
-
-    def test_zero_weight_means_zero_progress(self):
-        assert descent_rate(0.0, _params()) == 0.0
-
-    def test_rejects_negative_weight(self):
-        with pytest.raises(DomainError):
-            descent_rate(-0.1, _params())
-
-    def test_second_moment_below_signal_rejected(self):
-        # E[|g|^2] >= |E[g]|^2 always; params violating it are inconsistent.
-        with pytest.raises(DomainError):
-            _params(signal_sq=1.0, second=0.5)
-
-
-class TestOptimalWeight:
-    def test_maximizes_descent_rate_on_grid(self):
-        d = _params(signal_sq=0.7, second=1.9, eta=0.05, lam=2.3)
-        w_star = optimal_weight(d)
-        grid = np.linspace(0.0, 4.0 * w_star, 20001)
-        rates = [descent_rate(float(w), d) for w in grid]
-        assert w_star == pytest.approx(grid[int(np.argmax(rates))], abs=1e-3)
-
-    def test_closed_form(self):
-        d = _params(signal_sq=1.0, second=2.0, eta=0.1, lam=1.5)
-        assert optimal_weight(d) == pytest.approx(1.0 / (0.1 * 2.0 * 1.5), rel=1e-12)
-
-    def test_zero_second_moment_degenerate(self):
-        d = _params(signal_sq=0.0, second=0.0)
-        with pytest.raises(DegenerateInputError):
-            optimal_weight(d)
-
-
-class TestEfficiencyRatio:
-    def test_peak_and_endpoints(self):
-        assert efficiency_ratio(1.0) == pytest.approx(1.0, abs=1e-15)
-        assert efficiency_ratio(0.5) == pytest.approx(0.75, abs=1e-15)
-        assert efficiency_ratio(2.0) == pytest.approx(0.0, abs=1e-15)
-
-    def test_matches_rate_ratio(self):
-        # 2*rho - rho^2 must equal descent_rate(rho*w*) / descent_rate(w*).
-        d = _params(signal_sq=0.9, second=1.8, eta=0.2, lam=0.7)
-        w_star = optimal_weight(d)
-        best = descent_rate(w_star, d)
-        for rho in (0.25, 0.8, 1.3):
-            got = descent_rate(rho * w_star, d) / best
-            assert efficiency_ratio(rho) == pytest.approx(got, rel=1e-12)
-
-    def test_rejects_negative(self):
-        with pytest.raises(DomainError):
-            efficiency_ratio(-0.01)
+def _worst_case(c: float, delta: float) -> float:
+    """Oracle: the smaller descent efficiency 2*rho - rho^2 of rho = c e^{+-delta}."""
+    return min(2.0 * rho - rho * rho for rho in (c * math.exp(-delta), c * math.exp(delta)))
 
 
 class TestMinimax:
@@ -108,65 +30,43 @@ class TestMinimax:
         d, lo, hi, s, eff = row
         assert d == 0.5
         assert (lo, hi) == (pytest.approx(math.exp(-0.5)), pytest.approx(math.exp(0.5)))
-        assert s == pytest.approx(sech(0.5), rel=1e-14)
+        assert s == minimax_scale(0.5) == sech(0.5)
         assert eff == pytest.approx(s * s, rel=1e-14)
 
     def test_rejects_negative_delta(self):
         with pytest.raises(DomainError):
             robustness_rows([0.1, -0.2])
 
+    def test_delta_whose_exponential_overflows_is_named(self):
+        assert robustness_rows([709.0])[0][2] == math.exp(709.0)
+        with pytest.raises(DomainError, match="delta = 710.0"):
+            robustness_rows([0.1, 710.0])
+
     def test_equalizer_property(self):
         # At c = sech(delta) both extreme misspecifications achieve the
         # same efficiency, and it equals sech^2(delta).
         for delta in (0.1, 0.3, 0.5, math.log(2.0)):
             c = minimax_scale(delta)
-            lo = efficiency_ratio(c * math.exp(-delta))
-            hi = efficiency_ratio(c * math.exp(delta))
-            assert lo == pytest.approx(hi, rel=1e-12)
-            assert worst_case_efficiency(c, delta) == pytest.approx(
-                sech2(delta), abs=1e-13
-            )
+            lo = c * math.exp(-delta)
+            hi = c * math.exp(delta)
+            assert 2.0 * lo - lo * lo == pytest.approx(2.0 * hi - hi * hi, rel=1e-12)
+            assert _worst_case(c, delta) == pytest.approx(sech2(delta), abs=1e-13)
 
     def test_no_better_scale_on_coarse_grid(self):
         delta = 0.4
-        best = worst_case_efficiency(minimax_scale(delta), delta)
+        best = _worst_case(minimax_scale(delta), delta)
         for c in np.linspace(0.01, 3.0, 300):
-            assert worst_case_efficiency(float(c), delta) <= best + 1e-12
-
-    @given(st.floats(0.01, 2.0), st.floats(0.01, 3.0))
-    def test_worst_case_is_min_of_extremes(self, delta, c):
-        want = min(
-            efficiency_ratio(c * math.exp(-delta)),
-            efficiency_ratio(c * math.exp(delta)),
-        )
-        assert worst_case_efficiency(c, delta) == pytest.approx(
-            want, rel=1e-12, abs=1e-15
-        )
+            assert _worst_case(float(c), delta) <= best + 1e-12
 
     def test_zero_delta_recovers_exact_optimum(self):
         assert minimax_scale(0.0) == 1.0
-        assert worst_case_efficiency(1.0, 0.0) == pytest.approx(1.0, abs=1e-15)
+        assert robustness_rows([0.0]) == [(0.0, 1.0, 1.0, 1.0, 1.0)]
 
     def test_minimax_weight_scales_kernel(self):
         w = minimax_weight(0.5, 1.0, 1.0, 0.5)
         assert w == pytest.approx(sech(0.5) * 0.25, rel=1e-13)
         with pytest.raises(DomainError):
             minimax_weight(0.5, 0.0, 1.0, 0.5)
-
-
-class TestRemainder:
-    def test_constant_for_exact_power_law(self):
-        for p in (0.1, 0.4, 0.9):
-            snr_sq = 0.7 * p**1.2 * (1 - p) ** 0.4
-            assert remainder(p, snr_sq, 1.2, 0.4) == pytest.approx(
-                math.log(0.7), abs=1e-12
-            )
-
-    def test_rejects_boundary_p_and_nonpositive_snr(self):
-        with pytest.raises(DomainError):
-            remainder(0.0, 1.0, 1.0, 1.0)
-        with pytest.raises(DomainError):
-            remainder(0.5, 0.0, 1.0, 1.0)
 
 
 class TestFitSnrModel:
@@ -230,3 +130,10 @@ class TestFitSnrModel:
     def test_duplicate_p_rank_deficient(self):
         with pytest.raises(FitError):
             fit_snr_model([(0.3, 1.0), (0.3, 1.0), (0.7, 1.2), (0.7, 1.2)])
+
+    def test_boundary_constant_that_overflows_is_named(self):
+        # An exact power law whose intercept is 750 > log(max double).
+        ps = [0.05, 0.25, 0.45, 0.55, 0.75, 0.95]
+        points = [(p, math.exp(750.0 + 60.0 * math.log(p * (1.0 - p)))) for p in ps]
+        with pytest.raises(FitError, match="boundary constant c0 = e\\^749.99"):
+            fit_snr_model(points)

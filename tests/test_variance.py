@@ -14,7 +14,6 @@ from zpdistill.numerics import log_softmax
 from zpdistill.variance import (
     EmpiricalBatchStats,
     VarianceSpec,
-    convergence_bound,
     cov_condition,
     gamma_from_signal,
     smoothness_constant,
@@ -261,12 +260,37 @@ class TestBetaRatio:
             VarianceSpec(1.0, 0.5, 0.0, -1.0)
         with pytest.raises(DomainError, match="finite"):
             VarianceSpec(math.nan, 1.0, 0.0, 0.0)
+        with pytest.raises(DomainError, match=re.escape("2*alpha+gamma1+1 = inf")):
+            VarianceSpec(1e308, 0.0, 0.0, 0.0)
 
     def test_epsilon_range(self):
         spec = VarianceSpec(1.0, 1.0, 0.0, 0.0)
         for eps in (0.0, 0.5, -0.1, 0.7):
             with pytest.raises(DomainError):
                 variance_ratio_beta(spec, epsilon=eps)
+
+    @pytest.mark.parametrize("alpha", [1e3, 1e9, 1e15, 1e300])
+    def test_huge_kernel_exponent_closed_form(self, alpha):
+        # Oracle: B(x, 1) = 1/x, so R = (alpha + 1)^2 / (2 alpha + 1).
+        got = variance_ratio_beta(VarianceSpec(alpha, 0.0, 0.0, 0.0))
+        assert got == pytest.approx((alpha + 1.0) / (2.0 * alpha + 1.0) * (alpha + 1.0), rel=1e-13)
+
+    def test_closed_form_ratio_below_the_double_range_is_named(self):
+        # log R is about -1893: E[w^2 s^2] is tiny beside E[w]^2 E[s^2].
+        with pytest.raises(DegenerateInputError, match="variance ratio e\\^-189"):
+            variance_ratio_beta(VarianceSpec(0.0, 1000.0, 1000.0, 0.0))
+
+    @pytest.mark.parametrize(
+        "alpha, moment",
+        [(1e300, "numerator"), (3400.0, "numerator"), (3300.0, "denominator")],
+    )
+    def test_truncated_moment_below_the_normal_range_is_named(self, alpha, moment):
+        # p^alpha on [0.1, 0.9] is at most 0.9^alpha: 0 at 1e300, subnormal
+        # for the numerator's p^(2 alpha) at 3400, and the product
+        # kernel^2 * signal is subnormal at 3300.
+        spec = VarianceSpec(alpha, 0.0, 0.0, 0.0)
+        with pytest.raises(DegenerateInputError, match=f"truncated {moment}"):
+            variance_ratio_beta(spec, epsilon=0.1)
 
 
 class TestGammaFromSignal:
@@ -291,29 +315,6 @@ class TestGammaFromSignal:
     def test_rejects_nonfinite(self):
         with pytest.raises(DomainError):
             gamma_from_signal(math.inf, 0.0, 1.0, 1.0)
-
-
-class TestConvergenceBound:
-    def test_value(self):
-        got = convergence_bound(loss_gap=1.0, eta=0.1, L=2.0, T=10, sigma_eff_sq=0.5)
-        assert got == pytest.approx(2.0 / (0.1 * 10) + 0.1 * 2.0 * 0.5, rel=1e-12)
-
-    def test_warns_above_stability_threshold(self):
-        with pytest.warns(UserWarning, match="1/L"):
-            convergence_bound(1.0, eta=0.6, L=2.0, T=5, sigma_eff_sq=0.1)
-
-    def test_silent_at_or_below_threshold(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            convergence_bound(1.0, eta=0.5, L=2.0, T=5, sigma_eff_sq=0.1)
-
-    def test_validation(self):
-        with pytest.raises(DomainError):
-            convergence_bound(1.0, eta=0.0, L=2.0, T=5, sigma_eff_sq=0.1)
-        with pytest.raises(DomainError):
-            convergence_bound(1.0, eta=0.1, L=2.0, T=0, sigma_eff_sq=0.1)
-        with pytest.raises(DomainError):
-            convergence_bound(-1.0, eta=0.1, L=2.0, T=5, sigma_eff_sq=0.1)
 
 
 def _golden_weights():
