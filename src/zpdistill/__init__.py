@@ -33,11 +33,10 @@ from .kernel import (
 from .numerics import label_tokens, stream, stream_uniforms
 from .passrate import (
     THREE_BIN_EDGES,
-    PassRateHistogram,
     RolloutTable,
+    bin_indices,
     equal_edges,
     hard_filter,
-    histogram,
 )
 from .robustness import (
     SnrModelFit,
@@ -92,11 +91,10 @@ __all__ = [
     "label_tokens",
     "stream_uniforms",
     "RolloutTable",
-    "PassRateHistogram",
     "THREE_BIN_EDGES",
+    "bin_indices",
     "equal_edges",
     "hard_filter",
-    "histogram",
     "KernelParams",
     "ZpdMoments",
     "beta_weight",

@@ -197,6 +197,9 @@ def _cmd_snr_profile(args: argparse.Namespace) -> None:
 def _cmd_fit_snr(args: argparse.Namespace) -> None:
     with open(args.profile, encoding="utf-8") as f:
         points = load_profile_points(f)
+    overflow = [s for _, s in points if s * s == math.inf]
+    if overflow:
+        raise DomainError(f"bin snr {overflow[0]!r}: its square overflows a double")
     fit = fit_snr_model([(p, s * s) for p, s in points])
     lines = [
         f"a_prime = {fmt(fit.a_prime)}",

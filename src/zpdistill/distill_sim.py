@@ -70,7 +70,7 @@ import numpy as np
 from .errors import ConfigError, DomainError, NumericError
 from .kernel import SCHEMES, raw_weights, unit_mean
 from .numerics import _sum_axis0, label_tokens, log_softmax, stream, stream_uniforms
-from .passrate import THREE_BIN_EDGES, RolloutTable, histogram
+from .passrate import THREE_BIN_EDGES, RolloutTable, bin_indices
 from .snr_profile import GradientTable
 from .variance import smoothness_constant
 
@@ -495,7 +495,7 @@ def _eval_checkpoint(
 ) -> CheckpointRow:
     k = world.config.rollout_count
     p = _sample_pass_rates(world, k, "eval", probs).sum(axis=0) / k
-    hist = histogram(p, THREE_BIN_EDGES)
+    fractions = np.bincount(bin_indices(p, THREE_BIN_EDGES), minlength=3) / p.size
     loss = float(np.mean(weights * _kl_rows(probs, direction)))
     if not math.isfinite(loss):
         raise NumericError(f"checkpoint loss is {loss} at step {world.step}")
@@ -504,10 +504,10 @@ def _eval_checkpoint(
         stage=direction,
         loss=loss,
         retention_kl=retention(world),
-        frac_low=hist.fractions[0],
-        frac_med=hist.fractions[1],
-        frac_high=hist.fractions[2],
-        mean_p=hist.mean_p,
+        frac_low=float(fractions[0]),
+        frac_med=float(fractions[1]),
+        frac_high=float(fractions[2]),
+        mean_p=float(p.mean()),
     )
 
 

@@ -1,17 +1,17 @@
-"""Rollout counts, hard filtering, and pass-rate histograms.
+"""Rollout counts, hard filtering, and pass-rate bins.
 
 A RolloutTable holds each problem's successes out of k rollouts as integer
 arrays validated once at construction; its pass rates are p = successes / k.
 
 Two bin conventions coexist on purpose and are both part of the contract:
 
-- histogram(): bins are left-closed, right-open, except the final bin which
-  is closed on both ends so p = 1 is counted.
+- bin_indices(): bins are left-closed, right-open, except the final bin which
+  is closed on both ends so p = 1 is counted (np.histogram's rule).
 - hard_filter(): the keep band is inclusive on both ends, so with the default
   (0.2, 0.8) band and K = 8 rollouts exactly 2..6 successes are kept.
 
 The three-bin reporting edges (0, 0.2, 0.8, 1) are exported as
-THREE_BIN_EDGES; under the histogram convention the middle bin is [0.2, 0.8).
+THREE_BIN_EDGES; under the bin_indices convention the middle bin is [0.2, 0.8).
 """
 
 from __future__ import annotations
@@ -22,14 +22,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError, InsufficientDataError
+from .errors import DomainError
 
 __all__ = [
     "RolloutTable",
-    "PassRateHistogram",
     "THREE_BIN_EDGES",
+    "bin_indices",
     "hard_filter",
-    "histogram",
     "equal_edges",
 ]
 
@@ -79,29 +78,6 @@ class RolloutTable:
         return self.successes / self.k
 
 
-@dataclass(frozen=True)
-class PassRateHistogram:
-    """Binned pass-rate fractions plus the un-binned arithmetic mean."""
-
-    bin_edges: tuple[float, ...]
-    fractions: tuple[float, ...]
-    mean_p: float
-
-    def __post_init__(self) -> None:
-        edges = tuple(float(e) for e in self.bin_edges)
-        object.__setattr__(self, "bin_edges", edges)
-        object.__setattr__(self, "fractions", tuple(float(f) for f in self.fractions))
-        _validate_edges(edges)
-        if len(self.fractions) != len(edges) - 1:
-            raise DomainError("fractions length must be len(bin_edges) - 1")
-        if any(f < 0 for f in self.fractions):
-            raise DomainError("histogram fractions must be nonnegative")
-        if not math.isclose(sum(self.fractions), 1.0, abs_tol=1e-9):
-            raise DomainError("histogram fractions must sum to 1 within 1e-9")
-        if not 0.0 <= self.mean_p <= 1.0:
-            raise DomainError(f"mean_p must lie in [0,1], got {self.mean_p}")
-
-
 def _validate_edges(edges: Sequence[float]) -> None:
     if len(edges) < 2:
         raise DomainError("bin edges need at least two entries")
@@ -118,6 +94,18 @@ def equal_edges(num_bins: int) -> tuple[float, ...]:
     return tuple(np.linspace(0.0, 1.0, num_bins + 1))
 
 
+def bin_indices(p: np.ndarray, edges: Sequence[float]) -> np.ndarray:
+    """Bin index of each pass rate: bins are left-closed, right-open, except
+    the final bin, which also holds p = 1."""
+    _validate_edges(edges)
+    p = np.asarray(p, dtype=np.float64)
+    bad = ~((p >= 0.0) & (p <= 1.0))
+    if bad.any():
+        raise DomainError(f"pass rates must lie in [0,1], got {float(p[bad][0])!r}")
+    idx = np.searchsorted(edges, p, side="right") - 1
+    return np.clip(idx, 0, len(edges) - 2)
+
+
 def hard_filter(p: float, lo: float = 0.2, hi: float = 0.8) -> bool:
     """Keep decision for the inclusive band lo <= p <= hi."""
     if not (math.isfinite(p) and 0.0 <= p <= 1.0):
@@ -127,22 +115,3 @@ def hard_filter(p: float, lo: float = 0.2, hi: float = 0.8) -> bool:
     if lo > hi:
         raise DomainError(f"filter bounds must satisfy lo <= hi, got ({lo}, {hi})")
     return lo <= p <= hi
-
-
-def histogram(p: np.ndarray, edges: Sequence[float]) -> PassRateHistogram:
-    """Bin an array of pass rates into the given edges (last bin closed on
-    both ends)."""
-    values = np.asarray(p, dtype=np.float64)
-    if values.size == 0:
-        raise InsufficientDataError("histogram requires at least one pass rate")
-    edges_t = tuple(float(e) for e in edges)
-    _validate_edges(edges_t)
-    # np.histogram uses exactly the required convention: half-open bins with
-    # the final bin closed.
-    counts, _ = np.histogram(values, bins=np.array(edges_t))
-    fractions = counts / values.size
-    return PassRateHistogram(
-        bin_edges=edges_t,
-        fractions=tuple(fractions),
-        mean_p=float(values.mean()),
-    )

@@ -81,7 +81,7 @@ def fit_snr_model(points: Sequence[tuple[float, float]]) -> SnrModelFit:
     """Fit log snr^2 ~ a' log p + b' log(1-p) + c by least squares.
 
     Requires at least 4 interior points covering both halves of (0,1) and
-    positive snr_sq everywhere. delta is the sup of the median-centered
+    finite, positive snr_sq everywhere. delta is the sup of the median-centered
     residuals; c0/c1 exponentiate the intercept adjusted by the median
     residual of the lower/upper half, giving the boundary constants.
     """
@@ -94,7 +94,7 @@ def fit_snr_model(points: Sequence[tuple[float, float]]) -> SnrModelFit:
     if np.any(~np.isfinite(ps)) or np.any((ps <= 0.0) | (ps >= 1.0)):
         raise DomainError("fit points must have p strictly inside (0,1)")
     if np.any(~np.isfinite(snr_sq)) or np.any(snr_sq <= 0.0):
-        raise DomainError("fit points must have snr_sq > 0")
+        raise DomainError("fit points must have snr_sq finite and > 0")
     if not (ps.min() < 0.5 and ps.max() > 0.5):
         raise FitError("fit points must span both halves of (0,1)")
 

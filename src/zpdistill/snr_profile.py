@@ -2,8 +2,8 @@
 
 A GradientTable holds one gradient row per problem with its estimated pass
 rate, as arrays validated once at construction. Rows are grouped into
-equal-width pass-rate bins (same edge convention as passrate.histogram:
-left-closed, final bin closed) and each bin reports
+equal-width pass-rate bins by passrate.bin_indices (left-closed, final bin
+closed) and each bin reports
 
     snr = ||mean gradient|| / sqrt(mean ||g_i - mean||^2)
 
@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DegenerateInputError, DomainError, InsufficientDataError
-from .passrate import equal_edges
+from .passrate import bin_indices, equal_edges
 
 __all__ = [
     "GradientTable",
@@ -107,17 +107,11 @@ class SnrProfile:
         return len(self.bins)
 
 
-def _bin_indices(ps: np.ndarray, edges: np.ndarray) -> np.ndarray:
-    # Left-closed bins, final bin closed: same placement as np.histogram.
-    idx = np.searchsorted(edges, ps, side="right") - 1
-    return np.clip(idx, 0, len(edges) - 2)
-
-
 def compute_snr_bins(table: GradientTable, num_bins: int) -> SnrProfile:
     """Per-bin cross-problem SNR, before normalization."""
     ps, grads = table.p, table.gradients
     edges = np.asarray(equal_edges(num_bins))
-    idx = _bin_indices(ps, edges)
+    idx = bin_indices(ps, edges)
 
     bins: list[SnrBin] = []
     for j in range(num_bins):

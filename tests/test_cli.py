@@ -349,6 +349,13 @@ class TestFitSnr:
         path = self._profile_csv(tmp_path, ps, snrs)
         assert "boundary constant c0" in _single_error(capsys, tmp_path, ["fit-snr", str(path)])
 
+    def test_snr_whose_square_overflows_is_error(self, tmp_path, capsys):
+        # Finite snr values above sqrt(max double) ~ 1.34e154 square to inf.
+        ps = [0.1, 0.3, 0.5, 0.7, 0.9]
+        path = self._profile_csv(tmp_path, ps, [1e159, 3e159, 5e159, 7e159, 9e159])
+        err = _single_error(capsys, tmp_path, ["fit-snr", str(path)])
+        assert err == "error: bin snr 1e+159: its square overflows a double"
+
 
 _SMALL_CFG = """
 [world]

@@ -42,3 +42,14 @@ def test_package_all_resolves():
     assert len(zpdistill.__all__) == len(set(zpdistill.__all__))
     for attr in zpdistill.__all__:
         assert hasattr(zpdistill, attr), attr
+
+
+def test_package_all_is_exactly_its_public_bindings():
+    # An export dropped from the import block or from __all__ but not the
+    # other fails here.
+    bound = {
+        attr
+        for attr, obj in vars(zpdistill).items()
+        if not attr.startswith("_") and not inspect.ismodule(obj)
+    }
+    assert set(zpdistill.__all__) - {"__version__"} == bound

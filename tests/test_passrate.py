@@ -2,14 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from zpdistill.errors import DomainError, InsufficientDataError
+from zpdistill.errors import DomainError
 from zpdistill.passrate import (
     THREE_BIN_EDGES,
-    PassRateHistogram,
     RolloutTable,
+    bin_indices,
     equal_edges,
     hard_filter,
-    histogram,
 )
 
 
@@ -120,7 +119,13 @@ class TestHardFilter:
         assert hard_filter(p, 0.2, 0.8) == (0.2 <= p <= 0.8)
 
 
+def _counts(p, edges):
+    return np.bincount(bin_indices(p, edges), minlength=len(edges) - 1).tolist()
+
+
 class TestHistogram:
+    """bin_indices: left-closed, right-open bins, the final bin closed."""
+
     def test_three_bin_edges_constant(self):
         assert THREE_BIN_EDGES == (0.0, 0.2, 0.8, 1.0)
 
@@ -131,55 +136,47 @@ class TestHistogram:
 
     def test_left_closed_right_open_final_closed(self):
         # 0.2 falls in the middle bin; 1.0 falls in the final bin.
-        h = histogram(np.array([0.0, 1 / 5, 1.0]), THREE_BIN_EDGES)
-        assert h.fractions == (ptx := (1 / 3, 1 / 3, 1 / 3)) or h.fractions == ptx
+        p = np.array([0.0, np.nextafter(0.2, 0.0), 1 / 5, np.nextafter(0.8, 0.0), 0.8, 1.0])
+        assert bin_indices(p, THREE_BIN_EDGES).tolist() == [0, 0, 1, 1, 2, 2]
 
     def test_binning_differs_from_inclusive_filter_at_lower_edge(self):
-        # p = 0.2: the filter keeps it, but the histogram puts it in bin 2,
-        # because bins are left-closed right-open.
-        p = 1 / 5
-        assert hard_filter(p, 0.2, 0.8)
-        h = histogram(np.array([p]), THREE_BIN_EDGES)
-        assert h.fractions == (0.0, 1.0, 0.0)
+        # The filter keeps p = 0.2 and the bins put it in the middle bin; at
+        # the upper edge they part: the filter keeps 0.8, the bins put it high.
+        assert hard_filter(1 / 5, 0.2, 0.8) and hard_filter(4 / 5, 0.2, 0.8)
+        assert bin_indices(np.array([1 / 5, 4 / 5]), THREE_BIN_EDGES).tolist() == [1, 2]
 
     def test_upper_edge_value_in_final_bin(self):
-        h = histogram(np.array([1.0]), THREE_BIN_EDGES)
-        assert h.fractions == (0.0, 0.0, 1.0)
-
-    def test_mean_is_unbinned_mean(self):
-        h = histogram(np.array([0, 3, 8, 5]) / 8, THREE_BIN_EDGES)
-        assert h.mean_p == pytest.approx((0 + 3 + 8 + 5) / 32, abs=1e-15)
+        assert _counts(np.array([1.0]), THREE_BIN_EDGES) == [0, 0, 1]
 
     def test_matches_numpy_histogram(self):
+        # Every edge, one ulp either side of it, the extremes, the smallest
+        # subnormal and random pass rates, at the three-bin and 2..50 equal edges.
         rng = np.random.default_rng(9)
-        p = rng.integers(0, 17, 100) / 16
-        for num_bins in (3, 5, 10):
-            edges = equal_edges(num_bins)
-            h = histogram(p, edges)
-            counts, _ = np.histogram(p, bins=np.array(edges))
-            assert np.allclose(h.fractions, counts / 100)
+        for edges in (THREE_BIN_EDGES, *(equal_edges(b) for b in range(2, 51))):
+            e = np.array(edges)
+            p = np.concatenate([
+                e, np.nextafter(e, -1.0), np.nextafter(e, 2.0),
+                [0.0, 1.0, 5e-324], rng.random(100), rng.integers(0, 17, 100) / 16,
+            ])
+            p = p[(p >= 0.0) & (p <= 1.0)]
+            want, _ = np.histogram(p, bins=e)
+            assert _counts(p, edges) == want.tolist(), edges
 
-    def test_empty_input_rejected(self):
-        with pytest.raises(InsufficientDataError):
-            histogram(np.array([]), THREE_BIN_EDGES)
+    @pytest.mark.parametrize(
+        "p", [-0.1, -5e-324, np.nextafter(1.0, 2.0), 1.5, float("nan"), float("inf")]
+    )
+    def test_rejects_p_outside_unit_interval(self, p):
+        with pytest.raises(DomainError):
+            bin_indices(np.array([0.5, p]), THREE_BIN_EDGES)
 
     def test_bad_edges_rejected(self):
-        with pytest.raises(DomainError):
-            histogram(np.array([0.5]), (0.0, 0.5, 0.4, 1.0))
-        with pytest.raises(DomainError):
-            histogram(np.array([0.5]), (0.1, 0.5, 1.0))
+        for edges in [(0.0, 0.5, 0.4, 1.0), (0.1, 0.5, 1.0), (0.0, 0.5, 0.9),
+                      (0.0, 0.5, 0.5, 1.0), (1.0,)]:
+            with pytest.raises(DomainError):
+                bin_indices(np.array([0.5]), edges)
 
     @given(st.lists(st.integers(0, 8), min_size=1, max_size=50))
     def test_fractions_sum_to_one(self, successes):
-        h = histogram(np.array(successes) / 8, THREE_BIN_EDGES)
-        assert sum(h.fractions) == pytest.approx(1.0, abs=1e-12)
-
-
-class TestPassRateHistogramValidation:
-    def test_rejects_bad_fraction_sum(self):
-        with pytest.raises(DomainError):
-            PassRateHistogram(THREE_BIN_EDGES, (0.5, 0.1, 0.1), 0.4)
-
-    def test_rejects_mismatched_lengths(self):
-        with pytest.raises(DomainError):
-            PassRateHistogram(THREE_BIN_EDGES, (0.5, 0.5), 0.4)
+        counts = _counts(np.array(successes) / 8, THREE_BIN_EDGES)
+        assert sum(counts) == len(successes)
+        assert sum(c / len(successes) for c in counts) == pytest.approx(1.0, abs=1e-12)

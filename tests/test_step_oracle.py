@@ -40,7 +40,7 @@ from zpdistill.distill_sim import (
     _weights,
 )
 from zpdistill.numerics import label_tokens, log_softmax, stream, stream_uniforms
-from zpdistill.passrate import THREE_BIN_EDGES, histogram
+from zpdistill.passrate import THREE_BIN_EDGES
 from zpdistill.snr_profile import GradientTable
 
 
@@ -112,17 +112,18 @@ def _old_sampled_reverse_diffs(world, n_samples):
 def _old_eval_checkpoint(world, weights, direction):
     k = world.config.rollout_count
     p = _old_sample_pass_rates(world, k, "eval").sum(axis=1) / k
-    hist = histogram(p, THREE_BIN_EDGES)
+    counts, _ = np.histogram(p, bins=np.array(THREE_BIN_EDGES))
+    fractions = counts / p.size
     losses, _ = _old_losses_and_diffs(world, direction)
     return CheckpointRow(
         step=world.step,
         stage=direction,
         loss=float(np.mean(weights * losses)),
         retention_kl=retention(world),
-        frac_low=hist.fractions[0],
-        frac_med=hist.fractions[1],
-        frac_high=hist.fractions[2],
-        mean_p=hist.mean_p,
+        frac_low=float(fractions[0]),
+        frac_med=float(fractions[1]),
+        frac_high=float(fractions[2]),
+        mean_p=float(p.mean()),
     )
 
 
