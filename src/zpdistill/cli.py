@@ -3,7 +3,9 @@
 Every subcommand is a thin adapter: parse flags, read input files, call the
 library, write output. Data tables go to stdout (or --out); progress notes
 and reports go to stderr so piped output stays machine-readable. Any failure
-prints a single ``error: ...`` line to stderr and exits nonzero.
+prints a single ``error: ...`` line to stderr and exits nonzero. main builds
+only the invoked subcommand's parser, and every subcommand's parser when
+its first argument names none of them.
 """
 
 from __future__ import annotations
@@ -197,9 +199,12 @@ def _cmd_snr_profile(args: argparse.Namespace) -> None:
 def _cmd_fit_snr(args: argparse.Namespace) -> None:
     with open(args.profile, encoding="utf-8") as f:
         points = load_profile_points(f)
-    overflow = [s for _, s in points if s * s == math.inf]
-    if overflow:
-        raise DomainError(f"bin snr {overflow[0]!r}: its square overflows a double")
+    for _, s in points:
+        if s == 0.0:
+            raise DomainError(f"bin snr {s!r}: snr must be > 0")
+        if s * s in (0.0, math.inf):
+            way = "underflows" if s * s == 0.0 else "overflows"
+            raise DomainError(f"bin snr {s!r}: its square {way} a double")
     fit = fit_snr_model([(p, s * s) for p, s in points])
     lines = [
         f"a_prime = {fmt(fit.a_prime)}",
@@ -293,118 +298,113 @@ def _cmd_simulate(args: argparse.Namespace) -> None:
     )
 
 
-def _build_parser() -> argparse.ArgumentParser:
+# Every subcommand in help order: its name, one-line help and handler.
+_COMMANDS = {
+    "weight": ("weight rollout records with a pass-rate kernel", _cmd_weight),
+    "select-exponents": (
+        "moment-matched kernel exponents from observed pass rates", _cmd_select_exponents),
+    "robustness": ("worst-case efficiency table for misspecification radii", _cmd_robustness),
+    "variance-ratio": (
+        "closed-form weighted/unweighted gradient variance ratio", _cmd_variance_ratio),
+    "snr-profile": ("binned gradient SNR profile with bell-shape report", _cmd_snr_profile),
+    "fit-snr": ("fit the power-law SNR model to a profile and report its radius", _cmd_fit_snr),
+    "simulate": ("run the synthetic distillation world", _cmd_simulate),
+}
+
+
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or with a command name of that one alone."""
     parser = argparse.ArgumentParser(
         prog="zpdistill",
         description="Pass-rate weighted distillation: kernels, diagnostics, simulator.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("weight", help="weight rollout records with a pass-rate kernel")
-    p.add_argument("rollouts", help="JSONL rollout file")
-    p.add_argument("--alpha", type=float, default=1.0, help="kernel exponent on p")
-    p.add_argument("--beta", type=float, default=1.0, help="kernel exponent on 1-p")
-    p.add_argument(
-        "--hard-filter",
-        nargs=2,
-        type=float,
-        metavar=("LO", "HI"),
-        help="use a keep-band indicator instead of the smooth kernel",
-    )
-    p.add_argument("--floor", type=float, default=0.0, help="minimum raw weight")
-    p.add_argument("--out", help="output CSV path (default stdout)")
-    p.set_defaults(func=_cmd_weight)
-
-    p = sub.add_parser(
-        "select-exponents",
-        help="moment-matched kernel exponents from observed pass rates",
-    )
-    p.add_argument("rollouts", help="JSONL rollout file")
-    p.add_argument(
-        "--epsilon",
-        type=float,
-        default=0.125,
-        help="band margin: only pass rates in [eps, 1-eps] enter the moments",
-    )
-    p.add_argument("--out", help="output path (default stdout)")
-    p.set_defaults(func=_cmd_select_exponents)
-
-    p = sub.add_parser(
-        "robustness",
-        help="worst-case efficiency table for misspecification radii",
-    )
-    p.add_argument(
-        "--delta",
-        type=float,
-        action="append",
-        help="extra log-misspecification radius (repeatable)",
-    )
-    p.add_argument("--out", help="output CSV path (default stdout)")
-    p.set_defaults(func=_cmd_robustness)
-
-    p = sub.add_parser(
-        "variance-ratio",
-        help="closed-form weighted/unweighted gradient variance ratio",
-    )
-    p.add_argument("--alpha", type=float, help="kernel exponent on p")
-    p.add_argument("--beta", type=float, help="kernel exponent on 1-p")
-    p.add_argument("--gamma1", type=float, help="second-moment exponent on p")
-    p.add_argument("--gamma2", type=float, help="second-moment exponent on 1-p")
-    p.add_argument(
-        "--signal",
-        nargs=4,
-        type=float,
-        metavar=("A_S", "B_S", "A_PRIME", "B_PRIME"),
-        help="derive exponents from signal and snr power laws instead",
-    )
-    p.add_argument(
-        "--epsilon",
-        type=float,
-        help="truncate moment integrals to [eps, 1-eps] (diagnostic)",
-    )
-    p.add_argument("--out", help="output path (default stdout)")
-    p.set_defaults(func=_cmd_variance_ratio)
-
-    p = sub.add_parser(
-        "snr-profile",
-        help="binned gradient SNR profile with bell-shape report",
-    )
-    p.add_argument("gradients", help="gradient CSV file")
-    p.add_argument("--bins", type=int, default=10, help="number of equal-width bins")
-    p.add_argument("--out", help="output CSV path (default stdout)")
-    p.set_defaults(func=_cmd_snr_profile)
-
-    p = sub.add_parser(
-        "fit-snr",
-        help="fit the power-law SNR model to a profile and report its radius",
-    )
-    p.add_argument("profile", help="profile CSV file")
-    p.add_argument("--out", help="output path (default stdout)")
-    p.set_defaults(func=_cmd_fit_snr)
-
-    p = sub.add_parser("simulate", help="run the synthetic distillation world")
-    p.add_argument("--config", help="INI config file (defaults used when omitted)")
-    p.add_argument("--out", help="metrics CSV path (default stdout)")
-    for flag, field, help_text in _OVERRIDES:
-        p.add_argument(flag, dest=field, help=f"override {help_text}")
-    p.add_argument(
-        "--dump-gradients",
-        metavar="PREFIX",
-        help="write per-problem gradient CSVs named PREFIX<step>.csv",
-    )
-    p.add_argument(
-        "--dump-step",
-        type=int,
-        action="append",
-        help="training step at which to dump gradients (repeatable; default 20)",
-    )
-    p.set_defaults(func=_cmd_simulate)
-
+    # A one-command parser still names every command in its usage line.
+    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in _COMMANDS if command is None else (command,):
+        help_text, func = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(func=func)
+        match name:
+            case "weight":
+                p.add_argument("rollouts", help="JSONL rollout file")
+                p.add_argument("--alpha", type=float, default=1.0, help="kernel exponent on p")
+                p.add_argument("--beta", type=float, default=1.0, help="kernel exponent on 1-p")
+                p.add_argument(
+                    "--hard-filter",
+                    nargs=2,
+                    type=float,
+                    metavar=("LO", "HI"),
+                    help="use a keep-band indicator instead of the smooth kernel",
+                )
+                p.add_argument("--floor", type=float, default=0.0, help="minimum raw weight")
+                p.add_argument("--out", help="output CSV path (default stdout)")
+            case "select-exponents":
+                p.add_argument("rollouts", help="JSONL rollout file")
+                p.add_argument(
+                    "--epsilon",
+                    type=float,
+                    default=0.125,
+                    help="band margin: only pass rates in [eps, 1-eps] enter the moments",
+                )
+                p.add_argument("--out", help="output path (default stdout)")
+            case "robustness":
+                p.add_argument(
+                    "--delta",
+                    type=float,
+                    action="append",
+                    help="extra log-misspecification radius (repeatable)",
+                )
+                p.add_argument("--out", help="output CSV path (default stdout)")
+            case "variance-ratio":
+                p.add_argument("--alpha", type=float, help="kernel exponent on p")
+                p.add_argument("--beta", type=float, help="kernel exponent on 1-p")
+                p.add_argument("--gamma1", type=float, help="second-moment exponent on p")
+                p.add_argument("--gamma2", type=float, help="second-moment exponent on 1-p")
+                p.add_argument(
+                    "--signal",
+                    nargs=4,
+                    type=float,
+                    metavar=("A_S", "B_S", "A_PRIME", "B_PRIME"),
+                    help="derive exponents from signal and snr power laws instead",
+                )
+                p.add_argument(
+                    "--epsilon",
+                    type=float,
+                    help="truncate moment integrals to [eps, 1-eps] (diagnostic)",
+                )
+                p.add_argument("--out", help="output path (default stdout)")
+            case "snr-profile":
+                p.add_argument("gradients", help="gradient CSV file")
+                p.add_argument(
+                    "--bins", type=int, default=10, help="number of equal-width bins")
+                p.add_argument("--out", help="output CSV path (default stdout)")
+            case "fit-snr":
+                p.add_argument("profile", help="profile CSV file")
+                p.add_argument("--out", help="output path (default stdout)")
+            case "simulate":
+                p.add_argument("--config", help="INI config file (defaults used when omitted)")
+                p.add_argument("--out", help="metrics CSV path (default stdout)")
+                for flag, field, override_help in _OVERRIDES:
+                    p.add_argument(flag, dest=field, help=f"override {override_help}")
+                p.add_argument(
+                    "--dump-gradients",
+                    metavar="PREFIX",
+                    help="write per-problem gradient CSVs named PREFIX<step>.csv",
+                )
+                p.add_argument(
+                    "--dump-step",
+                    type=int,
+                    action="append",
+                    help="training step at which to dump gradients (repeatable; default 20)",
+                )
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = _build_parser(command).parse_args(argv)
     try:
         args.func(args)
     except (ZpdistillError, OSError) as exc:

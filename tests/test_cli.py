@@ -1,5 +1,7 @@
+import argparse
 import json
 import math
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +10,7 @@ import numpy as np
 import pytest
 
 from zpdistill import fileio
-from zpdistill.cli import _OVERRIDES, main
+from zpdistill.cli import _COMMANDS, _OVERRIDES, _build_parser, main
 from zpdistill.distill_sim import SimConfig, build_world, train
 from zpdistill.fileio import fmt, load_gradient_records
 from zpdistill.kernel import (
@@ -356,6 +358,17 @@ class TestFitSnr:
         err = _single_error(capsys, tmp_path, ["fit-snr", str(path)])
         assert err == "error: bin snr 1e+159: its square overflows a double"
 
+    @pytest.mark.parametrize("snrs, want", [
+        # Finite snr values below about 1.6e-162 square to 0.
+        ([1e-170, 2e-170, 3e-170, 2e-170, 1e-170], "its square underflows a double"),
+        ([0.5, 0.0, 0.7, 0.6, 0.4], "snr must be > 0"),
+    ])
+    def test_snr_whose_square_vanishes_is_error(self, tmp_path, capsys, snrs, want):
+        bad = next(s for s in snrs if s * s == 0.0)
+        path = self._profile_csv(tmp_path, [0.1, 0.3, 0.5, 0.7, 0.9], snrs)
+        err = _single_error(capsys, tmp_path, ["fit-snr", str(path)])
+        assert err == f"error: bin snr {bad!r}: {want}"
+
 
 _SMALL_CFG = """
 [world]
@@ -586,6 +599,44 @@ class TestSimulate:
         assert self._warnings(capsys.readouterr().err) == []
 
 
+def _exit_output(capsys, parse):
+    """(stdout, stderr, exit code) of a parse that exits."""
+    with pytest.raises(SystemExit) as exc:
+        parse()
+    captured = capsys.readouterr()
+    return captured.out, captured.err, exc.value.code
+
+
+class TestParser:
+    @pytest.mark.parametrize("command", list(_COMMANDS))
+    def test_subcommand_help_equals_full_parser(self, capsys, command):
+        full = _exit_output(capsys, lambda: _build_parser().parse_args([command, "--help"]))
+        assert full[0].startswith(f"usage: zpdistill {command} ")
+        assert _exit_output(capsys, lambda: main([command, "--help"])) == full
+
+    @pytest.mark.parametrize("argv", [[], ["--help"], ["bogus"], ["simulate", "--bogus"]])
+    def test_top_level_output_equals_full_parser(self, capsys, argv):
+        full = _exit_output(capsys, lambda: _build_parser().parse_args(argv))
+        assert _exit_output(capsys, lambda: main(argv)) == full
+
+    def test_main_builds_only_the_invoked_subparser(self, tmp_path, capsys, monkeypatch):
+        names = []
+        add_parser = argparse._SubParsersAction.add_parser
+
+        def spy(self, name, **kwargs):
+            names.append(name)
+            return add_parser(self, name, **kwargs)
+
+        monkeypatch.setattr(argparse._SubParsersAction, "add_parser", spy)
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text(_SMALL_CFG, encoding="utf-8")
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "m.csv")]) == 0
+        assert names == ["simulate"]
+        names.clear()
+        _exit_output(capsys, lambda: main(["--help"]))
+        assert names == list(_COMMANDS)
+
+
 def test_module_entry_point_subprocess():
     res = subprocess.run(
         [sys.executable, "-m", "zpdistill", "robustness"],
@@ -595,3 +646,15 @@ def test_module_entry_point_subprocess():
     )
     assert res.returncode == 0
     assert res.stdout.startswith("delta,ratio_lo,ratio_hi,sech,worst_case_efficiency")
+    res = subprocess.run(
+        [sys.executable, "-m", "zpdistill", "--help"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert res.returncode == 0
+    listed = re.findall(r"^    (\S+)", res.stdout, flags=re.M)
+    assert listed == list(_COMMANDS) == [
+        "weight", "select-exponents", "robustness", "variance-ratio",
+        "snr-profile", "fit-snr", "simulate",
+    ]

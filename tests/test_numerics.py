@@ -121,6 +121,40 @@ class TestSech:
         assert sech(1000.0) == 0.0 or sech(1000.0) < 1e-300
 
 
+def _moveaxis_log_softmax(
+    logits: np.ndarray,
+    axis: int = -1,
+    *,
+    out: np.ndarray | None = None,
+    work: np.ndarray | None = None,
+) -> np.ndarray:
+    """log_softmax as written with np.max, np.moveaxis and np.expand_dims,
+    kept as the bit-for-bit oracle."""
+    z = np.asarray(logits, dtype=np.float64)
+    zmax = np.max(z, axis=axis, keepdims=True)
+    shifted = np.subtract(z, zmax, out=out)
+    exps = np.exp(shifted, out=work)
+    lse = np.log(np.expand_dims(_sum_axis0(np.moveaxis(exps, axis, 0)), axis))
+    return np.subtract(shifted, lse, out=shifted)
+
+
+@st.composite
+def _logits_and_axis(draw):
+    """1-3-D float64 logits, C- or Fortran-ordered, with optional -inf
+    entries and optionally constant along the drawn axis (any valid axis,
+    negative ones included)."""
+    shape = tuple(draw(st.lists(st.sampled_from((1, 2, 3, 4, 8, 9, 17)), min_size=1, max_size=3)))
+    axis = draw(st.integers(-len(shape), len(shape) - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.standard_normal(shape) * draw(st.sampled_from((1.0, 30.0, 1e3)))
+    if draw(st.booleans()):
+        x = np.broadcast_to(np.take(x, [0], axis=axis), shape)
+    if draw(st.booleans()):
+        x = np.where(rng.random(shape) < 0.3, -np.inf, x)
+    order = draw(st.sampled_from("CF"))
+    return np.array(x, order=order), axis
+
+
 class TestSoftmax:
     def test_row_normalization_and_stability(self):
         logits = np.array([[1000.0, 1000.0, 999.0], [-1000.0, 0.0, 1.0]])
@@ -146,6 +180,39 @@ class TestSoftmax:
     def test_shift_invariance(self):
         logits = np.array([0.5, -1.0, 2.0])
         assert np.allclose(log_softmax(logits + 123.0), log_softmax(logits), atol=1e-12)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @settings(max_examples=300, deadline=None)
+    @given(case=_logits_and_axis(), buffers=st.sampled_from(("none", "fresh", "alias", "alias-only")))
+    def test_matches_moveaxis_oracle_bit_for_bit(self, case, buffers):
+        # buffers: no out/work, fresh out and work, out aliasing the logits
+        # with a fresh work, or out aliasing the logits alone.
+        x, axis = case
+        results = []
+        for f in (_moveaxis_log_softmax, log_softmax):
+            z = x.copy(order="K")
+            out = {"none": None, "fresh": np.empty_like(z)}.get(buffers, z)
+            work = np.empty_like(z) if buffers in ("fresh", "alias") else None
+            got = f(z, axis, out=out, work=work)
+            assert out is None or got is out
+            results.append((got, work))
+        (want, want_work), (got, got_work) = results
+        assert got.shape == want.shape == x.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        if work is not None:
+            assert np.array_equal(got_work.view(np.uint64), want_work.view(np.uint64))
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 3), (2, 3, 4)])
+    def test_out_of_range_axis_raises_as_oracle(self, shape):
+        x = np.zeros(shape)
+        for axis in (len(shape), -len(shape) - 1):
+            with pytest.raises(IndexError) as want:  # numpy's AxisError
+                _moveaxis_log_softmax(x, axis)
+            with pytest.raises(IndexError) as got:
+                log_softmax(x, axis)
+            assert type(got.value) is type(want.value)
+            assert type(got.value).__name__ == "AxisError"
+            assert str(got.value) == str(want.value)
 
 
 class TestStream:

@@ -85,7 +85,7 @@ _README_COMMANDS = _readme_commands()
 @pytest.mark.parametrize("words", _README_COMMANDS, ids=" ".join)
 def test_readme_command_parses(words):
     try:
-        _build_parser().parse_args(words[1:])
+        _build_parser(words[1]).parse_args(words[1:])
     except SystemExit:
         pytest.fail(f"README command does not parse: {' '.join(words)}")
 
