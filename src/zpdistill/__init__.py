@@ -20,11 +20,8 @@ from .errors import (
     ZpdistillError,
 )
 from .kernel import (
-    KernelParams,
     ZpdMoments,
     at_flat_boundary,
-    beta_weight,
-    kernel_peak,
     raw_weights,
     select_exponents,
     unit_mean,
@@ -36,7 +33,6 @@ from .passrate import (
     RolloutTable,
     bin_indices,
     equal_edges,
-    hard_filter,
 )
 from .robustness import (
     SnrModelFit,
@@ -94,11 +90,7 @@ __all__ = [
     "THREE_BIN_EDGES",
     "bin_indices",
     "equal_edges",
-    "hard_filter",
-    "KernelParams",
     "ZpdMoments",
-    "beta_weight",
-    "kernel_peak",
     "raw_weights",
     "unit_mean",
     "zpd_moments",

@@ -41,7 +41,6 @@ from .fileio import (
 from .kernel import (
     SCHEMES,
     at_flat_boundary,
-    kernel_peak,
     raw_weights,
     select_exponents,
     unit_mean,
@@ -82,8 +81,8 @@ def _load_rollout_table(path: str) -> RolloutTable:
 def _cmd_weight(args: argparse.Namespace) -> None:
     table = _load_rollout_table(args.rollouts)
     p = table.p
-    if args.hard_filter is not None:
-        lo, hi = args.hard_filter
+    if args.band is not None:
+        lo, hi = args.band
         raw = raw_weights(p, "hard", lo=lo, hi=hi, floor=args.floor)
     else:
         raw = raw_weights(p, "beta", alpha=args.alpha, beta=args.beta, floor=args.floor)
@@ -104,7 +103,7 @@ def _cmd_select_exponents(args: argparse.Namespace) -> None:
         f"var_bound = {fmt(m.mean_p * (1.0 - m.mean_p) / 3.0)}",
     ]
     try:
-        params = select_exponents(m)
+        alpha, beta = select_exponents(m)
     except DomainError:
         lines += [
             "validity = invalid",
@@ -113,12 +112,12 @@ def _cmd_select_exponents(args: argparse.Namespace) -> None:
         ]
     else:
         lines += [
-            f"alpha_star = {fmt(params.alpha)}",
-            f"beta_star = {fmt(params.beta)}",
+            f"alpha_star = {fmt(alpha)}",
+            f"beta_star = {fmt(beta)}",
             f"validity = {'flat_boundary' if at_flat_boundary(m) else 'ok'}",
         ]
-        if params.alpha >= 0.0 and params.beta >= 0.0 and not params.flat:
-            lines.append(f"peak = {fmt(kernel_peak(params))}")
+        if alpha >= 0.0 and beta >= 0.0 and not alpha == beta == 0.0:
+            lines.append(f"peak = {fmt(alpha / (alpha + beta))}")
     with _out_stream(args.out) as f:
         for line in lines:
             f.write(line + "\n")
@@ -332,6 +331,7 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
                 p.add_argument("--beta", type=float, default=1.0, help="kernel exponent on 1-p")
                 p.add_argument(
                     "--hard-filter",
+                    dest="band",
                     nargs=2,
                     type=float,
                     metavar=("LO", "HI"),

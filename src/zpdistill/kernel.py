@@ -3,21 +3,25 @@
 The weight of a problem with pass rate p is w(p) = p^alpha (1-p)^beta with
 the convention 0^0 = 1, so alpha = 0 or beta = 0 degrades to a one-sided
 kernel and alpha = beta = 0 is the flat kernel w(p) = 1. For positive
-exponents the kernel is exactly zero at p in {0, 1}; no floor is applied
-unless a caller passes one explicitly.
+exponents the kernel is exactly zero at p in {0, 1}. The hard baseline
+weighs 1 inside its keep band and 0 outside it; the band is inclusive on
+both ends, so with the default (0.2, 0.8) band and K = 8 rollouts exactly
+2..6 successes are kept. Under every scheme the floor is the minimum raw
+weight; it is 0 unless a caller passes one.
 
 Pass rates and weights are arrays: raw_weights() is the one weighting rule
-of the CLI and the simulator, unit_mean() scales its (N,) result to unit
-mean, and zpd_moments() takes the (N,) pass rates of a RolloutTable.
-unit_mean() divides by the mean over ALL entries, zero weights included,
-so dropping problems lowers the mean and raises the surviving weights.
+of the CLI, the simulator and minimax_weight(), unit_mean() scales its (N,)
+result to unit mean, and zpd_moments() takes the (N,) pass rates of a
+RolloutTable. unit_mean() divides by the mean over ALL entries, zero weights
+included, so dropping problems lowers the mean and raises the surviving
+weights.
 
 select_exponents() inverts (mean, variance) of the in-band pass rates into
 kernel exponents by matching the moments of Beta(alpha+1, beta+1). The
 result is returned raw: strongly skewed moments can produce one negative
 exponent even when the validity condition var < mean(1-mean)/3 holds, and
-callers that need an evaluable kernel must check for that (beta_weight and
-kernel_peak reject negative exponents).
+callers that need an evaluable kernel must check for that (raw_weights
+rejects negative exponents).
 """
 
 from __future__ import annotations
@@ -28,14 +32,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInputError, DomainError, InsufficientDataError
-from .passrate import hard_filter
 
 __all__ = [
     "SCHEMES",
-    "KernelParams",
     "ZpdMoments",
-    "beta_weight",
-    "kernel_peak",
     "raw_weights",
     "unit_mean",
     "zpd_moments",
@@ -47,24 +47,6 @@ __all__ = [
 _FLAT_BOUNDARY_RTOL = 1e-9
 
 SCHEMES = ("beta", "hard", "unweighted")
-
-
-@dataclass(frozen=True)
-class KernelParams:
-    """Beta-kernel exponents (alpha, beta)."""
-
-    alpha: float
-    beta: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
-            raise DomainError(
-                f"kernel exponents must be finite, got ({self.alpha}, {self.beta})"
-            )
-
-    @property
-    def flat(self) -> bool:
-        return self.alpha == 0.0 and self.beta == 0.0
 
 
 @dataclass(frozen=True)
@@ -87,59 +69,45 @@ class ZpdMoments:
             raise DomainError(f"count must be >= 2, got {self.count}")
 
 
-def _require_nonnegative(params: KernelParams) -> None:
-    if params.alpha < 0.0 or params.beta < 0.0:
-        raise DomainError(
-            "kernel evaluation requires nonnegative exponents, got "
-            f"({params.alpha}, {params.beta})"
-        )
-
-
-def beta_weight(p: float, params: KernelParams) -> float:
-    """w(p) = p^alpha (1-p)^beta with 0^0 = 1."""
-    if not (math.isfinite(p) and 0.0 <= p <= 1.0):
-        raise DomainError(f"pass rate must lie in [0,1], got {p!r}")
-    _require_nonnegative(params)
-    # Python's 0.0 ** 0.0 is already 1.0, which is exactly the convention.
-    return p**params.alpha * (1.0 - p) ** params.beta
-
-
-def kernel_peak(params: KernelParams) -> float:
-    """Argmax alpha/(alpha+beta) of the kernel on [0,1]."""
-    _require_nonnegative(params)
-    total = params.alpha + params.beta
-    if total == 0.0:
-        raise DegenerateInputError("flat kernel (alpha=beta=0) has no unique peak")
-    return params.alpha / total
-
-
 def raw_weights(
     p: np.ndarray, scheme: str, alpha: float = 1.0, beta: float = 1.0,
     lo: float = 0.2, hi: float = 0.8, floor: float = 0.0,
 ) -> np.ndarray:
-    """Raw weight of each pass rate in p under one weighting scheme.
+    """Raw weight max(rule(p), floor) of each pass rate in p.
 
-    beta: max(w(p), floor) with w the Beta kernel. hard: 1 inside the
-    inclusive band [lo, hi], else floor. unweighted: 1. floor must be
-    finite and >= 0. The scalar rule runs once per distinct pass rate and
-    is indexed back, so each weight is exactly the scalar function's value.
+    The rule is the scheme's: beta, the Beta kernel p^alpha (1-p)^beta with
+    0^0 = 1 (alpha, beta finite and >= 0); hard, 1 inside the inclusive
+    band lo <= p <= hi and 0 outside it (0 <= lo <= hi <= 1); unweighted, 1.
+    floor must be finite and >= 0. The rule runs in Python floats once per
+    distinct pass rate, and the table is indexed back.
     """
     if not (math.isfinite(floor) and floor >= 0.0):
         raise DomainError(f"floor must be finite and >= 0, got {floor!r}")
     values, inverse = np.unique(np.asarray(p, dtype=np.float64), return_inverse=True)
+    # values is sorted with any NaN last, so its two ends bound every entry.
+    if values.size and not (values[0] >= 0.0 and values[-1] <= 1.0):
+        bad = values[0] if not values[0] >= 0.0 else values[-1]
+        raise DomainError(f"pass rate must lie in [0,1], got {float(bad)!r}")
+    ps = values.tolist()
     if scheme == "beta":
-        params = KernelParams(alpha, beta)
-        table = [max(beta_weight(v, params), floor) for v in values.tolist()]
+        if not (0.0 <= alpha < math.inf and 0.0 <= beta < math.inf):
+            raise DomainError(
+                f"kernel exponents must be finite and >= 0, got ({alpha!r}, {beta!r})"
+            )
+        # Python's 0.0 ** 0.0 is already 1.0, which is exactly the convention.
+        rule = [v**alpha * (1.0 - v) ** beta for v in ps]
     elif scheme == "hard":
-        # max turns a floor of -0.0 into 0.0, as the beta rule's max does.
-        table = [
-            1.0 if hard_filter(v, lo, hi) else max(0.0, floor) for v in values.tolist()
-        ]
+        if not 0.0 <= lo <= hi <= 1.0:
+            raise DomainError(
+                f"keep band must satisfy 0 <= lo <= hi <= 1, got ({lo!r}, {hi!r})"
+            )
+        rule = [1.0 if lo <= v <= hi else 0.0 for v in ps]
     elif scheme == "unweighted":
-        table = [1.0] * values.size
+        rule = [1.0] * len(ps)
     else:
         raise DomainError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
-    return np.array(table, dtype=np.float64)[inverse]
+    # max keeps the rule's value on a tie, so a floor of -0.0 gives 0.0.
+    return np.array([max(w, floor) for w in rule], dtype=np.float64)[inverse]
 
 
 def unit_mean(raw: np.ndarray) -> np.ndarray:
@@ -180,14 +148,16 @@ def zpd_moments(p: np.ndarray, epsilon: float) -> ZpdMoments:
     return ZpdMoments(epsilon=epsilon, mean_p=mean, var_p=var, count=int(in_band.size))
 
 
-def select_exponents(m: ZpdMoments) -> KernelParams:
-    """Moment-matched kernel exponents from in-band pass-rate statistics.
+def select_exponents(m: ZpdMoments) -> tuple[float, float]:
+    """Moment-matched kernel exponents (alpha, beta) from in-band pass-rate
+    statistics.
 
     Matches mean and variance of Beta(alpha+1, beta+1) to (mean_p, var_p).
-    Valid only while var_p < mean_p(1-mean_p)/3; at the boundary the result
-    is the flat kernel (0, 0), accepted within a relative tolerance. Beyond
-    it the moments are inconsistent with a concave kernel and the documented
-    fallback is the flat kernel, reported here as an error.
+    Valid only while var_p < mean_p(1-mean_p)/3; the boundary is accepted
+    within a relative tolerance, and there alpha = -beta = 2 mean_p - 1, the
+    flat kernel (0, 0) only at mean_p = 0.5. Beyond it the moments are
+    inconsistent with a concave kernel and the documented fallback is the
+    flat kernel, reported here as an error.
     """
     if m.var_p == 0.0:
         raise DegenerateInputError(
@@ -202,7 +172,7 @@ def select_exponents(m: ZpdMoments) -> KernelParams:
     concentration = m.mean_p * (1.0 - m.mean_p) / m.var_p - 1.0
     alpha = m.mean_p * concentration - 1.0
     beta = (1.0 - m.mean_p) * concentration - 1.0
-    return KernelParams(alpha=alpha, beta=beta)
+    return alpha, beta
 
 
 def at_flat_boundary(m: ZpdMoments) -> bool:

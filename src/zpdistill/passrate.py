@@ -1,22 +1,17 @@
-"""Rollout counts, hard filtering, and pass-rate bins.
+"""Rollout counts and pass-rate bins.
 
 A RolloutTable holds each problem's successes out of k rollouts as integer
 arrays validated once at construction; its pass rates are p = successes / k.
 
-Two bin conventions coexist on purpose and are both part of the contract:
-
-- bin_indices(): bins are left-closed, right-open, except the final bin which
-  is closed on both ends so p = 1 is counted (np.histogram's rule).
-- hard_filter(): the keep band is inclusive on both ends, so with the default
-  (0.2, 0.8) band and K = 8 rollouts exactly 2..6 successes are kept.
-
-The three-bin reporting edges (0, 0.2, 0.8, 1) are exported as
-THREE_BIN_EDGES; under the bin_indices convention the middle bin is [0.2, 0.8).
+bin_indices() bins are left-closed, right-open, except the final bin which
+is closed on both ends so p = 1 is counted (np.histogram's rule). The
+three-bin reporting edges (0, 0.2, 0.8, 1) are exported as THREE_BIN_EDGES;
+under this convention the middle bin is [0.2, 0.8), while the hard scheme's
+keep band in kernel.raw_weights is inclusive on both ends.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -28,7 +23,6 @@ __all__ = [
     "RolloutTable",
     "THREE_BIN_EDGES",
     "bin_indices",
-    "hard_filter",
     "equal_edges",
 ]
 
@@ -104,14 +98,3 @@ def bin_indices(p: np.ndarray, edges: Sequence[float]) -> np.ndarray:
         raise DomainError(f"pass rates must lie in [0,1], got {float(p[bad][0])!r}")
     idx = np.searchsorted(edges, p, side="right") - 1
     return np.clip(idx, 0, len(edges) - 2)
-
-
-def hard_filter(p: float, lo: float = 0.2, hi: float = 0.8) -> bool:
-    """Keep decision for the inclusive band lo <= p <= hi."""
-    if not (math.isfinite(p) and 0.0 <= p <= 1.0):
-        raise DomainError(f"pass rate must lie in [0,1], got {p!r}")
-    if not (0.0 <= lo <= 1.0 and 0.0 <= hi <= 1.0):
-        raise DomainError(f"filter bounds must lie in [0,1], got ({lo}, {hi})")
-    if lo > hi:
-        raise DomainError(f"filter bounds must satisfy lo <= hi, got ({lo}, {hi})")
-    return lo <= p <= hi

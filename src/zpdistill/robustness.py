@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError, FitError, InsufficientDataError, ZpdistillError
-from .kernel import KernelParams, beta_weight
+from .kernel import raw_weights
 from .numerics import sech, sech2
 
 __all__ = [
@@ -68,13 +68,13 @@ def minimax_scale(delta: float) -> float:
     return sech(delta)
 
 
-def minimax_weight(p: float, a_prime: float, b_prime: float, delta: float) -> float:
-    """Robust kernel sech(delta) * p^{a'} (1-p)^{b'}."""
+def minimax_weight(p: np.ndarray, a_prime: float, b_prime: float, delta: float) -> np.ndarray:
+    """Robust kernel sech(delta) * p^{a'} (1-p)^{b'} of each pass rate in p."""
     if a_prime <= 0.0 or b_prime <= 0.0:
         raise DomainError(
             f"minimax_weight requires positive exponents, got ({a_prime}, {b_prime})"
         )
-    return minimax_scale(delta) * beta_weight(p, KernelParams(a_prime, b_prime))
+    return minimax_scale(delta) * raw_weights(p, "beta", a_prime, b_prime)
 
 
 def fit_snr_model(points: Sequence[tuple[float, float]]) -> SnrModelFit:

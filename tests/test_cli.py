@@ -13,13 +13,7 @@ from zpdistill import fileio
 from zpdistill.cli import _COMMANDS, _OVERRIDES, _build_parser, main
 from zpdistill.distill_sim import SimConfig, build_world, train
 from zpdistill.fileio import fmt, load_gradient_records
-from zpdistill.kernel import (
-    KernelParams,
-    beta_weight,
-    select_exponents,
-    unit_mean,
-    zpd_moments,
-)
+from zpdistill.kernel import select_exponents, unit_mean, zpd_moments
 from zpdistill.variance import VarianceSpec, variance_ratio_beta
 
 _GOLDEN_CFG = Path(__file__).resolve().parent.parent / "configs" / "golden.cfg"
@@ -67,8 +61,7 @@ class TestWeight:
         path = _write_rollouts(tmp_path / "r.jsonl", spec)
         assert main(["weight", str(path), "--alpha", "1.5", "--beta", "0.5"]) == 0
         rows = _table(capsys.readouterr().out)
-        params = KernelParams(1.5, 0.5)
-        raw = [beta_weight(s / k, params) for _, s, k in spec]
+        raw = [(s / k) ** 1.5 * (1.0 - s / k) ** 0.5 for _, s, k in spec]
         for row, (pid, _, _), w, wn in zip(rows, spec, raw, unit_mean(np.array(raw))):
             assert row["problem_id"] == pid
             assert float(row["w"]) == pytest.approx(w, rel=1e-9)
@@ -83,6 +76,14 @@ class TestWeight:
         rows = _table(capsys.readouterr().out)
         assert [float(r["w"]) for r in rows] == [0.0, 1.0, 0.0]
         assert float(rows[1]["w_norm"]) == pytest.approx(3.0)
+
+    def test_floor_is_the_minimum_raw_weight_under_the_hard_band(self, tmp_path, capsys):
+        # A floor above 1 lifts the kept problem too, so nothing is inverted.
+        spec = [("a", 1, 8), ("b", 4, 8), ("c", 8, 8)]
+        path = _write_rollouts(tmp_path / "r.jsonl", spec)
+        assert main(["weight", str(path), "--hard-filter", "0.2", "0.8", "--floor", "2"]) == 0
+        rows = _table(capsys.readouterr().out)
+        assert [(r["w"], r["w_norm"]) for r in rows] == [("2", "1")] * 3
 
     def test_degenerate_warns_on_stderr(self, tmp_path, capsys):
         path = _write_rollouts(tmp_path / "r.jsonl", [("a", 0, 4), ("b", 0, 4)])
@@ -140,11 +141,45 @@ class TestSelectExponents:
         path = _write_rollouts(tmp_path / "r.jsonl", spec)
         assert main(["select-exponents", str(path)]) == 0
         kv = _kv(capsys.readouterr().out)
-        params = select_exponents(zpd_moments([s / k for _, s, k in spec], 0.125))
-        assert float(kv["alpha_star"]) == pytest.approx(params.alpha, rel=1e-9)
-        assert float(kv["beta_star"]) == pytest.approx(params.beta, rel=1e-9)
+        alpha, beta = select_exponents(zpd_moments([s / k for _, s, k in spec], 0.125))
+        assert float(kv["alpha_star"]) == pytest.approx(alpha, rel=1e-9)
+        assert float(kv["beta_star"]) == pytest.approx(beta, rel=1e-9)
         assert kv["validity"] == "ok"
         assert "peak" in kv
+
+    def test_peak_is_the_kernel_argmax(self, tmp_path, capsys):
+        # Oracle: dense grid argmax of the kernel with the printed exponents.
+        grid = np.linspace(0.0, 1.0, 200001)
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            center, sd = rng.uniform(0.3, 0.7), rng.uniform(2.0, 5.0)
+            successes = np.clip(np.rint(rng.normal(center * 20, sd, 40)), 0, 20)
+            spec = [(f"q{i}", int(s), 20) for i, s in enumerate(successes)]
+            path = _write_rollouts(tmp_path / "r.jsonl", spec)
+            assert main(["select-exponents", str(path)]) == 0
+            kv = _kv(capsys.readouterr().out)
+            w = grid ** float(kv["alpha_star"]) * (1.0 - grid) ** float(kv["beta_star"])
+            assert float(kv["peak"]) == pytest.approx(grid[np.argmax(w)], abs=1e-5)
+
+    def test_negative_exponent_prints_no_peak(self, tmp_path, capsys):
+        # Skewed in-band moments: valid, yet the matched alpha is negative.
+        spec = [(f"q{i}", s, 20) for i, s in enumerate([2] * 6 + [3] * 3 + [13] * 2)]
+        path = _write_rollouts(tmp_path / "r.jsonl", spec)
+        assert main(["select-exponents", str(path), "--epsilon", "0.1"]) == 0
+        kv = _kv(capsys.readouterr().out)
+        assert kv["validity"] == "ok"
+        assert float(kv["alpha_star"]) < 0.0 < float(kv["beta_star"])
+        assert "peak" not in kv
+
+    def test_flat_kernel_prints_no_peak(self, tmp_path, capsys):
+        # In-band mean 1/2 and variance 1/12, both exact: the flat boundary.
+        spec = [(f"q{i}", s, 8) for i, s in enumerate([1] * 8 + [7] * 8 + [4] * 11)]
+        path = _write_rollouts(tmp_path / "r.jsonl", spec)
+        assert main(["select-exponents", str(path)]) == 0
+        kv = _kv(capsys.readouterr().out)
+        assert (kv["alpha_star"], kv["beta_star"]) == ("0", "0")
+        assert kv["validity"] == "flat_boundary"
+        assert "peak" not in kv
 
     def test_excess_variance_gives_recommendation(self, tmp_path, capsys):
         spec = [("a", 3, 20), ("b", 17, 20)]

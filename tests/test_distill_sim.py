@@ -28,7 +28,6 @@ from zpdistill.errors import ConfigError, DomainError, NumericError
 from zpdistill.fileio import fmt, write_metrics
 from zpdistill.kernel import unit_mean
 from zpdistill.numerics import label_tokens, log_softmax, stream
-from zpdistill.passrate import hard_filter
 from zpdistill.snr_profile import bell_shape_score, compute_snr_bins
 from zpdistill.variance import smoothness_constant
 
@@ -373,7 +372,7 @@ class TestTrain:
 
         w_manual = build_world(cfg)
         table = run_rollouts(w_manual, cfg.rollout_count)
-        raw = [1.0 if hard_filter(p, cfg.filter_lo, cfg.filter_hi) else 0.0 for p in table.p]
+        raw = [1.0 if cfg.filter_lo <= p <= cfg.filter_hi else 0.0 for p in table.p]
         weights = unit_mean(np.array(raw))
         diffs = _diffs(_step_probs(w_manual), "forward").T
         grad = w_manual.features.T @ ((weights[:, None] / cfg.num_problems) * diffs)

@@ -1,23 +1,20 @@
 import math
+import re
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from zpdistill.errors import DegenerateInputError, DomainError, InsufficientDataError
 from zpdistill.kernel import (
     SCHEMES,
-    KernelParams,
     ZpdMoments,
     at_flat_boundary,
-    beta_weight,
-    kernel_peak,
     raw_weights,
     select_exponents,
     unit_mean,
     zpd_moments,
 )
-from zpdistill.passrate import hard_filter
 
 
 def _beta_mean_var(alpha: float, beta: float) -> tuple[float, float]:
@@ -29,30 +26,31 @@ def _beta_mean_var(alpha: float, beta: float) -> tuple[float, float]:
     return mean, var
 
 
+def _beta(p, alpha, beta, floor=0.0):
+    return raw_weights(np.array(p, dtype=np.float64), "beta", alpha, beta, floor=floor)
+
+
 class TestBetaWeight:
+    """The beta scheme of raw_weights: w(p) = p^alpha (1-p)^beta."""
+
     def test_default_kernel_values(self):
-        k = KernelParams(1.0, 1.0)
-        assert beta_weight(0.5, k) == pytest.approx(0.25, abs=1e-15)
-        assert beta_weight(0.2, k) == pytest.approx(0.16, abs=1e-15)
-        assert beta_weight(0.0, k) == 0.0
-        assert beta_weight(1.0, k) == 0.0
+        w = _beta([0.5, 0.2, 0.0, 1.0], 1.0, 1.0)
+        assert w[:2] == pytest.approx([0.25, 0.16], abs=1e-15)
+        assert w[2:].tolist() == [0.0, 0.0]
 
     def test_flat_kernel_uses_zero_power_convention(self):
         # 0^0 = 1: the flat kernel weighs the boundary like everything else.
-        k = KernelParams(0.0, 0.0)
-        for p in (0.0, 0.3, 1.0):
-            assert beta_weight(p, k) == 1.0
+        assert _beta([0.0, 0.3, 1.0], 0.0, 0.0).tolist() == [1.0, 1.0, 1.0]
 
     def test_one_sided_exponents(self):
-        assert beta_weight(0.0, KernelParams(0.0, 2.0)) == 1.0
-        assert beta_weight(1.0, KernelParams(0.0, 2.0)) == 0.0
-        assert beta_weight(1.0, KernelParams(3.0, 0.0)) == 1.0
+        assert _beta([0.0, 1.0], 0.0, 2.0).tolist() == [1.0, 0.0]
+        assert _beta([1.0], 3.0, 0.0).tolist() == [1.0]
 
     def test_rejects_negative_exponents_and_bad_p(self):
-        with pytest.raises(DomainError):
-            beta_weight(0.5, KernelParams(-0.5, 1.0))
-        with pytest.raises(DomainError):
-            beta_weight(1.2, KernelParams(1.0, 1.0))
+        with pytest.raises(DomainError, match=re.escape("(-0.5, 1.0)")):
+            _beta([0.5], -0.5, 1.0)
+        with pytest.raises(DomainError, match="1.2"):
+            _beta([1.2], 1.0, 1.0)
 
     @given(
         # Keep p away from the denormal range where 1-p rounds to 1.
@@ -61,38 +59,13 @@ class TestBetaWeight:
         st.floats(0.0, 5.0),
     )
     def test_reflection_symmetry(self, p, a, b):
-        assert beta_weight(p, KernelParams(a, b)) == pytest.approx(
-            beta_weight(1.0 - p, KernelParams(b, a)), rel=1e-9, abs=1e-12
+        assert _beta([p], a, b)[0] == pytest.approx(
+            _beta([1.0 - p], b, a)[0], rel=1e-9, abs=1e-12
         )
 
     @given(st.floats(0.001, 0.999), st.floats(0.0, 4.0), st.floats(0.0, 4.0))
     def test_nonnegative_and_bounded_by_one(self, p, a, b):
-        w = beta_weight(p, KernelParams(a, b))
-        assert 0.0 <= w <= 1.0
-
-
-class TestKernelPeak:
-    def test_symmetric_peak_at_half(self):
-        assert kernel_peak(KernelParams(1.0, 1.0)) == pytest.approx(0.5)
-        assert kernel_peak(KernelParams(2.0, 2.0)) == pytest.approx(0.5)
-
-    def test_peak_formula_against_grid_argmax(self):
-        # Oracle: dense grid argmax of the kernel itself.
-        grid = np.linspace(0.0, 1.0, 200001)
-        rng = np.random.default_rng(5)
-        for _ in range(10):
-            a, b = rng.uniform(0.2, 4.0, size=2)
-            k = KernelParams(float(a), float(b))
-            w = grid**a * (1.0 - grid) ** b
-            assert kernel_peak(k) == pytest.approx(grid[np.argmax(w)], abs=1e-5)
-
-    def test_flat_kernel_has_no_peak(self):
-        with pytest.raises(DegenerateInputError):
-            kernel_peak(KernelParams(0.0, 0.0))
-
-    def test_one_sided_peaks_at_boundary(self):
-        assert kernel_peak(KernelParams(0.0, 2.0)) == 0.0
-        assert kernel_peak(KernelParams(3.0, 0.0)) == 1.0
+        assert 0.0 <= _beta([p], a, b)[0] <= 1.0
 
 
 class TestNormalizeWeights:
@@ -162,19 +135,31 @@ class TestRawWeights:
         st.integers(12, 16),
         st.floats(0.0, 5.0),
         st.floats(0.0, 5.0),
-        st.floats(0.0, 1.0),
+        st.one_of(st.floats(0.0, 1.0), st.just(-0.0), st.floats(1.0, 10.0)),
         st.floats(0.0, 0.5),
         st.floats(0.5, 1.0),
     )
+    @example([3, 3, 6], 12, 1.0, 1.0, -0.0, 0.25, 0.75)
+    @example([3, 3, 6], 12, 1.0, 1.0, 2.5, 0.25, 0.75)
     def test_bit_identical_to_scalar_rules(self, counts, k, alpha, beta, floor, lo, hi):
+        # Oracle: each scheme's rule in Python floats, one pass rate at a time,
+        # with the floor as a minimum. Counts repeat, and 0 and k give p = 0, 1.
+        counts = [*counts, 0, k, *counts]
         ps = [c / k for c in counts]
         p = np.array(counts) / k
-        params = KernelParams(alpha, beta)
-        want_beta = [max(beta_weight(v, params), floor) for v in ps]
-        want_hard = [1.0 if hard_filter(v, lo, hi) else max(0.0, floor) for v in ps]
-        assert np.array_equal(raw_weights(p, "beta", alpha, beta, floor=floor), want_beta)
-        assert np.array_equal(raw_weights(p, "hard", lo=lo, hi=hi, floor=floor), want_hard)
-        assert np.array_equal(raw_weights(p, "unweighted", floor=floor), np.ones(len(ps)))
+        want = {
+            "beta": [max(v**alpha * (1.0 - v) ** beta, floor) for v in ps],
+            "hard": [max(1.0 if lo <= v <= hi else 0.0, floor) for v in ps],
+            "unweighted": [max(1.0, floor) for _ in ps],
+        }
+        for scheme, rule in want.items():
+            got = raw_weights(p, scheme, alpha, beta, lo, hi, floor)
+            assert got.tobytes() == np.array(rule).tobytes(), scheme
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_floor_above_one_is_the_minimum_under_every_scheme(self, scheme):
+        p = np.array([0.125, 0.5, 1.0, 0.5])
+        assert raw_weights(p, scheme, floor=2.0).tolist() == [2.0] * 4
 
     def test_rejects_bad_input(self):
         with pytest.raises(DomainError):
@@ -187,6 +172,38 @@ class TestRawWeights:
             for floor in (math.nan, -1.0, math.inf):
                 with pytest.raises(DomainError, match="floor"):
                     raw_weights(np.array([0.5]), scheme, floor=floor)
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    @pytest.mark.parametrize("bad", [math.nan, -0.25, 1.5, math.inf, -math.inf])
+    def test_error_names_the_pass_rate_outside_the_unit_interval(self, scheme, bad):
+        with pytest.raises(DomainError, match=re.escape(f"got {bad!r}")):
+            raw_weights(np.array([0.5, bad, 0.25, bad]), scheme)
+
+    @pytest.mark.parametrize("p", [np.array([0.5]), np.array([])])
+    @pytest.mark.parametrize(
+        "kwargs, named",
+        [
+            ({"alpha": -0.5}, "(-0.5, 1.0)"),
+            ({"beta": math.inf}, "(1.0, inf)"),
+            ({"alpha": math.nan}, "(nan, 1.0)"),
+        ],
+    )
+    def test_error_names_the_bad_exponent_even_for_no_pass_rates(self, p, kwargs, named):
+        with pytest.raises(DomainError, match=re.escape(named)):
+            raw_weights(p, "beta", **kwargs)
+
+    @pytest.mark.parametrize("p", [np.array([0.5]), np.array([])])
+    @pytest.mark.parametrize("lo, hi", [(0.8, 0.2), (-0.1, 0.5), (0.2, 1.5), (math.nan, 0.8)])
+    def test_error_names_the_bad_band_even_for_no_pass_rates(self, p, lo, hi):
+        with pytest.raises(DomainError, match=re.escape(f"({lo!r}, {hi!r})")):
+            raw_weights(p, "hard", lo=lo, hi=hi)
+
+    def test_other_schemes_ignore_the_parameters_they_do_not_use(self):
+        # A hard-scheme simulator config may carry any alpha and beta.
+        p = np.array([0.5])
+        assert raw_weights(p, "hard", alpha=-1.0, beta=math.nan).tolist() == [1.0]
+        assert raw_weights(p, "beta", lo=0.9, hi=0.1).tolist() == [0.25]
+        assert raw_weights(p, "unweighted", -1.0, -1.0, 0.9, 0.1).tolist() == [1.0]
 
 
 class TestZpdMoments:
@@ -228,16 +245,26 @@ class TestZpdMoments:
 class TestSelectExponents:
     def test_symmetric_case_gives_flat_one_one(self):
         m = ZpdMoments(epsilon=0.125, mean_p=0.5, var_p=1 / 20, count=10)
-        k = select_exponents(m)
-        assert k.alpha == pytest.approx(1.0, abs=1e-10)
-        assert k.beta == pytest.approx(1.0, abs=1e-10)
+        alpha, beta = select_exponents(m)
+        assert alpha == pytest.approx(1.0, abs=1e-10)
+        assert beta == pytest.approx(1.0, abs=1e-10)
 
     def test_flat_boundary_detection(self):
         m = ZpdMoments(epsilon=0.125, mean_p=0.5, var_p=1 / 12, count=10)
-        k = select_exponents(m)
+        alpha, beta = select_exponents(m)
         assert at_flat_boundary(m)
-        assert k.alpha == pytest.approx(0.0, abs=1e-9)
-        assert k.beta == pytest.approx(0.0, abs=1e-9)
+        assert alpha == pytest.approx(0.0, abs=1e-9)
+        assert beta == pytest.approx(0.0, abs=1e-9)
+
+    @pytest.mark.parametrize("mean", [0.125, 0.3, 0.5, 0.6, 0.875])
+    def test_flat_boundary_gives_opposite_exponents_2m_minus_1(self, mean):
+        # At var = mean(1-mean)/3 the exponents sum to 0: the flat kernel
+        # only at mean 0.5, a one-sided one elsewhere.
+        m = ZpdMoments(epsilon=0.125, mean_p=mean, var_p=mean * (1.0 - mean) / 3.0, count=10)
+        alpha, beta = select_exponents(m)
+        assert at_flat_boundary(m)
+        assert alpha == pytest.approx(2.0 * mean - 1.0, abs=1e-12)
+        assert beta == pytest.approx(1.0 - 2.0 * mean, abs=1e-12)
 
     def test_not_at_boundary(self):
         m = ZpdMoments(epsilon=0.125, mean_p=0.5, var_p=1 / 20, count=10)
@@ -256,11 +283,11 @@ class TestSelectExponents:
     def test_valid_skewed_moments_can_give_negative_exponent(self):
         # mean 0.1, var 0.02 < 0.1*0.9/3 = 0.03 is valid yet alpha* < 0.
         m = ZpdMoments(epsilon=0.05, mean_p=0.1, var_p=0.02, count=10)
-        k = select_exponents(m)
-        assert k.alpha < 0.0
-        assert k.alpha + k.beta > -2.0
+        alpha, beta = select_exponents(m)
+        assert alpha < 0.0
+        assert alpha + beta > -2.0
         with pytest.raises(DomainError):
-            beta_weight(0.5, k)
+            raw_weights(np.array([0.5]), "beta", alpha, beta)
 
     def test_round_trip_against_beta_moments(self):
         # Derive (mean, var) from known exponents via the closed-form Beta
@@ -270,9 +297,7 @@ class TestSelectExponents:
             a, b = rng.uniform(0.0, 6.0, size=2)
             mean, var = _beta_mean_var(float(a), float(b))
             m = ZpdMoments(epsilon=0.01, mean_p=mean, var_p=var, count=10)
-            k = select_exponents(m)
-            assert k.alpha == pytest.approx(a, abs=1e-9)
-            assert k.beta == pytest.approx(b, abs=1e-9)
+            assert select_exponents(m) == pytest.approx((a, b), abs=1e-9)
 
     @settings(max_examples=200)
     @given(st.floats(0.15, 0.85), st.floats(1e-4, 0.03))
@@ -281,7 +306,6 @@ class TestSelectExponents:
         if var >= bound:
             var = bound * 0.999
         m = ZpdMoments(epsilon=0.1, mean_p=mean, var_p=var, count=5)
-        k = select_exponents(m)
-        got_mean, got_var = _beta_mean_var(k.alpha, k.beta)
+        got_mean, got_var = _beta_mean_var(*select_exponents(m))
         assert got_mean == pytest.approx(mean, abs=1e-8)
         assert got_var == pytest.approx(var, abs=1e-8)

@@ -1,15 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from zpdistill.errors import DomainError
-from zpdistill.passrate import (
-    THREE_BIN_EDGES,
-    RolloutTable,
-    bin_indices,
-    equal_edges,
-    hard_filter,
-)
+from zpdistill.kernel import raw_weights
+from zpdistill.passrate import THREE_BIN_EDGES, RolloutTable, bin_indices, equal_edges
 
 
 def _table(rows):
@@ -92,31 +89,35 @@ class TestRolloutTable:
         assert t.problem_ids == ("a", "b", "c", "d")
 
 
+def _hard(p, lo=0.2, hi=0.8):
+    return raw_weights(np.array(p, dtype=np.float64), "hard", lo=lo, hi=hi)
+
+
 class TestHardFilter:
+    """The hard scheme of kernel.raw_weights: 1 inside the inclusive band."""
+
     def test_default_band_is_inclusive(self):
         # K=8 default band keeps exactly 2..6 successes.
-        kept = [s for s in range(9) if hard_filter(s / 8)]
-        assert kept == [2, 3, 4, 5, 6]
+        assert np.flatnonzero(_hard(np.arange(9) / 8)).tolist() == [2, 3, 4, 5, 6]
 
     def test_custom_bounds(self):
-        assert hard_filter(0.5, 0.5, 0.5)
-        assert not hard_filter(0.375, 0.5, 0.5)
+        assert _hard([0.5, 0.375], 0.5, 0.5).tolist() == [1.0, 0.0]
 
     def test_rejects_bad_bounds(self):
-        with pytest.raises(DomainError):
-            hard_filter(0.5, 0.8, 0.2)
-        with pytest.raises(DomainError):
-            hard_filter(0.5, -0.1, 0.5)
+        with pytest.raises(DomainError, match=re.escape("(0.8, 0.2)")):
+            _hard([0.5], 0.8, 0.2)
+        with pytest.raises(DomainError, match=re.escape("(-0.1, 0.5)")):
+            _hard([0.5], -0.1, 0.5)
 
     @pytest.mark.parametrize("p", [-0.1, 1.5, float("nan"), float("inf")])
     def test_rejects_p_outside_unit_interval(self, p):
-        with pytest.raises(DomainError):
-            hard_filter(p)
+        with pytest.raises(DomainError, match=re.escape(repr(p))):
+            _hard([p])
 
     @given(st.integers(0, 8))
     def test_matches_direct_comparison(self, s):
         p = s / 8
-        assert hard_filter(p, 0.2, 0.8) == (0.2 <= p <= 0.8)
+        assert _hard([p]).tolist() == [1.0 if 0.2 <= p <= 0.8 else 0.0]
 
 
 def _counts(p, edges):
@@ -142,7 +143,7 @@ class TestHistogram:
     def test_binning_differs_from_inclusive_filter_at_lower_edge(self):
         # The filter keeps p = 0.2 and the bins put it in the middle bin; at
         # the upper edge they part: the filter keeps 0.8, the bins put it high.
-        assert hard_filter(1 / 5, 0.2, 0.8) and hard_filter(4 / 5, 0.2, 0.8)
+        assert _hard([1 / 5, 4 / 5]).tolist() == [1.0, 1.0]
         assert bin_indices(np.array([1 / 5, 4 / 5]), THREE_BIN_EDGES).tolist() == [1, 2]
 
     def test_upper_edge_value_in_final_bin(self):

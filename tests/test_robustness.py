@@ -63,10 +63,11 @@ class TestMinimax:
         assert robustness_rows([0.0]) == [(0.0, 1.0, 1.0, 1.0, 1.0)]
 
     def test_minimax_weight_scales_kernel(self):
-        w = minimax_weight(0.5, 1.0, 1.0, 0.5)
-        assert w == pytest.approx(sech(0.5) * 0.25, rel=1e-13)
-        with pytest.raises(DomainError):
-            minimax_weight(0.5, 0.0, 1.0, 0.5)
+        w = minimax_weight(np.array([0.5, 0.2, 0.0]), 1.0, 1.0, 0.5)
+        assert w == pytest.approx(sech(0.5) * np.array([0.25, 0.16, 0.0]), rel=1e-13)
+        for a, b in ((0.0, 1.0), (1.0, -1.0)):
+            with pytest.raises(DomainError, match="positive exponents"):
+                minimax_weight(np.array([0.5]), a, b, 0.5)
 
 
 class TestFitSnrModel:
