@@ -102,13 +102,13 @@ def _cmd_select_exponents(args: argparse.Namespace) -> None:
         f"var_p = {fmt(m.var_p)}",
         f"var_bound = {fmt(m.mean_p * (1.0 - m.mean_p) / 3.0)}",
     ]
+    flat = "use the flat kernel (alpha = 0, beta = 0)"
     try:
         alpha, beta = select_exponents(m)
     except DomainError:
         lines += [
             "validity = invalid",
-            "recommendation = variance exceeds the matchable range; "
-            "use the flat kernel (alpha = 0, beta = 0)",
+            f"recommendation = variance exceeds the matchable range; {flat}",
         ]
     else:
         lines += [
@@ -116,7 +116,9 @@ def _cmd_select_exponents(args: argparse.Namespace) -> None:
             f"beta_star = {fmt(beta)}",
             f"validity = {'flat_boundary' if at_flat_boundary(m) else 'ok'}",
         ]
-        if alpha >= 0.0 and beta >= 0.0 and not alpha == beta == 0.0:
+        if alpha < 0.0 or beta < 0.0:
+            lines.append(f"recommendation = a matched exponent is negative; {flat}")
+        elif not alpha == beta == 0.0:
             lines.append(f"peak = {fmt(alpha / (alpha + beta))}")
     with _out_stream(args.out) as f:
         for line in lines:

@@ -51,6 +51,8 @@ _WEIGHT_MEAN_TOL = 1e-9
 _SQUARINGS = 64
 _SETTLED = 1e-14
 _LOG_MAX = math.log(np.finfo(np.float64).max)  # math.exp is finite below it
+# Rows per block of smoothness_constant's Gram sum and its weighted copy.
+_GRAM_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -262,9 +264,10 @@ def smoothness_constant(features: np.ndarray, weights: np.ndarray) -> float:
     rescaled each time: G^(2^k) tends to lambda_max^(2^k) times the
     projector onto the top eigenspace, whose columns are top eigenvectors,
     and the Rayleigh quotient of one gives lambda_max (6-12 squarings on
-    the simulator's worlds and on random rows). This uses only
-    matmul: the first call of a LAPACK eigensolver made about 0.6 MB more
-    of the BLAS library resident, which raised a simulate run's peak RSS.
+    the simulator's worlds and on random rows). This uses only matmul:
+    the first call of a LAPACK eigensolver made about 0.6 MB more of the
+    BLAS library resident, which raised a simulate run's peak RSS. G is
+    summed over row blocks, so past one it can differ in its last bits.
     """
     x = np.asarray(features, dtype=np.float64)
     w = np.asarray(weights, dtype=np.float64)
@@ -274,7 +277,11 @@ def smoothness_constant(features: np.ndarray, weights: np.ndarray) -> float:
         )
     if np.any(w < 0.0):
         raise DomainError("weights must be nonnegative")
-    gram = (x.T * w) @ x / w.size
+    gram = np.zeros((x.shape[1], x.shape[1]))
+    for i in range(0, w.size, _GRAM_ROWS):
+        xb = x[i : i + _GRAM_ROWS]
+        gram += (xb.T * w[i : i + _GRAM_ROWS]) @ xb
+    gram /= w.size
     # gram and its powers are positive semidefinite, so their largest
     # entry is on the diagonal and is > 0 unless the matrix is zero.
     top = gram.max()

@@ -135,6 +135,11 @@ class TestWeight:
         assert "line 1" in capsys.readouterr().err
 
 
+_NEGATIVE_EXPONENT = (
+    "a matched exponent is negative; use the flat kernel (alpha = 0, beta = 0)"
+)
+
+
 class TestSelectExponents:
     def test_valid_moments_match_library(self, tmp_path, capsys):
         spec = [("a", 6, 20), ("b", 10, 20), ("c", 14, 20)]
@@ -145,7 +150,7 @@ class TestSelectExponents:
         assert float(kv["alpha_star"]) == pytest.approx(alpha, rel=1e-9)
         assert float(kv["beta_star"]) == pytest.approx(beta, rel=1e-9)
         assert kv["validity"] == "ok"
-        assert "peak" in kv
+        assert "peak" in kv and "recommendation" not in kv
 
     def test_peak_is_the_kernel_argmax(self, tmp_path, capsys):
         # Oracle: dense grid argmax of the kernel with the printed exponents.
@@ -170,6 +175,19 @@ class TestSelectExponents:
         assert kv["validity"] == "ok"
         assert float(kv["alpha_star"]) < 0.0 < float(kv["beta_star"])
         assert "peak" not in kv
+        assert kv["recommendation"] == _NEGATIVE_EXPONENT
+
+    def test_off_centre_flat_boundary_recommends_the_flat_kernel(self, tmp_path, capsys):
+        # Mean 1/4 and variance 1/16 = mean(1 - mean)/3, both exact: the
+        # boundary off centre, where the matched exponents are -1/2 and 1/2.
+        spec = [(f"q{i}", s, 8) for i, s in enumerate([1] * 4 + [6])]
+        path = _write_rollouts(tmp_path / "r.jsonl", spec)
+        assert main(["select-exponents", str(path)]) == 0
+        kv = _kv(capsys.readouterr().out)
+        assert (kv["alpha_star"], kv["beta_star"]) == ("-0.5", "0.5")
+        assert kv["validity"] == "flat_boundary"
+        assert "peak" not in kv
+        assert kv["recommendation"] == _NEGATIVE_EXPONENT
 
     def test_flat_kernel_prints_no_peak(self, tmp_path, capsys):
         # In-band mean 1/2 and variance 1/12, both exact: the flat boundary.
@@ -179,7 +197,7 @@ class TestSelectExponents:
         kv = _kv(capsys.readouterr().out)
         assert (kv["alpha_star"], kv["beta_star"]) == ("0", "0")
         assert kv["validity"] == "flat_boundary"
-        assert "peak" not in kv
+        assert "peak" not in kv and "recommendation" not in kv
 
     def test_excess_variance_gives_recommendation(self, tmp_path, capsys):
         spec = [("a", 3, 20), ("b", 17, 20)]

@@ -114,7 +114,7 @@ class TestBuildWorld:
         w1 = build_world(_SMALL)
         w2 = build_world(_SMALL)
         assert np.array_equal(w1.features, w2.features)
-        assert np.array_equal(w1.teacher_logits, w2.teacher_logits)
+        assert np.array_equal(w1.teacher_log_probs, w2.teacher_log_probs)
         assert np.array_equal(w1.theta, w2.theta)
         assert np.array_equal(w1.anchor_log_targets, w2.anchor_log_targets)
         w3 = build_world(_small(seed=12))
@@ -128,7 +128,7 @@ class TestBuildWorld:
     def test_shapes(self):
         w = build_world(_SMALL)
         assert w.features.shape == (12, 5)
-        assert w.teacher_logits.shape == (12, 6)
+        assert w.teacher_log_probs.shape == (12, 6)
         assert w.theta.shape == (5, 6)
         assert w.anchor_features.shape == (4, 5)
         assert w.anchor_log_targets.shape == (4, 6)

@@ -287,6 +287,11 @@ class TestStreamUniforms:
         # numpy strips trailing NULs from S items; every token ends in 0x1f.
         assert label_tokens(labels).tolist() == [_token(label) for label in labels]
 
+    def test_tokens_of_chunks_with_differing_widths_read_back_exactly(self):
+        # Tokens are made 1 024 at a time; the widest sets the array's width.
+        labels = [f"p{i}" for i in range(1500)] + [2**70] + [f"q{i}" for i in range(1500)]
+        assert label_tokens(labels).tolist() == [_token(label) for label in labels]
+
     @pytest.mark.parametrize("bad", [True, False, 1.5, None, b"p0"])
     def test_rejects_unsupported_labels(self, bad):
         with pytest.raises(DomainError, match=re.escape(repr(bad))):

@@ -34,7 +34,9 @@ from zpdistill.distill_sim import (
 )
 from zpdistill.distill_sim import (
     _direction_at,
+    _kl_rows,
     _Probs,
+    _sample_pass_rates,
     _sampled_reverse_diffs,
     _step_probs,
     _weights,
@@ -57,8 +59,15 @@ def _old_student_logits(world):
 
 
 def _old_teacher_log_probs(world):
-    # build_world took the log-softmax of C-ordered (N, V) teacher logits.
-    return _old_log_softmax(np.ascontiguousarray(world.teacher_logits), axis=1)
+    # build_world drew the teacher logits from the "teacher" stream, stored
+    # them and took the log-softmax of their C-ordered (N, V) copy.
+    cfg = world.config
+    n = cfg.num_problems
+    logits = distill_sim._TEACHER_JITTER * stream(cfg.seed, "teacher").standard_normal(
+        (n, cfg.vocab_size)
+    )
+    logits[np.arange(n), world.answers] += cfg.teacher_sharpness
+    return _old_log_softmax(logits, axis=1)
 
 
 def _old_categorical(probs, u):
@@ -363,8 +372,60 @@ def test_standalone_calls_match_old_path(direction):
     assert np.array_equal(table.gradients, old.gradients)
 
 
-# Config overrides and the bound on train's peak traced allocation at
-# N = 5000, in (N, V) float64 arrays.
+@pytest.mark.parametrize("block", [1, 3, 7])
+@pytest.mark.parametrize("name", ["sampled_reverse_t0.7_batch", "two_stage_hard_recompute"])
+def test_column_blocks_change_no_value(monkeypatch, name, block):
+    # N = 80 is not a multiple of 3 or 7, so the last block is short.
+    cfg = dataclasses.replace(_BASE, **_CONFIGS[name])
+
+    def passes(world):
+        probs = _step_probs(world)
+        return (
+            _sample_pass_rates(world, 5, "eval"),
+            _sample_pass_rates(world, 5, "eval", probs),
+            _kl_rows(probs, "forward"),
+            _kl_rows(probs, "reverse"),
+        )
+
+    w_one, w_blocks = build_world(cfg), build_world(cfg)
+    for w in (w_one, w_blocks):
+        w.theta = w.theta + 0.4 * np.sin(np.arange(w.theta.size)).reshape(w.theta.shape)
+        w.step = 3
+    want = passes(w_one)
+    m_one = train(w_one, snr_dump_steps=_DUMPS)
+    monkeypatch.setattr(distill_sim, "_BLOCK", block)
+    widths = []
+
+    def spy(prefix, tokens, k):
+        if prefix[1] != "revkl":
+            widths.append(len(tokens))
+        return stream_uniforms(prefix, tokens, k)
+
+    monkeypatch.setattr(distill_sim, "stream_uniforms", spy)
+    got = passes(w_blocks)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    m_blocks = train(w_blocks, snr_dump_steps=_DUMPS)
+    _assert_same_run(w_blocks, m_blocks, w_one, m_one)
+    assert m_blocks.smoothness == m_one.smoothness
+    assert set(widths) == {block, cfg.num_problems % block or block}
+
+
+def test_build_world_peak_allocation_is_a_few_arrays():
+    # At N = 20 000 build_world peaked at 3.81 (N, V) arrays, in the mixture
+    # features' (N, F) temporaries (F = V here); storing the teacher logits
+    # beside their log-softmax peaked at 6.40.
+    cfg = SimConfig(num_problems=20000)
+    tracemalloc.start()
+    try:
+        build_world(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.25 * cfg.num_problems * cfg.vocab_size * 8
+
+
+# Config overrides and the bound on train's peak traced allocation, in
+# (N, V) float64 arrays, at N = 5000 unless the overrides set num_problems.
 # Measured: 4.78 for forward and exact reverse (peak while drawing eval
 # rollouts: the two step buffers, the teacher probabilities, the cdf and the
 # uniforms), 5.68 for 4 reverse-KL samples (the step arrays plus the sample
@@ -375,13 +436,23 @@ def test_standalone_calls_match_old_path(direction):
 # the update and then keeping the batch peaked at 6.26. With the reverse-KL
 # ratios and token entries gathered per (k, N) flat index before the sample
 # loop, sampled reverse peaks at 5.92; the batch's own (V, 500) buffers lift
-# sampled_reverse_batch to 5.16.
+# sampled_reverse_batch to 5.16. With sampling and the checkpoint KL in
+# blocks of 4 096 columns: forward 4.55, reverse 4.70 (the update's (V, N)
+# reverse-KL product), sampled reverse 5.92 (its full-batch draws are not
+# blocked), sampled_reverse_batch 4.94; at N = 20 000, about five blocks,
+# forward 3.75 and sampled_reverse_batch 3.85, where unblocked sampling
+# peaked at 4.75 and 4.85.
 _PEAK_BOUND = {
-    "forward": ({}, 6.0),
-    "reverse": ({"loss_direction": "reverse"}, 6.0),
+    "forward": ({}, 5.0),
+    "reverse": ({"loss_direction": "reverse"}, 5.25),
     "sampled_reverse": ({"loss_direction": "reverse", "reverse_kl_samples": 4}, 6.5),
     "sampled_reverse_batch": (
-        {"loss_direction": "reverse", "reverse_kl_samples": 4, "batch_size": 500}, 6.0,
+        {"loss_direction": "reverse", "reverse_kl_samples": 4, "batch_size": 500}, 5.5,
+    ),
+    "forward_n20000": ({"num_problems": 20000}, 4.25),
+    "sampled_reverse_batch_n20000": (
+        {"num_problems": 20000, "loss_direction": "reverse", "reverse_kl_samples": 4,
+         "batch_size": 500}, 4.25,
     ),
 }
 
@@ -389,7 +460,7 @@ _PEAK_BOUND = {
 @pytest.mark.parametrize("name", sorted(_PEAK_BOUND))
 def test_train_peak_allocation_is_a_few_step_arrays(name):
     kwargs, bound = _PEAK_BOUND[name]
-    cfg = SimConfig(num_problems=5000, steps=6, eval_interval=3, **kwargs)
+    cfg = SimConfig(**{"num_problems": 5000, "steps": 6, "eval_interval": 3, **kwargs})
     world = build_world(cfg)
     array_bytes = cfg.num_problems * cfg.vocab_size * 8
     tracemalloc.start()

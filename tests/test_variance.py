@@ -1,6 +1,7 @@
 import math
 import re
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from scipy import integrate
 from zpdistill.distill_sim import SimConfig, build_world, run_rollouts
 from zpdistill.errors import DegenerateInputError, DomainError
 from zpdistill.kernel import raw_weights
+from zpdistill import variance
 from zpdistill.numerics import log_softmax
 from zpdistill.variance import (
     EmpiricalBatchStats,
@@ -353,15 +355,18 @@ class TestSmoothnessConstant:
     @settings(max_examples=200, deadline=None)
     @given(
         st.integers(1, 20), st.integers(1, 12), st.integers(0, 2**32 - 1),
-        st.sampled_from([0.0, 0.5, 1.0]),
+        st.sampled_from([0.0, 0.5, 1.0]), st.sampled_from([1, 3, 7, 4096]),
     )
-    def test_matches_eigvalsh_on_random_rows(self, n, f, seed, zero_share):
-        # Rank-deficient, zero-weighted and scaled-column cases included.
+    def test_matches_eigvalsh_on_random_rows(self, n, f, seed, zero_share, rows):
+        # Rank-deficient, zero-weighted and scaled-column cases included, and
+        # the Gram sum over row blocks of 1, 3, 7 and the default width.
         rng = np.random.default_rng(seed)
         x = rng.standard_normal((n, f)) * rng.uniform(0.0, 3.0, size=f)
         w = rng.uniform(0.0, 2.0, size=n) * (rng.random(n) >= zero_share)
         want = 0.5 * np.linalg.eigvalsh((x.T * w) @ x / n)[-1]
-        assert smoothness_constant(x, w) == pytest.approx(want, rel=1e-12, abs=1e-300)
+        with mock.patch.object(variance, "_GRAM_ROWS", rows):
+            got = smoothness_constant(x, w)
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-300)
 
     def test_tied_top_eigenvalue_off_the_first_axis(self):
         # Rows e_2 and e_3 with equal weight: lambda_max = 1/2 twice, and
