@@ -38,26 +38,24 @@ grow with N; each column's key and arithmetic read that column alone, so
 blocks change no value. The world stores the teacher's log-probabilities,
 not its logits.
 
-Per-step arithmetic: train computes the teacher's probabilities once per
-call, and the student's log-probabilities and probabilities for all N
-problems only at a step where something reads every problem's: a
-full-batch update, a weight recompute, a checkpoint or an SNR dump. They
-go with out= ufuncs into two buffers allocated once per call. The step
-arrays are vocabulary-major, (V, N) with one column per problem, so every
-reduction over the vocabulary runs down axis 0 over contiguous rows of N.
-Sums over the vocabulary use numerics._sum_axis0, which adds in the
-pairwise order of np.sum over a contiguous (N, V) row, and the logit and
-gradient products are the transposes of the (N, V) ones, so every value
-is bit-identical to the problem-major arithmetic. Every consumer at that
-step reads the arrays: rollout sampling for weights, checkpoints and SNR
-dumps (at rollout temperature 1; other temperatures sample from their own
-softmax), the checkpoint loss, measure_snr, and a full-batch update,
-which writes its gradient columns into the buffers. A minibatch update
-computes the student's distributions, gradient columns and reverse-KL
-draws for its batch problems only, in batch order, into (V, batch_size)
-buffers allocated once per call; each draw is keyed by its problem and
-each column's arithmetic reads that column alone, so those columns equal
-the same columns of a full computation.
+Per-step arithmetic: train computes the student's log-probabilities and
+probabilities for all N problems only at a step where something reads
+every problem's: a weight recompute, a checkpoint or an SNR dump. They go
+with out= ufuncs into two buffers allocated once per call, which every
+consumer at that step reads: rollout sampling (at temperature 1; other
+temperatures take their own softmax per column block), the checkpoint
+loss and measure_snr. The step arrays are vocabulary-major, (V, N) with
+one column per problem, so every reduction over the vocabulary runs down
+axis 0 over contiguous rows of N. Sums over the vocabulary use
+numerics._sum_axis0, which adds in the pairwise order of np.sum over a
+contiguous (N, V) row, and the logit and gradient products are the
+transposes of the (N, V) ones, so every value is bit-identical to the
+problem-major arithmetic. Many weights are 0 (p(1 - p) at p = 0 or 1,
+the hard scheme outside its band), so an update computes the student's
+distributions, gradient columns and reverse-KL draws only for the
+nonzero-weight problems among its rows (all N, or its minibatch), in row
+order, with the step buffers as scratch; each draw is keyed by its
+problem and each column reads only itself, so the columns are unchanged.
 
 At each weight recompute train records the forward-KL smoothness constant
 L of variance.smoothness_constant in SimMetrics.smoothness; a step size
@@ -106,6 +104,7 @@ _STAGE_DIRECTIONS = ("forward", "reverse")
 # Problem columns per block of a sampling or KL pass: Philox ran about 30%
 # faster on 4 096-8 192 keys than on 20 000 at once.
 _BLOCK = 4096
+_KL_BLOCK = 512  # columns per block of the checkpoint KL and its exp(log_pt)
 
 
 @dataclass(frozen=True)
@@ -335,34 +334,34 @@ class _Probs:
     """Student log-probs and probs at the current theta beside the teacher's.
 
     Each array is C-ordered (V, n), one column per problem: all N problems,
-    or a minibatch's. train fills the (V, N) log_ps and ps at each step where
-    a consumer reads every column, and every consumer at that step reads
-    them; a full-batch update then overwrites them with its gradient columns.
+    or the nonzero-weight problems of an update. pt, the teacher's
+    probabilities, is kept only for a forward update's columns; elsewhere
+    exp(log_pt) is formed where it is read.
     """
 
     log_ps: np.ndarray
     ps: np.ndarray
-    log_pt: np.ndarray  # world.teacher_log_probs.T, or its batch columns
-    pt: np.ndarray
+    log_pt: np.ndarray | None  # world.teacher_log_probs.T, or some of its columns
+    pt: np.ndarray | None = None
 
 
 def _step_probs(
-    world: SimWorld, buffers: _Probs | None = None, rows: slice | np.ndarray = slice(None)
+    world: SimWorld, buffers: _Probs | None = None,
+    x: np.ndarray | None = None, temperature: float = 1.0,
 ) -> _Probs:
-    """The student's distributions at world.theta for the problem columns
-    rows, by default all of them, written into buffers.
+    """The student's distributions at world.theta and temperature for the
+    feature rows x, by default every problem's, written into buffers.
 
-    Without buffers, fresh (V, N) arrays are allocated and the teacher's
-    probabilities computed; with them, only log_ps and ps are rewritten, so
-    buffers for a subset of rows must already hold those rows' teacher
-    columns. Each column's arithmetic reads that column alone, so a subset
-    equals those columns of the full arrays.
+    Without buffers, fresh (V, N) arrays are allocated beside the world's
+    teacher log-probabilities; with them, only log_ps and ps are rewritten.
+    Each column's arithmetic reads that column alone, so a subset of rows
+    gives those columns of the full arrays.
     """
     if buffers is None:
         log_pt = world.teacher_log_probs.T
-        buffers = _Probs(np.empty_like(log_pt), np.empty_like(log_pt), log_pt, np.exp(log_pt))
+        buffers = _Probs(np.empty_like(log_pt), np.empty_like(log_pt), log_pt)
     log_ps, ps = buffers.log_ps, buffers.ps
-    x = world.features[rows]
+    x = world.features if x is None else x
     if len(x) == 1 < len(world.features):
         # numpy sends a one-column product to gemv, which adds in another
         # order than the full product's gemm; a second copy of the row keeps
@@ -370,6 +369,8 @@ def _step_probs(
         np.copyto(log_ps, np.matmul(world.theta.T, x[[0, 0]].T)[:, :1])
     else:
         np.matmul(world.theta.T, x.T, out=log_ps)
+    if temperature != 1.0:
+        log_ps /= temperature
     log_softmax(log_ps, axis=0, out=log_ps, work=ps)
     np.exp(log_ps, out=ps)
     return buffers
@@ -382,21 +383,24 @@ def _sample_pass_rates(
     drawn one column block at a time.
 
     At rollout temperature 1 the step's shared probs are sampled as they
-    are, since dividing the logits by 1.0 is exact.
+    are, since dividing the logits by 1.0 is exact; otherwise each block
+    forms its own logits.
     """
     if k < 1:
         raise DomainError(f"rollout count must be >= 1, got {k}")
-    if probs is not None and world.config.rollout_temperature == 1.0:
-        sample_probs = probs.ps
-    else:
-        logits = world.student_logits().T / world.config.rollout_temperature
-        sample_probs = np.exp(log_softmax(logits, axis=0, out=logits))
+    temperature = world.config.rollout_temperature
     prefix = (world.config.seed, purpose, world.step)
     correct = np.empty((k, world.answers.size), dtype=bool)
     for i in range(0, world.answers.size, _BLOCK):
         c = slice(i, i + _BLOCK)
+        if probs is None or temperature != 1.0:
+            x = world.features[c]
+            block = _Probs(*np.empty((2, world.config.vocab_size, len(x))), None)
+            sample_probs = _step_probs(world, block, x, temperature).ps
+        else:
+            sample_probs = probs.ps[:, c]
         u = stream_uniforms(prefix, world.problem_tokens[c], k)
-        correct[:, c] = _categorical(sample_probs[:, c], u) == world.answers[c]
+        correct[:, c] = _categorical(sample_probs, u) == world.answers[c]
     return correct
 
 
@@ -409,15 +413,16 @@ def run_rollouts(world: SimWorld, K: int) -> RolloutTable:
 
 def _kl_rows(probs: _Probs, direction: str) -> np.ndarray:
     """Per-problem KL in the given direction, formed one column block at a time."""
-    if direction == "forward":
-        p, log_p, log_q = probs.pt, probs.log_pt, probs.log_ps
-    else:
-        p, log_p, log_q = probs.ps, probs.log_ps, probs.log_pt
-    kl = np.empty(p.shape[1])
-    for i in range(0, kl.size, _BLOCK):
-        c = slice(i, i + _BLOCK)
-        terms = log_p[:, c] - log_q[:, c]
-        terms *= p[:, c]
+    kl = np.empty(probs.log_ps.shape[1])
+    for i in range(0, kl.size, _KL_BLOCK):
+        c = slice(i, i + _KL_BLOCK)
+        log_ps, log_pt = probs.log_ps[:, c], probs.log_pt[:, c]
+        if direction == "forward":
+            terms = log_pt - log_ps
+            terms *= np.exp(log_pt)
+        else:
+            terms = log_ps - log_pt
+            terms *= probs.ps[:, c]
         kl[c] = _sum_axis0(terms)
     return kl
 
@@ -425,14 +430,18 @@ def _kl_rows(probs: _Probs, direction: str) -> np.ndarray:
 def _diffs(probs: _Probs, direction: str, in_place: bool = False) -> np.ndarray:
     """Logit-space gradient columns of the per-problem KL.
 
-    in_place writes the columns into the step buffers (ps for forward, log_ps
-    for reverse) instead of a fresh array.
+    in_place writes the columns into log_ps instead of a fresh array. The
+    reverse KL's vocabulary sum is formed one column block at a time.
     """
+    out = probs.log_ps if in_place else None
     if direction == "forward":
-        return np.subtract(probs.ps, probs.pt, out=probs.ps if in_place else None)
+        pt = np.exp(probs.log_pt) if probs.pt is None else probs.pt
+        return np.subtract(probs.ps, pt, out=out)
     if direction == "reverse":
-        ratio = np.subtract(probs.log_ps, probs.log_pt, out=probs.log_ps if in_place else None)
-        ratio -= _sum_axis0(probs.ps * ratio)
+        ratio = np.subtract(probs.log_ps, probs.log_pt, out=out)
+        for i in range(0, ratio.shape[1], _BLOCK):
+            c = slice(i, i + _BLOCK)
+            ratio[:, c] -= _sum_axis0(probs.ps[:, c] * ratio[:, c])
         return np.multiply(probs.ps, ratio, out=ratio)
     raise DomainError(f"unknown loss direction {direction!r}")
 
@@ -529,32 +538,62 @@ def _eval_checkpoint(
     )
 
 
-def _descend(
-    world: SimWorld, weights: np.ndarray, direction: str, probs: _Probs, batch: _Probs | None
-) -> None:
-    """The parameter update at world.step, from the gradient columns of its batch.
+def _live(
+    world: SimWorld, probs: _Probs, weights: np.ndarray, cols: np.ndarray | slice, direction: str
+) -> tuple:
+    """The problems cols with their feature rows, update scale (weight over
+    row count) and update columns on the step buffers probs, beside their
+    teacher probabilities (forward) or log-probabilities (reverse)."""
+    config, x = world.config, world.features[cols]
+    teacher = world.teacher_log_probs.T[:, cols]
+    log_pt, pt = (None, np.exp(teacher)) if direction == "forward" else (teacher, None)
+    shape = (config.vocab_size, len(x))
+    part = _Probs(_prefix(probs.log_ps, shape), _prefix(probs.ps, shape), log_pt, pt)
+    return cols, x, weights[cols] / (config.batch_size or config.num_problems), part
 
-    The problems are picked first: all of them, or the step's minibatch.
-    Only their distributions, gradients and reverse-KL draws are computed.
-    A full batch works on the step buffers probs and overwrites them. A
-    minibatch reads only the teacher's arrays of probs: its teacher columns
-    are taken from them and its student columns computed at world.theta,
-    into the (V, batch_size) buffers batch.
+
+def _prefix(buffer: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """A C-ordered array of the given shape on the first elements of buffer."""
+    return buffer.reshape(-1)[: shape[0] * shape[1]].reshape(shape)
+
+
+def _descend(
+    world: SimWorld, weights: np.ndarray, direction: str, probs: _Probs, live: tuple | None
+) -> None:
+    """The parameter update at world.step from the nonzero-weight problems
+    among its rows (all problems, kept in live at each recompute, or the
+    step's minibatch), in row order, computed in the step buffers probs.
+    Their columns go into a zeroed (V, rows) buffer, so the one gradient
+    product still runs over every row and divides by the row count; a zero
+    column adds +0 and changes no bit. With no nonzero weight among the
+    rows theta is left as it is.
     """
     config = world.config
     rows = slice(None)
-    if config.batch_size is not None:
+    if config.batch_size is None:
+        keep, x, scale, part = live
+        cols = keep
+    else:
         gen = stream(config.seed, "batch", world.step)
         rows = gen.choice(config.num_problems, size=config.batch_size, replace=False)
-        np.take(probs.log_pt, rows, axis=1, out=batch.log_pt)
-        np.take(probs.pt, rows, axis=1, out=batch.pt)
-        probs = _step_probs(world, batch, rows)
-    tokens = world.problem_tokens[rows]
+        keep = np.flatnonzero(weights[rows])
+        cols, x, scale, part = _live(world, probs, weights, rows[keep], direction)
+    m, n = config.batch_size or config.num_problems, len(x)
+    if n == 0:
+        return
+    _step_probs(world, part, x)
     if direction == "reverse" and config.reverse_kl_samples > 0:
-        diffs = _sampled_reverse_diffs(world, probs, tokens, config.reverse_kl_samples)
+        tokens = world.problem_tokens[cols]
+        diffs = _sampled_reverse_diffs(world, part, tokens, config.reverse_kl_samples)
     else:
-        diffs = _diffs(probs, direction, in_place=True)
-    diffs *= weights[rows] / len(tokens)
+        diffs = _diffs(part, direction, in_place=True)
+    diffs *= scale
+    if n < m:
+        # The student's probabilities are spent, so their buffer takes the rows.
+        full = _prefix(probs.ps, (config.vocab_size, m))
+        full.fill(0.0)
+        full[:, keep] = diffs
+        diffs = full
     grad = world.features[rows].T @ diffs.T
     world.theta = world.theta - config.learning_rate * grad
 
@@ -567,10 +606,10 @@ def train(world: SimWorld, *, snr_dump_steps: Iterable[int] = ()) -> SimMetrics:
     Checkpoints (every eval_interval steps, plus step 0 and the final step)
     record state before that step's parameter update. The student's (V, N)
     distributions are computed only at steps where something reads every
-    problem's: a full-batch update, a recompute, a checkpoint or an SNR
-    dump. theta and the step counter are updated in place on the passed
-    world. A non-finite checkpoint loss or theta raises NumericError naming
-    the step.
+    problem's: a recompute, a checkpoint or an SNR dump; an update computes
+    only its nonzero-weight columns. theta and the step counter are updated
+    in place on the passed world. A non-finite checkpoint loss or theta
+    raises NumericError naming the step.
     """
     config = world.config
     t_total = config.steps
@@ -590,9 +629,7 @@ def train(world: SimWorld, *, snr_dump_steps: Iterable[int] = ()) -> SimMetrics:
     rows: list[CheckpointRow] = []
     dumps: dict[int, GradientTable] = {}
     probs = None
-    batch = None
-    if config.batch_size is not None:
-        batch = _Probs(*np.empty((4, config.vocab_size, config.batch_size)))
+    live = None
 
     for local in range(t_total + 1):
         direction = _direction_at(config, min(local, t_total - 1), switch_step)
@@ -611,12 +648,15 @@ def train(world: SimWorld, *, snr_dump_steps: Iterable[int] = ()) -> SimMetrics:
             )
         )
         checkpoint = local % config.eval_interval == 0 or local == t_total
-        # Step 0 is a recompute, so probs holds the teacher's arrays from then on.
-        if config.batch_size is None or needs_recompute or checkpoint or local in dump_steps:
+        # Step 0 is a recompute, so the step buffers exist from then on.
+        if needs_recompute or checkpoint or local in dump_steps:
             probs = _step_probs(world, probs)
         if needs_recompute:
             counts = _sample_pass_rates(world, config.rollout_count, "rollout", probs).sum(axis=0)
             weights = _weights(world, counts)
+            if config.batch_size is None:
+                cols = slice(None) if weights.all() else np.flatnonzero(weights)
+                live = _live(world, probs, weights, cols, direction)
             recompute_steps.append(world.step)
             smoothness.append(smoothness_constant(world.features, weights))
 
@@ -628,7 +668,7 @@ def train(world: SimWorld, *, snr_dump_steps: Iterable[int] = ()) -> SimMetrics:
         if local == t_total:
             break
 
-        _descend(world, weights, direction, probs, batch)
+        _descend(world, weights, direction, probs, live)
         if not np.isfinite(world.theta).all():
             raise NumericError(f"theta is not finite after the update at step {world.step}")
         world.step = base + local + 1

@@ -3,8 +3,9 @@
 
 The simulate digests are those of the committed golden run (README), of a
 two-stage run that takes the sampled reverse-KL path, of a run on the
-exact reverse-KL path and of a run sampling rollouts at temperature 0.7;
-the golden run exercises none of the last three. Any change to sampling,
+exact reverse-KL path, of a run sampling rollouts at temperature 0.7 and
+of a hard-band run whose minibatches of 50 hold mostly zero weights; the
+golden run exercises none of the last four. Any change to sampling,
 weighting or training arithmetic that moves a single bit of an output file
 fails here. Each analysis command also runs twice and must write identical
 bytes both times.
@@ -48,6 +49,15 @@ _VARIANTS = {
         {"rollouts": {"temperature": "0.7"}},
         "c992d5cdd42a5ffc143883f097f7f4f60c6c840a4325fcaed5191a51120b66ac",
         "b77343adeea5758e288f99818d66b5f8b32e7776b0d52fd0a483a3e874d03981",
+    ),
+    # Most weights are 0 outside the hard band, so most minibatch columns are.
+    "sampled_reverse_batch50": (
+        {
+            "weighting": _REVKL_OVERRIDES["weighting"],
+            "training": {**_REVKL_OVERRIDES["training"], "batch_size": "50"},
+        },
+        "953943db8cc1a56fd6e9b1ee76a2a577f1ddc48e8c1ec8312c6821dd389523b5",
+        "69ae3aecf7e6f7eb914ebed8990323dea221664a853c7615071249bfb8668d20",
     ),
 }
 

@@ -3,7 +3,8 @@
 train computes a step's student log-probabilities once, into two
 vocabulary-major (V, N) buffers reused across steps, at each step where
 something reads every problem's, and every consumer at that step reads
-them; a minibatch update computes its batch's columns alone. The functions
+them; an update computes the columns of the nonzero-weight problems among
+its rows alone, all N or its minibatch's. The functions
 prefixed `_old_` below are the earlier path, kept as it was (less the
 two-stage branch for steps < 2, which SimConfig now rejects): problem-major
 (N, V) arrays reduced along axis 1, each consumer recomputed `log_softmax`
@@ -277,14 +278,78 @@ def test_resumed_training_matches_old_per_step_path():
                      _old_train(w_old, snr_dump_steps=(4,)))
 
 
+# Weight patterns at the edges of the nonzero-column path. At seed 4 one
+# problem alone has p-hat = 0.8; it is in 4 of the 9 batches of 30. With
+# K = 5 no p-hat equals 0.5.
+_ONE = {"seed": 4, "scheme": "hard", "filter_lo": 0.8, "filter_hi": 0.8}
+_NONE = {"scheme": "hard", "filter_lo": 0.5, "filter_hi": 0.5}
+_EDGE_CONFIGS = {
+    "one_nonzero": (_ONE, 1),
+    "one_nonzero_batch": ({**_ONE, "batch_size": 30}, 1),
+    "one_nonzero_sampled_reverse_batch": (
+        {**_ONE, "loss_direction": "reverse", "reverse_kl_samples": 6, "batch_size": 30}, 1,
+    ),
+    "all_zero": (_NONE, 0),
+    "all_zero_sampled_reverse_batch": (
+        {**_NONE, "loss_direction": "reverse", "reverse_kl_samples": 6, "batch_size": 30}, 0,
+    ),
+    "unweighted": ({"scheme": "unweighted"}, 80),
+    "unweighted_exact_reverse_batch": (
+        {"scheme": "unweighted", "loss_direction": "reverse", "batch_size": 30}, 80,
+    ),
+    "floor": ({"weight_floor": 0.05}, 80),
+    "floor_sampled_reverse": (
+        {"weight_floor": 0.05, "loss_direction": "reverse", "reverse_kl_samples": 6}, 80,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_EDGE_CONFIGS))
+def test_edge_weight_patterns_match_old_per_step_path(name):
+    overrides, nonzero = _EDGE_CONFIGS[name]
+    cfg = dataclasses.replace(_BASE, **overrides)
+    w_new, w_old = build_world(cfg), build_world(cfg)
+    weights = _weights(w_new, run_rollouts(w_new, cfg.rollout_count).successes)
+    assert np.count_nonzero(weights) == nonzero
+    theta0 = w_new.theta.copy()
+    m_new = train(w_new, snr_dump_steps=_DUMPS)
+    m_old = _old_train(w_old, snr_dump_steps=_DUMPS)
+    _assert_same_run(w_new, m_new, w_old, m_old)
+    if nonzero == 0:
+        # theta is untouched, and L = 0 is what the CLI's all-zero warning reads.
+        assert np.array_equal(w_new.theta, theta0)
+        assert m_new.smoothness == (0.0,)
+    else:
+        assert not np.array_equal(w_new.theta, theta0)
+
+
 def _batch(config, step):
     gen = stream(config.seed, "batch", step)
     return gen.choice(config.num_problems, size=config.batch_size, replace=False)
 
 
-def test_minibatch_reverse_draws_only_for_the_batch(monkeypatch):
-    # Each step's revkl uniforms are drawn for the batch's ids, in batch order.
-    cfg = dataclasses.replace(_BASE, **_CONFIGS["sampled_reverse_batch"])
+def _spy_weights(monkeypatch):
+    """{world.step: weights} of every recompute of the runs that follow."""
+    weights = {}
+
+    def spy(world, counts):
+        weights[world.step] = _weights(world, counts)
+        return weights[world.step]
+
+    monkeypatch.setattr(distill_sim, "_weights", spy)
+    return weights
+
+
+def _update_columns(cfg, weights, step):
+    """The problems whose columns the update at step computes: the nonzero
+    weights of its rows, in row order."""
+    current = weights[max(s for s in weights if s <= step)]
+    rows = np.arange(cfg.num_problems) if cfg.batch_size is None else _batch(cfg, step)
+    return rows[current[rows] != 0]
+
+
+def _check_reverse_draws(monkeypatch, overrides, empty):
+    cfg = dataclasses.replace(_BASE, **{**overrides, "reverse_kl_samples": 6})
     calls = []
 
     def spy(prefix, tokens, k):
@@ -292,16 +357,30 @@ def test_minibatch_reverse_draws_only_for_the_batch(monkeypatch):
         return stream_uniforms(prefix, tokens, k)
 
     monkeypatch.setattr(distill_sim, "stream_uniforms", spy)
+    weights = _spy_weights(monkeypatch)
     world = build_world(cfg)
-    train(world)
+    metrics = train(world)
+    want = {
+        step: _update_columns(cfg, weights, step)
+        for step in range(metrics.stage_switch_step or 0, cfg.steps)
+    }
+    assert [len(cols) for cols in want.values()].count(0) == empty
     revkl = [call for call in calls if call[0][1] == "revkl"]
     assert [prefix for prefix, _, _ in revkl] == [
-        (cfg.seed, "revkl", step) for step in range(cfg.steps)
+        (cfg.seed, "revkl", step) for step, cols in want.items() if len(cols)
     ]
     for (_, _, step), labels, k in revkl:
-        ids = [world.problem_ids[i] for i in _batch(cfg, step)]
+        ids = [world.problem_ids[i] for i in want[step]]
         assert labels == label_tokens(ids).tolist()
-        assert len(labels) == cfg.batch_size and k == cfg.reverse_kl_samples
+        assert 0 < len(labels) < cfg.batch_size and k == cfg.reverse_kl_samples
+
+
+def test_minibatch_reverse_draws_only_for_the_batch(monkeypatch):
+    # Each step's revkl uniforms are drawn for the ids of the batch's
+    # nonzero-weight problems, in batch order, and not at all at the steps
+    # whose batch has none (5 of 9 with one nonzero weight).
+    _check_reverse_draws(monkeypatch, _CONFIGS["two_stage_hard_recompute_batch"], 0)
+    _check_reverse_draws(monkeypatch, {**_ONE, "loss_direction": "reverse", "batch_size": 30}, 5)
 
 
 def test_sampled_reverse_rows_of_a_subset_equal_the_full_rows():
@@ -316,18 +395,17 @@ def test_sampled_reverse_rows_of_a_subset_equal_the_full_rows():
     for rows in (_batch(cfg, 5), np.array([79]), np.array([60, 2, 33])):
         tokens = label_tokens([w.problem_ids[i] for i in rows])
         shape = (cfg.vocab_size, len(rows))
-        batch = _Probs(
-            np.empty(shape), np.empty(shape), probs.log_pt[:, rows], probs.pt[:, rows]
-        )
-        part = _sampled_reverse_diffs(w, _step_probs(w, batch, rows), tokens, 7)
+        batch = _Probs(np.empty(shape), np.empty(shape), probs.log_pt[:, rows])
+        part = _sampled_reverse_diffs(w, _step_probs(w, batch, w.features[rows]), tokens, 7)
         assert np.array_equal(batch.ps, probs.ps[:, rows])
         assert np.array_equal(part, full[:, rows])
 
 
-def test_minibatch_steps_compute_full_student_arrays_only_where_read(monkeypatch):
+def _check_log_softmax_widths(monkeypatch, cfg):
     # Each student log-softmax runs down axis 0 of (V, columns) logits; the
-    # anchors' retention log-softmax runs along axis 1 and is left out.
-    cfg = dataclasses.replace(_BASE, **_CONFIGS["two_stage_hard_recompute_batch"])
+    # anchors' retention log-softmax runs along axis 1 and is left out. An
+    # N-wide one runs only at recompute, checkpoint and dump steps; an
+    # update's is as wide as the nonzero weights among its rows.
     world = build_world(cfg)
     columns = []
 
@@ -337,13 +415,25 @@ def test_minibatch_steps_compute_full_student_arrays_only_where_read(monkeypatch
         return log_softmax(logits, axis=axis, **kwargs)
 
     monkeypatch.setattr(distill_sim, "log_softmax", spy)
+    weights = _spy_weights(monkeypatch)
     metrics = train(world, snr_dump_steps=(5,))
     full_steps = {row.step for row in metrics.rows} | set(metrics.recompute_steps) | {5}
     assert full_steps == {0, 3, 4, 5, 6, 8, 9}
-    n, b = cfg.num_problems, cfg.batch_size
+    n = cfg.num_problems
     assert sorted(step for step, width in columns if width == n) == sorted(full_steps)
-    assert [step for step, width in columns if width == b] == list(range(cfg.steps))
-    assert all(width in (n, b) for _, width in columns)
+    want = [(step, len(_update_columns(cfg, weights, step))) for step in range(cfg.steps)]
+    assert all(width < (cfg.batch_size or n) for _, width in want)
+    assert [call for call in columns if call[1] != n] == [c for c in want if c[1]]
+
+
+def test_minibatch_steps_compute_full_student_arrays_only_where_read(monkeypatch):
+    cfg = dataclasses.replace(_BASE, **_CONFIGS["two_stage_hard_recompute_batch"])
+    _check_log_softmax_widths(monkeypatch, cfg)
+
+
+def test_full_batch_steps_compute_full_student_arrays_only_where_read(monkeypatch):
+    cfg = dataclasses.replace(_BASE, **_CONFIGS["two_stage_hard_recompute"])
+    _check_log_softmax_widths(monkeypatch, cfg)
 
 
 @pytest.mark.parametrize("cfg", [_BASE, SimConfig()], ids=["v7", "golden_v16"])
@@ -394,6 +484,7 @@ def test_column_blocks_change_no_value(monkeypatch, name, block):
     want = passes(w_one)
     m_one = train(w_one, snr_dump_steps=_DUMPS)
     monkeypatch.setattr(distill_sim, "_BLOCK", block)
+    monkeypatch.setattr(distill_sim, "_KL_BLOCK", block)
     widths = []
 
     def spy(prefix, tokens, k):
@@ -441,19 +532,29 @@ def test_build_world_peak_allocation_is_a_few_arrays():
 # reverse-KL product), sampled reverse 5.92 (its full-batch draws are not
 # blocked), sampled_reverse_batch 4.94; at N = 20 000, about five blocks,
 # forward 3.75 and sampled_reverse_batch 3.85, where unblocked sampling
-# peaked at 4.75 and 4.85.
+# peaked at 4.75 and 4.85. With updates computed only for nonzero-weight
+# columns in the step buffers (no persistent teacher probabilities, the
+# kept nonzero rows' features and teacher columns instead), the exact
+# reverse-KL sum and the checkpoint KL's exp(log_pt) in column blocks, and
+# each rollout block forming its own logits at temperature != 1: forward
+# 4.61, reverse 4.61, sampled reverse 4.96, sampled_reverse_batch 3.43; at
+# N = 20 000, forward 3.91, reverse 3.91 (4.69 with the (V, N) product),
+# sampled_reverse_batch 2.75, temperature 0.7 4.14 (5.75 with the softmax
+# of all N logit columns at once).
 _PEAK_BOUND = {
     "forward": ({}, 5.0),
-    "reverse": ({"loss_direction": "reverse"}, 5.25),
-    "sampled_reverse": ({"loss_direction": "reverse", "reverse_kl_samples": 4}, 6.5),
+    "reverse": ({"loss_direction": "reverse"}, 5.0),
+    "sampled_reverse": ({"loss_direction": "reverse", "reverse_kl_samples": 4}, 5.5),
     "sampled_reverse_batch": (
-        {"loss_direction": "reverse", "reverse_kl_samples": 4, "batch_size": 500}, 5.5,
+        {"loss_direction": "reverse", "reverse_kl_samples": 4, "batch_size": 500}, 4.0,
     ),
     "forward_n20000": ({"num_problems": 20000}, 4.25),
+    "reverse_n20000": ({"num_problems": 20000, "loss_direction": "reverse"}, 4.25),
     "sampled_reverse_batch_n20000": (
         {"num_problems": 20000, "loss_direction": "reverse", "reverse_kl_samples": 4,
-         "batch_size": 500}, 4.25,
+         "batch_size": 500}, 3.25,
     ),
+    "temperature_0.7_n20000": ({"num_problems": 20000, "rollout_temperature": 0.7}, 4.5),
 }
 
 
