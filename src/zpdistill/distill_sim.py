@@ -50,12 +50,14 @@ axis 0 over contiguous rows of N. Sums over the vocabulary use
 numerics._sum_axis0, which adds in the pairwise order of np.sum over a
 contiguous (N, V) row, and the logit and gradient products are the
 transposes of the (N, V) ones, so every value is bit-identical to the
-problem-major arithmetic. Many weights are 0 (p(1 - p) at p = 0 or 1,
-the hard scheme outside its band), so an update computes the student's
-distributions, gradient columns and reverse-KL draws only for the
-nonzero-weight problems among its rows (all N, or its minibatch), in row
-order, with the step buffers as scratch; each draw is keyed by its
-problem and each column reads only itself, so the columns are unchanged.
+problem-major arithmetic, but for the last bits of an update over more
+than 3 906 rows (see _descend). Many weights are 0
+(p(1 - p) at p = 0 or 1, the hard scheme outside its band), so an update
+computes the student's distributions, gradient columns, reverse-KL draws
+and gradient product only for the nonzero-weight problems among its rows
+(all N, or its minibatch), in row order, with the step buffers as
+scratch; each draw is keyed by its problem and each column reads only
+itself, so the columns are unchanged.
 
 At each weight recompute train records the forward-KL smoothness constant
 L of variance.smoothness_constant in SimMetrics.smoothness; a step size
@@ -450,9 +452,11 @@ def _single_loss_grad(world: SimWorld, problem_index: int, direction: str):
     n = world.config.num_problems
     if not 0 <= problem_index < n:
         raise DomainError(f"problem_index must lie in [0, {n}), got {problem_index}")
-    probs = _step_probs(world)
-    loss = _kl_rows(probs, direction)[problem_index]
-    grad = np.outer(world.features[problem_index], _diffs(probs, direction)[:, problem_index])
+    column = [problem_index]  # each column's arithmetic reads only itself
+    probs = _Probs(*np.empty((2, world.config.vocab_size, 1)), world.teacher_log_probs.T[:, column])
+    _step_probs(world, probs, world.features[column])
+    loss = _kl_rows(probs, direction)[0]
+    grad = np.outer(world.features[problem_index], _diffs(probs, direction)[:, 0])
     return float(loss), grad
 
 
@@ -563,23 +567,22 @@ def _descend(
     """The parameter update at world.step from the nonzero-weight problems
     among its rows (all problems, kept in live at each recompute, or the
     step's minibatch), in row order, computed in the step buffers probs.
-    Their columns go into a zeroed (V, rows) buffer, so the one gradient
-    product still runs over every row and divides by the row count; a zero
-    column adds +0 and changes no bit. With no nonzero weight among the
-    rows theta is left as it is.
+    The gradient product runs over those rows alone, scaled by weight over
+    row count; with none, theta is left as it is. The zero-weight rows add
+    only exact zeros to the product over every row, and while that product
+    fits OpenBLAS's small-matrix gemm (M * N * K <= 1e6: 3 906 rows at
+    F = V = 16, scipy-openblas 0.3.31), which adds in row order, dropping
+    them changes no bit; past it, the blocked kernel groups its sums
+    otherwise and theta can differ in its last bits (8.9e-16 measured).
     """
     config = world.config
-    rows = slice(None)
     if config.batch_size is None:
-        keep, x, scale, part = live
-        cols = keep
+        cols, x, scale, part = live
     else:
         gen = stream(config.seed, "batch", world.step)
         rows = gen.choice(config.num_problems, size=config.batch_size, replace=False)
-        keep = np.flatnonzero(weights[rows])
-        cols, x, scale, part = _live(world, probs, weights, rows[keep], direction)
-    m, n = config.batch_size or config.num_problems, len(x)
-    if n == 0:
+        cols, x, scale, part = _live(world, probs, weights, rows[weights[rows] != 0], direction)
+    if len(x) == 0:
         return
     _step_probs(world, part, x)
     if direction == "reverse" and config.reverse_kl_samples > 0:
@@ -588,13 +591,7 @@ def _descend(
     else:
         diffs = _diffs(part, direction, in_place=True)
     diffs *= scale
-    if n < m:
-        # The student's probabilities are spent, so their buffer takes the rows.
-        full = _prefix(probs.ps, (config.vocab_size, m))
-        full.fill(0.0)
-        full[:, keep] = diffs
-        diffs = full
-    grad = world.features[rows].T @ diffs.T
+    grad = x.T @ diffs.T
     world.theta = world.theta - config.learning_rate * grad
 
 

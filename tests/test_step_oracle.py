@@ -4,14 +4,16 @@ train computes a step's student log-probabilities once, into two
 vocabulary-major (V, N) buffers reused across steps, at each step where
 something reads every problem's, and every consumer at that step reads
 them; an update computes the columns of the nonzero-weight problems among
-its rows alone, all N or its minibatch's. The functions
+its rows alone, all N or its minibatch's, and its gradient product runs
+over those rows. The functions
 prefixed `_old_` below are the earlier path, kept as it was (less the
 two-stage branch for steps < 2, which SimConfig now rejects): problem-major
 (N, V) arrays reduced along axis 1, each consumer recomputed `log_softmax`
 on fresh arrays, and a minibatch update computed gradient rows and
 reverse-KL draws for every problem before keeping its batch rows. Outputs
 must match it bit for bit (np.array_equal, not the 10 digits the CSVs
-print).
+print), except past the size where a full-batch product over every row
+leaves OpenBLAS's small-matrix kernel, where they match to rounding.
 """
 
 import dataclasses
@@ -34,8 +36,11 @@ from zpdistill.distill_sim import (
     train,
 )
 from zpdistill.distill_sim import (
+    _descend,
+    _diffs,
     _direction_at,
     _kl_rows,
+    _live,
     _Probs,
     _sample_pass_rates,
     _sampled_reverse_diffs,
@@ -460,6 +465,99 @@ def test_standalone_calls_match_old_path(direction):
     table, old = measure_snr(w, direction), _old_measure_snr(w, direction)
     assert np.array_equal(table.p, old.p)
     assert np.array_equal(table.gradients, old.gradients)
+
+
+@pytest.mark.parametrize("direction", ["forward", "reverse"])
+@pytest.mark.parametrize("n", [1, 80, 200, 5000])
+def test_single_problem_calls_equal_the_full_column(direction, n):
+    # forward_kl and reverse_kl compute problem i's column alone; it equals
+    # column i of the arrays computed for all N problems.
+    w = build_world(dataclasses.replace(_BASE, num_problems=n))
+    w.theta = w.theta + 0.4 * np.sin(np.arange(w.theta.size)).reshape(w.theta.shape)
+    probs = _step_probs(w)
+    losses, diffs = _kl_rows(probs, direction), _diffs(probs, direction)
+    single = forward_kl if direction == "forward" else reverse_kl
+    for i in sorted({0, n // 2, n - 1}):
+        loss, grad = single(w, i)
+        assert loss == float(losses[i])
+        assert np.array_equal(grad, np.outer(w.features[i], diffs[:, i]))
+
+
+def test_single_problem_calls_allocate_a_sliver_of_a_step_array():
+    # At N = 20 000 each call peaked at 0.004 (N, V) arrays; building every
+    # problem's columns to keep one peaked at 3.3 (reverse) and 4.0 (forward).
+    cfg = SimConfig(num_problems=20000)
+    world = build_world(cfg)
+    for single in (forward_kl, reverse_kl):
+        tracemalloc.start()
+        try:
+            single(world, 12345)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.02 * cfg.num_problems * cfg.vocab_size * 8
+
+
+# (num_problems, batch_size, share of zero weights). F = V = 16 and at most
+# 3 900 rows: scipy-openblas 0.3.31 runs a product with M * N * K <= 1e6
+# (3 906 rows here) in its small-matrix kernel, which adds each entry in
+# row order, so the exact-zero rows the update drops change no bit.
+_PRODUCT_CASES = [
+    (200, None, 0.45),
+    (3900, None, 0.0),
+    (3900, None, 0.45),
+    (3900, None, 0.99),
+    (3900, 3900, 0.45),
+    (3900, 1000, 0.7),
+    (500, 80, 0.3),
+]
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("n, batch_size, zero_share", _PRODUCT_CASES)
+def test_live_row_product_equals_the_zero_filled_product(n, batch_size, zero_share, seed):
+    cfg = SimConfig(num_problems=n, batch_size=batch_size, seed=seed + 3)
+    world = build_world(cfg)
+    world.theta = world.theta + 0.4 * np.sin(np.arange(world.theta.size)).reshape(
+        world.theta.shape
+    )
+    world.step = 3
+    rng = np.random.default_rng(seed)
+    weights = rng.random(n) * (rng.random(n) >= zero_share)
+    # The earlier update: every row's scaled column, zero where the weight
+    # is, in a zeroed (V, rows) buffer and one product over all rows.
+    probs = _step_probs(world)
+    rows = np.arange(n) if batch_size is None else _batch(cfg, world.step)
+    live = weights[rows] != 0
+    assert 0 < np.count_nonzero(live) and (zero_share == 0) == live.all()
+    full = np.zeros((cfg.vocab_size, len(rows)))
+    full[:, live] = _diffs(probs, "forward")[:, rows[live]] * (weights[rows[live]] / len(rows))
+    want = world.theta - cfg.learning_rate * (world.features[rows].T @ full.T)
+
+    kept = None
+    if batch_size is None:
+        cols = slice(None) if weights.all() else np.flatnonzero(weights)
+        kept = _live(world, probs, weights, cols, "forward")
+    _descend(world, weights, "forward", probs, kept)
+    assert np.array_equal(world.theta, want)
+
+
+def test_large_full_batch_matches_old_per_step_path_to_rounding():
+    # At N = 5 000 the earlier zero-filled product over every row ran in
+    # OpenBLAS's blocked kernel, which groups its partial sums by row
+    # position, so dropping the zero rows moves theta in its last bits
+    # (8.9e-16 measured with scipy-openblas 0.3.31).
+    cfg = SimConfig(num_problems=5000, steps=4, eval_interval=2)
+    w_new, w_old = build_world(cfg), build_world(cfg)
+    m_new, m_old = train(w_new), _old_train(w_old)
+    np.testing.assert_allclose(w_new.theta, w_old.theta, rtol=1e-12, atol=0)
+    assert len(m_new.rows) == len(m_old.rows) == 3
+    for new, old in zip(m_new.rows, m_old.rows):
+        assert (new.step, new.stage) == (old.step, old.stage)
+        np.testing.assert_allclose(
+            dataclasses.astuple(new)[2:], dataclasses.astuple(old)[2:], rtol=1e-12, atol=0
+        )
+    assert m_new.recompute_steps == m_old.recompute_steps
 
 
 @pytest.mark.parametrize("block", [1, 3, 7])
