@@ -32,32 +32,27 @@ draws are taken for many problems at once with numerics.stream_uniforms,
 which reproduces numerics.stream() bit for bit; stream() remains the
 contract that defines every draw. build_world keys the problems once, as
 SimWorld.problem_tokens, and a minibatch takes its rows of that array.
-Rollout sampling and the per-problem KL run over blocks of at most _BLOCK
-problem columns, so their uniforms, Philox words, cdf and KL terms do not
-grow with N; each column's key and arithmetic read that column alone, so
-blocks change no value. The world stores the teacher's log-probabilities,
-not its logits.
+The world stores the teacher's log-probabilities, not its logits.
 
-Per-step arithmetic: train computes the student's log-probabilities and
-probabilities for all N problems only at a step where something reads
-every problem's: a weight recompute, a checkpoint or an SNR dump. They go
-with out= ufuncs into two buffers allocated once per call, which every
-consumer at that step reads: rollout sampling (at temperature 1; other
-temperatures take their own softmax per column block), the checkpoint
-loss and measure_snr. The step arrays are vocabulary-major, (V, N) with
-one column per problem, so every reduction over the vocabulary runs down
-axis 0 over contiguous rows of N. Sums over the vocabulary use
-numerics._sum_axis0, which adds in the pairwise order of np.sum over a
-contiguous (N, V) row, and the logit and gradient products are the
-transposes of the (N, V) ones, so every value is bit-identical to the
-problem-major arithmetic, but for the last bits of an update over more
-than 3 906 rows (see _descend). Many weights are 0
-(p(1 - p) at p = 0 or 1, the hard scheme outside its band), so an update
-computes the student's distributions, gradient columns, reverse-KL draws
-and gradient product only for the nonzero-weight problems among its rows
-(all N, or its minibatch), in row order, with the step buffers as
-scratch; each draw is keyed by its problem and each column reads only
-itself, so the columns are unchanged.
+Per-step arithmetic: outside an SNR dump (measure_snr), train holds no
+student array as wide as N. A weight recompute or checkpoint reads every
+problem in one sweep over equal column blocks of at most _BLOCK problems:
+each block's log-probabilities and probabilities go with out= ufuncs into
+one (V, block) scratch, allocated once per call, and every consumer at
+that step (rollouts, the checkpoint KL) reads the block before the next.
+Many weights are 0 (p(1 - p) at p = 0 or 1, the hard scheme outside its
+band), so an update runs only the nonzero-weight problems among its rows
+(all N, or its minibatch), in row order, through the same scratch, into
+one (V, rows) array of gradient columns, and its gradient product spans
+those rows.
+The arrays are vocabulary-major, one column per problem, so every
+reduction over the vocabulary runs down axis 0; numerics._sum_axis0 adds
+in the pairwise order of np.sum over a contiguous (N, V) row, and the
+logit and gradient products are the transposes of the (N, V) ones. Each
+column's key and arithmetic read that column alone, so blocks change no
+value, and every value is bit-identical to the problem-major arithmetic,
+but for the last bits of an update over more than 3 906 rows (see
+_descend).
 
 At each weight recompute train records the forward-KL smoothness constant
 L of variance.smoothness_constant in SimMetrics.smoothness; a step size
@@ -68,7 +63,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -103,10 +98,9 @@ DIRECTIONS = ("forward", "reverse", "two_stage")
 # Smallest accepted value of each integer field; the rest must be >= 1.
 _INT_MIN = {"vocab_size": 2, "reverse_kl_samples": 0, "seed": 0}
 _STAGE_DIRECTIONS = ("forward", "reverse")
-# Problem columns per block of a sampling or KL pass: Philox ran about 30%
-# faster on 4 096-8 192 keys than on 20 000 at once.
+# Most problem columns per block of a sweep: Philox ran about 30% faster
+# on 4 096-8 192 keys than on 20 000 at once.
 _BLOCK = 4096
-_KL_BLOCK = 512  # columns per block of the checkpoint KL and its exp(log_pt)
 
 
 @dataclass(frozen=True)
@@ -335,10 +329,9 @@ def _categorical(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
 class _Probs:
     """Student log-probs and probs at the current theta beside the teacher's.
 
-    Each array is C-ordered (V, n), one column per problem: all N problems,
-    or the nonzero-weight problems of an update. pt, the teacher's
-    probabilities, is kept only for a forward update's columns; elsewhere
-    exp(log_pt) is formed where it is read.
+    Each array is (V, n), one column per problem: a block of columns, or all
+    N problems. pt, the teacher's probabilities, is kept only for a forward
+    update's columns; elsewhere exp(log_pt) is formed where it is read.
     """
 
     log_ps: np.ndarray
@@ -378,73 +371,86 @@ def _step_probs(
     return buffers
 
 
-def _sample_pass_rates(
-    world: SimWorld, k: int, purpose: str, probs: _Probs | None = None
-) -> np.ndarray:
-    """(k, N) correctness of k rollouts per problem at the current step,
-    drawn one column block at a time.
+def _scratch(world: SimWorld) -> np.ndarray:
+    """A (2, V, width) block scratch, width the narrowest that covers the
+    world's problems in the fewest blocks of at most _BLOCK columns, so
+    that no N needs a scratch much wider than its blocks."""
+    n = world.config.num_problems
+    return np.empty((2, world.config.vocab_size, -(-n // -(-n // _BLOCK))))
 
-    At rollout temperature 1 the step's shared probs are sampled as they
-    are, since dividing the logits by 1.0 is exact; otherwise each block
-    forms its own logits.
+
+def _blocks(n: int, scratch: np.ndarray) -> Iterator[tuple[slice, np.ndarray, np.ndarray]]:
+    """(c, log_ps, ps) for consecutive column slices c of range(n), each at
+    most as wide as scratch, with C-ordered (V, width of c) views on it."""
+    v, width = scratch.shape[1:]
+    for i in range(0, n, width):
+        m = min(width, n - i)
+        yield slice(i, i + m), *scratch.reshape(-1)[: 2 * v * m].reshape(2, v, m)
+
+
+def _rollouts(world: SimWorld, ps: np.ndarray, c: slice, k: int, purpose: str) -> np.ndarray:
+    """(k, width) correctness of k rollouts for the problem columns c, drawn
+    from their (V, width) probs ps."""
+    u = stream_uniforms((world.config.seed, purpose, world.step), world.problem_tokens[c], k)
+    return _categorical(ps, u) == world.answers[c]
+
+
+def _sweep(
+    world: SimWorld, scratch: np.ndarray, k: int, purposes: tuple[str, ...],
+    direction: str | None = None,
+) -> tuple[dict[str, np.ndarray], np.ndarray | None]:
+    """Per purpose the (N,) successes of k rollouts per problem, and with a
+    direction the (N,) KL rows, from one sweep over scratch blocks. Rollouts
+    sample at the rollout temperature and the KL reads temperature 1; at
+    temperature 1 (dividing the logits by 1.0 is exact) both read one softmax.
     """
-    if k < 1:
-        raise DomainError(f"rollout count must be >= 1, got {k}")
-    temperature = world.config.rollout_temperature
-    prefix = (world.config.seed, purpose, world.step)
-    correct = np.empty((k, world.answers.size), dtype=bool)
-    for i in range(0, world.answers.size, _BLOCK):
-        c = slice(i, i + _BLOCK)
-        if probs is None or temperature != 1.0:
-            x = world.features[c]
-            block = _Probs(*np.empty((2, world.config.vocab_size, len(x))), None)
-            sample_probs = _step_probs(world, block, x, temperature).ps
-        else:
-            sample_probs = probs.ps[:, c]
-        u = stream_uniforms(prefix, world.problem_tokens[c], k)
-        correct[:, c] = _categorical(sample_probs, u) == world.answers[c]
-    return correct
+    n, temperature = world.config.num_problems, world.config.rollout_temperature
+    counts = {purpose: np.empty(n, dtype=np.intp) for purpose in purposes}
+    kl = np.empty(n) if direction else None
+    for c, log_ps, ps in _blocks(n, scratch):
+        block, x = _Probs(log_ps, ps, world.teacher_log_probs.T[:, c]), world.features[c]
+        if purposes:
+            _step_probs(world, block, x, temperature)
+            for purpose in purposes:
+                counts[purpose][c] = _rollouts(world, ps, c, k, purpose).sum(axis=0)
+        if direction:
+            if temperature != 1.0 or not purposes:
+                _step_probs(world, block, x)
+            kl[c] = _kl_rows(block, direction)
+    return counts, kl
 
 
 def run_rollouts(world: SimWorld, K: int) -> RolloutTable:
     """Successes of K rollouts per problem at the current step (weighting
     stream)."""
-    successes = _sample_pass_rates(world, K, "rollout").sum(axis=0)
+    if K < 1:
+        raise DomainError(f"rollout count must be >= 1, got {K}")
+    successes = _sweep(world, _scratch(world), K, ("rollout",))[0]["rollout"]
     return RolloutTable(world.problem_ids, successes, np.full(successes.shape, K))
 
 
 def _kl_rows(probs: _Probs, direction: str) -> np.ndarray:
-    """Per-problem KL in the given direction, formed one column block at a time."""
-    kl = np.empty(probs.log_ps.shape[1])
-    for i in range(0, kl.size, _KL_BLOCK):
-        c = slice(i, i + _KL_BLOCK)
-        log_ps, log_pt = probs.log_ps[:, c], probs.log_pt[:, c]
-        if direction == "forward":
-            terms = log_pt - log_ps
-            terms *= np.exp(log_pt)
-        else:
-            terms = log_ps - log_pt
-            terms *= probs.ps[:, c]
-        kl[c] = _sum_axis0(terms)
-    return kl
+    """Per-problem KL in the given direction, one per column. Its terms are
+    formed in probs.log_ps and probs.ps, which it overwrites."""
+    if direction == "forward":
+        terms = np.subtract(probs.log_pt, probs.log_ps, out=probs.log_ps)
+        terms *= np.exp(probs.log_pt, out=probs.ps)
+    else:
+        terms = np.subtract(probs.log_ps, probs.log_pt, out=probs.log_ps)
+        terms *= probs.ps
+    return _sum_axis0(terms)
 
 
-def _diffs(probs: _Probs, direction: str, in_place: bool = False) -> np.ndarray:
-    """Logit-space gradient columns of the per-problem KL.
-
-    in_place writes the columns into log_ps instead of a fresh array. The
-    reverse KL's vocabulary sum is formed one column block at a time.
-    """
-    out = probs.log_ps if in_place else None
+def _diffs(probs: _Probs, direction: str, out: np.ndarray | None = None) -> np.ndarray:
+    """Logit-space gradient columns of the per-problem KL, into out or a
+    fresh array; with out, the reverse KL's log-ratio overwrites log_ps."""
     if direction == "forward":
         pt = np.exp(probs.log_pt) if probs.pt is None else probs.pt
         return np.subtract(probs.ps, pt, out=out)
     if direction == "reverse":
-        ratio = np.subtract(probs.log_ps, probs.log_pt, out=out)
-        for i in range(0, ratio.shape[1], _BLOCK):
-            c = slice(i, i + _BLOCK)
-            ratio[:, c] -= _sum_axis0(probs.ps[:, c] * ratio[:, c])
-        return np.multiply(probs.ps, ratio, out=ratio)
+        ratio = np.subtract(probs.log_ps, probs.log_pt, out=None if out is None else probs.log_ps)
+        ratio -= _sum_axis0(probs.ps * ratio)
+        return np.multiply(probs.ps, ratio, out=ratio if out is None else out)
     raise DomainError(f"unknown loss direction {direction!r}")
 
 
@@ -455,9 +461,8 @@ def _single_loss_grad(world: SimWorld, problem_index: int, direction: str):
     column = [problem_index]  # each column's arithmetic reads only itself
     probs = _Probs(*np.empty((2, world.config.vocab_size, 1)), world.teacher_log_probs.T[:, column])
     _step_probs(world, probs, world.features[column])
-    loss = _kl_rows(probs, direction)[0]
     grad = np.outer(world.features[problem_index], _diffs(probs, direction)[:, 0])
-    return float(loss), grad
+    return float(_kl_rows(probs, direction)[0]), grad
 
 
 def forward_kl(world: SimWorld, problem_index: int) -> tuple[float, np.ndarray]:
@@ -471,9 +476,11 @@ def reverse_kl(world: SimWorld, problem_index: int) -> tuple[float, np.ndarray]:
 
 
 def _sampled_reverse_diffs(
-    world: SimWorld, probs: _Probs, tokens: np.ndarray, n_samples: int
+    world: SimWorld, probs: _Probs, tokens: np.ndarray, n_samples: int,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Score-function estimate of the reverse-KL logit gradient columns.
+    """Score-function estimate of the reverse-KL logit gradient columns,
+    into out or a fresh array.
 
     Column i of probs belongs to the problem keyed by tokens[i]; a minibatch
     step passes only its batch columns. Each problem's draws come from its
@@ -485,8 +492,8 @@ def _sampled_reverse_diffs(
     subtracted as r * ps with its token entry set to r * (ps - 1): both are
     exact negations, so the sum is bit-identical. The drawn entries are
     addressed by their flat index in the C-ordered (V, B) arrays, and their
-    ratios and token entries are gathered for all samples before the loop.
-    probs.log_ps is overwritten with the log-ratio.
+    ratios and token entries are gathered for all samples before the loop,
+    which then forms each term in probs.log_ps.
     """
     ps = probs.ps
     ratio = np.subtract(probs.log_ps, probs.log_pt, out=probs.log_ps)
@@ -496,8 +503,9 @@ def _sampled_reverse_diffs(
     flat = draws.astype(np.intp) * b + np.arange(b)
     r = ratio.take(flat)
     token_terms = r * (ps.take(flat) - 1.0)
-    acc = np.zeros_like(ps)
-    term = np.empty_like(ps)
+    acc = np.empty_like(ps) if out is None else out
+    acc.fill(0.0)
+    term = ratio
     for s in range(n_samples):
         np.multiply(ps, r[s], out=term)
         term.put(flat[s], token_terms[s])
@@ -521,13 +529,12 @@ def _direction_at(config: SimConfig, local_step: int, switch_step: int) -> str:
     return "forward" if local_step < switch_step else "reverse"
 
 
-def _eval_checkpoint(
-    world: SimWorld, weights: np.ndarray, direction: str, probs: _Probs
+def _checkpoint(
+    world: SimWorld, weights: np.ndarray, direction: str, counts: np.ndarray, kl: np.ndarray
 ) -> CheckpointRow:
-    k = world.config.rollout_count
-    p = _sample_pass_rates(world, k, "eval", probs).sum(axis=0) / k
+    p = counts / world.config.rollout_count
     fractions = np.bincount(bin_indices(p, THREE_BIN_EDGES), minlength=3) / p.size
-    loss = float(np.mean(weights * _kl_rows(probs, direction)))
+    loss = float(np.mean(weights * kl))
     if not math.isfinite(loss):
         raise NumericError(f"checkpoint loss is {loss} at step {world.step}")
     return CheckpointRow(
@@ -543,54 +550,58 @@ def _eval_checkpoint(
 
 
 def _live(
-    world: SimWorld, probs: _Probs, weights: np.ndarray, cols: np.ndarray | slice, direction: str
+    world: SimWorld, weights: np.ndarray, cols: np.ndarray | slice, direction: str,
+    scratch: np.ndarray,
 ) -> tuple:
-    """The problems cols with their feature rows, update scale (weight over
-    row count) and update columns on the step buffers probs, beside their
-    teacher probabilities (forward) or log-probabilities (reverse)."""
+    """The feature rows of the problems cols, a (V, len(cols)) array for
+    their gradient columns, and per scratch block its _Probs (teacher
+    probabilities for forward), rows, columns, scale and problem tokens."""
     config, x = world.config, world.features[cols]
     teacher = world.teacher_log_probs.T[:, cols]
-    log_pt, pt = (None, np.exp(teacher)) if direction == "forward" else (teacher, None)
-    shape = (config.vocab_size, len(x))
-    part = _Probs(_prefix(probs.log_ps, shape), _prefix(probs.ps, shape), log_pt, pt)
-    return cols, x, weights[cols] / (config.batch_size or config.num_problems), part
-
-
-def _prefix(buffer: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
-    """A C-ordered array of the given shape on the first elements of buffer."""
-    return buffer.reshape(-1)[: shape[0] * shape[1]].reshape(shape)
+    forward = direction == "forward"
+    if forward:
+        teacher = np.exp(teacher)  # kept: every update at these weights reads it
+    scale = weights[cols] / (config.batch_size or config.num_problems)
+    diffs, tokens = np.empty((config.vocab_size, len(x))), world.problem_tokens[cols]
+    blocks = [
+        (_Probs(log_ps, ps, None, teacher[:, c]) if forward else _Probs(log_ps, ps, teacher[:, c]),
+         x[c], diffs[:, c], scale[c], tokens[c])
+        for c, log_ps, ps in _blocks(len(x), scratch)
+    ]
+    return x, diffs, blocks
 
 
 def _descend(
-    world: SimWorld, weights: np.ndarray, direction: str, probs: _Probs, live: tuple | None
+    world: SimWorld, weights: np.ndarray, direction: str, scratch: np.ndarray, live: tuple | None
 ) -> None:
     """The parameter update at world.step from the nonzero-weight problems
     among its rows (all problems, kept in live at each recompute, or the
-    step's minibatch), in row order, computed in the step buffers probs.
-    The gradient product runs over those rows alone, scaled by weight over
-    row count; with none, theta is left as it is. The zero-weight rows add
-    only exact zeros to the product over every row, and while that product
-    fits OpenBLAS's small-matrix gemm (M * N * K <= 1e6: 3 906 rows at
-    F = V = 16, scipy-openblas 0.3.31), which adds in row order, dropping
-    them changes no bit; past it, the blocked kernel groups its sums
-    otherwise and theta can differ in its last bits (8.9e-16 measured).
+    step's minibatch), in row order, a scratch block at a time into live's
+    (V, rows) array, then one gradient product over those rows alone,
+    scaled by weight over row count; with none, theta is left as it is.
+    The zero-weight rows add only exact zeros to the product over every
+    row, and while that product fits OpenBLAS's small-matrix gemm
+    (M * N * K <= 1e6: 3 906 rows at F = V = 16, scipy-openblas 0.3.31),
+    which adds in row order, dropping them changes no bit; past it, the
+    blocked kernel groups its sums otherwise and theta can differ in its
+    last bits (8.9e-16 measured).
     """
     config = world.config
-    if config.batch_size is None:
-        cols, x, scale, part = live
-    else:
+    if config.batch_size is not None:
         gen = stream(config.seed, "batch", world.step)
         rows = gen.choice(config.num_problems, size=config.batch_size, replace=False)
-        cols, x, scale, part = _live(world, probs, weights, rows[weights[rows] != 0], direction)
+        live = _live(world, weights, rows[weights[rows] != 0], direction, scratch)
+    x, diffs, blocks = live
     if len(x) == 0:
         return
-    _step_probs(world, part, x)
-    if direction == "reverse" and config.reverse_kl_samples > 0:
-        tokens = world.problem_tokens[cols]
-        diffs = _sampled_reverse_diffs(world, part, tokens, config.reverse_kl_samples)
-    else:
-        diffs = _diffs(part, direction, in_place=True)
-    diffs *= scale
+    samples = config.reverse_kl_samples if direction == "reverse" else 0
+    for block, xc, out, scale, tokens in blocks:
+        _step_probs(world, block, xc)
+        if samples:
+            _sampled_reverse_diffs(world, block, tokens, samples, out)
+        else:
+            _diffs(block, direction, out)
+        out *= scale
     grad = x.T @ diffs.T
     world.theta = world.theta - config.learning_rate * grad
 
@@ -601,12 +612,13 @@ def train(world: SimWorld, *, snr_dump_steps: Iterable[int] = ()) -> SimMetrics:
     Pass rates and weights are computed once at the start, again at the
     two-stage switch, and every recompute_interval steps when configured.
     Checkpoints (every eval_interval steps, plus step 0 and the final step)
-    record state before that step's parameter update. The student's (V, N)
-    distributions are computed only at steps where something reads every
-    problem's: a recompute, a checkpoint or an SNR dump; an update computes
-    only its nonzero-weight columns. theta and the step counter are updated
-    in place on the passed world. A non-finite checkpoint loss or theta
-    raises NumericError naming the step.
+    record state before that step's parameter update. A recompute or
+    checkpoint reads every problem in one sweep over column blocks, and an
+    update runs only its nonzero-weight columns through the same block
+    scratch, so no student array as wide as N is held; an SNR dump builds
+    its own N-wide arrays. theta and the step counter are updated in place
+    on the passed world. A non-finite checkpoint loss or theta raises
+    NumericError naming the step.
     """
     config = world.config
     t_total = config.steps
@@ -625,7 +637,7 @@ def train(world: SimWorld, *, snr_dump_steps: Iterable[int] = ()) -> SimMetrics:
     smoothness: list[float] = []
     rows: list[CheckpointRow] = []
     dumps: dict[int, GradientTable] = {}
-    probs = None
+    scratch = _scratch(world)
     live = None
 
     for local in range(t_total + 1):
@@ -645,27 +657,28 @@ def train(world: SimWorld, *, snr_dump_steps: Iterable[int] = ()) -> SimMetrics:
             )
         )
         checkpoint = local % config.eval_interval == 0 or local == t_total
-        # Step 0 is a recompute, so the step buffers exist from then on.
-        if needs_recompute or checkpoint or local in dump_steps:
-            probs = _step_probs(world, probs)
+        if needs_recompute or checkpoint:
+            purposes = ("rollout",) * needs_recompute + ("eval",) * checkpoint
+            counts, kl = _sweep(world, scratch, config.rollout_count, purposes,
+                                direction if checkpoint else None)
         if needs_recompute:
-            counts = _sample_pass_rates(world, config.rollout_count, "rollout", probs).sum(axis=0)
-            weights = _weights(world, counts)
+            weights = _weights(world, counts["rollout"])
             if config.batch_size is None:
                 cols = slice(None) if weights.all() else np.flatnonzero(weights)
-                live = _live(world, probs, weights, cols, direction)
+                live = None  # drop the last recompute's columns first
+                live = _live(world, weights, cols, direction, scratch)
             recompute_steps.append(world.step)
             smoothness.append(smoothness_constant(world.features, weights))
 
         if checkpoint:
-            rows.append(_eval_checkpoint(world, weights, direction, probs))
+            rows.append(_checkpoint(world, weights, direction, counts["eval"], kl))
         if local in dump_steps:
-            dumps[local] = measure_snr(world, direction, probs=probs)
+            dumps[local] = measure_snr(world, direction)
 
         if local == t_total:
             break
 
-        _descend(world, weights, direction, probs, live)
+        _descend(world, weights, direction, scratch, live)
         if not np.isfinite(world.theta).all():
             raise NumericError(f"theta is not finite after the update at step {world.step}")
         world.step = base + local + 1
@@ -681,24 +694,22 @@ def train(world: SimWorld, *, snr_dump_steps: Iterable[int] = ()) -> SimMetrics:
     )
 
 
-def measure_snr(
-    world: SimWorld, loss_direction: str, *, probs: _Probs | None = None
-) -> GradientTable:
+def measure_snr(world: SimWorld, loss_direction: str) -> GradientTable:
     """One flattened gradient per problem plus fresh pass-rate estimates.
 
     Row i of the gradients is np.outer(features[i], diffs[i]).ravel(), the
-    problem's theta gradient in logit-difference form. probs are the
-    step's shared distributions inside train; without them they are
-    computed from world.
+    problem's theta gradient in logit-difference form. The (N, F * V) table
+    is N-wide anyway, so the student's (V, N) distributions, rollouts and
+    gradient columns are formed for all problems at once.
     """
     if loss_direction not in _STAGE_DIRECTIONS:
         raise DomainError(
             f"loss_direction must be one of {_STAGE_DIRECTIONS}, got {loss_direction!r}"
         )
-    if probs is None:
-        probs = _step_probs(world)
-    k = world.config.rollout_count
-    counts = _sample_pass_rates(world, k, "snr", probs).sum(axis=0)
+    k, temperature = world.config.rollout_count, world.config.rollout_temperature
+    probs = _step_probs(world)
+    ps = probs.ps if temperature == 1.0 else _step_probs(world, temperature=temperature).ps
+    counts = _rollouts(world, ps, slice(None), k, "snr").sum(axis=0)
     diffs = _diffs(probs, loss_direction).T
     grads = world.features[:, :, None] * diffs[:, None, :]
     return GradientTable(world.problem_ids, counts / k, grads.reshape(len(counts), -1))

@@ -121,11 +121,14 @@ def compute_snr_bins(table: GradientTable, num_bins: int) -> SnrProfile:
         if count == 0:
             bins.append(SnrBin(lo=lo, hi=hi, mean_p=None, count=0, snr=None))
             continue
-        g = grads[mask]
+        g = grads[mask]  # the bin's one copy: its deviations are squared in place
         g_bar = g.mean(axis=0)
-        spread_sq = float(np.mean(np.sum((g - g_bar) ** 2, axis=1)))
+        signal = np.linalg.norm(g_bar)
+        g -= g_bar
+        g *= g
+        spread_sq = float(np.mean(np.sum(g, axis=1)))
         # Zero spread (identical gradients) leaves the bin's SNR undefined.
-        snr = float(np.linalg.norm(g_bar) / math.sqrt(spread_sq)) if spread_sq else None
+        snr = float(signal / math.sqrt(spread_sq)) if spread_sq else None
         bins.append(
             SnrBin(lo=lo, hi=hi, mean_p=float(ps[mask].mean()), count=count,
                    snr=snr, degenerate=snr is None)

@@ -19,7 +19,7 @@ from zpdistill.distill_sim import (
 from zpdistill.distill_sim import (
     _categorical,
     _diffs,
-    _sample_pass_rates,
+    _rollouts,
     _sampled_reverse_diffs,
     _step_probs,
     _weights,
@@ -143,6 +143,13 @@ class TestBuildWorld:
         assert retention(w) == pytest.approx(0.0, abs=1e-12)
 
 
+def _outcomes(world, k, purpose):
+    """(k, N) correctness of k rollouts per problem, every problem in one
+    block, at the world's rollout temperature."""
+    ps = _step_probs(world, temperature=world.config.rollout_temperature).ps
+    return _rollouts(world, ps, slice(None), k, purpose)
+
+
 class TestRollouts:
     def test_deterministic_at_fixed_step(self):
         w = build_world(_SMALL)
@@ -151,15 +158,15 @@ class TestRollouts:
         assert r1.problem_ids == r2.problem_ids == w.problem_ids
         assert np.array_equal(r1.successes, r2.successes)
         assert np.array_equal(
-            _sample_pass_rates(w, 4, "rollout"), _sample_pass_rates(w, 4, "rollout")
+            _outcomes(w, 4, "rollout"), _outcomes(w, 4, "rollout")
         )
 
     def test_step_changes_stream(self):
         w1 = build_world(_SMALL)
         w2 = build_world(_SMALL)
         w2.step = 3
-        o1 = _sample_pass_rates(w1, 16, "rollout")
-        o2 = _sample_pass_rates(w2, 16, "rollout")
+        o1 = _outcomes(w1, 16, "rollout")
+        o2 = _outcomes(w2, 16, "rollout")
         assert not np.array_equal(o1, o2)
 
     def test_rejects_nonpositive_k(self):
@@ -180,7 +187,7 @@ class TestRollouts:
             cdf = np.cumsum(probs[i])
             tokens = np.minimum(np.searchsorted(cdf, u, side="right"), cfg.vocab_size - 1)
             want.append([bool(t == w.answers[i]) for t in tokens])
-        outcomes = _sample_pass_rates(w, k, "rollout")
+        outcomes = _outcomes(w, k, "rollout")
         assert outcomes.T.tolist() == want
         table = run_rollouts(w, k)
         assert table.successes.tolist() == [sum(row) for row in want]
@@ -481,7 +488,7 @@ class TestMeasureSnr:
         w.step = 2
         table = measure_snr(w, direction)
         diffs = _diffs(_step_probs(w), direction)
-        counts = _sample_pass_rates(w, _SMALL.rollout_count, "snr").sum(axis=0)
+        counts = _outcomes(w, _SMALL.rollout_count, "snr").sum(axis=0)
         for i in range(30):
             assert np.array_equal(
                 table.gradients[i], np.outer(w.features[i], diffs[:, i]).ravel()

@@ -5,7 +5,8 @@ The simulate digests are those of the committed golden run (README), of a
 two-stage run that takes the sampled reverse-KL path, of a run on the
 exact reverse-KL path, of a run sampling rollouts at temperature 0.7 and
 of a hard-band run whose minibatches of 50 hold mostly zero weights; the
-golden run exercises none of the last four. Any change to sampling,
+golden run exercises none of the last four. The golden config's metrics
+at 5 000 and 20 000 problems are pinned too, for one BLAS build. Any change to sampling,
 weighting or training arithmetic that moves a single bit of an output file
 fails here. Each analysis command also runs twice and must write identical
 bytes both times.
@@ -109,6 +110,31 @@ def test_variant_run_bytes(tmp_path, variant):
     metrics, gradients = _simulate(_golden_with(overrides, tmp_path), tmp_path, 20)
     assert metrics == want_metrics
     assert gradients == want_gradients
+
+
+# metrics.csv of configs/golden.cfg at seed 7 with num_problems set; the
+# update product spans the nonzero-weight rows: 2 764 at N = 5 000 and
+# 10 893 at N = 20 000 (the train_20k benchmark workload).
+_LARGE_METRICS = {
+    5000: "40a8fb6e79042f57fd9b0225653e4f10fb941c4732b0528a840ad3d1029beed0",
+    20000: "2960168a16e38660eccd431c18ac4e210a2f51efe94526e56db25357f7aeaebd",
+}
+
+
+@pytest.mark.parametrize("n", sorted(_LARGE_METRICS))
+def test_large_golden_config_metrics_bytes(tmp_path, n):
+    """These digests hold for scipy-openblas 0.3.31, where a 16 x 16 gemm
+    over more than 3 906 rows (M * N * K > 1e6) runs in the blocked kernel
+    and a smaller one in the small-matrix kernel, which adds each entry in
+    row order. Another BLAS build can group those sums otherwise and move
+    theta in its last bits; where that reaches the 10 printed digits, these
+    bytes move. The golden run and its variants stay below that size. That
+    the column blocks leave every bit alone is checked in
+    test_step_oracle.py, which these 10-digit bytes could miss."""
+    config = _golden_with({"world": {"num_problems": str(n)}}, tmp_path)
+    out = tmp_path / "metrics.csv"
+    assert main(["simulate", "--config", str(config), "--seed", "7", "--out", str(out)]) == 0
+    assert _sha256(out) == _LARGE_METRICS[n]
 
 
 # Analysis commands on one seeded rollouts file (mixed K, p = 0 and p = 1

@@ -1,19 +1,19 @@
 """train against a copy of the per-step path it replaced, and its memory.
 
-train computes a step's student log-probabilities once, into two
-vocabulary-major (V, N) buffers reused across steps, at each step where
-something reads every problem's, and every consumer at that step reads
-them; an update computes the columns of the nonzero-weight problems among
-its rows alone, all N or its minibatch's, and its gradient product runs
-over those rows. The functions
-prefixed `_old_` below are the earlier path, kept as it was (less the
-two-stage branch for steps < 2, which SimConfig now rejects): problem-major
-(N, V) arrays reduced along axis 1, each consumer recomputed `log_softmax`
-on fresh arrays, and a minibatch update computed gradient rows and
-reverse-KL draws for every problem before keeping its batch rows. Outputs
-must match it bit for bit (np.array_equal, not the 10 digits the CSVs
-print), except past the size where a full-batch product over every row
-leaves OpenBLAS's small-matrix kernel, where they match to rounding.
+train reads every problem at a recompute or checkpoint in one sweep over
+column blocks: each block's student log-probabilities go into a small
+vocabulary-major (V, block) scratch, and every consumer at that step reads
+the block before the next one. An update runs the columns of the
+nonzero-weight problems among its rows alone, all N or its minibatch's,
+through the same scratch, and its gradient product runs over those rows.
+The functions prefixed `_old_` below are the earlier path, kept as it was
+(less the two-stage branch for steps < 2, which SimConfig now rejects):
+problem-major (N, V) arrays reduced along axis 1, each consumer recomputed
+`log_softmax` on fresh arrays, and a minibatch update computed gradient
+rows and reverse-KL draws for every problem before keeping its batch rows.
+Outputs must match it bit for bit (np.array_equal, not the 10 digits the
+CSVs print), except past the size where a full-batch product over every
+row leaves OpenBLAS's small-matrix kernel, where they match to rounding.
 """
 
 import dataclasses
@@ -42,9 +42,11 @@ from zpdistill.distill_sim import (
     _kl_rows,
     _live,
     _Probs,
-    _sample_pass_rates,
+    _rollouts,
     _sampled_reverse_diffs,
+    _scratch,
     _step_probs,
+    _sweep,
     _weights,
 )
 from zpdistill.numerics import label_tokens, log_softmax, stream, stream_uniforms
@@ -406,12 +408,10 @@ def test_sampled_reverse_rows_of_a_subset_equal_the_full_rows():
         assert np.array_equal(part, full[:, rows])
 
 
-def _check_log_softmax_widths(monkeypatch, cfg):
-    # Each student log-softmax runs down axis 0 of (V, columns) logits; the
-    # anchors' retention log-softmax runs along axis 1 and is left out. An
-    # N-wide one runs only at recompute, checkpoint and dump steps; an
-    # update's is as wide as the nonzero weights among its rows.
-    world = build_world(cfg)
+def _spy_log_softmax_widths(monkeypatch, world):
+    """[(world.step, columns)] of every student log-softmax that follows;
+    each runs down axis 0 of (V, columns) logits, and the anchors'
+    retention log-softmax, along axis 1, is left out."""
     columns = []
 
     def spy(logits, axis=-1, **kwargs):
@@ -420,15 +420,37 @@ def _check_log_softmax_widths(monkeypatch, cfg):
         return log_softmax(logits, axis=axis, **kwargs)
 
     monkeypatch.setattr(distill_sim, "log_softmax", spy)
+    return columns
+
+
+def _check_log_softmax_widths(monkeypatch, cfg):
+    # With blocks of at most 32 columns, N = 80 is swept as 27, 27 and 26.
+    # Each recompute or checkpoint sweeps every problem once, a dump step's
+    # measure_snr takes one N-wide log-softmax, and an update sweeps the
+    # nonzero weights among its rows.
+    monkeypatch.setattr(distill_sim, "_BLOCK", 32)
+    world = build_world(cfg)
+    columns = _spy_log_softmax_widths(monkeypatch, world)
     weights = _spy_weights(monkeypatch)
     metrics = train(world, snr_dump_steps=(5,))
-    full_steps = {row.step for row in metrics.rows} | set(metrics.recompute_steps) | {5}
-    assert full_steps == {0, 3, 4, 5, 6, 8, 9}
+    full_steps = {row.step for row in metrics.rows} | set(metrics.recompute_steps)
+    assert full_steps | {5} == {0, 3, 4, 5, 6, 8, 9}
     n = cfg.num_problems
-    assert sorted(step for step, width in columns if width == n) == sorted(full_steps)
-    want = [(step, len(_update_columns(cfg, weights, step))) for step in range(cfg.steps)]
-    assert all(width < (cfg.batch_size or n) for _, width in want)
-    assert [call for call in columns if call[1] != n] == [c for c in want if c[1]]
+
+    def blocks(step, m):
+        return [(step, min(27, m - i)) for i in range(0, m, 27)]
+
+    want, updates = [], []
+    for step in range(cfg.steps + 1):
+        if step in full_steps:
+            want += blocks(step, n)
+        if step == 5:
+            want.append((step, n))
+        if step < cfg.steps:
+            updates.append(len(_update_columns(cfg, weights, step)))
+            want += blocks(step, updates[-1])
+    assert all(width < (cfg.batch_size or n) for width in updates)
+    assert columns == want
 
 
 def test_minibatch_steps_compute_full_student_arrays_only_where_read(monkeypatch):
@@ -439,6 +461,34 @@ def test_minibatch_steps_compute_full_student_arrays_only_where_read(monkeypatch
 def test_full_batch_steps_compute_full_student_arrays_only_where_read(monkeypatch):
     cfg = dataclasses.replace(_BASE, **_CONFIGS["two_stage_hard_recompute"])
     _check_log_softmax_widths(monkeypatch, cfg)
+
+
+# At N = 4 097 the default blocks are 2 049 and 2 048 columns wide.
+_N4097 = {"num_problems": 4097, "steps": 4, "eval_interval": 2}
+_WIDE_CONFIGS = {
+    "forward": {},
+    "exact_reverse_recompute": {"loss_direction": "reverse", "recompute_interval": 3},
+    "sampled_reverse_t0.7": {
+        "loss_direction": "reverse", "reverse_kl_samples": 4, "rollout_temperature": 0.7,
+    },
+    "two_stage_hard_batch": {
+        "loss_direction": "two_stage", "scheme": "hard", "reverse_kl_samples": 4,
+        "batch_size": 3000,
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(_WIDE_CONFIGS))
+def test_no_student_log_softmax_in_train_is_wider_than_one_block(monkeypatch, name):
+    cfg = SimConfig(**_N4097, **_WIDE_CONFIGS[name])
+    world = build_world(cfg)
+    columns = _spy_log_softmax_widths(monkeypatch, world)
+    train(world, snr_dump_steps=(2,))
+    wide = [call for call in columns if call[1] > 2049]
+    # The dump's measure_snr builds its own N-wide arrays, one more at a
+    # rollout temperature other than 1; nothing else does.
+    assert wide == [(2, cfg.num_problems)] * (1 if cfg.rollout_temperature == 1.0 else 2)
+    assert (0, 2049) in columns  # step 0's sweep, in blocks of the default width
 
 
 @pytest.mark.parametrize("cfg", [_BASE, SimConfig()], ids=["v7", "golden_v16"])
@@ -475,7 +525,8 @@ def test_single_problem_calls_equal_the_full_column(direction, n):
     w = build_world(dataclasses.replace(_BASE, num_problems=n))
     w.theta = w.theta + 0.4 * np.sin(np.arange(w.theta.size)).reshape(w.theta.shape)
     probs = _step_probs(w)
-    losses, diffs = _kl_rows(probs, direction), _diffs(probs, direction)
+    diffs = _diffs(probs, direction)
+    losses = _kl_rows(probs, direction)  # overwrites probs
     single = forward_kl if direction == "forward" else reverse_kl
     for i in sorted({0, n // 2, n - 1}):
         loss, grad = single(w, i)
@@ -534,11 +585,11 @@ def test_live_row_product_equals_the_zero_filled_product(n, batch_size, zero_sha
     full[:, live] = _diffs(probs, "forward")[:, rows[live]] * (weights[rows[live]] / len(rows))
     want = world.theta - cfg.learning_rate * (world.features[rows].T @ full.T)
 
-    kept = None
+    kept, scratch = None, _scratch(world)
     if batch_size is None:
         cols = slice(None) if weights.all() else np.flatnonzero(weights)
-        kept = _live(world, probs, weights, cols, "forward")
-    _descend(world, weights, "forward", probs, kept)
+        kept = _live(world, weights, cols, "forward", scratch)
+    _descend(world, weights, "forward", scratch, kept)
     assert np.array_equal(world.theta, want)
 
 
@@ -566,37 +617,69 @@ def test_column_blocks_change_no_value(monkeypatch, name, block):
     # N = 80 is not a multiple of 3 or 7, so the last block is short.
     cfg = dataclasses.replace(_BASE, **_CONFIGS[name])
 
-    def passes(world):
-        probs = _step_probs(world)
+    def whole(world):
+        # Every column at once, from full (V, N) arrays.
+        ps = _step_probs(world, temperature=cfg.rollout_temperature).ps
         return (
-            _sample_pass_rates(world, 5, "eval"),
-            _sample_pass_rates(world, 5, "eval", probs),
-            _kl_rows(probs, "forward"),
-            _kl_rows(probs, "reverse"),
+            _rollouts(world, ps, slice(None), 5, "eval").sum(axis=0),
+            _rollouts(world, ps, slice(None), 5, "rollout").sum(axis=0),
+            _kl_rows(_step_probs(world), "forward"),
+            _kl_rows(_step_probs(world), "reverse"),
         )
+
+    def swept(world):
+        counts, forward = _sweep(world, _scratch(world), 5, ("eval", "rollout"), "forward")
+        reverse = _sweep(world, _scratch(world), 5, (), "reverse")[1]
+        return counts["eval"], counts["rollout"], forward, reverse
 
     w_one, w_blocks = build_world(cfg), build_world(cfg)
     for w in (w_one, w_blocks):
         w.theta = w.theta + 0.4 * np.sin(np.arange(w.theta.size)).reshape(w.theta.shape)
         w.step = 3
-    want = passes(w_one)
+    want = whole(w_one)
     m_one = train(w_one, snr_dump_steps=_DUMPS)
     monkeypatch.setattr(distill_sim, "_BLOCK", block)
-    monkeypatch.setattr(distill_sim, "_KL_BLOCK", block)
     widths = []
 
     def spy(prefix, tokens, k):
-        if prefix[1] != "revkl":
-            widths.append(len(tokens))
+        if prefix[1] in ("rollout", "eval"):  # a sweep's, not an update's or a dump's
+            widths.append((tuple(prefix), len(tokens)))
         return stream_uniforms(prefix, tokens, k)
 
     monkeypatch.setattr(distill_sim, "stream_uniforms", spy)
-    got = passes(w_blocks)
+    got = swept(w_blocks)
     assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    widths.clear()
     m_blocks = train(w_blocks, snr_dump_steps=_DUMPS)
     _assert_same_run(w_blocks, m_blocks, w_one, m_one)
     assert m_blocks.smoothness == m_one.smoothness
-    assert set(widths) == {block, cfg.num_problems % block or block}
+    assert set(width for _, width in widths) == {block, cfg.num_problems % block or block}
+    # Each sweep of train draws every problem's rollouts once, in the
+    # fewest blocks.
+    for prefix in set(prefix for prefix, _ in widths):
+        sweep = [width for key, width in widths if key == prefix]
+        assert sum(sweep) == cfg.num_problems and len(sweep) == -(-cfg.num_problems // block)
+
+
+def _one_block_run(name):
+    """train at N = 4 097 with every problem in one block: world, metrics."""
+    cfg = SimConfig(**_N4097, **_WIDE_CONFIGS[name])
+    world = build_world(cfg)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(distill_sim, "_BLOCK", cfg.num_problems)
+        return world, train(world, snr_dump_steps=(0, 2))
+
+
+@pytest.mark.parametrize("name", sorted(_WIDE_CONFIGS))
+def test_default_blocks_change_no_output_at_n4097(name):
+    # The default blocks split N into 2 049 + 2 048 columns; one block of
+    # 4 097 runs the logit product in OpenBLAS's blocked kernel, the halves
+    # in its small-matrix one. Blocks of 1, 3 and 7 are checked at N = 80.
+    w_one, m_one = _one_block_run(name)
+    world = build_world(w_one.config)
+    metrics = train(world, snr_dump_steps=(0, 2))
+    _assert_same_run(world, metrics, w_one, m_one)
+    assert metrics.smoothness == m_one.smoothness
 
 
 def test_build_world_peak_allocation_is_a_few_arrays():
@@ -638,21 +721,33 @@ def test_build_world_peak_allocation_is_a_few_arrays():
 # 4.61, reverse 4.61, sampled reverse 4.96, sampled_reverse_batch 3.43; at
 # N = 20 000, forward 3.91, reverse 3.91 (4.69 with the (V, N) product),
 # sampled_reverse_batch 2.75, temperature 0.7 4.14 (5.75 with the softmax
-# of all N logit columns at once).
+# of all N logit columns at once). With every recompute and checkpoint one
+# sweep over equal column blocks of at most 4 096 (2 x 2 500 at N = 5 000,
+# 5 x 4 000 at N = 20 000), the checkpoint KL formed in the block scratch,
+# and each update's nonzero-weight columns run through the same scratch into
+# one (V, rows) gradient array (no (V, N) student buffers): forward 3.96,
+# reverse 3.95, sampled reverse 3.95, sampled_reverse_batch 2.18; at
+# N = 20 000, forward 2.83, reverse 2.83, full-batch sampled reverse 2.83
+# (4.85 with (V, N) buffers and full-width draws), sampled_reverse_batch
+# 1.08, temperature 0.7 2.44. The peak is a checkpoint's rollout draws
+# beside the kept nonzero rows' features, teacher and gradient columns.
 _PEAK_BOUND = {
-    "forward": ({}, 5.0),
-    "reverse": ({"loss_direction": "reverse"}, 5.0),
-    "sampled_reverse": ({"loss_direction": "reverse", "reverse_kl_samples": 4}, 5.5),
+    "forward": ({}, 4.25),
+    "reverse": ({"loss_direction": "reverse"}, 4.25),
+    "sampled_reverse": ({"loss_direction": "reverse", "reverse_kl_samples": 4}, 4.25),
     "sampled_reverse_batch": (
-        {"loss_direction": "reverse", "reverse_kl_samples": 4, "batch_size": 500}, 4.0,
+        {"loss_direction": "reverse", "reverse_kl_samples": 4, "batch_size": 500}, 2.5,
     ),
-    "forward_n20000": ({"num_problems": 20000}, 4.25),
-    "reverse_n20000": ({"num_problems": 20000, "loss_direction": "reverse"}, 4.25),
+    "forward_n20000": ({"num_problems": 20000}, 3.0),
+    "reverse_n20000": ({"num_problems": 20000, "loss_direction": "reverse"}, 3.0),
+    "sampled_reverse_n20000": (
+        {"num_problems": 20000, "loss_direction": "reverse", "reverse_kl_samples": 4}, 3.0,
+    ),
     "sampled_reverse_batch_n20000": (
         {"num_problems": 20000, "loss_direction": "reverse", "reverse_kl_samples": 4,
-         "batch_size": 500}, 3.25,
+         "batch_size": 500}, 1.25,
     ),
-    "temperature_0.7_n20000": ({"num_problems": 20000, "rollout_temperature": 0.7}, 4.5),
+    "temperature_0.7_n20000": ({"num_problems": 20000, "rollout_temperature": 0.7}, 2.6),
 }
 
 
