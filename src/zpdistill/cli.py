@@ -249,8 +249,12 @@ def _cmd_simulate(args: argparse.Namespace) -> None:
         if (raw := getattr(args, field)) is not None
     }
 
-    world = build_world(load_sim_config(text, overrides))
+    config = load_sim_config(text, overrides)
     dump_steps = (args.dump_step or [20]) if args.dump_gradients else ()
+    for step in dump_steps:
+        if not 0 <= step <= config.steps:
+            raise ConfigError(f"--dump-step {step} outside [0, {config.steps}] (default 20)")
+    world = build_world(config)
     metrics = train(world, snr_dump_steps=dump_steps)
 
     # Every output is opened before any is written, the metrics last, so a

@@ -32,6 +32,8 @@ draws are taken for many problems at once with numerics.stream_uniforms,
 which reproduces numerics.stream() bit for bit; stream() remains the
 contract that defines every draw. build_world keys the problems once, as
 SimWorld.problem_tokens, and a minibatch takes its rows of that array.
+An update's rows and weights do not read theta, so the reverse-KL draws
+of several steps share Philox passes (_revkl_draws), bit for bit.
 The world stores the teacher's log-probabilities, not its logits.
 
 Per-step arithmetic: outside an SNR dump (measure_snr), train holds no
@@ -44,7 +46,8 @@ Many weights are 0 (p(1 - p) at p = 0 or 1, the hard scheme outside its
 band), so an update runs only the nonzero-weight problems among its rows
 (all N, or its minibatch), in row order, through the same scratch, into
 one (V, rows) array of gradient columns, and its gradient product spans
-those rows.
+those rows. Each sweep plans the updates up to the next one (_plan), whose
+reverse-KL draws share passes of at most _PASS_WORDS Philox words.
 The arrays are vocabulary-major, one column per problem, so every
 reduction over the vocabulary runs down axis 0; numerics._sum_axis0 adds
 in the pairwise order of np.sum over a contiguous (N, V) row, and the
@@ -61,6 +64,7 @@ eta with eta * L >= 2 is past the descent lemma's bound.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, fields
 from typing import Iterable, Iterator
@@ -69,7 +73,8 @@ import numpy as np
 
 from .errors import ConfigError, DomainError, NumericError
 from .kernel import SCHEMES, raw_weights, unit_mean
-from .numerics import _sum_axis0, label_tokens, log_softmax, stream, stream_uniforms
+from .numerics import _sum_axis0, key_uniforms, label_keys, label_tokens, log_softmax
+from .numerics import stream, stream_uniforms
 from .passrate import THREE_BIN_EDGES, RolloutTable, bin_indices
 from .snr_profile import GradientTable
 from .variance import smoothness_constant
@@ -101,6 +106,9 @@ _STAGE_DIRECTIONS = ("forward", "reverse")
 # Most problem columns per block of a sweep: Philox ran about 30% faster
 # on 4 096-8 192 keys than on 20 000 at once.
 _BLOCK = 4096
+# Most Philox output words (keys times k rounded up to 4) in one shared pass
+# of reverse-KL draws: 1 024 keys at 16 samples.
+_PASS_WORDS = 16384
 
 
 @dataclass(frozen=True)
@@ -475,30 +483,26 @@ def reverse_kl(world: SimWorld, problem_index: int) -> tuple[float, np.ndarray]:
     return _single_loss_grad(world, problem_index, "reverse")
 
 
-def _sampled_reverse_diffs(
-    world: SimWorld, probs: _Probs, tokens: np.ndarray, n_samples: int,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
-    """Score-function estimate of the reverse-KL logit gradient columns,
-    into out or a fresh array.
+def _sampled_reverse_diffs(probs: _Probs, u: np.ndarray, out: np.ndarray | None = None):
+    """Score-function estimate of the reverse-KL logit gradient columns from
+    the (k, columns) uniforms u, into out or a fresh array.
 
-    Column i of probs belongs to the problem keyed by tokens[i]; a minibatch
-    step passes only its batch columns. Each problem's draws come from its
-    own key (seed, "revkl", step, id), and every column's cdf, draws and
-    sum depend on that column alone, so any subset of columns equals those
-    columns of the full result. Samples are accumulated one at a time, in
-    draw order, for all columns together, so each column's sum is the same
-    sequential sum as per problem. A sample's term r * (onehot - ps) is
-    subtracted as r * ps with its token entry set to r * (ps - 1): both are
-    exact negations, so the sum is bit-identical. The drawn entries are
-    addressed by their flat index in the C-ordered (V, B) arrays, and their
-    ratios and token entries are gathered for all samples before the loop,
-    which then forms each term in probs.log_ps.
+    Column i of u holds the draws of the problem in column i of probs, from
+    its own key (seed, "revkl", step, id) (see _revkl_draws); every column's
+    cdf, draws and sum depend on that column alone, so any subset of columns
+    equals those columns of the full result. Samples are accumulated one at
+    a time, in draw order, for all columns together, so each column's sum is
+    the same sequential sum as per problem. A sample's term
+    r * (onehot - ps) is subtracted as r * ps with its token entry set to
+    r * (ps - 1): both are exact negations, so the sum is bit-identical. The
+    drawn entries are addressed by their flat index in the C-ordered (V, B)
+    arrays, and their ratios and token entries are gathered for all samples
+    before the loop, which then forms each term in probs.log_ps.
     """
-    ps = probs.ps
+    ps, n_samples = probs.ps, len(u)
     ratio = np.subtract(probs.log_ps, probs.log_pt, out=probs.log_ps)
-    prefix = (world.config.seed, "revkl", world.step)
-    draws = _categorical(ps, stream_uniforms(prefix, tokens, n_samples))
+    draws = _categorical(ps, u)
+    del u  # frees a pass that only this call reads before the gathers below
     b = ps.shape[1]
     flat = draws.astype(np.intp) * b + np.arange(b)
     r = ratio.take(flat)
@@ -571,13 +575,59 @@ def _live(
     return x, diffs, blocks
 
 
-def _descend(
-    world: SimWorld, weights: np.ndarray, direction: str, scratch: np.ndarray, live: tuple | None
-) -> None:
-    """The parameter update at world.step from the nonzero-weight problems
-    among its rows (all problems, kept in live at each recompute, or the
-    step's minibatch), in row order, a scratch block at a time into live's
-    (V, rows) array, then one gradient product over those rows alone,
+def _revkl_draws(seed: int, units: Iterable[tuple[int, np.ndarray]], k: int) -> Iterator:
+    """The (k, len(tokens)) reverse-KL uniforms of each (step, tokens) unit in
+    turn, keyed (seed, "revkl", step, label) as stream_uniforms keys them.
+    Consecutive units share one Philox pass of at most _PASS_WORDS output
+    words (a wider unit has its own), drawn when its first unit is asked
+    for, so one pass is held at a time."""
+    group, cap = [], _PASS_WORDS // (4 * -(-k // 4))
+    for step, tokens in itertools.chain(units, [(None, ())]):
+        widths = [len(t) for _, t in group]
+        if group and (step is None or sum(widths) + len(tokens) > cap):
+            keys = np.concatenate([label_keys((seed, "revkl", s), t) for s, t in group])
+            parts = np.split(key_uniforms(keys, k), np.cumsum(widths[:-1]), axis=1)
+            while parts:  # a part's reader holds the last reference to it
+                yield parts.pop(0)
+            group = []
+        group.append((step, tokens))
+
+
+def _plan(world: SimWorld, weights: np.ndarray, direction: str, scratch: np.ndarray,
+          steps: range, live: tuple | None) -> tuple:
+    """The updates at steps, which share their weights and direction: the
+    full batch's kept live tuple (see _live) or batch(step), a minibatch's
+    nonzero-weight rows in batch order, and an iterator of every update
+    block's sampled reverse-KL uniforms (None without samples)."""
+    config, kept, n = world.config, {}, world.config.num_problems
+    samples = config.reverse_kl_samples if direction == "reverse" else 0
+
+    def batch(step: int) -> np.ndarray:
+        # Drawn once: with samples, whichever of a step's update and the pass
+        # that reads its rows comes first keeps them for the other.
+        rows = kept.pop(step, None)
+        if rows is None:
+            rows = stream(config.seed, "batch", step).choice(n, config.batch_size, replace=False)
+            rows = rows[weights[rows] != 0]
+            if samples:
+                kept[step] = rows
+        return rows
+
+    if live is None:
+        units = ((s, world.problem_tokens[r[c]]) for s in steps for r in [batch(s)]
+                 for c, *_ in _blocks(len(r), scratch))
+    else:
+        units = ((s, tokens) for s in steps for *_, tokens in live[2])
+    draws = _revkl_draws(config.seed, units, samples) if samples else None
+    return live, batch if live is None else None, draws
+
+
+def _descend(world: SimWorld, weights: np.ndarray, direction: str, scratch: np.ndarray,
+             plan: tuple) -> None:
+    """The parameter update at world.step, the next of its _plan, from the
+    nonzero-weight problems among its rows (all problems, or the step's
+    minibatch), in row order, a scratch block at a time into the (V, rows)
+    array of _live, then one gradient product over those rows alone,
     scaled by weight over row count; with none, theta is left as it is.
     The zero-weight rows add only exact zeros to the product over every
     row, and while that product fits OpenBLAS's small-matrix gemm
@@ -586,24 +636,21 @@ def _descend(
     blocked kernel groups its sums otherwise and theta can differ in its
     last bits (8.9e-16 measured).
     """
-    config = world.config
-    if config.batch_size is not None:
-        gen = stream(config.seed, "batch", world.step)
-        rows = gen.choice(config.num_problems, size=config.batch_size, replace=False)
-        live = _live(world, weights, rows[weights[rows] != 0], direction, scratch)
+    live, batch, draws = plan
+    if batch is not None:
+        live = _live(world, weights, batch(world.step), direction, scratch)
     x, diffs, blocks = live
     if len(x) == 0:
         return
-    samples = config.reverse_kl_samples if direction == "reverse" else 0
-    for block, xc, out, scale, tokens in blocks:
+    for block, xc, out, scale, _ in blocks:
         _step_probs(world, block, xc)
-        if samples:
-            _sampled_reverse_diffs(world, block, tokens, samples, out)
-        else:
+        if draws is None:
             _diffs(block, direction, out)
+        else:
+            _sampled_reverse_diffs(block, next(draws), out)
         out *= scale
     grad = x.T @ diffs.T
-    world.theta = world.theta - config.learning_rate * grad
+    world.theta = world.theta - world.config.learning_rate * grad
 
 
 def train(world: SimWorld, *, snr_dump_steps: Iterable[int] = ()) -> SimMetrics:
@@ -626,6 +673,9 @@ def train(world: SimWorld, *, snr_dump_steps: Iterable[int] = ()) -> SimMetrics:
     if config.loss_direction == "two_stage":
         switch_step = int(round(config.stage1_fraction * t_total))
         switch_step = min(max(switch_step, 1), t_total - 1)
+    interval = config.recompute_interval or t_total
+    starts = {0, switch_step, *range(interval, t_total, interval)}
+    sweeps = sorted({*starts, *range(0, t_total, config.eval_interval), t_total})
 
     dump_steps = sorted(set(int(s) for s in snr_dump_steps))
     for s in dump_steps:
@@ -642,22 +692,10 @@ def train(world: SimWorld, *, snr_dump_steps: Iterable[int] = ()) -> SimMetrics:
 
     for local in range(t_total + 1):
         direction = _direction_at(config, min(local, t_total - 1), switch_step)
-        needs_recompute = (
-            local == 0
-            or (
-                config.loss_direction == "two_stage"
-                and local == switch_step
-                and local < t_total
-            )
-            or (
-                config.recompute_interval is not None
-                and local > 0
-                and local < t_total
-                and local % config.recompute_interval == 0
-            )
-        )
+        needs_recompute = local in starts
         checkpoint = local % config.eval_interval == 0 or local == t_total
         if needs_recompute or checkpoint:
+            plan = None  # the last plan's draws go before the sweep
             purposes = ("rollout",) * needs_recompute + ("eval",) * checkpoint
             counts, kl = _sweep(world, scratch, config.rollout_count, purposes,
                                 direction if checkpoint else None)
@@ -678,7 +716,10 @@ def train(world: SimWorld, *, snr_dump_steps: Iterable[int] = ()) -> SimMetrics:
         if local == t_total:
             break
 
-        _descend(world, weights, direction, scratch, live)
+        if plan is None:
+            stop = next(s for s in sweeps if s > local)
+            plan = _plan(world, weights, direction, scratch, range(world.step, base + stop), live)
+        _descend(world, weights, direction, scratch, plan)
         if not np.isfinite(world.theta).all():
             raise NumericError(f"theta is not finite after the update at step {world.step}")
         world.step = base + local + 1

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from zpdistill import fileio
+from zpdistill import cli, fileio
 from zpdistill.cli import _COMMANDS, _OVERRIDES, _build_parser, main
 from zpdistill.distill_sim import SimConfig, build_world, train
 from zpdistill.fileio import fmt, load_gradient_records
@@ -528,6 +528,23 @@ class TestSimulate:
         assert err.startswith("error:") and err.count("\n") == 1
         assert "--dump-step" in err and "--dump-gradients" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("flags, bad", [
+        (["--dump-step", "0", "--dump-step", "5"], "5"),
+        (["--dump-step", "-1"], "-1"),
+        ([], "20"),  # the default, with the config's 4 steps
+    ])
+    def test_dump_step_outside_the_run_fails_before_the_world_is_built(
+        self, tmp_path, capsys, monkeypatch, flags, bad
+    ):
+        built = []
+        monkeypatch.setattr(cli, "build_world", built.append)
+        out = tmp_path / "metrics.csv"
+        args = ["simulate", "--config", str(self._cfg(tmp_path)), "--out", str(out),
+                "--dump-gradients", str(tmp_path / "g"), *flags]
+        assert main(args) == 1
+        assert capsys.readouterr().err == f"error: --dump-step {bad} outside [0, 4] (default 20)\n"
+        assert not built and not out.exists()
 
     def test_unopenable_dump_path_writes_no_metrics(self, tmp_path, capsys):
         out = tmp_path / "metrics.csv"

@@ -19,6 +19,7 @@ from zpdistill.distill_sim import (
 from zpdistill.distill_sim import (
     _categorical,
     _diffs,
+    _revkl_draws,
     _rollouts,
     _sampled_reverse_diffs,
     _step_probs,
@@ -301,7 +302,8 @@ class TestKlGradients:
         cfg = _small(vocab_size=4, num_problems=4)
         w = build_world(cfg)
         exact = _diffs(_step_probs(w), "reverse")
-        approx = _sampled_reverse_diffs(w, _step_probs(w), w.problem_tokens, 60000)
+        u = next(_revkl_draws(cfg.seed, [(0, w.problem_tokens)], 60000))
+        approx = _sampled_reverse_diffs(_step_probs(w), u)
         assert np.allclose(approx, exact, atol=0.02)
 
     def test_sampled_reverse_diffs_match_per_problem_oracle(self):
@@ -324,7 +326,8 @@ class TestKlGradients:
                 one_hot[t] = 1.0
                 acc += ratio[i, t] * (one_hot - ps[i])
             want[i] = acc / 13
-        got = _sampled_reverse_diffs(w, _step_probs(w), w.problem_tokens, 13)
+        u = next(_revkl_draws(cfg.seed, [(4, w.problem_tokens)], 13))
+        got = _sampled_reverse_diffs(_step_probs(w), u)
         assert np.array_equal(got, want.T)
 
 

@@ -8,6 +8,8 @@ from hypothesis import given, settings, strategies as st
 from zpdistill.errors import DomainError
 from zpdistill.numerics import (
     beta_fn,
+    key_uniforms,
+    label_keys,
     label_tokens,
     log_beta_fn,
     log_gamma,
@@ -269,6 +271,35 @@ class TestStreamUniforms:
                                   max_size=len(labels)))
         full = stream_uniforms(prefix, tokens, k)
         assert np.array_equal(stream_uniforms(prefix, tokens[rows], k), full[:, rows])
+
+    @given(groups=st.lists(st.tuples(_prefix, st.lists(_labels, max_size=6)), min_size=1,
+                           max_size=5),
+           k=st.integers(0, 23))
+    def test_one_pass_over_several_prefixes_keys_equals_each_prefix_alone(self, groups, k):
+        # What the simulator's shared reverse-KL passes rely on; groups may
+        # be empty and k need not be a multiple of 4.
+        keys = [label_keys(prefix, label_tokens(labels)) for prefix, labels in groups]
+        u = key_uniforms(np.concatenate(keys), k)
+        edges = np.cumsum([len(labels) for _, labels in groups])
+        assert u.shape == (k, edges[-1])
+        for (prefix, labels), part in zip(groups, np.split(u, edges[:-1], axis=1)):
+            assert np.array_equal(part, stream_uniforms(prefix, label_tokens(labels), k))
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 5, 6, 7, 13])
+    def test_one_pass_with_an_empty_group_and_odd_k(self, k):
+        groups = [((7, "revkl", 3), ["p0000", "p0001"]), ((7, "revkl", 4), []),
+                  ((7, "revkl", 5), ["p0001", "p0002", "p0003"])]
+        keys = np.concatenate([label_keys(p, label_tokens(labels)) for p, labels in groups])
+        u = key_uniforms(keys, k)
+        columns = [(p, label) for p, labels in groups for label in labels]
+        assert u.shape == (k, 5)
+        for column, (prefix, label) in zip(u.T, columns):
+            assert np.array_equal(column, stream(*prefix, label).random(k))
+
+    @pytest.mark.parametrize("k", [-1, 2.0, True])
+    def test_key_uniforms_rejects_bad_k(self, k):
+        with pytest.raises(DomainError, match="key_uniforms"):
+            key_uniforms(label_keys((7,), label_tokens(["p0000"])), k)
 
     def test_mixed_labels_and_no_labels(self):
         labels = [3, -7, 0, "p0000", "a\x00b", "\x00", "é☃", ""]

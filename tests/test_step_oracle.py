@@ -41,7 +41,9 @@ from zpdistill.distill_sim import (
     _direction_at,
     _kl_rows,
     _live,
+    _plan,
     _Probs,
+    _revkl_draws,
     _rollouts,
     _sampled_reverse_diffs,
     _scratch,
@@ -49,7 +51,9 @@ from zpdistill.distill_sim import (
     _sweep,
     _weights,
 )
-from zpdistill.numerics import label_tokens, log_softmax, stream, stream_uniforms
+from zpdistill.numerics import (
+    key_uniforms, label_keys, label_tokens, log_softmax, stream, stream_uniforms,
+)
 from zpdistill.passrate import THREE_BIN_EDGES
 from zpdistill.snr_profile import GradientTable
 
@@ -355,39 +359,142 @@ def _update_columns(cfg, weights, step):
     return rows[current[rows] != 0]
 
 
+def _spy_revkl_draws(monkeypatch):
+    """The (prefix, labels) of every key step and the (keys, k) of every
+    Philox pass that train's reverse-KL draws make."""
+    keyed, passes = [], []
+
+    def keys_spy(prefix, tokens):
+        keyed.append((tuple(prefix), tokens.tolist()))
+        return label_keys(prefix, tokens)
+
+    def pass_spy(keys, k):
+        passes.append((len(keys), k))
+        return key_uniforms(keys, k)
+
+    monkeypatch.setattr(distill_sim, "label_keys", keys_spy)
+    monkeypatch.setattr(distill_sim, "key_uniforms", pass_spy)
+    return keyed, passes
+
+
 def _check_reverse_draws(monkeypatch, overrides, empty):
     cfg = dataclasses.replace(_BASE, **{**overrides, "reverse_kl_samples": 6})
-    calls = []
-
-    def spy(prefix, tokens, k):
-        calls.append((tuple(prefix), tokens.tolist(), k))
-        return stream_uniforms(prefix, tokens, k)
-
-    monkeypatch.setattr(distill_sim, "stream_uniforms", spy)
+    keyed, passes = _spy_revkl_draws(monkeypatch)
     weights = _spy_weights(monkeypatch)
+    streams = []
+    monkeypatch.setattr(distill_sim, "stream", lambda *key: streams.append(key) or stream(*key))
     world = build_world(cfg)
     metrics = train(world)
+    # Each step's minibatch is drawn once, in step order, whichever of its
+    # update and the pass that reads its rows comes first.
+    assert [key for key in streams if key[1] == "batch"] == [
+        (cfg.seed, "batch", step) for step in range(cfg.steps)
+    ]
     want = {
         step: _update_columns(cfg, weights, step)
         for step in range(metrics.stage_switch_step or 0, cfg.steps)
     }
     assert [len(cols) for cols in want.values()].count(0) == empty
-    revkl = [call for call in calls if call[0][1] == "revkl"]
-    assert [prefix for prefix, _, _ in revkl] == [
+    revkl = [call for call in keyed if call[0][1] == "revkl"]
+    assert [prefix for prefix, _ in revkl] == [
         (cfg.seed, "revkl", step) for step, cols in want.items() if len(cols)
     ]
-    for (_, _, step), labels, k in revkl:
+    for (_, _, step), labels in revkl:
         ids = [world.problem_ids[i] for i in want[step]]
         assert labels == label_tokens(ids).tolist()
-        assert 0 < len(labels) < cfg.batch_size and k == cfg.reverse_kl_samples
+        assert 0 < len(labels) < cfg.batch_size
+    # One Philox pass of k uniforms per reverse-stage interval between two
+    # sweeps (a recompute or a checkpoint) that draws at all, over every
+    # key of its steps.
+    sweeps = sorted({*metrics.recompute_steps, *(row.step for row in metrics.rows)})
+    per_interval = [
+        sum(len(want[step]) for step in range(start, end))
+        for start, end in zip(sweeps, sweeps[1:]) if start in want
+    ]
+    assert passes == [(n, cfg.reverse_kl_samples) for n in per_interval if n]
 
 
 def test_minibatch_reverse_draws_only_for_the_batch(monkeypatch):
     # Each step's revkl uniforms are drawn for the ids of the batch's
     # nonzero-weight problems, in batch order, and not at all at the steps
-    # whose batch has none (5 of 9 with one nonzero weight).
+    # whose batch has none (5 of 9 with one nonzero weight); the steps
+    # between two sweeps share one Philox pass.
     _check_reverse_draws(monkeypatch, _CONFIGS["two_stage_hard_recompute_batch"], 0)
     _check_reverse_draws(monkeypatch, {**_ONE, "loss_direction": "reverse", "batch_size": 30}, 5)
+
+
+def _greedy_passes(widths, cap):
+    """Key counts of the passes that join consecutive nonempty widths up to
+    cap keys, a wider one alone."""
+    passes, group = [], []
+    for n in filter(None, widths):
+        if group and sum(group) + n > cap:
+            passes, group = passes + [sum(group)], []
+        group.append(n)
+    return passes + [sum(group)] * bool(group)
+
+
+# Edges of the update plan. At 6 samples a key is 8 Philox words.
+_PLAN_EDGES = {
+    # A pass of 6 keys: steps of 7 live columns draw alone, 3 + 3 share one.
+    "step_wider_than_a_pass": (
+        {"loss_direction": "reverse", "reverse_kl_samples": 6, "batch_size": 12,
+         "eval_interval": 9}, 48,
+    ),
+    # No recompute and no checkpoint before the end: one plan for the run.
+    "one_plan_for_the_run": (
+        {"loss_direction": "reverse", "reverse_kl_samples": 6, "batch_size": 12,
+         "eval_interval": 9}, None,
+    ),
+    # Recomputes at 0, 5, 6 (the switch) and 10, off the checkpoint grid.
+    "recompute_inside_reverse": (
+        {"loss_direction": "two_stage", "scheme": "hard", "recompute_interval": 5,
+         "steps": 12, "reverse_kl_samples": 6, "batch_size": 30}, None,
+    ),
+    # A sweep every step; 5 of the 9 steps' batches have no nonzero weight.
+    "intervals_with_only_empty_batches": (
+        {**_ONE, "loss_direction": "reverse", "reverse_kl_samples": 6, "batch_size": 30,
+         "eval_interval": 1}, None,
+    ),
+    # Every problem's column at every step; the steps between checkpoints
+    # share a pass.
+    "full_batch": (
+        {"loss_direction": "reverse", "reverse_kl_samples": 6, "weight_floor": 0.05}, None,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PLAN_EDGES))
+def test_update_plan_edges_match_old_per_step_path(monkeypatch, name):
+    overrides, pass_words = _PLAN_EDGES[name]
+    if pass_words:
+        monkeypatch.setattr(distill_sim, "_PASS_WORDS", pass_words)
+    cap = distill_sim._PASS_WORDS // 8
+    cfg = dataclasses.replace(_BASE, **overrides)
+    _, passes = _spy_revkl_draws(monkeypatch)
+    weights = _spy_weights(monkeypatch)
+    w_new, w_old = build_world(cfg), build_world(cfg)
+    m_new = train(w_new, snr_dump_steps=_DUMPS)
+    _assert_same_run(w_new, m_new, w_old, _old_train(w_old, snr_dump_steps=_DUMPS))
+    first = m_new.stage_switch_step or 0
+    live = [len(_update_columns(cfg, weights, step)) for step in range(cfg.steps)]
+    sweeps = sorted({*m_new.recompute_steps, *(row.step for row in m_new.rows)})
+    intervals = [live[a:b] for a, b in zip(sweeps, sweeps[1:]) if a >= first]
+    assert passes == [
+        (n, 6) for widths in intervals for n in _greedy_passes(widths, cap)
+    ]
+    if name == "step_wider_than_a_pass":
+        assert max(live) > cap and len(passes) < np.count_nonzero(live)
+    if name == "one_plan_for_the_run":
+        assert intervals == [live] and len(passes) == 1
+    if name == "recompute_inside_reverse":
+        # The recompute at 10, off the checkpoint grid, splits [8, 12) in two.
+        assert m_new.stage_switch_step == 6 and 10 in m_new.recompute_steps
+        assert 10 % cfg.eval_interval and len(passes) == 3
+    if name == "intervals_with_only_empty_batches":
+        assert intervals.count([0]) == 5 and len(passes) == 4
+    if name == "full_batch":
+        assert passes == [(320, 6), (320, 6), (80, 6)]
 
 
 def test_sampled_reverse_rows_of_a_subset_equal_the_full_rows():
@@ -397,13 +504,13 @@ def test_sampled_reverse_rows_of_a_subset_equal_the_full_rows():
     w.theta = w.theta + 0.4 * np.sin(np.arange(w.theta.size)).reshape(w.theta.shape)
     w.step = 5
     probs = _step_probs(w)
-    full = _sampled_reverse_diffs(w, probs, w.problem_tokens, 7)
+    full = _sampled_reverse_diffs(probs, next(_revkl_draws(w.config.seed, [(5, w.problem_tokens)], 7)))
     cfg = dataclasses.replace(_BASE, batch_size=25)
     for rows in (_batch(cfg, 5), np.array([79]), np.array([60, 2, 33])):
-        tokens = label_tokens([w.problem_ids[i] for i in rows])
+        u = next(_revkl_draws(cfg.seed, [(5, label_tokens([w.problem_ids[i] for i in rows]))], 7))
         shape = (cfg.vocab_size, len(rows))
         batch = _Probs(np.empty(shape), np.empty(shape), probs.log_pt[:, rows])
-        part = _sampled_reverse_diffs(w, _step_probs(w, batch, w.features[rows]), tokens, 7)
+        part = _sampled_reverse_diffs(_step_probs(w, batch, w.features[rows]), u)
         assert np.array_equal(batch.ps, probs.ps[:, rows])
         assert np.array_equal(part, full[:, rows])
 
@@ -589,7 +696,8 @@ def test_live_row_product_equals_the_zero_filled_product(n, batch_size, zero_sha
     if batch_size is None:
         cols = slice(None) if weights.all() else np.flatnonzero(weights)
         kept = _live(world, weights, cols, "forward", scratch)
-    _descend(world, weights, "forward", scratch, kept)
+    plan = _plan(world, weights, "forward", scratch, range(world.step, world.step + 1), kept)
+    _descend(world, weights, "forward", scratch, plan)
     assert np.array_equal(world.theta, want)
 
 
@@ -731,6 +839,15 @@ def test_build_world_peak_allocation_is_a_few_arrays():
 # (4.85 with (V, N) buffers and full-width draws), sampled_reverse_batch
 # 1.08, temperature 0.7 2.44. The peak is a checkpoint's rollout draws
 # beside the kept nonzero rows' features, teacher and gradient columns.
+# With the reverse-KL draws of the steps between two sweeps joined into
+# Philox passes of at most 16 384 words, 24 steps of batch 200 at 16 samples
+# and no sweep between step 0 and the end peak at 2.18, at a checkpoint, as
+# with one draw per step; the passes (1 024 keys) stay below it. 100 steps of
+# batch 2 000 at 4 samples with no sweep between peak at 2.70 (2.31 drawing
+# per step), in a pass of 4 096 keys; holding every step's rows from the
+# sweep peaked at 4.06, and 8.26 at 400 steps. Full-batch
+# sampled reverse at 16 samples peaks at 4.85 (4.78 drawing per block), in
+# the sample gathers; with the block's pass still held there, 5.35.
 _PEAK_BOUND = {
     "forward": ({}, 4.25),
     "reverse": ({"loss_direction": "reverse"}, 4.25),
@@ -748,6 +865,15 @@ _PEAK_BOUND = {
          "batch_size": 500}, 1.25,
     ),
     "temperature_0.7_n20000": ({"num_problems": 20000, "rollout_temperature": 0.7}, 2.6),
+    "sampled_reverse_k16": ({"loss_direction": "reverse", "reverse_kl_samples": 16}, 5.0),
+    "sampled_reverse_batch2000_one_interval": (
+        {"loss_direction": "reverse", "reverse_kl_samples": 4, "batch_size": 2000,
+         "steps": 100, "eval_interval": 100}, 3.0,
+    ),
+    "sampled_reverse_batch200_k16_one_interval": (
+        {"loss_direction": "reverse", "reverse_kl_samples": 16, "batch_size": 200,
+         "steps": 24, "eval_interval": 24}, 2.25,
+    ),
 }
 
 
