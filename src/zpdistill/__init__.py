@@ -64,11 +64,8 @@ from .distill_sim import (
     SimMetrics,
     SimWorld,
     build_world,
-    forward_kl,
     measure_snr,
     retention,
-    reverse_kl,
-    run_rollouts,
     train,
 )
 
@@ -119,9 +116,6 @@ __all__ = [
     "SimMetrics",
     "CheckpointRow",
     "build_world",
-    "run_rollouts",
-    "forward_kl",
-    "reverse_kl",
     "train",
     "measure_snr",
     "retention",

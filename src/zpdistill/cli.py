@@ -70,6 +70,12 @@ def _out_stream(path: str | None) -> Iterator[IO[str]]:
             yield f
 
 
+def _write_lines(path: str | None, lines: list[str]) -> None:
+    with _out_stream(path) as f:
+        for line in lines:
+            f.write(line + "\n")
+
+
 def _load_rollout_table(path: str) -> RolloutTable:
     with open(path, encoding="utf-8") as f:
         table = load_rollouts(f)
@@ -120,18 +126,15 @@ def _cmd_select_exponents(args: argparse.Namespace) -> None:
             lines.append(f"recommendation = a matched exponent is negative; {flat}")
         elif not alpha == beta == 0.0:
             lines.append(f"peak = {fmt(alpha / (alpha + beta))}")
-    with _out_stream(args.out) as f:
-        for line in lines:
-            f.write(line + "\n")
+    _write_lines(args.out, lines)
 
 
 def _cmd_robustness(args: argparse.Namespace) -> None:
     deltas = list(_DEFAULT_DELTAS) + list(args.delta or [])
-    rows = robustness_rows(deltas)
-    with _out_stream(args.out) as f:
-        f.write("delta,ratio_lo,ratio_hi,sech,worst_case_efficiency\n")
-        for d, lo, hi, s, eff in rows:
-            f.write(f"{fmt(d)},{fmt(lo)},{fmt(hi)},{fmt(s)},{fmt(eff)}\n")
+    lines = ["delta,ratio_lo,ratio_hi,sech,worst_case_efficiency"]
+    lines += [f"{fmt(d)},{fmt(lo)},{fmt(hi)},{fmt(s)},{fmt(eff)}"
+              for d, lo, hi, s, eff in robustness_rows(deltas)]
+    _write_lines(args.out, lines)
 
 
 def _cmd_variance_ratio(args: argparse.Namespace) -> None:
@@ -174,9 +177,7 @@ def _cmd_variance_ratio(args: argparse.Namespace) -> None:
         f"reduces_variance = {'yes' if r < 1.0 else 'no'}",
         f"variance_factor_vs_unweighted = {fmt(1.0 / r)}",
     ]
-    with _out_stream(args.out) as f:
-        for line in lines:
-            f.write(line + "\n")
+    _write_lines(args.out, lines)
 
 
 def _cmd_snr_profile(args: argparse.Namespace) -> None:
@@ -216,9 +217,7 @@ def _cmd_fit_snr(args: argparse.Namespace) -> None:
         f"minimax_scale = {fmt(minimax_scale(fit.delta))}",
         f"worst_case_efficiency = {fmt(sech2(fit.delta))}",
     ]
-    with _out_stream(args.out) as f:
-        for line in lines:
-            f.write(line + "\n")
+    _write_lines(args.out, lines)
 
 
 # simulate's override flags: (flag, SimConfig field, help). Values are

@@ -26,14 +26,15 @@ so retention KL is exactly 0 before training and measures pure drift.
 
 Determinism: every random draw comes from a counter-based stream keyed by
 (seed, purpose, step, problem_id), so results do not depend on evaluation
-order and identical configs replay bit-for-bit. Rollouts for weighting,
-telemetry, and SNR measurement use distinct purpose labels. Per-problem
-draws are taken for many problems at once with numerics.stream_uniforms,
-which reproduces numerics.stream() bit for bit; stream() remains the
-contract that defines every draw. build_world keys the problems once, as
-SimWorld.problem_tokens, and a minibatch takes its rows of that array.
-An update's rows and weights do not read theta, so the reverse-KL draws
-of several steps share Philox passes (_revkl_draws), bit for bit.
+order and identical configs replay bit-for-bit. Weighting, checkpoint and
+SNR rollouts and reverse-KL samples use distinct purposes ("rollout",
+"eval", "snr", "revkl"). One drawer, _draws, takes each of their
+per-problem draws with numerics.label_keys and key_uniforms, bit for bit as
+stream(), which remains the contract that defines every draw. It joins a
+sweep's purposes, and the reverse-KL draws of the updates between two
+sweeps (whose rows and weights do not read theta), into shared Philox
+passes; a column reads its key alone. build_world keys the problems once,
+as SimWorld.problem_tokens, and a minibatch takes its rows of that array.
 The world stores the teacher's log-probabilities, not its logits.
 
 Per-step arithmetic: outside an SNR dump (measure_snr), train holds no
@@ -73,9 +74,8 @@ import numpy as np
 
 from .errors import ConfigError, DomainError, NumericError
 from .kernel import SCHEMES, raw_weights, unit_mean
-from .numerics import _sum_axis0, key_uniforms, label_keys, label_tokens, log_softmax
-from .numerics import stream, stream_uniforms
-from .passrate import THREE_BIN_EDGES, RolloutTable, bin_indices
+from .numerics import _sum_axis0, key_uniforms, label_keys, label_tokens, log_softmax, stream
+from .passrate import THREE_BIN_EDGES, bin_indices
 from .snr_profile import GradientTable
 from .variance import smoothness_constant
 
@@ -86,9 +86,6 @@ __all__ = [
     "SimMetrics",
     "CheckpointRow",
     "build_world",
-    "run_rollouts",
-    "forward_kl",
-    "reverse_kl",
     "train",
     "measure_snr",
     "retention",
@@ -107,7 +104,7 @@ _STAGE_DIRECTIONS = ("forward", "reverse")
 # on 4 096-8 192 keys than on 20 000 at once.
 _BLOCK = 4096
 # Most Philox output words (keys times k rounded up to 4) in one shared pass
-# of reverse-KL draws: 1 024 keys at 16 samples.
+# of draws: 1 024 keys at 16 samples, 2 048 at 8.
 _PASS_WORDS = 16384
 
 
@@ -213,10 +210,6 @@ class SimWorld:
     anchor_log_targets: np.ndarray  # (M, V)
     theta: np.ndarray  # (F, V)
     step: int = 0
-
-    def student_logits(self) -> np.ndarray:
-        """(N, V) logits, the transpose of the C-ordered (V, N) theta^T x_i."""
-        return (self.theta.T @ self.features.T).T
 
 
 @dataclass(frozen=True)
@@ -396,45 +389,33 @@ def _blocks(n: int, scratch: np.ndarray) -> Iterator[tuple[slice, np.ndarray, np
         yield slice(i, i + m), *scratch.reshape(-1)[: 2 * v * m].reshape(2, v, m)
 
 
-def _rollouts(world: SimWorld, ps: np.ndarray, c: slice, k: int, purpose: str) -> np.ndarray:
-    """(k, width) correctness of k rollouts for the problem columns c, drawn
-    from their (V, width) probs ps."""
-    u = stream_uniforms((world.config.seed, purpose, world.step), world.problem_tokens[c], k)
-    return _categorical(ps, u) == world.answers[c]
-
-
 def _sweep(
     world: SimWorld, scratch: np.ndarray, k: int, purposes: tuple[str, ...],
     direction: str | None = None,
 ) -> tuple[dict[str, np.ndarray], np.ndarray | None]:
-    """Per purpose the (N,) successes of k rollouts per problem, and with a
-    direction the (N,) KL rows, from one sweep over scratch blocks. Rollouts
-    sample at the rollout temperature and the KL reads temperature 1; at
-    temperature 1 (dividing the logits by 1.0 is exact) both read one softmax.
+    """Per purpose the (N,) successes of k rollouts per problem, each block's
+    purposes drawn in turn through _draws, and with a direction the (N,) KL
+    rows, from one sweep over scratch blocks. Rollouts sample at the rollout
+    temperature and the KL reads temperature 1; at temperature 1 (dividing
+    the logits by 1.0 is exact) both read one softmax.
     """
     n, temperature = world.config.num_problems, world.config.rollout_temperature
     counts = {purpose: np.empty(n, dtype=np.intp) for purpose in purposes}
     kl = np.empty(n) if direction else None
+    units = ((purpose, world.step, world.problem_tokens[c])
+             for c, *_ in _blocks(n, scratch) for purpose in purposes)
+    draws = _draws(world.config.seed, units, k)
     for c, log_ps, ps in _blocks(n, scratch):
         block, x = _Probs(log_ps, ps, world.teacher_log_probs.T[:, c]), world.features[c]
-        if purposes:
-            _step_probs(world, block, x, temperature)
-            for purpose in purposes:
-                counts[purpose][c] = _rollouts(world, ps, c, k, purpose).sum(axis=0)
+        _step_probs(world, block, x, temperature)
+        for purpose in purposes:
+            hits = _categorical(ps, next(draws)) == world.answers[c]
+            counts[purpose][c] = hits.sum(axis=0)
         if direction:
-            if temperature != 1.0 or not purposes:
+            if temperature != 1.0:
                 _step_probs(world, block, x)
             kl[c] = _kl_rows(block, direction)
     return counts, kl
-
-
-def run_rollouts(world: SimWorld, K: int) -> RolloutTable:
-    """Successes of K rollouts per problem at the current step (weighting
-    stream)."""
-    if K < 1:
-        raise DomainError(f"rollout count must be >= 1, got {K}")
-    successes = _sweep(world, _scratch(world), K, ("rollout",))[0]["rollout"]
-    return RolloutTable(world.problem_ids, successes, np.full(successes.shape, K))
 
 
 def _kl_rows(probs: _Probs, direction: str) -> np.ndarray:
@@ -462,33 +443,12 @@ def _diffs(probs: _Probs, direction: str, out: np.ndarray | None = None) -> np.n
     raise DomainError(f"unknown loss direction {direction!r}")
 
 
-def _single_loss_grad(world: SimWorld, problem_index: int, direction: str):
-    n = world.config.num_problems
-    if not 0 <= problem_index < n:
-        raise DomainError(f"problem_index must lie in [0, {n}), got {problem_index}")
-    column = [problem_index]  # each column's arithmetic reads only itself
-    probs = _Probs(*np.empty((2, world.config.vocab_size, 1)), world.teacher_log_probs.T[:, column])
-    _step_probs(world, probs, world.features[column])
-    grad = np.outer(world.features[problem_index], _diffs(probs, direction)[:, 0])
-    return float(_kl_rows(probs, direction)[0]), grad
-
-
-def forward_kl(world: SimWorld, problem_index: int) -> tuple[float, np.ndarray]:
-    """KL(teacher || student) for one problem and its exact theta gradient."""
-    return _single_loss_grad(world, problem_index, "forward")
-
-
-def reverse_kl(world: SimWorld, problem_index: int) -> tuple[float, np.ndarray]:
-    """KL(student || teacher) for one problem and its exact theta gradient."""
-    return _single_loss_grad(world, problem_index, "reverse")
-
-
 def _sampled_reverse_diffs(probs: _Probs, u: np.ndarray, out: np.ndarray | None = None):
     """Score-function estimate of the reverse-KL logit gradient columns from
     the (k, columns) uniforms u, into out or a fresh array.
 
     Column i of u holds the draws of the problem in column i of probs, from
-    its own key (seed, "revkl", step, id) (see _revkl_draws); every column's
+    its own key (seed, "revkl", step, id) (see _draws); every column's
     cdf, draws and sum depend on that column alone, so any subset of columns
     equals those columns of the full result. Samples are accumulated one at
     a time, in draw order, for all columns together, so each column's sum is
@@ -575,22 +535,24 @@ def _live(
     return x, diffs, blocks
 
 
-def _revkl_draws(seed: int, units: Iterable[tuple[int, np.ndarray]], k: int) -> Iterator:
-    """The (k, len(tokens)) reverse-KL uniforms of each (step, tokens) unit in
-    turn, keyed (seed, "revkl", step, label) as stream_uniforms keys them.
-    Consecutive units share one Philox pass of at most _PASS_WORDS output
-    words (a wider unit has its own), drawn when its first unit is asked
-    for, so one pass is held at a time."""
+def _draws(seed: int, units: Iterable[tuple[str, int, np.ndarray]], k: int) -> Iterator:
+    """The (k, len(tokens)) uniforms of each (purpose, step, tokens) unit in
+    turn, column j keyed (seed, purpose, step, label j) as stream() keys it:
+    every per-problem draw of the simulator. Consecutive units share one
+    Philox pass of at most _PASS_WORDS output words (a wider unit has its
+    own), drawn when its first unit is asked for, so one pass is held at a
+    time; a pass of one unit draws from that unit's keys as they are."""
     group, cap = [], _PASS_WORDS // (4 * -(-k // 4))
-    for step, tokens in itertools.chain(units, [(None, ())]):
-        widths = [len(t) for _, t in group]
-        if group and (step is None or sum(widths) + len(tokens) > cap):
-            keys = np.concatenate([label_keys((seed, "revkl", s), t) for s, t in group])
+    for unit in itertools.chain(units, [None]):
+        widths = [len(tokens) for *_, tokens in group]
+        if group and (unit is None or sum(widths) + len(unit[2]) > cap):
+            keys = [label_keys((seed, purpose, step), tokens) for purpose, step, tokens in group]
+            keys = keys[0] if len(keys) == 1 else np.concatenate(keys)
             parts = np.split(key_uniforms(keys, k), np.cumsum(widths[:-1]), axis=1)
             while parts:  # a part's reader holds the last reference to it
                 yield parts.pop(0)
             group = []
-        group.append((step, tokens))
+        group.append(unit)
 
 
 def _plan(world: SimWorld, weights: np.ndarray, direction: str, scratch: np.ndarray,
@@ -614,11 +576,11 @@ def _plan(world: SimWorld, weights: np.ndarray, direction: str, scratch: np.ndar
         return rows
 
     if live is None:
-        units = ((s, world.problem_tokens[r[c]]) for s in steps for r in [batch(s)]
+        units = (("revkl", s, world.problem_tokens[r[c]]) for s in steps for r in [batch(s)]
                  for c, *_ in _blocks(len(r), scratch))
     else:
-        units = ((s, tokens) for s in steps for *_, tokens in live[2])
-    draws = _revkl_draws(config.seed, units, samples) if samples else None
+        units = (("revkl", s, tokens) for s in steps for *_, tokens in live[2])
+    draws = _draws(config.seed, units, samples) if samples else None
     return live, batch if live is None else None, draws
 
 
@@ -738,20 +700,19 @@ def train(world: SimWorld, *, snr_dump_steps: Iterable[int] = ()) -> SimMetrics:
 def measure_snr(world: SimWorld, loss_direction: str) -> GradientTable:
     """One flattened gradient per problem plus fresh pass-rate estimates.
 
+    The pass rates count k "snr" rollouts per problem from one _sweep.
     Row i of the gradients is np.outer(features[i], diffs[i]).ravel(), the
     problem's theta gradient in logit-difference form. The (N, F * V) table
-    is N-wide anyway, so the student's (V, N) distributions, rollouts and
-    gradient columns are formed for all problems at once.
+    is N-wide anyway, so the student's (V, N) distributions and gradient
+    columns are formed for all problems at once.
     """
     if loss_direction not in _STAGE_DIRECTIONS:
         raise DomainError(
             f"loss_direction must be one of {_STAGE_DIRECTIONS}, got {loss_direction!r}"
         )
-    k, temperature = world.config.rollout_count, world.config.rollout_temperature
-    probs = _step_probs(world)
-    ps = probs.ps if temperature == 1.0 else _step_probs(world, temperature=temperature).ps
-    counts = _rollouts(world, ps, slice(None), k, "snr").sum(axis=0)
-    diffs = _diffs(probs, loss_direction).T
+    k = world.config.rollout_count
+    counts = _sweep(world, _scratch(world), k, ("snr",))[0]["snr"]
+    diffs = _diffs(_step_probs(world), loss_direction).T
     grads = world.features[:, :, None] * diffs[:, None, :]
     return GradientTable(world.problem_ids, counts / k, grads.reshape(len(counts), -1))
 

@@ -9,20 +9,18 @@ from hypothesis import given, strategies as st
 from zpdistill.distill_sim import (
     SimConfig,
     build_world,
-    forward_kl,
     measure_snr,
     retention,
-    reverse_kl,
-    run_rollouts,
     train,
 )
 from zpdistill.distill_sim import (
     _categorical,
     _diffs,
-    _revkl_draws,
-    _rollouts,
+    _draws,
     _sampled_reverse_diffs,
+    _scratch,
     _step_probs,
+    _sweep,
     _weights,
 )
 from zpdistill.errors import ConfigError, DomainError, NumericError
@@ -31,6 +29,8 @@ from zpdistill.kernel import unit_mean
 from zpdistill.numerics import label_tokens, log_softmax, stream
 from zpdistill.snr_profile import bell_shape_score, compute_snr_bins
 from zpdistill.variance import smoothness_constant
+
+from sim_oracles import outcomes, single_kl, student_logits
 
 _SMALL = SimConfig(
     num_problems=12,
@@ -58,6 +58,7 @@ class TestSimConfig:
             {"num_problems": 0},
             {"steps": 0},
             {"vocab_size": 1},
+            {"rollout_count": 0},
             {"difficulty_spread": -1.0},
             {"teacher_sharpness": 0.0},
             {"rollout_temperature": 0.0},
@@ -144,55 +145,45 @@ class TestBuildWorld:
         assert retention(w) == pytest.approx(0.0, abs=1e-12)
 
 
-def _outcomes(world, k, purpose):
-    """(k, N) correctness of k rollouts per problem, every problem in one
-    block, at the world's rollout temperature."""
-    ps = _step_probs(world, temperature=world.config.rollout_temperature).ps
-    return _rollouts(world, ps, slice(None), k, purpose)
+def _successes(world, k, purpose):
+    """(N,) successes of k rollouts per problem from one sweep of train's."""
+    return _sweep(world, _scratch(world), k, (purpose,))[0][purpose]
 
 
 class TestRollouts:
     def test_deterministic_at_fixed_step(self):
         w = build_world(_SMALL)
-        r1 = run_rollouts(w, 4)
-        r2 = run_rollouts(w, 4)
-        assert r1.problem_ids == r2.problem_ids == w.problem_ids
-        assert np.array_equal(r1.successes, r2.successes)
+        r1 = _successes(w, 4, "rollout")
+        r2 = _successes(w, 4, "rollout")
+        assert np.array_equal(r1, r2)
         assert np.array_equal(
-            _outcomes(w, 4, "rollout"), _outcomes(w, 4, "rollout")
+            outcomes(w, 4, "rollout"), outcomes(w, 4, "rollout")
         )
 
     def test_step_changes_stream(self):
         w1 = build_world(_SMALL)
         w2 = build_world(_SMALL)
         w2.step = 3
-        o1 = _outcomes(w1, 16, "rollout")
-        o2 = _outcomes(w2, 16, "rollout")
+        o1 = outcomes(w1, 16, "rollout")
+        o2 = outcomes(w2, 16, "rollout")
         assert not np.array_equal(o1, o2)
-
-    def test_rejects_nonpositive_k(self):
-        with pytest.raises(DomainError):
-            run_rollouts(build_world(_SMALL), 0)
 
     def test_matches_per_problem_stream_oracle(self):
         # The batched sampler must draw what one stream() per problem draws,
-        # outcome by outcome; run_rollouts counts that (k, N) matrix.
+        # outcome by outcome; a sweep counts that (k, N) matrix.
         cfg = _small(num_problems=30, rollout_temperature=1.7)
         w = build_world(cfg)
         w.step = 5
         k = 7
-        probs = np.exp(log_softmax(w.student_logits() / 1.7, axis=1))
+        probs = np.exp(log_softmax(student_logits(w) / 1.7, axis=1))
         want = []
         for i, pid in enumerate(w.problem_ids):
             u = stream(cfg.seed, "rollout", 5, pid).random(k)
             cdf = np.cumsum(probs[i])
             tokens = np.minimum(np.searchsorted(cdf, u, side="right"), cfg.vocab_size - 1)
             want.append([bool(t == w.answers[i]) for t in tokens])
-        outcomes = _outcomes(w, k, "rollout")
-        assert outcomes.T.tolist() == want
-        table = run_rollouts(w, k)
-        assert table.successes.tolist() == [sum(row) for row in want]
-        assert table.k.tolist() == [k] * cfg.num_problems
+        assert outcomes(w, k, "rollout").T.tolist() == want
+        assert _successes(w, k, "rollout").tolist() == [sum(row) for row in want]
 
 
 def _searchsorted_oracle(probs, u):
@@ -254,14 +245,13 @@ class TestCategorical:
 
 def _fd_grad(world, idx, direction, entries, h=1e-6):
     """Central finite differences of the per-problem loss in theta entries."""
-    fn = forward_kl if direction == "forward" else reverse_kl
     out = []
     for f, v in entries:
         orig = world.theta[f, v]
         world.theta[f, v] = orig + h
-        hi, _ = fn(world, idx)
+        hi, _ = single_kl(world, idx, direction)
         world.theta[f, v] = orig - h
-        lo, _ = fn(world, idx)
+        lo, _ = single_kl(world, idx, direction)
         world.theta[f, v] = orig
         out.append((hi - lo) / (2.0 * h))
     return np.array(out)
@@ -272,9 +262,8 @@ class TestKlGradients:
     def test_matches_central_differences(self, direction):
         w = build_world(_SMALL)
         rng = np.random.default_rng(3)
-        fn = forward_kl if direction == "forward" else reverse_kl
         for idx in (0, 5, 11):
-            _, grad = fn(w, idx)
+            _, grad = single_kl(w, idx, direction)
             entries = [
                 (int(rng.integers(0, 5)), int(rng.integers(0, 6))) for _ in range(6)
             ]
@@ -285,24 +274,17 @@ class TestKlGradients:
     def test_forward_loss_nonnegative(self):
         w = build_world(_SMALL)
         for idx in range(12):
-            loss, _ = forward_kl(w, idx)
+            loss, _ = single_kl(w, idx, "forward")
             assert loss >= 0.0
-            loss_r, _ = reverse_kl(w, idx)
+            loss_r, _ = single_kl(w, idx, "reverse")
             assert loss_r >= 0.0
-
-    def test_rejects_bad_index(self):
-        w = build_world(_SMALL)
-        with pytest.raises(DomainError):
-            forward_kl(w, 12)
-        with pytest.raises(DomainError):
-            reverse_kl(w, -1)
 
     def test_sampled_reverse_diffs_unbiased(self):
         # The score-function rows must approach the exact reverse rows.
         cfg = _small(vocab_size=4, num_problems=4)
         w = build_world(cfg)
         exact = _diffs(_step_probs(w), "reverse")
-        u = next(_revkl_draws(cfg.seed, [(0, w.problem_tokens)], 60000))
+        u = next(_draws(cfg.seed, [("revkl", 0, w.problem_tokens)], 60000))
         approx = _sampled_reverse_diffs(_step_probs(w), u)
         assert np.allclose(approx, exact, atol=0.02)
 
@@ -312,7 +294,7 @@ class TestKlGradients:
         w = build_world(cfg)
         w.theta = w.theta + 0.3 * np.sin(np.arange(w.theta.size)).reshape(w.theta.shape)
         w.step = 4
-        log_ps = log_softmax(w.student_logits(), axis=1)
+        log_ps = log_softmax(student_logits(w), axis=1)
         ps = np.exp(log_ps)
         ratio = log_ps - w.teacher_log_probs
         want = np.zeros_like(ps)
@@ -326,7 +308,7 @@ class TestKlGradients:
                 one_hot[t] = 1.0
                 acc += ratio[i, t] * (one_hot - ps[i])
             want[i] = acc / 13
-        u = next(_revkl_draws(cfg.seed, [(4, w.problem_tokens)], 13))
+        u = next(_draws(cfg.seed, [("revkl", 4, w.problem_tokens)], 13))
         got = _sampled_reverse_diffs(_step_probs(w), u)
         assert np.array_equal(got, want.T)
 
@@ -381,8 +363,8 @@ class TestTrain:
         assert metrics.recompute_steps == (0,)
 
         w_manual = build_world(cfg)
-        table = run_rollouts(w_manual, cfg.rollout_count)
-        raw = [1.0 if cfg.filter_lo <= p <= cfg.filter_hi else 0.0 for p in table.p]
+        p_hat = outcomes(w_manual, cfg.rollout_count, "rollout").mean(axis=0)
+        raw = [1.0 if cfg.filter_lo <= p <= cfg.filter_hi else 0.0 for p in p_hat]
         weights = unit_mean(np.array(raw))
         diffs = _diffs(_step_probs(w_manual), "forward").T
         grad = w_manual.features.T @ ((weights[:, None] / cfg.num_problems) * diffs)
@@ -491,7 +473,7 @@ class TestMeasureSnr:
         w.step = 2
         table = measure_snr(w, direction)
         diffs = _diffs(_step_probs(w), direction)
-        counts = _outcomes(w, _SMALL.rollout_count, "snr").sum(axis=0)
+        counts = outcomes(w, _SMALL.rollout_count, "snr").sum(axis=0)
         for i in range(30):
             assert np.array_equal(
                 table.gradients[i], np.outer(w.features[i], diffs[:, i]).ravel()
@@ -525,7 +507,7 @@ class TestGoldenStepZero:
         # divergence line eta * L = 2.
         cfg = dataclasses.replace(SimConfig(), steps=1, eval_interval=1)
         world = build_world(cfg)
-        weights = _weights(world, run_rollouts(world, cfg.rollout_count).successes)
+        weights = _weights(world, outcomes(world, cfg.rollout_count, "rollout").sum(axis=0))
         metrics = train(world)
         want = smoothness_constant(world.features, weights)
         assert metrics.smoothness == (want,)

@@ -28,23 +28,19 @@ from zpdistill.distill_sim import (
     SimConfig,
     SimMetrics,
     build_world,
-    forward_kl,
     measure_snr,
     retention,
-    reverse_kl,
-    run_rollouts,
     train,
 )
 from zpdistill.distill_sim import (
     _descend,
     _diffs,
     _direction_at,
+    _draws,
     _kl_rows,
     _live,
     _plan,
     _Probs,
-    _revkl_draws,
-    _rollouts,
     _sampled_reverse_diffs,
     _scratch,
     _step_probs,
@@ -56,6 +52,8 @@ from zpdistill.numerics import (
 )
 from zpdistill.passrate import THREE_BIN_EDGES
 from zpdistill.snr_profile import GradientTable
+
+from sim_oracles import outcomes, single_kl, student_logits
 
 
 def _old_log_softmax(logits, axis=-1):
@@ -320,7 +318,8 @@ def test_edge_weight_patterns_match_old_per_step_path(name):
     overrides, nonzero = _EDGE_CONFIGS[name]
     cfg = dataclasses.replace(_BASE, **overrides)
     w_new, w_old = build_world(cfg), build_world(cfg)
-    weights = _weights(w_new, run_rollouts(w_new, cfg.rollout_count).successes)
+    counts = _old_sample_pass_rates(w_new, cfg.rollout_count, "rollout").sum(axis=1)
+    weights = _weights(w_new, counts)
     assert np.count_nonzero(weights) == nonzero
     theta0 = w_new.theta.copy()
     m_new = train(w_new, snr_dump_steps=_DUMPS)
@@ -359,17 +358,22 @@ def _update_columns(cfg, weights, step):
     return rows[current[rows] != 0]
 
 
-def _spy_revkl_draws(monkeypatch):
+def _spy_draws(monkeypatch, purposes):
     """The (prefix, labels) of every key step and the (keys, k) of every
-    Philox pass that train's reverse-KL draws make."""
-    keyed, passes = [], []
+    Philox pass that the draws of the given purposes make from here on;
+    a pass holds the keys of the steps since the one before it."""
+    keyed, passes, pending = [], [], []
 
     def keys_spy(prefix, tokens):
-        keyed.append((tuple(prefix), tokens.tolist()))
+        pending.append(prefix[1])
+        if prefix[1] in purposes:
+            keyed.append((tuple(prefix), tokens.tolist()))
         return label_keys(prefix, tokens)
 
     def pass_spy(keys, k):
-        passes.append((len(keys), k))
+        if set(pending) & set(purposes):
+            passes.append((len(keys), k))
+        pending.clear()
         return key_uniforms(keys, k)
 
     monkeypatch.setattr(distill_sim, "label_keys", keys_spy)
@@ -379,7 +383,7 @@ def _spy_revkl_draws(monkeypatch):
 
 def _check_reverse_draws(monkeypatch, overrides, empty):
     cfg = dataclasses.replace(_BASE, **{**overrides, "reverse_kl_samples": 6})
-    keyed, passes = _spy_revkl_draws(monkeypatch)
+    keyed, passes = _spy_draws(monkeypatch, ("revkl",))
     weights = _spy_weights(monkeypatch)
     streams = []
     monkeypatch.setattr(distill_sim, "stream", lambda *key: streams.append(key) or stream(*key))
@@ -421,6 +425,56 @@ def test_minibatch_reverse_draws_only_for_the_batch(monkeypatch):
     # between two sweeps share one Philox pass.
     _check_reverse_draws(monkeypatch, _CONFIGS["two_stage_hard_recompute_batch"], 0)
     _check_reverse_draws(monkeypatch, {**_ONE, "loss_direction": "reverse", "batch_size": 30}, 5)
+
+
+def test_a_sweep_draws_all_its_purposes_in_one_pass(monkeypatch):
+    # At N = 200 and k = 8 a pass holds 2 048 keys, so step 0, which both
+    # recomputes and checkpoints, draws its rollout and eval keys in one
+    # Philox pass; a dump's snr rollouts are drawn through the same drawer.
+    cfg = SimConfig(steps=2, eval_interval=2)
+    keyed, passes = _spy_draws(monkeypatch, ("rollout", "eval", "snr"))
+    world, w_old = build_world(cfg), build_world(cfg)
+    metrics = train(world, snr_dump_steps=(1,))
+    labels = world.problem_tokens.tolist()
+    assert keyed == [
+        ((cfg.seed, purpose, step), labels)
+        for purpose, step in [("rollout", 0), ("eval", 0), ("snr", 1), ("eval", 2)]
+    ]
+    n, k = cfg.num_problems, cfg.rollout_count
+    assert passes == [(2 * n, k), (n, k), (n, k)]
+    _assert_same_run(world, metrics, w_old, _old_train(w_old, snr_dump_steps=(1,)))
+
+
+@pytest.mark.parametrize("k", [1, 6, 8, 17])
+def test_draws_give_each_unit_its_own_stream_uniforms(monkeypatch, k):
+    # Units of every purpose and of several steps, one of them empty, joined
+    # in order into passes of at most 40 keys, a wider unit alone.
+    monkeypatch.setattr(distill_sim, "_PASS_WORDS", 40 * 4 * -(-k // 4))
+    tokens = label_tokens([f"p{i:04d}" for i in range(60)])
+    units = [("rollout", 0, tokens[:10]), ("eval", 0, tokens[10:35]), ("revkl", 3, tokens[:0]),
+             ("revkl", 4, tokens[5:50]), ("snr", 2, tokens[50:]), ("revkl", 5, tokens[:1])]
+    _, passes = _spy_draws(monkeypatch, ("rollout", "eval", "snr", "revkl"))
+    draws = list(_draws(23, units, k))
+    assert len(draws) == len(units)
+    for (purpose, step, labels), u in zip(units, draws):
+        assert np.array_equal(u, stream_uniforms((23, purpose, step), labels, k))
+    assert passes == [(35, k), (45, k), (11, k)]
+
+
+def test_a_pass_of_one_unit_reads_its_keys_uncopied(monkeypatch):
+    # At N = 8 000 and k = 8 each sweep block of 4 000 keys fills a pass
+    # alone, so the pass reads the key step's own array, not a joined copy.
+    made, read = [], []
+    monkeypatch.setattr(
+        distill_sim, "label_keys", lambda *args: made.append(label_keys(*args)) or made[-1])
+    monkeypatch.setattr(
+        distill_sim, "key_uniforms", lambda keys, k: read.append(keys) or key_uniforms(keys, k))
+    world = build_world(SimConfig(num_problems=8000))
+    counts = _sweep(world, _scratch(world), 8, ("rollout", "eval"))[0]
+    assert len(made) == len(read) == 4
+    assert all(keys is own for keys, own in zip(read, made))
+    for purpose in ("rollout", "eval"):
+        assert np.array_equal(counts[purpose], outcomes(world, 8, purpose).sum(axis=0))
 
 
 def _greedy_passes(widths, cap):
@@ -471,7 +525,7 @@ def test_update_plan_edges_match_old_per_step_path(monkeypatch, name):
         monkeypatch.setattr(distill_sim, "_PASS_WORDS", pass_words)
     cap = distill_sim._PASS_WORDS // 8
     cfg = dataclasses.replace(_BASE, **overrides)
-    _, passes = _spy_revkl_draws(monkeypatch)
+    _, passes = _spy_draws(monkeypatch, ("revkl",))
     weights = _spy_weights(monkeypatch)
     w_new, w_old = build_world(cfg), build_world(cfg)
     m_new = train(w_new, snr_dump_steps=_DUMPS)
@@ -504,10 +558,12 @@ def test_sampled_reverse_rows_of_a_subset_equal_the_full_rows():
     w.theta = w.theta + 0.4 * np.sin(np.arange(w.theta.size)).reshape(w.theta.shape)
     w.step = 5
     probs = _step_probs(w)
-    full = _sampled_reverse_diffs(probs, next(_revkl_draws(w.config.seed, [(5, w.problem_tokens)], 7)))
+    u = next(_draws(w.config.seed, [("revkl", 5, w.problem_tokens)], 7))
+    full = _sampled_reverse_diffs(probs, u)
     cfg = dataclasses.replace(_BASE, batch_size=25)
     for rows in (_batch(cfg, 5), np.array([79]), np.array([60, 2, 33])):
-        u = next(_revkl_draws(cfg.seed, [(5, label_tokens([w.problem_ids[i] for i in rows]))], 7))
+        labels = label_tokens([w.problem_ids[i] for i in rows])
+        u = next(_draws(cfg.seed, [("revkl", 5, labels)], 7))
         shape = (cfg.vocab_size, len(rows))
         batch = _Probs(np.empty(shape), np.empty(shape), probs.log_pt[:, rows])
         part = _sampled_reverse_diffs(_step_probs(w, batch, w.features[rows]), u)
@@ -533,8 +589,9 @@ def _spy_log_softmax_widths(monkeypatch, world):
 def _check_log_softmax_widths(monkeypatch, cfg):
     # With blocks of at most 32 columns, N = 80 is swept as 27, 27 and 26.
     # Each recompute or checkpoint sweeps every problem once, a dump step's
-    # measure_snr takes one N-wide log-softmax, and an update sweeps the
-    # nonzero weights among its rows.
+    # measure_snr sweeps them for its rollouts and takes one N-wide
+    # log-softmax for its gradients, and an update sweeps the nonzero
+    # weights among its rows.
     monkeypatch.setattr(distill_sim, "_BLOCK", 32)
     world = build_world(cfg)
     columns = _spy_log_softmax_widths(monkeypatch, world)
@@ -552,7 +609,7 @@ def _check_log_softmax_widths(monkeypatch, cfg):
         if step in full_steps:
             want += blocks(step, n)
         if step == 5:
-            want.append((step, n))
+            want += blocks(step, n) + [(step, n)]
         if step < cfg.steps:
             updates.append(len(_update_columns(cfg, weights, step)))
             want += blocks(step, updates[-1])
@@ -592,9 +649,10 @@ def test_no_student_log_softmax_in_train_is_wider_than_one_block(monkeypatch, na
     columns = _spy_log_softmax_widths(monkeypatch, world)
     train(world, snr_dump_steps=(2,))
     wide = [call for call in columns if call[1] > 2049]
-    # The dump's measure_snr builds its own N-wide arrays, one more at a
-    # rollout temperature other than 1; nothing else does.
-    assert wide == [(2, cfg.num_problems)] * (1 if cfg.rollout_temperature == 1.0 else 2)
+    # The dump's measure_snr builds its own N-wide arrays for its gradients,
+    # at any rollout temperature (its rollouts are swept in blocks); nothing
+    # else does.
+    assert wide == [(2, cfg.num_problems)]
     assert (0, 2049) in columns  # step 0's sweep, in blocks of the default width
 
 
@@ -605,7 +663,7 @@ def test_world_teacher_log_probs_match_old_path(cfg):
     assert w.teacher_log_probs.shape == (cfg.num_problems, cfg.vocab_size)
     assert w.teacher_log_probs.T.flags.c_contiguous
     assert np.array_equal(w.teacher_log_probs, _old_teacher_log_probs(w))
-    assert np.array_equal(w.student_logits(), _old_student_logits(w))
+    assert np.array_equal(student_logits(w), _old_student_logits(w))
 
 
 @pytest.mark.parametrize("direction", ["forward", "reverse"])
@@ -614,9 +672,8 @@ def test_standalone_calls_match_old_path(direction):
     w.theta = w.theta + 0.4 * np.sin(np.arange(w.theta.size)).reshape(w.theta.shape)
     w.step = 3
     losses, diffs = _old_losses_and_diffs(w, direction)
-    single = forward_kl if direction == "forward" else reverse_kl
     for i in (0, 41, 79):
-        loss, grad = single(w, i)
+        loss, grad = single_kl(w, i, direction)
         assert loss == float(losses[i])
         assert np.array_equal(grad, np.outer(w.features[i], diffs[i]))
     table, old = measure_snr(w, direction), _old_measure_snr(w, direction)
@@ -627,33 +684,17 @@ def test_standalone_calls_match_old_path(direction):
 @pytest.mark.parametrize("direction", ["forward", "reverse"])
 @pytest.mark.parametrize("n", [1, 80, 200, 5000])
 def test_single_problem_calls_equal_the_full_column(direction, n):
-    # forward_kl and reverse_kl compute problem i's column alone; it equals
+    # The single-problem oracle computes problem i's column alone; it equals
     # column i of the arrays computed for all N problems.
     w = build_world(dataclasses.replace(_BASE, num_problems=n))
     w.theta = w.theta + 0.4 * np.sin(np.arange(w.theta.size)).reshape(w.theta.shape)
     probs = _step_probs(w)
     diffs = _diffs(probs, direction)
     losses = _kl_rows(probs, direction)  # overwrites probs
-    single = forward_kl if direction == "forward" else reverse_kl
     for i in sorted({0, n // 2, n - 1}):
-        loss, grad = single(w, i)
+        loss, grad = single_kl(w, i, direction)
         assert loss == float(losses[i])
         assert np.array_equal(grad, np.outer(w.features[i], diffs[:, i]))
-
-
-def test_single_problem_calls_allocate_a_sliver_of_a_step_array():
-    # At N = 20 000 each call peaked at 0.004 (N, V) arrays; building every
-    # problem's columns to keep one peaked at 3.3 (reverse) and 4.0 (forward).
-    cfg = SimConfig(num_problems=20000)
-    world = build_world(cfg)
-    for single in (forward_kl, reverse_kl):
-        tracemalloc.start()
-        try:
-            single(world, 12345)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= 0.02 * cfg.num_problems * cfg.vocab_size * 8
 
 
 # (num_problems, batch_size, share of zero weights). F = V = 16 and at most
@@ -727,10 +768,9 @@ def test_column_blocks_change_no_value(monkeypatch, name, block):
 
     def whole(world):
         # Every column at once, from full (V, N) arrays.
-        ps = _step_probs(world, temperature=cfg.rollout_temperature).ps
         return (
-            _rollouts(world, ps, slice(None), 5, "eval").sum(axis=0),
-            _rollouts(world, ps, slice(None), 5, "rollout").sum(axis=0),
+            outcomes(world, 5, "eval").sum(axis=0),
+            outcomes(world, 5, "rollout").sum(axis=0),
             _kl_rows(_step_probs(world), "forward"),
             _kl_rows(_step_probs(world), "reverse"),
         )
@@ -749,12 +789,12 @@ def test_column_blocks_change_no_value(monkeypatch, name, block):
     monkeypatch.setattr(distill_sim, "_BLOCK", block)
     widths = []
 
-    def spy(prefix, tokens, k):
+    def spy(prefix, tokens):
         if prefix[1] in ("rollout", "eval"):  # a sweep's, not an update's or a dump's
             widths.append((tuple(prefix), len(tokens)))
-        return stream_uniforms(prefix, tokens, k)
+        return label_keys(prefix, tokens)
 
-    monkeypatch.setattr(distill_sim, "stream_uniforms", spy)
+    monkeypatch.setattr(distill_sim, "label_keys", spy)
     got = swept(w_blocks)
     assert all(np.array_equal(a, b) for a, b in zip(got, want))
     widths.clear()
@@ -897,7 +937,7 @@ def test_weight_recompute_allocates_a_fraction_of_a_step_array():
     # entry; building (problem_id, weight) tuples on the way peaked at 1.82.
     cfg = SimConfig(num_problems=5000)
     world = build_world(cfg)
-    counts = run_rollouts(world, cfg.rollout_count).successes
+    counts = _old_sample_pass_rates(world, cfg.rollout_count, "rollout").sum(axis=1)
     tracemalloc.start()
     try:
         _weights(world, counts)

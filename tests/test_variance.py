@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
-from zpdistill.distill_sim import SimConfig, build_world, run_rollouts
+from zpdistill.distill_sim import SimConfig, build_world
 from zpdistill.errors import DegenerateInputError, DomainError
 from zpdistill.kernel import raw_weights
 from zpdistill import variance
@@ -22,6 +22,8 @@ from zpdistill.variance import (
     variance_ratio_beta,
     variance_ratio_empirical,
 )
+
+from sim_oracles import outcomes
 
 
 def _two_point_stats(weights, mus, ds) -> EmpiricalBatchStats:
@@ -322,7 +324,7 @@ class TestGammaFromSignal:
 def _golden_weights():
     """The golden world and unit-mean beta weights from its step-0 rollouts."""
     world = build_world(SimConfig())
-    raw = raw_weights(run_rollouts(world, 8).p, "beta", alpha=1.0, beta=1.0)
+    raw = raw_weights(outcomes(world, 8, "rollout").mean(axis=0), "beta", alpha=1.0, beta=1.0)
     return world, raw / raw.mean()
 
 
