@@ -27,7 +27,7 @@ from .kernel import (
     unit_mean,
     zpd_moments,
 )
-from .numerics import label_tokens, stream, stream_uniforms
+from .numerics import label_tokens, stream
 from .passrate import (
     THREE_BIN_EDGES,
     RolloutTable,
@@ -82,7 +82,6 @@ __all__ = [
     "NumericError",
     "stream",
     "label_tokens",
-    "stream_uniforms",
     "RolloutTable",
     "THREE_BIN_EDGES",
     "bin_indices",

@@ -17,7 +17,7 @@ from contextlib import ExitStack, contextmanager
 from pathlib import Path
 from typing import IO, Iterator
 
-from .distill_sim import DIRECTIONS, build_world, train
+from .distill_sim import DIRECTIONS, build_world, measure_snr, train
 from .errors import (
     ConfigError,
     DegenerateInputError,
@@ -50,7 +50,7 @@ from .numerics import beta_fn, sech2
 from .passrate import RolloutTable
 from .robustness import fit_snr_model, minimax_scale, robustness_rows
 from .snr_profile import bell_shape_score, compute_snr_bins, normalize_profile
-from .variance import VarianceSpec, gamma_from_signal, variance_ratio_beta
+from .variance import VarianceSpec, gamma_from_signal, smoothness_constant, variance_ratio_beta
 
 __all__ = ["main"]
 
@@ -254,19 +254,29 @@ def _cmd_simulate(args: argparse.Namespace) -> None:
         if not 0 <= step <= config.steps:
             raise ConfigError(f"--dump-step {step} outside [0, {config.steps}] (default 20)")
     world = build_world(config)
-    metrics = train(world, snr_dump_steps=dump_steps)
+    # The SNR dump at each dump step, once however often it is named, and
+    # the forward-KL smoothness constant L of the weights at each recompute.
+    dumps, smoothness = {}, {}
+
+    def observe(world, direction, weights, counts):
+        if counts is not None:
+            smoothness[world.step] = smoothness_constant(world.features, weights)
+        if world.step in dump_steps:
+            dumps[world.step] = measure_snr(world, direction)
+
+    metrics = train(world, observe=observe)
 
     # Every output is opened before any is written, the metrics last, so a
-    # path that cannot be opened leaves no metrics behind.
-    steps = sorted(metrics.gradient_dumps)
+    # path that cannot be opened leaves no metrics behind. The observer
+    # filled dumps in step order.
     with ExitStack() as stack:
-        dumps = [
+        files = [
             stack.enter_context(open(f"{args.dump_gradients}{step}.csv", "w", encoding="utf-8"))
-            for step in steps
+            for step in dumps
         ]
         out = stack.enter_context(_out_stream(args.out))
-        for step, f in zip(steps, dumps):
-            write_gradient_records(f, metrics.gradient_dumps[step])
+        for table, f in zip(dumps.values(), files):
+            write_gradient_records(f, table)
             _log(f"wrote gradient dump {f.name}")
         write_metrics(out, metrics)
 
@@ -275,8 +285,8 @@ def _cmd_simulate(args: argparse.Namespace) -> None:
         + ", ".join(str(s) for s in metrics.recompute_steps)
     )
     # One warning, at the first recompute whose eta * L breaks the descent lemma.
-    for step, smoothness in zip(metrics.recompute_steps, metrics.smoothness):
-        eta_l = world.config.learning_rate * smoothness
+    for step, constant in smoothness.items():
+        eta_l = world.config.learning_rate * constant
         if eta_l >= 2.0:
             forward = world.config.loss_direction == "forward"
             scope = "" if forward else "; the bound covers forward KL only"
@@ -286,8 +296,8 @@ def _cmd_simulate(args: argparse.Namespace) -> None:
             )
             break
     # Feature rows are unit vectors, so L is 0 exactly when every weight is.
-    for step, smoothness in zip(metrics.recompute_steps, metrics.smoothness):
-        if smoothness == 0.0:
+    for step, constant in smoothness.items():
+        if constant == 0.0:
             _log(
                 f"warning: every weight is zero at step {step}, "
                 "so the updates until the next recompute change nothing"

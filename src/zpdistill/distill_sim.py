@@ -37,12 +37,13 @@ passes; a column reads its key alone. build_world keys the problems once,
 as SimWorld.problem_tokens, and a minibatch takes its rows of that array.
 The world stores the teacher's log-probabilities, not its logits.
 
-Per-step arithmetic: outside an SNR dump (measure_snr), train holds no
-student array as wide as N. A weight recompute or checkpoint reads every
-problem in one sweep over equal column blocks of at most _BLOCK problems:
-each block's log-probabilities and probabilities go with out= ufuncs into
-one (V, block) scratch, allocated once per call, and every consumer at
-that step (rollouts, the checkpoint KL) reads the block before the next.
+Per-step arithmetic: train holds no student array as wide as N; only
+measure_snr, which an observer of train may call, builds its own. A weight
+recompute or checkpoint reads every problem in one sweep over equal column
+blocks of at most _BLOCK problems: each block's log-probabilities and
+probabilities go with out= ufuncs into one (V, block) scratch, allocated
+once per call, and every consumer at that step (rollouts, the checkpoint
+KL) reads the block before the next.
 Many weights are 0 (p(1 - p) at p = 0 or 1, the hard scheme outside its
 band), so an update runs only the nonzero-weight problems among its rows
 (all N, or its minibatch), in row order, through the same scratch, into
@@ -57,18 +58,14 @@ column's key and arithmetic read that column alone, so blocks change no
 value, and every value is bit-identical to the problem-major arithmetic,
 but for the last bits of an update over more than 3 906 rows (see
 _descend).
-
-At each weight recompute train records the forward-KL smoothness constant
-L of variance.smoothness_constant in SimMetrics.smoothness; a step size
-eta with eta * L >= 2 is past the descent lemma's bound.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, fields
-from typing import Iterable, Iterator
+from dataclasses import dataclass, fields
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -77,7 +74,6 @@ from .kernel import SCHEMES, raw_weights, unit_mean
 from .numerics import _sum_axis0, key_uniforms, label_keys, label_tokens, log_softmax, stream
 from .passrate import THREE_BIN_EDGES, bin_indices
 from .snr_profile import GradientTable
-from .variance import smoothness_constant
 
 __all__ = [
     "DIRECTIONS",
@@ -229,9 +225,6 @@ class SimMetrics:
     rows: tuple[CheckpointRow, ...]
     recompute_steps: tuple[int, ...]
     stage_switch_step: int | None
-    gradient_dumps: dict[int, GradientTable] = field(default_factory=dict)
-    # variance.smoothness_constant of the weights at each step of recompute_steps.
-    smoothness: tuple[float, ...] = ()
 
 
 def _unit_rows(v: np.ndarray) -> np.ndarray:
@@ -615,7 +608,11 @@ def _descend(world: SimWorld, weights: np.ndarray, direction: str, scratch: np.n
     world.theta = world.theta - world.config.learning_rate * grad
 
 
-def train(world: SimWorld, *, snr_dump_steps: Iterable[int] = ()) -> SimMetrics:
+def train(
+    world: SimWorld,
+    *,
+    observe: Callable[[SimWorld, str, np.ndarray, np.ndarray | None], None] | None = None,
+) -> SimMetrics:
     """Run the weighting-then-descend loop configured by world.config.
 
     Pass rates and weights are computed once at the start, again at the
@@ -624,10 +621,17 @@ def train(world: SimWorld, *, snr_dump_steps: Iterable[int] = ()) -> SimMetrics:
     record state before that step's parameter update. A recompute or
     checkpoint reads every problem in one sweep over column blocks, and an
     update runs only its nonzero-weight columns through the same block
-    scratch, so no student array as wide as N is held; an SNR dump builds
-    its own N-wide arrays. theta and the step counter are updated in place
-    on the passed world. A non-finite checkpoint loss or theta raises
-    NumericError naming the step.
+    scratch, so no student array as wide as N is held. theta and the step
+    counter are updated in place on the passed world. A non-finite
+    checkpoint loss or theta raises NumericError naming the step.
+
+    observe, when given, is called as observe(world, direction, weights,
+    counts) before each step's update and once more after the last one,
+    after that step's checkpoint: direction is the step's loss direction,
+    weights the (N,) weights in use, a new array only at a recompute, and
+    counts that recompute's (N,) rollout successes, None at every other
+    step. An observer must not change world; it forms any student arrays
+    it reads itself, as measure_snr does.
     """
     config = world.config
     t_total = config.steps
@@ -639,16 +643,9 @@ def train(world: SimWorld, *, snr_dump_steps: Iterable[int] = ()) -> SimMetrics:
     starts = {0, switch_step, *range(interval, t_total, interval)}
     sweeps = sorted({*starts, *range(0, t_total, config.eval_interval), t_total})
 
-    dump_steps = sorted(set(int(s) for s in snr_dump_steps))
-    for s in dump_steps:
-        if not 0 <= s <= t_total:
-            raise DomainError(f"snr dump step {s} outside [0, {t_total}]")
-
     base = world.step
     recompute_steps: list[int] = []
-    smoothness: list[float] = []
     rows: list[CheckpointRow] = []
-    dumps: dict[int, GradientTable] = {}
     scratch = _scratch(world)
     live = None
 
@@ -668,12 +665,11 @@ def train(world: SimWorld, *, snr_dump_steps: Iterable[int] = ()) -> SimMetrics:
                 live = None  # drop the last recompute's columns first
                 live = _live(world, weights, cols, direction, scratch)
             recompute_steps.append(world.step)
-            smoothness.append(smoothness_constant(world.features, weights))
 
         if checkpoint:
             rows.append(_checkpoint(world, weights, direction, counts["eval"], kl))
-        if local in dump_steps:
-            dumps[local] = measure_snr(world, direction)
+        if observe is not None:
+            observe(world, direction, weights, counts["rollout"] if needs_recompute else None)
 
         if local == t_total:
             break
@@ -692,8 +688,6 @@ def train(world: SimWorld, *, snr_dump_steps: Iterable[int] = ()) -> SimMetrics:
         stage_switch_step=(
             base + switch_step if config.loss_direction == "two_stage" else None
         ),
-        gradient_dumps=dumps,
-        smoothness=tuple(smoothness),
     )
 
 

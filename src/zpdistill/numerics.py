@@ -1,24 +1,24 @@
 """Special functions and numeric plumbing used by the closed-form theory.
 
-log_gamma routes through the platform lgamma (~1e-15 relative error). Beta
-values are assembled in log space, from lgamma below 10 and from Stirling's
-series above, where an lgamma difference would cancel (as in R's lbeta).
+Beta values are assembled in log space, from the platform lgamma (~1e-15
+relative error) below 10 and from Stirling's series above, where an lgamma
+difference would cancel (as in R's lbeta).
 
 stream() is the deterministic RNG contract for the simulator: a counter-based
 Philox generator keyed by a tuple of labels. Equal key tuples give equal
 streams regardless of creation order or how many other streams exist, which
 is what makes per-problem sampling order-independent.
 
-stream_uniforms() draws the first k uniforms of many such streams at once,
-one per label under a shared key prefix, and reproduces stream() bit for
-bit; stream() remains the contract and the test oracle. The labels come as
-label_tokens(), built once (per world in the simulator). label_keys() gives
-their stream() keys, and key_uniforms() runs Philox4x64-10 in numpy over all
-keys together (Salmon et al., "Parallel Random Numbers: As Easy as 1, 2, 3",
-SC 2011) on (blocks, N) words, with round 0 folded, and returns (k, N)
-uniforms, one column per key. A column reads its key alone, so the keys of
-several prefixes can share one pass and its fixed cost (about 0.4 ms at
-k = 16 with numpy 2.4 on one core).
+key_uniforms(label_keys(prefix, label_tokens(labels)), k) draws the first k
+uniforms of many such streams at once, one per label under a shared key
+prefix, and reproduces stream() bit for bit; stream() remains the contract
+and the test oracle. label_tokens() is built once (per world in the
+simulator), label_keys() gives the stream() keys of the labels, and
+key_uniforms() runs Philox4x64-10 in numpy over all keys together (Salmon et
+al., "Parallel Random Numbers: As Easy as 1, 2, 3", SC 2011) on (blocks, N)
+words, with round 0 folded, and returns (k, N) uniforms, one column per key.
+A column reads its key alone, so the keys of several prefixes can share one
+pass and its fixed cost (about 0.4 ms at k = 16 with numpy 2.4 on one core).
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ import numpy as np
 from .errors import DomainError
 
 __all__ = [
-    "log_gamma",
     "beta_fn",
     "log_beta_fn",
     "sech",
@@ -42,7 +41,6 @@ __all__ = [
     "label_tokens",
     "label_keys",
     "key_uniforms",
-    "stream_uniforms",
 ]
 
 
@@ -66,13 +64,6 @@ _U32 = np.array(32, np.uint64)
 _U11 = np.array(11, np.uint64)
 
 
-def log_gamma(x: float) -> float:
-    """Natural log of the gamma function for x > 0."""
-    if not math.isfinite(x) or x <= 0.0:
-        raise DomainError(f"log_gamma requires finite x > 0, got {x!r}")
-    return math.lgamma(x)
-
-
 def _stirling(x: float) -> float:
     """lgamma(x) - ((x - 1/2) log x - x) for x >= 10, by Stirling's series to 3e-17."""
     t = 1.0 / (x * x)
@@ -87,7 +78,7 @@ def log_beta_fn(a: float, b: float) -> float:
         raise DomainError(f"log_beta_fn requires a, b > 0 with a finite sum, got ({a!r}, {b!r})")
     p, q = min(a, b), max(a, b)
     if q < 10.0:
-        return log_gamma(a) + log_gamma(b) - log_gamma(s)
+        return math.lgamma(a) + math.lgamma(b) - math.lgamma(s)
     # By Stirling's series lgamma(q) - lgamma(s) = p - p log s + common; for
     # p >= 10 the last line is lgamma(p) + p - p log s, with nothing cancelled.
     common = (q - 0.5) * math.log1p(-p / s) + _stirling(q) - _stirling(s)
@@ -263,7 +254,7 @@ def _philox4x64(keys: np.ndarray, blocks: int) -> np.ndarray:
 
 
 def label_tokens(labels: Sequence[int | str]) -> np.ndarray:
-    """(N,) bytes array of each label's typed key token, for stream_uniforms.
+    """(N,) bytes array of each label's typed key token, for label_keys.
 
     numpy drops trailing NULs from an S item, but every token ends in
     b"\x1f", so each item reads back as its token exactly. They are made in
@@ -273,12 +264,6 @@ def label_tokens(labels: Sequence[int | str]) -> np.ndarray:
     chunks = [np.array(list(map(_token, labels[i : i + 1024])), dtype="S")
               for i in range(0, len(labels), 1024)]
     return np.concatenate(chunks) if chunks else np.array([], dtype="S1")
-
-
-def stream_uniforms(prefix: Sequence[int | str], tokens: np.ndarray, k: int) -> np.ndarray:
-    """(k, N) uniforms; column j is stream(*prefix, labels[j]).random(k)
-    for tokens = label_tokens(labels): key_uniforms(label_keys(prefix, tokens), k)."""
-    return key_uniforms(label_keys(prefix, tokens), k)
 
 
 def label_keys(prefix: Sequence[int | str], tokens: np.ndarray) -> np.ndarray:

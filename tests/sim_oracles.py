@@ -2,13 +2,39 @@
 
 None of these is part of the package: train reaches every problem through
 column-block sweeps and shared draws, and these read one problem, or every
-problem in one block, the plainest way its arithmetic allows.
+problem in one block, the plainest way its arithmetic allows. observed_train
+runs train with the observer that simulate passes it.
 """
 
 import numpy as np
 
-from zpdistill.distill_sim import _categorical, _diffs, _kl_rows, _Probs, _step_probs
-from zpdistill.numerics import stream_uniforms
+from zpdistill.distill_sim import (
+    _categorical, _diffs, _kl_rows, _Probs, _step_probs, measure_snr, train,
+)
+from zpdistill.numerics import key_uniforms, label_keys
+from zpdistill.variance import smoothness_constant
+
+
+def stream_uniforms(prefix, tokens, k):
+    """(k, N) uniforms, column j stream(*prefix, labels[j]).random(k) for
+    tokens = label_tokens(labels), every column from one Philox pass."""
+    return key_uniforms(label_keys(prefix, tokens), k)
+
+
+def observed_train(world, dump_steps=()):
+    """train(world) observed as simulate observes it: (metrics, {step:
+    measure_snr table} at each of dump_steps, counted from the world's step
+    at the call, and the smoothness constant L of the weights at each
+    recompute, in order)."""
+    base, dumps, smoothness = world.step, {}, []
+
+    def observe(world, direction, weights, counts):
+        if counts is not None:
+            smoothness.append(smoothness_constant(world.features, weights))
+        if world.step - base in dump_steps:
+            dumps[world.step - base] = measure_snr(world, direction)
+
+    return train(world, observe=observe), dumps, tuple(smoothness)
 
 
 def student_logits(world):

@@ -34,7 +34,7 @@ from zpdistill.variance import (
     variance_ratio_empirical,
 )
 
-from sim_oracles import single_kl
+from sim_oracles import observed_train, single_kl
 
 _GOLDEN_DELTAS = (0.1, 0.3, 0.5, math.log(2.0))
 _GOLDEN_EFFICIENCIES = (0.990, 0.915, 0.786, 0.640)
@@ -43,15 +43,15 @@ _golden_cache: dict[str, tuple] = {}
 
 
 def _golden(scheme: str):
-    """Train the golden config once per scheme and memoize world+metrics."""
+    """Train the golden config once per scheme and memoize its SNR dumps
+    (steps 0 and 20, beta only) and metrics."""
     if scheme not in _golden_cache:
         cfg = SimConfig()
         if scheme != "beta":
             cfg = dataclasses.replace(cfg, scheme=scheme)
-        world = build_world(cfg)
-        dumps = (0, 20) if scheme == "beta" else ()
-        metrics = train(world, snr_dump_steps=dumps)
-        _golden_cache[scheme] = (world, metrics)
+        metrics, dumps, _ = observed_train(
+            build_world(cfg), (0, 20) if scheme == "beta" else ())
+        _golden_cache[scheme] = (dumps, metrics)
     return _golden_cache[scheme]
 
 
@@ -318,11 +318,11 @@ def test_ac07_empirical_variance_oracle():
 
 def test_ac08_bell_curve_on_golden_run():
     t0 = time.perf_counter()
-    _, metrics = _golden("beta")
+    dumps, _ = _golden("beta")
     ratios = {}
     bells = {}
     for step in (0, 20):
-        profile = compute_snr_bins(metrics.gradient_dumps[step], num_bins=10)
+        profile = compute_snr_bins(dumps[step], num_bins=10)
         is_bell, ratio = bell_shape_score(profile)
         bells[step] = is_bell
         ratios[step] = ratio

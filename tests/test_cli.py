@@ -11,10 +11,12 @@ import pytest
 
 from zpdistill import cli, fileio
 from zpdistill.cli import _COMMANDS, _OVERRIDES, _build_parser, main
-from zpdistill.distill_sim import SimConfig, build_world, train
+from zpdistill.distill_sim import SimConfig, build_world
 from zpdistill.fileio import fmt, load_gradient_records
 from zpdistill.kernel import select_exponents, unit_mean, zpd_moments
-from zpdistill.variance import VarianceSpec, variance_ratio_beta
+from zpdistill.variance import VarianceSpec, smoothness_constant, variance_ratio_beta
+
+from sim_oracles import observed_train
 
 _GOLDEN_CFG = Path(__file__).resolve().parent.parent / "configs" / "golden.cfg"
 
@@ -512,6 +514,34 @@ class TestSimulate:
         assert capsys.readouterr().err.count("wrote gradient dump") == 2
         assert sorted(p.name for p in tmp_path.glob("dump_*")) == ["dump_0.csv", "dump_3.csv"]
 
+    def test_a_dump_step_named_twice_is_dumped_once(self, tmp_path, capsys):
+        args = ["simulate", "--config", str(self._cfg(tmp_path)), "--out", str(tmp_path / "m.csv")]
+        dumps = []
+        for name, steps in (("once_", ["3"]), ("twice_", ["3", "3"])):
+            prefix = str(tmp_path / name)
+            flags = [flag for step in steps for flag in ("--dump-step", step)]
+            assert main([*args, "--dump-gradients", prefix, *flags]) == 0
+            assert capsys.readouterr().err.count("wrote gradient dump") == 1
+            assert [p.name for p in tmp_path.glob(name + "*")] == [name + "3.csv"]
+            dumps.append(Path(prefix + "3.csv").read_bytes())
+        assert dumps[0] == dumps[1]
+
+    def test_smoothness_constant_is_computed_once_per_recompute(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        calls = []
+
+        def spy(features, weights):
+            calls.append(weights)
+            return smoothness_constant(features, weights)
+
+        monkeypatch.setattr(cli, "smoothness_constant", spy)
+        args = ["simulate", "--config", str(self._cfg(tmp_path)), "--steps", "6",
+                "--recompute-interval", "2"]
+        assert main(args) == 0
+        assert "recomputed weights at steps: 0, 2, 4" in capsys.readouterr().err
+        assert len(calls) == 3
+
     def test_dump_step_defaults_to_20(self, tmp_path, capsys):
         prefix = str(tmp_path / "dump_")
         args = ["simulate", "--config", str(self._cfg(tmp_path)), "--steps", "20",
@@ -610,7 +640,7 @@ class TestSimulate:
     def test_divergent_step_size_warns_once(self, capsys):
         assert main(["simulate", "--steps", "6", "--eta", "1e300"]) == 0
         (line,) = self._warnings(capsys.readouterr().err)
-        smoothness = train(build_world(SimConfig(steps=6, learning_rate=1e300))).smoothness[0]
+        smoothness = observed_train(build_world(SimConfig(steps=6, learning_rate=1e300)))[2][0]
         assert f"eta*L = {fmt(1e300 * smoothness)} >= 2 at step 0" in line
         assert "forward KL only" not in line
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from zpdistill import distill_sim, variance
 from zpdistill.distill_sim import (
     SimConfig,
     build_world,
@@ -30,7 +31,7 @@ from zpdistill.numerics import label_tokens, log_softmax, stream
 from zpdistill.snr_profile import bell_shape_score, compute_snr_bins
 from zpdistill.variance import smoothness_constant
 
-from sim_oracles import outcomes, single_kl, student_logits
+from sim_oracles import observed_train, outcomes, single_kl, student_logits
 
 _SMALL = SimConfig(
     num_problems=12,
@@ -421,11 +422,6 @@ class TestTrain:
         assert w.step == 3
         assert all(row.stage == "reverse" for row in metrics.rows)
 
-    def test_dump_steps_validated(self):
-        cfg = _SMALL
-        with pytest.raises(DomainError):
-            train(build_world(cfg), snr_dump_steps=(cfg.steps + 1,))
-
     def test_config_comes_from_the_world(self):
         cfg = _small(steps=2, eval_interval=1)
         w = build_world(cfg)
@@ -433,6 +429,48 @@ class TestTrain:
             train(w, _small(num_problems=5, rollout_count=2))
         assert w.step == 0
         assert [row.step for row in train(w).rows] == [0, 1, 2]
+
+    def test_observer_sees_each_step_before_its_update(self):
+        # Recomputes every 3 steps and at the two-stage switch: 0, 3, 4, 6.
+        cfg = _small(loss_direction="two_stage", scheme="hard", recompute_interval=3, steps=8)
+        world, unobserved = build_world(cfg), build_world(cfg)
+        theta0 = world.theta.copy()
+        calls = []
+
+        def observe(w, direction, weights, counts):
+            assert w is world
+            rebuilt = None if counts is None else _weights(w, counts)
+            calls.append((w.step, direction, weights, counts, rebuilt, w.theta.copy()))
+
+        metrics = train(world, observe=observe)
+        assert [call[0] for call in calls] == list(range(cfg.steps + 1))
+        assert metrics.recompute_steps == (0, 3, 4, 6) and metrics.stage_switch_step == 4
+        assert tuple(call[0] for call in calls if call[3] is not None) == metrics.recompute_steps
+        previous = None
+        for step, direction, weights, counts, rebuilt, _ in calls:
+            assert direction == ("forward" if step < 4 else "reverse")
+            if counts is None:
+                assert weights is previous
+            else:
+                assert weights is not previous
+                assert counts.shape == (cfg.num_problems,)
+                assert np.array_equal(rebuilt, weights)
+            previous = weights
+        # Each call comes before its step's update, the last after the last one.
+        assert np.array_equal(calls[0][-1], theta0)
+        assert np.array_equal(calls[-1][-1], world.theta)
+        # Observing changes nothing.
+        assert train(unobserved) == metrics
+        assert np.array_equal(unobserved.theta, world.theta)
+
+    def test_without_an_observer_no_smoothness_constant_is_computed(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("smoothness_constant called")
+
+        monkeypatch.setattr(variance, "smoothness_constant", fail)
+        monkeypatch.setattr(distill_sim, "smoothness_constant", fail, raising=False)
+        metrics = train(build_world(_small(recompute_interval=2)))
+        assert metrics.recompute_steps == (0, 2, 4)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nan_theta_raises_numeric_error_naming_step(self):
@@ -491,7 +529,7 @@ class TestGoldenStepZero:
         # on the deterministic seed streams, not on training.
         cfg = dataclasses.replace(SimConfig(), steps=1, eval_interval=1)
         world = build_world(cfg)
-        metrics = train(world, snr_dump_steps=(0,))
+        metrics = observed_train(world, (0,))[0]
         row = metrics.rows[0]
         assert row.loss == pytest.approx(1.039541377761623, rel=1e-9)
         assert row.mean_p == pytest.approx(0.339375, abs=1e-12)
@@ -508,16 +546,15 @@ class TestGoldenStepZero:
         cfg = dataclasses.replace(SimConfig(), steps=1, eval_interval=1)
         world = build_world(cfg)
         weights = _weights(world, outcomes(world, cfg.rollout_count, "rollout").sum(axis=0))
-        metrics = train(world)
         want = smoothness_constant(world.features, weights)
-        assert metrics.smoothness == (want,)
+        assert observed_train(world)[2] == (want,)
         assert cfg.learning_rate * want == pytest.approx(0.321, abs=1e-3)
 
     def test_frozen_initial_bell_ratio(self):
         cfg = dataclasses.replace(SimConfig(), steps=1, eval_interval=1)
         world = build_world(cfg)
-        metrics = train(world, snr_dump_steps=(0,))
-        profile = compute_snr_bins(metrics.gradient_dumps[0], num_bins=10)
+        dumps = observed_train(world, (0,))[1]
+        profile = compute_snr_bins(dumps[0], num_bins=10)
         is_bell, ratio = bell_shape_score(profile)
         assert is_bell
         assert ratio == pytest.approx(1.3680438694957637, rel=1e-6)

@@ -12,34 +12,14 @@ from zpdistill.numerics import (
     label_keys,
     label_tokens,
     log_beta_fn,
-    log_gamma,
     log_softmax,
     sech,
     sech2,
     stream,
-    stream_uniforms,
 )
 from zpdistill.numerics import _philox4x64, _sum_axis0, _token
 
 scipy_special = pytest.importorskip("scipy.special")
-
-
-class TestLogGamma:
-    def test_matches_scipy_over_wide_range(self):
-        xs = np.concatenate([np.linspace(1e-3, 10, 200), [50.0, 170.0, 1e4]])
-        for x in xs:
-            assert log_gamma(float(x)) == pytest.approx(
-                float(scipy_special.gammaln(x)), rel=1e-13, abs=1e-13
-            )
-
-    def test_integer_factorials(self):
-        for n in range(1, 10):
-            assert log_gamma(float(n)) == pytest.approx(math.log(math.factorial(n - 1)), abs=1e-12)
-
-    @pytest.mark.parametrize("x", [0.0, -1.0, math.inf, math.nan])
-    def test_rejects_nonpositive_and_nonfinite(self, x):
-        with pytest.raises(DomainError):
-            log_gamma(x)
 
 
 class TestBetaFn:
@@ -256,7 +236,7 @@ _prefix = st.tuples(
 class TestStreamUniforms:
     @given(prefix=_prefix, labels=st.lists(_labels, max_size=12), k=st.integers(0, 40))
     def test_columns_equal_single_streams(self, prefix, labels, k):
-        u = stream_uniforms(prefix, label_tokens(labels), k)
+        u = key_uniforms(label_keys(prefix, label_tokens(labels)), k)
         assert u.shape == (k, len(labels)) and u.dtype == np.float64
         for column, label in zip(u.T, labels):
             assert np.array_equal(column, stream(*prefix, label).random(k))
@@ -269,8 +249,8 @@ class TestStreamUniforms:
         tokens = label_tokens(labels)
         rows = data.draw(st.lists(st.integers(0, max(len(labels) - 1, 0)),
                                   max_size=len(labels)))
-        full = stream_uniforms(prefix, tokens, k)
-        assert np.array_equal(stream_uniforms(prefix, tokens[rows], k), full[:, rows])
+        full = key_uniforms(label_keys(prefix, tokens), k)
+        assert np.array_equal(key_uniforms(label_keys(prefix, tokens[rows]), k), full[:, rows])
 
     @given(groups=st.lists(st.tuples(_prefix, st.lists(_labels, max_size=6)), min_size=1,
                            max_size=5),
@@ -283,7 +263,7 @@ class TestStreamUniforms:
         edges = np.cumsum([len(labels) for _, labels in groups])
         assert u.shape == (k, edges[-1])
         for (prefix, labels), part in zip(groups, np.split(u, edges[:-1], axis=1)):
-            assert np.array_equal(part, stream_uniforms(prefix, label_tokens(labels), k))
+            assert np.array_equal(part, key_uniforms(label_keys(prefix, label_tokens(labels)), k))
 
     @pytest.mark.parametrize("k", [1, 2, 3, 5, 6, 7, 13])
     def test_one_pass_with_an_empty_group_and_odd_k(self, k):
@@ -303,13 +283,13 @@ class TestStreamUniforms:
 
     def test_mixed_labels_and_no_labels(self):
         labels = [3, -7, 0, "p0000", "a\x00b", "\x00", "é☃", ""]
-        u = stream_uniforms((7, "rollout", 2), label_tokens(labels), 6)
+        u = key_uniforms(label_keys((7, "rollout", 2), label_tokens(labels)), 6)
         for j, label in enumerate(labels):
             assert np.array_equal(u[:, j], stream(7, "rollout", 2, label).random(6))
-        assert stream_uniforms((7,), label_tokens([]), 5).shape == (5, 0)
+        assert key_uniforms(label_keys((7,), label_tokens([])), 5).shape == (5, 0)
 
     def test_empty_prefix_is_one_part_keys(self):
-        u = stream_uniforms((), label_tokens(["p0000", 3]), 6)
+        u = key_uniforms(label_keys((), label_tokens(["p0000", 3])), 6)
         assert np.array_equal(u[:, 0], stream("p0000").random(6))
         assert np.array_equal(u[:, 1], stream(3).random(6))
 
@@ -328,17 +308,17 @@ class TestStreamUniforms:
         with pytest.raises(DomainError, match=re.escape(repr(bad))):
             label_tokens(["p0000", bad])
         with pytest.raises(DomainError, match=re.escape(repr(bad))):
-            stream_uniforms((7, bad, 0), label_tokens(["p0000"]), 4)
+            key_uniforms(label_keys((7, bad, 0), label_tokens(["p0000"])), 4)
 
     @pytest.mark.parametrize("tokens", [["p0000"], [b"str:p0000\x1f"], np.array(["p0000"])])
     def test_takes_only_label_tokens(self, tokens):
         with pytest.raises(DomainError, match="label_tokens"):
-            stream_uniforms((7,), tokens, 4)
+            key_uniforms(label_keys((7,), tokens), 4)
 
     @pytest.mark.parametrize("k", [-1, 2.0, True])
     def test_rejects_bad_k(self, k):
         with pytest.raises(DomainError):
-            stream_uniforms((7,), label_tokens(["p0000"]), k)
+            key_uniforms(label_keys((7,), label_tokens(["p0000"])), k)
 
     @pytest.mark.parametrize("blocks", [1, 2, 3, 4, 5])
     def test_philox_matches_numpy_philox(self, blocks):

@@ -47,13 +47,11 @@ from zpdistill.distill_sim import (
     _sweep,
     _weights,
 )
-from zpdistill.numerics import (
-    key_uniforms, label_keys, label_tokens, log_softmax, stream, stream_uniforms,
-)
+from zpdistill.numerics import key_uniforms, label_keys, label_tokens, log_softmax, stream
 from zpdistill.passrate import THREE_BIN_EDGES
 from zpdistill.snr_profile import GradientTable
 
-from sim_oracles import outcomes, single_kl, student_logits
+from sim_oracles import observed_train, outcomes, single_kl, stream_uniforms, student_logits
 
 
 def _old_log_softmax(logits, axis=-1):
@@ -154,7 +152,8 @@ def _old_measure_snr(world, direction):
     return GradientTable(world.problem_ids, counts / k, grads.reshape(len(counts), -1))
 
 
-def _old_train(world, snr_dump_steps=()):
+def _old_train(world, dump_steps=()):
+    """The earlier train, with its SNR dumps at dump_steps: (metrics, dumps)."""
     config = world.config
     n = config.num_problems
     t_total = config.steps
@@ -186,7 +185,7 @@ def _old_train(world, snr_dump_steps=()):
             recompute_steps.append(world.step)
         if local % config.eval_interval == 0 or local == t_total:
             rows.append(_old_eval_checkpoint(world, weights, direction))
-        if local in snr_dump_steps:
+        if local in dump_steps:
             dumps[local] = _old_measure_snr(world, direction)
         if local == t_total:
             break
@@ -209,8 +208,7 @@ def _old_train(world, snr_dump_steps=()):
         stage_switch_step=(
             base + switch_step if config.loss_direction == "two_stage" else None
         ),
-        gradient_dumps=dumps,
-    )
+    ), dumps
 
 
 _BASE = SimConfig(
@@ -247,15 +245,18 @@ _CONFIGS = {
 _DUMPS = (0, 5, 9)
 
 
-def _assert_same_run(w_new, m_new, w_old, m_old):
+def _assert_same_run(w_new, new, w_old, old):
+    """new and old each start (metrics, dumps), as observed_train and
+    _old_train return them."""
+    (m_new, d_new, *_), (m_old, d_old, *_) = new, old
     assert np.array_equal(w_new.theta, w_old.theta)
     assert w_new.step == w_old.step
     assert m_new.rows == m_old.rows
     assert m_new.recompute_steps == m_old.recompute_steps
     assert m_new.stage_switch_step == m_old.stage_switch_step
-    assert sorted(m_new.gradient_dumps) == sorted(m_old.gradient_dumps)
-    for step, table in m_new.gradient_dumps.items():
-        old = m_old.gradient_dumps[step]
+    assert sorted(d_new) == sorted(d_old)
+    for step, table in d_new.items():
+        old = d_old[step]
         assert table.problem_ids == old.problem_ids
         assert np.array_equal(table.p, old.p)
         assert np.array_equal(table.gradients, old.gradients)
@@ -265,16 +266,13 @@ def _assert_same_run(w_new, m_new, w_old, m_old):
 def test_train_matches_old_per_step_path(name):
     cfg = dataclasses.replace(_BASE, **_CONFIGS[name])
     w_new, w_old = build_world(cfg), build_world(cfg)
-    m_new = train(w_new, snr_dump_steps=_DUMPS)
-    m_old = _old_train(w_old, snr_dump_steps=_DUMPS)
-    _assert_same_run(w_new, m_new, w_old, m_old)
+    _assert_same_run(w_new, observed_train(w_new, _DUMPS), w_old, _old_train(w_old, _DUMPS))
 
 
 def test_golden_config_matches_old_per_step_path():
     w_new, w_old = build_world(SimConfig()), build_world(SimConfig())
-    m_new = train(w_new, snr_dump_steps=(0, 20))
-    m_old = _old_train(w_old, snr_dump_steps=(0, 20))
-    _assert_same_run(w_new, m_new, w_old, m_old)
+    new, old = observed_train(w_new, (0, 20)), _old_train(w_old, (0, 20))
+    _assert_same_run(w_new, new, w_old, old)
 
 
 def test_resumed_training_matches_old_per_step_path():
@@ -283,8 +281,7 @@ def test_resumed_training_matches_old_per_step_path():
     w_new, w_old = build_world(cfg), build_world(cfg)
     train(w_new)
     _old_train(w_old)
-    _assert_same_run(w_new, train(w_new, snr_dump_steps=(4,)), w_old,
-                     _old_train(w_old, snr_dump_steps=(4,)))
+    _assert_same_run(w_new, observed_train(w_new, (4,)), w_old, _old_train(w_old, (4,)))
 
 
 # Weight patterns at the edges of the nonzero-column path. At seed 4 one
@@ -322,13 +319,12 @@ def test_edge_weight_patterns_match_old_per_step_path(name):
     weights = _weights(w_new, counts)
     assert np.count_nonzero(weights) == nonzero
     theta0 = w_new.theta.copy()
-    m_new = train(w_new, snr_dump_steps=_DUMPS)
-    m_old = _old_train(w_old, snr_dump_steps=_DUMPS)
-    _assert_same_run(w_new, m_new, w_old, m_old)
+    new = observed_train(w_new, _DUMPS)
+    _assert_same_run(w_new, new, w_old, _old_train(w_old, _DUMPS))
     if nonzero == 0:
         # theta is untouched, and L = 0 is what the CLI's all-zero warning reads.
         assert np.array_equal(w_new.theta, theta0)
-        assert m_new.smoothness == (0.0,)
+        assert new[2] == (0.0,)
     else:
         assert not np.array_equal(w_new.theta, theta0)
 
@@ -434,7 +430,7 @@ def test_a_sweep_draws_all_its_purposes_in_one_pass(monkeypatch):
     cfg = SimConfig(steps=2, eval_interval=2)
     keyed, passes = _spy_draws(monkeypatch, ("rollout", "eval", "snr"))
     world, w_old = build_world(cfg), build_world(cfg)
-    metrics = train(world, snr_dump_steps=(1,))
+    run = observed_train(world, (1,))
     labels = world.problem_tokens.tolist()
     assert keyed == [
         ((cfg.seed, purpose, step), labels)
@@ -442,7 +438,7 @@ def test_a_sweep_draws_all_its_purposes_in_one_pass(monkeypatch):
     ]
     n, k = cfg.num_problems, cfg.rollout_count
     assert passes == [(2 * n, k), (n, k), (n, k)]
-    _assert_same_run(world, metrics, w_old, _old_train(w_old, snr_dump_steps=(1,)))
+    _assert_same_run(world, run, w_old, _old_train(w_old, (1,)))
 
 
 @pytest.mark.parametrize("k", [1, 6, 8, 17])
@@ -528,8 +524,9 @@ def test_update_plan_edges_match_old_per_step_path(monkeypatch, name):
     _, passes = _spy_draws(monkeypatch, ("revkl",))
     weights = _spy_weights(monkeypatch)
     w_new, w_old = build_world(cfg), build_world(cfg)
-    m_new = train(w_new, snr_dump_steps=_DUMPS)
-    _assert_same_run(w_new, m_new, w_old, _old_train(w_old, snr_dump_steps=_DUMPS))
+    new = observed_train(w_new, _DUMPS)
+    _assert_same_run(w_new, new, w_old, _old_train(w_old, _DUMPS))
+    m_new = new[0]
     first = m_new.stage_switch_step or 0
     live = [len(_update_columns(cfg, weights, step)) for step in range(cfg.steps)]
     sweeps = sorted({*m_new.recompute_steps, *(row.step for row in m_new.rows)})
@@ -596,7 +593,7 @@ def _check_log_softmax_widths(monkeypatch, cfg):
     world = build_world(cfg)
     columns = _spy_log_softmax_widths(monkeypatch, world)
     weights = _spy_weights(monkeypatch)
-    metrics = train(world, snr_dump_steps=(5,))
+    metrics = observed_train(world, (5,))[0]
     full_steps = {row.step for row in metrics.rows} | set(metrics.recompute_steps)
     assert full_steps | {5} == {0, 3, 4, 5, 6, 8, 9}
     n = cfg.num_problems
@@ -647,7 +644,7 @@ def test_no_student_log_softmax_in_train_is_wider_than_one_block(monkeypatch, na
     cfg = SimConfig(**_N4097, **_WIDE_CONFIGS[name])
     world = build_world(cfg)
     columns = _spy_log_softmax_widths(monkeypatch, world)
-    train(world, snr_dump_steps=(2,))
+    observed_train(world, (2,))
     wide = [call for call in columns if call[1] > 2049]
     # The dump's measure_snr builds its own N-wide arrays for its gradients,
     # at any rollout temperature (its rollouts are swept in blocks); nothing
@@ -749,7 +746,7 @@ def test_large_full_batch_matches_old_per_step_path_to_rounding():
     # (8.9e-16 measured with scipy-openblas 0.3.31).
     cfg = SimConfig(num_problems=5000, steps=4, eval_interval=2)
     w_new, w_old = build_world(cfg), build_world(cfg)
-    m_new, m_old = train(w_new), _old_train(w_old)
+    m_new, (m_old, _) = train(w_new), _old_train(w_old)
     np.testing.assert_allclose(w_new.theta, w_old.theta, rtol=1e-12, atol=0)
     assert len(m_new.rows) == len(m_old.rows) == 3
     for new, old in zip(m_new.rows, m_old.rows):
@@ -785,7 +782,7 @@ def test_column_blocks_change_no_value(monkeypatch, name, block):
         w.theta = w.theta + 0.4 * np.sin(np.arange(w.theta.size)).reshape(w.theta.shape)
         w.step = 3
     want = whole(w_one)
-    m_one = train(w_one, snr_dump_steps=_DUMPS)
+    one = observed_train(w_one, _DUMPS)
     monkeypatch.setattr(distill_sim, "_BLOCK", block)
     widths = []
 
@@ -798,9 +795,9 @@ def test_column_blocks_change_no_value(monkeypatch, name, block):
     got = swept(w_blocks)
     assert all(np.array_equal(a, b) for a, b in zip(got, want))
     widths.clear()
-    m_blocks = train(w_blocks, snr_dump_steps=_DUMPS)
-    _assert_same_run(w_blocks, m_blocks, w_one, m_one)
-    assert m_blocks.smoothness == m_one.smoothness
+    blocks = observed_train(w_blocks, _DUMPS)
+    _assert_same_run(w_blocks, blocks, w_one, one)
+    assert blocks[2] == one[2]  # L at each recompute
     assert set(width for _, width in widths) == {block, cfg.num_problems % block or block}
     # Each sweep of train draws every problem's rollouts once, in the
     # fewest blocks.
@@ -810,12 +807,12 @@ def test_column_blocks_change_no_value(monkeypatch, name, block):
 
 
 def _one_block_run(name):
-    """train at N = 4 097 with every problem in one block: world, metrics."""
+    """train at N = 4 097 with every problem in one block: world, observed_train's run."""
     cfg = SimConfig(**_N4097, **_WIDE_CONFIGS[name])
     world = build_world(cfg)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(distill_sim, "_BLOCK", cfg.num_problems)
-        return world, train(world, snr_dump_steps=(0, 2))
+        return world, observed_train(world, (0, 2))
 
 
 @pytest.mark.parametrize("name", sorted(_WIDE_CONFIGS))
@@ -823,11 +820,11 @@ def test_default_blocks_change_no_output_at_n4097(name):
     # The default blocks split N into 2 049 + 2 048 columns; one block of
     # 4 097 runs the logit product in OpenBLAS's blocked kernel, the halves
     # in its small-matrix one. Blocks of 1, 3 and 7 are checked at N = 80.
-    w_one, m_one = _one_block_run(name)
+    w_one, one = _one_block_run(name)
     world = build_world(w_one.config)
-    metrics = train(world, snr_dump_steps=(0, 2))
-    _assert_same_run(world, metrics, w_one, m_one)
-    assert metrics.smoothness == m_one.smoothness
+    run = observed_train(world, (0, 2))
+    _assert_same_run(world, run, w_one, one)
+    assert run[2] == one[2]  # L at each recompute
 
 
 def test_build_world_peak_allocation_is_a_few_arrays():
