@@ -48,8 +48,8 @@ Many weights are 0 (p(1 - p) at p = 0 or 1, the hard scheme outside its
 band), so an update runs only the nonzero-weight problems among its rows
 (all N, or its minibatch), in row order, through the same scratch, into
 one (V, rows) array of gradient columns, and its gradient product spans
-those rows. Each sweep plans the updates up to the next one (_plan), whose
-reverse-KL draws share passes of at most _PASS_WORDS Philox words.
+those rows. One _updates generator makes the updates between two sweeps,
+whose reverse-KL draws share passes of at most _PASS_WORDS Philox words.
 The arrays are vocabulary-major, one column per problem, so every
 reduction over the vocabulary runs down axis 0; numerics._sum_axis0 adds
 in the pairwise order of np.sum over a contiguous (N, V) row, and the
@@ -57,7 +57,7 @@ logit and gradient products are the transposes of the (N, V) ones. Each
 column's key and arithmetic read that column alone, so blocks change no
 value, and every value is bit-identical to the problem-major arithmetic,
 but for the last bits of an update over more than 3 906 rows (see
-_descend).
+_updates).
 """
 
 from __future__ import annotations
@@ -480,12 +480,6 @@ def _weights(world: SimWorld, counts: np.ndarray) -> np.ndarray:
     ))
 
 
-def _direction_at(config: SimConfig, local_step: int, switch_step: int) -> str:
-    if config.loss_direction != "two_stage":
-        return config.loss_direction
-    return "forward" if local_step < switch_step else "reverse"
-
-
 def _checkpoint(
     world: SimWorld, weights: np.ndarray, direction: str, counts: np.ndarray, kl: np.ndarray
 ) -> CheckpointRow:
@@ -548,12 +542,36 @@ def _draws(seed: int, units: Iterable[tuple[str, int, np.ndarray]], k: int) -> I
         group.append(unit)
 
 
-def _plan(world: SimWorld, weights: np.ndarray, direction: str, scratch: np.ndarray,
-          steps: range, live: tuple | None) -> tuple:
-    """The updates at steps, which share their weights and direction: the
-    full batch's kept live tuple (see _live) or batch(step), a minibatch's
-    nonzero-weight rows in batch order, and an iterator of every update
-    block's sampled reverse-KL uniforms (None without samples)."""
+def _descend(world: SimWorld, direction: str, live: tuple, draws: Iterator | None) -> None:
+    """The update at world.step from the rows of a _live tuple, a scratch
+    block at a time (draws: each block's reverse-KL uniforms, or None), then
+    one gradient product over those rows; with none, theta is left as it is."""
+    x, diffs, blocks = live
+    if len(x) == 0:
+        return
+    for block, xc, out, scale, _ in blocks:
+        _step_probs(world, block, xc)
+        if draws is None:
+            _diffs(block, direction, out)
+        else:
+            _sampled_reverse_diffs(block, next(draws), out)
+        out *= scale
+    world.theta = world.theta - world.config.learning_rate * (x.T @ diffs.T)
+
+
+def _updates(world: SimWorld, weights: np.ndarray, direction: str, scratch: np.ndarray,
+             live: tuple | None, steps: range) -> Iterator[None]:
+    """One update per next() at each of steps, which share their weights and
+    direction, from the nonzero-weight problems among its rows in row order:
+    the full batch's live tuple, or with live None the step's minibatch. Their
+    reverse-KL draws share Philox passes (see _draws).
+    The zero-weight rows add only exact zeros to the product over every
+    row, and while that product fits OpenBLAS's small-matrix gemm
+    (M * N * K <= 1e6: 3 906 rows at F = V = 16, scipy-openblas 0.3.31),
+    which adds in row order, dropping them changes no bit; past it, the
+    blocked kernel groups its sums otherwise and theta can differ in its
+    last bits (8.9e-16 measured).
+    """
     config, kept, n = world.config, {}, world.config.num_problems
     samples = config.reverse_kl_samples if direction == "reverse" else 0
 
@@ -574,38 +592,14 @@ def _plan(world: SimWorld, weights: np.ndarray, direction: str, scratch: np.ndar
     else:
         units = (("revkl", s, tokens) for s in steps for *_, tokens in live[2])
     draws = _draws(config.seed, units, samples) if samples else None
-    return live, batch if live is None else None, draws
-
-
-def _descend(world: SimWorld, weights: np.ndarray, direction: str, scratch: np.ndarray,
-             plan: tuple) -> None:
-    """The parameter update at world.step, the next of its _plan, from the
-    nonzero-weight problems among its rows (all problems, or the step's
-    minibatch), in row order, a scratch block at a time into the (V, rows)
-    array of _live, then one gradient product over those rows alone,
-    scaled by weight over row count; with none, theta is left as it is.
-    The zero-weight rows add only exact zeros to the product over every
-    row, and while that product fits OpenBLAS's small-matrix gemm
-    (M * N * K <= 1e6: 3 906 rows at F = V = 16, scipy-openblas 0.3.31),
-    which adds in row order, dropping them changes no bit; past it, the
-    blocked kernel groups its sums otherwise and theta can differ in its
-    last bits (8.9e-16 measured).
-    """
-    live, batch, draws = plan
-    if batch is not None:
-        live = _live(world, weights, batch(world.step), direction, scratch)
-    x, diffs, blocks = live
-    if len(x) == 0:
-        return
-    for block, xc, out, scale, _ in blocks:
-        _step_probs(world, block, xc)
-        if draws is None:
-            _diffs(block, direction, out)
-        else:
-            _sampled_reverse_diffs(block, next(draws), out)
-        out *= scale
-    grad = x.T @ diffs.T
-    world.theta = world.theta - world.config.learning_rate * grad
+    for step in steps:
+        # The step's columns are built in the call, so they die on its return.
+        _descend(world, direction, live or _live(world, weights, batch(step), direction, scratch),
+                 draws)
+        if not np.isfinite(world.theta).all():
+            raise NumericError(f"theta is not finite after the update at step {step}")
+        world.step = step + 1
+        yield
 
 
 def train(
@@ -618,11 +612,11 @@ def train(
     Pass rates and weights are computed once at the start, again at the
     two-stage switch, and every recompute_interval steps when configured.
     Checkpoints (every eval_interval steps, plus step 0 and the final step)
-    record state before that step's parameter update. A recompute or
-    checkpoint reads every problem in one sweep over column blocks, and an
-    update runs only its nonzero-weight columns through the same block
-    scratch, so no student array as wide as N is held. theta and the step
-    counter are updated in place on the passed world. A non-finite
+    record state before that step's parameter update. The run walks from
+    one recompute or checkpoint sweep over every problem's column blocks to
+    the next, and one _updates generator makes the updates between them,
+    so no student array as wide as N is held. theta and the step counter
+    are updated in place on the passed world. A non-finite
     checkpoint loss or theta raises NumericError naming the step.
 
     observe, when given, is called as observe(world, direction, weights,
@@ -633,7 +627,7 @@ def train(
     step. An observer must not change world; it forms any student arrays
     it reads itself, as measure_snr does.
     """
-    config = world.config
+    config, base = world.config, world.step
     t_total = config.steps
     switch_step = 0
     if config.loss_direction == "two_stage":
@@ -641,46 +635,37 @@ def train(
         switch_step = min(max(switch_step, 1), t_total - 1)
     interval = config.recompute_interval or t_total
     starts = {0, switch_step, *range(interval, t_total, interval)}
-    sweeps = sorted({*starts, *range(0, t_total, config.eval_interval), t_total})
-
-    base = world.step
+    grid = {*range(0, t_total, config.eval_interval), t_total}
+    sweeps = sorted(starts | grid)
     recompute_steps: list[int] = []
     rows: list[CheckpointRow] = []
-    scratch = _scratch(world)
-    live = None
+    scratch, live = _scratch(world), None
 
-    for local in range(t_total + 1):
-        direction = _direction_at(config, min(local, t_total - 1), switch_step)
-        needs_recompute = local in starts
-        checkpoint = local % config.eval_interval == 0 or local == t_total
-        if needs_recompute or checkpoint:
-            plan = None  # the last plan's draws go before the sweep
-            purposes = ("rollout",) * needs_recompute + ("eval",) * checkpoint
-            counts, kl = _sweep(world, scratch, config.rollout_count, purposes,
-                                direction if checkpoint else None)
-        if needs_recompute:
+    for start, stop in zip(sweeps, [*sweeps[1:], t_total + 1]):
+        updates = None  # the last interval's draws and columns go before the sweep
+        direction = config.loss_direction
+        if direction == "two_stage":
+            direction = "forward" if start < switch_step else "reverse"
+        recompute, checkpoint = start in starts, start in grid
+        counts, kl = _sweep(world, scratch, config.rollout_count,
+                            ("rollout",) * recompute + ("eval",) * checkpoint,
+                            direction if checkpoint else None)
+        if recompute:
             weights = _weights(world, counts["rollout"])
             if config.batch_size is None:
                 cols = slice(None) if weights.all() else np.flatnonzero(weights)
                 live = None  # drop the last recompute's columns first
                 live = _live(world, weights, cols, direction, scratch)
             recompute_steps.append(world.step)
-
         if checkpoint:
             rows.append(_checkpoint(world, weights, direction, counts["eval"], kl))
-        if observe is not None:
-            observe(world, direction, weights, counts["rollout"] if needs_recompute else None)
 
-        if local == t_total:
-            break
-
-        if plan is None:
-            stop = next(s for s in sweeps if s > local)
-            plan = _plan(world, weights, direction, scratch, range(world.step, base + stop), live)
-        _descend(world, weights, direction, scratch, plan)
-        if not np.isfinite(world.theta).all():
-            raise NumericError(f"theta is not finite after the update at step {world.step}")
-        world.step = base + local + 1
+        updates = _updates(world, weights, direction, scratch, live, range(world.step, base + stop))
+        for local in range(start, stop):
+            if observe is not None:  # a recompute's counts go to its own step alone
+                observe(world, direction, weights, counts.pop("rollout", None))
+            if local < t_total:
+                next(updates)
 
     return SimMetrics(
         rows=tuple(rows),

@@ -384,7 +384,9 @@ def load_sim_config(text: str, overrides: dict[str, object] | None = None) -> Si
     values, verbatim: None forces an optional field to None)."""
     # No section header can hold a newline, so a file's [DEFAULT] is an
     # ordinary, unknown section instead of defaults copied into every section.
-    parser = configparser.ConfigParser(default_section="\n")
+    # A value is read as written, % and all, less a " ;" comment.
+    parser = configparser.ConfigParser(default_section="\n", interpolation=None,
+                                       inline_comment_prefixes=(";",))
     try:
         parser.read_string(text)
     except configparser.Error as exc:

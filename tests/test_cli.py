@@ -506,7 +506,7 @@ class TestSimulate:
             table = load_gradient_records(f)
         assert table.gradients.shape == (12, 5 * 6)
 
-    def test_repeated_dump_step_writes_one_file_each(self, tmp_path, capsys):
+    def test_each_distinct_dump_step_writes_its_own_file(self, tmp_path, capsys):
         prefix = str(tmp_path / "dump_")
         args = ["simulate", "--config", str(self._cfg(tmp_path)), "--dump-gradients", prefix,
                 "--dump-step", "0", "--dump-step", "3"]

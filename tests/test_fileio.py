@@ -783,6 +783,20 @@ eval_interval = 10
         with pytest.raises(ConfigError, match=r"'steps'.*\[training\]"):
             load_sim_config("[training]\nsteps = soon\n")
 
+    @pytest.mark.parametrize(
+        "text, raw",
+        [("[world]\nseed = 5%\n", "5%"),
+         ("[world]\nseed = 3\nnum_problems = %(seed)s0\n", "%(seed)s0")],
+        ids=["lone_percent", "interpolation_syntax"],
+    )
+    def test_percent_is_read_verbatim(self, text, raw):
+        # configparser's default interpolation raised its own error on the
+        # first and silently loaded num_problems = 30 from the second.
+        key = "seed" if raw == "5%" else "num_problems"
+        want = f"config key '{key}' in [world]: cannot parse '{raw}' as int"
+        with pytest.raises(ConfigError, match=f"^{re.escape(want)}$"):
+            load_sim_config(text)
+
     def test_nonfinite_value(self):
         with pytest.raises(ConfigError, match="finite"):
             load_sim_config("[world]\ndifficulty_spread = inf\n")
@@ -821,12 +835,6 @@ def _readme_block(language: str) -> str:
     return readme.split(f"```{language}\n", 1)[1].split("```", 1)[0]
 
 
-def _readme_ini() -> str:
-    """The README's ```ini block with its ; comments stripped."""
-    block = _readme_block("ini")
-    return "\n".join(line.split(";", 1)[0].rstrip() for line in block.splitlines())
-
-
 def test_readme_library_example_runs(capsys):
     exec(compile(_readme_block("python"), "README.md", "exec"), {})
     assert capsys.readouterr().out
@@ -841,11 +849,12 @@ class TestConfigSchema:
         assert {f.type for f in dataclasses.fields(SimConfig)} <= fileio._CASTERS.keys()
 
     @pytest.mark.parametrize(
-        "text", [_GOLDEN_CFG.read_text(encoding="utf-8"), _readme_ini()],
+        "text", [_GOLDEN_CFG.read_text(encoding="utf-8"), _readme_block("ini")],
         ids=["golden.cfg", "README"],
     )
     def test_names_every_key_once_and_loads_to_defaults(self, text):
-        # A strict parser rejects a key repeated within a section.
+        # A strict parser rejects a key repeated within a section. The
+        # README's block is loaded as written, ; comments and all.
         parser = configparser.ConfigParser()
         parser.read_string(text)
         named = [(section, key) for section in parser.sections() for key in parser[section]]

@@ -33,18 +33,16 @@ from zpdistill.distill_sim import (
     train,
 )
 from zpdistill.distill_sim import (
-    _descend,
     _diffs,
-    _direction_at,
     _draws,
     _kl_rows,
     _live,
-    _plan,
     _Probs,
     _sampled_reverse_diffs,
     _scratch,
     _step_probs,
     _sweep,
+    _updates,
     _weights,
 )
 from zpdistill.numerics import key_uniforms, label_keys, label_tokens, log_softmax, stream
@@ -152,6 +150,12 @@ def _old_measure_snr(world, direction):
     return GradientTable(world.problem_ids, counts / k, grads.reshape(len(counts), -1))
 
 
+def _old_direction_at(config, local_step, switch_step):
+    if config.loss_direction != "two_stage":
+        return config.loss_direction
+    return "forward" if local_step < switch_step else "reverse"
+
+
 def _old_train(world, dump_steps=()):
     """The earlier train, with its SNR dumps at dump_steps: (metrics, dumps)."""
     config = world.config
@@ -164,7 +168,7 @@ def _old_train(world, dump_steps=()):
     base = world.step
     recompute_steps, rows, dumps = [], [], {}
     for local in range(t_total + 1):
-        direction = _direction_at(config, min(local, t_total - 1), switch_step)
+        direction = _old_direction_at(config, min(local, t_total - 1), switch_step)
         needs_recompute = (
             local == 0
             or (
@@ -484,14 +488,14 @@ def _greedy_passes(widths, cap):
     return passes + [sum(group)] * bool(group)
 
 
-# Edges of the update plan. At 6 samples a key is 8 Philox words.
+# Edges of the update intervals. At 6 samples a key is 8 Philox words.
 _PLAN_EDGES = {
     # A pass of 6 keys: steps of 7 live columns draw alone, 3 + 3 share one.
     "step_wider_than_a_pass": (
         {"loss_direction": "reverse", "reverse_kl_samples": 6, "batch_size": 12,
          "eval_interval": 9}, 48,
     ),
-    # No recompute and no checkpoint before the end: one plan for the run.
+    # No recompute and no checkpoint before the end: one interval for the run.
     "one_plan_for_the_run": (
         {"loss_direction": "reverse", "reverse_kl_samples": 6, "batch_size": 12,
          "eval_interval": 9}, None,
@@ -546,6 +550,51 @@ def test_update_plan_edges_match_old_per_step_path(monkeypatch, name):
         assert intervals.count([0]) == 5 and len(passes) == 4
     if name == "full_batch":
         assert passes == [(320, 6), (320, 6), (80, 6)]
+
+
+# Edges of the sweep schedule at N = 40, over the 9 steps of _BASE unless
+# set: (overrides, recompute steps, checkpoint steps).
+_SCHEDULE_EDGES = {
+    "eval_interval_past_the_end": ({"eval_interval": 12}, (0,), (0, 9)),
+    "recompute_interval_past_the_end": ({"recompute_interval": 12}, (0,), (0, 4, 8, 9)),
+    "recompute_every_step": (
+        {"recompute_interval": 1, "loss_direction": "reverse", "reverse_kl_samples": 3},
+        tuple(range(9)), (0, 4, 8, 9),
+    ),
+    "switch_on_the_grid": (
+        {"loss_direction": "two_stage", "steps": 8, "reverse_kl_samples": 3, "batch_size": 15},
+        (0, 4), (0, 4, 8),
+    ),
+    "switch_off_the_grid": (
+        {"loss_direction": "two_stage", "steps": 8, "stage1_fraction": 0.4,
+         "reverse_kl_samples": 3, "batch_size": 15}, (0, 3), (0, 4, 8),
+    ),
+    "two_stage_two_steps": ({"loss_direction": "two_stage", "steps": 2}, (0, 1), (0, 2)),
+    "sampled_reverse_batch": (
+        {"loss_direction": "reverse", "reverse_kl_samples": 4, "batch_size": 15,
+         "scheme": "hard"}, (0,), (0, 4, 8, 9),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SCHEDULE_EDGES))
+def test_schedule_edges_match_old_per_step_path(name):
+    overrides, recomputes, checkpoints = _SCHEDULE_EDGES[name]
+    cfg = dataclasses.replace(_BASE, num_problems=40, **overrides)
+    w_new, w_old = build_world(cfg), build_world(cfg)
+    seen, dumps = [], {}
+
+    def observe(world, direction, weights, counts):
+        seen.append((world.step, counts is not None))
+        dumps[world.step] = measure_snr(world, direction)
+
+    metrics = train(w_new, observe=observe)
+    # One call per step 0..steps, in order, with counts at a recompute alone.
+    assert seen == [(step, step in recomputes) for step in range(cfg.steps + 1)]
+    assert metrics.recompute_steps == recomputes
+    assert tuple(row.step for row in metrics.rows) == checkpoints
+    everything = range(cfg.steps + 1)
+    _assert_same_run(w_new, (metrics, dumps), w_old, _old_train(w_old, everything))
 
 
 def test_sampled_reverse_rows_of_a_subset_equal_the_full_rows():
@@ -734,8 +783,7 @@ def test_live_row_product_equals_the_zero_filled_product(n, batch_size, zero_sha
     if batch_size is None:
         cols = slice(None) if weights.all() else np.flatnonzero(weights)
         kept = _live(world, weights, cols, "forward", scratch)
-    plan = _plan(world, weights, "forward", scratch, range(world.step, world.step + 1), kept)
-    _descend(world, weights, "forward", scratch, plan)
+    next(_updates(world, weights, "forward", scratch, kept, range(world.step, world.step + 1)))
     assert np.array_equal(world.theta, want)
 
 
@@ -884,7 +932,10 @@ def test_build_world_peak_allocation_is_a_few_arrays():
 # per step), in a pass of 4 096 keys; holding every step's rows from the
 # sweep peaked at 4.06, and 8.26 at 400 steps. Full-batch
 # sampled reverse at 16 samples peaks at 4.85 (4.78 drawing per block), in
-# the sample gathers; with the block's pass still held there, 5.35.
+# the sample gathers; with the block's pass still held there, 5.35. A
+# full-batch recompute every 2 steps at N = 20 000 peaks at 2.78; building
+# the new nonzero columns while the last interval's updates still held the
+# old ones peaked at 4.06.
 _PEAK_BOUND = {
     "forward": ({}, 4.25),
     "reverse": ({"loss_direction": "reverse"}, 4.25),
@@ -911,6 +962,7 @@ _PEAK_BOUND = {
         {"loss_direction": "reverse", "reverse_kl_samples": 16, "batch_size": 200,
          "steps": 24, "eval_interval": 24}, 2.25,
     ),
+    "forward_recompute_n20000": ({"num_problems": 20000, "recompute_interval": 2}, 3.0),
 }
 
 
