@@ -43,7 +43,6 @@ from .robustness import (
 )
 from .snr_profile import (
     GradientTable,
-    SnrBin,
     SnrProfile,
     bell_shape_score,
     compute_snr_bins,
@@ -105,7 +104,6 @@ __all__ = [
     "gamma_from_signal",
     "smoothness_constant",
     "GradientTable",
-    "SnrBin",
     "SnrProfile",
     "compute_snr_bins",
     "normalize_profile",

@@ -2,10 +2,10 @@
 
 Every subcommand is a thin adapter: parse flags, read input files, call the
 library, write output. Data tables go to stdout (or --out); progress notes
-and reports go to stderr so piped output stays machine-readable. Any failure
-prints a single ``error: ...`` line to stderr and exits nonzero. main builds
-only the invoked subcommand's parser, and every subcommand's parser when
-its first argument names none of them.
+and reports go to stderr so piped output stays machine-readable. Any failure,
+running out of memory included, prints a single ``error: ...`` line to
+stderr and exits nonzero. main builds only the invoked subcommand's parser,
+and every subcommand's parser when its first argument names none of them.
 """
 
 from __future__ import annotations
@@ -422,7 +422,8 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser(command).parse_args(argv)
     try:
         args.func(args)
-    except (ZpdistillError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ZpdistillError, OSError, MemoryError) as exc:
+        # A MemoryError raised by the interpreter itself carries no message.
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
     return 0

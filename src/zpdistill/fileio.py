@@ -14,9 +14,9 @@ byte-identical files.
   pass_rate outside [0, 1] is a format error; the writer refuses a gradient
   whose 10-digit rendering would parse as inf.
 - SNR profiles: CSV with header bin_lo,bin_hi,mean_p,count,snr,snr_norm,
-  theory_norm; undefined values are empty fields. The loader rejects a
-  mean_p outside [0, 1] and a negative or non-finite snr; the writer
-  refuses an snr whose 10-digit rendering would parse as inf.
+  theory_norm; undefined values, NaN in a profile, are empty fields. The
+  loader rejects a mean_p outside [0, 1] and a negative or non-finite snr;
+  the writer refuses an snr whose 10-digit rendering would parse as inf.
 - Weight tables: CSV with header problem_id,p,w,w_norm, written from arrays.
 - Simulation metrics: CSV, one checkpoint per row.
 - Simulation configs: INI-style sections [world], [rollouts], [weighting],
@@ -61,8 +61,8 @@ def fmt(x: float) -> str:
     return f"{x:.10g}"
 
 
-def _opt(x: float | None) -> str:
-    return "" if x is None else fmt(x)
+def _opt(x: float) -> str:
+    return "" if math.isnan(x) else fmt(x)
 
 
 # json.loads less its per-call wrapper; load_rollouts repeats the checks
@@ -266,21 +266,16 @@ _PROFILE_HEADER = "bin_lo,bin_hi,mean_p,count,snr,snr_norm,theory_norm"
 
 
 def write_profile(f: IO[str], profile: SnrProfile) -> None:
-    """Write a profile; refuses, before writing, any snr whose 10-digit
-    rendering would parse back as inf."""
-    snr = np.array([b.snr or 0.0 for b in profile.bins])
-    _refuse_inf_renderings(snr, "bin", range(len(snr)))
+    """Write a profile, a NaN as an empty field; refuses, before writing,
+    any snr whose 10-digit rendering would parse back as inf."""
+    _refuse_inf_renderings(profile.snr, "bin", range(len(profile.snr)))
     f.write(_PROFILE_HEADER + "\n")
-    for b in profile.bins:
-        fields = [
-            fmt(b.lo),
-            fmt(b.hi),
-            _opt(b.mean_p),
-            str(b.count),
-            _opt(b.snr),
-            _opt(b.snr_norm),
-            _opt(b.theory_norm),
-        ]
+    columns = (profile.mean_p, profile.count, profile.snr, profile.snr_norm,
+               profile.theory_norm)
+    rows = zip(profile.edges[:-1].tolist(), profile.edges[1:].tolist(),
+               *(c.tolist() for c in columns))
+    for lo, hi, mean_p, count, *rest in rows:
+        fields = [fmt(lo), fmt(hi), _opt(mean_p), str(count), *map(_opt, rest)]
         f.write(",".join(fields) + "\n")
 
 

@@ -7,11 +7,13 @@ closed) and each bin reports
 
     snr = ||mean gradient|| / sqrt(mean ||g_i - mean||^2)
 
-with a population variance in the denominator. Bins can be undefined two
-ways: empty (count 0, no values at all) or degenerate (all gradients in the
-bin identical, zero spread). Undefined SNRs are excluded from the empirical
-normalization maximum; empty bins are excluded from the theoretical one as
-well, since they have no mean pass rate to evaluate.
+with a population variance in the denominator. A profile is a set of
+per-bin arrays (SnrProfile), with NaN for a value that is undefined, which
+fileio writes as an empty field. Bins can be undefined two ways: empty
+(count 0, NaN mean_p and snr) or degenerate (all gradients in the bin
+identical, zero spread: NaN snr). Undefined SNRs are excluded from the
+empirical normalization maximum; empty bins are excluded from the
+theoretical one as well, since they have no mean pass rate to evaluate.
 
 The theoretical curve is sqrt(mean_p (1 - mean_p)) per bin, normalized by
 its own maximum, evaluated at bin mean pass rates rather than bin centers.
@@ -29,7 +31,6 @@ from .passrate import bin_indices, equal_edges
 
 __all__ = [
     "GradientTable",
-    "SnrBin",
     "SnrProfile",
     "compute_snr_bins",
     "normalize_profile",
@@ -80,31 +81,21 @@ class GradientTable:
 
 
 @dataclass(frozen=True)
-class SnrBin:
-    """One pass-rate bin of an SNR profile.
+class SnrProfile:
+    """An SNR profile over B pass-rate bins, as per-bin arrays.
 
-    snr is None when the bin is empty or degenerate; mean_p is None only
-    when the bin is empty. Normalized fields stay None until
-    normalize_profile runs.
+    edges (B+1,) bound the bins and count (B,) holds their sizes. mean_p,
+    snr, snr_norm and theory_norm (B,) are NaN where undefined: an empty bin
+    has no mean_p and no snr, a degenerate bin no snr. snr_norm and
+    theory_norm stay NaN until normalize_profile sets them.
     """
 
-    lo: float
-    hi: float
-    mean_p: float | None
-    count: int
-    snr: float | None
-    degenerate: bool = False
-    snr_norm: float | None = None
-    theory_norm: float | None = None
-
-
-@dataclass(frozen=True)
-class SnrProfile:
-    bins: tuple[SnrBin, ...]
-
-    @property
-    def num_bins(self) -> int:
-        return len(self.bins)
+    edges: np.ndarray
+    count: np.ndarray
+    mean_p: np.ndarray
+    snr: np.ndarray
+    snr_norm: np.ndarray
+    theory_norm: np.ndarray
 
 
 def compute_snr_bins(table: GradientTable, num_bins: int) -> SnrProfile:
@@ -112,57 +103,36 @@ def compute_snr_bins(table: GradientTable, num_bins: int) -> SnrProfile:
     ps, grads = table.p, table.gradients
     edges = np.asarray(equal_edges(num_bins))
     idx = bin_indices(ps, edges)
-
-    bins: list[SnrBin] = []
-    for j in range(num_bins):
+    count = np.bincount(idx, minlength=num_bins)
+    mean_p, snr = np.full(num_bins, math.nan), np.full(num_bins, math.nan)
+    for j in np.flatnonzero(count):
         mask = idx == j
-        lo, hi = float(edges[j]), float(edges[j + 1])
-        count = int(mask.sum())
-        if count == 0:
-            bins.append(SnrBin(lo=lo, hi=hi, mean_p=None, count=0, snr=None))
-            continue
         g = grads[mask]  # the bin's one copy: its deviations are squared in place
         g_bar = g.mean(axis=0)
         signal = np.linalg.norm(g_bar)
         g -= g_bar
         g *= g
         spread_sq = float(np.mean(np.sum(g, axis=1)))
+        mean_p[j] = ps[mask].mean()
         # Zero spread (identical gradients) leaves the bin's SNR undefined.
-        snr = float(signal / math.sqrt(spread_sq)) if spread_sq else None
-        bins.append(
-            SnrBin(lo=lo, hi=hi, mean_p=float(ps[mask].mean()), count=count,
-                   snr=snr, degenerate=snr is None)
-        )
-    return SnrProfile(bins=tuple(bins))
-
-
-def _theory_value(mean_p: float) -> float:
-    return math.sqrt(mean_p * (1.0 - mean_p))
+        if spread_sq:
+            snr[j] = signal / math.sqrt(spread_sq)
+    unset = np.full(num_bins, math.nan)
+    return SnrProfile(edges, count, mean_p, snr, unset, unset.copy())
 
 
 def normalize_profile(profile: SnrProfile) -> SnrProfile:
     """Divide empirical and theoretical bin values by their own maxima."""
-    defined = [b.snr for b in profile.bins if b.snr is not None and b.count > 0]
-    if not defined:
+    if np.isnan(profile.snr).all():
         raise DegenerateInputError("no bin has a defined SNR")
-    snr_max = max(defined)
+    snr_max = np.nanmax(profile.snr)
     if snr_max <= 0.0:
         raise DegenerateInputError("all defined SNR values are zero")
-    theory_values = [
-        _theory_value(b.mean_p) for b in profile.bins if b.mean_p is not None
-    ]
-    theory_max = max(theory_values)
+    theory = np.sqrt(profile.mean_p * (1.0 - profile.mean_p))
+    theory_max = np.nanmax(theory)
     if theory_max <= 0.0:
         raise DegenerateInputError("all theoretical bin values are zero")
-
-    out = []
-    for b in profile.bins:
-        snr_norm = None if b.snr is None else b.snr / snr_max
-        theory_norm = (
-            None if b.mean_p is None else _theory_value(b.mean_p) / theory_max
-        )
-        out.append(replace(b, snr_norm=snr_norm, theory_norm=theory_norm))
-    return SnrProfile(bins=tuple(out))
+    return replace(profile, snr_norm=profile.snr / snr_max, theory_norm=theory / theory_max)
 
 
 def bell_shape_score(profile: SnrProfile) -> tuple[bool, float]:
@@ -172,27 +142,21 @@ def bell_shape_score(profile: SnrProfile) -> tuple[bool, float]:
     > 0.8. The ratio is scale-invariant, so an un-normalized profile is
     normalized internally first.
     """
-    n_defined = sum(1 for b in profile.bins if b.snr is not None)
+    defined = ~np.isnan(profile.snr)
+    n_defined = int(defined.sum())
     if n_defined < 3:
         raise InsufficientDataError(
             f"bell_shape_score needs >= 3 defined bins, got {n_defined}"
         )
-    if any(b.snr is not None and b.snr_norm is None for b in profile.bins):
+    if np.isnan(profile.snr_norm[defined]).any():
         profile = normalize_profile(profile)
 
-    mid = [
-        b.snr_norm
-        for b in profile.bins
-        if b.snr_norm is not None and b.mean_p is not None and 0.35 <= b.mean_p <= 0.65
-    ]
-    edge = [
-        b.snr_norm
-        for b in profile.bins
-        if b.snr_norm is not None
-        and b.mean_p is not None
-        and (b.mean_p < 0.2 or b.mean_p > 0.8)
-    ]
-    if not mid or not edge:
+    # A NaN mean_p fails every comparison, so empty bins fall in neither group.
+    mean_p, heights = profile.mean_p, profile.snr_norm
+    has_height = ~np.isnan(heights)
+    mid = heights[has_height & (0.35 <= mean_p) & (mean_p <= 0.65)]
+    edge = heights[has_height & ((mean_p < 0.2) | (mean_p > 0.8))]
+    if not mid.size or not edge.size:
         raise InsufficientDataError(
             "bell_shape_score needs at least one mid bin (mean_p in [0.35, 0.65]) "
             "and one edge bin (mean_p < 0.2 or > 0.8)"

@@ -213,10 +213,10 @@ def test_ac05_theory_normalization():
         [[1.0, 0.0], [0.0, 1.0], [2.0, 0.0], [0.0, 2.0], [3.0, 1.0], [3.0, -1.0]],
     )
     profile = normalize_profile(compute_snr_bins(table, num_bins=10))
-    by_lo = {round(b.lo, 3): b for b in profile.bins}
-    err_01 = abs(by_lo[0.1].theory_norm - 0.6)
-    err_02 = abs(by_lo[0.2].theory_norm - 0.8)
-    err_05 = abs(by_lo[0.5].theory_norm - 1.0)
+    by_lo = dict(zip(np.round(profile.edges[:-1], 3).tolist(), profile.theory_norm))
+    err_01 = abs(by_lo[0.1] - 0.6)
+    err_02 = abs(by_lo[0.2] - 0.8)
+    err_05 = abs(by_lo[0.5] - 1.0)
     elapsed = time.perf_counter() - t0
     worst = max(err_01, err_02, err_05)
     ok = worst <= 1e-12 and elapsed < 1.0

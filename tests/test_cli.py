@@ -1,6 +1,7 @@
 import argparse
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -9,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import zpdistill
 from zpdistill import cli, fileio
 from zpdistill.cli import _COMMANDS, _OVERRIDES, _build_parser, main
 from zpdistill.distill_sim import SimConfig, build_world
@@ -370,6 +372,26 @@ class TestSnrProfile:
     def test_missing_file_is_error(self, tmp_path, capsys):
         assert main(["snr-profile", str(tmp_path / "nope.csv")]) == 1
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("message, want", [
+        ("Unable to allocate 14.9 GiB for an array with shape (2000000001,) and data "
+         "type float64", "error: Unable to allocate 14.9 GiB for an array with shape "
+         "(2000000001,) and data type float64"),
+        ("", "error: MemoryError"),
+    ], ids=["numpy", "bare"])
+    def test_out_of_memory_is_one_error_line(self, tmp_path, capsys, monkeypatch,
+                                             message, want):
+        # The binning raises as numpy does for --bins 2000000000, allocating nothing.
+        def exhausted(table, num_bins):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, "compute_snr_bins", exhausted)
+        path = _gradient_csv(tmp_path, [("a", 0.5, (1.0,))])
+        out = tmp_path / "profile.csv"
+        argv = ["snr-profile", str(path), "--bins", "2000000000", "--out", str(out)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.splitlines() == [want]
+        assert not out.exists()
 
 
 class TestFitSnr:
@@ -738,11 +760,20 @@ class TestParser:
 
 
 def test_module_entry_point_subprocess():
+    # The child imports the package under test, wherever pytest found it.
+    package = Path(zpdistill.__file__).resolve()
+    env = {**os.environ, "PYTHONPATH": str(package.parent.parent)}
+    res = subprocess.run(
+        [sys.executable, "-c", "import zpdistill; print(zpdistill.__file__)"],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert Path(res.stdout.strip()).resolve() == package
     res = subprocess.run(
         [sys.executable, "-m", "zpdistill", "robustness"],
         capture_output=True,
         text=True,
         timeout=60,
+        env=env,
     )
     assert res.returncode == 0
     assert res.stdout.startswith("delta,ratio_lo,ratio_hi,sech,worst_case_efficiency")
@@ -751,6 +782,7 @@ def test_module_entry_point_subprocess():
         capture_output=True,
         text=True,
         timeout=60,
+        env=env,
     )
     assert res.returncode == 0
     listed = re.findall(r"^    (\S+)", res.stdout, flags=re.M)

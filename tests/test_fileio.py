@@ -32,7 +32,6 @@ from zpdistill.fileio import (
 from zpdistill.passrate import RolloutTable
 from zpdistill.snr_profile import (
     GradientTable,
-    SnrBin,
     SnrProfile,
     compute_snr_bins,
     normalize_profile,
@@ -510,6 +509,13 @@ def _profile_with_gaps():
     return compute_snr_bins(table, num_bins=5)
 
 
+def _profile(edges, count, mean_p, snr, snr_norm=None, theory_norm=None):
+    """A profile built from per-bin values, NaN where undefined."""
+    unset = [math.nan] * len(count)
+    columns = (edges, count, mean_p, snr, snr_norm or unset, theory_norm or unset)
+    return SnrProfile(*map(np.asarray, columns))
+
+
 class TestProfileIo:
     def test_write_shape(self):
         buf = io.StringIO()
@@ -537,15 +543,15 @@ class TestProfileIo:
         # 1.7976931345e308 is the smallest double rendered as 1.797693135e+308,
         # which parses to inf; the double below it renders as a finite number.
         below = np.nextafter(1.7976931345e308, 0.0)
-        ok = SnrProfile((SnrBin(0.0, 0.5, 0.25, 2, 1.0), SnrBin(0.5, 1.0, 0.75, 2, below)))
+        ok = _profile([0.0, 0.5, 1.0], [2, 2], [0.25, 0.75], [1.0, below])
         buf = io.StringIO()
         write_profile(buf, ok)
         assert load_profile_points(buf.getvalue().splitlines())[1][1] < math.inf
         for big in (1.7976931345e308, np.finfo(float).max):
-            bins = (SnrBin(0.0, 0.5, None, 0, None), SnrBin(0.5, 1.0, 0.75, 2, big))
+            bad = _profile([0.0, 0.5, 1.0], [0, 2], [math.nan, 0.75], [math.nan, big])
             buf = io.StringIO()
             with pytest.raises(DomainError, match="bin 1:"):
-                write_profile(buf, SnrProfile(bins))
+                write_profile(buf, bad)
             assert buf.getvalue() == ""
 
     def test_load_points_drops_boundary_mean_p(self):
@@ -577,42 +583,47 @@ _finite = st.floats(allow_nan=False, allow_infinity=False)
 _unit = st.floats(0.0, 1.0)
 
 
+@st.composite
+def _profiles(draw):
+    """Profiles of 0 to 6 bins with arbitrary values, NaN where undefined."""
+    n = draw(st.integers(0, 6))
+
+    def column(values):
+        return draw(st.lists(values, min_size=n, max_size=n))
+
+    nan = st.just(math.nan)
+    return _profile(
+        draw(st.lists(_finite, min_size=n + 1, max_size=n + 1)),
+        column(st.integers(0, 10**9)),
+        column(nan | _unit),
+        column(nan | st.floats(0.0, allow_infinity=False)),
+        column(nan | _finite),
+        column(nan | _finite),
+    )
+
+
 class TestProfileProperties:
     @settings(max_examples=100, deadline=None)
-    @given(
-        st.lists(
-            st.builds(
-                SnrBin,
-                lo=_finite,
-                hi=_finite,
-                mean_p=st.none() | _unit,
-                count=st.integers(0, 10**9),
-                snr=st.none() | st.floats(0.0, allow_infinity=False),
-                snr_norm=st.none() | _finite,
-                theory_norm=st.none() | _finite,
-            ),
-            max_size=6,
-        )
-    )
-    def test_round_trip_at_ten_digits(self, bins):
+    @given(_profiles())
+    def test_round_trip_at_ten_digits(self, profile):
         buf = io.StringIO()
+        snr = profile.snr.tolist()
         overflow = [
-            i for i, b in enumerate(bins)
-            if b.snr is not None and math.isinf(float(fmt(b.snr)))
+            i for i, s in enumerate(snr) if not math.isnan(s) and math.isinf(float(fmt(s)))
         ]
         if overflow:
             # An snr within 10 digits of the float maximum renders as a
             # number that parses to inf; the writer refuses the profile.
             with pytest.raises(DomainError, match=f"bin {overflow[0]}:"):
-                write_profile(buf, SnrProfile(tuple(bins)))
+                write_profile(buf, profile)
             assert buf.getvalue() == ""
             return
-        write_profile(buf, SnrProfile(tuple(bins)))
+        write_profile(buf, profile)
         lines = buf.getvalue().splitlines()
         defined = [
-            (float(fmt(b.mean_p)), float(fmt(b.snr)))
-            for b in bins
-            if b.mean_p is not None and b.snr is not None
+            (float(fmt(p)), float(fmt(s)))
+            for p, s in zip(profile.mean_p.tolist(), snr)
+            if not (math.isnan(p) or math.isnan(s))
         ]
         want = [(p, s) for p, s in defined if 0.0 < p < 1.0]
         assert load_profile_points(lines) == want

@@ -1,10 +1,14 @@
+import io
 import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from zpdistill.errors import DegenerateInputError, DomainError, InsufficientDataError
+from zpdistill.fileio import _PROFILE_HEADER, _refuse_inf_renderings, fmt, write_profile
+from zpdistill.passrate import bin_indices, equal_edges
 from zpdistill.snr_profile import (
     GradientTable,
     SnrProfile,
@@ -23,9 +27,10 @@ def _table(records) -> GradientTable:
     return GradientTable(ids, np.array(ps), np.array(grads, dtype=float))
 
 
-def _bin_with(profile: SnrProfile, lo: float):
-    (b,) = [b for b in profile.bins if b.lo == pytest.approx(lo)]
-    return b
+def _bin_with(profile: SnrProfile, lo: float) -> int:
+    """Index of the bin whose lower edge is lo."""
+    (j,) = np.flatnonzero(np.isclose(profile.edges[:-1], lo))
+    return j
 
 
 class TestGradientTable:
@@ -64,15 +69,16 @@ class TestComputeSnrBins:
             _rec("d", 0.9, (4.0, 0.0)),
         ]
         profile = compute_snr_bins(_table(records), num_bins=2)
-        low, high = profile.bins
+        assert profile.edges.tolist() == [0.0, 0.5, 1.0]
+        assert profile.count.dtype.kind == "i" and profile.count.tolist() == [2, 2]
         # Low bin: mean (0.5, 0.5), each point 0.5 away squared -> spread 0.5.
-        assert low.count == 2
-        assert low.mean_p == pytest.approx(0.1)
-        assert low.snr == pytest.approx(math.sqrt(0.5) / math.sqrt(0.5), abs=1e-15)
+        assert profile.mean_p[0] == pytest.approx(0.1)
+        assert profile.snr[0] == pytest.approx(math.sqrt(0.5) / math.sqrt(0.5), abs=1e-15)
         # High bin: mean (3, 0), spread 1, norm 3.
-        assert high.count == 2
-        assert high.mean_p == pytest.approx(0.75)
-        assert high.snr == pytest.approx(3.0, abs=1e-14)
+        assert profile.mean_p[1] == pytest.approx(0.75)
+        assert profile.snr[1] == pytest.approx(3.0, abs=1e-14)
+        # Normalized values stay undefined until normalize_profile runs.
+        assert np.isnan(profile.snr_norm).all() and np.isnan(profile.theory_norm).all()
 
     def test_p_equal_one_lands_in_final_bin(self):
         records = [
@@ -82,9 +88,7 @@ class TestComputeSnrBins:
             _rec("d", 0.0, (5.0,)),
         ]
         profile = compute_snr_bins(_table(records), num_bins=4)
-        assert profile.bins[-1].count == 2
-        assert profile.bins[0].count == 2
-        assert all(b.count == 0 for b in profile.bins[1:-1])
+        assert profile.count.tolist() == [2, 0, 0, 2]
 
     def test_empty_bin_fields(self):
         records = [
@@ -94,11 +98,9 @@ class TestComputeSnrBins:
             _rec("d", 0.95, (4.0,)),
         ]
         profile = compute_snr_bins(_table(records), num_bins=3)
-        mid = profile.bins[1]
-        assert mid.count == 0
-        assert mid.mean_p is None
-        assert mid.snr is None
-        assert not mid.degenerate
+        assert profile.count[1] == 0
+        assert np.isnan(profile.mean_p[1])
+        assert np.isnan(profile.snr[1])
 
     def test_degenerate_bin_keeps_mean_p(self):
         records = [
@@ -108,11 +110,9 @@ class TestComputeSnrBins:
             _rec("d", 0.9, (0.0, 1.0)),
         ]
         profile = compute_snr_bins(_table(records), num_bins=2)
-        low = profile.bins[0]
-        assert low.degenerate
-        assert low.snr is None
-        assert low.mean_p == pytest.approx(0.125)
-        assert low.count == 2
+        assert np.isnan(profile.snr[0])
+        assert profile.mean_p[0] == pytest.approx(0.125)
+        assert profile.count[0] == 2
 
     def test_rotation_scale_permutation_invariance(self):
         rng = np.random.default_rng(5)
@@ -128,13 +128,10 @@ class TestComputeSnrBins:
         perm = rng.permutation(30)
         got = compute_snr_bins(_table([rotated[i] for i in perm]), num_bins=5)
 
-        for b_ref, b_got in zip(ref.bins, got.bins):
-            assert b_got.count == b_ref.count
-            if b_ref.snr is None:
-                assert b_got.snr is None
-            else:
-                assert b_got.snr == pytest.approx(b_ref.snr, rel=1e-12)
-                assert b_got.mean_p == pytest.approx(b_ref.mean_p, rel=1e-12)
+        assert np.array_equal(got.count, ref.count)
+        assert np.array_equal(np.isnan(got.snr), np.isnan(ref.snr))
+        np.testing.assert_allclose(got.snr, ref.snr, rtol=1e-12)
+        np.testing.assert_allclose(got.mean_p, ref.mean_p, rtol=1e-12)
 
     @settings(max_examples=50)
     @given(
@@ -145,7 +142,7 @@ class TestComputeSnrBins:
         records = [_rec(f"p{i}", p, (float(i), 1.0)) for i, p in enumerate(ps)]
         profile = compute_snr_bins(_table(records), num_bins=num_bins)
         want, _ = np.histogram(ps, bins=np.linspace(0.0, 1.0, num_bins + 1))
-        assert [b.count for b in profile.bins] == list(want)
+        assert profile.count.tolist() == want.tolist()
 
     def test_validation(self):
         # An empty or ragged table cannot be built (TestGradientTable), so
@@ -168,26 +165,26 @@ class TestNormalizeProfile:
 
     def test_max_is_exactly_one(self):
         norm = normalize_profile(self._profile())
-        snr_norms = [b.snr_norm for b in norm.bins if b.snr_norm is not None]
-        theory_norms = [b.theory_norm for b in norm.bins if b.theory_norm is not None]
-        assert max(snr_norms) == 1.0
-        assert max(theory_norms) == 1.0
+        assert np.nanmax(norm.snr_norm) == 1.0
+        assert np.nanmax(norm.theory_norm) == 1.0
 
     def test_theory_values_against_closed_form(self):
         # Bins at mean_p 0.2, 0.5, 0.9 with the max at 0.5 give
         # 2*sqrt(p(1-p)): 0.8, 1.0, 0.6.
         norm = normalize_profile(self._profile())
-        assert _bin_with(norm, 0.2).theory_norm == pytest.approx(0.8, abs=1e-12)
-        assert _bin_with(norm, 0.4).theory_norm == pytest.approx(1.0, abs=1e-12)
-        assert _bin_with(norm, 0.8).theory_norm == pytest.approx(0.6, abs=1e-12)
+        theory = norm.theory_norm
+        assert theory[_bin_with(norm, 0.2)] == pytest.approx(0.8, abs=1e-12)
+        assert theory[_bin_with(norm, 0.4)] == pytest.approx(1.0, abs=1e-12)
+        assert theory[_bin_with(norm, 0.8)] == pytest.approx(0.6, abs=1e-12)
 
     def test_ratios_preserved(self):
         profile = self._profile()
         norm = normalize_profile(profile)
-        raw = [(b.lo, b.snr) for b in profile.bins if b.snr is not None]
-        top = max(s for _, s in raw)
-        for lo, s in raw:
-            assert _bin_with(norm, lo).snr_norm == pytest.approx(s / top, rel=1e-14)
+        defined = ~np.isnan(profile.snr)
+        assert defined.sum() == 3
+        top = profile.snr[defined].max()
+        np.testing.assert_allclose(norm.snr_norm[defined], profile.snr[defined] / top,
+                                   rtol=1e-14)
 
     def test_empty_and_degenerate_stay_none(self):
         records = [
@@ -197,12 +194,9 @@ class TestNormalizeProfile:
             _rec("d", 0.9, (3.0,)),
         ]
         norm = normalize_profile(compute_snr_bins(_table(records), num_bins=5))
-        degen = norm.bins[0]
-        assert degen.snr_norm is None
-        assert degen.theory_norm is not None
-        empty = norm.bins[2]
-        assert empty.snr_norm is None
-        assert empty.theory_norm is None
+        # Bin 0 is degenerate, bin 2 empty.
+        assert np.isnan(norm.snr_norm[0]) and not np.isnan(norm.theory_norm[0])
+        assert np.isnan(norm.snr_norm[2]) and np.isnan(norm.theory_norm[2])
 
     def test_all_degenerate_rejected(self):
         records = [
@@ -296,3 +290,223 @@ class TestBellShapeScore:
         profile = _profile_from_heights([(0.1, 1.0), (0.25, 2.0), (0.9, 1.5)])
         with pytest.raises(InsufficientDataError, match="mid bin"):
             bell_shape_score(profile)
+
+
+# The record-based profile that the arrays replaced, kept verbatim as the
+# oracle of the array path: one SnrBin per bin, None where undefined.
+@dataclass(frozen=True)
+class _OldSnrBin:
+    lo: float
+    hi: float
+    mean_p: float | None
+    count: int
+    snr: float | None
+    degenerate: bool = False
+    snr_norm: float | None = None
+    theory_norm: float | None = None
+
+
+@dataclass(frozen=True)
+class _OldSnrProfile:
+    bins: tuple[_OldSnrBin, ...]
+
+
+def _old_compute_snr_bins(table: GradientTable, num_bins: int) -> _OldSnrProfile:
+    ps, grads = table.p, table.gradients
+    edges = np.asarray(equal_edges(num_bins))
+    idx = bin_indices(ps, edges)
+
+    bins: list[_OldSnrBin] = []
+    for j in range(num_bins):
+        mask = idx == j
+        lo, hi = float(edges[j]), float(edges[j + 1])
+        count = int(mask.sum())
+        if count == 0:
+            bins.append(_OldSnrBin(lo=lo, hi=hi, mean_p=None, count=0, snr=None))
+            continue
+        g = grads[mask]
+        g_bar = g.mean(axis=0)
+        signal = np.linalg.norm(g_bar)
+        g -= g_bar
+        g *= g
+        spread_sq = float(np.mean(np.sum(g, axis=1)))
+        snr = float(signal / math.sqrt(spread_sq)) if spread_sq else None
+        bins.append(
+            _OldSnrBin(lo=lo, hi=hi, mean_p=float(ps[mask].mean()), count=count,
+                       snr=snr, degenerate=snr is None)
+        )
+    return _OldSnrProfile(bins=tuple(bins))
+
+
+def _old_theory_value(mean_p: float) -> float:
+    return math.sqrt(mean_p * (1.0 - mean_p))
+
+
+def _old_normalize_profile(profile: _OldSnrProfile) -> _OldSnrProfile:
+    defined = [b.snr for b in profile.bins if b.snr is not None and b.count > 0]
+    if not defined:
+        raise DegenerateInputError("no bin has a defined SNR")
+    snr_max = max(defined)
+    if snr_max <= 0.0:
+        raise DegenerateInputError("all defined SNR values are zero")
+    theory_values = [
+        _old_theory_value(b.mean_p) for b in profile.bins if b.mean_p is not None
+    ]
+    theory_max = max(theory_values)
+    if theory_max <= 0.0:
+        raise DegenerateInputError("all theoretical bin values are zero")
+
+    out = []
+    for b in profile.bins:
+        snr_norm = None if b.snr is None else b.snr / snr_max
+        theory_norm = (
+            None if b.mean_p is None else _old_theory_value(b.mean_p) / theory_max
+        )
+        out.append(replace(b, snr_norm=snr_norm, theory_norm=theory_norm))
+    return _OldSnrProfile(bins=tuple(out))
+
+
+def _old_bell_shape_score(profile: _OldSnrProfile) -> tuple[bool, float]:
+    n_defined = sum(1 for b in profile.bins if b.snr is not None)
+    if n_defined < 3:
+        raise InsufficientDataError(
+            f"bell_shape_score needs >= 3 defined bins, got {n_defined}"
+        )
+    if any(b.snr is not None and b.snr_norm is None for b in profile.bins):
+        profile = _old_normalize_profile(profile)
+
+    mid = [
+        b.snr_norm
+        for b in profile.bins
+        if b.snr_norm is not None and b.mean_p is not None and 0.35 <= b.mean_p <= 0.65
+    ]
+    edge = [
+        b.snr_norm
+        for b in profile.bins
+        if b.snr_norm is not None
+        and b.mean_p is not None
+        and (b.mean_p < 0.2 or b.mean_p > 0.8)
+    ]
+    if not mid or not edge:
+        raise InsufficientDataError(
+            "bell_shape_score needs at least one mid bin (mean_p in [0.35, 0.65]) "
+            "and one edge bin (mean_p < 0.2 or > 0.8)"
+        )
+    edge_mean = float(np.mean(edge))
+    if edge_mean == 0.0:
+        return True, math.inf
+    ratio = float(np.mean(mid)) / edge_mean
+    return ratio > 1.0, ratio
+
+
+def _old_opt(x: float | None) -> str:
+    return "" if x is None else fmt(x)
+
+
+def _old_write_profile(f, profile: _OldSnrProfile) -> None:
+    snr = np.array([b.snr or 0.0 for b in profile.bins])
+    _refuse_inf_renderings(snr, "bin", range(len(snr)))
+    f.write(_PROFILE_HEADER + "\n")
+    for b in profile.bins:
+        fields = [
+            fmt(b.lo),
+            fmt(b.hi),
+            _old_opt(b.mean_p),
+            str(b.count),
+            _old_opt(b.snr),
+            _old_opt(b.snr_norm),
+            _old_opt(b.theory_norm),
+        ]
+        f.write(",".join(fields) + "\n")
+
+
+def _outcome(fn, profile):
+    """fn(profile), or the type and message of the error it raises."""
+    try:
+        return fn(profile)
+    except (DegenerateInputError, InsufficientDataError) as exc:
+        return type(exc), str(exc)
+
+
+def _written(write, profile) -> str:
+    buf = io.StringIO()
+    write(buf, profile)
+    return buf.getvalue()
+
+
+def _assert_matches_oracle(table: GradientTable, num_bins: int) -> None:
+    """The array path writes the oracle's profile bytes, raw and normalized,
+    and gives its bell result, on a copy of the same table each."""
+    old, new = _old_compute_snr_bins(table, num_bins), compute_snr_bins(table, num_bins)
+    assert _written(write_profile, new) == _written(_old_write_profile, old)
+    degenerate = (new.count > 0) & np.isnan(new.snr)
+    assert degenerate.tolist() == [b.degenerate for b in old.bins]
+    old_norm = _outcome(_old_normalize_profile, old)
+    new_norm = _outcome(normalize_profile, new)
+    if isinstance(old_norm, _OldSnrProfile):
+        assert _written(write_profile, new_norm) == _written(_old_write_profile, old_norm)
+        assert _outcome(bell_shape_score, new_norm) == _outcome(_old_bell_shape_score, old_norm)
+    else:
+        assert new_norm == old_norm
+    assert _outcome(bell_shape_score, new) == _outcome(_old_bell_shape_score, old)
+
+
+_KINDS = ("empty", "degenerate", "zero_signal", "spread")
+
+
+@st.composite
+def _binned_tables(draw):
+    """(table, num_bins) at 2 to 50 bins, each bin empty, degenerate
+    (identical rows), zero-signal (rows +v and -v, mean exactly 0) or spread."""
+    num_bins = draw(st.integers(2, 50))
+    dim = draw(st.integers(1, 3))
+    edges = equal_edges(num_bins)
+    coord = st.floats(-8.0, 8.0, allow_subnormal=False)
+    row = st.lists(coord, min_size=dim, max_size=dim)
+    # Pass rates at a bin's lower edge or inside it.
+    where = st.sampled_from([0.0, 0.5]) | st.floats(0.0, 0.99)
+    ps, grads = [], []
+    for j in range(num_bins):
+        kind = draw(st.sampled_from(_KINDS))
+        if kind == "empty":
+            continue
+        if kind == "degenerate":
+            rows = [draw(row)] * draw(st.integers(1, 3))
+        elif kind == "zero_signal":
+            v = draw(row)
+            rows = [v, [-x for x in v]] * draw(st.integers(1, 2))
+        else:
+            rows = draw(st.lists(row, min_size=1, max_size=5))
+        ps += [edges[j] + (edges[j + 1] - edges[j]) * draw(where) for _ in rows]
+        grads += rows
+    if not ps:
+        ps, grads = [1.0], [[1.0] * dim]
+    ids = tuple(f"q{i}" for i in range(len(ps)))
+    return GradientTable(ids, ps, grads), num_bins
+
+
+class TestRecordOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(_binned_tables())
+    def test_array_path_matches_record_path(self, case):
+        _assert_matches_oracle(*case)
+
+    @pytest.mark.parametrize("num_bins", [2, 3, 5, 7, 10, 13, 50])
+    def test_every_kind_of_bin(self, num_bins):
+        # Bins from low to high: spread rows, then zero-signal, degenerate
+        # and empty ones, at the edges and in the middle of [0, 1].
+        rng = np.random.default_rng(num_bins)
+        ps = list(rng.uniform(0.0, 1.0, 400)) + [0.0, 0.0, 0.5, 0.5, 1.0, 1.0]
+        grads = list(rng.normal(0.3, 1.0, (400, 4)))
+        grads += [[1, 2, 3, 4]] * 2 + [[1, -1, 0, 2], [-1, 1, 0, -2]] + [[5, 5, 5, 5]] * 2
+        table = GradientTable(tuple(f"q{i}" for i in range(406)), ps, grads)
+        _assert_matches_oracle(table, num_bins)
+        sparse = GradientTable(("a", "b", "c", "d", "e"), [0.0, 0.0, 0.5, 0.5, 1.0],
+                               [[1.0, 2.0], [1.0, 2.0], [1.0, 0.0], [-1.0, 0.0], [3.0, 1.0]])
+        _assert_matches_oracle(sparse, num_bins)
+        # Bins whose mean_p sits exactly on a mid or edge bound of the bell.
+        bounds = [0.1, 0.2, 0.35, 0.5, 0.65, 0.8]
+        grads = [[1.0 + i, sign] for i in range(len(bounds)) for sign in (1.0, -1.0)]
+        on_bounds = GradientTable(tuple(f"b{i}" for i in range(len(grads))),
+                                  np.repeat(bounds, 2), grads)
+        _assert_matches_oracle(on_bounds, num_bins)

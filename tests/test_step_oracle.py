@@ -489,14 +489,14 @@ def _greedy_passes(widths, cap):
 
 
 # Edges of the update intervals. At 6 samples a key is 8 Philox words.
-_PLAN_EDGES = {
+_INTERVAL_EDGES = {
     # A pass of 6 keys: steps of 7 live columns draw alone, 3 + 3 share one.
     "step_wider_than_a_pass": (
         {"loss_direction": "reverse", "reverse_kl_samples": 6, "batch_size": 12,
          "eval_interval": 9}, 48,
     ),
     # No recompute and no checkpoint before the end: one interval for the run.
-    "one_plan_for_the_run": (
+    "one_interval_for_the_run": (
         {"loss_direction": "reverse", "reverse_kl_samples": 6, "batch_size": 12,
          "eval_interval": 9}, None,
     ),
@@ -518,9 +518,9 @@ _PLAN_EDGES = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(_PLAN_EDGES))
-def test_update_plan_edges_match_old_per_step_path(monkeypatch, name):
-    overrides, pass_words = _PLAN_EDGES[name]
+@pytest.mark.parametrize("name", sorted(_INTERVAL_EDGES))
+def test_update_interval_edges_match_old_per_step_path(monkeypatch, name):
+    overrides, pass_words = _INTERVAL_EDGES[name]
     if pass_words:
         monkeypatch.setattr(distill_sim, "_PASS_WORDS", pass_words)
     cap = distill_sim._PASS_WORDS // 8
@@ -540,7 +540,7 @@ def test_update_plan_edges_match_old_per_step_path(monkeypatch, name):
     ]
     if name == "step_wider_than_a_pass":
         assert max(live) > cap and len(passes) < np.count_nonzero(live)
-    if name == "one_plan_for_the_run":
+    if name == "one_interval_for_the_run":
         assert intervals == [live] and len(passes) == 1
     if name == "recompute_inside_reverse":
         # The recompute at 10, off the checkpoint grid, splits [8, 12) in two.
