@@ -9,7 +9,8 @@ golden run exercises none of the last four. The golden config's metrics
 at 5 000 and 20 000 problems are pinned too, for one BLAS build. Any change to sampling,
 weighting or training arithmetic that moves a single bit of an output file
 fails here. Each analysis command also runs twice and must write identical
-bytes both times.
+bytes both times. Every array of two built worlds is pinned bit for bit,
+which the 10-digit output files cannot do.
 """
 
 import configparser
@@ -21,6 +22,8 @@ from pathlib import Path
 import pytest
 
 from zpdistill.cli import main
+from zpdistill.distill_sim import SimConfig, build_world
+from zpdistill.fileio import load_sim_config
 
 _GOLDEN_CFG = Path(__file__).resolve().parent.parent / "configs" / "golden.cfg"
 
@@ -185,3 +188,42 @@ def test_analysis_command_bytes(tmp_path, run):
         assert main([argv[0], str(rollouts), *argv[1:], "--out", str(out)]) == 0
     assert outs[0].read_bytes() == outs[1].read_bytes()
     assert _sha256(outs[0]) == want
+
+
+# (dtype, shape, sha256 of tobytes()) of every SimWorld array, for the
+# golden config and for an odd world with one anchor and V > F.
+_WORLD_ARRAYS = {
+    "golden": {
+        "features": ("float64", (200, 16), "bed3e2ae19458d9e925d9afbe3633749ae83ff6bb7513b8ca01f6e5c7d6bd788"),
+        "answers": ("int64", (200,), "7c00babd8fda2d26b88a369c3597b9940de6224c4230ace33a51805ab5e1db94"),
+        "teacher_log_probs": ("float64", (200, 16), "ec17812b44e335dc1805ac9aa87354ae526a7d665b87181060a9e53b30dd036d"),
+        "anchor_features": ("float64", (50, 16), "afa3fa3b5843d497f7b1bdbd68bf7d382dcf2b28f447e2fd0a3485630c60d1c1"),
+        "anchor_log_targets": ("float64", (50, 16), "539c59d33c44948d575e47d3a03c1a4995bdc11c366ec306d904f2b6acfe3255"),
+        "theta": ("float64", (16, 16), "ec1d190171a8a34e90bba60e1dc3c020821a9a1e1229a87b161621b309859eec"),
+        "problem_tokens": ("|S10", (200,), "1f3f9f9bd320eba970c970167caeae81f58bf164da9f650eee3e6709d0941078"),
+    },
+    "n37_m1_f8_v64_seed13": {
+        "features": ("float64", (37, 8), "9358c642599bf7bf3d23423a871cb80b8fcad97a17c78f24d9c245020e331f32"),
+        "answers": ("int64", (37,), "e1e789c52d28ea01768ee38644a5abf8b60c5016e4521ab90e03a3fdfc61c9a0"),
+        "teacher_log_probs": ("float64", (37, 64), "5963be86c53dfb61a165c37a1944411ad5aa3cc7c422f0677ea0dd35f688b927"),
+        "anchor_features": ("float64", (1, 8), "2daf5a7ad680be5367b14b02e90bec8902575fc1f7b492feecad9d863c8563e5"),
+        "anchor_log_targets": ("float64", (1, 64), "03c18a85c0461ff9a84007364f60545ba2f6dd1cec8fed9f6821f6158fe3f609"),
+        "theta": ("float64", (8, 64), "4fb656cb417e97c8c916f37d4c9c37eca7fd5bcc571be22d790b65070f5206c5"),
+        "problem_tokens": ("|S10", (37,), "becb02ece257e5d2f7ccd5af80d0fccde0f6476cc1435c49956301fd73fa8c7e"),
+    },
+}
+_WORLD_CONFIGS = {
+    "golden": lambda: load_sim_config(_GOLDEN_CFG.read_text(encoding="utf-8")),
+    "n37_m1_f8_v64_seed13": lambda: SimConfig(
+        num_problems=37, num_anchors=1, feature_dim=8, vocab_size=64, seed=13),
+}
+
+
+@pytest.mark.parametrize("world", sorted(_WORLD_ARRAYS))
+def test_world_array_bytes(world):
+    built = build_world(_WORLD_CONFIGS[world]())
+    got = {}
+    for name in _WORLD_ARRAYS[world]:
+        a = getattr(built, name)
+        got[name] = (str(a.dtype), a.shape, hashlib.sha256(a.tobytes()).hexdigest())
+    assert got == _WORLD_ARRAYS[world]
