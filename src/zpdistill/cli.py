@@ -47,7 +47,7 @@ from .kernel import (
     zpd_moments,
 )
 from .numerics import beta_fn, sech2
-from .passrate import RolloutTable
+from .passrate import RolloutTable, equal_edges
 from .robustness import fit_snr_model, minimax_scale, robustness_rows
 from .snr_profile import bell_shape_score, compute_snr_bins, normalize_profile
 from .variance import VarianceSpec, gamma_from_signal, smoothness_constant, variance_ratio_beta
@@ -181,6 +181,7 @@ def _cmd_variance_ratio(args: argparse.Namespace) -> None:
 
 
 def _cmd_snr_profile(args: argparse.Namespace) -> None:
+    equal_edges(args.bins)  # checks --bins before the file is read
     with open(args.gradients, encoding="utf-8") as f:
         table = load_gradient_records(f)
     profile = compute_snr_bins(table, args.bins)
@@ -200,14 +201,7 @@ def _cmd_snr_profile(args: argparse.Namespace) -> None:
 
 def _cmd_fit_snr(args: argparse.Namespace) -> None:
     with open(args.profile, encoding="utf-8") as f:
-        points = load_profile_points(f)
-    for _, s in points:
-        if s == 0.0:
-            raise DomainError(f"bin snr {s!r}: snr must be > 0")
-        if s * s in (0.0, math.inf):
-            way = "underflows" if s * s == 0.0 else "overflows"
-            raise DomainError(f"bin snr {s!r}: its square {way} a double")
-    fit = fit_snr_model([(p, s * s) for p, s in points])
+        fit = fit_snr_model(*load_profile_points(f))
     lines = [
         f"a_prime = {fmt(fit.a_prime)}",
         f"b_prime = {fmt(fit.b_prime)}",

@@ -20,9 +20,10 @@ share the coherent prototype-alignment signal. _TEACHER_JITTER and the
 anchor difficulty range were tuned once against the default desk
 configuration and are frozen.
 
-Anchor inputs are generated the same way (disjoint streams, easier range)
-and their targets are defined as the initial student's own distributions,
-so retention KL is exactly 0 before training and measures pure drift.
+Anchors are drawn by the problems' rule, _points, from their own streams
+over an easier range. Their targets are the initial student's own
+distributions, so retention KL (_kl_rows, forward) is exactly 0 before
+training and measures pure drift. Every world array but theta is read-only.
 
 Determinism: every random draw comes from a counter-based stream keyed by
 (seed, purpose, step, problem_id), so results do not depend on evaluation
@@ -193,7 +194,7 @@ class SimConfig:
 
 @dataclass
 class SimWorld:
-    """Mutable world state: fixed data plus the trainable student matrix."""
+    """World state: fixed, read-only data plus the trainable student matrix."""
 
     config: SimConfig
     problem_ids: tuple[str, ...]
@@ -231,32 +232,28 @@ def _unit_rows(v: np.ndarray) -> np.ndarray:
     return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
-def _mixture_features(
-    prototypes: np.ndarray,
-    answers: np.ndarray,
-    eps: np.ndarray,
-    noise_gen: np.random.Generator,
-) -> np.ndarray:
-    feature_dim = prototypes.shape[0]
-    noise = _unit_rows(noise_gen.standard_normal((answers.size, feature_dim)))
-    mixed = prototypes.T[answers] + eps[:, None] * noise
-    return _unit_rows(mixed)
+def _points(seed: int, prefix: str, prototypes: np.ndarray, count: int, spread: float):
+    """(answers, unit feature rows) of count points from the streams prefix +
+    "answers", "difficulty" and "noise": uniform answer tokens, features
+    unit(mu_a + eps * n), eps a stratified, jittered sweep over [0, spread]."""
+    feature_dim, vocab_size = prototypes.shape
+    answers = stream(seed, prefix + "answers").integers(0, vocab_size, size=count)
+    jitter = stream(seed, prefix + "difficulty").random(count)
+    eps = spread * (np.arange(count) + jitter) / count
+    noise = _unit_rows(stream(seed, prefix + "noise").standard_normal((count, feature_dim)))
+    return answers, _unit_rows(prototypes.T[answers] + eps[:, None] * noise)
 
 
 def build_world(config: SimConfig) -> SimWorld:
-    """Deterministic world construction from the config seed."""
+    """Deterministic world construction from the config seed. Every array
+    but theta is read-only."""
     n, m = config.num_problems, config.num_anchors
     f, v = config.feature_dim, config.vocab_size
     seed = config.seed
 
     proto_gen = stream(seed, "proto")
     prototypes = _unit_rows(proto_gen.standard_normal((v, f))).T  # (F, V)
-
-    answers = stream(seed, "answers").integers(0, v, size=n)
-    # Stratified difficulty sweep with jitter: eps_i covers [0, spread].
-    jitter = stream(seed, "difficulty").random(n)
-    eps = config.difficulty_spread * (np.arange(n) + jitter) / n
-    features = _mixture_features(prototypes, answers, eps, stream(seed, "noise"))
+    answers, features = _points(seed, "", prototypes, n, config.difficulty_spread)
 
     teacher_noise = stream(seed, "teacher").standard_normal((n, v))
     log_pt = np.empty((v, n))
@@ -270,32 +267,17 @@ def build_world(config: SimConfig) -> SimWorld:
     # high-p gradient mean collapses to per-problem jitter.
     theta = config.teacher_sharpness * prototypes.copy()
 
-    anchor_answers = stream(seed, "anchor_answers").integers(0, v, size=m)
-    anchor_jitter = stream(seed, "anchor_difficulty").random(m)
-    anchor_eps = (
-        _ANCHOR_DIFFICULTY_FRACTION
-        * config.difficulty_spread
-        * (np.arange(m) + anchor_jitter)
-        / m
-    )
-    anchor_features = _mixture_features(
-        prototypes, anchor_answers, anchor_eps, stream(seed, "anchor_noise")
-    )
+    anchor_spread = _ANCHOR_DIFFICULTY_FRACTION * config.difficulty_spread
+    _, anchor_features = _points(seed, "anchor_", prototypes, m, anchor_spread)
     anchor_log_targets = log_softmax(anchor_features @ theta, axis=1)
 
     problem_ids = tuple(f"p{i:04d}" for i in range(n))
-    return SimWorld(
-        config=config,
-        problem_ids=problem_ids,
-        problem_tokens=label_tokens(problem_ids),
-        features=features,
-        answers=answers,
-        teacher_log_probs=log_pt.T,
-        anchor_features=anchor_features,
-        anchor_log_targets=anchor_log_targets,
-        theta=theta,
-        step=0,
-    )
+    world = SimWorld(config, problem_ids, label_tokens(problem_ids), features, answers,
+                     log_pt.T, anchor_features, anchor_log_targets, theta)
+    for a in (world.problem_tokens, features, answers, world.teacher_log_probs,
+              anchor_features, anchor_log_targets):
+        a.setflags(write=False)
+    return world
 
 
 def _categorical(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -429,11 +411,9 @@ def _diffs(probs: _Probs, direction: str, out: np.ndarray | None = None) -> np.n
     if direction == "forward":
         pt = np.exp(probs.log_pt) if probs.pt is None else probs.pt
         return np.subtract(probs.ps, pt, out=out)
-    if direction == "reverse":
-        ratio = np.subtract(probs.log_ps, probs.log_pt, out=None if out is None else probs.log_ps)
-        ratio -= _sum_axis0(probs.ps * ratio)
-        return np.multiply(probs.ps, ratio, out=ratio if out is None else out)
-    raise DomainError(f"unknown loss direction {direction!r}")
+    ratio = np.subtract(probs.log_ps, probs.log_pt, out=None if out is None else probs.log_ps)
+    ratio -= _sum_axis0(probs.ps * ratio)
+    return np.multiply(probs.ps, ratio, out=ratio if out is None else out)
 
 
 def _sampled_reverse_diffs(probs: _Probs, u: np.ndarray, out: np.ndarray | None = None):
@@ -624,8 +604,9 @@ def train(
     after that step's checkpoint: direction is the step's loss direction,
     weights the (N,) weights in use, a new array only at a recompute, and
     counts that recompute's (N,) rollout successes, None at every other
-    step. An observer must not change world; it forms any student arrays
-    it reads itself, as measure_snr does.
+    step. An observer must not change world (a write to a build_world array
+    raises ValueError); it forms any student arrays it reads itself, as
+    measure_snr does.
     """
     config, base = world.config, world.step
     t_total = config.steps
@@ -697,10 +678,8 @@ def measure_snr(world: SimWorld, loss_direction: str) -> GradientTable:
 
 
 def retention(world: SimWorld) -> float:
-    """Mean KL from the stored anchor targets to the current student."""
-    if world.config.num_anchors < 1:
-        raise DomainError("retention requires at least one anchor")
-    log_current = log_softmax(world.anchor_features @ world.theta, axis=1)
-    targets = np.exp(world.anchor_log_targets)
-    kl = np.sum(targets * (world.anchor_log_targets - log_current), axis=1)
-    return float(np.mean(kl))
+    """Mean forward KL from the stored anchor targets to the current
+    student, by _kl_rows on the (V, M) views of the (M, V) arrays."""
+    log_current = log_softmax(world.anchor_features @ world.theta, axis=1).T
+    probs = _Probs(log_current, np.empty_like(log_current), world.anchor_log_targets.T)
+    return float(np.mean(_kl_rows(probs, "forward")))

@@ -15,8 +15,9 @@ byte-identical files.
   whose 10-digit rendering would parse as inf.
 - SNR profiles: CSV with header bin_lo,bin_hi,mean_p,count,snr,snr_norm,
   theory_norm; undefined values, NaN in a profile, are empty fields. The
-  loader rejects a mean_p outside [0, 1] and a negative or non-finite snr;
-  the writer refuses an snr whose 10-digit rendering would parse as inf.
+  loader reads the mean_p and snr columns, an empty field as NaN, and
+  rejects a mean_p outside [0, 1] and a negative or non-finite snr; the
+  writer refuses an snr whose 10-digit rendering would parse as inf.
 - Weight tables: CSV with header problem_id,p,w,w_norm, written from arrays.
 - Simulation metrics: CSV, one checkpoint per row.
 - Simulation configs: INI-style sections [world], [rollouts], [weighting],
@@ -279,8 +280,9 @@ def write_profile(f: IO[str], profile: SnrProfile) -> None:
         f.write(",".join(fields) + "\n")
 
 
-def load_profile_points(lines: Iterable[str]) -> list[tuple[float, float]]:
-    """(mean_p, snr) pairs of the defined, interior bins of a profile file."""
+def load_profile_points(lines: Iterable[str]) -> tuple[np.ndarray, np.ndarray]:
+    """The (B,) mean_p and snr columns of a profile file, NaN for an empty
+    field."""
     it = iter(enumerate(lines, start=1))
     try:
         _, header = next(it)
@@ -288,7 +290,7 @@ def load_profile_points(lines: Iterable[str]) -> list[tuple[float, float]]:
         raise FileFormatError("profile file is empty") from None
     if header.strip() != _PROFILE_HEADER:
         raise FileFormatError(f"line 1: header must be {_PROFILE_HEADER}")
-    points: list[tuple[float, float]] = []
+    rows: list[tuple[float, float]] = []
     for lineno, line in it:
         text = line.strip()
         if not text:
@@ -297,20 +299,18 @@ def load_profile_points(lines: Iterable[str]) -> list[tuple[float, float]]:
         if len(parts) != 7:
             raise FileFormatError(f"line {lineno}: expected 7 fields, got {len(parts)}")
         mean_p, snr = parts[2], parts[4]
-        if mean_p == "" or snr == "":
-            continue
         try:
-            p, s = float(mean_p), float(snr)
+            p, s = (float(x) if x else math.nan for x in (mean_p, snr))
         except ValueError as exc:
             raise FileFormatError(f"line {lineno}: non-numeric field ({exc})") from exc
-        if not (0.0 <= p <= 1.0 and 0.0 <= s < math.inf):
+        if not ((not mean_p or 0.0 <= p <= 1.0) and (not snr or 0.0 <= s < math.inf)):
             raise FileFormatError(
                 f"line {lineno}: mean_p must lie in [0,1] and snr must be finite "
                 f"and >= 0, got {mean_p}, {snr}"
             )
-        if 0.0 < p < 1.0:
-            points.append((p, s))
-    return points
+        rows.append((p, s))
+    mean_p, snr = np.array(rows, dtype=np.float64).reshape(-1, 2).T
+    return mean_p, snr
 
 
 def write_weight_table(

@@ -5,7 +5,8 @@ one-step descent, so when SNR^2 is only known up to a factor e^{+-delta},
 the scale sech(delta) equalizes the two extremes at efficiency sech^2(delta).
 
 fit_snr_model estimates the power-law representation
-snr^2(p) = c * p^{a'} (1-p)^{b'} * e^{r(p)} by least squares in log space.
+snr^2(p) = c * p^{a'} (1-p)^{b'} * e^{r(p)} by least squares in log space,
+from an SNR profile's mean_p and snr columns; it picks the bins it can fit.
 delta is the sup of the median-centered remainder: a constant multiplicative
 offset in SNR^2 is absorbed into the learning rate, so only variation around
 the fitted law counts as misspecification.
@@ -77,28 +78,31 @@ def minimax_weight(p: np.ndarray, a_prime: float, b_prime: float, delta: float) 
     return minimax_scale(delta) * raw_weights(p, "beta", a_prime, b_prime)
 
 
-def fit_snr_model(points: Sequence[tuple[float, float]]) -> SnrModelFit:
-    """Fit log snr^2 ~ a' log p + b' log(1-p) + c by least squares.
+def fit_snr_model(mean_p: np.ndarray, snr: np.ndarray) -> SnrModelFit:
+    """Fit 2 log snr ~ a' log p + b' log(1-p) + c by least squares over a
+    profile's (B,) mean_p and snr columns, NaN where a value is undefined.
 
-    Requires at least 4 interior points covering both halves of (0,1) and
-    finite, positive snr_sq everywhere. delta is the sup of the median-centered
+    Only bins with a defined snr and 0 < mean_p < 1 are fitted; each of
+    their snr must be finite and > 0, and at least 4 of them must cover
+    both halves of (0,1). delta is the sup of the median-centered
     residuals; c0/c1 exponentiate the intercept adjusted by the median
     residual of the lower/upper half, giving the boundary constants.
     """
-    if len(points) < 4:
+    mean_p, snr = np.asarray(mean_p, dtype=np.float64), np.asarray(snr, dtype=np.float64)
+    usable = ~np.isnan(snr) & (mean_p > 0.0) & (mean_p < 1.0)
+    bad = usable & ~((snr > 0.0) & (snr < math.inf))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise DomainError(f"bin {i}: snr must be finite and > 0, got {float(snr[i])!r}")
+    ps = mean_p[usable]
+    if ps.size < 4:
         raise InsufficientDataError(
-            f"fit_snr_model needs at least 4 points, got {len(points)}"
+            f"fit_snr_model needs at least 4 fittable bins, got {ps.size}"
         )
-    ps = np.array([p for p, _ in points], dtype=np.float64)
-    snr_sq = np.array([s for _, s in points], dtype=np.float64)
-    if np.any(~np.isfinite(ps)) or np.any((ps <= 0.0) | (ps >= 1.0)):
-        raise DomainError("fit points must have p strictly inside (0,1)")
-    if np.any(~np.isfinite(snr_sq)) or np.any(snr_sq <= 0.0):
-        raise DomainError("fit points must have snr_sq finite and > 0")
     if not (ps.min() < 0.5 and ps.max() > 0.5):
         raise FitError("fit points must span both halves of (0,1)")
 
-    y = np.log(snr_sq)
+    y = 2.0 * np.log(snr[usable])
     design = np.column_stack([np.log(ps), np.log1p(-ps), np.ones_like(ps)])
     coef, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
     if rank < 3:
@@ -134,8 +138,12 @@ def robustness_rows(deltas: Sequence[float]) -> list[tuple[float, float, float, 
 
 
 def _exp(x: float, error: type[ZpdistillError], what: str) -> float:
-    """math.exp(x), raising error with a message naming what if it overflows."""
+    """math.exp(x), raising error with a message naming what if it
+    overflows or underflows to 0."""
     try:
-        return math.exp(x)
+        y = math.exp(x)
     except OverflowError:
         raise error(f"{what} overflows a double") from None
+    if y == 0.0:
+        raise error(f"{what} underflows a double")
+    return y

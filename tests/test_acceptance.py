@@ -437,13 +437,13 @@ def test_ac12_snr_fit_recovery():
     for a, b, c in ((1.3, 0.7, 0.8), (0.5, 2.0, 1.5), (2.2, 1.1, 0.3)):
         ps = np.linspace(0.05, 0.95, 41)
         snr_sq = c * ps**a * (1.0 - ps) ** b
-        fit = fit_snr_model(list(zip(ps, snr_sq)))
+        fit = fit_snr_model(ps, np.sqrt(snr_sq))
         worst_exact = max(worst_exact, abs(fit.a_prime - a), abs(fit.b_prime - b))
 
     ps = np.linspace(0.05, 0.95, 101)
     base = 0.8 * ps**1.3 * (1.0 - ps) ** 0.7
     pert = base * np.exp(0.2 * np.sin(2.0 * np.pi * ps))
-    fit = fit_snr_model(list(zip(ps, pert)))
+    fit = fit_snr_model(ps, np.sqrt(pert))
     delta_err = abs(fit.delta - 0.2)
     elapsed = time.perf_counter() - t0
     ok = worst_exact <= 1e-6 and delta_err <= 0.05 and elapsed < 1.0

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import math
 import os
@@ -13,9 +14,11 @@ import pytest
 import zpdistill
 from zpdistill import cli, fileio
 from zpdistill.cli import _COMMANDS, _OVERRIDES, _build_parser, main
-from zpdistill.distill_sim import SimConfig, build_world
-from zpdistill.fileio import fmt, load_gradient_records
+from zpdistill.distill_sim import SimConfig, build_world, measure_snr
+from zpdistill.fileio import fmt, load_gradient_records, load_sim_config, write_profile
 from zpdistill.kernel import select_exponents, unit_mean, zpd_moments
+from zpdistill.robustness import fit_snr_model
+from zpdistill.snr_profile import compute_snr_bins, normalize_profile
 from zpdistill.variance import VarianceSpec, smoothness_constant, variance_ratio_beta
 
 from sim_oracles import observed_train
@@ -137,6 +140,13 @@ class TestWeight:
         path.write_text("{bad json\n", encoding="utf-8")
         assert main(["weight", str(path)]) == 1
         assert "line 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["weight", "select-exponents"])
+    def test_file_without_records_is_error(self, tmp_path, capsys, command):
+        path = tmp_path / "r.jsonl"
+        path.write_text("\n \n", encoding="utf-8")
+        err = _single_error(capsys, tmp_path, [command, str(path)])
+        assert err == f"error: no rollout records in {path}"
 
 
 _NEGATIVE_EXPONENT = (
@@ -373,6 +383,10 @@ class TestSnrProfile:
         assert main(["snr-profile", str(tmp_path / "nope.csv")]) == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_bin_count_is_checked_before_the_file_is_read(self, tmp_path, capsys):
+        argv = ["snr-profile", str(tmp_path / "missing.csv"), "--bins", "1"]
+        assert _single_error(capsys, tmp_path, argv) == "error: num_bins must be >= 2, got 1"
+
     @pytest.mark.parametrize("message, want", [
         ("Unable to allocate 14.9 GiB for an array with shape (2000000001,) and data "
          "type float64", "error: Unable to allocate 14.9 GiB for an array with shape "
@@ -381,11 +395,11 @@ class TestSnrProfile:
     ], ids=["numpy", "bare"])
     def test_out_of_memory_is_one_error_line(self, tmp_path, capsys, monkeypatch,
                                              message, want):
-        # The binning raises as numpy does for --bins 2000000000, allocating nothing.
-        def exhausted(table, num_bins):
+        # The bin edges raise as numpy does for --bins 2000000000, allocating nothing.
+        def exhausted(num_bins):
             raise MemoryError(message)
 
-        monkeypatch.setattr(cli, "compute_snr_bins", exhausted)
+        monkeypatch.setattr(cli, "equal_edges", exhausted)
         path = _gradient_csv(tmp_path, [("a", 0.5, (1.0,))])
         out = tmp_path / "profile.csv"
         argv = ["snr-profile", str(path), "--bins", "2000000000", "--out", str(out)]
@@ -416,6 +430,22 @@ class TestFitSnr:
         assert float(kv["minimax_scale"]) == pytest.approx(1.0, abs=1e-9)
         assert float(kv["worst_case_efficiency"]) == pytest.approx(1.0, abs=1e-9)
 
+    def test_agrees_with_the_in_memory_golden_profile(self, tmp_path, capsys):
+        # The golden step-0 profile, fitted from its arrays and from its file.
+        world = build_world(load_sim_config(_GOLDEN_CFG.read_text(encoding="utf-8")))
+        profile = compute_snr_bins(measure_snr(world, "forward"), 10)
+        fit = fit_snr_model(profile.mean_p, profile.snr)
+        path = tmp_path / "profile.csv"
+        with open(path, "w", encoding="utf-8") as f:
+            write_profile(f, normalize_profile(profile))
+        # The README's out/snr_bell/profile_step0.csv.
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == "2e142da032d9b03a2ec67f80f0cc307d009f2418c4a5e8f44a9e3dab1b10dadc"
+        assert main(["fit-snr", str(path)]) == 0
+        kv = _kv(capsys.readouterr().out)
+        assert float(kv["a_prime"]) == pytest.approx(fit.a_prime, rel=0, abs=1e-8)
+        assert float(kv["b_prime"]) == pytest.approx(fit.b_prime, rel=0, abs=1e-8)
+
     def test_too_few_points_is_error(self, tmp_path, capsys):
         path = self._profile_csv(tmp_path, [0.3, 0.7], [1.0, 1.0])
         assert main(["fit-snr", str(path)]) == 1
@@ -429,22 +459,24 @@ class TestFitSnr:
         assert "boundary constant c0" in _single_error(capsys, tmp_path, ["fit-snr", str(path)])
 
     def test_snr_whose_square_overflows_is_error(self, tmp_path, capsys):
-        # Finite snr values above sqrt(max double) ~ 1.34e154 square to inf.
+        # Finite snr values above sqrt(max double) ~ 1.34e154 square to inf;
+        # the fit reads 2 log snr, and its boundary constant overflows.
         ps = [0.1, 0.3, 0.5, 0.7, 0.9]
         path = self._profile_csv(tmp_path, ps, [1e159, 3e159, 5e159, 7e159, 9e159])
         err = _single_error(capsys, tmp_path, ["fit-snr", str(path)])
-        assert err == "error: bin snr 1e+159: its square overflows a double"
+        assert err == "error: boundary constant c0 = e^736.8272297580946 overflows a double"
 
     @pytest.mark.parametrize("snrs, want", [
-        # Finite snr values below about 1.6e-162 square to 0.
-        ([1e-170, 2e-170, 3e-170, 2e-170, 1e-170], "its square underflows a double"),
-        ([0.5, 0.0, 0.7, 0.6, 0.4], "snr must be > 0"),
-    ])
+        # Finite snr values below about 1.6e-162 square to 0; the fit reads
+        # 2 log snr, and its boundary constant underflows.
+        ([1e-170, 2e-170, 3e-170, 2e-170, 1e-170],
+         "boundary constant c0 = e^-778.3360702685665 underflows a double"),
+        ([0.5, 0.0, 0.7, 0.6, 0.4], "bin 1: snr must be finite and > 0, got 0.0"),
+    ], ids=["underflow", "zero"])
     def test_snr_whose_square_vanishes_is_error(self, tmp_path, capsys, snrs, want):
-        bad = next(s for s in snrs if s * s == 0.0)
         path = self._profile_csv(tmp_path, [0.1, 0.3, 0.5, 0.7, 0.9], snrs)
         err = _single_error(capsys, tmp_path, ["fit-snr", str(path)])
-        assert err == f"error: bin snr {bad!r}: {want}"
+        assert err == f"error: {want}"
 
 
 _SMALL_CFG = """

@@ -76,6 +76,7 @@ class TestSimConfig:
             {"reverse_kl_samples": -1},
             {"recompute_interval": 0},
             {"seed": -1},
+            {"seed": 2**64},
             {"eval_interval": 0},
         ],
     )
@@ -462,6 +463,20 @@ class TestTrain:
         # Observing changes nothing.
         assert train(unobserved) == metrics
         assert np.array_equal(unobserved.theta, world.theta)
+
+    def test_an_observer_cannot_change_the_world(self):
+        world = build_world(_small(steps=2))
+        fixed = (world.problem_tokens, world.features, world.answers,
+                 world.teacher_log_probs, world.teacher_log_probs.T, world.anchor_features,
+                 world.anchor_log_targets)
+        assert not any(a.flags.writeable for a in fixed)
+        assert world.theta.flags.writeable
+
+        def observe(w, direction, weights, counts):
+            w.features[0, 0] = 0.0
+
+        with pytest.raises(ValueError, match="read-only"):
+            train(world, observe=observe)
 
     def test_without_an_observer_no_smoothness_constant_is_computed(self, monkeypatch):
         def fail(*args):

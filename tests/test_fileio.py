@@ -30,6 +30,7 @@ from zpdistill.fileio import (
     write_weight_table,
 )
 from zpdistill.passrate import RolloutTable
+from zpdistill.robustness import fit_snr_model
 from zpdistill.snr_profile import (
     GradientTable,
     SnrProfile,
@@ -533,11 +534,13 @@ class TestProfileIo:
     def test_load_points_keeps_defined_interior_bins(self):
         buf = io.StringIO()
         write_profile(buf, normalize_profile(_profile_with_gaps()))
-        points = load_profile_points(buf.getvalue().splitlines())
-        # Bins: defined at 0.1 and 0.55; empty bins and the degenerate
-        # 0.95 bin (identical gradients, snr undefined) are dropped.
-        assert [p for p, _ in points] == [pytest.approx(0.1), pytest.approx(0.55)]
-        assert all(s > 0 for _, s in points)
+        mean_p, snr = load_profile_points(buf.getvalue().splitlines())
+        # Bins: defined at 0.1 and 0.55; the empty bins read NaN for both
+        # fields and the degenerate 0.95 bin (identical gradients) for snr.
+        nan = math.nan
+        assert mean_p == pytest.approx([0.1, nan, 0.55, nan, 0.95], nan_ok=True)
+        assert np.isnan(snr).tolist() == [False, True, False, True, True]
+        assert (snr[[0, 2]] > 0).all()
 
     def test_refuses_snr_that_renders_as_inf(self):
         # 1.7976931345e308 is the smallest double rendered as 1.797693135e+308,
@@ -555,12 +558,13 @@ class TestProfileIo:
             assert buf.getvalue() == ""
 
     def test_load_points_drops_boundary_mean_p(self):
-        text = (
-            "bin_lo,bin_hi,mean_p,count,snr,snr_norm,theory_norm\n"
-            "0,0.5,0,2,1.5,,\n"
-            "0.5,1,0.75,2,2.5,,\n"
-        )
-        assert load_profile_points(text.splitlines()) == [(0.75, 2.5)]
+        # The loader reads every bin; the fit drops those at mean_p 0 and 1.
+        rows = ["0,0.2,0,2,1.5,,", "0.2,0.4,0.25,2,0.45,,", "0.2,0.4,0.4,2,0.5,,",
+                "0.6,0.8,0.6,2,0.48,,", "0.6,0.8,0.75,2,0.42,,", "0.8,1,1,2,0.5,,"]
+        mean_p, snr = load_profile_points([_PROFILE_HEADER, *rows])
+        assert mean_p.tolist() == [0.0, 0.25, 0.4, 0.6, 0.75, 1.0]
+        assert snr.tolist() == [1.5, 0.45, 0.5, 0.48, 0.42, 0.5]
+        assert fit_snr_model(mean_p, snr) == fit_snr_model(mean_p[1:5], snr[1:5])
 
     def test_rejects_wrong_header(self):
         with pytest.raises(FileFormatError, match="header"):
@@ -620,13 +624,8 @@ class TestProfileProperties:
             return
         write_profile(buf, profile)
         lines = buf.getvalue().splitlines()
-        defined = [
-            (float(fmt(p)), float(fmt(s)))
-            for p, s in zip(profile.mean_p.tolist(), snr)
-            if not (math.isnan(p) or math.isnan(s))
-        ]
-        want = [(p, s) for p, s in defined if 0.0 < p < 1.0]
-        assert load_profile_points(lines) == want
+        for got, want in zip(load_profile_points(lines), (profile.mean_p, profile.snr)):
+            np.testing.assert_array_equal(got, [float(fmt(x)) for x in want.tolist()])
 
     @pytest.mark.parametrize("mean_p, snr", [("1.5", "2"), ("nan", "2"), ("0.5", "-1"),
                                              ("0.5", "inf"), ("0.5", "nan")])
@@ -641,10 +640,12 @@ class TestProfileProperties:
         text = (_PROFILE_HEADER + "\n" if with_header else "") + body
         for lines in (text.splitlines(), io.StringIO(text)):
             try:
-                points = load_profile_points(lines)
+                mean_p, snr = load_profile_points(lines)
             except FileFormatError:
                 continue
-            assert all(0.0 < p < 1.0 and 0.0 <= s < math.inf for p, s in points)
+            assert mean_p.shape == snr.shape
+            assert all(math.isnan(p) or 0.0 <= p <= 1.0 for p in mean_p.tolist())
+            assert all(math.isnan(s) or 0.0 <= s < math.inf for s in snr.tolist())
 
 
 class TestWeightTable:

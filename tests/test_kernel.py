@@ -228,6 +228,17 @@ class TestZpdMoments:
             with pytest.raises(DomainError):
                 zpd_moments(np.full(3, 0.5), eps)
 
+    @pytest.mark.parametrize("field, value, want", [
+        ("epsilon", 0.5, "epsilon must lie in \\(0, 0.5\\), got 0.5"),
+        ("mean_p", 0.1, "mean_p must lie inside the \\[eps, 1-eps\\] band"),
+        ("var_p", -0.01, "var_p must be >= 0, got -0.01"),
+        ("count", 1, "count must be >= 2, got 1"),
+    ])
+    def test_constructor_rejects(self, field, value, want):
+        ok = dict(epsilon=0.125, mean_p=0.5, var_p=0.01, count=2)
+        with pytest.raises(DomainError, match=f"^{want}$"):
+            ZpdMoments(**{**ok, field: value})
+
     def test_matches_in_order_scalar_filter_bit_for_bit(self):
         # Oracle: keep each in-band pass rate in input order with scalar
         # comparisons, then take the same numpy mean and variance.

@@ -102,6 +102,11 @@ class TestSech:
     def test_no_overflow_for_large_arguments(self):
         assert sech(1000.0) == 0.0 or sech(1000.0) < 1e-300
 
+    @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite(self, x):
+        with pytest.raises(DomainError, match="sech requires finite x"):
+            sech(x)
+
 
 def _moveaxis_log_softmax(
     logits: np.ndarray,
@@ -208,6 +213,10 @@ class TestStream:
         for key in [(8, "rollout", 3, "p0001"), (7, "eval", 3, "p0001"),
                     (7, "rollout", 4, "p0001"), (7, "rollout", 3, "p0002")]:
             assert not np.array_equal(stream(*key).random(4), base)
+
+    def test_requires_a_key_part(self):
+        with pytest.raises(DomainError, match="stream requires at least one key part"):
+            stream()
 
     def test_string_int_tokens_do_not_collide(self):
         # "1" as text and 1 as a number must key different streams.

@@ -152,6 +152,17 @@ def test_snr_bell_recipe(recipe_dir, capsys):
     assert {key: fit[key] for key in _FIT} == _FIT
 
 
+def test_fit_snr_rejects_the_step40_profile(recipe_dir, capsys):
+    # By step 40 the bell has flattened: both fitted exponents are negative.
+    _run(capsys, _BELL_SIMULATE)
+    _run(capsys, _BELL_PROFILE, step=40)
+    assert main(["fit-snr", "out/snr_bell/profile_step40.csv"]) == 1
+    (err,) = capsys.readouterr().err.splitlines()
+    (a_prime, b_prime) = re.fullmatch(
+        r"error: fitted exponents must be positive, got \((\S+), (\S+)\)", err).groups()
+    assert (float(a_prime), float(b_prime)) == pytest.approx((-0.121, -0.173), abs=5e-4)
+
+
 def _final(err: str) -> tuple[float, float]:
     (match,) = _FINAL_RE.finditer(err)
     return float(match[1]), float(match[2])

@@ -6,6 +6,7 @@ import pytest
 from zpdistill.errors import DomainError, FitError, InsufficientDataError
 from zpdistill.numerics import sech, sech2
 from zpdistill.robustness import (
+    SnrModelFit,
     fit_snr_model,
     minimax_scale,
     minimax_weight,
@@ -70,12 +71,17 @@ class TestMinimax:
                 minimax_weight(np.array([0.5]), a, b, 0.5)
 
 
+def _fit(ps, snr_sq):
+    """fit_snr_model on a profile whose bins hold the square roots of snr_sq."""
+    return fit_snr_model(np.asarray(ps, dtype=float), np.sqrt(snr_sq))
+
+
 class TestFitSnrModel:
     def test_exact_recovery(self):
         ps = np.linspace(0.05, 0.95, 31)
         a, b, c = 1.3, 0.7, 0.8
         snr_sq = c * ps**a * (1 - ps) ** b
-        fit = fit_snr_model(list(zip(ps, snr_sq)))
+        fit = _fit(ps, snr_sq)
         assert fit.a_prime == pytest.approx(a, abs=1e-9)
         assert fit.b_prime == pytest.approx(b, abs=1e-9)
         assert fit.c0 == pytest.approx(c, rel=1e-9)
@@ -86,7 +92,7 @@ class TestFitSnrModel:
         ps = np.linspace(0.05, 0.95, 101)
         base = 0.8 * ps**1.3 * (1 - ps) ** 0.7
         pert = base * np.exp(0.2 * np.sin(2 * np.pi * ps))
-        fit = fit_snr_model(list(zip(ps, pert)))
+        fit = _fit(ps, pert)
         assert abs(fit.delta - 0.2) <= 0.05
 
     def test_reconstruction_round_trip(self):
@@ -94,7 +100,7 @@ class TestFitSnrModel:
         rng = np.random.default_rng(2)
         ps = np.linspace(0.1, 0.9, 12)
         snr_sq = 0.5 * ps**0.9 * (1 - ps) ** 1.1 * np.exp(rng.normal(0, 0.1, ps.size))
-        fit = fit_snr_model(list(zip(ps, snr_sq)))
+        fit = _fit(ps, snr_sq)
         recon = [
             math.exp(
                 fit.a_prime * math.log(p)
@@ -110,7 +116,7 @@ class TestFitSnrModel:
         rng = np.random.default_rng(8)
         ps = np.linspace(0.1, 0.9, 25)
         snr_sq = 0.6 * ps**1.0 * (1 - ps) ** 1.0 * np.exp(rng.normal(0, 0.2, ps.size))
-        fit = fit_snr_model(list(zip(ps, snr_sq)))
+        fit = _fit(ps, snr_sq)
         # Half-medians sit within delta of the global median, so every point
         # lies within e^{2 delta} of each boundary-constant model.
         for p, s in zip(ps, snr_sq):
@@ -119,22 +125,61 @@ class TestFitSnrModel:
 
     def test_requires_four_interior_points_spanning_halves(self):
         with pytest.raises(InsufficientDataError):
-            fit_snr_model([(0.2, 1.0), (0.4, 1.0), (0.6, 1.0)])
-        with pytest.raises(DomainError):
-            fit_snr_model([(0.0, 1.0), (0.4, 1.0), (0.6, 1.0), (0.8, 1.0)])
-        with pytest.raises(DomainError):
-            fit_snr_model([(0.2, -1.0), (0.4, 1.0), (0.6, 1.0), (0.8, 1.0)])
+            _fit([0.2, 0.4, 0.6], [1.0, 1.0, 1.0])
+        # A bin at p = 0 or 1, or without a defined snr, is not fitted.
+        for p, s in ((0.0, 1.0), (1.0, 1.0), (0.5, math.nan), (math.nan, math.nan)):
+            with pytest.raises(InsufficientDataError, match="got 3$"):
+                fit_snr_model(np.array([p, 0.4, 0.6, 0.8]), np.array([s, 1.0, 1.0, 1.0]))
+        with pytest.raises(DomainError, match="^bin 0: snr must be finite and > 0, got -1.0$"):
+            fit_snr_model(np.array([0.2, 0.4, 0.6, 0.8]), np.array([-1.0, 1.0, 1.0, 1.0]))
         # All points on one side of 1/2 cannot pin down both exponents.
         with pytest.raises(FitError):
-            fit_snr_model([(0.1, 1.0), (0.2, 1.1), (0.3, 1.2), (0.4, 1.3)])
+            _fit([0.1, 0.2, 0.3, 0.4], [1.0, 1.1, 1.2, 1.3])
 
     def test_duplicate_p_rank_deficient(self):
         with pytest.raises(FitError):
-            fit_snr_model([(0.3, 1.0), (0.3, 1.0), (0.7, 1.2), (0.7, 1.2)])
+            _fit([0.3, 0.3, 0.7, 0.7], [1.0, 1.0, 1.2, 1.2])
 
     def test_boundary_constant_that_overflows_is_named(self):
         # An exact power law whose intercept is 750 > log(max double).
         ps = [0.05, 0.25, 0.45, 0.55, 0.75, 0.95]
-        points = [(p, math.exp(750.0 + 60.0 * math.log(p * (1.0 - p)))) for p in ps]
+        snr_sq = [math.exp(750.0 + 60.0 * math.log(p * (1.0 - p))) for p in ps]
         with pytest.raises(FitError, match="boundary constant c0 = e\\^749.99"):
-            fit_snr_model(points)
+            _fit(ps, snr_sq)
+
+    def test_boundary_constant_that_underflows_is_named(self):
+        # An exact power law whose intercept is -750: e^-750 rounds to 0.
+        ps = np.array([0.05, 0.25, 0.45, 0.55, 0.75, 0.95])
+        snr = np.exp(0.5 * (-750.0 + 2.0 * np.log(ps * (1.0 - ps))))
+        want = "boundary constant c0 = e\\^-749.99.* underflows a double"
+        with pytest.raises(FitError, match=want):
+            fit_snr_model(ps, snr)
+
+    def test_fits_only_the_usable_bins(self):
+        ps = np.array([0.1, 0.3, 0.45, 0.7, 0.9])
+        snr = np.sqrt(0.8 * ps**1.3 * (1 - ps) ** 0.7)
+        want = fit_snr_model(ps, snr)
+        # An empty bin, a degenerate one and the two boundary bins add nothing.
+        fit = fit_snr_model(np.array([0.0, math.nan, *ps, 0.6, 1.0]),
+                            np.array([2.0, math.nan, *snr, math.nan, 3.0]))
+        assert fit == want
+
+    @pytest.mark.parametrize("bad", [0.0, math.inf])
+    def test_snr_that_is_zero_or_infinite_names_its_bin(self, bad):
+        snr = np.array([math.nan, 0.5, bad, 0.7, 0.6, 0.4])
+        want = f"^bin 2: snr must be finite and > 0, got {bad!r}$"
+        with pytest.raises(DomainError, match=want):
+            fit_snr_model(np.array([math.nan, 0.1, 0.3, 0.5, 0.7, 0.9]), snr)
+
+    @pytest.mark.parametrize("field, value, want", [
+        ("a_prime", 0.0, "fitted exponents must be positive"),
+        ("c0", 0.0, "boundary constants must be positive"),
+        ("c1", math.nan, "boundary constants must be positive"),
+        ("delta", -0.1, "delta must be finite and >= 0"),
+        ("delta", math.inf, "delta must be finite and >= 0"),
+    ])
+    def test_constructor_rejects(self, field, value, want):
+        ok = dict(a_prime=1.0, b_prime=1.0, c0=1.0, c1=1.0, delta=0.0, intercept=0.0,
+                  ps=(), remainders=())
+        with pytest.raises(FitError, match=want):
+            SnrModelFit(**{**ok, field: value})

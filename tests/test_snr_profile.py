@@ -208,6 +208,17 @@ class TestNormalizeProfile:
         with pytest.raises(DegenerateInputError):
             normalize_profile(compute_snr_bins(_table(records), num_bins=2))
 
+    def test_all_theory_values_zero_rejected(self):
+        # Both defined bins have spread, but sit at mean_p 0 and 1.
+        records = [
+            _rec("a", 0.0, (1.0, 1.0)),
+            _rec("b", 0.0, (1.0, -1.0)),
+            _rec("c", 1.0, (2.0, 1.0)),
+            _rec("d", 1.0, (2.0, -1.0)),
+        ]
+        with pytest.raises(DegenerateInputError, match="all theoretical bin values are zero"):
+            normalize_profile(compute_snr_bins(_table(records), num_bins=2))
+
     def test_all_zero_snr_rejected(self):
         records = [
             _rec("a", 0.1, (1.0,)),

@@ -186,6 +186,23 @@ class TestEmpiricalRatio:
                 batch_size=0,
             )
 
+    @pytest.mark.parametrize("weights, second_moments, mean_gradients, want", [
+        (np.ones(0), np.ones(0), np.zeros((0, 2)), "weights must be a non-empty 1-d array"),
+        (np.ones((2, 1)), np.ones((2, 1)), np.zeros((2, 2)),
+         "weights must be a non-empty 1-d array"),
+        (np.ones(2), np.ones(2), np.zeros(2), "mean_gradients must have shape \\(records, dim\\)"),
+        (np.ones(2), np.ones(2), np.zeros((3, 2)),
+         "mean_gradients must have shape \\(records, dim\\)"),
+    ])
+    def test_shape_rejections(self, weights, second_moments, mean_gradients, want):
+        with pytest.raises(DomainError, match=f"^{want}$"):
+            EmpiricalBatchStats(weights, second_moments, mean_gradients)
+
+    def test_all_zero_second_moments(self):
+        stats = EmpiricalBatchStats(np.ones(3), np.zeros(3), np.zeros((3, 2)))
+        with pytest.raises(DegenerateInputError, match="mean second moment must be positive"):
+            variance_ratio_empirical(stats)
+
     def test_degenerate_unweighted_variance(self):
         # A single deterministic gradient has zero baseline variance.
         stats = EmpiricalBatchStats(
