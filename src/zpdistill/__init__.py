@@ -49,9 +49,8 @@ from .snr_profile import (
     normalize_profile,
 )
 from .variance import (
-    EmpiricalBatchStats,
+    EmpiricalRatio,
     VarianceSpec,
-    cov_condition,
     gamma_from_signal,
     smoothness_constant,
     variance_ratio_beta,
@@ -97,9 +96,8 @@ __all__ = [
     "fit_snr_model",
     "robustness_rows",
     "VarianceSpec",
-    "EmpiricalBatchStats",
+    "EmpiricalRatio",
     "variance_ratio_empirical",
-    "cov_condition",
     "variance_ratio_beta",
     "gamma_from_signal",
     "smoothness_constant",

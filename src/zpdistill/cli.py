@@ -165,11 +165,8 @@ def _cmd_variance_ratio(args: argparse.Namespace) -> None:
         f"gamma2 = {fmt(spec.gamma2)}",
     ]
     if args.epsilon is None:
-        lines += [
-            f"b_numerator = {fmt(beta_fn(2 * spec.alpha + spec.gamma1 + 1, 2 * spec.beta + spec.gamma2 + 1))}",
-            f"b_kernel = {fmt(beta_fn(spec.alpha + 1, spec.beta + 1))}",
-            f"b_signal = {fmt(beta_fn(spec.gamma1 + 1, spec.gamma2 + 1))}",
-        ]
+        lines += [f"b_{name} = {fmt(beta_fn(e1 + 1, e2 + 1))}"
+                  for name, (e1, e2) in zip(("numerator", "kernel", "signal"), spec.moments())]
     else:
         lines.append(f"epsilon = {fmt(args.epsilon)} (truncated moments)")
     lines += [

@@ -89,6 +89,10 @@ def fit_snr_model(mean_p: np.ndarray, snr: np.ndarray) -> SnrModelFit:
     residual of the lower/upper half, giving the boundary constants.
     """
     mean_p, snr = np.asarray(mean_p, dtype=np.float64), np.asarray(snr, dtype=np.float64)
+    if mean_p.ndim != 1 or mean_p.shape != snr.shape:
+        raise DomainError(
+            f"mean_p and snr must be 1-d and of one length, got {mean_p.shape} and {snr.shape}"
+        )
     usable = ~np.isnan(snr) & (mean_p > 0.0) & (mean_p < 1.0)
     bad = usable & ~((snr > 0.0) & (snr < math.inf))
     if bad.any():

@@ -4,9 +4,9 @@ The variance ratio R compares the minibatch gradient variance under
 unit-mean weights w~ against the unweighted baseline. R < 1 means the
 weighting denoises the batch. Two routes are provided:
 
-- variance_ratio_empirical: the moment expansion over explicit per-problem
-  records (weight, second moment, mean gradient), exactly equivalent to
-  tr Cov(w~ g) / tr Cov(g) when the weights have mean 1.
+- variance_ratio_empirical: the moment expansion over (M,) weights, (M,)
+  second moments and (M, D) mean gradients, exactly equivalent to
+  tr Cov(w~ g) / tr Cov(g) when the weights have mean 1, with its terms.
 - variance_ratio_beta: the closed form under power-law models
   w(p) = p^alpha (1-p)^beta and s^2(p) prop. to p^gamma1 (1-p)^gamma2 with
   p uniform, reduced to three Beta functions evaluated in log space. An
@@ -31,11 +31,8 @@ from .numerics import log_beta_fn
 
 __all__ = [
     "VarianceSpec",
-    "EmpiricalBatchStats",
-    "VarianceRatioResult",
-    "CovConditionResult",
+    "EmpiricalRatio",
     "variance_ratio_empirical",
-    "cov_condition",
     "variance_ratio_beta",
     "gamma_from_signal",
     "smoothness_constant",
@@ -72,84 +69,63 @@ class VarianceSpec:
             raise DomainError(
                 f"kernel exponents must be >= 0, got ({self.alpha}, {self.beta})"
             )
-        for name, value in self._beta_arguments():
-            if not 0.0 < value < math.inf:
+        names = ("2*alpha+gamma1", "2*beta+gamma2", "alpha", "beta", "gamma1", "gamma2")
+        for name, e in zip(names, (e for pair in self.moments() for e in pair)):
+            if not 0.0 < e + 1.0 < math.inf:
                 raise DomainError(
-                    f"Beta-function argument {name} = {value} must be positive and finite"
+                    f"Beta-function argument {name}+1 = {e + 1.0} must be positive and finite"
                 )
 
-    def _beta_arguments(self) -> list[tuple[str, float]]:
-        return [
-            ("2*alpha+gamma1+1", 2.0 * self.alpha + self.gamma1 + 1.0),
-            ("2*beta+gamma2+1", 2.0 * self.beta + self.gamma2 + 1.0),
-            ("alpha+1", self.alpha + 1.0),
-            ("beta+1", self.beta + 1.0),
-            ("gamma1+1", self.gamma1 + 1.0),
-            ("gamma2+1", self.gamma2 + 1.0),
-        ]
+    def moments(self) -> tuple[tuple[float, float], ...]:
+        """(e1, e2) of the numerator, kernel and signal moments int p^e1 (1-p)^e2 dp."""
+        return (
+            (2.0 * self.alpha + self.gamma1, 2.0 * self.beta + self.gamma2),
+            (self.alpha, self.beta),
+            (self.gamma1, self.gamma2),
+        )
 
 
-@dataclass(frozen=True)
-class EmpiricalBatchStats:
-    """Per-problem weighting records observed on one batch distribution.
+class EmpiricalRatio(NamedTuple):
+    """Variance ratio R and the population moments it is built from."""
 
-    weights: unit-mean normalized weights w~ (one per record)
-    second_moments: E[||g||^2] per record
-    mean_gradients: E[g] per record, shape (records, dim)
-    batch_size: minibatch size n (R itself is n-free; kept for sigma^2 use)
-    """
-
-    weights: np.ndarray
-    second_moments: np.ndarray
-    mean_gradients: np.ndarray
-    batch_size: int = 1
-
-    def __post_init__(self) -> None:
-        w = np.asarray(self.weights, dtype=np.float64)
-        s2 = np.asarray(self.second_moments, dtype=np.float64)
-        mg = np.asarray(self.mean_gradients, dtype=np.float64)
-        if w.ndim != 1 or w.size == 0:
-            raise DomainError("weights must be a non-empty 1-d array")
-        if s2.shape != w.shape:
-            raise DomainError("second_moments must match weights in shape")
-        if mg.ndim != 2 or mg.shape[0] != w.size:
-            raise DomainError("mean_gradients must have shape (records, dim)")
-        if self.batch_size < 1:
-            raise DomainError(f"batch_size must be >= 1, got {self.batch_size}")
-        if np.any(~np.isfinite(w)) or np.any(w < 0.0):
-            raise DomainError("weights must be finite and nonnegative")
-        if not math.isclose(float(w.mean()), 1.0, abs_tol=_WEIGHT_MEAN_TOL):
-            raise DomainError(
-                f"weights must have mean 1 within {_WEIGHT_MEAN_TOL}, "
-                f"got {float(w.mean())}"
-            )
-        norms_sq = np.sum(mg * mg, axis=1)
-        if np.any(s2 < norms_sq * (1.0 - 1e-12)):
-            raise DomainError(
-                "each second moment must be >= the squared mean-gradient norm"
-            )
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "second_moments", s2)
-        object.__setattr__(self, "mean_gradients", mg)
-
-
-class VarianceRatioResult(NamedTuple):
     ratio: float
-    numerator_terms: dict[str, float]
-    denominator_terms: dict[str, float]
+    var_w: float
+    cov_w2_s2: float
+    mean_s2: float
+    weighted_signal: float
+    baseline_signal: float
+
+    @property
+    def cov_condition(self) -> bool:
+        """Sufficient condition for R < 1: -Cov(w~^2, s^2) > Var(w~) E[s^2]."""
+        return -self.cov_w2_s2 > self.var_w * self.mean_s2
 
 
-class CovConditionResult(NamedTuple):
-    holds: bool
-    lhs: float
-    rhs: float
-
-
-def variance_ratio_empirical(stats: EmpiricalBatchStats) -> VarianceRatioResult:
-    """Variance ratio R from the moment expansion over the records."""
-    w = stats.weights
-    s2 = stats.second_moments
-    mg = stats.mean_gradients
+def variance_ratio_empirical(
+    weights: np.ndarray, second_moments: np.ndarray, mean_gradients: np.ndarray
+) -> EmpiricalRatio:
+    """R from (M,) unit-mean weights w~, (M,) second moments E[||g||^2] and
+    (M, D) mean gradients E[g]; R does not depend on the minibatch size."""
+    w = np.asarray(weights, dtype=np.float64)
+    s2 = np.asarray(second_moments, dtype=np.float64)
+    mg = np.asarray(mean_gradients, dtype=np.float64)
+    if w.ndim != 1 or w.size == 0:
+        raise DomainError("weights must be a non-empty 1-d array")
+    if s2.shape != w.shape:
+        raise DomainError("second_moments must match weights in shape")
+    if mg.ndim != 2 or mg.shape[0] != w.size:
+        raise DomainError("mean_gradients must have shape (records, dim)")
+    if np.any(~np.isfinite(w)) or np.any(w < 0.0):
+        raise DomainError("weights must be finite and nonnegative")
+    if not math.isclose(float(w.mean()), 1.0, abs_tol=_WEIGHT_MEAN_TOL):
+        raise DomainError(
+            f"weights must have mean 1 within {_WEIGHT_MEAN_TOL}, got {float(w.mean())}"
+        )
+    if not (np.isfinite(s2).all() and np.isfinite(mg).all()):
+        raise DomainError("second_moments and mean_gradients must be finite")
+    norms_sq = np.sum(mg * mg, axis=1)
+    if np.any(s2 < norms_sq * (1.0 - 1e-12)):
+        raise DomainError("each second moment must be >= the squared mean-gradient norm")
 
     mean_s2 = float(s2.mean())
     if mean_s2 <= 0.0:
@@ -166,32 +142,9 @@ def variance_ratio_empirical(stats: EmpiricalBatchStats) -> VarianceRatioResult:
         raise DegenerateInputError(
             f"unweighted variance is not positive (denominator {denominator})"
         )
-    return VarianceRatioResult(
-        ratio=numerator / denominator,
-        numerator_terms={
-            "var_weight": var_w,
-            "cov_w2_s2_over_mean_s2": cov_w2_s2 / mean_s2,
-            "weighted_signal_over_mean_s2": weighted_signal / mean_s2,
-            "numerator": numerator,
-        },
-        denominator_terms={
-            "baseline_signal_over_mean_s2": baseline_signal / mean_s2,
-            "mean_s2": mean_s2,
-            "denominator": denominator,
-        },
+    return EmpiricalRatio(
+        numerator / denominator, var_w, cov_w2_s2, mean_s2, weighted_signal, baseline_signal
     )
-
-
-def cov_condition(stats: EmpiricalBatchStats) -> CovConditionResult:
-    """Sufficient condition for R < 1: -Cov(w~^2, s^2) > Var(w~) E[s^2]."""
-    w = stats.weights
-    s2 = stats.second_moments
-    w2 = w * w
-    cov_w2_s2 = float(np.mean(w2 * s2) - w2.mean() * s2.mean())
-    var_w = float(np.mean((w - w.mean()) ** 2))
-    lhs = -cov_w2_s2
-    rhs = var_w * float(s2.mean())
-    return CovConditionResult(holds=lhs > rhs, lhs=lhs, rhs=rhs)
 
 
 def variance_ratio_beta(spec: VarianceSpec, epsilon: float | None = None) -> float:
@@ -203,13 +156,8 @@ def variance_ratio_beta(spec: VarianceSpec, epsilon: float | None = None) -> flo
     A moment or ratio outside the normal double range raises DegenerateInputError.
     """
     if epsilon is None:
-        log_num = log_beta_fn(
-            2.0 * spec.alpha + spec.gamma1 + 1.0,
-            2.0 * spec.beta + spec.gamma2 + 1.0,
-        )
-        log_den = 2.0 * log_beta_fn(spec.alpha + 1.0, spec.beta + 1.0)
-        log_den += log_beta_fn(spec.gamma1 + 1.0, spec.gamma2 + 1.0)
-        log_ratio = log_num - log_den
+        log_num, log_w, log_s = (log_beta_fn(e1 + 1.0, e2 + 1.0) for e1, e2 in spec.moments())
+        log_ratio = log_num - (2.0 * log_w + log_s)
         ratio = math.exp(log_ratio) if log_ratio < _LOG_MAX else math.inf
         return _normal(f"variance ratio e^{log_ratio!r}", ratio)
 
@@ -223,9 +171,7 @@ def variance_ratio_beta(spec: VarianceSpec, epsilon: float | None = None) -> flo
     def moment(e1: float, e2: float) -> float:
         return float(scale * np.sum(weights * p**e1 * (1.0 - p) ** e2))
 
-    num = moment(2.0 * spec.alpha + spec.gamma1, 2.0 * spec.beta + spec.gamma2)
-    den_w = moment(spec.alpha, spec.beta)
-    den_s = moment(spec.gamma1, spec.gamma2)
+    num, den_w, den_s = (moment(e1, e2) for e1, e2 in spec.moments())
     den = den_w * den_w * den_s
     moments = (("numerator", num), ("kernel", den_w), ("signal", den_s), ("denominator", den))
     for name, value in moments:
@@ -275,6 +221,8 @@ def smoothness_constant(features: np.ndarray, weights: np.ndarray) -> float:
         raise DomainError(
             f"features must be (N, F) and weights (N,) with N >= 1, got {x.shape} and {w.shape}"
         )
+    if not (np.isfinite(x).all() and np.isfinite(w).all()):
+        raise DomainError("features and weights must be finite")
     if np.any(w < 0.0):
         raise DomainError("weights must be nonnegative")
     gram = np.zeros((x.shape[1], x.shape[1]))

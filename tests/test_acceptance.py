@@ -28,7 +28,6 @@ from zpdistill.snr_profile import (
     normalize_profile,
 )
 from zpdistill.variance import (
-    EmpiricalBatchStats,
     VarianceSpec,
     variance_ratio_beta,
     variance_ratio_empirical,
@@ -291,10 +290,7 @@ def test_ac07_empirical_variance_oracle():
         mus = rng.normal(0.0, 1.0, (m, dim))
         ds = rng.uniform(0.1, 1.5, (m, dim))
         s2 = np.sum(mus * mus, axis=1) + np.sum(ds * ds, axis=1)
-        stats = EmpiricalBatchStats(
-            weights=weights, second_moments=s2, mean_gradients=mus
-        )
-        got = variance_ratio_empirical(stats).ratio
+        got = variance_ratio_empirical(weights, s2, mus).ratio
         # Brute force over the 2m equally likely (record, sign) outcomes.
         w = np.concatenate([weights, weights])
         g = np.concatenate([mus + ds, mus - ds], axis=0)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -170,6 +171,15 @@ class TestFitSnrModel:
         want = f"^bin 2: snr must be finite and > 0, got {bad!r}$"
         with pytest.raises(DomainError, match=want):
             fit_snr_model(np.array([math.nan, 0.1, 0.3, 0.5, 0.7, 0.9]), snr)
+
+    @pytest.mark.parametrize("mean_p, snr", [
+        (np.array([0.1, 0.3, 0.6, 0.8]), np.ones(3)),
+        (np.array([[0.1, 0.3], [0.6, 0.8]]), np.ones((2, 2))),
+    ])
+    def test_columns_must_be_1d_of_one_length(self, mean_p, snr):
+        want = f"mean_p and snr must be 1-d and of one length, got {mean_p.shape} and {snr.shape}"
+        with pytest.raises(DomainError, match=f"^{re.escape(want)}$"):
+            fit_snr_model(mean_p, snr)
 
     @pytest.mark.parametrize("field, value, want", [
         ("a_prime", 0.0, "fitted exponents must be positive"),

@@ -14,9 +14,7 @@ from zpdistill.kernel import raw_weights
 from zpdistill import variance
 from zpdistill.numerics import log_softmax
 from zpdistill.variance import (
-    EmpiricalBatchStats,
     VarianceSpec,
-    cov_condition,
     gamma_from_signal,
     smoothness_constant,
     variance_ratio_beta,
@@ -26,16 +24,13 @@ from zpdistill.variance import (
 from sim_oracles import outcomes
 
 
-def _two_point_stats(weights, mus, ds) -> EmpiricalBatchStats:
-    """Records whose gradient is mu +- d with probability 1/2 each."""
+def _two_point(weights, mus, ds):
+    """variance_ratio_empirical of records whose gradient is mu +- d with
+    probability 1/2 each."""
     mus = np.asarray(mus, dtype=np.float64)
     ds = np.asarray(ds, dtype=np.float64)
     s2 = np.sum(mus * mus, axis=1) + np.sum(ds * ds, axis=1)
-    return EmpiricalBatchStats(
-        weights=np.asarray(weights, dtype=np.float64),
-        second_moments=s2,
-        mean_gradients=mus,
-    )
+    return variance_ratio_empirical(np.asarray(weights, dtype=np.float64), s2, mus)
 
 
 def _enumerated_ratio(weights, mus, ds) -> float:
@@ -104,7 +99,7 @@ class TestEmpiricalRatio:
         weights = np.array([1.5, 0.5, 1.0])
         mus = [[1.0, 0.0], [0.2, -0.4], [0.0, 0.3]]
         ds = [[0.5, 0.5], [1.0, 0.0], [0.2, 0.9]]
-        got = variance_ratio_empirical(_two_point_stats(weights, mus, ds)).ratio
+        got = _two_point(weights, mus, ds).ratio
         want = _enumerated_ratio(weights, mus, ds)
         assert got == pytest.approx(want, abs=1e-12)
 
@@ -116,7 +111,7 @@ class TestEmpiricalRatio:
             weights = raw / raw.mean()
             mus = rng.normal(0.0, 1.0, (m, dim))
             ds = rng.uniform(0.1, 1.5, (m, dim))
-            got = variance_ratio_empirical(_two_point_stats(weights, mus, ds)).ratio
+            got = _two_point(weights, mus, ds).ratio
             assert got == pytest.approx(_enumerated_ratio(weights, mus, ds), abs=1e-10)
 
     @settings(max_examples=60)
@@ -124,66 +119,47 @@ class TestEmpiricalRatio:
     def test_enumeration_property(self, rec):
         raw, mus, ds = rec
         weights = np.asarray(raw) / np.mean(raw)
-        got = variance_ratio_empirical(_two_point_stats(weights, mus, ds)).ratio
+        got = _two_point(weights, mus, ds).ratio
         want = _enumerated_ratio(weights, mus, ds)
         assert got == pytest.approx(want, rel=1e-9, abs=1e-9)
 
     def test_unit_weights_give_ratio_one(self):
-        stats = _two_point_stats(
-            np.ones(3), [[0.5, 0.1], [0.0, 0.2], [0.3, 0.0]], [[0.4, 0.2]] * 3
-        )
-        assert variance_ratio_empirical(stats).ratio == pytest.approx(1.0, abs=1e-14)
+        r = _two_point(np.ones(3), [[0.5, 0.1], [0.0, 0.2], [0.3, 0.0]], [[0.4, 0.2]] * 3)
+        assert r.ratio == pytest.approx(1.0, abs=1e-14)
 
     def test_downweighting_noisy_records_denoises(self):
         # Record 0 is pure noise with a large second moment; shifting its
         # weight to the clean record must push R below 1.
         mus = [[0.0, 0.0], [1.0, 0.5]]
         ds = [[3.0, 3.0], [0.3, 0.3]]
-        skewed = variance_ratio_empirical(
-            _two_point_stats(np.array([0.2, 1.8]), mus, ds)
-        ).ratio
-        assert skewed < 1.0
-        cond = cov_condition(_two_point_stats(np.array([0.2, 1.8]), mus, ds))
-        assert cond.holds
-        assert cond.lhs > cond.rhs
+        skewed = _two_point(np.array([0.2, 1.8]), mus, ds)
+        assert skewed.ratio < 1.0
+        assert skewed.cov_condition
+        assert -skewed.cov_w2_s2 > skewed.var_w * skewed.mean_s2
 
     def test_cov_condition_quantities(self):
-        stats = _two_point_stats(
-            np.array([0.5, 1.5]), [[1.0, 0.0], [0.0, 1.0]], [[1.0, 1.0], [0.5, 0.5]]
-        )
-        w, s2 = stats.weights, stats.second_moments
-        cond = cov_condition(stats)
+        w = np.array([0.5, 1.5])
+        s2 = np.array([1.0 + 2.0, 1.0 + 0.5])
+        r = _two_point(w, [[1.0, 0.0], [0.0, 1.0]], [[1.0, 1.0], [0.5, 0.5]])
         w2 = w * w
-        assert cond.lhs == pytest.approx(
+        assert -r.cov_w2_s2 == pytest.approx(
             -(np.mean(w2 * s2) - w2.mean() * s2.mean()), rel=1e-12
         )
-        assert cond.rhs == pytest.approx(np.var(w) * s2.mean(), rel=1e-12)
+        assert r.var_w * r.mean_s2 == pytest.approx(np.var(w) * s2.mean(), rel=1e-12)
+        assert r.cov_condition == (-r.cov_w2_s2 > r.var_w * r.mean_s2)
 
     def test_validation(self):
         mus = [[1.0, 0.0], [0.0, 1.0]]
         ds = [[0.5, 0.5], [0.5, 0.5]]
         with pytest.raises(DomainError, match="mean 1"):
-            _two_point_stats(np.array([1.0, 3.0]), mus, ds)
+            _two_point(np.array([1.0, 3.0]), mus, ds)
         with pytest.raises(DomainError, match="nonnegative"):
-            _two_point_stats(np.array([-0.5, 2.5]), mus, ds)
+            _two_point(np.array([-0.5, 2.5]), mus, ds)
         with pytest.raises(DomainError, match="shape"):
-            EmpiricalBatchStats(
-                weights=np.ones(2),
-                second_moments=np.ones(3),
-                mean_gradients=np.zeros((2, 2)),
-            )
+            variance_ratio_empirical(np.ones(2), np.ones(3), np.zeros((2, 2)))
         with pytest.raises(DomainError, match="second moment"):
-            EmpiricalBatchStats(
-                weights=np.ones(2),
-                second_moments=np.array([0.1, 0.1]),
-                mean_gradients=np.array([[1.0, 0.0], [0.0, 1.0]]),
-            )
-        with pytest.raises(DomainError, match="batch_size"):
-            EmpiricalBatchStats(
-                weights=np.ones(2),
-                second_moments=np.array([2.0, 2.0]),
-                mean_gradients=np.array([[1.0, 0.0], [0.0, 1.0]]),
-                batch_size=0,
+            variance_ratio_empirical(
+                np.ones(2), np.array([0.1, 0.1]), np.array([[1.0, 0.0], [0.0, 1.0]])
             )
 
     @pytest.mark.parametrize("weights, second_moments, mean_gradients, want", [
@@ -193,25 +169,25 @@ class TestEmpiricalRatio:
         (np.ones(2), np.ones(2), np.zeros(2), "mean_gradients must have shape \\(records, dim\\)"),
         (np.ones(2), np.ones(2), np.zeros((3, 2)),
          "mean_gradients must have shape \\(records, dim\\)"),
+        (np.ones(2), np.array([1.0, math.nan]), np.zeros((2, 2)),
+         "second_moments and mean_gradients must be finite"),
+        (np.ones(2), np.array([math.inf, 1.0]), np.zeros((2, 2)),
+         "second_moments and mean_gradients must be finite"),
+        (np.ones(2), np.ones(2), np.array([[0.0, math.nan], [0.0, 0.0]]),
+         "second_moments and mean_gradients must be finite"),
     ])
     def test_shape_rejections(self, weights, second_moments, mean_gradients, want):
         with pytest.raises(DomainError, match=f"^{want}$"):
-            EmpiricalBatchStats(weights, second_moments, mean_gradients)
+            variance_ratio_empirical(weights, second_moments, mean_gradients)
 
     def test_all_zero_second_moments(self):
-        stats = EmpiricalBatchStats(np.ones(3), np.zeros(3), np.zeros((3, 2)))
         with pytest.raises(DegenerateInputError, match="mean second moment must be positive"):
-            variance_ratio_empirical(stats)
+            variance_ratio_empirical(np.ones(3), np.zeros(3), np.zeros((3, 2)))
 
     def test_degenerate_unweighted_variance(self):
         # A single deterministic gradient has zero baseline variance.
-        stats = EmpiricalBatchStats(
-            weights=np.array([1.0]),
-            second_moments=np.array([1.0]),
-            mean_gradients=np.array([[1.0, 0.0]]),
-        )
         with pytest.raises(DegenerateInputError):
-            variance_ratio_empirical(stats)
+            variance_ratio_empirical(np.array([1.0]), np.array([1.0]), np.array([[1.0, 0.0]]))
 
 
 class TestBetaRatio:
@@ -397,14 +373,18 @@ class TestSmoothnessConstant:
         assert smoothness_constant(np.ones((3, 2)), np.zeros(3)) == 0.0
 
     @pytest.mark.parametrize(
-        "features, weights",
+        "features, weights, want",
         [
-            (np.ones((3, 2)), np.ones(2)),
-            (np.ones(3), np.ones(3)),
-            (np.ones((0, 2)), np.ones(0)),
-            (np.ones((2, 2)), np.array([1.0, -1.0])),
+            (np.ones((3, 2)), np.ones(2), "features must be"),
+            (np.ones(3), np.ones(3), "features must be"),
+            (np.ones((0, 2)), np.ones(0), "features must be"),
+            (np.ones((2, 2)), np.array([1.0, -1.0]), "nonnegative"),
+            (np.ones((2, 2)), np.array([1.0, math.nan]), "finite"),
+            (np.ones((2, 2)), np.array([math.inf, 1.0]), "finite"),
+            (np.array([[1.0, math.nan], [1.0, 1.0]]), np.ones(2), "finite"),
+            (np.array([[1.0, 1.0], [-math.inf, 1.0]]), np.ones(2), "finite"),
         ],
     )
-    def test_rejects_mismatched_shapes(self, features, weights):
-        with pytest.raises(DomainError):
+    def test_rejects_bad_shapes_and_values(self, features, weights, want):
+        with pytest.raises(DomainError, match=want):
             smoothness_constant(features, weights)
