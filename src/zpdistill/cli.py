@@ -330,6 +330,7 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
         help_text, func = _COMMANDS[name]
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(func=func)
+        p.add_argument("--out", help="output path (default stdout)")
         match name:
             case "weight":
                 p.add_argument("rollouts", help="JSONL rollout file")
@@ -344,7 +345,6 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
                     help="use a keep-band indicator instead of the smooth kernel",
                 )
                 p.add_argument("--floor", type=float, default=0.0, help="minimum raw weight")
-                p.add_argument("--out", help="output CSV path (default stdout)")
             case "select-exponents":
                 p.add_argument("rollouts", help="JSONL rollout file")
                 p.add_argument(
@@ -353,7 +353,6 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
                     default=0.125,
                     help="band margin: only pass rates in [eps, 1-eps] enter the moments",
                 )
-                p.add_argument("--out", help="output path (default stdout)")
             case "robustness":
                 p.add_argument(
                     "--delta",
@@ -361,7 +360,6 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
                     action="append",
                     help="extra log-misspecification radius (repeatable)",
                 )
-                p.add_argument("--out", help="output CSV path (default stdout)")
             case "variance-ratio":
                 p.add_argument("--alpha", type=float, help="kernel exponent on p")
                 p.add_argument("--beta", type=float, help="kernel exponent on 1-p")
@@ -379,18 +377,14 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
                     type=float,
                     help="truncate moment integrals to [eps, 1-eps] (diagnostic)",
                 )
-                p.add_argument("--out", help="output path (default stdout)")
             case "snr-profile":
                 p.add_argument("gradients", help="gradient CSV file")
                 p.add_argument(
                     "--bins", type=int, default=10, help="number of equal-width bins")
-                p.add_argument("--out", help="output CSV path (default stdout)")
             case "fit-snr":
                 p.add_argument("profile", help="profile CSV file")
-                p.add_argument("--out", help="output path (default stdout)")
             case "simulate":
                 p.add_argument("--config", help="INI config file (defaults used when omitted)")
-                p.add_argument("--out", help="metrics CSV path (default stdout)")
                 for flag, field, override_help in _OVERRIDES:
                     p.add_argument(flag, dest=field, help=f"override {override_help}")
                 p.add_argument(

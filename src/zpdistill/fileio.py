@@ -2,7 +2,8 @@
 
 All data files are plain text, UTF-8, with floats rendered at 10 significant
 digits and no timestamps, so re-running a command on the same inputs yields
-byte-identical files.
+byte-identical files. Every loader skips blank lines and reports the first
+malformed line in file order, naming it.
 
 - Rollouts: one JSON object per line, {"problem_id": str, "outcomes": [bool]};
   loaded into a passrate.RolloutTable of per-problem successes and k.
@@ -10,7 +11,8 @@ byte-identical files.
 - Gradient records: CSV with header problem_id,pass_rate,g0,...,g{D-1}, one
   row per problem; loaded into a snr_profile.GradientTable. Rows are parsed
   in fixed-size chunks, so the loader's peak memory is the table plus one
-  chunk's text, not the whole file's. A row with a non-finite value or a
+  chunk's text, not the whole file's, and it reads no line past the chunk
+  that holds the first malformed one. A row with a non-finite value or a
   pass_rate outside [0, 1] is a format error; the writer refuses a gradient
   whose 10-digit rendering would parse as inf.
 - SNR profiles: CSV with header bin_lo,bin_hi,mean_p,count,snr,snr_norm,
@@ -34,7 +36,7 @@ import dataclasses
 import itertools
 import json
 import math
-from typing import IO, Iterable, Iterator, Sequence
+from typing import IO, Iterable, Sequence
 
 import numpy as np
 
@@ -132,106 +134,77 @@ def _parse_rows(rows: Sequence[str], width: int) -> np.ndarray:
     return values
 
 
-def _records(lines: Iterable[str], first: int, dim: int) -> Iterator[tuple[int, str, str]]:
-    """(line number, id, fields after the id) of each non-blank line, numbered
-    from first; raises on the first line with the wrong field count or an
-    empty id."""
-    for lineno, line in enumerate(lines, start=first):
-        text = line.strip()
-        if not text:
+def _checked_lines(
+    parts: Sequence[tuple[str, str, str]], first: int, dim: int
+) -> tuple[list[str], np.ndarray]:
+    """The ids and (n, dim + 1) values of a chunk's non-blank lines, each
+    checked on its own; parts are the chunk's stripped lines split at the
+    first comma, from line `first` on. Raises on the first malformed line."""
+    pids: list[str] = []
+    rows: list[np.ndarray] = []
+    for lineno, (pid, comma, row) in enumerate(parts, start=first):
+        if not (pid or comma):
             continue
-        fields = text.count(",") + 1
+        fields = row.count(",") + 2 if comma else 1
         if fields != dim + 2:
-            raise FileFormatError(
-                f"line {lineno}: expected {dim + 2} fields, got {fields}"
-            )
-        pid, _, rest = text.partition(",")
+            raise FileFormatError(f"line {lineno}: expected {dim + 2} fields, got {fields}")
         if not pid:
             raise FileFormatError(f"line {lineno}: empty problem_id")
-        yield lineno, pid, rest
-
-
-def _first_fault(
-    parts: Sequence[tuple[str, str, str]], first: int, rest: Iterator[str], dim: int,
-    exc: ValueError,
-) -> FileFormatError:
-    """The error for a chunk whose rows failed to parse with exc; parts are
-    its stripped lines split at the first comma, from line `first` on. As in
-    a whole-file check, a field-count or empty-id fault on any line from
-    there to the end of the input (rest) comes before a non-numeric row."""
-    records = list(_records(map("".join, parts), first, dim))
-    for _ in _records(rest, first + len(parts), dim):
-        pass
-    # Rows parse independently: report the first that fails on its own.
-    where, error = "", exc
-    for lineno, _, row in records:
         try:
-            _parse_rows([row], dim + 1)
-        except ValueError as row_exc:
-            where, error = f"line {lineno}: ", row_exc
-            break
-    detail = str(error).split(" at row ")[0]
-    return FileFormatError(f"{where}non-numeric field ({detail})")
+            values = _parse_rows([row], dim + 1)
+        except ValueError as exc:
+            detail = str(exc).split(" at row ")[0]
+            raise FileFormatError(f"line {lineno}: non-numeric field ({detail})") from exc
+        if GradientTable.invalid_rows(values[:, 0], values[:, 1:])[0]:
+            raise FileFormatError(
+                f"line {lineno}: values must be finite and pass_rate must lie in [0,1]"
+            )
+        pids.append(pid)
+        rows.append(values[0])
+    return pids, np.array(rows, dtype=np.float64).reshape(-1, dim + 1)
 
 
 def load_gradient_records(lines: Iterable[str]) -> GradientTable:
     """Parse a gradient table from the delimited format; blank lines are skipped.
 
     Lines are parsed _CHUNK_LINES at a time, each chunk by one np.loadtxt call
-    into one growing array. Errors come in the order of a whole-file check:
-    a wrong field count or an empty id on any line, then the first
-    non-numeric row, then the first row with a non-finite value or a
-    pass_rate outside [0, 1].
+    into one growing array. A chunk that fails to parse, or holds a blank
+    line, a non-finite value or a pass_rate outside [0, 1], is checked again
+    one line at a time, so an error names the first malformed line.
     """
     it = iter(lines)
     header = next(it, None)
     if header is None:
         raise FileFormatError("gradient file is empty")
     cols = header.strip().split(",")
-    if cols[:2] != ["problem_id", "pass_rate"] or len(cols) < 3:
-        raise FileFormatError(
-            "line 1: header must be problem_id,pass_rate,g0,...,g{D-1}"
-        )
     dim = len(cols) - 2
+    if dim < 1 or cols != ["problem_id", "pass_rate", *(f"g{j}" for j in range(dim))]:
+        raise FileFormatError("line 1: header must be problem_id,pass_rate,g0,...,g{D-1}")
     ids: list[str] = []
-    linenos: list[int] = []
     values = np.empty((0, dim + 1))
     for first in itertools.count(2, _CHUNK_LINES):
-        parts = [
-            line.strip().partition(",") for line in itertools.islice(it, _CHUNK_LINES)
-        ]
+        parts = [line.strip().partition(",") for line in itertools.islice(it, _CHUNK_LINES)]
         if not parts:
             break
-        numbers: Sequence[int] = range(first, first + len(parts))
         pids = [part[0] for part in parts]
         rows = [part[2] for part in parts]
-        if "" in pids or "" in rows:
-            # A blank line, or one with an empty id or too few fields.
-            records = _records(map("".join, parts), first, dim)
-            numbers, pids, rows = list(zip(*records)) or ((), (), ())
-            if not rows:
-                continue
         try:
+            if "" in pids or "" in rows:
+                raise ValueError("a blank line, or one with an empty id or too few fields")
             chunk = _parse_rows(rows, dim + 1)
-        except ValueError as exc:
-            raise _first_fault(parts, first, it, dim, exc) from exc
+            if GradientTable.invalid_rows(chunk[:, 0], chunk[:, 1:]).any():
+                raise ValueError("a non-finite value or a pass_rate outside [0, 1]")
+        except ValueError:
+            pids, chunk = _checked_lines(parts, first, dim)
         del parts, rows  # free the chunk's text before values grows
         # No view of values exists yet, so it may be resized in place; realloc
         # extends or remaps the block rather than copying it.
         values.resize((len(ids) + len(chunk), dim + 1), refcheck=False)
         values[len(ids):] = chunk
         ids += pids
-        linenos += numbers
     if not ids:
         raise FileFormatError("gradient file has a header but no records")
-    try:
-        return GradientTable(tuple(ids), values[:, 0], values[:, 1:])
-    except DomainError as exc:
-        bad = GradientTable.invalid_rows(values[:, 0], values[:, 1:])
-        raise FileFormatError(
-            f"line {linenos[int(np.argmax(bad))]}: values must be finite and "
-            "pass_rate must lie in [0,1]"
-        ) from exc
+    return GradientTable(tuple(ids), values[:, 0], values[:, 1:])
 
 
 # The smallest double whose 10-digit rendering, 1.797693135e+308, parses to

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from zpdistill import distill_sim, variance
+from zpdistill import distill_sim, fileio, variance
 from zpdistill.distill_sim import (
     SimConfig,
     build_world,
@@ -315,6 +315,21 @@ class TestKlGradients:
         assert np.array_equal(got, want.T)
 
 
+# Arms that differ from _SHARED only in keys outside [world].
+_SHARED = SimConfig(num_problems=60, num_anchors=8, feature_dim=6, vocab_size=7, steps=21)
+_ARMS = {
+    "hard": dict(scheme="hard"),
+    "unweighted": dict(scheme="unweighted"),
+    "alpha2_beta05": dict(alpha=2.0, beta=0.5),
+    "sampled_reverse_batch50": dict(
+        loss_direction="reverse", reverse_kl_samples=16, batch_size=50),
+    "two_stage_recompute7": dict(loss_direction="two_stage", recompute_interval=7),
+    "temperature07_lr2": dict(rollout_temperature=0.7, learning_rate=2.0),
+    "exact_reverse": dict(loss_direction="reverse"),
+    "k4_eval7": dict(rollout_count=4, eval_interval=7),
+}
+
+
 class TestTrain:
     def test_zero_learning_rate_is_control(self):
         cfg = _small(learning_rate=0.0)
@@ -326,6 +341,25 @@ class TestTrain:
         losses = {row.loss for row in metrics.rows}
         assert len(losses) == 1
         assert all(row.retention_kl == 0.0 for row in metrics.rows)
+
+    def test_one_world_serves_every_arm(self):
+        # build_world leaves every array but theta read-only and train rebinds
+        # theta, so one world per (seed, [world] keys) serves every arm that
+        # shares them: each arm runs as it would on a world of its own.
+        shared = build_world(_SHARED)
+        theta0 = shared.theta.copy()
+        for name, keys in _ARMS.items():
+            arm = dataclasses.replace(_SHARED, **keys)
+            assert all(getattr(arm, key) == getattr(_SHARED, key)
+                       for key in fileio._SECTIONS["world"]), name
+            runs = []
+            for world in (dataclasses.replace(shared, config=arm), build_world(arm)):
+                metrics = train(world)
+                buf = io.StringIO()
+                write_metrics(buf, metrics)
+                runs.append((buf.getvalue(), world.theta.tobytes(), metrics.recompute_steps))
+            assert runs[0] == runs[1], name
+            assert shared.theta.tobytes() == theta0.tobytes() and shared.step == 0, name
 
     def test_checkpoint_schedule_and_stage_labels(self):
         cfg = _small(steps=7, eval_interval=3)

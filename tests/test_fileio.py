@@ -8,7 +8,7 @@ import re
 import tracemalloc
 import warnings
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 import pytest
@@ -190,28 +190,23 @@ def _float_parse(lines):
     return np.array([[float(v) for v in line.split(",")[1:]] for line in lines])
 
 
-# The loader before rows were parsed in chunks, kept verbatim as the oracle:
-# it parsed every row with one np.loadtxt call.
-def _old_parse_floats(rows: Sequence[str]) -> np.ndarray:
-    return np.loadtxt(rows, delimiter=",", comments=None, dtype=np.float64, ndmin=2)
-
-
-def _old_load_gradient_records(lines: Iterable[str]) -> GradientTable:
-    """Parse a gradient table from the delimited format; blank lines are skipped."""
+def _per_line_load(lines: Iterable[str]) -> GradientTable:
+    """The gradient format read plainly as the oracle: each line is checked
+    and parsed on its own, and the first malformed line is reported."""
     it = iter(enumerate(lines, start=1))
     try:
         _, header = next(it)
     except StopIteration:
         raise FileFormatError("gradient file is empty") from None
     cols = header.strip().split(",")
-    if cols[:2] != ["problem_id", "pass_rate"] or len(cols) < 3:
+    dim = len(cols) - 2
+    names = [f"g{j}" for j in range(dim)]
+    if cols[:2] != ["problem_id", "pass_rate"] or cols[2:] != names or dim < 1:
         raise FileFormatError(
             "line 1: header must be problem_id,pass_rate,g0,...,g{D-1}"
         )
-    dim = len(cols) - 2
     ids: list[str] = []
-    rows: list[str] = []  # each row's fields after the id
-    linenos: list[int] = []
+    rows: list[np.ndarray] = []
     for lineno, line in it:
         text = line.strip()
         if not text:
@@ -224,30 +219,22 @@ def _old_load_gradient_records(lines: Iterable[str]) -> GradientTable:
         pid, _, rest = text.partition(",")
         if not pid:
             raise FileFormatError(f"line {lineno}: empty problem_id")
+        try:
+            row = np.loadtxt([rest], delimiter=",", comments=None, dtype=np.float64, ndmin=2)
+            if row.shape != (1, dim + 1):
+                raise ValueError(f"expected {dim + 1} columns in each of 1 rows")
+        except ValueError as exc:
+            detail = str(exc).split(" at row ")[0]
+            raise FileFormatError(f"line {lineno}: non-numeric field ({detail})") from exc
+        if not (0.0 <= row[0, 0] <= 1.0 and np.isfinite(row).all()):
+            raise FileFormatError(
+                f"line {lineno}: values must be finite and pass_rate must lie in [0,1]"
+            )
         ids.append(pid)
-        rows.append(rest)
-        linenos.append(lineno)
+        rows.append(row[0])
     if not ids:
         raise FileFormatError("gradient file has a header but no records")
-    try:
-        values = _old_parse_floats(rows)
-    except ValueError as exc:
-        # Rows parse independently: report the first that fails on its own.
-        where, error = "", exc
-        for lineno, row in zip(linenos, rows):
-            try:
-                _old_parse_floats([row])
-            except ValueError as row_exc:
-                where, error = f"line {lineno}: ", row_exc
-                break
-        detail = str(error).split(" at row ")[0]
-        raise FileFormatError(f"{where}non-numeric field ({detail})") from exc
-    bad = GradientTable.invalid_rows(values[:, 0], values[:, 1:])
-    if bad.any():
-        raise FileFormatError(
-            f"line {linenos[int(np.argmax(bad))]}: values must be finite and "
-            "pass_rate must lie in [0,1]"
-        )
+    values = np.array(rows)
     return GradientTable(tuple(ids), values[:, 0], values[:, 1:])
 
 
@@ -333,8 +320,22 @@ class TestGradientRecords:
             load_gradient_records([])
 
     def test_rejects_bad_header(self):
-        with pytest.raises(FileFormatError, match="header"):
-            load_gradient_records(["id,p,g0", "a,0.5,1.0"])
+        headers = [
+            "id,p,g0",
+            "problem_id,pass_rate",
+            # The gradient columns must be named g0..g{D-1}, in order.
+            "problem_id,pass_rate,zz,g7",
+            "problem_id,pass_rate,g1",
+            "problem_id,pass_rate,g0,g0",
+            "problem_id,pass_rate,g0,g2",
+            "problem_id,pass_rate,g1,g0",
+            "problem_id,pass_rate,G0",
+            "problem_id,pass_rate,g0 ,g1",
+        ]
+        for header in headers:
+            row = "a,0.5" + ",1" * max(header.count(",") - 1, 1)
+            with pytest.raises(FileFormatError, match=r"^line 1: header must be "):
+                load_gradient_records([header, row])
 
     def test_rejects_wrong_field_count(self):
         lines = ["problem_id,pass_rate,g0,g1", "a,0.5,1.0"]
@@ -434,33 +435,61 @@ class TestGradientRecords:
             ).map(lambda t: ("problem_id,pass_rate,g0,g1\n" if t[0] else "") + t[1]),
         )
     )
-    def test_matches_the_whole_file_loader(self, text):
+    def test_matches_the_per_line_loader(self, text):
         # Chunks of 1-3 lines put faults on both sides of chunk boundaries; the
         # result, or the error message with its line, must not depend on them.
         sizes = (1, 2, 3, fileio._CHUNK_LINES)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for split in (str.splitlines, lambda t: t.split("\n"), io.StringIO):
-                want = _outcome(_old_load_gradient_records, split(text))
+                want = _outcome(_per_line_load, split(text))
                 for size in sizes:
                     with pytest.MonkeyPatch.context() as mp:
                         mp.setattr(fileio, "_CHUNK_LINES", size)
                         assert _outcome(load_gradient_records, split(text)) == want
 
-    def test_error_precedence_across_chunks(self, monkeypatch):
+    def test_first_bad_line_wins_across_chunks(self, monkeypatch):
+        # Chunks of 2 lines: lines 2-3, 4-5, 6-7.
         monkeypatch.setattr(fileio, "_CHUNK_LINES", 2)
         head = ["problem_id,pass_rate,g0", "a,0.5,1", "b,0.5,nan"]
+        ok = head[:2] + ["b,0.5,1"]
         cases = [
-            # A field-count fault in a later chunk outranks a non-numeric field.
-            (head + ["c,0.5,x", "d,0.5,1", "e,0.5"], "line 6: expected 3 fields, got 2"),
-            (head + ["c,0.5,x", "d,0.5,1", ",0.5,1"], "line 6: empty problem_id"),
-            # A non-numeric field in a later chunk outranks a non-finite value.
-            (head + ["c,0.5,1", "d,0.5,1", "e,0.5,x"], "line 6: non-numeric field"),
+            # A non-finite value outranks any fault on a later line, in a later
+            # chunk or in the same one.
+            (head + ["c,0.5,x", "d,0.5,1", "e,0.5"], "line 3: values must be finite"),
+            (head + ["c,0.5,x", "d,0.5,1", ",0.5,1"], "line 3: values must be finite"),
+            (head + ["c,0.5,1", "d,0.5,1", "e,0.5,x"], "line 3: values must be finite"),
             (head + ["c,0.5,1"], "line 3: values must be finite"),
+            (["problem_id,pass_rate,g0", "a,0.5,inf", "b,0.5"], "line 2: values must be finite"),
+            # Each kind of fault wins when it comes first, wherever the chunk
+            # boundary falls and whatever follows it.
+            (ok + ["c,0.5,x", "d,0.5"], "line 4: non-numeric field"),
+            (ok + ["c,0.5,1", "d,1.5,1", "e,0.5"], "line 5: values must be finite"),
+            (ok + ["c,0.5", "d,0.5,x"], "line 4: expected 3 fields, got 2"),
+            (ok + ["", "c,0.5,1,2", "d,0.5,nan"], "line 5: expected 3 fields, got 4"),
+            (ok + ["c,0.5,1", "d,0.5,1", ",0.5,1", "e,0.5,x"], "line 6: empty problem_id"),
         ]
         for lines, message in cases:
             with pytest.raises(FileFormatError, match=f"^{re.escape(message)}"):
                 load_gradient_records(lines)
+
+    @pytest.mark.parametrize("bad", ["c,0.5,x", "c,0.5,nan", "c,2,1", "c,0.5", ",0.5,1"])
+    def test_reads_no_line_past_the_chunk_of_the_first_bad_line(self, monkeypatch, bad):
+        monkeypatch.setattr(fileio, "_CHUNK_LINES", 2)
+        lines = ["problem_id,pass_rate,g0", "a,0.5,1", "b,0.5,1", bad, "d,0.5,1"]
+        lines += [f"e{i},0.5,1" for i in range(100)]
+        taken = 0
+
+        def counted():
+            nonlocal taken
+            for line in lines:
+                taken += 1
+                yield line
+
+        with pytest.raises(FileFormatError, match="^line 4: "):
+            load_gradient_records(counted())
+        # The header, then the chunks of lines 2-3 and 4-5.
+        assert taken == 5
 
     def test_peak_allocation_is_the_table_and_one_chunk(self):
         # Peak traced allocation while loading N = 5000, D = 64 from a
@@ -646,6 +675,36 @@ class TestProfileProperties:
             assert mean_p.shape == snr.shape
             assert all(math.isnan(p) or 0.0 <= p <= 1.0 for p in mean_p.tolist())
             assert all(math.isnan(s) or 0.0 <= s < math.inf for s in snr.tolist())
+
+
+@pytest.mark.parametrize(
+    "load, lines, lineno",
+    [
+        (
+            load_rollouts,
+            ['{"problem_id": "a", "outcomes": [true]}',
+             '{"problem_id": "b", "outcomes": []}', '{"problem_id": "c"'],
+            2,
+        ),
+        (
+            load_gradient_records,
+            ["problem_id,pass_rate,g0", "a,0.5,1", "b,0.5,nan", "c,0.5"],
+            3,
+        ),
+        (
+            load_profile_points,
+            ["bin_lo,bin_hi,mean_p,count,snr,snr_norm,theory_norm",
+             "0,0.5,0.25,3,1,1,1", "0.5,1,1.5,3,1,1,1", "0.5,1,0.75,3,1"],
+            3,
+        ),
+    ],
+    ids=["rollouts", "gradients", "profile"],
+)
+def test_every_loader_names_the_first_bad_line(load, lines, lineno):
+    # A value fault on an earlier line outranks a structural fault (bad JSON,
+    # a wrong field count) on a later one.
+    with pytest.raises(FileFormatError, match=f"^line {lineno}: "):
+        load(lines)
 
 
 class TestWeightTable:
