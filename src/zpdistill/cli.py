@@ -85,13 +85,17 @@ def _load_rollout_table(path: str) -> RolloutTable:
 
 
 def _cmd_weight(args: argparse.Namespace) -> None:
+    kernel = [f"--{name}" for name in ("alpha", "beta") if getattr(args, name) is not None]
+    if args.band is not None and kernel:
+        raise ConfigError(f"--hard-filter cannot be combined with {', '.join(kernel)}")
     table = _load_rollout_table(args.rollouts)
     p = table.p
     if args.band is not None:
         lo, hi = args.band
         raw = raw_weights(p, "hard", lo=lo, hi=hi, floor=args.floor)
-    else:
-        raw = raw_weights(p, "beta", alpha=args.alpha, beta=args.beta, floor=args.floor)
+    else:  # Beta(1, 1) by default
+        alpha, beta = (1.0 if x is None else x for x in (args.alpha, args.beta))
+        raw = raw_weights(p, "beta", alpha=alpha, beta=beta, floor=args.floor)
     normalized = unit_mean(raw)
     if not normalized.any():
         _log("warning: every weight is zero; normalized column left at zero")
@@ -138,24 +142,21 @@ def _cmd_robustness(args: argparse.Namespace) -> None:
 
 
 def _cmd_variance_ratio(args: argparse.Namespace) -> None:
+    flags = {f"--{name}": getattr(args, name) for name in ("alpha", "beta", "gamma1", "gamma2")}
+    given = [flag for flag, value in flags.items() if value is not None]
     if args.signal is not None:
+        if given:
+            raise ConfigError(f"--signal cannot be combined with {', '.join(given)}")
         a_s, b_s, a_prime, b_prime = args.signal
         gamma1, gamma2 = gamma_from_signal(a_s, b_s, a_prime, b_prime)
         alpha, beta = a_prime, b_prime
+    elif len(given) < 4:
+        raise ConfigError(
+            "variance-ratio needs either --signal or all of --alpha --beta --gamma1 --gamma2 "
+            f"(missing: {', '.join(flag for flag in flags if flag not in given)})"
+        )
     else:
-        missing = [
-            name
-            for name in ("alpha", "beta", "gamma1", "gamma2")
-            if getattr(args, name) is None
-        ]
-        if missing:
-            raise ConfigError(
-                "variance-ratio needs either --signal or all of "
-                "--alpha --beta --gamma1 --gamma2 (missing: "
-                + ", ".join("--" + m for m in missing)
-                + ")"
-            )
-        alpha, beta, gamma1, gamma2 = args.alpha, args.beta, args.gamma1, args.gamma2
+        alpha, beta, gamma1, gamma2 = flags.values()
     spec = VarianceSpec(alpha=alpha, beta=beta, gamma1=gamma1, gamma2=gamma2)
     r = variance_ratio_beta(spec, epsilon=args.epsilon)
     lines = [
@@ -245,13 +246,24 @@ def _cmd_simulate(args: argparse.Namespace) -> None:
         if not 0 <= step <= config.steps:
             raise ConfigError(f"--dump-step {step} outside [0, {config.steps}] (default 20)")
     world = build_world(config)
-    # The SNR dump at each dump step, once however often it is named, and
-    # the forward-KL smoothness constant L of the weights at each recompute.
-    dumps, smoothness = {}, {}
+    # The SNR dump at each dump step, once however often it is named, and the
+    # first warning of each kind, decided at the recompute that computes the
+    # forward-KL smoothness constant L of its weights.
+    dumps, warnings = {}, {}
 
     def observe(world, direction, weights, counts):
         if counts is not None:
-            smoothness[world.step] = smoothness_constant(world.features, weights)
+            eta_l = config.learning_rate * smoothness_constant(world.features, weights)
+            if eta_l >= 2.0:
+                scope = "" if config.loss_direction == "forward" else (
+                    "; the bound covers forward KL only")
+                warnings.setdefault("eta*L", (
+                    f"warning: eta*L = {fmt(eta_l)} >= 2 at step {world.step}, so gradient "
+                    f"descent is no longer guaranteed to decrease the loss{scope}"))
+            if not weights.any():
+                warnings.setdefault("zero", (
+                    f"warning: every weight is zero at step {world.step}, "
+                    "so the updates until the next recompute change nothing"))
         if world.step in dump_steps:
             dumps[world.step] = measure_snr(world, direction)
 
@@ -275,25 +287,9 @@ def _cmd_simulate(args: argparse.Namespace) -> None:
         "recomputed weights at steps: "
         + ", ".join(str(s) for s in metrics.recompute_steps)
     )
-    # One warning, at the first recompute whose eta * L breaks the descent lemma.
-    for step, constant in smoothness.items():
-        eta_l = world.config.learning_rate * constant
-        if eta_l >= 2.0:
-            forward = world.config.loss_direction == "forward"
-            scope = "" if forward else "; the bound covers forward KL only"
-            _log(
-                f"warning: eta*L = {fmt(eta_l)} >= 2 at step {step}, so gradient descent "
-                f"is no longer guaranteed to decrease the loss{scope}"
-            )
-            break
-    # Feature rows are unit vectors, so L is 0 exactly when every weight is.
-    for step, constant in smoothness.items():
-        if constant == 0.0:
-            _log(
-                f"warning: every weight is zero at step {step}, "
-                "so the updates until the next recompute change nothing"
-            )
-            break
+    for kind in ("eta*L", "zero"):
+        if kind in warnings:
+            _log(warnings[kind])
     if metrics.stage_switch_step is not None:
         _log(f"stage switch at step {metrics.stage_switch_step}")
     final = metrics.rows[-1]
@@ -334,8 +330,8 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
         match name:
             case "weight":
                 p.add_argument("rollouts", help="JSONL rollout file")
-                p.add_argument("--alpha", type=float, default=1.0, help="kernel exponent on p")
-                p.add_argument("--beta", type=float, default=1.0, help="kernel exponent on 1-p")
+                p.add_argument("--alpha", type=float, help="kernel exponent on p (default 1)")
+                p.add_argument("--beta", type=float, help="kernel exponent on 1-p (default 1)")
                 p.add_argument(
                     "--hard-filter",
                     dest="band",

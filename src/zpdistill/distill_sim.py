@@ -618,7 +618,6 @@ def train(
     starts = {0, switch_step, *range(interval, t_total, interval)}
     grid = {*range(0, t_total, config.eval_interval), t_total}
     sweeps = sorted(starts | grid)
-    recompute_steps: list[int] = []
     rows: list[CheckpointRow] = []
     scratch, live = _scratch(world), None
 
@@ -637,7 +636,6 @@ def train(
                 cols = slice(None) if weights.all() else np.flatnonzero(weights)
                 live = None  # drop the last recompute's columns first
                 live = _live(world, weights, cols, direction, scratch)
-            recompute_steps.append(world.step)
         if checkpoint:
             rows.append(_checkpoint(world, weights, direction, counts["eval"], kl))
 
@@ -650,7 +648,7 @@ def train(
 
     return SimMetrics(
         rows=tuple(rows),
-        recompute_steps=tuple(recompute_steps),
+        recompute_steps=tuple(base + s for s in sorted(starts)),
         stage_switch_step=(
             base + switch_step if config.loss_direction == "two_stage" else None
         ),

@@ -255,7 +255,7 @@ def write_profile(f: IO[str], profile: SnrProfile) -> None:
 
 def load_profile_points(lines: Iterable[str]) -> tuple[np.ndarray, np.ndarray]:
     """The (B,) mean_p and snr columns of a profile file, NaN for an empty
-    field."""
+    field; the other five fields are checked but not kept."""
     it = iter(enumerate(lines, start=1))
     try:
         _, header = next(it)
@@ -271,11 +271,17 @@ def load_profile_points(lines: Iterable[str]) -> tuple[np.ndarray, np.ndarray]:
         parts = text.split(",")
         if len(parts) != 7:
             raise FileFormatError(f"line {lineno}: expected 7 fields, got {len(parts)}")
-        mean_p, snr = parts[2], parts[4]
-        try:
-            p, s = (float(x) if x else math.nan for x in (mean_p, snr))
+        lo, hi, mean_p, count, snr, *norms = parts
+        floats = [lo, hi, mean_p, snr, *norms]
+        try:  # bin_lo and bin_hi are numbers, the other float fields numbers or empty
+            _, _, p, s, *_ = values = [float(x) if x or i < 2 else math.nan
+                                       for i, x in enumerate(floats)]
+            if sum(map(math.isnan, values)) > floats.count(""):
+                raise ValueError("a NaN is written as an empty field")
         except ValueError as exc:
             raise FileFormatError(f"line {lineno}: non-numeric field ({exc})") from exc
+        if not (count.isascii() and count.isdigit()):
+            raise FileFormatError(f"line {lineno}: count must be an integer >= 0, got {count!r}")
         if not ((not mean_p or 0.0 <= p <= 1.0) and (not snr or 0.0 <= s < math.inf)):
             raise FileFormatError(
                 f"line {lineno}: mean_p must lie in [0,1] and snr must be finite "

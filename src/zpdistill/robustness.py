@@ -6,10 +6,11 @@ the scale sech(delta) equalizes the two extremes at efficiency sech^2(delta).
 
 fit_snr_model estimates the power-law representation
 snr^2(p) = c * p^{a'} (1-p)^{b'} * e^{r(p)} by least squares in log space,
-from an SNR profile's mean_p and snr columns; it picks the bins it can fit.
-delta is the sup of the median-centered remainder: a constant multiplicative
-offset in SNR^2 is absorbed into the learning rate, so only variation around
-the fitted law counts as misspecification.
+from an SNR profile's mean_p and snr columns; it picks the bins it can fit
+and keeps a', b', the boundary constants c0 and c1, and delta, the sup of the
+median-centered remainder r (c and r themselves are not kept). A constant
+multiplicative offset in SNR^2 is absorbed into the learning rate, so only
+variation around the fitted law counts as misspecification.
 """
 
 from __future__ import annotations
@@ -35,20 +36,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SnrModelFit:
-    """Least-squares power-law fit of an SNR^2 profile.
-
-    ps/remainders keep the fitted grid and per-point log remainders
-    (model-and-intercept removed) so the fit can be reconstructed exactly.
-    """
+    """What fit_snr_model keeps of a power-law fit: exponents, boundary
+    constants and the misspecification radius delta."""
 
     a_prime: float
     b_prime: float
     c0: float
     c1: float
     delta: float
-    intercept: float
-    ps: tuple[float, ...]
-    remainders: tuple[float, ...]
 
     def __post_init__(self) -> None:
         if not (self.a_prime > 0.0 and self.b_prime > 0.0):
@@ -125,9 +120,6 @@ def fit_snr_model(mean_p: np.ndarray, snr: np.ndarray) -> SnrModelFit:
         c0=_exp(log_c0, FitError, f"boundary constant c0 = e^{log_c0!r}"),
         c1=_exp(log_c1, FitError, f"boundary constant c1 = e^{log_c1!r}"),
         delta=delta,
-        intercept=intercept,
-        ps=tuple(float(p) for p in ps),
-        remainders=tuple(float(r) for r in resid),
     )
 
 

@@ -92,6 +92,26 @@ class TestWeight:
         rows = _table(capsys.readouterr().out)
         assert [(r["w"], r["w_norm"]) for r in rows] == [("2", "1")] * 3
 
+    @pytest.mark.parametrize("flags, named", [
+        (["--alpha", "7", "--beta", "9"], "--alpha, --beta"),
+        (["--beta", "1"], "--beta"),
+    ])
+    def test_kernel_exponents_with_the_hard_filter_fail_before_reading(
+        self, tmp_path, capsys, flags, named
+    ):
+        # The rollout file does not exist, so the error comes before any read.
+        argv = ["weight", str(tmp_path / "nope.jsonl"), "--hard-filter", "0.2", "0.8", *flags]
+        err = _single_error(capsys, tmp_path, argv)
+        assert err == f"error: --hard-filter cannot be combined with {named}"
+
+    def test_default_kernel_is_beta_1_1(self, tmp_path, capsys):
+        path = _write_rollouts(tmp_path / "r.jsonl", [("a", 2, 8), ("b", 4, 8), ("c", 7, 8)])
+        tables = []
+        for flags in ([], ["--alpha", "1"], ["--alpha", "1", "--beta", "1"]):
+            assert main(["weight", str(path), *flags]) == 0
+            tables.append(capsys.readouterr().out)
+        assert tables[0] == tables[1] == tables[2]
+
     def test_degenerate_warns_on_stderr(self, tmp_path, capsys):
         path = _write_rollouts(tmp_path / "r.jsonl", [("a", 0, 4), ("b", 0, 4)])
         assert main(["weight", str(path)]) == 0
@@ -281,6 +301,15 @@ class TestVarianceRatio:
         assert float(kv["gamma2"]) == pytest.approx(1.0)
         want = variance_ratio_beta(VarianceSpec(1.0, 1.0, 1.0, 1.0))
         assert float(kv["variance_ratio"]) == pytest.approx(want, rel=1e-9)
+
+    @pytest.mark.parametrize("flags, named", [
+        (["--alpha", "5", "--gamma1", "9"], "--alpha, --gamma1"),
+        (["--gamma2", "0"], "--gamma2"),
+    ])
+    def test_exponent_flags_with_signal_are_error(self, tmp_path, capsys, flags, named):
+        argv = ["variance-ratio", "--signal", "1.0", "1.5", "1.3", "0.7", *flags]
+        err = _single_error(capsys, tmp_path, argv)
+        assert err == f"error: --signal cannot be combined with {named}"
 
     def test_missing_flags_named(self, capsys):
         assert main(["variance-ratio", "--alpha", "1", "--beta", "1"]) == 1
@@ -710,11 +739,17 @@ class TestSimulate:
         (line,) = self._warnings(err)
         assert "at step 0" in line and line.endswith("the bound covers forward KL only")
 
-    def test_all_zero_weights_warn_at_the_first_such_step(self, tmp_path, capsys):
-        # A K = 8 pass rate is a multiple of 1/8, so it never equals 0.55.
+    @staticmethod
+    def _zero_band(tmp_path):
+        """A config whose hard band gives every problem weight zero: a K = 8
+        pass rate is a multiple of 1/8, so it never equals 0.55."""
         cfg = tmp_path / "band.cfg"
         cfg.write_text("[weighting]\nscheme = hard\nfilter_lo = 0.55\nfilter_hi = 0.55\n",
                        encoding="utf-8")
+        return cfg
+
+    def test_all_zero_weights_warn_at_the_first_such_step(self, tmp_path, capsys):
+        cfg = self._zero_band(tmp_path)
         out = tmp_path / "metrics.csv"
         args = ["simulate", "--config", str(cfg), "--steps", "4", "--recompute-interval", "2",
                 "--out", str(out)]
@@ -725,6 +760,35 @@ class TestSimulate:
         assert line == ("warning: every weight is zero at step 0, so the updates "
                         "until the next recompute change nothing")
         assert out.exists()
+
+    def test_all_zero_weights_are_read_from_the_weights_not_from_l(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # With L patched to 1, eta * L = 1 < 2 and L is never 0: the warning
+        # must come from the all-zero weights themselves.
+        monkeypatch.setattr(cli, "smoothness_constant", lambda features, weights: 1.0)
+        cfg = self._zero_band(tmp_path)
+        args = ["simulate", "--config", str(cfg), "--steps", "4", "--recompute-interval", "2",
+                "--eta", "1", "--out", str(tmp_path / "metrics.csv")]
+        assert main(args) == 0
+        (line,) = self._warnings(capsys.readouterr().err)
+        assert line == ("warning: every weight is zero at step 0, so the updates "
+                        "until the next recompute change nothing")
+
+    def test_the_eta_l_warning_prints_first_whichever_step_comes_first(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # L reads 0 at the first recompute and 10 after it, so the zero-weight
+        # warning is decided at step 0 and the eta*L one at step 2.
+        constants = iter([0.0, 10.0])
+        monkeypatch.setattr(cli, "smoothness_constant", lambda features, weights: next(constants))
+        cfg = self._zero_band(tmp_path)
+        args = ["simulate", "--config", str(cfg), "--steps", "4", "--recompute-interval", "2",
+                "--eta", "1", "--out", str(tmp_path / "metrics.csv")]
+        assert main(args) == 0
+        eta_l, zero = self._warnings(capsys.readouterr().err)
+        assert eta_l.startswith("warning: eta*L = 10 >= 2 at step 2,")
+        assert zero.startswith("warning: every weight is zero at step 0,")
 
     def test_divergent_run_warns_when_its_weights_reach_zero(self, capsys):
         # The second recompute, at the stage switch, finds every pass rate at 0 or 1.

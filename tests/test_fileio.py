@@ -12,7 +12,7 @@ from typing import Iterable
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from zpdistill import fileio
 from zpdistill.distill_sim import SimConfig, build_world, measure_snr, train
@@ -609,6 +609,11 @@ class TestProfileIo:
             load_profile_points([head, "0,1,0.5"])
         with pytest.raises(FileFormatError, match="line 2"):
             load_profile_points([head, "0,1,oops,2,1.0,,"])
+        # The five fields the fit does not read are checked too.
+        for row in ("x,y,0.1,z,1.0,w,v", "0.8,1,0.9,abc,1.0,nan,-7", "0,1,0.5,2,1.0,nan,",
+                    "0,1,0.5,-2,1.0,,", ",1,0.5,2,1.0,,"):
+            with pytest.raises(FileFormatError, match="^line 3: "):
+                load_profile_points([head, "0,1,0.5,2,1.0,,", row])
 
 
 _PROFILE_HEADER = "bin_lo,bin_hi,mean_p,count,snr,snr_norm,theory_norm"
@@ -617,9 +622,9 @@ _unit = st.floats(0.0, 1.0)
 
 
 @st.composite
-def _profiles(draw):
-    """Profiles of 0 to 6 bins with arbitrary values, NaN where undefined."""
-    n = draw(st.integers(0, 6))
+def _profiles(draw, min_bins=0):
+    """Profiles of min_bins to 6 bins with arbitrary values, NaN where undefined."""
+    n = draw(st.integers(min_bins, 6))
 
     def column(values):
         return draw(st.lists(values, min_size=n, max_size=n))
@@ -655,6 +660,26 @@ class TestProfileProperties:
         lines = buf.getvalue().splitlines()
         for got, want in zip(load_profile_points(lines), (profile.mean_p, profile.snr)):
             np.testing.assert_array_equal(got, [float(fmt(x)) for x in want.tolist()])
+
+    @settings(max_examples=200, deadline=None)
+    @given(_profiles(min_bins=1), st.data())
+    def test_a_garbled_field_in_any_column_names_its_line(self, profile, data):
+        buf = io.StringIO()
+        try:
+            write_profile(buf, profile)
+        except DomainError:  # an snr that renders as inf; see the round trip above
+            assume(False)
+        lines = buf.getvalue().splitlines()
+        row, column = data.draw(st.integers(1, len(lines) - 1)), data.draw(st.integers(0, 6))
+        # Text no column accepts; bin_lo, bin_hi and count must not be empty,
+        # and count is a plain nonnegative integer.
+        junk = ["abc", "nan", "-nan", "1..5", "0x1", "1e"]
+        junk += {0: [""], 1: [""], 3: ["", "-1", "+3", "2.0", "1e3", " 4", "\u0663"]}.get(column, [])
+        fields = lines[row].split(",")
+        fields[column] = data.draw(st.sampled_from(junk))
+        lines[row] = ",".join(fields)
+        with pytest.raises(FileFormatError, match=f"^line {row + 1}: "):
+            load_profile_points(lines)
 
     @pytest.mark.parametrize("mean_p, snr", [("1.5", "2"), ("nan", "2"), ("0.5", "-1"),
                                              ("0.5", "inf"), ("0.5", "nan")])

@@ -96,23 +96,6 @@ class TestFitSnrModel:
         fit = _fit(ps, pert)
         assert abs(fit.delta - 0.2) <= 0.05
 
-    def test_reconstruction_round_trip(self):
-        # Stored intercept and remainders must reproduce the inputs exactly.
-        rng = np.random.default_rng(2)
-        ps = np.linspace(0.1, 0.9, 12)
-        snr_sq = 0.5 * ps**0.9 * (1 - ps) ** 1.1 * np.exp(rng.normal(0, 0.1, ps.size))
-        fit = _fit(ps, snr_sq)
-        recon = [
-            math.exp(
-                fit.a_prime * math.log(p)
-                + fit.b_prime * math.log1p(-p)
-                + fit.intercept
-                + r
-            )
-            for p, r in zip(fit.ps, fit.remainders)
-        ]
-        assert np.allclose(recon, snr_sq, rtol=1e-10)
-
     def test_band_constants_bracket_the_data(self):
         rng = np.random.default_rng(8)
         ps = np.linspace(0.1, 0.9, 25)
@@ -189,7 +172,6 @@ class TestFitSnrModel:
         ("delta", math.inf, "delta must be finite and >= 0"),
     ])
     def test_constructor_rejects(self, field, value, want):
-        ok = dict(a_prime=1.0, b_prime=1.0, c0=1.0, c1=1.0, delta=0.0, intercept=0.0,
-                  ps=(), remainders=())
+        ok = dict(a_prime=1.0, b_prime=1.0, c0=1.0, c1=1.0, delta=0.0)
         with pytest.raises(FitError, match=want):
             SnrModelFit(**{**ok, field: value})
