@@ -3,9 +3,10 @@
 Every subcommand is a thin adapter: parse flags, read input files, call the
 library, write output. Data tables go to stdout (or --out); progress notes
 and reports go to stderr so piped output stays machine-readable. Any failure,
-running out of memory included, prints a single ``error: ...`` line to
-stderr and exits nonzero. main builds only the invoked subcommand's parser,
-and every subcommand's parser when its first argument names none of them.
+running out of memory and an input file that is not UTF-8 included, prints a
+single ``error: ...`` line to stderr and exits nonzero. main builds only the
+invoked subcommand's parser, and every subcommand's parser when its first
+argument names none of them.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import argparse
 import math
 import sys
 from contextlib import ExitStack, contextmanager
-from pathlib import Path
 from typing import IO, Iterator
 
 from .distill_sim import DIRECTIONS, build_world, measure_snr, train
@@ -70,6 +70,17 @@ def _out_stream(path: str | None) -> Iterator[IO[str]]:
             yield f
 
 
+@contextmanager
+def _in_stream(path: str, error: type[ZpdistillError] = FileFormatError) -> Iterator[IO[str]]:
+    """The input file at path, open as UTF-8 text; bytes that do not decode
+    raise error naming the file."""
+    with open(path, encoding="utf-8") as f:
+        try:
+            yield f
+        except UnicodeDecodeError as exc:
+            raise error(f"{path} is not UTF-8 text ({exc.reason})") from exc
+
+
 def _write_lines(path: str | None, lines: list[str]) -> None:
     with _out_stream(path) as f:
         for line in lines:
@@ -77,7 +88,7 @@ def _write_lines(path: str | None, lines: list[str]) -> None:
 
 
 def _load_rollout_table(path: str) -> RolloutTable:
-    with open(path, encoding="utf-8") as f:
+    with _in_stream(path) as f:
         table = load_rollouts(f)
     if not table.problem_ids:
         raise FileFormatError(f"no rollout records in {path}")
@@ -97,10 +108,11 @@ def _cmd_weight(args: argparse.Namespace) -> None:
         alpha, beta = (1.0 if x is None else x for x in (args.alpha, args.beta))
         raw = raw_weights(p, "beta", alpha=alpha, beta=beta, floor=args.floor)
     normalized = unit_mean(raw)
-    if not normalized.any():
-        _log("warning: every weight is zero; normalized column left at zero")
     with _out_stream(args.out) as f:
         write_weight_table(f, table.problem_ids, p, raw, normalized)
+    # After the write, so a refused table prints its error line alone.
+    if not normalized.any():
+        _log("warning: every weight is zero; normalized column left at zero")
 
 
 def _cmd_select_exponents(args: argparse.Namespace) -> None:
@@ -180,7 +192,7 @@ def _cmd_variance_ratio(args: argparse.Namespace) -> None:
 
 def _cmd_snr_profile(args: argparse.Namespace) -> None:
     equal_edges(args.bins)  # checks --bins before the file is read
-    with open(args.gradients, encoding="utf-8") as f:
+    with _in_stream(args.gradients) as f:
         table = load_gradient_records(f)
     profile = compute_snr_bins(table, args.bins)
     try:
@@ -198,7 +210,7 @@ def _cmd_snr_profile(args: argparse.Namespace) -> None:
 
 
 def _cmd_fit_snr(args: argparse.Namespace) -> None:
-    with open(args.profile, encoding="utf-8") as f:
+    with _in_stream(args.profile) as f:
         fit = fit_snr_model(*load_profile_points(f))
     lines = [
         f"a_prime = {fmt(fit.a_prime)}",
@@ -233,7 +245,10 @@ _OVERRIDES = (
 def _cmd_simulate(args: argparse.Namespace) -> None:
     if args.dump_step is not None and not args.dump_gradients:
         raise ConfigError("--dump-step has no effect without --dump-gradients")
-    text = Path(args.config).read_text(encoding="utf-8") if args.config else ""
+    text = ""
+    if args.config:
+        with _in_stream(args.config, ConfigError) as f:
+            text = f.read()
     overrides = {
         field: parse_config_value(field, raw, flag)
         for flag, field, _ in _OVERRIDES
@@ -241,6 +256,18 @@ def _cmd_simulate(args: argparse.Namespace) -> None:
     }
 
     config = load_sim_config(text, overrides)
+    # A flag the resolved mode ignores is an error; the same key in a config
+    # file is not, as a file may spell out every key.
+    ignored = []
+    for fields, setting, value, mode in (
+        (("alpha", "beta"), "scheme", config.scheme, "beta"),
+        (("stage1_fraction",), "schedule", config.loss_direction, "two_stage"),
+    ):
+        flags = [flag for flag, field, _ in _OVERRIDES if field in fields and field in overrides]
+        if flags and value != mode:
+            ignored.append(f"{setting} {value!r} ignores {' and '.join(flags)}")
+    if ignored:
+        raise ConfigError("; ".join(ignored))
     dump_steps = (args.dump_step or [20]) if args.dump_gradients else ()
     for step in dump_steps:
         if not 0 <= step <= config.steps:
@@ -404,7 +431,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args.func(args)
     except (ZpdistillError, OSError, MemoryError) as exc:
-        # A MemoryError raised by the interpreter itself carries no message.
-        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
+        # A MemoryError raised by the interpreter itself carries no message; a
+        # message that quotes input text over several lines is joined into one.
+        message = " ".join((str(exc) or type(exc).__name__).splitlines())
+        print(f"error: {message}", file=sys.stderr)
         return 1
     return 0

@@ -41,16 +41,16 @@ The world stores the teacher's log-probabilities, not its logits.
 Per-step arithmetic: train holds no student array as wide as N; only
 measure_snr, which an observer of train may call, builds its own. A weight
 recompute or checkpoint reads every problem in one sweep over equal column
-blocks of at most _BLOCK problems: each block's log-probabilities and
-probabilities go with out= ufuncs into one (V, block) scratch, allocated
-once per call, and every consumer at that step (rollouts, the checkpoint
-KL) reads the block before the next.
+blocks of at most _BLOCK problems, whose log-probabilities and
+probabilities go with out= ufuncs into a (V, block) scratch, read by every
+consumer at that step (rollouts, the checkpoint KL) before the next block.
 Many weights are 0 (p(1 - p) at p = 0 or 1, the hard scheme outside its
 band), so an update runs only the nonzero-weight problems among its rows
-(all N, or its minibatch), in row order, through the same scratch, into
-one (V, rows) array of gradient columns, and its gradient product spans
-those rows. One _updates generator makes the updates between two sweeps,
-whose reverse-KL draws share passes of at most _PASS_WORDS Philox words.
+(all N, or its minibatch), in row order and in such blocks, into one
+(V, rows) array of gradient columns, and its gradient product spans those
+rows. One _updates generator makes the updates between two sweeps, whose
+reverse-KL draws share passes of at most _PASS_WORDS Philox words. Each
+sweep and each such generator owns its scratch; one is alive at a time.
 The arrays are vocabulary-major, one column per problem, so every
 reduction over the vocabulary runs down axis 0; numerics._sum_axis0 adds
 in the pairwise order of np.sum over a contiguous (N, V) row, and the
@@ -365,21 +365,20 @@ def _blocks(n: int, scratch: np.ndarray) -> Iterator[tuple[slice, np.ndarray, np
 
 
 def _sweep(
-    world: SimWorld, scratch: np.ndarray, k: int, purposes: tuple[str, ...],
-    direction: str | None = None,
+    world: SimWorld, k: int, purposes: tuple[str, ...], direction: str | None = None,
 ) -> tuple[dict[str, np.ndarray], np.ndarray | None]:
     """Per purpose the (N,) successes of k rollouts per problem, each block's
     purposes drawn in turn through _draws, and with a direction the (N,) KL
-    rows, from one sweep over scratch blocks. Rollouts sample at the rollout
-    temperature and the KL reads temperature 1; at temperature 1 (dividing
-    the logits by 1.0 is exact) both read one softmax.
+    rows, from one sweep over the blocks of its own scratch. Rollouts sample
+    at the rollout temperature and the KL reads temperature 1; at
+    temperature 1 (dividing the logits by 1.0 is exact) both read one softmax.
     """
     n, temperature = world.config.num_problems, world.config.rollout_temperature
+    scratch = _scratch(world)
     counts = {purpose: np.empty(n, dtype=np.intp) for purpose in purposes}
     kl = np.empty(n) if direction else None
-    units = ((purpose, world.step, world.problem_tokens[c])
-             for c, *_ in _blocks(n, scratch) for purpose in purposes)
-    draws = _draws(world.config.seed, units, k)
+    draws = _draws(world.config.seed, ((purpose, world.step, world.problem_tokens[c])
+                   for c, *_ in _blocks(n, scratch) for purpose in purposes), k)
     for c, log_ps, ps in _blocks(n, scratch):
         block, x = _Probs(log_ps, ps, world.teacher_log_probs.T[:, c]), world.features[c]
         _step_probs(world, block, x, temperature)
@@ -481,25 +480,18 @@ def _checkpoint(
 
 
 def _live(
-    world: SimWorld, weights: np.ndarray, cols: np.ndarray | slice, direction: str,
-    scratch: np.ndarray,
-) -> tuple:
-    """The feature rows of the problems cols, a (V, len(cols)) array for
-    their gradient columns, and per scratch block its _Probs (teacher
-    probabilities for forward), rows, columns, scale and problem tokens."""
-    config, x = world.config, world.features[cols]
+    world: SimWorld, weights: np.ndarray, cols: np.ndarray | slice, direction: str
+) -> tuple[np.ndarray, ...]:
+    """The feature rows of the problems cols, their (V, len(cols)) teacher
+    columns (probabilities for forward), scales and problem tokens, and a
+    (V, len(cols)) array for their gradient columns."""
+    config = world.config
     teacher = world.teacher_log_probs.T[:, cols]
-    forward = direction == "forward"
-    if forward:
+    if direction == "forward":
         teacher = np.exp(teacher)  # kept: every update at these weights reads it
     scale = weights[cols] / (config.batch_size or config.num_problems)
-    diffs, tokens = np.empty((config.vocab_size, len(x))), world.problem_tokens[cols]
-    blocks = [
-        (_Probs(log_ps, ps, None, teacher[:, c]) if forward else _Probs(log_ps, ps, teacher[:, c]),
-         x[c], diffs[:, c], scale[c], tokens[c])
-        for c, log_ps, ps in _blocks(len(x), scratch)
-    ]
-    return x, diffs, blocks
+    return (world.features[cols], teacher, scale, world.problem_tokens[cols],
+            np.empty((config.vocab_size, len(scale))))
 
 
 def _draws(seed: int, units: Iterable[tuple[str, int, np.ndarray]], k: int) -> Iterator:
@@ -522,25 +514,26 @@ def _draws(seed: int, units: Iterable[tuple[str, int, np.ndarray]], k: int) -> I
         group.append(unit)
 
 
-def _descend(world: SimWorld, direction: str, live: tuple, draws: Iterator | None) -> None:
+def _descend(world: SimWorld, direction: str, live: tuple, scratch: np.ndarray,
+             draws: Iterator | None) -> None:
     """The update at world.step from the rows of a _live tuple, a scratch
     block at a time (draws: each block's reverse-KL uniforms, or None), then
-    one gradient product over those rows; with none, theta is left as it is."""
-    x, diffs, blocks = live
-    if len(x) == 0:
-        return
-    for block, xc, out, scale, _ in blocks:
-        _step_probs(world, block, xc)
+    one gradient product over those rows; with none, the product is zero."""
+    x, teacher, scale, _, diffs = live
+    for c, log_ps, ps in _blocks(len(x), scratch):
+        t, out = teacher[:, c], diffs[:, c]
+        block = _Probs(log_ps, ps, None, t) if direction == "forward" else _Probs(log_ps, ps, t)
+        _step_probs(world, block, x[c])
         if draws is None:
             _diffs(block, direction, out)
         else:
             _sampled_reverse_diffs(block, next(draws), out)
-        out *= scale
+        out *= scale[c]
     world.theta = world.theta - world.config.learning_rate * (x.T @ diffs.T)
 
 
-def _updates(world: SimWorld, weights: np.ndarray, direction: str, scratch: np.ndarray,
-             live: tuple | None, steps: range) -> Iterator[None]:
+def _updates(world: SimWorld, weights: np.ndarray, direction: str, live: tuple | None,
+             steps: range) -> Iterator[None]:
     """One update per next() at each of steps, which share their weights and
     direction, from the nonzero-weight problems among its rows in row order:
     the full batch's live tuple, or with live None the step's minibatch. Their
@@ -552,7 +545,7 @@ def _updates(world: SimWorld, weights: np.ndarray, direction: str, scratch: np.n
     blocked kernel groups its sums otherwise and theta can differ in its
     last bits (8.9e-16 measured).
     """
-    config, kept, n = world.config, {}, world.config.num_problems
+    config, kept, n, scratch = world.config, {}, world.config.num_problems, _scratch(world)
     samples = config.reverse_kl_samples if direction == "reverse" else 0
 
     def batch(step: int) -> np.ndarray:
@@ -566,16 +559,14 @@ def _updates(world: SimWorld, weights: np.ndarray, direction: str, scratch: np.n
                 kept[step] = rows
         return rows
 
-    if live is None:
-        units = (("revkl", s, world.problem_tokens[r[c]]) for s in steps for r in [batch(s)]
-                 for c, *_ in _blocks(len(r), scratch))
-    else:
-        units = (("revkl", s, tokens) for s in steps for *_, tokens in live[2])
+    units = (("revkl", s, tokens[c]) for s in steps
+             for tokens in [world.problem_tokens[batch(s)] if live is None else live[3]]
+             for c, *_ in _blocks(len(tokens), scratch))
     draws = _draws(config.seed, units, samples) if samples else None
     for step in steps:
         # The step's columns are built in the call, so they die on its return.
-        _descend(world, direction, live or _live(world, weights, batch(step), direction, scratch),
-                 draws)
+        _descend(world, direction, live or _live(world, weights, batch(step), direction),
+                 scratch, draws)
         if not np.isfinite(world.theta).all():
             raise NumericError(f"theta is not finite after the update at step {step}")
         world.step = step + 1
@@ -608,8 +599,7 @@ def train(
     raises ValueError); it forms any student arrays it reads itself, as
     measure_snr does.
     """
-    config, base = world.config, world.step
-    t_total = config.steps
+    config, base, t_total = world.config, world.step, world.config.steps
     switch_step = 0
     if config.loss_direction == "two_stage":
         switch_step = int(round(config.stage1_fraction * t_total))
@@ -619,27 +609,27 @@ def train(
     grid = {*range(0, t_total, config.eval_interval), t_total}
     sweeps = sorted(starts | grid)
     rows: list[CheckpointRow] = []
-    scratch, live = _scratch(world), None
+    live = None
 
     for start, stop in zip(sweeps, [*sweeps[1:], t_total + 1]):
-        updates = None  # the last interval's draws and columns go before the sweep
+        updates = None  # the last interval's draws, columns and scratch go before the sweep
         direction = config.loss_direction
         if direction == "two_stage":
             direction = "forward" if start < switch_step else "reverse"
         recompute, checkpoint = start in starts, start in grid
-        counts, kl = _sweep(world, scratch, config.rollout_count,
-                            ("rollout",) * recompute + ("eval",) * checkpoint,
+        purposes = ("rollout",) * recompute + ("eval",) * checkpoint
+        counts, kl = _sweep(world, config.rollout_count, purposes,
                             direction if checkpoint else None)
         if recompute:
             weights = _weights(world, counts["rollout"])
             if config.batch_size is None:
                 cols = slice(None) if weights.all() else np.flatnonzero(weights)
                 live = None  # drop the last recompute's columns first
-                live = _live(world, weights, cols, direction, scratch)
+                live = _live(world, weights, cols, direction)
         if checkpoint:
             rows.append(_checkpoint(world, weights, direction, counts["eval"], kl))
 
-        updates = _updates(world, weights, direction, scratch, live, range(world.step, base + stop))
+        updates = _updates(world, weights, direction, live, range(world.step, base + stop))
         for local in range(start, stop):
             if observe is not None:  # a recompute's counts go to its own step alone
                 observe(world, direction, weights, counts.pop("rollout", None))
@@ -669,7 +659,7 @@ def measure_snr(world: SimWorld, loss_direction: str) -> GradientTable:
             f"loss_direction must be one of {_STAGE_DIRECTIONS}, got {loss_direction!r}"
         )
     k = world.config.rollout_count
-    counts = _sweep(world, _scratch(world), k, ("snr",))[0]["snr"]
+    counts = _sweep(world, k, ("snr",))[0]["snr"]
     diffs = _diffs(_step_probs(world), loss_direction).T
     grads = world.features[:, :, None] * diffs[:, None, :]
     return GradientTable(world.problem_ids, counts / k, grads.reshape(len(counts), -1))

@@ -3,7 +3,9 @@
 All data files are plain text, UTF-8, with floats rendered at 10 significant
 digits and no timestamps, so re-running a command on the same inputs yields
 byte-identical files. Every loader skips blank lines and reports the first
-malformed line in file order, naming it.
+malformed line in file order, naming it. The gradient and weight-table
+writers refuse, naming it, a problem id that a CSV row cannot hold as it is
+(_refuse_unwritable_ids).
 
 - Rollouts: one JSON object per line, {"problem_id": str, "outcomes": [bool]};
   loaded into a passrate.RolloutTable of per-problem successes and k.
@@ -36,6 +38,7 @@ import dataclasses
 import itertools
 import json
 import math
+import re
 from typing import IO, Iterable, Sequence
 
 import numpy as np
@@ -223,9 +226,30 @@ def _refuse_inf_renderings(values: np.ndarray, kind: str, names: Sequence) -> No
         )
 
 
+# What a written problem id may not hold: a comma, a double quote, CR, LF, a
+# lone surrogate (UTF-8 has no encoding for it), or whitespace at either end.
+# The ids are searched joined by LF, one per line, so [^\S\n] is whitespace
+# but the separator, and an id that holds an LF adds a line.
+_UNWRITABLE_ID = re.compile(r'[,"\r\ud800-\udfff]|^[^\S\n]|[^\S\n]$', re.M)
+
+
+def _refuse_unwritable_ids(ids: Sequence[str]) -> None:
+    """Raise DomainError naming the first id a CSV row cannot hold as it is;
+    every id is checked in one search of the joined ids."""
+    joined = "\n".join(ids)
+    if len(ids) and (joined.count("\n") >= len(ids) or _UNWRITABLE_ID.search(joined)):
+        bad = next(pid for pid in ids if "\n" in pid or _UNWRITABLE_ID.search(pid))
+        raise DomainError(
+            f"problem {bad!r}: an id with a comma, a double quote, CR, LF, a lone "
+            "surrogate or whitespace at either end cannot be written"
+        )
+
+
 def write_gradient_records(f: IO[str], table: GradientTable) -> None:
-    """Write a gradient table; refuses, before writing, any gradient whose
-    10-digit rendering would parse back as inf."""
+    """Write a gradient table; refuses, before writing, any id that
+    _refuse_unwritable_ids names and any gradient whose 10-digit rendering
+    would parse back as inf."""
+    _refuse_unwritable_ids(table.problem_ids)
     _refuse_inf_renderings(table.gradients, "problem", table.problem_ids)
     dim = table.gradients.shape[1]
     header = ["problem_id", "pass_rate"] + [f"g{i}" for i in range(dim)]
@@ -296,7 +320,9 @@ def write_weight_table(
     f: IO[str], problem_ids: Sequence[str], p: np.ndarray, raw: np.ndarray,
     normalized: np.ndarray,
 ) -> None:
-    """Write one row per problem: its id, pass rate, raw and normalized weight."""
+    """Write one row per problem: its id, pass rate, raw and normalized
+    weight; refuses, before writing, any id that _refuse_unwritable_ids names."""
+    _refuse_unwritable_ids(problem_ids)
     f.write("problem_id,p,w,w_norm\n")
     columns = (np.asarray(c, dtype=np.float64).tolist() for c in (p, raw, normalized))
     # "%.10g" renders exactly as fmt() does.

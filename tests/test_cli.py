@@ -1,15 +1,18 @@
 import argparse
 import hashlib
+import io
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import zpdistill
 from zpdistill import cli, fileio
@@ -160,6 +163,16 @@ class TestWeight:
         path.write_text("{bad json\n", encoding="utf-8")
         assert main(["weight", str(path)]) == 1
         assert "line 1" in capsys.readouterr().err
+
+    def test_ids_a_csv_row_cannot_hold_are_refused_before_writing(self, tmp_path, capsys):
+        path = _write_rollouts(tmp_path / "r.jsonl", [("a,b", 1, 2), ("c\nd", 1, 4), ("e", 3, 4)])
+        assert main(["weight", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: problem 'a,b': "), err
+        # The rollout format holds such ids, so select-exponents reads them.
+        assert main(["select-exponents", str(path)]) == 0
 
     @pytest.mark.parametrize("command", ["weight", "select-exponents"])
     def test_file_without_records_is_error(self, tmp_path, capsys, command):
@@ -670,6 +683,33 @@ class TestSimulate:
         assert "nodir" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags, want", [
+        (["--scheme", "hard", "--alpha", "5", "--beta", "3", "--stage1-fraction", "0.3"],
+         "scheme 'hard' ignores --alpha and --beta; schedule 'forward' ignores --stage1-fraction"),
+        (["--scheme", "unweighted", "--beta", "3"], "scheme 'unweighted' ignores --beta"),
+        (["--schedule", "reverse", "--stage1-fraction", "0.3"],
+         "schedule 'reverse' ignores --stage1-fraction"),
+        (["--config", "band.cfg", "--alpha", "2"], "scheme 'hard' ignores --alpha"),
+    ])
+    def test_flags_the_resolved_mode_ignores_fail_before_the_world_is_built(
+        self, tmp_path, capsys, monkeypatch, flags, want
+    ):
+        self._zero_band(tmp_path)
+        built = []
+        monkeypatch.setattr(cli, "build_world", built.append)
+        flags = [str(tmp_path / f) if f.endswith(".cfg") else f for f in flags]
+        err = _single_error(capsys, tmp_path, ["simulate", "--steps", "2", *flags])
+        assert err == f"error: {want}" and not built
+
+    @pytest.mark.parametrize("flags", [
+        ["--alpha", "2", "--beta", "0.5"],
+        ["--schedule", "two_stage", "--stage1-fraction", "0.3"],
+        # golden.cfg spells out alpha, beta and stage1_fraction; keys are allowed.
+        ["--config", str(_GOLDEN_CFG), "--scheme", "hard", "--schedule", "reverse"],
+    ])
+    def test_flags_the_resolved_mode_reads_are_accepted(self, capsys, flags):
+        assert main(["simulate", "--steps", "2", *flags]) == 0
+
     def test_bad_recompute_interval_is_error(self, tmp_path, capsys):
         args = ["simulate", "--config", str(self._cfg(tmp_path)),
                 "--recompute-interval", "soon"]
@@ -815,6 +855,51 @@ class TestSimulate:
         args = ["simulate", "--config", str(_GOLDEN_CFG), "--out", str(tmp_path / "m.csv")]
         assert main(args) == 0
         assert self._warnings(capsys.readouterr().err) == []
+
+
+# The commands that read an input file, each with its argv for a path.
+_READERS = {
+    "weight": lambda path: ["weight", path],
+    "select-exponents": lambda path: ["select-exponents", path],
+    "snr-profile": lambda path: ["snr-profile", path],
+    "fit-snr": lambda path: ["fit-snr", path],
+    "simulate": lambda path: ["simulate", "--config", path, "--steps", "2"],
+}
+
+
+@pytest.fixture(scope="module")
+def fuzz_input(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "input"
+
+
+class TestInputFiles:
+    @pytest.mark.parametrize("command", list(_READERS))
+    def test_a_file_that_is_not_utf8_is_one_error_line(self, tmp_path, capsys, command):
+        path = tmp_path / "input"
+        path.write_bytes(b"\xff\n")
+        err = _single_error(capsys, tmp_path, _READERS[command](str(path)))
+        assert err == f"error: {path} is not UTF-8 text (invalid start byte)"
+
+    def test_a_bad_byte_past_the_first_chunk_is_one_error_line(self, tmp_path, capsys):
+        rows = "".join(f"p{i},0.5,1\n" for i in range(3 * fileio._CHUNK_LINES))
+        path = tmp_path / "g.csv"
+        path.write_bytes(f"problem_id,pass_rate,g0\n{rows}".encode() + b"q,0.5,\xe9\n")
+        err = _single_error(capsys, tmp_path, ["snr-profile", str(path)])
+        assert err == f"error: {path} is not UTF-8 text (invalid continuation byte)"
+
+    @pytest.mark.parametrize("command", list(_READERS))
+    @settings(max_examples=100, deadline=None)
+    @given(content=st.one_of(st.binary(max_size=80),
+                             st.text(max_size=80).map(lambda t: t.encode("utf-8"))))
+    def test_any_input_exits_0_or_1_with_one_error_line(self, fuzz_input, command, content):
+        fuzz_input.write_bytes(content)
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            code = main(_READERS[command](str(fuzz_input)))
+        assert code in (0, 1)
+        if code == 1:
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: "), lines
 
 
 def _exit_output(capsys, parse):

@@ -19,7 +19,6 @@ from zpdistill.distill_sim import (
     _diffs,
     _draws,
     _sampled_reverse_diffs,
-    _scratch,
     _step_probs,
     _sweep,
     _weights,
@@ -149,7 +148,7 @@ class TestBuildWorld:
 
 def _successes(world, k, purpose):
     """(N,) successes of k rollouts per problem from one sweep of train's."""
-    return _sweep(world, _scratch(world), k, (purpose,))[0][purpose]
+    return _sweep(world, k, (purpose,))[0][purpose]
 
 
 class TestRollouts:

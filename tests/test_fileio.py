@@ -185,6 +185,18 @@ def _write_table(table: GradientTable) -> str:
     return buf.getvalue()
 
 
+def _unwritable(pid):
+    """The writers' id rule, one id at a time: a comma, a double quote, CR,
+    LF, a lone surrogate, or whitespace at either end."""
+    return (any(c in ',"\r\n' or "\ud800" <= c <= "\udfff" for c in pid)
+            or pid != pid.strip())
+
+
+# Ids from any text, or from the characters the rule and the loaders turn on.
+_IDS = st.lists(st.text(min_size=1) | st.text(' ,"\r\n\t\x85\u2028\ud800ab', min_size=1),
+                min_size=1, max_size=4)
+
+
 def _float_parse(lines):
     """Reference parse of gradient rows: float() on every field after the id."""
     return np.array([[float(v) for v in line.split(",")[1:]] for line in lines])
@@ -447,6 +459,22 @@ class TestGradientRecords:
                     with pytest.MonkeyPatch.context() as mp:
                         mp.setattr(fileio, "_CHUNK_LINES", size)
                         assert _outcome(load_gradient_records, split(text)) == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(_IDS)
+    def test_an_id_is_refused_at_write_or_loads_back_equal(self, ids):
+        table = GradientTable(ids, [0.5] * len(ids), [[1.0]] * len(ids))
+        buf = io.StringIO()
+        bad = [pid for pid in ids if _unwritable(pid)]
+        if bad:
+            with pytest.raises(DomainError, match=re.escape(repr(bad[0]))):
+                write_gradient_records(buf, table)
+            assert buf.getvalue() == ""
+            return
+        write_gradient_records(buf, table)
+        # Read back as a text file is: CR, LF and CRLF each end a line.
+        loaded = load_gradient_records(io.StringIO(buf.getvalue(), newline=None))
+        assert loaded.problem_ids == table.problem_ids
 
     def test_first_bad_line_wins_across_chunks(self, monkeypatch):
         # Chunks of 2 lines: lines 2-3, 4-5, 6-7.
@@ -752,6 +780,22 @@ class TestWeightTable:
         assert parsed[0] == ["problem_id", "p", "w", "w_norm"]
         want = [(pid, *(float(fmt(v)) for v in values)) for pid, *values in rows]
         assert [(r[0], *map(float, r[1:])) for r in parsed[1:]] == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(_IDS)
+    def test_an_id_is_refused_at_write_or_parses_back_equal(self, ids):
+        # The same rule as the gradient writer's, read back by a CSV reader.
+        ones = np.ones(len(ids))
+        buf = io.StringIO()
+        bad = [pid for pid in ids if _unwritable(pid)]
+        if bad:
+            with pytest.raises(DomainError, match=re.escape(repr(bad[0]))):
+                write_weight_table(buf, ids, ones, ones, ones)
+            assert buf.getvalue() == ""
+            return
+        write_weight_table(buf, ids, ones, ones, ones)
+        rows = list(csv.reader(io.StringIO(buf.getvalue(), newline="")))
+        assert [row[0] for row in rows[1:]] == ids
 
     def test_exact_text(self):
         buf = io.StringIO()

@@ -5,7 +5,7 @@ column blocks: each block's student log-probabilities go into a small
 vocabulary-major (V, block) scratch, and every consumer at that step reads
 the block before the next one. An update runs the columns of the
 nonzero-weight problems among its rows alone, all N or its minibatch's,
-through the same scratch, and its gradient product runs over those rows.
+through such blocks, and its gradient product runs over those rows.
 The functions prefixed `_old_` below are the earlier path, kept as it was
 (less the two-stage branch for steps < 2, which SimConfig now rejects):
 problem-major (N, V) arrays reduced along axis 1, each consumer recomputed
@@ -39,7 +39,6 @@ from zpdistill.distill_sim import (
     _live,
     _Probs,
     _sampled_reverse_diffs,
-    _scratch,
     _step_probs,
     _sweep,
     _updates,
@@ -470,7 +469,7 @@ def test_a_pass_of_one_unit_reads_its_keys_uncopied(monkeypatch):
     monkeypatch.setattr(
         distill_sim, "key_uniforms", lambda keys, k: read.append(keys) or key_uniforms(keys, k))
     world = build_world(SimConfig(num_problems=8000))
-    counts = _sweep(world, _scratch(world), 8, ("rollout", "eval"))[0]
+    counts = _sweep(world, 8, ("rollout", "eval"))[0]
     assert len(made) == len(read) == 4
     assert all(keys is own for keys, own in zip(read, made))
     for purpose in ("rollout", "eval"):
@@ -779,11 +778,11 @@ def test_live_row_product_equals_the_zero_filled_product(n, batch_size, zero_sha
     full[:, live] = _diffs(probs, "forward")[:, rows[live]] * (weights[rows[live]] / len(rows))
     want = world.theta - cfg.learning_rate * (world.features[rows].T @ full.T)
 
-    kept, scratch = None, _scratch(world)
+    kept = None
     if batch_size is None:
         cols = slice(None) if weights.all() else np.flatnonzero(weights)
-        kept = _live(world, weights, cols, "forward", scratch)
-    next(_updates(world, weights, "forward", scratch, kept, range(world.step, world.step + 1)))
+        kept = _live(world, weights, cols, "forward")
+    next(_updates(world, weights, "forward", kept, range(world.step, world.step + 1)))
     assert np.array_equal(world.theta, want)
 
 
@@ -821,8 +820,8 @@ def test_column_blocks_change_no_value(monkeypatch, name, block):
         )
 
     def swept(world):
-        counts, forward = _sweep(world, _scratch(world), 5, ("eval", "rollout"), "forward")
-        reverse = _sweep(world, _scratch(world), 5, (), "reverse")[1]
+        counts, forward = _sweep(world, 5, ("eval", "rollout"), "forward")
+        reverse = _sweep(world, 5, (), "reverse")[1]
         return counts["eval"], counts["rollout"], forward, reverse
 
     w_one, w_blocks = build_world(cfg), build_world(cfg)
