@@ -12,6 +12,7 @@ argument names none of them.
 from __future__ import annotations
 
 import argparse
+import io
 import math
 import sys
 from contextlib import ExitStack, contextmanager
@@ -63,11 +64,13 @@ def _log(message: str) -> None:
 
 @contextmanager
 def _out_stream(path: str | None) -> Iterator[IO[str]]:
-    if path is None or path == "-":
-        yield sys.stdout
-    else:
-        with open(path, "w", encoding="utf-8") as f:
-            yield f
+    """stdout, or a buffer written to path once the body returns, so a body
+    that raises leaves no new file and an existing one as it was."""
+    f = sys.stdout if path is None or path == "-" else io.StringIO()
+    yield f
+    if f is not sys.stdout:
+        with open(path, "w", encoding="utf-8") as out:
+            out.write(f.getvalue())
 
 
 @contextmanager
@@ -122,7 +125,7 @@ def _cmd_select_exponents(args: argparse.Namespace) -> None:
         f"count = {m.count}",
         f"mean_p = {fmt(m.mean_p)}",
         f"var_p = {fmt(m.var_p)}",
-        f"var_bound = {fmt(m.mean_p * (1.0 - m.mean_p) / 3.0)}",
+        f"var_bound = {fmt(m.var_bound)}",
     ]
     flat = "use the flat kernel (alpha = 0, beta = 0)"
     try:
@@ -296,18 +299,18 @@ def _cmd_simulate(args: argparse.Namespace) -> None:
 
     metrics = train(world, observe=observe)
 
-    # Every output is opened before any is written, the metrics last, so a
-    # path that cannot be opened leaves no metrics behind. The observer
-    # filled dumps in step order.
+    # Every dump is opened before any is written and the metrics are written
+    # last, so a dump path that cannot be opened leaves no metrics behind.
+    # The dumps stream to their files; the observer filled them in step order.
     with ExitStack() as stack:
         files = [
             stack.enter_context(open(f"{args.dump_gradients}{step}.csv", "w", encoding="utf-8"))
             for step in dumps
         ]
-        out = stack.enter_context(_out_stream(args.out))
         for table, f in zip(dumps.values(), files):
             write_gradient_records(f, table)
             _log(f"wrote gradient dump {f.name}")
+    with _out_stream(args.out) as out:
         write_metrics(out, metrics)
 
     _log(

@@ -41,9 +41,9 @@ The world stores the teacher's log-probabilities, not its logits.
 Per-step arithmetic: train holds no student array as wide as N; only
 measure_snr, which an observer of train may call, builds its own. A weight
 recompute or checkpoint reads every problem in one sweep over equal column
-blocks of at most _BLOCK problems, whose log-probabilities and
-probabilities go with out= ufuncs into a (V, block) scratch, read by every
-consumer at that step (rollouts, the checkpoint KL) before the next block.
+blocks of at most _BLOCK problems; _student writes each block's log_ps and
+ps into (V, block) views of a scratch, which every consumer at that step
+(rollouts, the checkpoint KL) reads as plain arrays before the next block.
 Many weights are 0 (p(1 - p) at p = 0 or 1, the hard scheme outside its
 band), so an update runs only the nonzero-weight problems among its rows
 (all N, or its minibatch), in row order and in such blocks, into one
@@ -301,38 +301,15 @@ def _categorical(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.minimum(tokens, v - 1, out=tokens)
 
 
-@dataclass(frozen=True)
-class _Probs:
-    """Student log-probs and probs at the current theta beside the teacher's.
-
-    Each array is (V, n), one column per problem: a block of columns, or all
-    N problems. pt, the teacher's probabilities, is kept only for a forward
-    update's columns; elsewhere exp(log_pt) is formed where it is read.
+def _student(
+    world: SimWorld, x: np.ndarray, log_ps: np.ndarray, ps: np.ndarray,
+    temperature: float = 1.0,
+) -> None:
+    """The student's log-probabilities and probabilities at world.theta and
+    temperature for the feature rows x, written into the (V, len(x)) arrays
+    log_ps and ps. Each column's arithmetic reads that column alone, so a
+    subset of rows gives those columns of the full arrays.
     """
-
-    log_ps: np.ndarray
-    ps: np.ndarray
-    log_pt: np.ndarray | None  # world.teacher_log_probs.T, or some of its columns
-    pt: np.ndarray | None = None
-
-
-def _step_probs(
-    world: SimWorld, buffers: _Probs | None = None,
-    x: np.ndarray | None = None, temperature: float = 1.0,
-) -> _Probs:
-    """The student's distributions at world.theta and temperature for the
-    feature rows x, by default every problem's, written into buffers.
-
-    Without buffers, fresh (V, N) arrays are allocated beside the world's
-    teacher log-probabilities; with them, only log_ps and ps are rewritten.
-    Each column's arithmetic reads that column alone, so a subset of rows
-    gives those columns of the full arrays.
-    """
-    if buffers is None:
-        log_pt = world.teacher_log_probs.T
-        buffers = _Probs(np.empty_like(log_pt), np.empty_like(log_pt), log_pt)
-    log_ps, ps = buffers.log_ps, buffers.ps
-    x = world.features if x is None else x
     if len(x) == 1 < len(world.features):
         # numpy sends a one-column product to gemv, which adds in another
         # order than the full product's gemm; a second copy of the row keeps
@@ -344,7 +321,6 @@ def _step_probs(
         log_ps /= temperature
     log_softmax(log_ps, axis=0, out=log_ps, work=ps)
     np.exp(log_ps, out=ps)
-    return buffers
 
 
 def _scratch(world: SimWorld) -> np.ndarray:
@@ -380,74 +356,75 @@ def _sweep(
     draws = _draws(world.config.seed, ((purpose, world.step, world.problem_tokens[c])
                    for c, *_ in _blocks(n, scratch) for purpose in purposes), k)
     for c, log_ps, ps in _blocks(n, scratch):
-        block, x = _Probs(log_ps, ps, world.teacher_log_probs.T[:, c]), world.features[c]
-        _step_probs(world, block, x, temperature)
+        x = world.features[c]
+        _student(world, x, log_ps, ps, temperature)
         for purpose in purposes:
             hits = _categorical(ps, next(draws)) == world.answers[c]
             counts[purpose][c] = hits.sum(axis=0)
         if direction:
             if temperature != 1.0:
-                _step_probs(world, block, x)
-            kl[c] = _kl_rows(block, direction)
+                _student(world, x, log_ps, ps)
+            kl[c] = _kl_rows(log_ps, ps, world.teacher_log_probs.T[:, c], direction)
     return counts, kl
 
 
-def _kl_rows(probs: _Probs, direction: str) -> np.ndarray:
-    """Per-problem KL in the given direction, one per column. Its terms are
-    formed in probs.log_ps and probs.ps, which it overwrites."""
+def _kl_rows(log_ps: np.ndarray, ps: np.ndarray, log_pt: np.ndarray, direction: str) -> np.ndarray:
+    """Per-problem KL in the given direction, one per column of the (V, n)
+    arrays; its terms are formed in log_ps and ps, which it overwrites."""
     if direction == "forward":
-        terms = np.subtract(probs.log_pt, probs.log_ps, out=probs.log_ps)
-        terms *= np.exp(probs.log_pt, out=probs.ps)
+        terms = np.subtract(log_pt, log_ps, out=log_ps)
+        terms *= np.exp(log_pt, out=ps)
     else:
-        terms = np.subtract(probs.log_ps, probs.log_pt, out=probs.log_ps)
-        terms *= probs.ps
+        terms = np.subtract(log_ps, log_pt, out=log_ps)
+        terms *= ps
     return _sum_axis0(terms)
 
 
-def _diffs(probs: _Probs, direction: str, out: np.ndarray | None = None) -> np.ndarray:
-    """Logit-space gradient columns of the per-problem KL, into out or a
-    fresh array; with out, the reverse KL's log-ratio overwrites log_ps."""
+def _diffs(log_ps: np.ndarray, ps: np.ndarray, teacher: np.ndarray, direction: str,
+           out: np.ndarray) -> np.ndarray:
+    """Logit-space gradient columns of the per-problem KL, into out. teacher
+    holds the teacher's probabilities for forward and its log-probabilities
+    for reverse, whose log-ratio overwrites log_ps."""
     if direction == "forward":
-        pt = np.exp(probs.log_pt) if probs.pt is None else probs.pt
-        return np.subtract(probs.ps, pt, out=out)
-    ratio = np.subtract(probs.log_ps, probs.log_pt, out=None if out is None else probs.log_ps)
-    ratio -= _sum_axis0(probs.ps * ratio)
-    return np.multiply(probs.ps, ratio, out=ratio if out is None else out)
+        return np.subtract(ps, teacher, out=out)
+    ratio = np.subtract(log_ps, teacher, out=log_ps)
+    ratio -= _sum_axis0(ps * ratio)
+    return np.multiply(ps, ratio, out=out)
 
 
-def _sampled_reverse_diffs(probs: _Probs, u: np.ndarray, out: np.ndarray | None = None):
+def _sampled_reverse_diffs(log_ps: np.ndarray, ps: np.ndarray, log_pt: np.ndarray,
+                           u: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Score-function estimate of the reverse-KL logit gradient columns from
-    the (k, columns) uniforms u, into out or a fresh array.
+    the (k, columns) uniforms u, into out.
 
-    Column i of u holds the draws of the problem in column i of probs, from
-    its own key (seed, "revkl", step, id) (see _draws); every column's
-    cdf, draws and sum depend on that column alone, so any subset of columns
-    equals those columns of the full result. Samples are accumulated one at
-    a time, in draw order, for all columns together, so each column's sum is
-    the same sequential sum as per problem. A sample's term
-    r * (onehot - ps) is subtracted as r * ps with its token entry set to
-    r * (ps - 1): both are exact negations, so the sum is bit-identical. The
-    drawn entries are addressed by their flat index in the C-ordered (V, B)
-    arrays, and their ratios and token entries are gathered for all samples
-    before the loop, which then forms each term in probs.log_ps.
+    Column i of u holds the draws of the problem in column i of the (V, B)
+    log_ps, ps and log_pt, from its own key (seed, "revkl", step, id) (see
+    _draws); every column's cdf, draws and sum depend on that column alone,
+    so any subset of columns equals those columns of the full result.
+    Samples are accumulated one at a time, in draw order, for all columns
+    together, so each column's sum is the same sequential sum as per
+    problem. A sample's term r * (onehot - ps) is subtracted as r * ps with
+    its token entry set to r * (ps - 1): both are exact negations, so the sum
+    is bit-identical. The drawn entries are addressed by their flat index in
+    the C-ordered arrays, and their ratios and token entries are gathered
+    for all samples before the loop, which then forms each term in log_ps.
     """
-    ps, n_samples = probs.ps, len(u)
-    ratio = np.subtract(probs.log_ps, probs.log_pt, out=probs.log_ps)
+    n_samples = len(u)
+    ratio = np.subtract(log_ps, log_pt, out=log_ps)
     draws = _categorical(ps, u)
     del u  # frees a pass that only this call reads before the gathers below
     b = ps.shape[1]
     flat = draws.astype(np.intp) * b + np.arange(b)
     r = ratio.take(flat)
     token_terms = r * (ps.take(flat) - 1.0)
-    acc = np.empty_like(ps) if out is None else out
-    acc.fill(0.0)
+    out.fill(0.0)
     term = ratio
     for s in range(n_samples):
         np.multiply(ps, r[s], out=term)
         term.put(flat[s], token_terms[s])
-        acc -= term
-    acc /= n_samples
-    return acc
+        out -= term
+    out /= n_samples
+    return out
 
 
 def _weights(world: SimWorld, counts: np.ndarray) -> np.ndarray:
@@ -517,17 +494,16 @@ def _draws(seed: int, units: Iterable[tuple[str, int, np.ndarray]], k: int) -> I
 def _descend(world: SimWorld, direction: str, live: tuple, scratch: np.ndarray,
              draws: Iterator | None) -> None:
     """The update at world.step from the rows of a _live tuple, a scratch
-    block at a time (draws: each block's reverse-KL uniforms, or None), then
-    one gradient product over those rows; with none, the product is zero."""
+    block's log_ps and ps at a time (draws: each block's reverse-KL uniforms,
+    or None), then one gradient product over those rows (zero with none)."""
     x, teacher, scale, _, diffs = live
     for c, log_ps, ps in _blocks(len(x), scratch):
-        t, out = teacher[:, c], diffs[:, c]
-        block = _Probs(log_ps, ps, None, t) if direction == "forward" else _Probs(log_ps, ps, t)
-        _step_probs(world, block, x[c])
+        out = diffs[:, c]
+        _student(world, x[c], log_ps, ps)
         if draws is None:
-            _diffs(block, direction, out)
+            _diffs(log_ps, ps, teacher[:, c], direction, out)
         else:
-            _sampled_reverse_diffs(block, next(draws), out)
+            _sampled_reverse_diffs(log_ps, ps, teacher[:, c], next(draws), out)
         out *= scale[c]
     world.theta = world.theta - world.config.learning_rate * (x.T @ diffs.T)
 
@@ -651,8 +627,8 @@ def measure_snr(world: SimWorld, loss_direction: str) -> GradientTable:
     The pass rates count k "snr" rollouts per problem from one _sweep.
     Row i of the gradients is np.outer(features[i], diffs[i]).ravel(), the
     problem's theta gradient in logit-difference form. The (N, F * V) table
-    is N-wide anyway, so the student's (V, N) distributions and gradient
-    columns are formed for all problems at once.
+    is N-wide anyway, so the student's (V, N) distributions are formed for
+    all problems at once, and the gradient columns overwrite ps.
     """
     if loss_direction not in _STAGE_DIRECTIONS:
         raise DomainError(
@@ -660,7 +636,11 @@ def measure_snr(world: SimWorld, loss_direction: str) -> GradientTable:
         )
     k = world.config.rollout_count
     counts = _sweep(world, k, ("snr",))[0]["snr"]
-    diffs = _diffs(_step_probs(world), loss_direction).T
+    log_ps, ps = np.empty((2, world.config.vocab_size, len(counts)))
+    _student(world, world.features, log_ps, ps)
+    log_pt = world.teacher_log_probs.T
+    teacher = np.exp(log_pt) if loss_direction == "forward" else log_pt
+    diffs = _diffs(log_ps, ps, teacher, loss_direction, out=ps).T
     grads = world.features[:, :, None] * diffs[:, None, :]
     return GradientTable(world.problem_ids, counts / k, grads.reshape(len(counts), -1))
 
@@ -669,5 +649,5 @@ def retention(world: SimWorld) -> float:
     """Mean forward KL from the stored anchor targets to the current
     student, by _kl_rows on the (V, M) views of the (M, V) arrays."""
     log_current = log_softmax(world.anchor_features @ world.theta, axis=1).T
-    probs = _Probs(log_current, np.empty_like(log_current), world.anchor_log_targets.T)
-    return float(np.mean(_kl_rows(probs, "forward")))
+    kl = _kl_rows(log_current, np.empty_like(log_current), world.anchor_log_targets.T, "forward")
+    return float(np.mean(kl))

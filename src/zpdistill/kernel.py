@@ -68,6 +68,11 @@ class ZpdMoments:
         if self.count < 2:
             raise DomainError(f"count must be >= 2, got {self.count}")
 
+    @property
+    def var_bound(self) -> float:
+        """mean_p (1 - mean_p) / 3, the largest var_p select_exponents matches."""
+        return self.mean_p * (1.0 - self.mean_p) / 3.0
+
 
 def raw_weights(
     p: np.ndarray, scheme: str, alpha: float = 1.0, beta: float = 1.0,
@@ -163,11 +168,10 @@ def select_exponents(m: ZpdMoments) -> tuple[float, float]:
         raise DegenerateInputError(
             "zero pass-rate variance: moment matching is degenerate"
         )
-    bound = m.mean_p * (1.0 - m.mean_p) / 3.0
-    if m.var_p > bound * (1.0 + _FLAT_BOUNDARY_RTOL):
+    if m.var_p > m.var_bound * (1.0 + _FLAT_BOUNDARY_RTOL):
         raise DomainError(
             f"validity condition var_p < mean_p(1-mean_p)/3 failed "
-            f"({m.var_p} >= {bound}); use the flat kernel w(p) = 1 instead"
+            f"({m.var_p} >= {m.var_bound}); use the flat kernel w(p) = 1 instead"
         )
     concentration = m.mean_p * (1.0 - m.mean_p) / m.var_p - 1.0
     alpha = m.mean_p * concentration - 1.0
@@ -176,6 +180,5 @@ def select_exponents(m: ZpdMoments) -> tuple[float, float]:
 
 
 def at_flat_boundary(m: ZpdMoments) -> bool:
-    """True when var_p sits at the flat-kernel boundary mean(1-mean)/3."""
-    bound = m.mean_p * (1.0 - m.mean_p) / 3.0
-    return math.isclose(m.var_p, bound, rel_tol=_FLAT_BOUNDARY_RTOL)
+    """True when var_p sits at the flat-kernel boundary m.var_bound."""
+    return math.isclose(m.var_p, m.var_bound, rel_tol=_FLAT_BOUNDARY_RTOL)

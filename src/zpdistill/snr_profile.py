@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
@@ -98,8 +99,20 @@ class SnrProfile:
     theory_norm: np.ndarray
 
 
+def _signal_spread(g: np.ndarray, norm: Callable[[np.ndarray], float]) -> tuple[float, float]:
+    """(norm of the mean row, mean squared distance of a row from it) of a
+    bin's own copy g of its gradients, whose deviations are squared in place."""
+    g_bar = g.mean(axis=0)
+    signal = norm(g_bar)
+    g -= g_bar
+    g *= g
+    return signal, float(np.mean(np.sum(g, axis=1)))
+
+
 def compute_snr_bins(table: GradientTable, num_bins: int) -> SnrProfile:
-    """Per-bin cross-problem SNR, before normalization."""
+    """Per-bin cross-problem SNR, before normalization. A bin whose norms
+    overflow is computed again at g / max|g|, a scale that leaves snr as it
+    is, with math.hypot's signal, which does not underflow if the mean cancels."""
     ps, grads = table.p, table.gradients
     edges = np.asarray(equal_edges(num_bins))
     idx = bin_indices(ps, edges)
@@ -107,12 +120,11 @@ def compute_snr_bins(table: GradientTable, num_bins: int) -> SnrProfile:
     mean_p, snr = np.full(num_bins, math.nan), np.full(num_bins, math.nan)
     for j in np.flatnonzero(count):
         mask = idx == j
-        g = grads[mask]  # the bin's one copy: its deviations are squared in place
-        g_bar = g.mean(axis=0)
-        signal = np.linalg.norm(g_bar)
-        g -= g_bar
-        g *= g
-        spread_sq = float(np.mean(np.sum(g, axis=1)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            signal, spread_sq = _signal_spread(grads[mask], np.linalg.norm)
+        if not (math.isfinite(signal) and math.isfinite(spread_sq)):
+            g = grads[mask]
+            signal, spread_sq = _signal_spread(g / np.abs(g).max(), lambda v: math.hypot(*v))
         mean_p[j] = ps[mask].mean()
         # Zero spread (identical gradients) leaves the bin's SNR undefined.
         if spread_sq:

@@ -8,9 +8,7 @@ runs train with the observer that simulate passes it.
 
 import numpy as np
 
-from zpdistill.distill_sim import (
-    _categorical, _diffs, _kl_rows, _Probs, _step_probs, measure_snr, train,
-)
+from zpdistill.distill_sim import _categorical, _diffs, _kl_rows, _student, measure_snr, train
 from zpdistill.numerics import key_uniforms, label_keys
 from zpdistill.variance import smoothness_constant
 
@@ -42,10 +40,28 @@ def student_logits(world):
     return (world.theta.T @ world.features.T).T
 
 
+def student(world, rows=slice(None), temperature=1.0):
+    """Fresh (V, len(rows)) arrays (log_ps, ps, log_pt) of the problems rows:
+    the student's distributions at world.theta and temperature, and a view
+    of the teacher's log-probabilities."""
+    log_pt = world.teacher_log_probs.T[:, rows]
+    log_ps, ps = np.empty((2, *log_pt.shape))
+    _student(world, world.features[rows], log_ps, ps, temperature)
+    return log_ps, ps, log_pt
+
+
+def diffs(world, direction, rows=slice(None)):
+    """A fresh (V, len(rows)) array of the exact logit-space gradient columns
+    of the problems rows."""
+    log_ps, ps, log_pt = student(world, rows)
+    teacher = np.exp(log_pt) if direction == "forward" else log_pt
+    return _diffs(log_ps, ps, teacher, direction, np.empty_like(ps))
+
+
 def outcomes(world, k, purpose):
     """(k, N) correctness of k rollouts per problem at world.step, every
     problem in one block, at the world's rollout temperature."""
-    ps = _step_probs(world, temperature=world.config.rollout_temperature).ps
+    ps = student(world, temperature=world.config.rollout_temperature)[1]
     u = stream_uniforms((world.config.seed, purpose, world.step), world.problem_tokens, k)
     return _categorical(ps, u) == world.answers
 
@@ -55,7 +71,5 @@ def single_kl(world, problem_index, direction):
     KL(teacher || student)) and its exact theta gradient, from its column
     alone."""
     column = [problem_index]
-    probs = _Probs(*np.empty((2, world.config.vocab_size, 1)), world.teacher_log_probs.T[:, column])
-    _step_probs(world, probs, world.features[column])
-    grad = np.outer(world.features[problem_index], _diffs(probs, direction)[:, 0])
-    return float(_kl_rows(probs, direction)[0]), grad
+    grad = np.outer(world.features[problem_index], diffs(world, direction, column)[:, 0])
+    return float(_kl_rows(*student(world, column), direction)[0]), grad

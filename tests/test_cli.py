@@ -171,6 +171,12 @@ class TestWeight:
         assert captured.out == ""
         err = captured.err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: problem 'a,b': "), err
+        # A refused table leaves an existing --out file as it was.
+        out = tmp_path / "w.csv"
+        out.write_text("keep\n", encoding="utf-8")
+        assert main(["weight", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == err
+        assert out.read_text(encoding="utf-8") == "keep\n"
         # The rollout format holds such ids, so select-exponents reads them.
         assert main(["select-exponents", str(path)]) == 0
 
@@ -424,6 +430,36 @@ class TestSnrProfile:
     def test_missing_file_is_error(self, tmp_path, capsys):
         assert main(["snr-profile", str(tmp_path / "nope.csv")]) == 1
         assert capsys.readouterr().err.startswith("error:")
+
+    # The exact snr of each bin's doubles, from rational arithmetic.
+    @pytest.mark.parametrize("rows, want", [
+        ([("a", 0.5, (1e160, 1.0)), ("b", 0.5, (1.000000001e160, 1.0))], 1999999971.214125),
+        # The mean row cancels to about 1e-200 of the largest gradient.
+        ([("a", 0.6, (1e200, 1.0)), ("b", 0.6, (-1e200, 1.0)), ("e", 0.9, (1.0, 1.0))],
+         1.2909944487358058e-200),
+    ], ids=["signal", "spread"])
+    def test_a_bin_whose_norms_overflow_is_rescaled(self, tmp_path, capsys, rows, want):
+        path = _gradient_csv(tmp_path, [*rows, ("c", 0.1, (1.0, 2.0)), ("d", 0.4, (2.0, 3.0))])
+        assert main(["snr-profile", str(path), "--bins", "2"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "bell: unavailable (bell_shape_score needs >= 3 defined bins, got 2)\n")
+        low, high = _table(captured.out)
+        assert low["snr"] == "4.123105626"
+        # 4e-8 is the cancellation of the deviations of two gradients 1e-9 apart.
+        assert math.isclose(float(high["snr"]), want, rel_tol=1e-7)
+
+    def test_a_refused_profile_leaves_an_existing_out_file_as_it_was(self, tmp_path, capsys):
+        # snr = 1e154 / 5.56e-155 is finite but renders as inf at 10 digits.
+        e = 5.5626846470796994e-155
+        path = _gradient_csv(tmp_path, [("a", 0.5, (1e154, e)), ("b", 0.5, (1e154, -e)),
+                                        ("c", 0.1, (1.0, 2.0)), ("d", 0.4, (2.0, 3.0))])
+        out = tmp_path / "profile.csv"
+        out.write_text("keep\n", encoding="utf-8")
+        assert main(["snr-profile", str(path), "--bins", "2", "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: bin 1: "), err
+        assert out.read_text(encoding="utf-8") == "keep\n"
 
     def test_bin_count_is_checked_before_the_file_is_read(self, tmp_path, capsys):
         argv = ["snr-profile", str(tmp_path / "missing.csv"), "--bins", "1"]

@@ -16,10 +16,8 @@ from zpdistill.distill_sim import (
 )
 from zpdistill.distill_sim import (
     _categorical,
-    _diffs,
     _draws,
     _sampled_reverse_diffs,
-    _step_probs,
     _sweep,
     _weights,
 )
@@ -30,7 +28,7 @@ from zpdistill.numerics import label_tokens, log_softmax, stream
 from zpdistill.snr_profile import bell_shape_score, compute_snr_bins
 from zpdistill.variance import smoothness_constant
 
-from sim_oracles import observed_train, outcomes, single_kl, student_logits
+from sim_oracles import diffs, observed_train, outcomes, single_kl, student, student_logits
 
 _SMALL = SimConfig(
     num_problems=12,
@@ -284,9 +282,9 @@ class TestKlGradients:
         # The score-function rows must approach the exact reverse rows.
         cfg = _small(vocab_size=4, num_problems=4)
         w = build_world(cfg)
-        exact = _diffs(_step_probs(w), "reverse")
+        exact = diffs(w, "reverse")
         u = next(_draws(cfg.seed, [("revkl", 0, w.problem_tokens)], 60000))
-        approx = _sampled_reverse_diffs(_step_probs(w), u)
+        approx = _sampled_reverse_diffs(*student(w), u, np.empty_like(exact))
         assert np.allclose(approx, exact, atol=0.02)
 
     def test_sampled_reverse_diffs_match_per_problem_oracle(self):
@@ -310,7 +308,7 @@ class TestKlGradients:
                 acc += ratio[i, t] * (one_hot - ps[i])
             want[i] = acc / 13
         u = next(_draws(cfg.seed, [("revkl", 4, w.problem_tokens)], 13))
-        got = _sampled_reverse_diffs(_step_probs(w), u)
+        got = _sampled_reverse_diffs(*student(w), u, np.empty_like(want.T))
         assert np.array_equal(got, want.T)
 
 
@@ -401,8 +399,8 @@ class TestTrain:
         p_hat = outcomes(w_manual, cfg.rollout_count, "rollout").mean(axis=0)
         raw = [1.0 if cfg.filter_lo <= p <= cfg.filter_hi else 0.0 for p in p_hat]
         weights = unit_mean(np.array(raw))
-        diffs = _diffs(_step_probs(w_manual), "forward").T
-        grad = w_manual.features.T @ ((weights[:, None] / cfg.num_problems) * diffs)
+        rows = diffs(w_manual, "forward").T
+        grad = w_manual.features.T @ ((weights[:, None] / cfg.num_problems) * rows)
         expected = w_manual.theta - cfg.learning_rate * grad
         assert np.array_equal(w_train.theta, expected)
 
@@ -558,11 +556,11 @@ class TestMeasureSnr:
         w.theta = w.theta + 0.2 * np.cos(np.arange(w.theta.size)).reshape(w.theta.shape)
         w.step = 2
         table = measure_snr(w, direction)
-        diffs = _diffs(_step_probs(w), direction)
+        columns = diffs(w, direction)
         counts = outcomes(w, _SMALL.rollout_count, "snr").sum(axis=0)
         for i in range(30):
             assert np.array_equal(
-                table.gradients[i], np.outer(w.features[i], diffs[:, i]).ravel()
+                table.gradients[i], np.outer(w.features[i], columns[:, i]).ravel()
             )
             assert table.p[i] == int(counts[i]) / 4
 

@@ -33,13 +33,10 @@ from zpdistill.distill_sim import (
     train,
 )
 from zpdistill.distill_sim import (
-    _diffs,
     _draws,
     _kl_rows,
     _live,
-    _Probs,
     _sampled_reverse_diffs,
-    _step_probs,
     _sweep,
     _updates,
     _weights,
@@ -48,7 +45,9 @@ from zpdistill.numerics import key_uniforms, label_keys, label_tokens, log_softm
 from zpdistill.passrate import THREE_BIN_EDGES
 from zpdistill.snr_profile import GradientTable
 
-from sim_oracles import observed_train, outcomes, single_kl, stream_uniforms, student_logits
+from sim_oracles import (
+    diffs, observed_train, outcomes, single_kl, stream_uniforms, student, student_logits,
+)
 
 
 def _old_log_softmax(logits, axis=-1):
@@ -602,17 +601,16 @@ def test_sampled_reverse_rows_of_a_subset_equal_the_full_rows():
     w = build_world(_BASE)
     w.theta = w.theta + 0.4 * np.sin(np.arange(w.theta.size)).reshape(w.theta.shape)
     w.step = 5
-    probs = _step_probs(w)
+    log_ps, ps, log_pt = student(w)
     u = next(_draws(w.config.seed, [("revkl", 5, w.problem_tokens)], 7))
-    full = _sampled_reverse_diffs(probs, u)
+    full = _sampled_reverse_diffs(log_ps, ps, log_pt, u, np.empty_like(ps))
     cfg = dataclasses.replace(_BASE, batch_size=25)
     for rows in (_batch(cfg, 5), np.array([79]), np.array([60, 2, 33])):
         labels = label_tokens([w.problem_ids[i] for i in rows])
         u = next(_draws(cfg.seed, [("revkl", 5, labels)], 7))
-        shape = (cfg.vocab_size, len(rows))
-        batch = _Probs(np.empty(shape), np.empty(shape), probs.log_pt[:, rows])
-        part = _sampled_reverse_diffs(_step_probs(w, batch, w.features[rows]), u)
-        assert np.array_equal(batch.ps, probs.ps[:, rows])
+        batch = student(w, rows)
+        assert np.array_equal(batch[1], ps[:, rows])
+        part = _sampled_reverse_diffs(*batch, u, np.empty_like(batch[1]))
         assert np.array_equal(part, full[:, rows])
 
 
@@ -733,13 +731,12 @@ def test_single_problem_calls_equal_the_full_column(direction, n):
     # column i of the arrays computed for all N problems.
     w = build_world(dataclasses.replace(_BASE, num_problems=n))
     w.theta = w.theta + 0.4 * np.sin(np.arange(w.theta.size)).reshape(w.theta.shape)
-    probs = _step_probs(w)
-    diffs = _diffs(probs, direction)
-    losses = _kl_rows(probs, direction)  # overwrites probs
+    columns = diffs(w, direction)
+    losses = _kl_rows(*student(w), direction)
     for i in sorted({0, n // 2, n - 1}):
         loss, grad = single_kl(w, i, direction)
         assert loss == float(losses[i])
-        assert np.array_equal(grad, np.outer(w.features[i], diffs[:, i]))
+        assert np.array_equal(grad, np.outer(w.features[i], columns[:, i]))
 
 
 # (num_problems, batch_size, share of zero weights). F = V = 16 and at most
@@ -770,12 +767,11 @@ def test_live_row_product_equals_the_zero_filled_product(n, batch_size, zero_sha
     weights = rng.random(n) * (rng.random(n) >= zero_share)
     # The earlier update: every row's scaled column, zero where the weight
     # is, in a zeroed (V, rows) buffer and one product over all rows.
-    probs = _step_probs(world)
     rows = np.arange(n) if batch_size is None else _batch(cfg, world.step)
     live = weights[rows] != 0
     assert 0 < np.count_nonzero(live) and (zero_share == 0) == live.all()
     full = np.zeros((cfg.vocab_size, len(rows)))
-    full[:, live] = _diffs(probs, "forward")[:, rows[live]] * (weights[rows[live]] / len(rows))
+    full[:, live] = diffs(world, "forward")[:, rows[live]] * (weights[rows[live]] / len(rows))
     want = world.theta - cfg.learning_rate * (world.features[rows].T @ full.T)
 
     kept = None
@@ -815,8 +811,8 @@ def test_column_blocks_change_no_value(monkeypatch, name, block):
         return (
             outcomes(world, 5, "eval").sum(axis=0),
             outcomes(world, 5, "rollout").sum(axis=0),
-            _kl_rows(_step_probs(world), "forward"),
-            _kl_rows(_step_probs(world), "reverse"),
+            _kl_rows(*student(world), "forward"),
+            _kl_rows(*student(world), "reverse"),
         )
 
     def swept(world):
