@@ -47,10 +47,10 @@ ps into (V, block) views of a scratch, which every consumer at that step
 Many weights are 0 (p(1 - p) at p = 0 or 1, the hard scheme outside its
 band), so an update runs only the nonzero-weight problems among its rows
 (all N, or its minibatch), in row order and in such blocks, into one
-(V, rows) array of gradient columns, and its gradient product spans those
-rows. One _updates generator makes the updates between two sweeps, whose
-reverse-KL draws share passes of at most _PASS_WORDS Philox words. Each
-sweep and each such generator owns its scratch; one is alive at a time.
+(V, rows) array of gradient columns that its gradient product spans. One
+_updates generator makes the updates between two sweeps, whose reverse-KL
+draws share passes of at most _PASS_WORDS Philox words. Each sweep owns
+its scratch, each generator its scratch and columns; one lives at a time.
 The arrays are vocabulary-major, one column per problem, so every
 reduction over the vocabulary runs down axis 0; numerics._sum_axis0 adds
 in the pairwise order of np.sum over a contiguous (N, V) row, and the
@@ -508,12 +508,11 @@ def _descend(world: SimWorld, direction: str, live: tuple, scratch: np.ndarray,
     world.theta = world.theta - world.config.learning_rate * (x.T @ diffs.T)
 
 
-def _updates(world: SimWorld, weights: np.ndarray, direction: str, live: tuple | None,
-             steps: range) -> Iterator[None]:
+def _updates(world: SimWorld, weights: np.ndarray, direction: str, steps: range) -> Iterator[None]:
     """One update per next() at each of steps, which share their weights and
     direction, from the nonzero-weight problems among its rows in row order:
-    the full batch's live tuple, or with live None the step's minibatch. Their
-    reverse-KL draws share Philox passes (see _draws).
+    all N, whose _live columns it builds once, or each step's minibatch, whose
+    columns the step builds. Their reverse-KL draws share passes (see _draws).
     The zero-weight rows add only exact zeros to the product over every
     row, and while that product fits OpenBLAS's small-matrix gemm
     (M * N * K <= 1e6: 3 906 rows at F = V = 16, scipy-openblas 0.3.31),
@@ -523,6 +522,8 @@ def _updates(world: SimWorld, weights: np.ndarray, direction: str, live: tuple |
     """
     config, kept, n, scratch = world.config, {}, world.config.num_problems, _scratch(world)
     samples = config.reverse_kl_samples if direction == "reverse" else 0
+    live = None if config.batch_size else _live(
+        world, weights, slice(None) if weights.all() else np.flatnonzero(weights), direction)
 
     def batch(step: int) -> np.ndarray:
         # Drawn once: with samples, whichever of a step's update and the pass
@@ -540,7 +541,7 @@ def _updates(world: SimWorld, weights: np.ndarray, direction: str, live: tuple |
              for c, *_ in _blocks(len(tokens), scratch))
     draws = _draws(config.seed, units, samples) if samples else None
     for step in steps:
-        # The step's columns are built in the call, so they die on its return.
+        # A minibatch step's columns are built in the call, so they die on its return.
         _descend(world, direction, live or _live(world, weights, batch(step), direction),
                  scratch, draws)
         if not np.isfinite(world.theta).all():
@@ -561,10 +562,10 @@ def train(
     Checkpoints (every eval_interval steps, plus step 0 and the final step)
     record state before that step's parameter update. The run walks from
     one recompute or checkpoint sweep over every problem's column blocks to
-    the next, and one _updates generator makes the updates between them,
-    so no student array as wide as N is held. theta and the step counter
-    are updated in place on the passed world. A non-finite
-    checkpoint loss or theta raises NumericError naming the step.
+    the next, and one _updates generator, which builds the columns it reads,
+    makes the updates between them: between sweeps only the weights are held.
+    theta and the step counter are updated in place on the passed world. A
+    non-finite checkpoint loss or theta raises NumericError naming the step.
 
     observe, when given, is called as observe(world, direction, weights,
     counts) before each step's update and once more after the last one,
@@ -585,10 +586,9 @@ def train(
     grid = {*range(0, t_total, config.eval_interval), t_total}
     sweeps = sorted(starts | grid)
     rows: list[CheckpointRow] = []
-    live = None
 
     for start, stop in zip(sweeps, [*sweeps[1:], t_total + 1]):
-        updates = None  # the last interval's draws, columns and scratch go before the sweep
+        updates = None  # the last run of updates' columns, draws and scratch go first
         direction = config.loss_direction
         if direction == "two_stage":
             direction = "forward" if start < switch_step else "reverse"
@@ -598,14 +598,10 @@ def train(
                             direction if checkpoint else None)
         if recompute:
             weights = _weights(world, counts["rollout"])
-            if config.batch_size is None:
-                cols = slice(None) if weights.all() else np.flatnonzero(weights)
-                live = None  # drop the last recompute's columns first
-                live = _live(world, weights, cols, direction)
         if checkpoint:
             rows.append(_checkpoint(world, weights, direction, counts["eval"], kl))
 
-        updates = _updates(world, weights, direction, live, range(world.step, base + stop))
+        updates = _updates(world, weights, direction, range(world.step, base + stop))
         for local in range(start, stop):
             if observe is not None:  # a recompute's counts go to its own step alone
                 observe(world, direction, weights, counts.pop("rollout", None))

@@ -11,9 +11,10 @@ with a population variance in the denominator. A profile is a set of
 per-bin arrays (SnrProfile), with NaN for a value that is undefined, which
 fileio writes as an empty field. Bins can be undefined two ways: empty
 (count 0, NaN mean_p and snr) or degenerate (all gradients in the bin
-identical, zero spread: NaN snr). Undefined SNRs are excluded from the
-empirical normalization maximum; empty bins are excluded from the
-theoretical one as well, since they have no mean pass rate to evaluate.
+identical, however their mean rounds: NaN snr). Undefined SNRs are
+excluded from the empirical normalization maximum; empty bins are excluded
+from the theoretical one as well, since they have no mean pass rate to
+evaluate.
 
 The theoretical curve is sqrt(mean_p (1 - mean_p)) per bin, normalized by
 its own maximum, evaluated at bin mean pass rates rather than bin centers.
@@ -112,7 +113,8 @@ def _signal_spread(g: np.ndarray, norm: Callable[[np.ndarray], float]) -> tuple[
 def compute_snr_bins(table: GradientTable, num_bins: int) -> SnrProfile:
     """Per-bin cross-problem SNR, before normalization. A bin whose norms
     overflow is computed again at g / max|g|, a scale that leaves snr as it
-    is, with math.hypot's signal, which does not underflow if the mean cancels."""
+    is, with math.hypot's signal, which does not underflow if the mean cancels.
+    An snr above the double range raises DomainError naming its bin."""
     ps, grads = table.p, table.gradients
     edges = np.asarray(equal_edges(num_bins))
     idx = bin_indices(ps, edges)
@@ -126,9 +128,14 @@ def compute_snr_bins(table: GradientTable, num_bins: int) -> SnrProfile:
             g = grads[mask]
             signal, spread_sq = _signal_spread(g / np.abs(g).max(), lambda v: math.hypot(*v))
         mean_p[j] = ps[mask].mean()
-        # Zero spread (identical gradients) leaves the bin's SNR undefined.
-        if spread_sq:
-            snr[j] = signal / math.sqrt(spread_sq)
+        # Identical gradients leave the bin's SNR undefined. Their mean can
+        # round, so a spread within rounding of zero is checked row by row.
+        spread = math.sqrt(spread_sq)
+        if spread > count[j] * 2**-52 * signal or spread and not (
+                (g := grads[mask]) == g[0]).all():
+            snr[j] = float(signal) / spread
+            if math.isinf(snr[j]):
+                raise DomainError(f"bin {j}: snr is above the double range")
     unset = np.full(num_bins, math.nan)
     return SnrProfile(edges, count, mean_p, snr, unset, unset.copy())
 

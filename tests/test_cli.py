@@ -459,6 +459,25 @@ class TestSnrProfile:
         assert main(["snr-profile", str(path), "--bins", "2", "--out", str(out)]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: bin 1: "), err
+        assert err[0].endswith("renders at 10 significant digits as inf")
+        assert out.read_text(encoding="utf-8") == "keep\n"
+
+    def test_a_bin_of_identical_gradients_has_no_snr(self, tmp_path, capsys):
+        # The mean of three 0.1s rounds, so their deviations are about 1e-17.
+        path = _gradient_csv(tmp_path, [*[(pid, 0.5, (0.1, 1.0)) for pid in "abc"],
+                                        ("d", 0.1, (1.0, 2.0)), ("e", 0.2, (2.0, 3.0))])
+        assert main(["snr-profile", str(path), "--bins", "2"]) == 0
+        low, high = _table(capsys.readouterr().out)
+        assert (high["count"], high["snr"], high["snr_norm"]) == ("3", "", "")
+        assert low["snr_norm"] == "1"
+
+    def test_an_snr_above_the_double_range_is_one_error_line(self, tmp_path, capsys):
+        path = _gradient_csv(tmp_path, [("a", 0.5, (1e150, 0.0)), ("b", 0.5, (1e150, 1e-160)),
+                                        ("c", 0.1, (1.0, 2.0)), ("d", 0.4, (2.0, 3.0))])
+        out = tmp_path / "profile.csv"
+        out.write_text("keep\n", encoding="utf-8")
+        assert main(["snr-profile", str(path), "--bins", "2", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: bin 1: snr is above the double range\n"
         assert out.read_text(encoding="utf-8") == "keep\n"
 
     def test_bin_count_is_checked_before_the_file_is_read(self, tmp_path, capsys):

@@ -1,8 +1,9 @@
 """A dead-code guard over src/zpdistill, with the standard library's ast alone.
 
 Every name a module imports is read in that module (or exported through its
-__all__), and every module-level private function, class or constant is
-referenced somewhere in src/ besides its own definition.
+__all__), every module-level private function, class or constant is
+referenced somewhere in src/ besides its own definition, and every function
+or lambda reads each of its parameters in its body.
 """
 
 import ast
@@ -72,3 +73,26 @@ def test_every_private_module_level_name_is_referenced():
             for module, tree in _TREES.items()
             for name, line in _private_definitions(tree) if name not in referenced]
     assert not dead
+
+
+def _parameters(node):
+    """The names of every parameter of a function or lambda node."""
+    a = node.args
+    extra = [arg for arg in (a.vararg, a.kwarg) if arg is not None]
+    return [arg.arg for arg in (*a.posonlyargs, *a.args, *a.kwonlyargs, *extra)]
+
+
+def test_every_parameter_is_read():
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+    unread = []
+    for module, tree in _TREES.items():
+        for node in ast.walk(tree):
+            if not isinstance(node, functions):
+                continue
+            body = node.body if isinstance(node, ast.Lambda) else ast.Module(node.body, [])
+            read = {n.id for n in ast.walk(body)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            name = getattr(node, "name", "<lambda>")
+            unread += [f"{module}:{node.lineno} {name} never reads {param}"
+                       for param in _parameters(node) if param not in read]
+    assert not unread

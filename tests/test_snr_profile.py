@@ -114,6 +114,20 @@ class TestComputeSnrBins:
         assert profile.mean_p[0] == pytest.approx(0.125)
         assert profile.count[0] == 2
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        row=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=4),
+        repeats=st.integers(2, 50),
+        p=st.floats(0.0, 1.0),
+    )
+    def test_identical_rows_have_no_snr_whatever_their_count(self, row, repeats, p):
+        # A mean of equal rows can round (three 0.1s do), so their deviations
+        # need not be exactly 0.
+        table = GradientTable(tuple(f"q{i}" for i in range(repeats)), [p] * repeats,
+                              [row] * repeats)
+        profile = compute_snr_bins(table, num_bins=2)
+        assert profile.count.sum() == repeats and np.isnan(profile.snr).all()
+
     def test_rotation_scale_permutation_invariance(self):
         rng = np.random.default_rng(5)
         grads = rng.normal(0.0, 1.0, (30, 4))
@@ -336,12 +350,13 @@ def _old_compute_snr_bins(table: GradientTable, num_bins: int) -> _OldSnrProfile
             bins.append(_OldSnrBin(lo=lo, hi=hi, mean_p=None, count=0, snr=None))
             continue
         g = grads[mask]
+        identical = len({tuple(row) for row in g.tolist()}) == 1
         g_bar = g.mean(axis=0)
         signal = np.linalg.norm(g_bar)
         g -= g_bar
         g *= g
         spread_sq = float(np.mean(np.sum(g, axis=1)))
-        snr = float(signal / math.sqrt(spread_sq)) if spread_sq else None
+        snr = float(signal / math.sqrt(spread_sq)) if spread_sq and not identical else None
         bins.append(
             _OldSnrBin(lo=lo, hi=hi, mean_p=float(ps[mask].mean()), count=count,
                        snr=snr, degenerate=snr is None)

@@ -35,7 +35,6 @@ from zpdistill.distill_sim import (
 from zpdistill.distill_sim import (
     _draws,
     _kl_rows,
-    _live,
     _sampled_reverse_diffs,
     _sweep,
     _updates,
@@ -774,11 +773,7 @@ def test_live_row_product_equals_the_zero_filled_product(n, batch_size, zero_sha
     full[:, live] = diffs(world, "forward")[:, rows[live]] * (weights[rows[live]] / len(rows))
     want = world.theta - cfg.learning_rate * (world.features[rows].T @ full.T)
 
-    kept = None
-    if batch_size is None:
-        cols = slice(None) if weights.all() else np.flatnonzero(weights)
-        kept = _live(world, weights, cols, "forward")
-    next(_updates(world, weights, "forward", kept, range(world.step, world.step + 1)))
+    next(_updates(world, weights, "forward", range(world.step, world.step + 1)))
     assert np.array_equal(world.theta, want)
 
 
@@ -930,24 +925,30 @@ def test_build_world_peak_allocation_is_a_few_arrays():
 # the sample gathers; with the block's pass still held there, 5.35. A
 # full-batch recompute every 2 steps at N = 20 000 peaks at 2.78; building
 # the new nonzero columns while the last interval's updates still held the
-# old ones peaked at 4.06.
+# old ones peaked at 4.06. With each run of updates building its full-batch
+# columns after its sweep, so that no sweep runs beside them: forward 3.32,
+# reverse 3.78, sampled reverse 3.79, sampled reverse at 16 samples 4.82; at
+# N = 20 000, forward 2.49, reverse 2.68, full-batch sampled reverse 2.60,
+# temperature 0.7 2.12, a recompute every 2 steps 2.49 (the columns held
+# through the sweeps read 3.95, 3.94, 3.94, 4.85, 2.84, 2.84, 2.84, 2.46 and
+# 2.78). The minibatch peaks did not move.
 _PEAK_BOUND = {
-    "forward": ({}, 4.25),
-    "reverse": ({"loss_direction": "reverse"}, 4.25),
-    "sampled_reverse": ({"loss_direction": "reverse", "reverse_kl_samples": 4}, 4.25),
+    "forward": ({}, 3.6),
+    "reverse": ({"loss_direction": "reverse"}, 3.85),
+    "sampled_reverse": ({"loss_direction": "reverse", "reverse_kl_samples": 4}, 3.86),
     "sampled_reverse_batch": (
         {"loss_direction": "reverse", "reverse_kl_samples": 4, "batch_size": 500}, 2.5,
     ),
-    "forward_n20000": ({"num_problems": 20000}, 3.0),
-    "reverse_n20000": ({"num_problems": 20000, "loss_direction": "reverse"}, 3.0),
+    "forward_n20000": ({"num_problems": 20000}, 2.65),
+    "reverse_n20000": ({"num_problems": 20000, "loss_direction": "reverse"}, 2.75),
     "sampled_reverse_n20000": (
-        {"num_problems": 20000, "loss_direction": "reverse", "reverse_kl_samples": 4}, 3.0,
+        {"num_problems": 20000, "loss_direction": "reverse", "reverse_kl_samples": 4}, 2.7,
     ),
     "sampled_reverse_batch_n20000": (
         {"num_problems": 20000, "loss_direction": "reverse", "reverse_kl_samples": 4,
          "batch_size": 500}, 1.25,
     ),
-    "temperature_0.7_n20000": ({"num_problems": 20000, "rollout_temperature": 0.7}, 2.6),
+    "temperature_0.7_n20000": ({"num_problems": 20000, "rollout_temperature": 0.7}, 2.3),
     "sampled_reverse_k16": ({"loss_direction": "reverse", "reverse_kl_samples": 16}, 5.0),
     "sampled_reverse_batch2000_one_interval": (
         {"loss_direction": "reverse", "reverse_kl_samples": 4, "batch_size": 2000,
@@ -957,7 +958,7 @@ _PEAK_BOUND = {
         {"loss_direction": "reverse", "reverse_kl_samples": 16, "batch_size": 200,
          "steps": 24, "eval_interval": 24}, 2.25,
     ),
-    "forward_recompute_n20000": ({"num_problems": 20000, "recompute_interval": 2}, 3.0),
+    "forward_recompute_n20000": ({"num_problems": 20000, "recompute_interval": 2}, 2.65),
 }
 
 
