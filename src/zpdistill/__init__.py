@@ -57,7 +57,6 @@ from .variance import (
     variance_ratio_empirical,
 )
 from .distill_sim import (
-    CheckpointRow,
     SimConfig,
     SimMetrics,
     SimWorld,
@@ -109,7 +108,6 @@ __all__ = [
     "SimConfig",
     "SimWorld",
     "SimMetrics",
-    "CheckpointRow",
     "build_world",
     "train",
     "measure_snr",

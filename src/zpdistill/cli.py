@@ -50,7 +50,7 @@ from .kernel import (
 from .numerics import beta_fn, sech2
 from .passrate import RolloutTable, equal_edges
 from .robustness import fit_snr_model, minimax_scale, robustness_rows
-from .snr_profile import bell_shape_score, compute_snr_bins, normalize_profile
+from .snr_profile import GradientTable, bell_shape_score, compute_snr_bins, normalize_profile
 from .variance import VarianceSpec, gamma_from_signal, smoothness_constant, variance_ratio_beta
 
 __all__ = ["main"]
@@ -295,7 +295,7 @@ def _cmd_simulate(args: argparse.Namespace) -> None:
                     f"warning: every weight is zero at step {world.step}, "
                     "so the updates until the next recompute change nothing"))
         if world.step in dump_steps:
-            dumps[world.step] = measure_snr(world, direction)
+            dumps[world.step] = GradientTable(world.problem_ids, *measure_snr(world, direction))
 
     metrics = train(world, observe=observe)
 
@@ -322,10 +322,9 @@ def _cmd_simulate(args: argparse.Namespace) -> None:
             _log(warnings[kind])
     if metrics.stage_switch_step is not None:
         _log(f"stage switch at step {metrics.stage_switch_step}")
-    final = metrics.rows[-1]
     _log(
-        f"final step {final.step}: loss {fmt(final.loss)} "
-        f"mean_p {fmt(final.mean_p)} retention_kl {fmt(final.retention_kl)}"
+        f"final step {metrics.step[-1]}: loss {fmt(metrics.loss[-1])} "
+        f"mean_p {fmt(metrics.mean_p[-1])} retention_kl {fmt(metrics.retention_kl[-1])}"
     )
 
 

@@ -4,7 +4,9 @@ The world is a single-token classification task. Each problem i has a unit
 feature vector x_i, a correct token a_i, and a fixed teacher distribution
 softmax(sharpness * e_{a_i} + jitter). The student is a shared linear
 softmax model: logits_i = theta^T x_i with theta an F x V matrix, so
-problems interact only through theta.
+problems interact only through theta. train returns its checkpoints as
+SimMetrics columns and measure_snr the arrays (p, gradients): record types
+belong to the CLI and fileio.
 
 Difficulty is built into the features. Token prototypes mu_v are random
 unit vectors, the initial student is the prototype classifier at the
@@ -74,14 +76,12 @@ from .errors import ConfigError, DomainError, NumericError
 from .kernel import SCHEMES, raw_weights, unit_mean
 from .numerics import _sum_axis0, key_uniforms, label_keys, label_tokens, log_softmax, stream
 from .passrate import THREE_BIN_EDGES, bin_indices
-from .snr_profile import GradientTable
 
 __all__ = [
     "DIRECTIONS",
     "SimConfig",
     "SimWorld",
     "SimMetrics",
-    "CheckpointRow",
     "build_world",
     "train",
     "measure_snr",
@@ -210,20 +210,17 @@ class SimWorld:
 
 
 @dataclass(frozen=True)
-class CheckpointRow:
-    step: int
-    stage: str
-    loss: float
-    retention_kl: float
-    frac_low: float
-    frac_med: float
-    frac_high: float
-    mean_p: float
-
-
-@dataclass(frozen=True)
 class SimMetrics:
-    rows: tuple[CheckpointRow, ...]
+    """A run's C checkpoints in step order, as columns: step, loss,
+    retention_kl and mean_p (C,), stage (the loss direction of each) and the
+    (C, 3) shares of problems in the low, medium and high pass-rate bands."""
+
+    step: np.ndarray
+    stage: tuple[str, ...]
+    loss: np.ndarray
+    retention_kl: np.ndarray
+    fractions: np.ndarray
+    mean_p: np.ndarray
     recompute_steps: tuple[int, ...]
     stage_switch_step: int | None
 
@@ -436,24 +433,14 @@ def _weights(world: SimWorld, counts: np.ndarray) -> np.ndarray:
     ))
 
 
-def _checkpoint(
-    world: SimWorld, weights: np.ndarray, direction: str, counts: np.ndarray, kl: np.ndarray
-) -> CheckpointRow:
+def _checkpoint(world: SimWorld, weights: np.ndarray, counts: np.ndarray, kl: np.ndarray) -> tuple:
+    """(loss, retention KL, (3,) band shares, mean pass rate) at world.step."""
     p = counts / world.config.rollout_count
-    fractions = np.bincount(bin_indices(p, THREE_BIN_EDGES), minlength=3) / p.size
-    loss = float(np.mean(weights * kl))
+    loss = np.mean(weights * kl)
     if not math.isfinite(loss):
         raise NumericError(f"checkpoint loss is {loss} at step {world.step}")
-    return CheckpointRow(
-        step=world.step,
-        stage=direction,
-        loss=loss,
-        retention_kl=retention(world),
-        frac_low=float(fractions[0]),
-        frac_med=float(fractions[1]),
-        frac_high=float(fractions[2]),
-        mean_p=float(p.mean()),
-    )
+    return (loss, retention(world),
+            np.bincount(bin_indices(p, THREE_BIN_EDGES), minlength=3) / p.size, p.mean())
 
 
 def _live(
@@ -564,8 +551,9 @@ def train(
     one recompute or checkpoint sweep over every problem's column blocks to
     the next, and one _updates generator, which builds the columns it reads,
     makes the updates between them: between sweeps only the weights are held.
-    theta and the step counter are updated in place on the passed world. A
-    non-finite checkpoint loss or theta raises NumericError naming the step.
+    theta and the step counter are updated in place on the passed world, and
+    the checkpoints come back as SimMetrics columns. A non-finite checkpoint
+    loss or theta raises NumericError naming the step.
 
     observe, when given, is called as observe(world, direction, weights,
     counts) before each step's update and once more after the last one,
@@ -585,7 +573,7 @@ def train(
     starts = {0, switch_step, *range(interval, t_total, interval)}
     grid = {*range(0, t_total, config.eval_interval), t_total}
     sweeps = sorted(starts | grid)
-    rows: list[CheckpointRow] = []
+    checkpoints = []
 
     for start, stop in zip(sweeps, [*sweeps[1:], t_total + 1]):
         updates = None  # the last run of updates' columns, draws and scratch go first
@@ -599,7 +587,8 @@ def train(
         if recompute:
             weights = _weights(world, counts["rollout"])
         if checkpoint:
-            rows.append(_checkpoint(world, weights, direction, counts["eval"], kl))
+            checkpoints.append(
+                (world.step, direction, *_checkpoint(world, weights, counts["eval"], kl)))
 
         updates = _updates(world, weights, direction, range(world.step, base + stop))
         for local in range(start, stop):
@@ -608,8 +597,9 @@ def train(
             if local < t_total:
                 next(updates)
 
+    step, stage, *values = zip(*checkpoints)
     return SimMetrics(
-        rows=tuple(rows),
+        np.array(step), stage, *map(np.array, values),
         recompute_steps=tuple(base + s for s in sorted(starts)),
         stage_switch_step=(
             base + switch_step if config.loss_direction == "two_stage" else None
@@ -617,12 +607,13 @@ def train(
     )
 
 
-def measure_snr(world: SimWorld, loss_direction: str) -> GradientTable:
-    """One flattened gradient per problem plus fresh pass-rate estimates.
+def measure_snr(world: SimWorld, loss_direction: str) -> tuple[np.ndarray, np.ndarray]:
+    """Fresh pass-rate estimates p (N,) and one flattened gradient per
+    problem (N, F * V), in problem order.
 
     The pass rates count k "snr" rollouts per problem from one _sweep.
     Row i of the gradients is np.outer(features[i], diffs[i]).ravel(), the
-    problem's theta gradient in logit-difference form. The (N, F * V) table
+    problem's theta gradient in logit-difference form. The (N, F * V) array
     is N-wide anyway, so the student's (V, N) distributions are formed for
     all problems at once, and the gradient columns overwrite ps.
     """
@@ -638,7 +629,7 @@ def measure_snr(world: SimWorld, loss_direction: str) -> GradientTable:
     teacher = np.exp(log_pt) if loss_direction == "forward" else log_pt
     diffs = _diffs(log_ps, ps, teacher, loss_direction, out=ps).T
     grads = world.features[:, :, None] * diffs[:, None, :]
-    return GradientTable(world.problem_ids, counts / k, grads.reshape(len(counts), -1))
+    return counts / k, grads.reshape(len(counts), -1)
 
 
 def retention(world: SimWorld) -> float:

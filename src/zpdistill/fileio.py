@@ -330,22 +330,12 @@ def write_weight_table(
 
 
 def write_metrics(f: IO[str], metrics: SimMetrics) -> None:
-    f.write(
-        "step,stage,loss,train_acc,retention_kl,frac_low,frac_med,frac_high,mean_p\n"
-    )
-    for r in metrics.rows:
-        fields = [
-            str(r.step),
-            r.stage,
-            fmt(r.loss),
-            fmt(r.mean_p),  # the train_acc column
-            fmt(r.retention_kl),
-            fmt(r.frac_low),
-            fmt(r.frac_med),
-            fmt(r.frac_high),
-            fmt(r.mean_p),
-        ]
-        f.write(",".join(fields) + "\n")
+    """One CSV row per checkpoint column entry; mean_p fills train_acc too."""
+    f.write("step,stage,loss,train_acc,retention_kl,frac_low,frac_med,frac_high,mean_p\n")
+    columns = [c.tolist() for c in (metrics.loss, metrics.mean_p, metrics.retention_kl,
+                                    *metrics.fractions.T, metrics.mean_p)]
+    for step, stage, *values in zip(metrics.step.tolist(), metrics.stage, *columns):
+        f.write(f"{step},{stage}," + ",".join(map(fmt, values)) + "\n")
 
 
 # SimConfig fields by INI section. A key is its field's name, except in

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable
 
 import numpy as np
 
@@ -100,21 +99,35 @@ class SnrProfile:
     theory_norm: np.ndarray
 
 
-def _signal_spread(g: np.ndarray, norm: Callable[[np.ndarray], float]) -> tuple[float, float]:
-    """(norm of the mean row, mean squared distance of a row from it) of a
-    bin's own copy g of its gradients, whose deviations are squared in place."""
+def _unit(a: np.ndarray, scaled: bool) -> int:
+    """Scaled, the e at which a * 2**-e, written into a, has its largest
+    magnitude in [0.5, 1), exact for entries above 2**-1021 times it; else 0."""
+    if not scaled:
+        return 0
+    e = math.frexp(np.abs(a).max())[1]
+    np.ldexp(a, -e, out=a)
+    return e
+
+
+def _signal_spread(g: np.ndarray, scaled: bool) -> tuple[float, float, int]:
+    """(signal, spread, e): the norm of the mean row of a bin's own copy g of
+    its gradients, which it overwrites, and the RMS distance of a row from
+    it, such that the bin's snr is signal / spread * 2**e. Scaled, g, the
+    mean row and the deviations are each first put into [0.5, 1) by _unit,
+    so no square under- or overflows; unscaled, e is 0."""
+    _unit(g, scaled)
     g_bar = g.mean(axis=0)
-    signal = norm(g_bar)
     g -= g_bar
+    e = _unit(g_bar, scaled) - _unit(g, scaled)
     g *= g
-    return signal, float(np.mean(np.sum(g, axis=1)))
+    return np.linalg.norm(g_bar), math.sqrt(np.mean(np.sum(g, axis=1))), e
 
 
 def compute_snr_bins(table: GradientTable, num_bins: int) -> SnrProfile:
-    """Per-bin cross-problem SNR, before normalization. A bin whose norms
-    overflow is computed again at g / max|g|, a scale that leaves snr as it
-    is, with math.hypot's signal, which does not underflow if the mean cancels.
-    An snr above the double range raises DomainError naming its bin."""
+    """Per-bin cross-problem SNR, before normalization. A bin whose signal or
+    spread lies outside [2**-511, 2**511], where a square can under- or
+    overflow, is computed again scaled (_signal_spread), which gives the snr
+    of its doubles. An snr above the double range raises DomainError."""
     ps, grads = table.p, table.gradients
     edges = np.asarray(equal_edges(num_bins))
     idx = bin_indices(ps, edges)
@@ -123,19 +136,19 @@ def compute_snr_bins(table: GradientTable, num_bins: int) -> SnrProfile:
     for j in np.flatnonzero(count):
         mask = idx == j
         with np.errstate(over="ignore", invalid="ignore"):
-            signal, spread_sq = _signal_spread(grads[mask], np.linalg.norm)
-        if not (math.isfinite(signal) and math.isfinite(spread_sq)):
-            g = grads[mask]
-            signal, spread_sq = _signal_spread(g / np.abs(g).max(), lambda v: math.hypot(*v))
+            signal, spread, e = _signal_spread(grads[mask], False)
+        if not (2**-511 <= signal <= 2**511 and 2**-511 <= spread <= 2**511):
+            signal, spread, e = _signal_spread(grads[mask], True)
         mean_p[j] = ps[mask].mean()
         # Identical gradients leave the bin's SNR undefined. Their mean can
-        # round, so a spread within rounding of zero is checked row by row.
-        spread = math.sqrt(spread_sq)
-        if spread > count[j] * 2**-52 * signal or spread and not (
+        # round, so rows are compared unless the spread, at the signal's
+        # scale, clears rounding; differing rows that scale to 0 spread raise.
+        if not e and spread > count[j] * 2**-52 * signal or not (
                 (g := grads[mask]) == g[0]).all():
-            snr[j] = float(signal) / spread
-            if math.isinf(snr[j]):
-                raise DomainError(f"bin {j}: snr is above the double range")
+            try:
+                snr[j] = math.ldexp(float(signal) / spread, e)
+            except (OverflowError, ZeroDivisionError):
+                raise DomainError(f"bin {j}: snr is above the double range") from None
     unset = np.full(num_bins, math.nan)
     return SnrProfile(edges, count, mean_p, snr, unset, unset.copy())
 

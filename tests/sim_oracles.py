@@ -6,10 +6,15 @@ problem in one block, the plainest way its arithmetic allows. observed_train
 runs train with the observer that simulate passes it.
 """
 
+import dataclasses
+
 import numpy as np
 
-from zpdistill.distill_sim import _categorical, _diffs, _kl_rows, _student, measure_snr, train
+from zpdistill.distill_sim import (
+    SimMetrics, _categorical, _diffs, _kl_rows, _student, measure_snr, train,
+)
 from zpdistill.numerics import key_uniforms, label_keys
+from zpdistill.snr_profile import GradientTable
 from zpdistill.variance import smoothness_constant
 
 
@@ -21,18 +26,29 @@ def stream_uniforms(prefix, tokens, k):
 
 def observed_train(world, dump_steps=()):
     """train(world) observed as simulate observes it: (metrics, {step:
-    measure_snr table} at each of dump_steps, counted from the world's step
-    at the call, and the smoothness constant L of the weights at each
-    recompute, in order)."""
+    GradientTable of measure_snr's arrays} at each of dump_steps, counted
+    from the world's step at the call, and the smoothness constant L of the
+    weights at each recompute, in order)."""
     base, dumps, smoothness = world.step, {}, []
 
     def observe(world, direction, weights, counts):
         if counts is not None:
             smoothness.append(smoothness_constant(world.features, weights))
         if world.step - base in dump_steps:
-            dumps[world.step - base] = measure_snr(world, direction)
+            dumps[world.step - base] = GradientTable(
+                world.problem_ids, *measure_snr(world, direction))
 
     return train(world, observe=observe), dumps, tuple(smoothness)
+
+
+def metrics_diff(a, b):
+    """The names of the SimMetrics fields in which a and b differ, each
+    column compared bit for bit: its dtype, shape and bytes."""
+    def key(x):
+        return (x.dtype, x.shape, x.tobytes()) if isinstance(x, np.ndarray) else x
+
+    return [f.name for f in dataclasses.fields(SimMetrics)
+            if key(getattr(a, f.name)) != key(getattr(b, f.name))]
 
 
 def student_logits(world):

@@ -33,7 +33,7 @@ from zpdistill.variance import (
     variance_ratio_empirical,
 )
 
-from sim_oracles import observed_train, single_kl
+from sim_oracles import metrics_diff, observed_train, single_kl
 
 _GOLDEN_DELTAS = (0.1, 0.3, 0.5, math.log(2.0))
 _GOLDEN_EFFICIENCIES = (0.990, 0.915, 0.786, 0.640)
@@ -342,11 +342,11 @@ def test_ac08_bell_curve_on_golden_run():
 def test_ac09_curriculum_migration():
     t0 = time.perf_counter()
     _, metrics = _golden("beta")
-    rows = metrics.rows
-    mean_ps = [r.mean_p for r in rows]
+    mean_ps = metrics.mean_p.tolist()
+    (_, med_0, high_0), (_, med_1, high_1) = metrics.fractions[[0, -1]].tolist()
     monotone = all(b > a for a, b in zip(mean_ps, mean_ps[1:]))
-    high_up = rows[-1].frac_high > rows[0].frac_high
-    med_down = rows[-1].frac_med < rows[0].frac_med
+    high_up = high_1 > high_0
+    med_down = med_1 < med_0
     elapsed = time.perf_counter() - t0
     ok = monotone and high_up and med_down and elapsed < 120.0
     _report(
@@ -354,8 +354,8 @@ def test_ac09_curriculum_migration():
         "curriculum migration",
         ok,
         f"mean_p {' -> '.join(f'{m:.3f}' for m in mean_ps)} monotone={monotone}, "
-        f"high {rows[0].frac_high:.3f}->{rows[-1].frac_high:.3f} up={high_up}, "
-        f"med {rows[0].frac_med:.3f}->{rows[-1].frac_med:.3f} down={med_down}, "
+        f"high {high_0:.3f}->{high_1:.3f} up={high_up}, "
+        f"med {med_0:.3f}->{med_1:.3f} down={med_down}, "
         f"{elapsed:.1f}s",
     )
 
@@ -365,8 +365,7 @@ def test_ac10_plasticity_stability_direction():
     results = {}
     for scheme in ("beta", "unweighted", "hard"):
         _, metrics = _golden(scheme)
-        final = metrics.rows[-1]
-        results[scheme] = (final.retention_kl, final.mean_p)
+        results[scheme] = (metrics.retention_kl[-1], metrics.mean_p[-1])
     ret_beta, mp_beta = results["beta"]
     ret_unw, mp_unw = results["unweighted"]
     ret_hard, _ = results["hard"]
@@ -402,18 +401,18 @@ def test_ac11_two_stage_schedule():
     )
     replay_ok = (
         np.array_equal(w1.theta, w2.theta)
-        and m1.rows == m2.rows
+        and not metrics_diff(m1, m2)
         and m1.recompute_steps == m2.recompute_steps
     )
-    stages = [r.stage for r in m1.rows]
+    stages = list(m1.stage)
     stage_ok = stages == ["forward", "forward", "reverse", "reverse"]
 
     # Directional note (logged, not gated): two-stage vs pure forward.
     _, fwd = _golden("beta")
     print(
-        f"  note AC11: two-stage final mean_p {m1.rows[-1].mean_p:.4f} vs "
-        f"forward {fwd.rows[-1].mean_p:.4f}, retention "
-        f"{m1.rows[-1].retention_kl:.4f} vs {fwd.rows[-1].retention_kl:.4f}"
+        f"  note AC11: two-stage final mean_p {m1.mean_p[-1]:.4f} vs "
+        f"forward {fwd.mean_p[-1]:.4f}, retention "
+        f"{m1.retention_kl[-1]:.4f} vs {fwd.retention_kl[-1]:.4f}"
     )
     elapsed = time.perf_counter() - t0
     ok = switch_ok and recompute_ok and replay_ok and stage_ok and elapsed < 300.0

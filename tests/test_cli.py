@@ -21,7 +21,7 @@ from zpdistill.distill_sim import SimConfig, build_world, measure_snr
 from zpdistill.fileio import fmt, load_gradient_records, load_sim_config, write_profile
 from zpdistill.kernel import select_exponents, unit_mean, zpd_moments
 from zpdistill.robustness import fit_snr_model
-from zpdistill.snr_profile import compute_snr_bins, normalize_profile
+from zpdistill.snr_profile import GradientTable, compute_snr_bins, normalize_profile
 from zpdistill.variance import VarianceSpec, smoothness_constant, variance_ratio_beta
 
 from sim_oracles import observed_train
@@ -449,6 +449,29 @@ class TestSnrProfile:
         # 4e-8 is the cancellation of the deviations of two gradients 1e-9 apart.
         assert math.isclose(float(high["snr"]), want, rel_tol=1e-7)
 
+    # Squares of 1e-170 fall below the smallest double, so each of these bins
+    # lost its spread or its signal to underflow before it was rescaled.
+    @pytest.mark.parametrize("rows, want", [
+        ([("a", 0.5, (1.0, 1e-170)), ("b", 0.5, (1.0, -1e-170)),
+          ("c", 0.1, (1.0, 2.0)), ("d", 0.4, (2.0, 3.0))], "1e+170"),
+        ([("a", 0.5, (1e-170,)), ("b", 0.5, (-1e-170,)), ("c", 0.1, (2.0,)), ("d", 0.4, (3.0,))],
+         "0"),
+        ([("a", 0.5, (1.0, 1e-170)), ("b", 0.5, (-1.0, 1e-170)),
+          ("c", 0.1, (1.0, 2.0)), ("d", 0.4, (2.0, 3.0))], "1e-170"),
+    ], ids=["spread", "zero_mean_1d", "signal"])
+    def test_a_bin_whose_squares_underflow_is_rescaled(self, tmp_path, capsys, rows, want):
+        assert main(["snr-profile", str(_gradient_csv(tmp_path, rows)), "--bins", "2"]) == 0
+        high = _table(capsys.readouterr().out)[1]
+        assert (high["count"], high["snr"]) == ("2", want)
+
+    def test_rows_that_differ_below_the_scaled_range_are_above_it(self, tmp_path, capsys):
+        # The two rows differ by 2**-1074 beside a column of 8s: snr ~ 8 * 2**1075.
+        path = _gradient_csv(tmp_path, [
+            ("a", 0.5, (8.0, 2.2250738585072014e-308)), ("b", 0.5, (8.0, 2.225073858507202e-308)),
+            ("c", 0.1, (1.0, 2.0)), ("d", 0.4, (2.0, 3.0))])
+        assert main(["snr-profile", str(path), "--bins", "2"]) == 1
+        assert capsys.readouterr().err == "error: bin 1: snr is above the double range\n"
+
     def test_a_refused_profile_leaves_an_existing_out_file_as_it_was(self, tmp_path, capsys):
         # snr = 1e154 / 5.56e-155 is finite but renders as inf at 10 digits.
         e = 5.5626846470796994e-155
@@ -530,7 +553,8 @@ class TestFitSnr:
     def test_agrees_with_the_in_memory_golden_profile(self, tmp_path, capsys):
         # The golden step-0 profile, fitted from its arrays and from its file.
         world = build_world(load_sim_config(_GOLDEN_CFG.read_text(encoding="utf-8")))
-        profile = compute_snr_bins(measure_snr(world, "forward"), 10)
+        table = GradientTable(world.problem_ids, *measure_snr(world, "forward"))
+        profile = compute_snr_bins(table, 10)
         fit = fit_snr_model(profile.mean_p, profile.snr)
         path = tmp_path / "profile.csv"
         with open(path, "w", encoding="utf-8") as f:

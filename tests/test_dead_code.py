@@ -3,7 +3,8 @@
 Every name a module imports is read in that module (or exported through its
 __all__), every module-level private function, class or constant is
 referenced somewhere in src/ besides its own definition, and every function
-or lambda reads each of its parameters in its body.
+or lambda reads each of its parameters in its body. Each module imports from
+the package's modules that _PACKAGE_IMPORTS pins, and from no other.
 """
 
 import ast
@@ -96,3 +97,41 @@ def test_every_parameter_is_read():
             unread += [f"{module}:{node.lineno} {name} never reads {param}"
                        for param in _parameters(node) if param not in read]
     assert not unread
+
+
+# The package modules each module imports from. The simulator's core reads no
+# file-edge module (fileio, snr_profile, cli); a new dependency updates this.
+_PACKAGE_IMPORTS = {
+    "__init__.py": {"distill_sim", "errors", "kernel", "numerics", "passrate", "robustness",
+                    "snr_profile", "variance"},
+    "__main__.py": {"cli"},
+    "cli.py": {"distill_sim", "errors", "fileio", "kernel", "numerics", "passrate",
+               "robustness", "snr_profile", "variance"},
+    "distill_sim.py": {"errors", "kernel", "numerics", "passrate"},
+    "errors.py": set(),
+    "fileio.py": {"distill_sim", "errors", "passrate", "snr_profile"},
+    "kernel.py": {"errors"},
+    "numerics.py": {"errors"},
+    "passrate.py": {"errors"},
+    "robustness.py": {"errors", "kernel", "numerics"},
+    "snr_profile.py": {"errors", "passrate"},
+    "variance.py": {"errors", "numerics"},
+}
+
+
+def _package_sources(tree):
+    """The package modules a tree imports from, relatively (from .x import,
+    from . import x) or by the package's name, at any depth."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            yield from [node.module] if node.module else (a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module.startswith("zpdistill."):
+            yield node.module.split(".")[1]
+        elif isinstance(node, ast.Import):
+            yield from (a.name.split(".")[1] for a in node.names
+                        if a.name.startswith("zpdistill."))
+
+
+def test_each_module_imports_from_the_pinned_package_modules():
+    assert {module: set(_package_sources(tree)) for module, tree in _TREES.items()} == (
+        _PACKAGE_IMPORTS)

@@ -28,7 +28,9 @@ from zpdistill.numerics import label_tokens, log_softmax, stream
 from zpdistill.snr_profile import bell_shape_score, compute_snr_bins
 from zpdistill.variance import smoothness_constant
 
-from sim_oracles import diffs, observed_train, outcomes, single_kl, student, student_logits
+from sim_oracles import (
+    diffs, metrics_diff, observed_train, outcomes, single_kl, student, student_logits,
+)
 
 _SMALL = SimConfig(
     num_problems=12,
@@ -335,9 +337,9 @@ class TestTrain:
         metrics = train(w)
         assert np.array_equal(w.theta, theta0)
         assert w.step == cfg.steps
-        losses = {row.loss for row in metrics.rows}
+        losses = set(metrics.loss.tolist())
         assert len(losses) == 1
-        assert all(row.retention_kl == 0.0 for row in metrics.rows)
+        assert (metrics.retention_kl == 0.0).all()
 
     def test_one_world_serves_every_arm(self):
         # build_world leaves every array but theta read-only and train rebinds
@@ -361,21 +363,36 @@ class TestTrain:
     def test_checkpoint_schedule_and_stage_labels(self):
         cfg = _small(steps=7, eval_interval=3)
         metrics = train(build_world(cfg))
-        assert [row.step for row in metrics.rows] == [0, 3, 6, 7]
-        assert all(row.stage == "forward" for row in metrics.rows)
+        assert metrics.step.tolist() == [0, 3, 6, 7]
+        assert metrics.stage == ("forward",) * 4
 
     def test_train_acc_equals_mean_p(self):
-        # CheckpointRow holds mean_p once; the file prints it in both columns.
+        # SimMetrics holds mean_p once; the file prints it in both columns.
         metrics = train(build_world(_SMALL))
         buf = io.StringIO()
         write_metrics(buf, metrics)
         written = list(csv.DictReader(io.StringIO(buf.getvalue())))
-        assert len(written) == len(metrics.rows)
-        for row, line in zip(metrics.rows, written):
-            assert line["train_acc"] == line["mean_p"] == fmt(row.mean_p)
-            assert row.frac_low + row.frac_med + row.frac_high == pytest.approx(
-                1.0, abs=1e-12
-            )
+        assert len(written) == len(metrics.step)
+        for i, line in enumerate(written):
+            assert line["train_acc"] == line["mean_p"] == fmt(metrics.mean_p[i])
+            assert metrics.fractions[i].sum() == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("keys", [
+        dict(steps=7, eval_interval=3),
+        dict(steps=6, eval_interval=6),
+        dict(loss_direction="two_stage", steps=10, eval_interval=4, recompute_interval=3),
+        dict(steps=5, eval_interval=2, batch_size=4, scheme="hard"),
+    ])
+    def test_columns_hold_one_entry_per_checkpoint(self, keys):
+        cfg = _small(**keys)
+        metrics = train(build_world(cfg))
+        grid = sorted({*range(0, cfg.steps, cfg.eval_interval), cfg.steps})
+        assert metrics.step.tolist() == grid
+        assert len(metrics.stage) == len(grid)
+        for column in (metrics.loss, metrics.retention_kl, metrics.mean_p):
+            assert column.shape == (len(grid),)
+        assert metrics.fractions.shape == (len(grid), 3)
+        assert np.all(np.abs(metrics.fractions.sum(axis=1) - 1.0) <= 1e-12)
 
     def test_single_recompute_by_default(self):
         metrics = train(build_world(_SMALL))
@@ -411,7 +428,7 @@ class TestTrain:
         w2 = build_world(cfg)
         m2 = train(w2)
         assert np.array_equal(w1.theta, w2.theta)
-        assert m1.rows == m2.rows
+        assert not metrics_diff(m1, m2)
 
     def test_minibatch_differs_from_full_batch(self):
         full = _small(steps=4)
@@ -427,7 +444,7 @@ class TestTrain:
         metrics = train(build_world(cfg))
         assert metrics.stage_switch_step == 5
         assert metrics.recompute_steps == (0, 5)
-        assert [row.stage for row in metrics.rows] == ["forward", "reverse", "reverse"]
+        assert metrics.stage == ("forward", "reverse", "reverse")
 
     def test_two_stage_needs_two_steps(self):
         # With one step there is no step at which to switch stages.
@@ -435,7 +452,7 @@ class TestTrain:
             _small(loss_direction="two_stage", steps=1)
         metrics = train(build_world(_small(loss_direction="two_stage", steps=2)))
         assert metrics.stage_switch_step == 1
-        assert [row.stage for row in metrics.rows] == ["forward", "reverse"]
+        assert metrics.stage == ("forward", "reverse")
 
     def test_two_stage_replay_bitwise(self):
         cfg = _small(loss_direction="two_stage", steps=10)
@@ -444,7 +461,7 @@ class TestTrain:
         w2 = build_world(cfg)
         m2 = train(w2)
         assert np.array_equal(w1.theta, w2.theta)
-        assert m1.rows == m2.rows
+        assert not metrics_diff(m1, m2)
         assert m1.recompute_steps == m2.recompute_steps
 
     def test_sampled_reverse_path_runs(self):
@@ -452,7 +469,7 @@ class TestTrain:
         w = build_world(cfg)
         metrics = train(w)
         assert w.step == 3
-        assert all(row.stage == "reverse" for row in metrics.rows)
+        assert metrics.stage == ("reverse",) * len(metrics.step)
 
     def test_config_comes_from_the_world(self):
         cfg = _small(steps=2, eval_interval=1)
@@ -460,7 +477,7 @@ class TestTrain:
         with pytest.raises(TypeError):
             train(w, _small(num_problems=5, rollout_count=2))
         assert w.step == 0
-        assert [row.step for row in train(w).rows] == [0, 1, 2]
+        assert train(w).step.tolist() == [0, 1, 2]
 
     def test_observer_sees_each_step_before_its_update(self):
         # Recomputes every 3 steps and at the two-stage switch: 0, 3, 4, 6.
@@ -492,7 +509,7 @@ class TestTrain:
         assert np.array_equal(calls[0][-1], theta0)
         assert np.array_equal(calls[-1][-1], world.theta)
         # Observing changes nothing.
-        assert train(unobserved) == metrics
+        assert not metrics_diff(train(unobserved), metrics)
         assert np.array_equal(unobserved.theta, world.theta)
 
     def test_an_observer_cannot_change_the_world(self):
@@ -545,24 +562,24 @@ class TestTrain:
 class TestMeasureSnr:
     def test_one_record_per_problem(self):
         w = build_world(_SMALL)
-        table = measure_snr(w, "forward")
-        assert table.problem_ids == w.problem_ids
-        assert table.gradients.shape == (12, 5 * 6)
-        assert np.all((table.p >= 0.0) & (table.p <= 1.0))
+        p, gradients = measure_snr(w, "forward")
+        assert p.shape == (len(w.problem_ids),) == (12,)
+        assert gradients.shape == (12, 5 * 6)
+        assert np.all((p >= 0.0) & (p <= 1.0))
 
     @pytest.mark.parametrize("direction", ["forward", "reverse"])
     def test_rows_match_per_problem_outer_products(self, direction):
         w = build_world(_small(num_problems=30))
         w.theta = w.theta + 0.2 * np.cos(np.arange(w.theta.size)).reshape(w.theta.shape)
         w.step = 2
-        table = measure_snr(w, direction)
+        p, gradients = measure_snr(w, direction)
         columns = diffs(w, direction)
         counts = outcomes(w, _SMALL.rollout_count, "snr").sum(axis=0)
         for i in range(30):
             assert np.array_equal(
-                table.gradients[i], np.outer(w.features[i], columns[:, i]).ravel()
+                gradients[i], np.outer(w.features[i], columns[:, i]).ravel()
             )
-            assert table.p[i] == int(counts[i]) / 4
+            assert p[i] == int(counts[i]) / 4
 
     def test_rejects_two_stage_label(self):
         with pytest.raises(DomainError):
@@ -576,11 +593,10 @@ class TestGoldenStepZero:
         cfg = dataclasses.replace(SimConfig(), steps=1, eval_interval=1)
         world = build_world(cfg)
         metrics = observed_train(world, (0,))[0]
-        row = metrics.rows[0]
-        assert row.loss == pytest.approx(1.039541377761623, rel=1e-9)
-        assert row.mean_p == pytest.approx(0.339375, abs=1e-12)
-        assert row.retention_kl == 0.0
-        assert (row.frac_low, row.frac_med, row.frac_high) == (
+        assert metrics.loss[0] == pytest.approx(1.039541377761623, rel=1e-9)
+        assert metrics.mean_p[0] == pytest.approx(0.339375, abs=1e-12)
+        assert metrics.retention_kl[0] == 0.0
+        assert tuple(metrics.fractions[0]) == (
             pytest.approx(0.5),
             pytest.approx(0.355),
             pytest.approx(0.145),

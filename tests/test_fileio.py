@@ -395,7 +395,7 @@ class TestGradientRecords:
 
     def test_simulator_dump_matches_float_parse(self):
         world = build_world(SimConfig(num_problems=40, feature_dim=6, vocab_size=5))
-        text = _write_table(measure_snr(world, "forward"))
+        text = _write_table(GradientTable(world.problem_ids, *measure_snr(world, "forward")))
         lines = text.splitlines()
         table = load_gradient_records(lines)
         want = _float_parse(lines[1:])
@@ -830,11 +830,11 @@ class TestMetricsIo:
             "step,stage,loss,train_acc,retention_kl,frac_low,frac_med,"
             "frac_high,mean_p"
         )
-        assert len(lines) == 1 + len(metrics.rows)
+        assert len(lines) == 1 + len(metrics.step)
         first = lines[1].split(",")
         assert first[0] == "0"
         assert first[1] == "forward"
-        assert float(first[2]) == pytest.approx(metrics.rows[0].loss, rel=1e-9)
+        assert float(first[2]) == pytest.approx(metrics.loss[0], rel=1e-9)
 
 
 class TestLoadSimConfig:

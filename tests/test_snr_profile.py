@@ -1,6 +1,9 @@
+import decimal
 import io
 import math
+import re
 from dataclasses import dataclass, replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -127,6 +130,26 @@ class TestComputeSnrBins:
                               [row] * repeats)
         profile = compute_snr_bins(table, num_bins=2)
         assert profile.count.sum() == repeats and np.isnan(profile.snr).all()
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=st.data(), k=st.integers(-900, 900))
+    def test_a_power_of_two_scale_moves_no_snr_bit(self, case, k):
+        # Nonzero magnitudes in [2**-50, 2**50), so every value times 2**k
+        # stays a normal double; bins of identical, opposite and free rows.
+        dim = case.draw(st.integers(1, 8))
+        value = st.just(0.0) | st.builds(
+            lambda m, x, sign: sign * math.ldexp(m, x),
+            st.floats(1.0, 2.0, exclude_max=True), st.integers(-50, 49), st.sampled_from([1, -1]))
+        rows = case.draw(st.lists(st.lists(value, min_size=dim, max_size=dim),
+                                  min_size=1, max_size=40))
+        rows += case.draw(st.sampled_from([
+            [], rows, [[-x for x in row] for row in rows], [rows[0]] * 3]))
+        ps = case.draw(st.lists(st.sampled_from([0.1, 0.3, 0.5, 0.7, 0.9]),
+                                min_size=len(rows), max_size=len(rows)))
+        ids = tuple(f"q{i}" for i in range(len(rows)))
+        base = compute_snr_bins(GradientTable(ids, ps, rows), num_bins=5)
+        scaled = compute_snr_bins(GradientTable(ids, ps, np.ldexp(rows, k)), num_bins=5)
+        assert scaled.snr.tobytes() == base.snr.tobytes(), (base.snr, scaled.snr)
 
     def test_rotation_scale_permutation_invariance(self):
         rng = np.random.default_rng(5)
@@ -357,11 +380,31 @@ def _old_compute_snr_bins(table: GradientTable, num_bins: int) -> _OldSnrProfile
         g *= g
         spread_sq = float(np.mean(np.sum(g, axis=1)))
         snr = float(signal / math.sqrt(spread_sq)) if spread_sq and not identical else None
+        # Out of [2**-511, 2**511] the squares can under- or overflow, so the
+        # snr is taken again exactly, from the rows and rounded mean row.
+        in_range = 2**-511 <= signal <= 2**511 and 2**-1022 <= spread_sq <= 2**1022
+        if not identical and not in_range:
+            snr = _old_exact_snr(grads[mask], g_bar)
+            if math.isinf(snr):
+                raise DomainError(f"bin {j}: snr is above the double range")
         bins.append(
             _OldSnrBin(lo=lo, hi=hi, mean_p=float(ps[mask].mean()), count=count,
                        snr=snr, degenerate=snr is None)
         )
     return _OldSnrProfile(bins=tuple(bins))
+
+
+def _old_exact_snr(rows: np.ndarray, mean: np.ndarray) -> float:
+    """||mean|| / RMS ||row - mean|| over the rows, in rationals from the
+    doubles, as the nearest double (inf above the double range)."""
+    mean = [Fraction(m) for m in mean.tolist()]
+    signal_sq = sum(m * m for m in mean)
+    spread_sq = sum(
+        (Fraction(x) - m) ** 2 for row in rows.tolist() for x, m in zip(row, mean)
+    ) / len(rows)
+    ratio = signal_sq / spread_sq
+    exact = decimal.Context(prec=40, Emin=-10**6, Emax=10**6)
+    return float(exact.sqrt(exact.divide(ratio.numerator, ratio.denominator)))
 
 
 def _old_theory_value(mean_p: float) -> float:
@@ -463,7 +506,13 @@ def _written(write, profile) -> str:
 def _assert_matches_oracle(table: GradientTable, num_bins: int) -> None:
     """The array path writes the oracle's profile bytes, raw and normalized,
     and gives its bell result, on a copy of the same table each."""
-    old, new = _old_compute_snr_bins(table, num_bins), compute_snr_bins(table, num_bins)
+    try:
+        new = compute_snr_bins(table, num_bins)
+    except DomainError as exc:  # an snr above the double range
+        with pytest.raises(DomainError, match=f"^{re.escape(str(exc))}$"):
+            _old_compute_snr_bins(table, num_bins)
+        return
+    old = _old_compute_snr_bins(table, num_bins)
     assert _written(write_profile, new) == _written(_old_write_profile, old)
     degenerate = (new.count > 0) & np.isnan(new.snr)
     assert degenerate.tolist() == [b.degenerate for b in old.bins]

@@ -24,7 +24,6 @@ import pytest
 
 from zpdistill import distill_sim
 from zpdistill.distill_sim import (
-    CheckpointRow,
     SimConfig,
     SimMetrics,
     build_world,
@@ -45,7 +44,8 @@ from zpdistill.passrate import THREE_BIN_EDGES
 from zpdistill.snr_profile import GradientTable
 
 from sim_oracles import (
-    diffs, observed_train, outcomes, single_kl, stream_uniforms, student, student_logits,
+    diffs, metrics_diff, observed_train, outcomes, single_kl, stream_uniforms, student,
+    student_logits,
 )
 
 
@@ -121,13 +121,27 @@ def _old_sampled_reverse_diffs(world, n_samples):
     return acc / n_samples
 
 
+@dataclasses.dataclass(frozen=True)
+class _OldRow:
+    """One checkpoint as the earlier path recorded it."""
+
+    step: int
+    stage: str
+    loss: float
+    retention_kl: float
+    frac_low: float
+    frac_med: float
+    frac_high: float
+    mean_p: float
+
+
 def _old_eval_checkpoint(world, weights, direction):
     k = world.config.rollout_count
     p = _old_sample_pass_rates(world, k, "eval").sum(axis=1) / k
     counts, _ = np.histogram(p, bins=np.array(THREE_BIN_EDGES))
     fractions = counts / p.size
     losses, _ = _old_losses_and_diffs(world, direction)
-    return CheckpointRow(
+    return _OldRow(
         step=world.step,
         stage=direction,
         loss=float(np.mean(weights * losses)),
@@ -203,8 +217,15 @@ def _old_train(world, dump_steps=()):
             grad = world.features[batch].T @ (scale * diffs[batch])
         world.theta = world.theta - config.learning_rate * grad
         world.step = base + local + 1
+    # The rows as SimMetrics columns, for a bit-for-bit comparison per column.
+    column = {f.name: [getattr(row, f.name) for row in rows] for f in dataclasses.fields(_OldRow)}
     return SimMetrics(
-        rows=tuple(rows),
+        step=np.array(column["step"]),
+        stage=tuple(column["stage"]),
+        loss=np.array(column["loss"]),
+        retention_kl=np.array(column["retention_kl"]),
+        fractions=np.array([column["frac_low"], column["frac_med"], column["frac_high"]]).T,
+        mean_p=np.array(column["mean_p"]),
         recompute_steps=tuple(recompute_steps),
         stage_switch_step=(
             base + switch_step if config.loss_direction == "two_stage" else None
@@ -252,9 +273,7 @@ def _assert_same_run(w_new, new, w_old, old):
     (m_new, d_new, *_), (m_old, d_old, *_) = new, old
     assert np.array_equal(w_new.theta, w_old.theta)
     assert w_new.step == w_old.step
-    assert m_new.rows == m_old.rows
-    assert m_new.recompute_steps == m_old.recompute_steps
-    assert m_new.stage_switch_step == m_old.stage_switch_step
+    assert not metrics_diff(m_new, m_old)
     assert sorted(d_new) == sorted(d_old)
     for step, table in d_new.items():
         old = d_old[step]
@@ -407,7 +426,7 @@ def _check_reverse_draws(monkeypatch, overrides, empty):
     # One Philox pass of k uniforms per reverse-stage interval between two
     # sweeps (a recompute or a checkpoint) that draws at all, over every
     # key of its steps.
-    sweeps = sorted({*metrics.recompute_steps, *(row.step for row in metrics.rows)})
+    sweeps = sorted({*metrics.recompute_steps, *metrics.step.tolist()})
     per_interval = [
         sum(len(want[step]) for step in range(start, end))
         for start, end in zip(sweeps, sweeps[1:]) if start in want
@@ -530,7 +549,7 @@ def test_update_interval_edges_match_old_per_step_path(monkeypatch, name):
     m_new = new[0]
     first = m_new.stage_switch_step or 0
     live = [len(_update_columns(cfg, weights, step)) for step in range(cfg.steps)]
-    sweeps = sorted({*m_new.recompute_steps, *(row.step for row in m_new.rows)})
+    sweeps = sorted({*m_new.recompute_steps, *m_new.step.tolist()})
     intervals = [live[a:b] for a, b in zip(sweeps, sweeps[1:]) if a >= first]
     assert passes == [
         (n, 6) for widths in intervals for n in _greedy_passes(widths, cap)
@@ -583,13 +602,13 @@ def test_schedule_edges_match_old_per_step_path(name):
 
     def observe(world, direction, weights, counts):
         seen.append((world.step, counts is not None))
-        dumps[world.step] = measure_snr(world, direction)
+        dumps[world.step] = GradientTable(world.problem_ids, *measure_snr(world, direction))
 
     metrics = train(w_new, observe=observe)
     # One call per step 0..steps, in order, with counts at a recompute alone.
     assert seen == [(step, step in recomputes) for step in range(cfg.steps + 1)]
     assert metrics.recompute_steps == recomputes
-    assert tuple(row.step for row in metrics.rows) == checkpoints
+    assert tuple(metrics.step.tolist()) == checkpoints
     everything = range(cfg.steps + 1)
     _assert_same_run(w_new, (metrics, dumps), w_old, _old_train(w_old, everything))
 
@@ -639,7 +658,7 @@ def _check_log_softmax_widths(monkeypatch, cfg):
     columns = _spy_log_softmax_widths(monkeypatch, world)
     weights = _spy_weights(monkeypatch)
     metrics = observed_train(world, (5,))[0]
-    full_steps = {row.step for row in metrics.rows} | set(metrics.recompute_steps)
+    full_steps = set(metrics.step.tolist()) | set(metrics.recompute_steps)
     assert full_steps | {5} == {0, 3, 4, 5, 6, 8, 9}
     n = cfg.num_problems
 
@@ -718,9 +737,9 @@ def test_standalone_calls_match_old_path(direction):
         loss, grad = single_kl(w, i, direction)
         assert loss == float(losses[i])
         assert np.array_equal(grad, np.outer(w.features[i], diffs[i]))
-    table, old = measure_snr(w, direction), _old_measure_snr(w, direction)
-    assert np.array_equal(table.p, old.p)
-    assert np.array_equal(table.gradients, old.gradients)
+    (p, gradients), old = measure_snr(w, direction), _old_measure_snr(w, direction)
+    assert np.array_equal(p, old.p)
+    assert np.array_equal(gradients, old.gradients)
 
 
 @pytest.mark.parametrize("direction", ["forward", "reverse"])
@@ -786,11 +805,11 @@ def test_large_full_batch_matches_old_per_step_path_to_rounding():
     w_new, w_old = build_world(cfg), build_world(cfg)
     m_new, (m_old, _) = train(w_new), _old_train(w_old)
     np.testing.assert_allclose(w_new.theta, w_old.theta, rtol=1e-12, atol=0)
-    assert len(m_new.rows) == len(m_old.rows) == 3
-    for new, old in zip(m_new.rows, m_old.rows):
-        assert (new.step, new.stage) == (old.step, old.stage)
+    assert len(m_new.step) == len(m_old.step) == 3
+    assert m_new.step.tolist() == m_old.step.tolist() and m_new.stage == m_old.stage
+    for name in ("loss", "retention_kl", "fractions", "mean_p"):
         np.testing.assert_allclose(
-            dataclasses.astuple(new)[2:], dataclasses.astuple(old)[2:], rtol=1e-12, atol=0
+            getattr(m_new, name), getattr(m_old, name), rtol=1e-12, atol=0, err_msg=name
         )
     assert m_new.recompute_steps == m_old.recompute_steps
 
