@@ -1,12 +1,14 @@
 """Command-line front end.
 
 Every subcommand is a thin adapter: parse flags, read input files, call the
-library, write output. Data tables go to stdout (or --out); progress notes
-and reports go to stderr so piped output stays machine-readable. Any failure,
-running out of memory and an input file that is not UTF-8 included, prints a
-single ``error: ...`` line to stderr and exits nonzero. main builds only the
-invoked subcommand's parser, and every subcommand's parser when its first
-argument names none of them.
+library, write output. Data tables go to stdout (or --out), and so do the
+reports of select-exponents, variance-ratio and fit-snr: one ``key = value``
+line per key, a float at 10 significant digits, an int or a word as written.
+Progress notes, warnings and the bell report go to stderr so piped output
+stays machine-readable. Any failure, running out of memory and an input file
+that is not UTF-8 included, prints a single ``error: ...`` line to stderr and
+exits nonzero. main builds only the invoked subcommand's parser, and every
+subcommand's parser when its first argument names none of them.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import io
 import math
 import sys
 from contextlib import ExitStack, contextmanager
+from dataclasses import asdict
 from typing import IO, Iterator
 
 from .distill_sim import DIRECTIONS, build_world, measure_snr, train
@@ -90,6 +93,12 @@ def _write_lines(path: str | None, lines: list[str]) -> None:
             f.write(line + "\n")
 
 
+def _report(path: str | None, report: dict[str, float | int | str]) -> None:
+    """Write report in the module docstring's ``key = value`` lines."""
+    _write_lines(path, [f"{key} = {fmt(v) if isinstance(v, float) else v}"
+                        for key, v in report.items()])
+
+
 def _load_rollout_table(path: str) -> RolloutTable:
     with _in_stream(path) as f:
         table = load_rollouts(f)
@@ -120,32 +129,22 @@ def _cmd_weight(args: argparse.Namespace) -> None:
 
 def _cmd_select_exponents(args: argparse.Namespace) -> None:
     m = zpd_moments(_load_rollout_table(args.rollouts).p, args.epsilon)
-    lines = [
-        f"epsilon = {fmt(m.epsilon)}",
-        f"count = {m.count}",
-        f"mean_p = {fmt(m.mean_p)}",
-        f"var_p = {fmt(m.var_p)}",
-        f"var_bound = {fmt(m.var_bound)}",
-    ]
+    report = {"epsilon": m.epsilon, "count": m.count, "mean_p": m.mean_p, "var_p": m.var_p,
+              "var_bound": m.var_bound}
     flat = "use the flat kernel (alpha = 0, beta = 0)"
     try:
         alpha, beta = select_exponents(m)
     except DomainError:
-        lines += [
-            "validity = invalid",
-            f"recommendation = variance exceeds the matchable range; {flat}",
-        ]
+        report["validity"] = "invalid"
+        report["recommendation"] = f"variance exceeds the matchable range; {flat}"
     else:
-        lines += [
-            f"alpha_star = {fmt(alpha)}",
-            f"beta_star = {fmt(beta)}",
-            f"validity = {'flat_boundary' if at_flat_boundary(m) else 'ok'}",
-        ]
+        report.update(alpha_star=alpha, beta_star=beta,
+                      validity="flat_boundary" if at_flat_boundary(m) else "ok")
         if alpha < 0.0 or beta < 0.0:
-            lines.append(f"recommendation = a matched exponent is negative; {flat}")
+            report["recommendation"] = f"a matched exponent is negative; {flat}"
         elif not alpha == beta == 0.0:
-            lines.append(f"peak = {fmt(alpha / (alpha + beta))}")
-    _write_lines(args.out, lines)
+            report["peak"] = alpha / (alpha + beta)
+    _report(args.out, report)
 
 
 def _cmd_robustness(args: argparse.Namespace) -> None:
@@ -174,23 +173,15 @@ def _cmd_variance_ratio(args: argparse.Namespace) -> None:
         alpha, beta, gamma1, gamma2 = flags.values()
     spec = VarianceSpec(alpha=alpha, beta=beta, gamma1=gamma1, gamma2=gamma2)
     r = variance_ratio_beta(spec, epsilon=args.epsilon)
-    lines = [
-        f"alpha = {fmt(spec.alpha)}",
-        f"beta = {fmt(spec.beta)}",
-        f"gamma1 = {fmt(spec.gamma1)}",
-        f"gamma2 = {fmt(spec.gamma2)}",
-    ]
+    report = asdict(spec)
     if args.epsilon is None:
-        lines += [f"b_{name} = {fmt(beta_fn(e1 + 1, e2 + 1))}"
-                  for name, (e1, e2) in zip(("numerator", "kernel", "signal"), spec.moments())]
+        report.update((f"b_{name}", beta_fn(e1 + 1, e2 + 1))
+                      for name, (e1, e2) in zip(("numerator", "kernel", "signal"), spec.moments()))
     else:
-        lines.append(f"epsilon = {fmt(args.epsilon)} (truncated moments)")
-    lines += [
-        f"variance_ratio = {fmt(r)}",
-        f"reduces_variance = {'yes' if r < 1.0 else 'no'}",
-        f"variance_factor_vs_unweighted = {fmt(1.0 / r)}",
-    ]
-    _write_lines(args.out, lines)
+        report["epsilon"] = f"{fmt(args.epsilon)} (truncated moments)"
+    report.update(variance_ratio=r, reduces_variance="yes" if r < 1.0 else "no",
+                  variance_factor_vs_unweighted=1.0 / r)
+    _report(args.out, report)
 
 
 def _cmd_snr_profile(args: argparse.Namespace) -> None:
@@ -215,16 +206,8 @@ def _cmd_snr_profile(args: argparse.Namespace) -> None:
 def _cmd_fit_snr(args: argparse.Namespace) -> None:
     with _in_stream(args.profile) as f:
         fit = fit_snr_model(*load_profile_points(f))
-    lines = [
-        f"a_prime = {fmt(fit.a_prime)}",
-        f"b_prime = {fmt(fit.b_prime)}",
-        f"c0 = {fmt(fit.c0)}",
-        f"c1 = {fmt(fit.c1)}",
-        f"delta = {fmt(fit.delta)}",
-        f"minimax_scale = {fmt(minimax_scale(fit.delta))}",
-        f"worst_case_efficiency = {fmt(sech2(fit.delta))}",
-    ]
-    _write_lines(args.out, lines)
+    _report(args.out, {**asdict(fit), "minimax_scale": minimax_scale(fit.delta),
+                        "worst_case_efficiency": sech2(fit.delta)})
 
 
 # simulate's override flags: (flag, SimConfig field, help). Values are

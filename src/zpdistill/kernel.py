@@ -51,7 +51,7 @@ SCHEMES = ("beta", "hard", "unweighted")
 
 @dataclass(frozen=True)
 class ZpdMoments:
-    """Mean and population variance of pass rates inside [eps, 1-eps]."""
+    """Mean and population variance of the pass rates p < 1 inside [eps, 1-eps]."""
 
     epsilon: float
     mean_p: float
@@ -61,7 +61,7 @@ class ZpdMoments:
     def __post_init__(self) -> None:
         if not 0.0 < self.epsilon < 0.5:
             raise DomainError(f"epsilon must lie in (0, 0.5), got {self.epsilon}")
-        if not self.epsilon <= self.mean_p <= 1.0 - self.epsilon:
+        if not (self.epsilon <= self.mean_p <= 1.0 - self.epsilon and self.mean_p < 1.0):
             raise DomainError("mean_p must lie inside the [eps, 1-eps] band")
         if self.var_p < 0.0:
             raise DomainError(f"var_p must be >= 0, got {self.var_p}")
@@ -138,14 +138,15 @@ def unit_mean(raw: np.ndarray) -> np.ndarray:
 
 
 def zpd_moments(p: np.ndarray, epsilon: float) -> ZpdMoments:
-    """Moments of the pass rates p restricted to the band [eps, 1-eps]."""
+    """Moments of the pass rates p restricted to the band [eps, 1-eps], less
+    p = 1, which the band holds where 1 - eps rounds to 1 (eps <= 2^-54)."""
     if not 0.0 < epsilon < 0.5:
         raise DomainError(f"epsilon must lie in (0, 0.5), got {epsilon}")
     p = np.asarray(p, dtype=np.float64)
-    in_band = p[(p >= epsilon) & (p <= 1.0 - epsilon)]
+    in_band = p[(p >= epsilon) & (p <= 1.0 - epsilon) & (p < 1.0)]
     if in_band.size < 2:
         raise InsufficientDataError(
-            f"need at least 2 pass rates inside [{epsilon}, {1.0 - epsilon}], "
+            f"need at least 2 pass rates p < 1 inside [{epsilon}, {1.0 - epsilon}], "
             f"got {in_band.size}"
         )
     mean = float(in_band.mean())

@@ -270,6 +270,15 @@ class TestSelectExponents:
         # p = 0.05 falls outside [0.3, 0.7]; only two rates remain.
         assert kv["count"] == "2"
 
+    def test_p_1_stays_out_where_1_minus_epsilon_rounds_to_1(self, tmp_path, capsys):
+        # 1 - 1e-17 rounds to 1.0; a (p = 1) must stay out of the band all the same.
+        spec = [("a", 2, 2), ("b", 1, 2), ("c", 1, 4), ("d", 3, 4)]
+        path = _write_rollouts(tmp_path / "r.jsonl", spec)
+        for epsilon in ("1e-16", "1e-17"):
+            assert main(["select-exponents", str(path), "--epsilon", epsilon]) == 0
+            kv = _kv(capsys.readouterr().out)
+            assert (kv["count"], kv["mean_p"]) == ("3", "0.5")
+
     def test_too_few_in_band_is_error(self, tmp_path, capsys):
         path = _write_rollouts(tmp_path / "r.jsonl", [("a", 0, 4), ("b", 2, 4)])
         assert main(["select-exponents", str(path)]) == 1

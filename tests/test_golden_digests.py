@@ -1,5 +1,7 @@
-"""Byte-level pins of `zpdistill simulate` outputs at seed 7, and of the
-`weight` and `select-exponents` outputs on one seeded rollouts file.
+"""Byte-level pins of `zpdistill simulate` outputs at seed 7, of the
+`weight` and `select-exponents` outputs on one seeded rollouts file, and of
+every branch of the `select-exponents`, `variance-ratio`, `fit-snr` and
+`robustness` reports on small fixed inputs.
 
 The simulate digests are those of the committed golden run (README), of a
 two-stage run that takes the sampled reverse-KL path, of a run on the
@@ -188,6 +190,108 @@ def test_analysis_command_bytes(tmp_path, run):
         assert main([argv[0], str(rollouts), *argv[1:], "--out", str(out)]) == 0
     assert outs[0].read_bytes() == outs[1].read_bytes()
     assert _sha256(outs[0]) == want
+
+
+def _rollouts(counts: list[tuple[int, int]]) -> list[str]:
+    """One rollout record per (successes, k), ids q0, q1, ..."""
+    return [
+        json.dumps({"problem_id": f"q{i}", "outcomes": [True] * s + [False] * (k - s)})
+        for i, (s, k) in enumerate(counts)
+    ]
+
+
+# SNR^2 = 9 p^1.2 (1-p)^0.8 e^r(p) at eight bin means, r within +-0.1.
+_PROFILE = [
+    "bin_lo,bin_hi,mean_p,count,snr,snr_norm,theory_norm",
+    "0,0.125,0.0725,10,0.6181686666,,",
+    "0.125,0.25,0.1775,11,0.9353623993,,",
+    "0.25,0.375,0.3225,12,1.315060553,,",
+    "0.375,0.5,0.4275,13,1.500254375,,",
+    "0.5,0.625,0.5725,14,1.497873396,,",
+    "0.625,0.75,0.6775,15,1.510353902,,",
+    "0.75,0.875,0.8225,16,1.37692719,,",
+    "0.875,1,0.9275,17,0.9692693983,,",
+]
+_EXPONENTS = ["--alpha", "1", "--beta", "1", "--gamma1", "-0.5", "--gamma2", "-0.5"]
+
+# Each branch of each report, on the inputs of the CLI tests: (argv, with
+# {input} for the input file; that file's lines or None; output digest).
+_REPORT_RUNS = {
+    "select_exponents_peak": (
+        ["select-exponents", "{input}"],
+        _rollouts([(6, 20), (10, 20), (14, 20)]),
+        "4b4a6f18f4a81e4970dcebfb4b4d3ed15e0977c987e4919e172bfdb7f9525ff5",
+    ),
+    # Skewed in-band moments: valid, yet the matched alpha is negative.
+    "select_exponents_negative": (
+        ["select-exponents", "{input}", "--epsilon", "0.1"],
+        _rollouts([(2, 20)] * 6 + [(3, 20)] * 3 + [(13, 20)] * 2),
+        "59dac07b141090646ee5947afbe8f426429cad873b5ee9e965fcaa6128a11aa8",
+    ),
+    # Mean 1/2 and variance 1/12, both exact: the flat kernel (0, 0).
+    "select_exponents_flat_centre": (
+        ["select-exponents", "{input}"],
+        _rollouts([(1, 8)] * 8 + [(7, 8)] * 8 + [(4, 8)] * 11),
+        "5f390a65b65dea3b474f8f74854fe927bd131b6ec70d1237776ccbf07ea7669d",
+    ),
+    # Mean 1/4 and variance 1/16: the flat boundary off centre, (-0.5, 0.5).
+    "select_exponents_flat_off_centre": (
+        ["select-exponents", "{input}"],
+        _rollouts([(1, 8)] * 4 + [(6, 8)]),
+        "04dcd6aa79039aa7eb4fe1f7c43bbf6f1e24f972c3286ddb0adc7a741c1c1e35",
+    ),
+    "select_exponents_invalid": (
+        ["select-exponents", "{input}"],
+        _rollouts([(3, 20), (17, 20)]),
+        "b789d4f8df2ccb9c48c1059ae349a6779aa548b77342e46704d89b51a9e3a5c8",
+    ),
+    "variance_ratio_exponents": (
+        ["variance-ratio", *_EXPONENTS],
+        None,
+        "831504f9567bfc6d60fe1a7a393b5dd5a1707a022fc4a32ef89d0e4d647be355",
+    ),
+    "variance_ratio_signal": (
+        ["variance-ratio", "--signal", "1.0", "1.5", "1.3", "0.7"],
+        None,
+        "b6fb2da7c0998d72260b425723d62b8681709d037ed23e96af3ebc45d12ca51d",
+    ),
+    "variance_ratio_epsilon": (
+        ["variance-ratio", *_EXPONENTS, "--epsilon", "0.1"],
+        None,
+        "8c2035e7da1d79f886b7d82855c35accd94d26de9d5d3b7ac6542cd783cd04ec",
+    ),
+    "fit_snr": (
+        ["fit-snr", "{input}"],
+        _PROFILE,
+        "1e1ee71ee4525a92fb0c1340940055105197b6372963854ae0b0d5126a4d1b62",
+    ),
+    "robustness": (
+        ["robustness"],
+        None,
+        "929dad82863ff33f21a8fab4d2cbb26d7bf126156124b730df0138b55b90a1fd",
+    ),
+    "robustness_delta": (
+        ["robustness", "--delta", "0.7"],
+        None,
+        "413afb1139bd86b70a378c107285191750a9ad76d13bab52dc6df3afa418aa4c",
+    ),
+}
+
+
+def _report_bytes(tmp_path: Path, argv: list[str], lines: list[str] | None) -> bytes:
+    """What one report command writes to --out, its input file written first."""
+    path = tmp_path / "input"
+    if lines is not None:
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out = tmp_path / "report.out"
+    assert main([word.format(input=path) for word in argv] + ["--out", str(out)]) == 0
+    return out.read_bytes()
+
+
+@pytest.mark.parametrize("run", sorted(_REPORT_RUNS))
+def test_report_bytes(tmp_path, run):
+    argv, lines, want = _REPORT_RUNS[run]
+    assert hashlib.sha256(_report_bytes(tmp_path, argv, lines)).hexdigest() == want
 
 
 # (dtype, shape, sha256 of tobytes()) of every SimWorld array, for the

@@ -239,6 +239,36 @@ class TestZpdMoments:
         with pytest.raises(DomainError, match=f"^{want}$"):
             ZpdMoments(**{**ok, field: value})
 
+    def test_constructor_rejects_mean_p_1_where_1_minus_epsilon_rounds_to_1(self):
+        with pytest.raises(DomainError, match=r"^mean_p must lie inside the \[eps, 1-eps\] band$"):
+            ZpdMoments(epsilon=1e-17, mean_p=1.0, var_p=0.0, count=2)
+
+    @given(
+        counts=st.lists(st.tuples(st.integers(0, 16), st.integers(1, 16)), min_size=2, max_size=30),
+        eps=st.one_of(
+            st.floats(5e-324, 0.5, exclude_max=True),
+            st.floats(5e-324, 2.0**-50),
+            st.sampled_from([5e-324, 1e-17, 2.0**-54, math.nextafter(2.0**-54, 1.0), 1e-16]),
+        ),
+    )
+    @example(counts=[(2, 2), (1, 2), (1, 4), (3, 4)], eps=1e-17)
+    def test_band_never_holds_0_or_1(self, counts, eps):
+        # Oracle for eps > 2^-54, where 1 - eps rounds below 1: the inclusive
+        # band [eps, 1 - eps] alone.
+        p = np.array([min(s, k) / k for s, k in counts])
+
+        def moments(rates):
+            try:
+                return zpd_moments(rates, eps)
+            except InsufficientDataError:
+                return None
+
+        m = moments(p)
+        assert m == moments(p[(p > 0.0) & (p < 1.0)])
+        if eps > 2.0**-54:
+            kept = int(((p >= eps) & (p <= 1.0 - eps)).sum())
+            assert (None if m is None else m.count) == (kept if kept >= 2 else None)
+
     def test_matches_in_order_scalar_filter_bit_for_bit(self):
         # Oracle: keep each in-band pass rate in input order with scalar
         # comparisons, then take the same numpy mean and variance.

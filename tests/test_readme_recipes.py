@@ -4,7 +4,10 @@ Every command run here must appear, word for word, among the `zpdistill`
 lines of the README's sh blocks; its loop variables are then substituted
 and it runs in a scratch directory holding a copy of `configs/`. The
 values pinned here are the ones the README's Recipes section quotes, so
-neither a renamed flag nor a drifted number can leave a recipe stale.
+neither a renamed flag nor a drifted number can leave a recipe stale. The
+report commands also run on the inputs pinned in test_golden_digests.py,
+and the keys they print must be the ones the README's Reports bullet
+lists, in its order.
 """
 
 import hashlib
@@ -17,6 +20,8 @@ from pathlib import Path
 import pytest
 
 from zpdistill.cli import _build_parser, main
+
+from test_golden_digests import _REPORT_RUNS, _report_bytes
 
 _ROOT = Path(__file__).resolve().parent.parent
 
@@ -185,3 +190,41 @@ def test_readme_quotes_the_pinned_values():
     pinned = [*_BELL_RATIOS.values(), *_FIT.values(), *_GOLDEN_FINAL.split()[-3::2]]
     for value in pinned:
         assert f"{float(value):.3f}" in section, value
+
+
+def _reports_bullet() -> dict[str, str]:
+    """Each command's part of the Reports bullet under File formats."""
+    readme = (_ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## File formats", 1)[1].split("\n## ", 1)[0]
+    bullet = section.split("- **Reports**", 1)[1].split("\n- **", 1)[0]
+    parts = re.split(r"^  - `([a-z-]+)`", bullet, flags=re.M)
+    return dict(zip(parts[1::2], parts[2::2]))
+
+
+def _documented_keys(part: str) -> list[str]:
+    """The keys of a part in order of first mention: each backticked `key`
+    or `key = value`."""
+    spans = (re.fullmatch(r"([a-z][a-z0-9_]*)(?: = .*)?", span, re.S)
+             for span in re.findall(r"`([^`]+)`", part))
+    return list(dict.fromkeys(m[1] for m in spans if m))
+
+
+@pytest.mark.parametrize("command", ["select-exponents", "variance-ratio", "fit-snr"])
+def test_reports_bullet_lists_the_printed_keys_in_order(tmp_path, command):
+    documented = _documented_keys(_reports_bullet()[command])
+    printed_by_some_run = set()
+    for argv, lines, _ in _REPORT_RUNS.values():
+        if argv[0] != command:
+            continue
+        text = _report_bytes(tmp_path, argv, lines).decode("utf-8")
+        printed = [line.split(" = ", 1)[0] for line in text.splitlines()]
+        assert set(printed) <= set(documented), argv
+        assert printed == sorted(printed, key=documented.index), argv
+        printed_by_some_run.update(printed)
+    assert set(documented) == printed_by_some_run
+
+
+def test_reports_bullet_gives_the_robustness_header(tmp_path):
+    argv, lines, _ = _REPORT_RUNS["robustness"]
+    header = _report_bytes(tmp_path, argv, lines).decode("utf-8").splitlines()[0]
+    assert f"`{header}`" in _reports_bullet()["robustness"]
